@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the numeric kernels the
-// experiments lean on: matmul variants, im2col, affine warps, PSNR, and the
-// attack implant/reconstruct paths. Not a paper figure — an engineering
-// baseline for regressions.
+// experiments lean on: matmul variants, im2col, affine warps, PSNR, the
+// attack implant/reconstruct paths, and the integrity/codec path (CRC32C,
+// serialize_tensors) at the three round-benchmark update sizes. Not a paper
+// figure — an engineering baseline for regressions.
 //
 // Before the google-benchmark suite runs, a serial-vs-parallel thread sweep
 // times the pool-dispatched kernels (GEMM, conv forward/backward) at several
@@ -23,6 +24,7 @@
 #include "attack/rtf.h"
 #include "augment/affine.h"
 #include "bench_common.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "metrics/psnr.h"
@@ -34,6 +36,7 @@
 #include "runtime/parallel.h"
 #include "tensor/gemm/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/serialize.h"
 
 namespace {
 
@@ -99,6 +102,42 @@ void BM_Psnr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Psnr);
+
+// Update sizes of the round benchmark's workloads: shard_stream (34 KB),
+// oasis_convnet (612 KB) and socket_mlp (6.3 MB) uploads.
+void update_sizes(benchmark::internal::Benchmark* b) {
+  b->Arg(34 << 10)->Arg(612 << 10)->Arg(6'300'000);
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  common::Rng rng(8);
+  std::vector<std::uint8_t> buf(bytes);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = common::crc32c(buf.data(), buf.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32c)->Apply(update_sizes);
+
+// One rank-1 tensor of the update's size: header bytes are negligible, so
+// this times the copy + CRC that every upload pays.
+void BM_SerializeTensors(benchmark::State& state) {
+  const auto bytes = static_cast<index_t>(state.range(0));
+  common::Rng rng(9);
+  const std::vector<tensor::Tensor> ts{
+      tensor::Tensor::randn({bytes / static_cast<index_t>(sizeof(real))}, rng)};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::serialize_tensors(ts));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SerializeTensors)->Apply(update_sizes);
 
 data::InMemoryDataset micro_aux() {
   data::SynthConfig cfg;

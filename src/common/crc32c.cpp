@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "common/crc32c_detail.h"
+
 namespace oasis::common {
 namespace {
 
@@ -35,7 +37,10 @@ const Tables& tables() {
 
 }  // namespace
 
-std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed) {
+namespace detail {
+
+std::uint32_t crc32c_portable(const void* data, std::size_t n,
+                              std::uint32_t seed) {
   const auto& t = tables().t;
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t crc = ~seed;
@@ -53,6 +58,15 @@ std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed) {
     crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFFu];
   }
   return ~crc;
+}
+
+}  // namespace detail
+
+std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed) {
+  static const auto impl = detail::sse42_supported()
+                               ? &detail::crc32c_sse42
+                               : &detail::crc32c_portable;
+  return impl(data, n, seed);
 }
 
 }  // namespace oasis::common

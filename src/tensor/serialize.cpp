@@ -11,9 +11,26 @@ namespace {
 
 constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
 
-void write_u64(std::uint64_t v, ByteBuffer& out) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+std::uint8_t* put_u64(std::uint64_t v, std::uint8_t* out) {
+  std::memcpy(out, &v, sizeof(v));
+  return out + sizeof(v);
+}
+
+/// Encoded size of one tensor: rank, extents, values.
+std::size_t tensor_bytes(const Tensor& t) {
+  return (1 + t.rank()) * sizeof(std::uint64_t) +
+         t.data().size() * sizeof(real);
+}
+
+/// Writes exactly tensor_bytes(t) bytes at `out`; returns the end.
+std::uint8_t* put_tensor(const Tensor& t, std::uint8_t* out) {
+  out = put_u64(t.rank(), out);
+  for (const auto d : t.shape()) out = put_u64(d, out);
+  const auto values = t.data();
+  if (!values.empty()) {
+    std::memcpy(out, values.data(), values.size() * sizeof(real));
+  }
+  return out + values.size() * sizeof(real);
 }
 
 // All read helpers walk the logical payload [0, end); `end` excludes the
@@ -81,11 +98,9 @@ std::size_t verify_trailer(const ByteBuffer& in) {
 }  // namespace
 
 void write_tensor(const Tensor& t, ByteBuffer& out) {
-  write_u64(t.rank(), out);
-  for (const auto d : t.shape()) write_u64(d, out);
-  const auto values = t.data();
-  const auto* p = reinterpret_cast<const std::uint8_t*>(values.data());
-  out.insert(out.end(), p, p + values.size() * sizeof(real));
+  const std::size_t at = out.size();
+  out.resize(at + tensor_bytes(t));
+  put_tensor(t, out.data() + at);
 }
 
 Tensor read_tensor(const ByteBuffer& in, std::size_t& offset) {
@@ -97,14 +112,23 @@ Tensor read_tensor(const ByteBuffer& in, std::size_t& offset) {
   return Tensor(std::move(shape), std::move(values));
 }
 
-ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors) {
-  ByteBuffer out;
-  write_u64(tensors.size(), out);
-  for (const auto& t : tensors) write_tensor(t, out);
-  const std::uint32_t crc = oasis::common::crc32c(out.data(), out.size());
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&crc);
-  out.insert(out.end(), p, p + kCrcBytes);
+ByteBuffer serialize_tensors(std::span<const Tensor* const> tensors) {
+  // Size the message exactly, allocate once, and write every byte straight
+  // into its final place.
+  std::size_t size = sizeof(std::uint64_t) + kCrcBytes;
+  for (const Tensor* t : tensors) size += tensor_bytes(*t);
+  ByteBuffer out(size);
+  std::uint8_t* cursor = put_u64(tensors.size(), out.data());
+  for (const Tensor* t : tensors) cursor = put_tensor(*t, cursor);
+  reseal_tensors(out);
   return out;
+}
+
+ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors) {
+  std::vector<const Tensor*> views;
+  views.reserve(tensors.size());
+  for (const auto& t : tensors) views.push_back(&t);
+  return serialize_tensors(views);
 }
 
 void reseal_tensors(ByteBuffer& buf) {

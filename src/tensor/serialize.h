@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -37,6 +38,10 @@ Tensor read_tensor(const ByteBuffer& in, std::size_t& offset);
 
 /// Serializes a list of tensors with a count header and a trailing CRC32C.
 ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors);
+
+/// The same bytes from borrowed tensors, so a caller holding tensors in
+/// place (a model's parameters) serializes them without copying them first.
+ByteBuffer serialize_tensors(std::span<const Tensor* const> tensors);
 
 /// Inverse of serialize_tensors. Throws ChecksumError when the CRC32C
 /// trailer does not match the payload, SerializationError on malformed input.

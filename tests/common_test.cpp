@@ -1,11 +1,20 @@
 // Tests for the common utilities: CLI parsing, logging levels, error
-// macros, stopwatch; plus serialization robustness (fuzz) and experiment
+// macros, stopwatch, CRC32C (known answers and a portable-vs-SSE4.2-vs-bitwise
+// differential); plus serialization robustness (fuzz) and experiment
 // determinism properties.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/cli.h"
+#include "common/crc32c.h"
+#include "common/crc32c_detail.h"
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/experiment.h"
 #include "data/synthetic.h"
@@ -244,6 +253,120 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(sw.millis(), elapsed * 1e3);
   sw.restart();
   EXPECT_LT(sw.seconds(), elapsed + 0.5);
+}
+
+// ---- CRC32C -----------------------------------------------------------------
+
+using CrcFn = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+
+/// The implementations runnable on this host, by name: the dispatched
+/// entry point, the portable walk, and the SSE4.2 kernel when the CPU has it.
+std::vector<std::pair<std::string, CrcFn>> crc_impls() {
+  std::vector<std::pair<std::string, CrcFn>> impls{
+      {"dispatched",
+       [](const void* d, std::size_t n, std::uint32_t s) {
+         return common::crc32c(d, n, s);
+       }},
+      {"portable", &common::detail::crc32c_portable}};
+  if (common::detail::sse42_supported()) {
+    impls.emplace_back("sse42", &common::detail::crc32c_sse42);
+  }
+  return impls;
+}
+
+/// Bitwise reference: ref[L] is the CRC32C of data[0, L) continued from
+/// `seed`, for every prefix length L — one pass, one bit at a time.
+std::vector<std::uint32_t> bitwise_prefix_crcs(const std::uint8_t* data,
+                                               std::size_t n,
+                                               std::uint32_t seed) {
+  std::vector<std::uint32_t> ref(n + 1);
+  std::uint32_t reg = ~seed;
+  ref[0] = seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    reg ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      reg = (reg & 1u) ? (reg >> 1) ^ 0x82F63B78u : reg >> 1;
+    }
+    ref[i + 1] = ~reg;
+  }
+  return ref;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+constexpr std::size_t kLongBlock = 3 * common::detail::kCrcLongLane;
+constexpr std::size_t kShortBlock = 3 * common::detail::kCrcShortLane;
+
+TEST(Crc32c, Rfc3720KnownAnswers) {
+  const std::string digits = "123456789";
+  const std::vector<std::uint8_t> zeros(32, 0x00), ones(32, 0xFF);
+  for (const auto& [name, fn] : crc_impls()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(fn(digits.data(), digits.size(), 0), 0xE3069283u);
+    EXPECT_EQ(fn(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+    EXPECT_EQ(fn(ones.data(), ones.size(), 0), 0x62A8AB43u);
+    EXPECT_EQ(fn(nullptr, 0, 0), 0u);
+  }
+}
+
+// Every length from empty through one whole long block plus a ragged tail,
+// at every 8-byte misalignment, fresh and continued from a random seed: the
+// portable walk and the SSE4.2 kernel must both equal the bitwise reference.
+// The portable walk (the slow one) takes every length up to past a short
+// block and a stride beyond it.
+TEST(Crc32c, PortableAndSse42MatchBitwiseReference) {
+  constexpr std::size_t kMaxLen = kLongBlock + 17;
+  const bool have_sse42 = common::detail::sse42_supported();
+  common::Rng seeds(0xC3C3u);
+  for (const std::uint32_t seed :
+       {0u, static_cast<std::uint32_t>(seeds()),
+        static_cast<std::uint32_t>(seeds())}) {
+    const auto buf = random_bytes(kMaxLen + 8, seed ^ 0x5EEDu);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::uint8_t* data = buf.data() + offset;
+      const auto ref = bitwise_prefix_crcs(data, kMaxLen, seed);
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        if (len <= kShortBlock + 17 || len % 61 == 0 || len + 24 >= kMaxLen) {
+          ASSERT_EQ(common::detail::crc32c_portable(data, len, seed), ref[len])
+              << "portable, len " << len << " offset " << offset;
+        }
+        if (have_sse42) {
+          ASSERT_EQ(common::detail::crc32c_sse42(data, len, seed), ref[len])
+              << "sse42, len " << len << " offset " << offset;
+        }
+      }
+    }
+  }
+}
+
+// crc32c(a‖b) == crc32c(b, crc32c(a)) with the split on, and around, the
+// short- and long-block boundaries, so a chain is resumed mid-lane.
+TEST(Crc32c, ChainingAcrossLaneBoundaries) {
+  const std::size_t n = 2 * kLongBlock + kShortBlock + 13;
+  const auto buf = random_bytes(n, 0xC4A1u);
+  std::vector<std::size_t> splits{0, 1, 7, 8, 9, n};
+  for (const std::size_t edge :
+       {common::detail::kCrcShortLane, kShortBlock,
+        common::detail::kCrcLongLane, kLongBlock, kLongBlock + kShortBlock}) {
+    for (const std::size_t delta : {0, 1, 3, 8}) {
+      splits.push_back(edge - delta);
+      splits.push_back(edge + delta);
+    }
+  }
+  for (const auto& [name, fn] : crc_impls()) {
+    SCOPED_TRACE(name);
+    const std::uint32_t whole = fn(buf.data(), n, 0);
+    for (const std::size_t split : splits) {
+      const std::uint32_t head = fn(buf.data(), split, 0);
+      EXPECT_EQ(fn(buf.data() + split, n - split, head), whole)
+          << "split at " << split;
+    }
+  }
 }
 
 // Serialization fuzz: corrupting a valid buffer at any prefix length must

@@ -448,6 +448,26 @@ TEST(ModelIo, LoadStateRejectsMismatch) {
   EXPECT_THROW(load_state(*a, state), Error);
 }
 
+// Only the LAST tensor mismatches: every earlier one would load fine, so a
+// loader that assigned while it validated would overwrite most of the live
+// model before throwing. Both load paths must leave the bytes untouched.
+TEST(ModelIo, LoadStateMismatchLeavesModelUntouched) {
+  common::Rng rng(33);
+  const ImageSpec spec{3, 8, 8};
+  auto live = make_mlp(spec, {16}, 4, rng);
+  auto other = make_mlp(spec, {16}, 4, rng);  // same shapes, other values
+  auto state = snapshot_state(*other);
+  tensor::Shape wrong = state.back().shape();
+  wrong.back() += 1;
+  state.back() = tensor::Tensor(wrong);
+  const tensor::ByteBuffer before = serialize_state(*live);
+  EXPECT_THROW(load_state(*live, state), Error);
+  EXPECT_EQ(serialize_state(*live), before);
+  EXPECT_THROW(deserialize_state(*live, tensor::serialize_tensors(state)),
+               Error);
+  EXPECT_EQ(serialize_state(*live), before);
+}
+
 TEST(Models, AttackHostShapes) {
   common::Rng rng(32);
   const ImageSpec spec{3, 16, 16};

@@ -8,6 +8,8 @@
 
 #include "common/crc32c.h"
 #include "common/rng.h"
+#include "nn/model_io.h"
+#include "nn/models.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "tensor/tensor.h"
@@ -247,6 +249,81 @@ TEST(Serialize, RoundTripSingle) {
   Tensor u = read_tensor(buf, offset);
   EXPECT_EQ(offset, buf.size());
   EXPECT_TRUE(t == u);
+}
+
+void append_u64(std::uint64_t v, ByteBuffer& out) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+  out.insert(out.end(), p, p + sizeof(v));
+}
+
+/// The wire format spelled out from the raw primitives: count header, each
+/// tensor through write_tensor, then the CRC32C of everything before it.
+ByteBuffer reference_message(const std::vector<Tensor>& ts) {
+  ByteBuffer out;
+  append_u64(ts.size(), out);
+  for (const auto& t : ts) write_tensor(t, out);
+  const std::uint32_t crc = oasis::common::crc32c(out.data(), out.size());
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&crc);
+  out.insert(out.end(), p, p + sizeof(crc));
+  return out;
+}
+
+TEST(Serialize, WriteTensorLayoutIsRankExtentsValues) {
+  ByteBuffer want;
+  append_u64(1, want);
+  append_u64(2, want);
+  for (const double v : {1.5, -2.0}) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    want.insert(want.end(), p, p + sizeof(v));
+  }
+  ByteBuffer got;
+  write_tensor(Tensor({2}, {1.5, -2.0}), got);
+  EXPECT_EQ(got, want);
+}
+
+// serialize_tensors sizes its buffer up front and writes in place; the bytes
+// must be exactly the primitives' concatenation, for random lists that
+// include rank-0 tensors, zero extents, empty lists and several tensors.
+TEST(Serialize, ExactSizeCodecMatchesRawPrimitives) {
+  common::Rng rng(41);
+  std::vector<std::vector<Tensor>> lists{
+      {},
+      {Tensor(Shape{})},
+      {Tensor::randn({3, 0, 2}, rng), Tensor(Shape{}), Tensor::randn({5}, rng)},
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<Tensor> ts;
+    const auto count = rng.uniform_int(1, 6);
+    for (std::int64_t i = 0; i < count; ++i) {
+      Shape shape(static_cast<std::size_t>(rng.uniform_int(0, 4)));
+      for (auto& d : shape) d = static_cast<index_t>(rng.uniform_int(0, 5));
+      ts.push_back(Tensor::randn(shape, rng));
+    }
+    lists.push_back(std::move(ts));
+  }
+  for (const auto& ts : lists) {
+    const ByteBuffer want = reference_message(ts);
+    EXPECT_EQ(serialize_tensors(ts), want);
+    std::vector<const Tensor*> views;
+    for (const auto& t : ts) views.push_back(&t);
+    EXPECT_EQ(serialize_tensors(views), want);
+    EXPECT_EQ(serialize_tensors(deserialize_tensors(want)), want);
+  }
+}
+
+// serialize_state writes the module's tensors in place; it must produce the
+// bytes of the snapshot path, and a deserialize_state round trip must
+// reproduce them exactly (parameters and BatchNorm buffers alike).
+TEST(Serialize, ModelStateCodecIsByteExact) {
+  common::Rng rng(42);
+  const nn::ImageSpec spec{3, 8, 8};
+  auto a = nn::make_mini_resnet(spec, 5, rng, 4);
+  auto b = nn::make_mini_resnet(spec, 5, rng, 4);  // different init
+  const ByteBuffer bytes = nn::serialize_state(*a);
+  EXPECT_EQ(bytes, serialize_tensors(nn::snapshot_state(*a)));
+  ASSERT_NE(nn::serialize_state(*b), bytes);
+  nn::deserialize_state(*b, bytes);
+  EXPECT_EQ(nn::serialize_state(*b), bytes);
 }
 
 TEST(Serialize, RoundTripList) {

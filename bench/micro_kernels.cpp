@@ -280,34 +280,93 @@ void run_thread_sweeps(index_t top) {
       bench::ensure_output_dir() + "/micro_kernels_threads.json", sweeps);
 }
 
-// dtype × ISA × threads GEMM sweep: times the blocked kernel family on
-// square multiplies under every ISA available on this host, for both the
-// double fidelity dtype and the float scale dtype, at 1 thread and the pool
-// size, against the same-dtype naive oracle and the scalar-f64 blocked
-// baseline. The table goes to bench_out/BENCH_gemm.json — the acceptance
-// artifact for the kernel layer (DESIGN.md §5f/§5k): the differential tests
-// prove the bits match, this records how much faster each variant is.
+// dtype × ISA × threads GEMM sweep: times the blocked kernel family under
+// every ISA available on this host, for both the double fidelity dtype and
+// the float scale dtype, at 1 thread and the pool size, against the
+// same-dtype naive oracle and the scalar-f64 blocked baseline. Two shape
+// sets: square cubes in each variant, and the exact GEMMs the round
+// benchmark's workloads issue (in the variant the layer calls). The cubes
+// alone once hid a 3× AVX2 loss on the conv shapes, whose small m leaves
+// most register tiles ragged. The table goes to bench_out/BENCH_gemm.json —
+// the acceptance artifact for the kernel layer (DESIGN.md §5f/§5k): the
+// differential tests prove the bits match, this records how much faster
+// each variant is.
+struct GemmShape {
+  const char* name;
+  tensor::gemm::Variant variant;
+  index_t m, k, n;
+};
+
+const char* variant_name(tensor::gemm::Variant v) {
+  switch (v) {
+    case tensor::gemm::Variant::NN: return "nn";
+    case tensor::gemm::Variant::TN: return "tn";
+    case tensor::gemm::Variant::NT: return "nt";
+  }
+  return "?";
+}
+
+std::vector<GemmShape> gemm_sweep_shapes() {
+  using tensor::gemm::Variant;
+  std::vector<GemmShape> shapes;
+  for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
+    for (const index_t n : {256, 512, 1024}) {
+      shapes.push_back({"cube", v, n, n, n});
+    }
+  }
+  const GemmShape workload[] = {
+      {"conv0_fwd", Variant::NN, 8, 27, 576},
+      {"conv0_grad_w", Variant::NT, 8, 576, 27},
+      {"conv0_grad_x", Variant::TN, 27, 8, 576},
+      {"conv1_fwd", Variant::NN, 16, 72, 144},
+      {"conv1_grad_w", Variant::NT, 16, 144, 72},
+      {"conv1_grad_x", Variant::TN, 72, 16, 144},
+      {"mlp_dense0_fwd", Variant::NT, 32, 3072, 256},
+      {"mlp_dense0_grad_w", Variant::TN, 256, 32, 3072},
+      {"mlp_dense0_grad_x", Variant::NN, 32, 256, 3072},
+      {"mlp_dense1_fwd", Variant::NT, 32, 256, 10},
+      {"mlp_dense1_grad_w", Variant::TN, 10, 32, 256},
+      {"mlp_dense1_grad_x", Variant::NN, 32, 10, 256},
+      {"linear_fwd", Variant::NT, 4, 432, 10},
+  };
+  shapes.insert(shapes.end(), std::begin(workload), std::end(workload));
+  return shapes;
+}
+
 struct GemmSweepRow {
   const char* dtype;
   std::string isa;
-  const char* variant;
-  index_t n, threads;
+  GemmShape shape;
+  index_t threads;
   double naive_s, blocked_s, scalar_f64_s;
 };
 
+double gemm_flops(const GemmShape& s) {
+  return 2.0 * static_cast<double>(s.m) * s.k * s.n;
+}
+
+/// Best-of-N repetitions: 2–3 for the cubes, up to 300 for the small
+/// workload GEMMs so the best rep is not one timer tick.
+int gemm_reps(const GemmShape& s) {
+  const double flops = gemm_flops(s);
+  if (flops >= 2e9) return 2;
+  return static_cast<int>(std::clamp(1e8 / flops, 3.0, 300.0));
+}
+
 template <typename T>
-double time_gemm_best(tensor::gemm::Variant v, index_t n, const std::vector<T>& a,
-                      const std::vector<T>& b, std::vector<T>& c, int reps,
-                      bool naive) {
+double time_gemm_best(const GemmShape& s, const std::vector<T>& a,
+                      const std::vector<T>& b, std::vector<T>& c, bool naive) {
   using Clock = std::chrono::steady_clock;
   double best = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0, reps = gemm_reps(s); rep < reps; ++rep) {
     std::fill(c.begin(), c.end(), T(0));
     const auto t0 = Clock::now();
     if (naive) {
-      tensor::gemm::naive(v, n, n, n, a.data(), b.data(), c.data());
+      tensor::gemm::naive(s.variant, s.m, s.k, s.n, a.data(), b.data(),
+                          c.data());
     } else {
-      tensor::gemm::blocked(v, n, n, n, a.data(), b.data(), c.data());
+      tensor::gemm::blocked(s.variant, s.m, s.k, s.n, a.data(), b.data(),
+                            c.data());
     }
     const std::chrono::duration<double> dt = Clock::now() - t0;
     best = std::min(best, dt.count());
@@ -318,47 +377,39 @@ double time_gemm_best(tensor::gemm::Variant v, index_t n, const std::vector<T>& 
 template <typename T>
 void gemm_sweep_dtype(const char* dtype, const std::vector<index_t>& counts,
                       std::vector<GemmSweepRow>& rows) {
-  const index_t sizes[] = {256, 512, 1024};
-  const std::pair<tensor::gemm::Variant, const char*> variants[] = {
-      {tensor::gemm::Variant::NN, "nn"},
-      {tensor::gemm::Variant::TN, "tn"},
-      {tensor::gemm::Variant::NT, "nt"},
-  };
   common::Rng rng(4242);
-  for (const auto& [variant, vname] : variants) {
-    for (const index_t n : sizes) {
-      std::vector<T> a(n * n), b(n * n), c(n * n);
-      for (auto& v : a) v = static_cast<T>(rng.uniform(-1.0, 1.0));
-      for (auto& v : b) v = static_cast<T>(rng.uniform(-1.0, 1.0));
-      const int reps = n >= 1024 ? 2 : 3;
-      // Baselines, both single-threaded: the same-dtype naive oracle and
-      // the scalar-f64 blocked kernel (the pre-SIMD reference everything is
-      // normalized against; re-timed per dtype loop, cheap next to naive).
-      runtime::set_num_threads(1);
-      const double naive_s = time_gemm_best(variant, n, a, b, c, reps, true);
-      tensor::gemm::set_isa(tensor::gemm::Isa::kScalar);
-      double scalar_f64_s;
-      {
-        std::vector<real> a64(a.begin(), a.end()), b64(b.begin(), b.end());
-        std::vector<real> c64(n * n);
-        scalar_f64_s = time_gemm_best(variant, n, a64, b64, c64, reps, false);
-      }
-      for (const auto isa : tensor::gemm::available_isas()) {
-        tensor::gemm::set_isa(isa);
-        for (const index_t threads : counts) {
-          runtime::set_num_threads(threads);
-          const double blocked_s =
-              time_gemm_best(variant, n, a, b, c, reps, false);
-          rows.push_back({dtype, tensor::gemm::isa_name(isa), vname, n,
-                          threads, naive_s, blocked_s, scalar_f64_s});
-          const double flops = 2.0 * static_cast<double>(n) * n * n;
-          std::printf(
-              "  %-3s %-6s %-3s %6zu %8zu %12.4f %12.4f %8.2fx %8.2fx %8.1f\n",
-              dtype, tensor::gemm::isa_name(isa), vname,
-              static_cast<std::size_t>(n), static_cast<std::size_t>(threads),
-              naive_s, blocked_s, naive_s / blocked_s,
-              scalar_f64_s / blocked_s, flops / blocked_s * 1e-9);
-        }
+  for (const GemmShape& s : gemm_sweep_shapes()) {
+    std::vector<T> a(s.m * s.k), b(s.k * s.n), c(s.m * s.n);
+    for (auto& v : a) v = static_cast<T>(rng.uniform(-1.0, 1.0));
+    for (auto& v : b) v = static_cast<T>(rng.uniform(-1.0, 1.0));
+    // Baselines, both single-threaded: the same-dtype naive oracle and the
+    // scalar-f64 blocked kernel (the pre-SIMD reference everything is
+    // normalized against; re-timed per dtype loop, cheap next to naive).
+    runtime::set_num_threads(1);
+    const double naive_s = time_gemm_best(s, a, b, c, true);
+    tensor::gemm::set_isa(tensor::gemm::Isa::kScalar);
+    double scalar_f64_s;
+    {
+      std::vector<real> a64(a.begin(), a.end()), b64(b.begin(), b.end());
+      std::vector<real> c64(c.size());
+      scalar_f64_s = time_gemm_best(s, a64, b64, c64, false);
+    }
+    for (const auto isa : tensor::gemm::available_isas()) {
+      tensor::gemm::set_isa(isa);
+      for (const index_t threads : counts) {
+        runtime::set_num_threads(threads);
+        const double blocked_s = time_gemm_best(s, a, b, c, false);
+        rows.push_back({dtype, tensor::gemm::isa_name(isa), s, threads,
+                        naive_s, blocked_s, scalar_f64_s});
+        std::printf(
+            "  %-3s %-6s %-17s %-3s %4zux%4zux%4zu %3zu %10.6f %10.6f "
+            "%7.2fx %6.2fx %6.1f\n",
+            dtype, tensor::gemm::isa_name(isa), s.name,
+            variant_name(s.variant), static_cast<std::size_t>(s.m),
+            static_cast<std::size_t>(s.k), static_cast<std::size_t>(s.n),
+            static_cast<std::size_t>(threads), naive_s, blocked_s,
+            naive_s / blocked_s, scalar_f64_s / blocked_s,
+            gemm_flops(s) / blocked_s * 1e-9);
       }
     }
   }
@@ -371,11 +422,11 @@ void run_gemm_sweep(index_t top) {
 
   const tensor::gemm::Isa default_isa = tensor::gemm::active_isa();
   std::vector<GemmSweepRow> rows;
-  std::printf(
-      "blocked GEMM sweep: dtype x ISA x threads (square n^3 multiplies)\n");
-  std::printf("  %-3s %-6s %-3s %6s %8s %12s %12s %9s %9s %8s\n", "dt", "isa",
-              "var", "n", "threads", "naive_s", "blocked_s", "vs_nai",
-              "vs_s64", "GF/s");
+  std::printf("blocked GEMM sweep: dtype x ISA x threads (cubes + workload "
+              "shapes)\n");
+  std::printf("  %-3s %-6s %-17s %-3s %14s %3s %10s %10s %8s %7s %6s\n", "dt",
+              "isa", "shape", "var", "m x k x n", "thr", "naive_s",
+              "blocked_s", "vs_nai", "vs_s64", "GF/s");
   gemm_sweep_dtype<real>("f64", counts, rows);
   gemm_sweep_dtype<real32>("f32", counts, rows);
   tensor::gemm::set_isa(default_isa);
@@ -399,18 +450,21 @@ void run_gemm_sweep(index_t top) {
   std::fprintf(f, "]},\n  \"rows\": [");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const GemmSweepRow& r = rows[i];
-    const double flops = 2.0 * static_cast<double>(r.n) * r.n * r.n;
     std::fprintf(
         f,
-        "%s\n    {\"dtype\": \"%s\", \"isa\": \"%s\", \"variant\": \"%s\", "
-        "\"n\": %zu, \"threads\": %zu, "
+        "%s\n    {\"dtype\": \"%s\", \"isa\": \"%s\", \"shape\": \"%s\", "
+        "\"variant\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, "
+        "\"threads\": %zu, "
         "\"naive_seconds\": %.6f, \"blocked_seconds\": %.6f, "
         "\"speedup_vs_naive\": %.3f, \"speedup_vs_scalar_f64\": %.3f, "
         "\"blocked_gflops\": %.2f}",
-        i == 0 ? "" : ",", r.dtype, r.isa.c_str(), r.variant,
-        static_cast<std::size_t>(r.n), static_cast<std::size_t>(r.threads),
-        r.naive_s, r.blocked_s, r.naive_s / r.blocked_s,
-        r.scalar_f64_s / r.blocked_s, flops / r.blocked_s * 1e-9);
+        i == 0 ? "" : ",", r.dtype, r.isa.c_str(), r.shape.name,
+        variant_name(r.shape.variant), static_cast<std::size_t>(r.shape.m),
+        static_cast<std::size_t>(r.shape.k),
+        static_cast<std::size_t>(r.shape.n),
+        static_cast<std::size_t>(r.threads), r.naive_s, r.blocked_s,
+        r.naive_s / r.blocked_s, r.scalar_f64_s / r.blocked_s,
+        gemm_flops(r.shape) / r.blocked_s * 1e-9);
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

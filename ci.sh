@@ -33,8 +33,9 @@
 #                      # Byzantine chaos suite under TSan
 #   ./ci.sh tsan       # TSan stage only
 #   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
-#                      # blocked-vs-naive floors for both dtypes + the fp32
-#                      # scale-path floors); run on quiet hardware
+#                      # blocked-vs-naive floors for both dtypes, the fp32
+#                      # scale-path floors, the dispatched ISA vs scalar on
+#                      # the round's conv shapes); run on quiet hardware
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -62,15 +63,17 @@ run_asan() {
 run_kernel() {
   # SIMD-dispatch stage: the per-ISA differential matrix runs once per ISA
   # the host can execute, forced through OASIS_GEMM_ISA so the kernel under
-  # test is never an accident of dispatch. ASan/UBSan catches a packed-panel
-  # overrun in any kernel geometry (the float 4×32 and the 6-row AVX2 tiles
-  # have different pack paddings than the 4×8 double tile); the TSan pass
+  # test is never an accident of dispatch. The label also carries nn_test's
+  # MiniConvNet CRC pin, whose constants must hold under every ISA.
+  # ASan/UBSan catches a packed-panel overrun in any kernel geometry (the
+  # float 4×32 and the 6-row AVX2 tiles have different pack paddings than
+  # the 4×8 double tile) or a staged-edge tile overrun; the TSan pass
   # then drives the intra-GEMM row-panel parallel path — the 8-thread
   # differential sweeps — where a racy B-panel pack or C-tile store would
   # surface.
   echo "==> [ci] Kernel stage: per-ISA differential matrix under ASan/UBSan + TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
-  cmake --build build-asan -j "${jobs}" --target kernel_diff_test
+  cmake --build build-asan -j "${jobs}" --target kernel_diff_test nn_test
   isas="scalar"
   if [ "$(uname -m)" = "x86_64" ] && grep -q avx2 /proc/cpuinfo 2>/dev/null \
      && grep -q fma /proc/cpuinfo 2>/dev/null; then

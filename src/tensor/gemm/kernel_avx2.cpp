@@ -10,9 +10,14 @@
 // advances through exactly the single-rounded FMA chain the scalar kernels
 // contract to, so the bits match the naive oracle (kernels.h).
 //
-// Ragged edges route to the shared generic_tile with the same 6-wide packed
-// strides; compiled here (with AVX2 enabled) it may auto-vectorize, which is
-// bit-harmless for the same reason the hand-written kernels are.
+// Ragged edges run through staged_edge (kernels.h): the live corner of C is
+// staged into a zero-padded 6×8 / 6×16 stack tile and the register kernel
+// instantiated for exactly the live row count runs on it, so a 2-row edge
+// issues 2 rows of FMAs, not 6. The staging changes no bits, for the same
+// reason the full kernels match the oracle. Edges do not go to generic_tile,
+// even compiled here with AVX2 enabled: measured, it runs ~3× slower than
+// the register kernel, which made the AVX2 dispatch lose to scalar on the
+// round's conv GEMMs, whose m = 8, 16, 27, 72 leave most row panels ragged.
 #include "tensor/gemm/kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -25,11 +30,14 @@ namespace {
 constexpr index_t kAvxMRF64 = 6, kAvxNRF64 = 8;
 constexpr index_t kAvxMRF32 = 6, kAvxNRF32 = 16;
 
-void avx2_full_f64(index_t kc, const double* __restrict ap,
+/// Updates the first R rows of the 6×8 f64 tile (packed-A stride stays
+/// kAvxMRF64); R = kAvxMRF64 is the full kernel.
+template <index_t R>
+void avx2_rows_f64(index_t kc, const double* __restrict ap,
                    const double* __restrict bp, double* __restrict c,
                    index_t ldc) {
-  __m256d acc[kAvxMRF64][2];
-  for (index_t r = 0; r < kAvxMRF64; ++r) {
+  __m256d acc[R][2];
+  for (index_t r = 0; r < R; ++r) {
     acc[r][0] = _mm256_loadu_pd(c + r * ldc);
     acc[r][1] = _mm256_loadu_pd(c + r * ldc + 4);
   }
@@ -37,23 +45,26 @@ void avx2_full_f64(index_t kc, const double* __restrict ap,
     const __m256d b0 = _mm256_loadu_pd(bp + kk * kAvxNRF64);
     const __m256d b1 = _mm256_loadu_pd(bp + kk * kAvxNRF64 + 4);
     const double* __restrict arow = ap + kk * kAvxMRF64;
-    for (index_t r = 0; r < kAvxMRF64; ++r) {
+    for (index_t r = 0; r < R; ++r) {
       const __m256d av = _mm256_set1_pd(arow[r]);
       acc[r][0] = _mm256_fmadd_pd(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_pd(av, b1, acc[r][1]);
     }
   }
-  for (index_t r = 0; r < kAvxMRF64; ++r) {
+  for (index_t r = 0; r < R; ++r) {
     _mm256_storeu_pd(c + r * ldc, acc[r][0]);
     _mm256_storeu_pd(c + r * ldc + 4, acc[r][1]);
   }
 }
 
-void avx2_full_f32(index_t kc, const float* __restrict ap,
+/// Updates the first R rows of the 6×16 f32 tile (packed-A stride stays
+/// kAvxMRF32); R = kAvxMRF32 is the full kernel.
+template <index_t R>
+void avx2_rows_f32(index_t kc, const float* __restrict ap,
                    const float* __restrict bp, float* __restrict c,
                    index_t ldc) {
-  __m256 acc[kAvxMRF32][2];
-  for (index_t r = 0; r < kAvxMRF32; ++r) {
+  __m256 acc[R][2];
+  for (index_t r = 0; r < R; ++r) {
     acc[r][0] = _mm256_loadu_ps(c + r * ldc);
     acc[r][1] = _mm256_loadu_ps(c + r * ldc + 8);
   }
@@ -61,16 +72,40 @@ void avx2_full_f32(index_t kc, const float* __restrict ap,
     const __m256 b0 = _mm256_loadu_ps(bp + kk * kAvxNRF32);
     const __m256 b1 = _mm256_loadu_ps(bp + kk * kAvxNRF32 + 8);
     const float* __restrict arow = ap + kk * kAvxMRF32;
-    for (index_t r = 0; r < kAvxMRF32; ++r) {
+    for (index_t r = 0; r < R; ++r) {
       const __m256 av = _mm256_set1_ps(arow[r]);
       acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }
   }
-  for (index_t r = 0; r < kAvxMRF32; ++r) {
+  for (index_t r = 0; r < R; ++r) {
     _mm256_storeu_ps(c + r * ldc, acc[r][0]);
     _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
   }
+}
+
+// Indexed by live row count; entry 0 is never called (a tile has ≥1 row).
+constexpr TileKernel<double> kAvxRowsF64[kAvxMRF64 + 1] = {
+    nullptr,          avx2_rows_f64<1>, avx2_rows_f64<2>, avx2_rows_f64<3>,
+    avx2_rows_f64<4>, avx2_rows_f64<5>, avx2_rows_f64<6>};
+constexpr TileKernel<float> kAvxRowsF32[kAvxMRF32 + 1] = {
+    nullptr,          avx2_rows_f32<1>, avx2_rows_f32<2>, avx2_rows_f32<3>,
+    avx2_rows_f32<4>, avx2_rows_f32<5>, avx2_rows_f32<6>};
+
+// A column-complete edge needs no staging: the row kernel for mr rows
+// writes exactly the live part of C.
+void avx2_edge_f64(index_t kc, const double* ap, const double* bp, double* c,
+                   index_t ldc, index_t mr, index_t nr) {
+  if (nr == kAvxNRF64) return kAvxRowsF64[mr](kc, ap, bp, c, ldc);
+  staged_edge<double, kAvxMRF64, kAvxNRF64>(kAvxRowsF64[mr], kc, ap, bp, c,
+                                            ldc, mr, nr);
+}
+
+void avx2_edge_f32(index_t kc, const float* ap, const float* bp, float* c,
+                   index_t ldc, index_t mr, index_t nr) {
+  if (nr == kAvxNRF32) return kAvxRowsF32[mr](kc, ap, bp, c, ldc);
+  staged_edge<float, kAvxMRF32, kAvxNRF32>(kAvxRowsF32[mr], kc, ap, bp, c,
+                                           ldc, mr, nr);
 }
 
 }  // namespace
@@ -82,13 +117,11 @@ bool avx2_supported() {
 }
 
 MicroKernel<double> avx2_kernel_f64() {
-  return {avx2_full_f64, generic_tile<double, kAvxMRF64, kAvxNRF64>,
-          kAvxMRF64, kAvxNRF64};
+  return {avx2_rows_f64<kAvxMRF64>, avx2_edge_f64, kAvxMRF64, kAvxNRF64};
 }
 
 MicroKernel<float> avx2_kernel_f32() {
-  return {avx2_full_f32, generic_tile<float, kAvxMRF32, kAvxNRF32>,
-          kAvxMRF32, kAvxNRF32};
+  return {avx2_rows_f32<kAvxMRF32>, avx2_edge_f32, kAvxMRF32, kAvxNRF32};
 }
 
 }  // namespace oasis::tensor::gemm::detail

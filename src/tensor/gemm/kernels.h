@@ -20,10 +20,16 @@
 
 namespace oasis::tensor::gemm::detail {
 
+/// A register kernel over packed panels: C += Ap·Bp on one tile, with packed
+/// strides mr/nr and C row stride ldc.
+template <typename T>
+using TileKernel = void (*)(index_t kc, const T* ap, const T* bp, T* c,
+                            index_t ldc);
+
 template <typename T>
 struct MicroKernel {
   /// Full MR×NR tile: C[0..mr)×[0..nr) += Ap·Bp with packed strides mr/nr.
-  void (*full)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc);
+  TileKernel<T> full;
   /// Ragged tile: same arithmetic over the zero-padded pack, storing only
   /// the live mr×nr corner.
   void (*edge)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc,
@@ -33,9 +39,8 @@ struct MicroKernel {
 
 // ---- Generic (scalar / auto-vectorized) tiles -------------------------------
 //
-// The portable kernel, and the edge handler the SIMD kernels share. Each
-// acc[r][j] advances one fused multiply-add per k step, in ascending k
-// order. The `+=` form is deliberate: under -ffp-contract=fast it contracts
+// The portable kernel, full and edge alike. Each acc[r][j] advances one
+// fused multiply-add per k step, in ascending k order. The `+=` form is deliberate: under -ffp-contract=fast it contracts
 // to a single-rounded FMA, exactly the operation the naive kernels execute
 // per element, AND it vectorizes to broadcast+vfmadd across the NR lanes.
 // Writing std::fma explicitly here de-vectorizes the loop (~4.5x slower),
@@ -75,6 +80,32 @@ void generic_tile(index_t kc, const T* __restrict ap, const T* __restrict bp,
 template <typename T, index_t MR, index_t NR>
 void generic_full(index_t kc, const T* ap, const T* bp, T* c, index_t ldc) {
   generic_tile<T, MR, NR>(kc, ap, bp, c, ldc, MR, NR);
+}
+
+// ---- Staged edge (the SIMD kernels' ragged-tile handler) --------------------
+//
+// Copies the live mr×nr corner of C into a zero-padded MR×NR stack tile,
+// runs a register kernel on it with ldc = NR, and copies the live corner
+// back. `kernel` may be the ISA's full MR×NR kernel or a variant that only
+// updates the tile's first mr rows (same packed-A stride MR), which skips the
+// FMAs of the padded rows. The packs are already zero-padded to MR rows and
+// NR columns, so each live element advances through exactly the ascending-k
+// single-rounded FMA chain, seeded from its own C value, that the full path
+// and the naive oracle run; padded lanes only compute values that are thrown
+// away. A ragged tile thus costs one register-kernel pass plus two small
+// copies. Routing it to generic_tile instead ran ~3× slower than the register
+// kernel on the round's conv shapes, where m = 8, 16, 27 and 72 leave most
+// row panels ragged.
+
+template <typename T, index_t MR, index_t NR>
+void staged_edge(TileKernel<T> kernel, index_t kc, const T* ap, const T* bp,
+                 T* c, index_t ldc, index_t mr, index_t nr) {
+  alignas(64) T tile[MR * NR] = {};
+  for (index_t r = 0; r < mr; ++r)
+    for (index_t j = 0; j < nr; ++j) tile[r * NR + j] = c[r * ldc + j];
+  kernel(kc, ap, bp, tile, NR);
+  for (index_t r = 0; r < mr; ++r)
+    for (index_t j = 0; j < nr; ++j) c[r * ldc + j] = tile[r * NR + j];
 }
 
 /// The scalar-ISA kernel for T. The double tile is the pre-dispatch 4×8

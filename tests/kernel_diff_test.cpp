@@ -8,7 +8,8 @@
 // (gemm::set_isa), for both the double fidelity dtype and the float scale
 // dtype, covering degenerate shapes, non-tile-multiple edges (including the
 // 4/6-row and 8/16-column register-tile boundaries of the scalar, AVX2, and
-// NEON kernels), and the KC/NC blocking boundaries, at 1 and 8 threads (the
+// NEON kernels), the KC/NC blocking boundaries, and the exact GEMM shapes
+// the round benchmark's workloads issue, at 1 and 8 threads (the
 // intra-GEMM row-panel parallel path included); Conv2d and Dense are
 // exercised end-to-end against the OASIS_NAIVE_GEMM toggle. Workspace arena
 // semantics (alignment, scope rewind, coalescing, steady-state no-growth)
@@ -16,6 +17,7 @@
 // them.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
@@ -99,16 +101,32 @@ const Shape kEdgeShapes[] = {
     {11, 13, 18}, {18, 21, 24},
 };
 
+// The exact GEMMs the round benchmark's workloads issue, as (m, k, n) for
+// the variant the layer calls them with; the sweep runs all three variants
+// on each. Their m (8, 16, 27, 72, 10, 4) leaves ragged row panels under
+// every register tile, so the edge path carries most of the round's flops.
+const Shape kWorkloadShapes[] = {
+    // oasis_convnet conv0 (3→8 channels, 24×24): fwd NN, grad_w NT, grad_x TN
+    {8, 27, 576},   {8, 576, 27},   {27, 8, 576},
+    // oasis_convnet conv1 (8→16 channels, 12×12)
+    {16, 72, 144},  {16, 144, 72},  {72, 16, 144},
+    // socket_mlp Dense 3072→256→10 at D'=32: fwd NT, grad_w TN, grad_x NN
+    {32, 3072, 256}, {32, 256, 10}, {256, 32, 3072}, {10, 32, 256},
+    {32, 256, 3072}, {32, 10, 256},
+    // shard_stream Dense 432→10 at B=4: every tile ragged (m < MR)
+    {4, 432, 10},   {10, 4, 432},   {4, 10, 432},
+};
+
 std::string isa_param_name(const ::testing::TestParamInfo<Isa>& info) {
   return tensor::gemm::isa_name(info.param);
 }
 
 /// One sweep body shared by every (dtype, ISA) instantiation: naive oracle
 /// vs blocked under forced dispatch, serial and 8-thread.
-template <typename T>
-void sweep_shapes_bit_identical(const char* tag) {
+template <typename T, std::size_t N>
+void sweep_shapes_bit_identical(const Shape (&shapes)[N], const char* tag) {
   common::Rng rng(0xD1FFu);
-  for (const auto& s : kEdgeShapes) {
+  for (const auto& s : shapes) {
     const auto a = random_vec<T>(s.m * s.k, rng);
     const auto b = random_vec<T>(s.k * s.n, rng);
     for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
@@ -159,13 +177,25 @@ class IsaSweep : public ::testing::TestWithParam<Isa> {};
 TEST_P(IsaSweep, GemmEdgeShapesBitIdenticalF64) {
   KernelEnvGuard guard;
   tensor::gemm::set_isa(GetParam());
-  sweep_shapes_bit_identical<real>("f64");
+  sweep_shapes_bit_identical<real>(kEdgeShapes, "f64");
 }
 
 TEST_P(IsaSweep, GemmEdgeShapesBitIdenticalF32) {
   KernelEnvGuard guard;
   tensor::gemm::set_isa(GetParam());
-  sweep_shapes_bit_identical<real32>("f32");
+  sweep_shapes_bit_identical<real32>(kEdgeShapes, "f32");
+}
+
+TEST_P(IsaSweep, GemmWorkloadShapesBitIdenticalF64) {
+  KernelEnvGuard guard;
+  tensor::gemm::set_isa(GetParam());
+  sweep_shapes_bit_identical<real>(kWorkloadShapes, "f64");
+}
+
+TEST_P(IsaSweep, GemmWorkloadShapesBitIdenticalF32) {
+  KernelEnvGuard guard;
+  tensor::gemm::set_isa(GetParam());
+  sweep_shapes_bit_identical<real32>(kWorkloadShapes, "f32");
 }
 
 TEST_P(IsaSweep, GemmRandomShapeSweepBitIdenticalF64) {

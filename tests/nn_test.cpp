@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <vector>
 
+#include "common/crc32c.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -18,6 +22,7 @@
 #include "nn/pooling.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
+#include "tensor/gemm/gemm.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -570,6 +575,68 @@ TEST_P(MlpGradientSweep, EndToEndGradients) {
 
 INSTANTIATE_TEST_SUITE_P(HiddenWidths, MlpGradientSweep,
                          ::testing::Values(1, 4, 16, 33));
+
+// ---- Cross-commit byte pin --------------------------------------------------
+//
+// The golden fixture replays an MLP and KernelDiff compares blocked against
+// naive inside one build, so neither notices a kernel edit that moves the
+// bytes a Conv2d emits. This pins the CRC32C of every tensor one
+// MiniConvNet forward+backward produces (the oasis_convnet model, width 8,
+// 24×24, B=16) to constants recorded before ragged GEMM tiles were routed
+// through the SIMD register kernels. DESIGN.md §5k makes the bits
+// ISA-independent, so the same constants hold under every ISA the host can
+// run. Labelled `kernel` too, so ci.sh replays it under each forced ISA.
+
+struct PinnedCrc {
+  const char* tensor;
+  std::uint32_t crc;
+};
+
+constexpr PinnedCrc kMiniConvNetCrcs[] = {
+    {"logits", 0xEF38E860u},         {"grad_x", 0x02742321u},
+    {"0.conv.weight", 0xC1EC833Bu},  {"0.conv.bias", 0x7AB2AD7Bu},
+    {"3.conv.weight", 0x7C1CC13Cu},  {"3.conv.bias", 0x8DF33D4Au},
+    {"7.dense.weight", 0x6A00B8BEu}, {"7.dense.bias", 0x2B2976B5u},
+    {"9.dense.weight", 0x1EAB2F42u}, {"9.dense.bias", 0xFC98D7D2u},
+};
+
+std::uint32_t tensor_crc(const tensor::Tensor& t) {
+  return common::crc32c(t.data().data(), t.size() * sizeof(real));
+}
+
+std::vector<std::uint32_t> mini_convnet_crcs() {
+  common::Rng rng(0xC0417u);
+  auto net = make_mini_convnet({3, 24, 24}, 10, rng, 8);
+  common::Rng data_rng(0xDA7Cu);
+  tensor::Tensor x({16, 3, 24, 24});
+  for (auto& v : x.data()) v = data_rng.uniform(-1.0, 1.0);
+  const tensor::Tensor logits = net->forward(x, /*training=*/true);
+  tensor::Tensor gy(logits.shape());
+  for (auto& v : gy.data()) v = data_rng.uniform(-1.0, 1.0);
+  const tensor::Tensor grad_x = net->backward(gy);
+  std::vector<std::uint32_t> crcs = {tensor_crc(logits), tensor_crc(grad_x)};
+  for (const Parameter* p : net->parameters()) {
+    crcs.push_back(tensor_crc(p->grad));
+  }
+  return crcs;
+}
+
+TEST(MiniConvNetPin, ForwardBackwardCrcsMatchUnderEveryIsa) {
+  const tensor::gemm::Isa saved = tensor::gemm::active_isa();
+  for (const tensor::gemm::Isa isa : tensor::gemm::available_isas()) {
+    tensor::gemm::set_isa(isa);
+    const std::vector<std::uint32_t> crcs = mini_convnet_crcs();
+    tensor::gemm::set_isa(saved);
+    ASSERT_EQ(crcs.size(), std::size(kMiniConvNetCrcs));
+    for (std::size_t i = 0; i < crcs.size(); ++i) {
+      char got[16];
+      std::snprintf(got, sizeof(got), "0x%08Xu", crcs[i]);
+      EXPECT_EQ(crcs[i], kMiniConvNetCrcs[i].crc)
+          << tensor::gemm::isa_name(isa) << " " << kMiniConvNetCrcs[i].tensor
+          << " crc " << got;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace oasis::nn

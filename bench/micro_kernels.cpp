@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the numeric kernels the
-// experiments lean on: matmul variants, im2col, affine warps, PSNR, the
+// experiments lean on: matmul, im2col, affine warps, PSNR, the
 // attack implant/reconstruct paths, and the integrity/codec path (CRC32C,
 // serialize_tensors) at the three round-benchmark update sizes. Not a paper
 // figure — an engineering baseline for regressions.
@@ -54,17 +54,6 @@ void BM_Matmul(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_MatmulTn(benchmark::State& state) {
-  const auto n = static_cast<index_t>(state.range(0));
-  common::Rng rng(2);
-  const tensor::Tensor a = tensor::Tensor::randn({n, n}, rng);
-  const tensor::Tensor b = tensor::Tensor::randn({n, n}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::matmul_tn(a, b));
-  }
-}
-BENCHMARK(BM_MatmulTn)->Arg(128);
 
 void BM_Im2Col(benchmark::State& state) {
   common::Rng rng(3);
@@ -280,11 +269,9 @@ void run_thread_sweeps(index_t top) {
       bench::ensure_output_dir() + "/micro_kernels_threads.json", sweeps);
 }
 
-// dtype × ISA × threads GEMM sweep: times the blocked kernel family under
-// every ISA available on this host, for both the double fidelity dtype and
-// the float scale dtype, at 1 thread and the pool size, against the
-// same-dtype naive oracle and the scalar-f64 blocked baseline. Two shape
-// sets: square cubes in each variant, and the exact GEMMs the round
+// ISA × threads GEMM sweep: times the blocked kernel family under every ISA
+// available on this host, at 1 thread and the pool size, against the naive
+// oracle and the 1-thread scalar blocked baseline. Two shape sets: square cubes in each variant, and the exact GEMMs the round
 // benchmark's workloads issue (in the variant the layer calls). The cubes
 // alone once hid a 3× AVX2 loss on the conv shapes, whose small m leaves
 // most register tiles ragged. The table goes to bench_out/BENCH_gemm.json —
@@ -334,11 +321,10 @@ std::vector<GemmShape> gemm_sweep_shapes() {
 }
 
 struct GemmSweepRow {
-  const char* dtype;
   std::string isa;
   GemmShape shape;
   index_t threads;
-  double naive_s, blocked_s, scalar_f64_s;
+  double naive_s, blocked_s, scalar_s;
 };
 
 double gemm_flops(const GemmShape& s) {
@@ -353,13 +339,13 @@ int gemm_reps(const GemmShape& s) {
   return static_cast<int>(std::clamp(1e8 / flops, 3.0, 300.0));
 }
 
-template <typename T>
-double time_gemm_best(const GemmShape& s, const std::vector<T>& a,
-                      const std::vector<T>& b, std::vector<T>& c, bool naive) {
+double time_gemm_best(const GemmShape& s, const std::vector<real>& a,
+                      const std::vector<real>& b, std::vector<real>& c,
+                      bool naive) {
   using Clock = std::chrono::steady_clock;
   double best = 1e100;
   for (int rep = 0, reps = gemm_reps(s); rep < reps; ++rep) {
-    std::fill(c.begin(), c.end(), T(0));
+    std::fill(c.begin(), c.end(), 0.0);
     const auto t0 = Clock::now();
     if (naive) {
       tensor::gemm::naive(s.variant, s.m, s.k, s.n, a.data(), b.data(),
@@ -374,41 +360,34 @@ double time_gemm_best(const GemmShape& s, const std::vector<T>& a,
   return best;
 }
 
-template <typename T>
-void gemm_sweep_dtype(const char* dtype, const std::vector<index_t>& counts,
-                      std::vector<GemmSweepRow>& rows) {
+void gemm_sweep(const std::vector<index_t>& counts,
+                std::vector<GemmSweepRow>& rows) {
   common::Rng rng(4242);
   for (const GemmShape& s : gemm_sweep_shapes()) {
-    std::vector<T> a(s.m * s.k), b(s.k * s.n), c(s.m * s.n);
-    for (auto& v : a) v = static_cast<T>(rng.uniform(-1.0, 1.0));
-    for (auto& v : b) v = static_cast<T>(rng.uniform(-1.0, 1.0));
-    // Baselines, both single-threaded: the same-dtype naive oracle and the
-    // scalar-f64 blocked kernel (the pre-SIMD reference everything is
-    // normalized against; re-timed per dtype loop, cheap next to naive).
+    std::vector<real> a(s.m * s.k), b(s.k * s.n), c(s.m * s.n);
+    for (auto& v : a) v = rng.uniform(-1.0, 1.0);
+    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+    // Baselines, both single-threaded: the naive oracle and the scalar
+    // blocked kernel (the pre-SIMD reference everything is normalized
+    // against).
     runtime::set_num_threads(1);
     const double naive_s = time_gemm_best(s, a, b, c, true);
     tensor::gemm::set_isa(tensor::gemm::Isa::kScalar);
-    double scalar_f64_s;
-    {
-      std::vector<real> a64(a.begin(), a.end()), b64(b.begin(), b.end());
-      std::vector<real> c64(c.size());
-      scalar_f64_s = time_gemm_best(s, a64, b64, c64, false);
-    }
+    const double scalar_s = time_gemm_best(s, a, b, c, false);
     for (const auto isa : tensor::gemm::available_isas()) {
       tensor::gemm::set_isa(isa);
       for (const index_t threads : counts) {
         runtime::set_num_threads(threads);
         const double blocked_s = time_gemm_best(s, a, b, c, false);
-        rows.push_back({dtype, tensor::gemm::isa_name(isa), s, threads,
-                        naive_s, blocked_s, scalar_f64_s});
+        rows.push_back({tensor::gemm::isa_name(isa), s, threads, naive_s,
+                        blocked_s, scalar_s});
         std::printf(
-            "  %-3s %-6s %-17s %-3s %4zux%4zux%4zu %3zu %10.6f %10.6f "
+            "  %-6s %-17s %-3s %4zux%4zux%4zu %3zu %10.6f %10.6f "
             "%7.2fx %6.2fx %6.1f\n",
-            dtype, tensor::gemm::isa_name(isa), s.name,
-            variant_name(s.variant), static_cast<std::size_t>(s.m),
-            static_cast<std::size_t>(s.k), static_cast<std::size_t>(s.n),
-            static_cast<std::size_t>(threads), naive_s, blocked_s,
-            naive_s / blocked_s, scalar_f64_s / blocked_s,
+            tensor::gemm::isa_name(isa), s.name, variant_name(s.variant),
+            static_cast<std::size_t>(s.m), static_cast<std::size_t>(s.k),
+            static_cast<std::size_t>(s.n), static_cast<std::size_t>(threads),
+            naive_s, blocked_s, naive_s / blocked_s, scalar_s / blocked_s,
             gemm_flops(s) / blocked_s * 1e-9);
       }
     }
@@ -422,13 +401,12 @@ void run_gemm_sweep(index_t top) {
 
   const tensor::gemm::Isa default_isa = tensor::gemm::active_isa();
   std::vector<GemmSweepRow> rows;
-  std::printf("blocked GEMM sweep: dtype x ISA x threads (cubes + workload "
+  std::printf("blocked GEMM sweep: ISA x threads (cubes + workload "
               "shapes)\n");
-  std::printf("  %-3s %-6s %-17s %-3s %14s %3s %10s %10s %8s %7s %6s\n", "dt",
-              "isa", "shape", "var", "m x k x n", "thr", "naive_s",
-              "blocked_s", "vs_nai", "vs_s64", "GF/s");
-  gemm_sweep_dtype<real>("f64", counts, rows);
-  gemm_sweep_dtype<real32>("f32", counts, rows);
+  std::printf("  %-6s %-17s %-3s %14s %3s %10s %10s %8s %7s %6s\n", "isa",
+              "shape", "var", "m x k x n", "thr", "naive_s", "blocked_s",
+              "vs_nai", "vs_sca", "GF/s");
+  gemm_sweep(counts, rows);
   tensor::gemm::set_isa(default_isa);
   runtime::set_num_threads(0);
 
@@ -438,7 +416,7 @@ void run_gemm_sweep(index_t top) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"gemm_dtype_isa_threads\",\n");
+  std::fprintf(f, "{\n  \"bench\": \"gemm_isa_threads\",\n");
   std::fprintf(f, "  \"host\": {\"default_isa\": \"%s\", \"isas\": [",
                tensor::gemm::isa_name(default_isa));
   bool first = true;
@@ -452,18 +430,18 @@ void run_gemm_sweep(index_t top) {
     const GemmSweepRow& r = rows[i];
     std::fprintf(
         f,
-        "%s\n    {\"dtype\": \"%s\", \"isa\": \"%s\", \"shape\": \"%s\", "
+        "%s\n    {\"isa\": \"%s\", \"shape\": \"%s\", "
         "\"variant\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, "
         "\"threads\": %zu, "
         "\"naive_seconds\": %.6f, \"blocked_seconds\": %.6f, "
-        "\"speedup_vs_naive\": %.3f, \"speedup_vs_scalar_f64\": %.3f, "
+        "\"speedup_vs_naive\": %.3f, \"speedup_vs_scalar\": %.3f, "
         "\"blocked_gflops\": %.2f}",
-        i == 0 ? "" : ",", r.dtype, r.isa.c_str(), r.shape.name,
+        i == 0 ? "" : ",", r.isa.c_str(), r.shape.name,
         variant_name(r.shape.variant), static_cast<std::size_t>(r.shape.m),
         static_cast<std::size_t>(r.shape.k),
         static_cast<std::size_t>(r.shape.n),
         static_cast<std::size_t>(r.threads), r.naive_s, r.blocked_s,
-        r.naive_s / r.blocked_s, r.scalar_f64_s / r.blocked_s,
+        r.naive_s / r.blocked_s, r.scalar_s / r.blocked_s,
         gemm_flops(r.shape) / r.blocked_s * 1e-9);
   }
   std::fprintf(f, "\n  ]\n}\n");

@@ -33,9 +33,9 @@
 #                      # Byzantine chaos suite under TSan
 #   ./ci.sh tsan       # TSan stage only
 #   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
-#                      # blocked-vs-naive floors for both dtypes, the fp32
-#                      # scale-path floors, the dispatched ISA vs scalar on
-#                      # the round's conv shapes); run on quiet hardware
+#                      # blocked-vs-naive floors, the dispatched ISA vs
+#                      # scalar on the round's conv shapes, the CRC32C
+#                      # floor); run on quiet hardware
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -66,11 +66,10 @@ run_kernel() {
   # test is never an accident of dispatch. The label also carries nn_test's
   # MiniConvNet CRC pin, whose constants must hold under every ISA.
   # ASan/UBSan catches a packed-panel overrun in any kernel geometry (the
-  # float 4×32 and the 6-row AVX2 tiles have different pack paddings than
-  # the 4×8 double tile) or a staged-edge tile overrun; the TSan pass
-  # then drives the intra-GEMM row-panel parallel path — the 8-thread
-  # differential sweeps — where a racy B-panel pack or C-tile store would
-  # surface.
+  # 6-row AVX2/NEON tiles have different pack paddings than the 4-row
+  # scalar tile) or a staged-edge tile overrun; the TSan pass then drives
+  # the intra-GEMM row-panel parallel path — the 8-thread differential
+  # sweeps — where a racy B-panel pack or C-tile store would surface.
   echo "==> [ci] Kernel stage: per-ISA differential matrix under ASan/UBSan + TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target kernel_diff_test nn_test
@@ -205,7 +204,7 @@ run_tsan() {
 run_perf() {
   # Opt-in stage, NOT in "all": wall-clock assertions are too noisy for
   # shared CI runners. The guard tests self-skip unless OASIS_PERF_GUARD=1.
-  echo "==> [ci] Perf guard stage (per-ISA blocked GEMM floors, both dtypes)"
+  echo "==> [ci] Perf guard stage (per-ISA blocked GEMM floors)"
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-ci -j "${jobs}" --target perf_guard_test
   OASIS_PERF_GUARD=1 ctest --test-dir build-ci --output-on-failure -L perf

@@ -67,11 +67,4 @@ std::vector<ImageScore> best_match_psnr(
   return scores;
 }
 
-std::vector<real> psnr_values(const std::vector<ImageScore>& scores) {
-  std::vector<real> values;
-  values.reserve(scores.size());
-  for (const auto& s : scores) values.push_back(s.best_psnr);
-  return values;
-}
-
 }  // namespace oasis::attack

@@ -24,7 +24,4 @@ std::vector<ImageScore> best_match_psnr(
     const std::vector<tensor::Tensor>& candidates,
     const std::vector<tensor::Tensor>& originals);
 
-/// Convenience: extracts just the per-original PSNR values.
-std::vector<real> psnr_values(const std::vector<ImageScore>& scores);
-
 }  // namespace oasis::attack

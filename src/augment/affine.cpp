@@ -28,98 +28,6 @@ AffineMatrix rotation_matrix(real theta, index_t height, index_t width) {
                       s,  c,  cy - s * cx - c * cy};
 }
 
-AffineMatrix shear_matrix(real mu, index_t height, index_t width) {
-  // Forward map: x' = x + mu*(y - cy), y' = y (about the vertical center so
-  // the content stays framed). Inverse: x = x' - mu*(y' - cy).
-  const real cy = (static_cast<real>(height) - 1.0) / 2.0;
-  (void)width;
-  return AffineMatrix{1.0, -mu, mu * cy, 0.0, 1.0, 0.0};
-}
-
-namespace {
-
-// Lanczos-3 resampling kernel: sinc(x)·sinc(x/3) on |x| < 3.
-//
-// The warp inverse-consistency sweeps demand that warp(θ) ∘ warp(−θ) stay
-// near the identity on the interior even for white-noise images. Ideal sinc
-// resampling round-trips EXACTLY (sampling a bandlimited reconstruction on a
-// shifted lattice and interpolating back is the identity on grid points);
-// a 6-tap Lanczos window is close enough to that ideal, where the 2-tap
-// bilinear and 4-tap cubic kernels blur noise beyond recognition. The kernel
-// interpolates (weights at integer offsets are {…,0,1,0,…}), so exact
-// transforms like rotate(0) and rotate(π/2) still reproduce the input /
-// the quarter-turn permutation to machine precision.
-constexpr int kLanczosA = 3;
-
-real lanczos3(real x) {
-  if (x == 0.0) return 1.0;
-  const real ax = std::abs(x);
-  if (ax >= static_cast<real>(kLanczosA)) return 0.0;
-  constexpr real kPi = 3.14159265358979323846;
-  const real px = kPi * x;
-  return static_cast<real>(kLanczosA) * std::sin(px) *
-         std::sin(px / kLanczosA) / (px * px);
-}
-
-// Weights for the 6 taps at offsets {-2,…,3} around floor(t), normalized to
-// sum to 1 so flat fields (and image means, up to boundary fill) survive.
-void lanczos3_weights(real t, real w[2 * kLanczosA]) {
-  real sum = 0.0;
-  for (int i = 0; i < 2 * kLanczosA; ++i) {
-    w[i] = lanczos3(t - static_cast<real>(i - (kLanczosA - 1)));
-    sum += w[i];
-  }
-  for (int i = 0; i < 2 * kLanczosA; ++i) w[i] /= sum;
-}
-
-}  // namespace
-
-tensor::Tensor warp_affine(const tensor::Tensor& image,
-                           const AffineMatrix& m, real fill) {
-  data::check_image(image);
-  constexpr int kTaps = 2 * kLanczosA;
-  const index_t c = image.dim(0), h = image.dim(1), w = image.dim(2);
-  tensor::Tensor out({c, h, w});
-  for (index_t y = 0; y < h; ++y) {
-    for (index_t x = 0; x < w; ++x) {
-      const real fx = static_cast<real>(x);
-      const real fy = static_cast<real>(y);
-      const real sx = m[0] * fx + m[1] * fy + m[2];
-      const real sy = m[3] * fx + m[4] * fy + m[5];
-      const real x0f = std::floor(sx), y0f = std::floor(sy);
-      const auto x0 = static_cast<std::ptrdiff_t>(x0f);
-      const auto y0 = static_cast<std::ptrdiff_t>(y0f);
-      real wx[kTaps], wy[kTaps];
-      lanczos3_weights(sx - x0f, wx);
-      lanczos3_weights(sy - y0f, wy);
-      for (index_t ch = 0; ch < c; ++ch) {
-        auto sample = [&](std::ptrdiff_t yy, std::ptrdiff_t xx) -> real {
-          if (yy < 0 || yy >= static_cast<std::ptrdiff_t>(h) || xx < 0 ||
-              xx >= static_cast<std::ptrdiff_t>(w)) {
-            return fill;
-          }
-          return image.at3(ch, static_cast<index_t>(yy),
-                           static_cast<index_t>(xx));
-        };
-        real v = 0.0;
-        for (int i = 0; i < kTaps; ++i) {
-          const real wyi = wy[i];
-          if (wyi == 0.0) continue;
-          real row = 0.0;
-          for (int j = 0; j < kTaps; ++j) {
-            if (wx[j] == 0.0) continue;
-            row += wx[j] * sample(y0 + i - (kLanczosA - 1),
-                                  x0 + j - (kLanczosA - 1));
-          }
-          v += wyi * row;
-        }
-        out.at3(ch, y, x) = v;
-      }
-    }
-  }
-  return out;
-}
-
 tensor::Tensor rotate90(const tensor::Tensor& image) {
   data::check_image(image);
   check_square_for_quarter_turn(image);

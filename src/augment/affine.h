@@ -1,6 +1,6 @@
 // Image-plane warps: the geometric kernels behind every OASIS transform.
 //
-// Three implementation classes, chosen deliberately:
+// Two implementation classes, chosen deliberately:
 //   * Exact index permutations for 90°-multiples and flips. These preserve
 //     the multiset of pixel values — and therefore the image mean — exactly,
 //     which is the property that makes major rotation defeat RTF's
@@ -13,8 +13,6 @@
 //     on broadband (noise) images — a property no local resampling kernel
 //     can offer. Rotation then zero-masks pixels whose source falls outside
 //     the frame, keeping the conventional corner-mass loss.
-//   * Inverse-mapped Lanczos-3 resampling in warp_affine() for arbitrary
-//     matrices (zero fill outside the source frame).
 #pragma once
 
 #include <array>
@@ -30,15 +28,6 @@ using AffineMatrix = std::array<real, 6>;
 /// Composes the inverse-map matrix for a rotation of `theta` radians about
 /// the image center (w/2-0.5, h/2-0.5).
 AffineMatrix rotation_matrix(real theta, index_t height, index_t width);
-
-/// Inverse-map matrix for a horizontal shear x' = x + mu*y about the center
-/// (Appendix B, Eq. 8).
-AffineMatrix shear_matrix(real mu, index_t height, index_t width);
-
-/// Samples `image` ([C,H,W]) through the inverse map with Lanczos-3
-/// interpolation; out-of-frame reads produce `fill`.
-tensor::Tensor warp_affine(const tensor::Tensor& image,
-                           const AffineMatrix& inverse_map, real fill = 0.0);
 
 /// Exact rotations by index permutation (square images only for 90/270).
 tensor::Tensor rotate90(const tensor::Tensor& image);

@@ -14,11 +14,6 @@ namespace oasis {
 /// ~1e-15 relative error. Single precision would cap PSNR near 120 dB.
 using real = double;
 
-/// Scalar type for the throughput paths (training, serving, million-client
-/// aggregation bandwidth): half the bytes, twice the SIMD lanes of `real`.
-/// The attack/PSNR evaluation never uses it — see the note above.
-using real32 = float;
-
 /// Index type for tensor shapes and loops.
 using index_t = std::size_t;
 

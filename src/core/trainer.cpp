@@ -148,7 +148,6 @@ TrainResult train_classifier(nn::Sequential& model,
 
   for (index_t epoch = start_epoch; epoch < config.epochs; ++epoch) {
     const obs::ScopedTimer epoch_span("train.epoch");
-    if (config.schedule) optimizer.set_lr(config.schedule->lr(epoch));
     real epoch_loss = 0.0;
     index_t steps = 0;
     for (const auto& indices :

@@ -8,7 +8,6 @@
 #include "augment/transforms.h"
 #include "data/dataset.h"
 #include "nn/optimizer.h"
-#include "nn/scheduler.h"
 #include "nn/sequential.h"
 
 namespace oasis::core {
@@ -17,9 +16,6 @@ struct TrainerConfig {
   index_t epochs = 10;
   index_t batch_size = 32;
   nn::Adam::Options adam;  // paper: lr 1e-3; weight decay 1e-5 / 1e-3
-  /// Optional learning-rate schedule evaluated at the start of each epoch
-  /// (overrides adam.lr when set).
-  nn::LrSchedulePtr schedule;
   /// OASIS transform set applied to every training batch (empty = without
   /// OASIS). Augmented copies inherit their original's label, per Section 4.
   std::vector<augment::TransformKind> transforms;

@@ -11,8 +11,8 @@
 namespace oasis::fl {
 
 ClipDefense::ClipDefense(real max_norm) : max_norm_(max_norm) {
-  if (!(max_norm > 0.0)) {
-    throw ConfigError("clip defense needs max_norm > 0");
+  if (!(max_norm > 0.0 && std::isfinite(max_norm))) {
+    throw ConfigError("clip defense needs a finite max_norm > 0");
   }
 }
 
@@ -40,8 +40,8 @@ std::string ClipDefense::name() const {
 }
 
 GaussianNoiseDefense::GaussianNoiseDefense(real stddev) : stddev_(stddev) {
-  if (!(stddev > 0.0)) {
-    throw ConfigError("noise defense needs stddev > 0");
+  if (!(stddev > 0.0 && std::isfinite(stddev))) {
+    throw ConfigError("noise defense needs a finite stddev > 0");
   }
 }
 
@@ -158,10 +158,9 @@ std::shared_ptr<DefenseStack> parse_defense_stack(const std::string& spec,
       std::istringstream in(arg);
       real value = 0.0;
       char trailing = 0;
-      if (!(in >> value) || in.get(trailing) || !(value > 0.0) ||
-          !std::isfinite(value)) {
+      if (!(in >> value) || in.get(trailing)) {
         throw ConfigError("defense spec '" + token + "': " + what +
-                          " must be a positive number");
+                          " must be a number");
       }
       return value;
     };

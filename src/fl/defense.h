@@ -65,7 +65,7 @@ class Defense {
 /// against scale-blowup uploads.
 class ClipDefense : public Defense {
  public:
-  /// Throws ConfigError unless max_norm > 0.
+  /// Throws ConfigError unless max_norm is finite and > 0.
   explicit ClipDefense(real max_norm);
   void apply(std::vector<tensor::Tensor>& gradients, common::Rng& rng,
              const DefenseContext& ctx) const override;
@@ -81,7 +81,7 @@ class ClipDefense : public Defense {
 /// pure function of the stream.
 class GaussianNoiseDefense : public Defense {
  public:
-  /// Throws ConfigError unless stddev > 0.
+  /// Throws ConfigError unless stddev is finite and > 0.
   explicit GaussianNoiseDefense(real stddev);
   void apply(std::vector<tensor::Tensor>& gradients, common::Rng& rng,
              const DefenseContext& ctx) const override;
@@ -182,7 +182,8 @@ using DefenseStackPtr = std::shared_ptr<const DefenseStack>;
 
 /// Builds a stack from a comma-separated spec, preserving stage order:
 ///   "clip:10,noise:0.01,mask,oasis"   (also "none" / "" → empty stack)
-/// clip:<max_norm> and noise:<stddev> require positive parameters; "mask"
+/// clip:<max_norm> and noise:<stddev> take a number, which the stage
+/// constructor requires to be finite and positive; "mask"
 /// adds SecAggMaskDefense; "oasis" sets augmentation_requested() for the
 /// caller to honor. Throws ConfigError on an unknown token or bad parameter.
 std::shared_ptr<DefenseStack> parse_defense_stack(

@@ -30,16 +30,6 @@ class UpdatePostprocessor {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Default: upload the exact gradients.
-class IdentityPostprocessor : public UpdatePostprocessor {
- public:
-  std::vector<tensor::Tensor> process(std::vector<tensor::Tensor> gradients,
-                                      common::Rng& /*rng*/) const override {
-    return gradients;
-  }
-  [[nodiscard]] std::string name() const override { return "identity"; }
-};
-
 using PostprocessorPtr = std::shared_ptr<const UpdatePostprocessor>;
 
 }  // namespace oasis::fl

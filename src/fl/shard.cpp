@@ -481,6 +481,11 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     rejected = meta.u64();
   }
   meta.expect_end();
+  if (mid && dynamic_cast<const MaliciousServer*>(server_.get()) != nullptr) {
+    throw ConfigError(
+        "a mid-round snapshot cannot be resumed under a MaliciousServer: "
+        "resume re-runs begin_round(), re-applying its model manipulation");
+  }
   if (pop_seed != population_.config().seed || pop_size != population_.size() ||
       sel_seed != config_.seed || cohort_cfg != config_.cohort_size ||
       shard_size != config_.shard_size ||

@@ -34,10 +34,11 @@
 // (the second screens as kDuplicate). At 10^6 clients per round the retry
 // machinery would dominate wall clock for semantics nobody observes.
 //
-// The engine assumes an HONEST server: begin_round() must be idempotent
-// given unchanged model state (mid-round resume re-invokes it to rebuild the
-// dispatch payload). MaliciousServer's pre-dispatch manipulation would be
-// re-applied on resume and break bit-identity.
+// Mid-round resume assumes an HONEST server: begin_round() must be
+// idempotent given unchanged model state, because resume re-invokes it to
+// rebuild the dispatch payload. A MaliciousServer's pre-dispatch
+// manipulation would be applied twice, so restoring a mid-round snapshot
+// under one throws ConfigError before any live state changes.
 #pragma once
 
 #include <functional>
@@ -198,6 +199,8 @@ class ShardedSimulation {
   /// Validates `bytes` exhaustively and applies it. Throws CheckpointError
   /// (kStateMismatch for a snapshot from a differently configured
   /// federation) and leaves live state untouched on validation failure.
+  /// Throws ConfigError, also before any mutation, for a mid-round snapshot
+  /// when the server is a MaliciousServer.
   void restore_checkpoint(const tensor::ByteBuffer& bytes);
 
   /// encode_checkpoint() → manager.save(generation); returns the path.

@@ -27,36 +27,4 @@ real psnr(const tensor::Tensor& reconstruction,
   return std::min(value, kPsnrCap);
 }
 
-real ssim_global(const tensor::Tensor& a, const tensor::Tensor& b) {
-  tensor::check_same_shape(a.shape(), b.shape(), "ssim_global");
-  OASIS_CHECK(a.rank() == 3);
-  constexpr real c1 = 0.01 * 0.01, c2 = 0.03 * 0.03;
-  const index_t channels = a.dim(0);
-  const index_t hw = a.dim(1) * a.dim(2);
-  real total = 0.0;
-  for (index_t ch = 0; ch < channels; ++ch) {
-    real ma = 0.0, mb = 0.0;
-    for (index_t p = 0; p < hw; ++p) {
-      ma += a.data()[ch * hw + p];
-      mb += b.data()[ch * hw + p];
-    }
-    ma /= static_cast<real>(hw);
-    mb /= static_cast<real>(hw);
-    real va = 0.0, vb = 0.0, cov = 0.0;
-    for (index_t p = 0; p < hw; ++p) {
-      const real da = a.data()[ch * hw + p] - ma;
-      const real db = b.data()[ch * hw + p] - mb;
-      va += da * da;
-      vb += db * db;
-      cov += da * db;
-    }
-    va /= static_cast<real>(hw);
-    vb /= static_cast<real>(hw);
-    cov /= static_cast<real>(hw);
-    total += ((2.0 * ma * mb + c1) * (2.0 * cov + c2)) /
-             ((ma * ma + mb * mb + c1) * (va + vb + c2));
-  }
-  return total / static_cast<real>(channels);
-}
-
 }  // namespace oasis::metrics

@@ -1,4 +1,4 @@
-// Image-quality metrics: MSE, PSNR, SSIM-lite.
+// Image-quality metrics: MSE and PSNR.
 //
 // PSNR is the paper's attack-success measure: reconstructions above ~120 dB
 // are verbatim copies (limited only by floating-point error), 25-35 dB are
@@ -24,9 +24,5 @@ real mse(const tensor::Tensor& a, const tensor::Tensor& b);
 /// kPsnrCap. `peak` is the dynamic range (1.0 for our images).
 real psnr(const tensor::Tensor& reconstruction, const tensor::Tensor& original,
           real peak = 1.0);
-
-/// Mean structural similarity (global-statistics variant computed per
-/// channel, averaged) in [-1, 1]. A secondary metric for ablation reporting.
-real ssim_global(const tensor::Tensor& a, const tensor::Tensor& b);
 
 }  // namespace oasis::metrics

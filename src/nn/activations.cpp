@@ -1,7 +1,5 @@
 #include "nn/activations.h"
 
-#include <cmath>
-
 #include "tensor/ops.h"
 
 namespace oasis::nn {
@@ -13,40 +11,6 @@ tensor::Tensor ReLU::forward(const tensor::Tensor& x, bool /*training*/) {
 
 tensor::Tensor ReLU::backward(const tensor::Tensor& grad_out) {
   return tensor::relu_backward(grad_out, cached_pre_);
-}
-
-tensor::Tensor Tanh::forward(const tensor::Tensor& x, bool /*training*/) {
-  tensor::Tensor out = x;
-  for (auto& v : out.data()) v = std::tanh(v);
-  cached_out_ = out;
-  return out;
-}
-
-tensor::Tensor Tanh::backward(const tensor::Tensor& grad_out) {
-  tensor::check_same_shape(grad_out.shape(), cached_out_.shape(),
-                           "Tanh backward");
-  tensor::Tensor grad_in = grad_out;
-  auto g = grad_in.data();
-  auto y = cached_out_.data();
-  for (index_t i = 0; i < g.size(); ++i) g[i] *= 1.0 - y[i] * y[i];
-  return grad_in;
-}
-
-tensor::Tensor Sigmoid::forward(const tensor::Tensor& x, bool /*training*/) {
-  tensor::Tensor out = x;
-  for (auto& v : out.data()) v = 1.0 / (1.0 + std::exp(-v));
-  cached_out_ = out;
-  return out;
-}
-
-tensor::Tensor Sigmoid::backward(const tensor::Tensor& grad_out) {
-  tensor::check_same_shape(grad_out.shape(), cached_out_.shape(),
-                           "Sigmoid backward");
-  tensor::Tensor grad_in = grad_out;
-  auto g = grad_in.data();
-  auto y = cached_out_.data();
-  for (index_t i = 0; i < g.size(); ++i) g[i] *= y[i] * (1.0 - y[i]);
-  return grad_in;
 }
 
 }  // namespace oasis::nn

@@ -18,26 +18,4 @@ class ReLU : public Module {
   tensor::Tensor cached_pre_;
 };
 
-/// Hyperbolic tangent (used by some baseline models).
-class Tanh : public Module {
- public:
-  tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-  [[nodiscard]] std::string name() const override { return "Tanh"; }
-
- private:
-  tensor::Tensor cached_out_;
-};
-
-/// Sigmoid activation.
-class Sigmoid : public Module {
- public:
-  tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-  [[nodiscard]] std::string name() const override { return "Sigmoid"; }
-
- private:
-  tensor::Tensor cached_out_;
-};
-
 }  // namespace oasis::nn

@@ -11,18 +11,4 @@ tensor::Tensor kaiming_uniform(tensor::Shape shape, index_t fan_in,
   return tensor::Tensor::rand(std::move(shape), rng, -bound, bound);
 }
 
-tensor::Tensor xavier_uniform(tensor::Shape shape, index_t fan_in,
-                              index_t fan_out, common::Rng& rng) {
-  OASIS_CHECK(fan_in + fan_out > 0);
-  const real bound = std::sqrt(6.0 / static_cast<real>(fan_in + fan_out));
-  return tensor::Tensor::rand(std::move(shape), rng, -bound, bound);
-}
-
-tensor::Tensor kaiming_normal(tensor::Shape shape, index_t fan_in,
-                              common::Rng& rng) {
-  OASIS_CHECK(fan_in > 0);
-  const real stddev = std::sqrt(2.0 / static_cast<real>(fan_in));
-  return tensor::Tensor::randn(std::move(shape), rng, 0.0, stddev);
-}
-
 }  // namespace oasis::nn::init

@@ -11,12 +11,4 @@ namespace oasis::nn::init {
 tensor::Tensor kaiming_uniform(tensor::Shape shape, index_t fan_in,
                                common::Rng& rng);
 
-/// Xavier/Glorot uniform: U[-√(6/(fan_in+fan_out)), +...].
-tensor::Tensor xavier_uniform(tensor::Shape shape, index_t fan_in,
-                              index_t fan_out, common::Rng& rng);
-
-/// Kaiming normal: N(0, 2/fan_in).
-tensor::Tensor kaiming_normal(tensor::Shape shape, index_t fan_in,
-                              common::Rng& rng);
-
 }  // namespace oasis::nn::init

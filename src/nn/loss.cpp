@@ -64,21 +64,4 @@ LossResult SigmoidBce::compute(const tensor::Tensor& logits,
   return result;
 }
 
-LossResult MseLoss::compute(const tensor::Tensor& prediction,
-                            const tensor::Tensor& target) const {
-  tensor::check_same_shape(prediction.shape(), target.shape(), "MseLoss");
-  LossResult result;
-  result.grad_logits = prediction;
-  result.grad_logits -= target;
-  real loss = 0.0;
-  for (const auto v : result.grad_logits.data()) loss += v * v;
-  const real scale =
-      reduction_ == Reduction::kMean
-          ? 1.0 / static_cast<real>(prediction.size())
-          : 1.0;
-  result.loss = loss * scale;
-  result.grad_logits *= 2.0 * scale;
-  return result;
-}
-
 }  // namespace oasis::nn

@@ -54,17 +54,4 @@ class SigmoidBce {
   Reduction reduction_;
 };
 
-/// Mean squared error against a target tensor of identical shape.
-class MseLoss {
- public:
-  explicit MseLoss(Reduction reduction = Reduction::kMean)
-      : reduction_(reduction) {}
-
-  [[nodiscard]] LossResult compute(const tensor::Tensor& prediction,
-                                   const tensor::Tensor& target) const;
-
- private:
-  Reduction reduction_;
-};
-
 }  // namespace oasis::nn

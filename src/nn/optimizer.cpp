@@ -26,47 +26,6 @@ void check_slot_shapes(const std::vector<tensor::Tensor>& state,
 
 }  // namespace
 
-Sgd::Sgd(std::vector<Parameter*> params, Options opts)
-    : Optimizer(std::move(params)), opts_(opts) {
-  if (opts_.momentum != 0.0) {
-    velocity_.reserve(params_.size());
-    for (const auto* p : params_) {
-      velocity_.emplace_back(p->value.shape());
-    }
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    auto value = p.value.data();
-    auto grad = p.grad.data();
-    if (opts_.momentum != 0.0) {
-      auto vel = velocity_[i].data();
-      for (index_t j = 0; j < value.size(); ++j) {
-        const real g = grad[j] + opts_.weight_decay * value[j];
-        vel[j] = opts_.momentum * vel[j] + g;
-        value[j] -= opts_.lr * vel[j];
-      }
-    } else {
-      for (index_t j = 0; j < value.size(); ++j) {
-        const real g = grad[j] + opts_.weight_decay * value[j];
-        value[j] -= opts_.lr * g;
-      }
-    }
-  }
-}
-
-std::vector<tensor::Tensor> Sgd::state_tensors() const { return velocity_; }
-
-void Sgd::load_state_tensors(const std::vector<tensor::Tensor>& state) {
-  OASIS_CHECK_MSG(state.size() == velocity_.size(),
-                  "SGD state has " << state.size() << " tensors, expected "
-                                   << velocity_.size());
-  check_slot_shapes(state, 0, velocity_, "velocity");
-  velocity_ = state;
-}
-
 Adam::Adam(std::vector<Parameter*> params, Options opts)
     : Optimizer(std::move(params)), opts_(opts) {
   m_.reserve(params_.size());

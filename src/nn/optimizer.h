@@ -19,9 +19,8 @@ class Optimizer {
   /// Applies one update from the accumulated gradients.
   virtual void step() = 0;
 
-  /// Current learning rate (schedulers adjust it between epochs).
+  /// Current learning rate.
   [[nodiscard]] virtual real lr() const = 0;
-  virtual void set_lr(real lr) = 0;
 
   /// Clears all parameter gradients.
   void zero_grad() {
@@ -44,29 +43,6 @@ class Optimizer {
   std::vector<Parameter*> params_;
 };
 
-/// SGD with optional momentum and decoupled L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  struct Options {
-    real lr = 0.01;
-    real momentum = 0.0;
-    real weight_decay = 0.0;
-  };
-
-  Sgd(std::vector<Parameter*> params, Options opts);
-  void step() override;
-  [[nodiscard]] real lr() const override { return opts_.lr; }
-  void set_lr(real lr) override { opts_.lr = lr; }
-
-  /// Velocity slots, parameter order (empty when momentum == 0).
-  [[nodiscard]] std::vector<tensor::Tensor> state_tensors() const override;
-  void load_state_tensors(const std::vector<tensor::Tensor>& state) override;
-
- private:
-  Options opts_;
-  std::vector<tensor::Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba) with L2 weight decay, as the paper's Table 1 setup
 /// (Adam, lr 1e-3, weight decay 1e-5 / 1e-3).
 class Adam : public Optimizer {
@@ -82,7 +58,6 @@ class Adam : public Optimizer {
   Adam(std::vector<Parameter*> params, Options opts);
   void step() override;
   [[nodiscard]] real lr() const override { return opts_.lr; }
-  void set_lr(real lr) override { opts_.lr = lr; }
 
   /// m slots, then v slots (parameter order), then the step count t as a
   /// one-element tensor.

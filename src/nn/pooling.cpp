@@ -58,50 +58,6 @@ tensor::Tensor MaxPool2d::backward(const tensor::Tensor& grad_out) {
   return grad_in;
 }
 
-AvgPool2d::AvgPool2d(index_t kernel, index_t stride)
-    : k_(kernel), stride_(stride) {
-  OASIS_CHECK(kernel >= 1 && stride >= 1);
-}
-
-tensor::Tensor AvgPool2d::forward(const tensor::Tensor& x, bool /*training*/) {
-  OASIS_CHECK_MSG(x.rank() == 4,
-                  "AvgPool2d: bad input " << tensor::to_string(x.shape()));
-  in_shape_ = x.shape();
-  const index_t b = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const index_t oh = tensor::conv_out_extent(h, k_, stride_, 0);
-  const index_t ow = tensor::conv_out_extent(w, k_, stride_, 0);
-  const real inv = 1.0 / static_cast<real>(k_ * k_);
-  tensor::Tensor y({b, c, oh, ow});
-  for (index_t n = 0; n < b; ++n)
-    for (index_t ch = 0; ch < c; ++ch)
-      for (index_t oi = 0; oi < oh; ++oi)
-        for (index_t oj = 0; oj < ow; ++oj) {
-          real s = 0.0;
-          for (index_t ki = 0; ki < k_; ++ki)
-            for (index_t kj = 0; kj < k_; ++kj)
-              s += x.at4(n, ch, oi * stride_ + ki, oj * stride_ + kj);
-          y.at4(n, ch, oi, oj) = s * inv;
-        }
-  return y;
-}
-
-tensor::Tensor AvgPool2d::backward(const tensor::Tensor& grad_out) {
-  const index_t b = in_shape_[0], c = in_shape_[1];
-  const index_t oh = grad_out.dim(2), ow = grad_out.dim(3);
-  const real inv = 1.0 / static_cast<real>(k_ * k_);
-  tensor::Tensor grad_in(in_shape_);
-  for (index_t n = 0; n < b; ++n)
-    for (index_t ch = 0; ch < c; ++ch)
-      for (index_t oi = 0; oi < oh; ++oi)
-        for (index_t oj = 0; oj < ow; ++oj) {
-          const real g = grad_out.at4(n, ch, oi, oj) * inv;
-          for (index_t ki = 0; ki < k_; ++ki)
-            for (index_t kj = 0; kj < k_; ++kj)
-              grad_in.at4(n, ch, oi * stride_ + ki, oj * stride_ + kj) += g;
-        }
-  return grad_in;
-}
-
 tensor::Tensor GlobalAvgPool::forward(const tensor::Tensor& x,
                                       bool /*training*/) {
   OASIS_CHECK_MSG(x.rank() == 4,

@@ -22,20 +22,6 @@ class MaxPool2d : public Module {
   std::vector<index_t> argmax_;  // flat input index per output element
 };
 
-/// Average pooling over [B, C, H, W].
-class AvgPool2d : public Module {
- public:
-  AvgPool2d(index_t kernel, index_t stride);
-
-  tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-  [[nodiscard]] std::string name() const override { return "AvgPool2d"; }
-
- private:
-  index_t k_, stride_;
-  tensor::Shape in_shape_;
-};
-
 /// Global average pooling: [B, C, H, W] → [B, C].
 class GlobalAvgPool : public Module {
  public:

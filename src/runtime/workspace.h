@@ -57,9 +57,9 @@ class Workspace {
   /// innermost live Scope is destroyed. Must be called inside a Scope.
   real* alloc(index_t count);
 
-  /// `count` elements of scalar type T (the float pack panels of the fp32
-  /// GEMM path use this), 64-byte aligned, same lifetime rules as alloc().
-  /// Storage is carved from the same double-granular arena, rounded up.
+  /// `count` elements of scalar type T, 64-byte aligned, same lifetime rules
+  /// as alloc(). Storage is carved from the same double-granular arena,
+  /// rounded up.
   template <typename T>
   T* alloc_as(index_t count) {
     static_assert(alignof(T) <= alignof(real),

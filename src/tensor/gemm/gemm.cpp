@@ -33,32 +33,31 @@ index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
 
 /// Packs op(B)[pc..pc+kc, jc..jc+nc) into nr-wide k-major micro-panels,
 /// zero-padding the ragged last panel to nr columns.
-template <typename T>
-void pack_b(Variant v, const T* __restrict b, index_t k, index_t n, index_t pc,
-            index_t kc, index_t jc, index_t nc, index_t nr,
-            T* __restrict bp) {
+void pack_b(Variant v, const real* __restrict b, index_t k, index_t n,
+            index_t pc, index_t kc, index_t jc, index_t nc, index_t nr,
+            real* __restrict bp) {
   const index_t panels = ceil_div(nc, nr);
   for (index_t p = 0; p < panels; ++p) {
     const index_t j0 = p * nr;
     const index_t w = std::min(nr, nc - j0);
-    T* __restrict dst = bp + p * kc * nr;
+    real* __restrict dst = bp + p * kc * nr;
     if (v == Variant::NT) {
       // op(B)[kk, j] = B[jc+j, pc+kk] with B stored n×k.
       for (index_t j = 0; j < w; ++j) {
-        const T* __restrict src = b + (jc + j0 + j) * k + pc;
+        const real* __restrict src = b + (jc + j0 + j) * k + pc;
         for (index_t kk = 0; kk < kc; ++kk) dst[kk * nr + j] = src[kk];
       }
       if (w < nr) {
         for (index_t kk = 0; kk < kc; ++kk)
-          for (index_t j = w; j < nr; ++j) dst[kk * nr + j] = T(0);
+          for (index_t j = w; j < nr; ++j) dst[kk * nr + j] = 0.0;
       }
     } else {
       // op(B)[kk, j] = B[pc+kk, jc+j] with B stored k×n (NN and TN share B).
       for (index_t kk = 0; kk < kc; ++kk) {
-        const T* __restrict src = b + (pc + kk) * n + jc + j0;
-        T* __restrict row = dst + kk * nr;
+        const real* __restrict src = b + (pc + kk) * n + jc + j0;
+        real* __restrict row = dst + kk * nr;
         for (index_t j = 0; j < w; ++j) row[j] = src[j];
-        for (index_t j = w; j < nr; ++j) row[j] = T(0);
+        for (index_t j = w; j < nr; ++j) row[j] = 0.0;
       }
     }
   }
@@ -66,29 +65,28 @@ void pack_b(Variant v, const T* __restrict b, index_t k, index_t n, index_t pc,
 
 /// Packs op(A)[i0..i0+mr, pc..pc+kc) k-major with mr_pack rows interleaved,
 /// zero-padding ragged rows to mr_pack.
-template <typename T>
-void pack_a(Variant v, const T* __restrict a, index_t m, index_t k, index_t i0,
-            index_t mr, index_t pc, index_t kc, index_t mr_pack,
-            T* __restrict ap) {
+void pack_a(Variant v, const real* __restrict a, index_t m, index_t k,
+            index_t i0, index_t mr, index_t pc, index_t kc, index_t mr_pack,
+            real* __restrict ap) {
   if (v == Variant::TN) {
     // op(A)[i, kk] = A[pc+kk, i0+i] with A stored k×m.
     for (index_t kk = 0; kk < kc; ++kk) {
-      const T* __restrict src = a + (pc + kk) * m + i0;
-      T* __restrict dst = ap + kk * mr_pack;
+      const real* __restrict src = a + (pc + kk) * m + i0;
+      real* __restrict dst = ap + kk * mr_pack;
       for (index_t r = 0; r < mr; ++r) dst[r] = src[r];
-      for (index_t r = mr; r < mr_pack; ++r) dst[r] = T(0);
+      for (index_t r = mr; r < mr_pack; ++r) dst[r] = 0.0;
     }
   } else {
     // op(A)[i, kk] = A[i0+i, pc+kk] with A stored m×k (NN and NT share A).
     for (index_t kk = 0; kk < kc; ++kk) {
-      T* __restrict dst = ap + kk * mr_pack;
+      real* __restrict dst = ap + kk * mr_pack;
       for (index_t r = 0; r < mr; ++r) dst[r] = a[(i0 + r) * k + pc + kk];
-      for (index_t r = mr; r < mr_pack; ++r) dst[r] = T(0);
+      for (index_t r = mr; r < mr_pack; ++r) dst[r] = 0.0;
     }
   }
 }
 
-// ---- Naive oracle kernels (the pre-blocking triple loops, per dtype) --------
+// ---- Naive oracle kernels (the pre-blocking triple loops) -------------------
 
 // Output rows are written disjointly and each row's k-accumulation order is
 // fixed, so row-parallel GEMMs are bit-identical at any thread count.
@@ -101,44 +99,44 @@ void for_each_output_row(index_t rows, index_t flops,
   runtime::parallel_for(0, rows, body);
 }
 
-template <typename T>
-void naive_nn(index_t m, index_t k, index_t n, const T* a, const T* b, T* c) {
+void naive_nn(index_t m, index_t k, index_t n, const real* a, const real* b,
+              real* c) {
   for_each_output_row(m, m * k * n, [&](index_t i0, index_t i1) {
     for (index_t i = i0; i < i1; ++i) {
-      const T* arow = a + i * k;
-      T* crow = c + i * n;
+      const real* arow = a + i * k;
+      real* crow = c + i * n;
       for (index_t kk = 0; kk < k; ++kk) {
-        const T av = arow[kk];
-        if (av == T(0)) continue;
-        const T* brow = b + kk * n;
+        const real av = arow[kk];
+        if (av == 0.0) continue;
+        const real* brow = b + kk * n;
         for (index_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
   });
 }
 
-template <typename T>
-void naive_tn(index_t m, index_t k, index_t n, const T* a, const T* b, T* c) {
+void naive_tn(index_t m, index_t k, index_t n, const real* a, const real* b,
+              real* c) {
   // c[i,j] += Σ_kk a[kk,i] * b[kk,j]; iterate kk outermost so both reads are
   // row-contiguous. Each parallel chunk owns output rows [i0, i1) and runs
   // the full kk sweep over them, so per-element accumulation order is the
   // serial one.
   for_each_output_row(m, m * k * n, [&](index_t i0, index_t i1) {
     for (index_t kk = 0; kk < k; ++kk) {
-      const T* arow = a + kk * m;
-      const T* brow = b + kk * n;
+      const real* arow = a + kk * m;
+      const real* brow = b + kk * n;
       for (index_t i = i0; i < i1; ++i) {
-        const T av = arow[i];
-        if (av == T(0)) continue;
-        T* crow = c + i * n;
+        const real av = arow[i];
+        if (av == 0.0) continue;
+        real* crow = c + i * n;
         for (index_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
   });
 }
 
-template <typename T>
-void naive_nt(index_t m, index_t k, index_t n, const T* a, const T* b, T* c) {
+void naive_nt(index_t m, index_t k, index_t n, const real* a, const real* b,
+              real* c) {
   // c[i,j] += Σ_kk a[i,kk] * b[j,kk]: dot of two contiguous rows. Two
   // deliberate choices keep this bit-identical to the blocked path:
   //  * the chain is seeded from c[i,j] (not summed into 0 and added at the
@@ -152,27 +150,16 @@ void naive_nt(index_t m, index_t k, index_t n, const T* a, const T* b, T* c) {
   //    not the fast path.
   for_each_output_row(m, m * k * n, [&](index_t i0, index_t i1) {
     for (index_t i = i0; i < i1; ++i) {
-      const T* arow = a + i * k;
-      T* crow = c + i * n;
+      const real* arow = a + i * k;
+      real* crow = c + i * n;
       for (index_t j = 0; j < n; ++j) {
-        const T* brow = b + j * k;
-        T s = crow[j];
+        const real* brow = b + j * k;
+        real s = crow[j];
         for (index_t kk = 0; kk < k; ++kk) s = std::fma(arow[kk], brow[kk], s);
         crow[j] = s;
       }
     }
   });
-}
-
-template <typename T>
-void naive_impl(Variant v, index_t m, index_t k, index_t n, const T* a,
-                const T* b, T* c) {
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  switch (v) {
-    case Variant::NN: naive_nn(m, k, n, a, b, c); break;
-    case Variant::TN: naive_tn(m, k, n, a, b, c); break;
-    case Variant::NT: naive_nt(m, k, n, a, b, c); break;
-  }
 }
 
 // ---- Dispatch state ---------------------------------------------------------
@@ -213,19 +200,13 @@ std::atomic<int>& isa_flag() {
   return flag;
 }
 
-template <typename T>
-MicroKernel<T> isa_kernel(Isa isa) {
-  constexpr bool f64 = sizeof(T) == sizeof(double);
+MicroKernel isa_kernel(Isa isa) {
   switch (isa) {
-    case Isa::kAvx2:
-      if constexpr (f64) return detail::avx2_kernel_f64();
-      else return detail::avx2_kernel_f32();
-    case Isa::kNeon:
-      if constexpr (f64) return detail::neon_kernel_f64();
-      else return detail::neon_kernel_f32();
+    case Isa::kAvx2: return detail::avx2_kernel();
+    case Isa::kNeon: return detail::neon_kernel();
     case Isa::kScalar: break;
   }
-  return detail::scalar_kernel<T>();
+  return detail::scalar_kernel();
 }
 
 void count_gemm(index_t flops) {
@@ -236,18 +217,19 @@ void count_gemm(index_t flops) {
   total.add(static_cast<std::uint64_t>(flops));
 }
 
+}  // namespace
+
 // ---- Blocked driver ---------------------------------------------------------
 
-template <typename T>
-void blocked_impl(Variant v, index_t m, index_t k, index_t n, const T* a,
-                  const T* b, T* c) {
+void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
+             const real* b, real* c) {
   if (m <= 0 || n <= 0 || k <= 0) return;  // C += empty product
-  const MicroKernel<T> mk = isa_kernel<T>(active_isa());
+  const MicroKernel mk = isa_kernel(active_isa());
   const index_t row_panels = ceil_div(m, mk.mr);
   // Shape-derived chunking: aim for ~8 chunks, at most 32 MR-panels per
   // chunk so large GEMMs expose enough parallelism while a chunk's packed A
   // traffic stays L2-friendly. Never depends on the thread count, so the
-  // row partition — and with it the output bits — is fixed per (dtype, ISA).
+  // row partition — and with it the output bits — is fixed per ISA.
   const index_t grain = std::max<index_t>(
       1, std::min<index_t>(row_panels / 8, index_t{32}));
   const bool parallel = 2 * m * k * n >= kParallelGemmFlops && row_panels > 1;
@@ -255,7 +237,7 @@ void blocked_impl(Variant v, index_t m, index_t k, index_t n, const T* a,
   runtime::Workspace& ws = runtime::Workspace::tls();
   runtime::Workspace::Scope scope(ws);
   const index_t nc_max = std::min(n, kNC);
-  T* bpack = ws.alloc_as<T>(kKC * ceil_div(nc_max, mk.nr) * mk.nr);
+  real* bpack = ws.alloc(kKC * ceil_div(nc_max, mk.nr) * mk.nr);
 
   for (index_t jc = 0; jc < n; jc += kNC) {
     const index_t nc = std::min(kNC, n - jc);
@@ -267,7 +249,7 @@ void blocked_impl(Variant v, index_t m, index_t k, index_t n, const T* a,
       const auto body = [&](index_t p0, index_t p1) {
         runtime::Workspace& tws = runtime::Workspace::tls();
         runtime::Workspace::Scope tscope(tws);
-        T* apack = tws.alloc_as<T>(kKC * mk.mr);
+        real* apack = tws.alloc(kKC * mk.mr);
         for (index_t ip = p0; ip < p1; ++ip) {
           const index_t i0 = ip * mk.mr;
           const index_t mr = std::min(mk.mr, m - i0);
@@ -275,7 +257,7 @@ void blocked_impl(Variant v, index_t m, index_t k, index_t n, const T* a,
           for (index_t p = 0; p < b_panels; ++p) {
             const index_t j0 = jc + p * mk.nr;
             const index_t nr = std::min(mk.nr, jc + nc - j0);
-            T* ctile = c + i0 * n + j0;
+            real* ctile = c + i0 * n + j0;
             if (mr == mk.mr && nr == mk.nr) {
               mk.full(kc, apack, bpack + p * kc * mk.nr, ctile, n);
             } else {
@@ -293,29 +275,30 @@ void blocked_impl(Variant v, index_t m, index_t k, index_t n, const T* a,
   }
 }
 
-template <typename T>
-void run_impl(Variant v, index_t m, index_t k, index_t n, const T* a,
-              const T* b, T* c) {
-  count_gemm(2 * m * k * n);
-  if (naive_active()) {
-    naive_impl(v, m, k, n, a, b, c);
-  } else {
-    blocked_impl(v, m, k, n, a, b, c);
+void naive(Variant v, index_t m, index_t k, index_t n, const real* a,
+           const real* b, real* c) {
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  switch (v) {
+    case Variant::NN: naive_nn(m, k, n, a, b, c); break;
+    case Variant::TN: naive_tn(m, k, n, a, b, c); break;
+    case Variant::NT: naive_nt(m, k, n, a, b, c); break;
   }
 }
 
-}  // namespace
+void run(Variant v, index_t m, index_t k, index_t n, const real* a,
+         const real* b, real* c) {
+  count_gemm(2 * m * k * n);
+  if (naive_active()) {
+    naive(v, m, k, n, a, b, c);
+  } else {
+    blocked(v, m, k, n, a, b, c);
+  }
+}
 
 namespace detail {
 
-template <>
-MicroKernel<double> scalar_kernel<double>() {
-  return {generic_full<double, 4, 8>, generic_tile<double, 4, 8>, 4, 8};
-}
-
-template <>
-MicroKernel<float> scalar_kernel<float>() {
-  return {generic_full<float, 4, 32>, generic_tile<float, 4, 32>, 4, 32};
+MicroKernel scalar_kernel() {
+  return {generic_full<4, 8>, generic_tile<4, 8>, 4, 8};
 }
 
 }  // namespace detail
@@ -379,38 +362,6 @@ bool naive_active() { return naive_flag().load(std::memory_order_relaxed); }
 
 void set_naive(bool on) {
   naive_flag().store(on, std::memory_order_relaxed);
-}
-
-// ---- Entry points -----------------------------------------------------------
-
-void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
-             const real* b, real* c) {
-  blocked_impl(v, m, k, n, a, b, c);
-}
-
-void blocked(Variant v, index_t m, index_t k, index_t n, const real32* a,
-             const real32* b, real32* c) {
-  blocked_impl(v, m, k, n, a, b, c);
-}
-
-void naive(Variant v, index_t m, index_t k, index_t n, const real* a,
-           const real* b, real* c) {
-  naive_impl(v, m, k, n, a, b, c);
-}
-
-void naive(Variant v, index_t m, index_t k, index_t n, const real32* a,
-           const real32* b, real32* c) {
-  naive_impl(v, m, k, n, a, b, c);
-}
-
-void run(Variant v, index_t m, index_t k, index_t n, const real* a,
-         const real* b, real* c) {
-  run_impl(v, m, k, n, a, b, c);
-}
-
-void run(Variant v, index_t m, index_t k, index_t n, const real32* a,
-         const real32* b, real32* c) {
-  run_impl(v, m, k, n, a, b, c);
 }
 
 }  // namespace oasis::tensor::gemm

@@ -1,29 +1,26 @@
 // Blocked + packed GEMM kernel family (the hot path of every bench and
-// training loop), dtype-templated (double fidelity path, float scale path)
-// and dispatched across a runtime-selected SIMD microkernel family, with the
-// old naive triple-loop kernels retained per dtype as the differential-test
-// oracle.
+// training loop) over `real` (double), dispatched across a runtime-selected
+// SIMD microkernel family, with the old naive triple-loop kernels retained
+// as the differential-test oracle.
 //
 // All entry points compute C += op(A)·op(B) on dense row-major buffers (the
 // accumulate convention every call site relies on: wrappers hand in
-// zero-initialized C, Conv2d hands in zeroed workspace tiles). Every entry
-// exists for both `double` (`real`, the attack/PSNR fidelity dtype — the
-// 130–145 dB verbatim-copy signature needs ~1e-15 relative error, see
-// common/types.h) and `float` (`real32`, the training/serving scale dtype:
-// half the bandwidth, twice the SIMD lanes).
+// zero-initialized C, Conv2d hands in zeroed workspace tiles). Double is the
+// only dtype: the attack/PSNR 130–145 dB verbatim-copy signature needs
+// ~1e-15 relative error (see common/types.h).
 //
-// Determinism contract (DESIGN.md §5f/§5k): per (dtype, ISA), for every
-// output element the k-accumulation runs in ascending k order through a
-// single chain of single-rounded fused multiply-adds — the blocked path's
-// register tiles load the partial result from C and continue the same FMA
-// chain the naive kernels execute, and memory round-trips are exact — so
-// blocked and naive results are bit-identical, at any thread count and any
+// Determinism contract (DESIGN.md §5f/§5k): per ISA, for every output
+// element the k-accumulation runs in ascending k order through a single
+// chain of single-rounded fused multiply-adds — the blocked path's register
+// tiles load the partial result from C and continue the same FMA chain the
+// naive kernels execute, and memory round-trips are exact — so blocked and
+// naive results are bit-identical, at any thread count and any
 // register-tile geometry, and the golden fixture is preserved byte-for-byte.
 // Because a vector FMA lane performs the identical IEEE operation the scalar
 // contraction does, the contract in fact holds ACROSS ISAs too; the tests
-// pin it per (dtype, ISA) since that is what the dispatch guarantees. The
-// one documented exception is the sign of zero when an entire op(A) column
-// is exactly 0.0 (the naive kernels skip those terms): +0.0 vs -0.0 compare
+// pin it per ISA since that is what the dispatch guarantees. The one
+// documented exception is the sign of zero when an entire op(A) column is
+// exactly 0.0 (the naive kernels skip those terms): +0.0 vs -0.0 compare
 // equal and cannot arise from continuous data.
 #pragma once
 
@@ -41,14 +38,13 @@ namespace oasis::tensor::gemm {
 ///   NT: A is m×k, B is n×k (op(B)=Bᵀ) — input gradients, no transpose copy.
 enum class Variant { NN, TN, NT };
 
-// Cache blocking parameters, shared by every (dtype, ISA) kernel: k blocked
-// by KC (one packed B micro-panel stays L1-resident: 256·8 doubles·8 B =
-// 16 KiB, half that for floats), n blocked by NC (the full packed B block,
-// ≤ 1 MiB of doubles, L2-resident on the target Xeon with its 2 MiB L2).
-// The register-tile geometry (MR×NR) is per-(dtype, ISA) — see
-// kernels.h / DESIGN.md §5k — chosen so the accumulator tile fills the
-// ISA's vector register file; packing pads ragged edges to the active
-// kernel's tile.
+// Cache blocking parameters, shared by every ISA kernel: k blocked by KC
+// (one packed B micro-panel stays L1-resident: 256·8 doubles·8 B = 16 KiB),
+// n blocked by NC (the full packed B block, ≤ 1 MiB, L2-resident on the
+// target Xeon with its 2 MiB L2). The register-tile geometry (MR×NR) is
+// per ISA — see kernels.h / DESIGN.md §5k — chosen so the accumulator tile
+// fills the ISA's vector register file; packing pads ragged edges to the
+// active kernel's tile.
 inline constexpr index_t kKC = 256;
 inline constexpr index_t kNC = 512;
 
@@ -99,7 +95,7 @@ void set_isa(Isa isa);
 bool naive_active();
 void set_naive(bool on);
 
-// ---- Entry points (double fidelity path / float scale path) -----------------
+// ---- Entry points -----------------------------------------------------------
 
 /// C(m×n) += op(A)·op(B). Dispatches naive/blocked per naive_active() and
 /// bumps the kernel.gemm.* flop counters (when kernel metrics are enabled).
@@ -107,18 +103,12 @@ void set_naive(bool on);
 /// shape-derived chunking; small products run inline.
 void run(Variant v, index_t m, index_t k, index_t n, const real* a,
          const real* b, real* c);
-void run(Variant v, index_t m, index_t k, index_t n, const real32* a,
-         const real32* b, real32* c);
 
 /// Direct entries (no naive/blocked dispatch, no metrics) for the
 /// differential tests and benches. `blocked` still honors active_isa().
 void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
              const real* b, real* c);
-void blocked(Variant v, index_t m, index_t k, index_t n, const real32* a,
-             const real32* b, real32* c);
 void naive(Variant v, index_t m, index_t k, index_t n, const real* a,
            const real* b, real* c);
-void naive(Variant v, index_t m, index_t k, index_t n, const real32* a,
-           const real32* b, real32* c);
 
 }  // namespace oasis::tensor::gemm

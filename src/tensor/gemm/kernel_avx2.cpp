@@ -3,15 +3,14 @@
 // nothing here runs unless the cpuid check in avx2_supported() passed, so a
 // non-AVX2 host never executes these instructions.
 //
-// Tile geometry: 6×8 doubles / 6×16 floats — twelve ymm accumulators plus
-// two packed-B vectors and one broadcast, 15 of the 16 ymm registers, the
-// widest tile that leaves the register allocator a scratch register. The
-// k-loop body is one broadcast + two vfmadd231 per row: every output element
+// Tile geometry: 6×8 doubles — twelve ymm accumulators plus two packed-B
+// vectors and one broadcast, 15 of the 16 ymm registers, the widest tile
+// that leaves the register allocator a scratch register. The k-loop body is one broadcast + two vfmadd231 per row: every output element
 // advances through exactly the single-rounded FMA chain the scalar kernels
 // contract to, so the bits match the naive oracle (kernels.h).
 //
 // Ragged edges run through staged_edge (kernels.h): the live corner of C is
-// staged into a zero-padded 6×8 / 6×16 stack tile and the register kernel
+// staged into a zero-padded 6×8 stack tile and the register kernel
 // instantiated for exactly the live row count runs on it, so a 2-row edge
 // issues 2 rows of FMAs, not 6. The staging changes no bits, for the same
 // reason the full kernels match the oracle. Edges do not go to generic_tile,
@@ -27,24 +26,23 @@
 namespace oasis::tensor::gemm::detail {
 namespace {
 
-constexpr index_t kAvxMRF64 = 6, kAvxNRF64 = 8;
-constexpr index_t kAvxMRF32 = 6, kAvxNRF32 = 16;
+constexpr index_t kAvxMR = 6, kAvxNR = 8;
 
-/// Updates the first R rows of the 6×8 f64 tile (packed-A stride stays
-/// kAvxMRF64); R = kAvxMRF64 is the full kernel.
+/// Updates the first R rows of the 6×8 tile (packed-A stride stays kAvxMR);
+/// R = kAvxMR is the full kernel.
 template <index_t R>
-void avx2_rows_f64(index_t kc, const double* __restrict ap,
-                   const double* __restrict bp, double* __restrict c,
-                   index_t ldc) {
+void avx2_rows(index_t kc, const double* __restrict ap,
+               const double* __restrict bp, double* __restrict c,
+               index_t ldc) {
   __m256d acc[R][2];
   for (index_t r = 0; r < R; ++r) {
     acc[r][0] = _mm256_loadu_pd(c + r * ldc);
     acc[r][1] = _mm256_loadu_pd(c + r * ldc + 4);
   }
   for (index_t kk = 0; kk < kc; ++kk) {
-    const __m256d b0 = _mm256_loadu_pd(bp + kk * kAvxNRF64);
-    const __m256d b1 = _mm256_loadu_pd(bp + kk * kAvxNRF64 + 4);
-    const double* __restrict arow = ap + kk * kAvxMRF64;
+    const __m256d b0 = _mm256_loadu_pd(bp + kk * kAvxNR);
+    const __m256d b1 = _mm256_loadu_pd(bp + kk * kAvxNR + 4);
+    const double* __restrict arow = ap + kk * kAvxMR;
     for (index_t r = 0; r < R; ++r) {
       const __m256d av = _mm256_set1_pd(arow[r]);
       acc[r][0] = _mm256_fmadd_pd(av, b0, acc[r][0]);
@@ -57,55 +55,17 @@ void avx2_rows_f64(index_t kc, const double* __restrict ap,
   }
 }
 
-/// Updates the first R rows of the 6×16 f32 tile (packed-A stride stays
-/// kAvxMRF32); R = kAvxMRF32 is the full kernel.
-template <index_t R>
-void avx2_rows_f32(index_t kc, const float* __restrict ap,
-                   const float* __restrict bp, float* __restrict c,
-                   index_t ldc) {
-  __m256 acc[R][2];
-  for (index_t r = 0; r < R; ++r) {
-    acc[r][0] = _mm256_loadu_ps(c + r * ldc);
-    acc[r][1] = _mm256_loadu_ps(c + r * ldc + 8);
-  }
-  for (index_t kk = 0; kk < kc; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(bp + kk * kAvxNRF32);
-    const __m256 b1 = _mm256_loadu_ps(bp + kk * kAvxNRF32 + 8);
-    const float* __restrict arow = ap + kk * kAvxMRF32;
-    for (index_t r = 0; r < R; ++r) {
-      const __m256 av = _mm256_set1_ps(arow[r]);
-      acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-    }
-  }
-  for (index_t r = 0; r < R; ++r) {
-    _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-    _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
-  }
-}
-
 // Indexed by live row count; entry 0 is never called (a tile has ≥1 row).
-constexpr TileKernel<double> kAvxRowsF64[kAvxMRF64 + 1] = {
-    nullptr,          avx2_rows_f64<1>, avx2_rows_f64<2>, avx2_rows_f64<3>,
-    avx2_rows_f64<4>, avx2_rows_f64<5>, avx2_rows_f64<6>};
-constexpr TileKernel<float> kAvxRowsF32[kAvxMRF32 + 1] = {
-    nullptr,          avx2_rows_f32<1>, avx2_rows_f32<2>, avx2_rows_f32<3>,
-    avx2_rows_f32<4>, avx2_rows_f32<5>, avx2_rows_f32<6>};
+constexpr TileKernel kAvxRows[kAvxMR + 1] = {
+    nullptr,      avx2_rows<1>, avx2_rows<2>, avx2_rows<3>,
+    avx2_rows<4>, avx2_rows<5>, avx2_rows<6>};
 
 // A column-complete edge needs no staging: the row kernel for mr rows
 // writes exactly the live part of C.
-void avx2_edge_f64(index_t kc, const double* ap, const double* bp, double* c,
-                   index_t ldc, index_t mr, index_t nr) {
-  if (nr == kAvxNRF64) return kAvxRowsF64[mr](kc, ap, bp, c, ldc);
-  staged_edge<double, kAvxMRF64, kAvxNRF64>(kAvxRowsF64[mr], kc, ap, bp, c,
-                                            ldc, mr, nr);
-}
-
-void avx2_edge_f32(index_t kc, const float* ap, const float* bp, float* c,
-                   index_t ldc, index_t mr, index_t nr) {
-  if (nr == kAvxNRF32) return kAvxRowsF32[mr](kc, ap, bp, c, ldc);
-  staged_edge<float, kAvxMRF32, kAvxNRF32>(kAvxRowsF32[mr], kc, ap, bp, c,
-                                           ldc, mr, nr);
+void avx2_edge(index_t kc, const double* ap, const double* bp, double* c,
+               index_t ldc, index_t mr, index_t nr) {
+  if (nr == kAvxNR) return kAvxRows[mr](kc, ap, bp, c, ldc);
+  staged_edge<kAvxMR, kAvxNR>(kAvxRows[mr], kc, ap, bp, c, ldc, mr, nr);
 }
 
 }  // namespace
@@ -116,12 +76,8 @@ bool avx2_supported() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
 
-MicroKernel<double> avx2_kernel_f64() {
-  return {avx2_rows_f64<kAvxMRF64>, avx2_edge_f64, kAvxMRF64, kAvxNRF64};
-}
-
-MicroKernel<float> avx2_kernel_f32() {
-  return {avx2_rows_f32<kAvxMRF32>, avx2_edge_f32, kAvxMRF32, kAvxNRF32};
+MicroKernel avx2_kernel() {
+  return {avx2_rows<kAvxMR>, avx2_edge, kAvxMR, kAvxNR};
 }
 
 }  // namespace oasis::tensor::gemm::detail
@@ -132,8 +88,7 @@ namespace oasis::tensor::gemm::detail {
 
 bool avx2_compiled() { return false; }
 bool avx2_supported() { return false; }
-MicroKernel<double> avx2_kernel_f64() { return {nullptr, nullptr, 0, 0}; }
-MicroKernel<float> avx2_kernel_f32() { return {nullptr, nullptr, 0, 0}; }
+MicroKernel avx2_kernel() { return {nullptr, nullptr, 0, 0}; }
 
 }  // namespace oasis::tensor::gemm::detail
 

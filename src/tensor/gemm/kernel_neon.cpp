@@ -2,12 +2,12 @@
 // compile flags or runtime feature check needed; neon_compiled() doubles as
 // neon-supported).
 //
-// Tile geometry mirrors the AVX2 family at the same MR so the packed-A
-// layout math is identical per dtype: 6×8 doubles (24 of the 32 128-bit
-// vector registers as accumulators, 4 packed-B vectors, 1 broadcast) and
-// 6×16 floats. vfmaq_n_* is a single-rounded fused multiply-add per lane —
-// the same IEEE operation the scalar kernels contract to — so the bits
-// match the naive oracle (kernels.h).
+// Tile geometry mirrors the AVX2 kernel at the same MR so the packed-A
+// layout math is identical: 6×8 doubles (24 of the 32 128-bit vector
+// registers as accumulators, 4 packed-B vectors, 1 broadcast). vfmaq_n_f64
+// is a single-rounded fused multiply-add per lane — the same IEEE operation
+// the scalar kernels contract to — so the bits match the naive oracle
+// (kernels.h).
 #include "tensor/gemm/kernels.h"
 
 #if defined(__aarch64__) || defined(__ARM_NEON)
@@ -18,7 +18,6 @@ namespace oasis::tensor::gemm::detail {
 namespace {
 
 constexpr index_t kNeonMRF64 = 6, kNeonNRF64 = 8;
-constexpr index_t kNeonMRF32 = 6, kNeonNRF32 = 16;
 
 void neon_full_f64(index_t kc, const double* __restrict ap,
                    const double* __restrict bp, double* __restrict c,
@@ -39,37 +38,13 @@ void neon_full_f64(index_t kc, const double* __restrict ap,
     for (index_t v = 0; v < 4; ++v) vst1q_f64(c + r * ldc + 2 * v, acc[r][v]);
 }
 
-void neon_full_f32(index_t kc, const float* __restrict ap,
-                   const float* __restrict bp, float* __restrict c,
-                   index_t ldc) {
-  float32x4_t acc[kNeonMRF32][4];
-  for (index_t r = 0; r < kNeonMRF32; ++r)
-    for (index_t v = 0; v < 4; ++v) acc[r][v] = vld1q_f32(c + r * ldc + 4 * v);
-  for (index_t kk = 0; kk < kc; ++kk) {
-    float32x4_t b[4];
-    for (index_t v = 0; v < 4; ++v) b[v] = vld1q_f32(bp + kk * kNeonNRF32 + 4 * v);
-    const float* __restrict arow = ap + kk * kNeonMRF32;
-    for (index_t r = 0; r < kNeonMRF32; ++r) {
-      const float av = arow[r];
-      for (index_t v = 0; v < 4; ++v) acc[r][v] = vfmaq_n_f32(acc[r][v], b[v], av);
-    }
-  }
-  for (index_t r = 0; r < kNeonMRF32; ++r)
-    for (index_t v = 0; v < 4; ++v) vst1q_f32(c + r * ldc + 4 * v, acc[r][v]);
-}
-
 }  // namespace
 
 bool neon_compiled() { return true; }
 
-MicroKernel<double> neon_kernel_f64() {
-  return {neon_full_f64, generic_tile<double, kNeonMRF64, kNeonNRF64>,
-          kNeonMRF64, kNeonNRF64};
-}
-
-MicroKernel<float> neon_kernel_f32() {
-  return {neon_full_f32, generic_tile<float, kNeonMRF32, kNeonNRF32>,
-          kNeonMRF32, kNeonNRF32};
+MicroKernel neon_kernel() {
+  return {neon_full_f64, generic_tile<kNeonMRF64, kNeonNRF64>, kNeonMRF64,
+          kNeonNRF64};
 }
 
 }  // namespace oasis::tensor::gemm::detail
@@ -79,8 +54,7 @@ MicroKernel<float> neon_kernel_f32() {
 namespace oasis::tensor::gemm::detail {
 
 bool neon_compiled() { return false; }
-MicroKernel<double> neon_kernel_f64() { return {nullptr, nullptr, 0, 0}; }
-MicroKernel<float> neon_kernel_f32() { return {nullptr, nullptr, 0, 0}; }
+MicroKernel neon_kernel() { return {nullptr, nullptr, 0, 0}; }
 
 }  // namespace oasis::tensor::gemm::detail
 

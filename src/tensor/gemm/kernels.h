@@ -1,6 +1,6 @@
 // Internal microkernel family for the blocked GEMM driver (gemm.cpp).
 //
-// A MicroKernel<T> bundles one (dtype, ISA) register-tiled kernel: `full`
+// A MicroKernel bundles one ISA's register-tiled kernel: `full`
 // computes a complete MR×NR tile of C += Ap·Bp from packed panels, `edge`
 // the ragged clip of one (padded packs, full-tile arithmetic in registers,
 // clipped store), and (mr, nr) the tile geometry the driver packs for.
@@ -22,35 +22,35 @@ namespace oasis::tensor::gemm::detail {
 
 /// A register kernel over packed panels: C += Ap·Bp on one tile, with packed
 /// strides mr/nr and C row stride ldc.
-template <typename T>
-using TileKernel = void (*)(index_t kc, const T* ap, const T* bp, T* c,
-                            index_t ldc);
+using TileKernel = void (*)(index_t kc, const real* ap, const real* bp,
+                            real* c, index_t ldc);
 
-template <typename T>
 struct MicroKernel {
   /// Full MR×NR tile: C[0..mr)×[0..nr) += Ap·Bp with packed strides mr/nr.
-  TileKernel<T> full;
+  TileKernel full;
   /// Ragged tile: same arithmetic over the zero-padded pack, storing only
   /// the live mr×nr corner.
-  void (*edge)(index_t kc, const T* ap, const T* bp, T* c, index_t ldc,
-               index_t mr, index_t nr);
+  void (*edge)(index_t kc, const real* ap, const real* bp, real* c,
+               index_t ldc, index_t mr, index_t nr);
   index_t mr, nr;
 };
 
 // ---- Generic (scalar / auto-vectorized) tiles -------------------------------
 //
 // The portable kernel, full and edge alike. Each acc[r][j] advances one
-// fused multiply-add per k step, in ascending k order. The `+=` form is deliberate: under -ffp-contract=fast it contracts
-// to a single-rounded FMA, exactly the operation the naive kernels execute
-// per element, AND it vectorizes to broadcast+vfmadd across the NR lanes.
+// fused multiply-add per k step, in ascending k order. The `+=` form is
+// deliberate: under -ffp-contract=fast it contracts to a single-rounded FMA,
+// exactly the operation the naive kernels execute per element, AND it
+// vectorizes to broadcast+vfmadd across the NR lanes.
 // Writing std::fma explicitly here de-vectorizes the loop (~4.5x slower),
 // and manual unrolling makes it fall back to scalar shuffles (~5x slower) —
 // keep the plain triple loop.
 
-template <typename T, index_t MR, index_t NR>
-void generic_tile(index_t kc, const T* __restrict ap, const T* __restrict bp,
-                  T* __restrict c, index_t ldc, index_t mr, index_t nr) {
-  T acc[MR][NR];
+template <index_t MR, index_t NR>
+void generic_tile(index_t kc, const real* __restrict ap,
+                  const real* __restrict bp, real* __restrict c, index_t ldc,
+                  index_t mr, index_t nr) {
+  real acc[MR][NR];
   const bool full = (mr == MR) & (nr == NR);
   if (full) {
     for (index_t r = 0; r < MR; ++r)
@@ -58,13 +58,13 @@ void generic_tile(index_t kc, const T* __restrict ap, const T* __restrict bp,
   } else {
     for (index_t r = 0; r < MR; ++r)
       for (index_t j = 0; j < NR; ++j)
-        acc[r][j] = (r < mr && j < nr) ? c[r * ldc + j] : T(0);
+        acc[r][j] = (r < mr && j < nr) ? c[r * ldc + j] : real(0);
   }
   for (index_t kk = 0; kk < kc; ++kk) {
-    const T* __restrict arow = ap + kk * MR;
-    const T* __restrict brow = bp + kk * NR;
+    const real* __restrict arow = ap + kk * MR;
+    const real* __restrict brow = bp + kk * NR;
     for (index_t r = 0; r < MR; ++r) {
-      const T av = arow[r];
+      const real av = arow[r];
       for (index_t j = 0; j < NR; ++j) acc[r][j] += av * brow[j];
     }
   }
@@ -77,9 +77,10 @@ void generic_tile(index_t kc, const T* __restrict ap, const T* __restrict bp,
   }
 }
 
-template <typename T, index_t MR, index_t NR>
-void generic_full(index_t kc, const T* ap, const T* bp, T* c, index_t ldc) {
-  generic_tile<T, MR, NR>(kc, ap, bp, c, ldc, MR, NR);
+template <index_t MR, index_t NR>
+void generic_full(index_t kc, const real* ap, const real* bp, real* c,
+                  index_t ldc) {
+  generic_tile<MR, NR>(kc, ap, bp, c, ldc, MR, NR);
 }
 
 // ---- Staged edge (the SIMD kernels' ragged-tile handler) --------------------
@@ -97,10 +98,11 @@ void generic_full(index_t kc, const T* ap, const T* bp, T* c, index_t ldc) {
 // kernel on the round's conv shapes, where m = 8, 16, 27 and 72 leave most
 // row panels ragged.
 
-template <typename T, index_t MR, index_t NR>
-void staged_edge(TileKernel<T> kernel, index_t kc, const T* ap, const T* bp,
-                 T* c, index_t ldc, index_t mr, index_t nr) {
-  alignas(64) T tile[MR * NR] = {};
+template <index_t MR, index_t NR>
+void staged_edge(TileKernel kernel, index_t kc, const real* ap,
+                 const real* bp, real* c, index_t ldc, index_t mr,
+                 index_t nr) {
+  alignas(64) real tile[MR * NR] = {};
   for (index_t r = 0; r < mr; ++r)
     for (index_t j = 0; j < nr; ++j) tile[r * NR + j] = c[r * ldc + j];
   kernel(kc, ap, bp, tile, NR);
@@ -108,15 +110,10 @@ void staged_edge(TileKernel<T> kernel, index_t kc, const T* ap, const T* bp,
     for (index_t j = 0; j < nr; ++j) c[r * ldc + j] = tile[r * NR + j];
 }
 
-/// The scalar-ISA kernel for T. The double tile is the pre-dispatch 4×8
-/// (the geometry the golden fixture was recorded under — not that geometry
-/// matters for the bits, but it keeps the scalar path's cache behavior
-/// unchanged); the float tile is 4×32, the NR at which GCC's vectorizer
-/// emits clean broadcast+FMA rows for float (4×8 through 8×16 all trip its
-/// SLP pass into shuffle-transpose code an order of magnitude slower —
-/// measured, not theorized; re-check the disassembly before changing it).
-template <typename T>
-MicroKernel<T> scalar_kernel();
+/// The scalar-ISA kernel: the pre-dispatch 4×8 tile (the geometry the
+/// golden fixture was recorded under — not that geometry matters for the
+/// bits, but it keeps the scalar path's cache behavior unchanged).
+MicroKernel scalar_kernel();
 
 // ---- AVX2+FMA kernels (kernel_avx2.cpp, compiled with -mavx2 -mfma) ---------
 //
@@ -125,12 +122,10 @@ MicroKernel<T> scalar_kernel();
 // runtime cpuid feature check (AVX2 and FMA).
 bool avx2_compiled();
 bool avx2_supported();
-MicroKernel<double> avx2_kernel_f64();
-MicroKernel<float> avx2_kernel_f32();
+MicroKernel avx2_kernel();
 
 // ---- NEON kernels (kernel_neon.cpp, baseline on AArch64) --------------------
 bool neon_compiled();
-MicroKernel<double> neon_kernel_f64();
-MicroKernel<float> neon_kernel_f32();
+MicroKernel neon_kernel();
 
 }  // namespace oasis::tensor::gemm::detail

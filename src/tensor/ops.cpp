@@ -30,30 +30,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  check_rank2(a, "matmul_tn");
-  check_rank2(b, "matmul_tn");
-  const index_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  OASIS_CHECK_MSG(b.dim(0) == k, "matmul_tn: " << to_string(a.shape()) << "ᵀ · "
-                                               << to_string(b.shape()));
-  Tensor c({m, n});
-  gemm::run(gemm::Variant::TN, m, k, n, a.data().data(), b.data().data(),
-            c.data().data());
-  return c;
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  check_rank2(a, "matmul_nt");
-  check_rank2(b, "matmul_nt");
-  const index_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  OASIS_CHECK_MSG(b.dim(1) == k, "matmul_nt: " << to_string(a.shape()) << " · "
-                                               << to_string(b.shape()) << "ᵀ");
-  Tensor c({m, n});
-  gemm::run(gemm::Variant::NT, m, k, n, a.data().data(), b.data().data(),
-            c.data().data());
-  return c;
-}
-
 Tensor transpose(const Tensor& a) {
   check_rank2(a, "transpose");
   const index_t m = a.dim(0), n = a.dim(1);
@@ -61,32 +37,6 @@ Tensor transpose(const Tensor& a) {
   for (index_t i = 0; i < m; ++i)
     for (index_t j = 0; j < n; ++j) t.at2(j, i) = a.at2(i, j);
   return t;
-}
-
-Tensor matvec(const Tensor& a, const Tensor& x) {
-  check_rank2(a, "matvec");
-  OASIS_CHECK_MSG(x.rank() == 1 && x.dim(0) == a.dim(1),
-                  "matvec: " << to_string(a.shape()) << " · "
-                             << to_string(x.shape()));
-  const index_t m = a.dim(0), n = a.dim(1);
-  Tensor y({m});
-  for (index_t i = 0; i < m; ++i) {
-    real s = 0.0;
-    for (index_t j = 0; j < n; ++j) s += a.at2(i, j) * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
-Tensor outer(const Tensor& a, const Tensor& b) {
-  OASIS_CHECK_MSG(a.rank() == 1 && b.rank() == 1,
-                  "outer: " << to_string(a.shape()) << " ⊗ "
-                            << to_string(b.shape()));
-  const index_t m = a.dim(0), n = b.dim(0);
-  Tensor c({m, n});
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = 0; j < n; ++j) c.at2(i, j) = a[i] * b[j];
-  return c;
 }
 
 Tensor sum_rows(const Tensor& a) {

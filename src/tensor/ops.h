@@ -6,10 +6,10 @@
 // NEON, forced via OASIS_GEMM_ISA — L2-sized packed panels, workspace
 // arenas); the pre-blocking naive triple loops are retained there behind
 // OASIS_NAIVE_GEMM as the differential-test oracle, bit-identical by
-// construction per (dtype, ISA) (DESIGN.md §5f/§5k). Tensor is fp64 — the
-// fidelity dtype — so these shims always take the `real` entry points; the
-// fp32 scale path is reached through gemm.h directly. This is the single
-// hot spot of training and of the attack's reconstruction arithmetic.
+// construction per ISA (DESIGN.md §5f/§5k). Layers that need a transposed
+// operand (Dense, Conv2d backward) call gemm::run with the TN/NT variants
+// directly. This is the single hot spot of training and of the attack's
+// reconstruction arithmetic.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -19,23 +19,8 @@ namespace oasis::tensor {
 /// C = A(m×k) · B(k×n).
 Tensor matmul(const Tensor& a, const Tensor& b);
 
-/// C = Aᵀ(k×m becomes m×k input) · B — computes A.T @ B without materializing
-/// the transpose. A is (k×m), B is (k×n), result (m×n). Used for weight
-/// gradients (xᵀ · δ).
-Tensor matmul_tn(const Tensor& a, const Tensor& b);
-
-/// C = A(m×k) · Bᵀ where B is (n×k), result (m×n). Used for input gradients
-/// (δ · Wᵀ with W stored (out×in)).
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
-
 /// Explicit transpose of a rank-2 tensor.
 Tensor transpose(const Tensor& a);
-
-/// y = A(m×n) · x(n).
-Tensor matvec(const Tensor& a, const Tensor& x);
-
-/// Outer product a(m) ⊗ b(n) → (m×n).
-Tensor outer(const Tensor& a, const Tensor& b);
 
 /// Sum of a rank-2 tensor over rows: result[j] = Σ_i a[i,j]. This is exactly
 /// the batch-summed bias gradient the reconstruction attacks invert.

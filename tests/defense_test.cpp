@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -142,7 +143,11 @@ TEST(Defense, ClipBoundsGlobalNormAndPreservesDirection) {
 
   EXPECT_THROW(ClipDefense(0.0), ConfigError);
   EXPECT_THROW(ClipDefense(-1.0), ConfigError);
+  EXPECT_THROW(ClipDefense(std::numeric_limits<real>::infinity()),
+               ConfigError);
   EXPECT_THROW(GaussianNoiseDefense(0.0), ConfigError);
+  EXPECT_THROW(GaussianNoiseDefense(std::numeric_limits<real>::infinity()),
+               ConfigError);
 }
 
 TEST(Defense, StackStreamsArePureFunctionsOfRoundClientAndStage) {

@@ -1,17 +1,16 @@
 // Differential kernel tests: the blocked+packed GEMM layer must reproduce
-// the retained naive oracle kernels BIT-FOR-BIT, per dtype and per ISA (see
+// the retained naive oracle kernels BIT-FOR-BIT, per ISA (see
 // DESIGN.md §5f/§5k — every microkernel continues the oracle's ascending-k
 // fused-multiply-add chain through C, so every output element sees the
 // identical operation sequence regardless of register-tile geometry).
 //
 // The sweep runs under EVERY ISA available on this host via forced dispatch
-// (gemm::set_isa), for both the double fidelity dtype and the float scale
-// dtype, covering degenerate shapes, non-tile-multiple edges (including the
-// 4/6-row and 8/16-column register-tile boundaries of the scalar, AVX2, and
-// NEON kernels), the KC/NC blocking boundaries, and the exact GEMM shapes
-// the round benchmark's workloads issue, at 1 and 8 threads (the
-// intra-GEMM row-panel parallel path included); Conv2d and Dense are
-// exercised end-to-end against the OASIS_NAIVE_GEMM toggle. Workspace arena
+// (gemm::set_isa), covering degenerate shapes, non-tile-multiple edges
+// (including the 4/6-row and 8-column register-tile boundaries of the
+// scalar, AVX2, and NEON kernels), the KC/NC blocking boundaries, and the
+// exact GEMM shapes the round benchmark's workloads issue, at 1 and 8
+// threads (the intra-GEMM row-panel parallel path included); Conv2d and
+// Dense are exercised end-to-end against the OASIS_NAIVE_GEMM toggle. Workspace arena
 // semantics (alignment, scope rewind, coalescing, steady-state no-growth)
 // are pinned here too, since the kernels' zero-allocation claim rests on
 // them.
@@ -49,17 +48,15 @@ struct KernelEnvGuard {
   }
 };
 
-template <typename T>
-std::vector<T> random_vec(index_t n, common::Rng& rng) {
-  std::vector<T> v(n);
-  for (auto& x : v) x = static_cast<T>(rng.uniform(-1.0, 1.0));
+std::vector<real> random_vec(index_t n, common::Rng& rng) {
+  std::vector<real> v(n);
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
   return v;
 }
 
-template <typename T>
-bool bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
+bool bits_equal(const std::vector<real>& a, const std::vector<real>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real)) == 0;
 }
 
 bool bits_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
@@ -68,18 +65,18 @@ bool bits_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
                      a.size() * sizeof(real)) == 0;
 }
 
-template <typename T>
-std::vector<T> run_blocked(Variant v, index_t m, index_t k, index_t n,
-                           const std::vector<T>& a, const std::vector<T>& b) {
-  std::vector<T> c(m * n, T(0));
+std::vector<real> run_blocked(Variant v, index_t m, index_t k, index_t n,
+                              const std::vector<real>& a,
+                              const std::vector<real>& b) {
+  std::vector<real> c(m * n, 0.0);
   tensor::gemm::blocked(v, m, k, n, a.data(), b.data(), c.data());
   return c;
 }
 
-template <typename T>
-std::vector<T> run_naive(Variant v, index_t m, index_t k, index_t n,
-                         const std::vector<T>& a, const std::vector<T>& b) {
-  std::vector<T> c(m * n, T(0));
+std::vector<real> run_naive(Variant v, index_t m, index_t k, index_t n,
+                            const std::vector<real>& a,
+                            const std::vector<real>& b) {
+  std::vector<real> c(m * n, 0.0);
   tensor::gemm::naive(v, m, k, n, a.data(), b.data(), c.data());
   return c;
 }
@@ -90,7 +87,7 @@ struct Shape {
 
 // Degenerate shapes, ragged tile edges, and the exact blocking boundaries
 // (one below, on, and above each): m around the 4- and 6-row register
-// tiles, n around the 8- and 16-column tiles, k around the KC=256 and
+// tiles, n around the 8-column tile and twice it, k around the KC=256 and
 // n around the NC=512 cache blocks.
 const Shape kEdgeShapes[] = {
     {1, 1, 1},    {1, 5, 1},     {3, 1, 4},    {1, 64, 1},   {5, 1, 9},
@@ -121,14 +118,14 @@ std::string isa_param_name(const ::testing::TestParamInfo<Isa>& info) {
   return tensor::gemm::isa_name(info.param);
 }
 
-/// One sweep body shared by every (dtype, ISA) instantiation: naive oracle
-/// vs blocked under forced dispatch, serial and 8-thread.
-template <typename T, std::size_t N>
+/// One sweep body shared by every ISA instantiation: naive oracle vs
+/// blocked under forced dispatch, serial and 8-thread.
+template <std::size_t N>
 void sweep_shapes_bit_identical(const Shape (&shapes)[N], const char* tag) {
   common::Rng rng(0xD1FFu);
   for (const auto& s : shapes) {
-    const auto a = random_vec<T>(s.m * s.k, rng);
-    const auto b = random_vec<T>(s.k * s.n, rng);
+    const auto a = random_vec(s.m * s.k, rng);
+    const auto b = random_vec(s.k * s.n, rng);
     for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
       const auto oracle = run_naive(v, s.m, s.k, s.n, a, b);
       runtime::set_num_threads(1);
@@ -145,15 +142,14 @@ void sweep_shapes_bit_identical(const Shape (&shapes)[N], const char* tag) {
   }
 }
 
-template <typename T>
 void sweep_random_bit_identical(const char* tag) {
   common::Rng rng(0x5EEDu);
   for (int trial = 0; trial < 24; ++trial) {
     const auto m = static_cast<index_t>(rng.uniform_int(1, 97));
     const auto k = static_cast<index_t>(rng.uniform_int(1, 97));
     const auto n = static_cast<index_t>(rng.uniform_int(1, 97));
-    const auto a = random_vec<T>(m * k, rng);
-    const auto b = random_vec<T>(k * n, rng);
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k * n, rng);
     for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
       const auto oracle = run_naive(v, m, k, n, a, b);
       runtime::set_num_threads(1);
@@ -177,37 +173,19 @@ class IsaSweep : public ::testing::TestWithParam<Isa> {};
 TEST_P(IsaSweep, GemmEdgeShapesBitIdenticalF64) {
   KernelEnvGuard guard;
   tensor::gemm::set_isa(GetParam());
-  sweep_shapes_bit_identical<real>(kEdgeShapes, "f64");
-}
-
-TEST_P(IsaSweep, GemmEdgeShapesBitIdenticalF32) {
-  KernelEnvGuard guard;
-  tensor::gemm::set_isa(GetParam());
-  sweep_shapes_bit_identical<real32>(kEdgeShapes, "f32");
+  sweep_shapes_bit_identical(kEdgeShapes, "f64");
 }
 
 TEST_P(IsaSweep, GemmWorkloadShapesBitIdenticalF64) {
   KernelEnvGuard guard;
   tensor::gemm::set_isa(GetParam());
-  sweep_shapes_bit_identical<real>(kWorkloadShapes, "f64");
-}
-
-TEST_P(IsaSweep, GemmWorkloadShapesBitIdenticalF32) {
-  KernelEnvGuard guard;
-  tensor::gemm::set_isa(GetParam());
-  sweep_shapes_bit_identical<real32>(kWorkloadShapes, "f32");
+  sweep_shapes_bit_identical(kWorkloadShapes, "f64");
 }
 
 TEST_P(IsaSweep, GemmRandomShapeSweepBitIdenticalF64) {
   KernelEnvGuard guard;
   tensor::gemm::set_isa(GetParam());
-  sweep_random_bit_identical<real>("f64");
-}
-
-TEST_P(IsaSweep, GemmRandomShapeSweepBitIdenticalF32) {
-  KernelEnvGuard guard;
-  tensor::gemm::set_isa(GetParam());
-  sweep_random_bit_identical<real32>("f32");
+  sweep_random_bit_identical("f64");
 }
 
 TEST_P(IsaSweep, GemmAccumulatesIntoExistingC) {
@@ -215,12 +193,9 @@ TEST_P(IsaSweep, GemmAccumulatesIntoExistingC) {
   tensor::gemm::set_isa(GetParam());
   common::Rng rng(0xACC0u);
   const index_t m = 21, k = 37, n = 45;
-  const auto a64 = random_vec<real>(m * k, rng);
-  const auto b64 = random_vec<real>(k * n, rng);
-  const auto seed64 = random_vec<real>(m * n, rng);
-  const auto a32 = random_vec<real32>(m * k, rng);
-  const auto b32 = random_vec<real32>(k * n, rng);
-  const auto seed32 = random_vec<real32>(m * n, rng);
+  const auto a64 = random_vec(m * k, rng);
+  const auto b64 = random_vec(k * n, rng);
+  const auto seed64 = random_vec(m * n, rng);
   for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
     auto c_naive = seed64;
     auto c_blocked = seed64;
@@ -229,13 +204,6 @@ TEST_P(IsaSweep, GemmAccumulatesIntoExistingC) {
                           c_blocked.data());
     EXPECT_TRUE(bits_equal(c_naive, c_blocked))
         << "f64 variant " << static_cast<int>(v);
-    auto c32_naive = seed32;
-    auto c32_blocked = seed32;
-    tensor::gemm::naive(v, m, k, n, a32.data(), b32.data(), c32_naive.data());
-    tensor::gemm::blocked(v, m, k, n, a32.data(), b32.data(),
-                          c32_blocked.data());
-    EXPECT_TRUE(bits_equal(c32_naive, c32_blocked))
-        << "f32 variant " << static_cast<int>(v);
   }
 }
 
@@ -298,8 +266,8 @@ TEST(KernelDiff, RunDispatchHonorsNaiveSwitch) {
 
   common::Rng rng(0x7061u);
   const index_t m = 6, k = 300, n = 10;  // crosses a KC boundary
-  const auto a = random_vec<real>(m * k, rng);
-  const auto b = random_vec<real>(k * n, rng);
+  const auto a = random_vec(m * k, rng);
+  const auto b = random_vec(k * n, rng);
   std::vector<real> via_run(m * n, 0.0);
   tensor::gemm::run(Variant::NN, m, k, n, a.data(), b.data(), via_run.data());
   EXPECT_TRUE(bits_equal(via_run, run_naive(Variant::NN, m, k, n, a, b)));
@@ -308,18 +276,6 @@ TEST(KernelDiff, RunDispatchHonorsNaiveSwitch) {
   std::fill(via_run.begin(), via_run.end(), 0.0);
   tensor::gemm::run(Variant::NN, m, k, n, a.data(), b.data(), via_run.data());
   EXPECT_TRUE(bits_equal(via_run, run_blocked(Variant::NN, m, k, n, a, b)));
-
-  // The float entry point honors the same switch.
-  const auto a32 = random_vec<real32>(m * k, rng);
-  const auto b32 = random_vec<real32>(k * n, rng);
-  std::vector<real32> via32(m * n, 0.0f);
-  tensor::gemm::set_naive(true);
-  tensor::gemm::run(Variant::NN, m, k, n, a32.data(), b32.data(), via32.data());
-  EXPECT_TRUE(bits_equal(via32, run_naive(Variant::NN, m, k, n, a32, b32)));
-  tensor::gemm::set_naive(false);
-  std::fill(via32.begin(), via32.end(), 0.0f);
-  tensor::gemm::run(Variant::NN, m, k, n, a32.data(), b32.data(), via32.data());
-  EXPECT_TRUE(bits_equal(via32, run_blocked(Variant::NN, m, k, n, a32, b32)));
 }
 
 // ---- Layer-level differential runs ------------------------------------------
@@ -418,8 +374,8 @@ TEST(Workspace, AllocationsAre64ByteAligned) {
 }
 
 TEST(Workspace, TypedAllocationsAre64ByteAlignedAndDisjoint) {
-  // The fp32 pack panels share the double-granular arena through alloc_as;
-  // both the alignment contract and bump disjointness must hold across
+  // alloc_as carves other scalar types from the double-granular arena; both
+  // the alignment contract and bump disjointness must hold across
   // mixed-type allocations.
   runtime::Workspace ws;
   runtime::Workspace::Scope scope(ws);
@@ -521,23 +477,15 @@ TEST(Workspace, BlockedGemmLeavesTlsArenaSettled) {
   KernelEnvGuard guard;
   common::Rng rng(0x9E99u);
   const index_t m = 64, k = 300, n = 520;  // crosses KC and NC boundaries
-  const auto a = random_vec<real>(m * k, rng);
-  const auto b = random_vec<real>(k * n, rng);
-  const auto a32 = random_vec<real32>(m * k, rng);
-  const auto b32 = random_vec<real32>(k * n, rng);
+  const auto a = random_vec(m * k, rng);
+  const auto b = random_vec(k * n, rng);
   std::vector<real> c(m * n, 0.0);
-  std::vector<real32> c32(m * n, 0.0f);
   runtime::set_num_threads(1);  // keep all packing on this thread's arena
-  // Warm up with both dtypes so the high-water mark covers the mixed case.
   tensor::gemm::blocked(Variant::NN, m, k, n, a.data(), b.data(), c.data());
-  tensor::gemm::blocked(Variant::NN, m, k, n, a32.data(), b32.data(),
-                        c32.data());
   runtime::Workspace& ws = runtime::Workspace::tls();
   const index_t cap = ws.capacity();
   for (int i = 0; i < 4; ++i) {
     tensor::gemm::blocked(Variant::NN, m, k, n, a.data(), b.data(), c.data());
-    tensor::gemm::blocked(Variant::NN, m, k, n, a32.data(), b32.data(),
-                          c32.data());
   }
   // Warm-up reached the high-water mark; the hot loop re-uses it verbatim.
   EXPECT_EQ(ws.capacity(), cap);

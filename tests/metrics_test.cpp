@@ -1,4 +1,4 @@
-// Metrics tests: PSNR/MSE/SSIM properties, box statistics, accuracy.
+// Metrics tests: PSNR/MSE properties, box statistics, accuracy.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -63,19 +63,6 @@ TEST(Psnr, MonotoneInNoise) {
 TEST(Psnr, ShapeMismatchThrows) {
   EXPECT_THROW(mse(tensor::Tensor({3, 4, 4}), tensor::Tensor({3, 5, 5})),
                ShapeError);
-}
-
-TEST(Ssim, IdenticalIsOne) {
-  common::Rng rng(7);
-  tensor::Tensor img = tensor::Tensor::rand({3, 8, 8}, rng);
-  EXPECT_NEAR(ssim_global(img, img), 1.0, 1e-12);
-}
-
-TEST(Ssim, UncorrelatedIsLow) {
-  common::Rng rng(8);
-  tensor::Tensor a = tensor::Tensor::rand({3, 16, 16}, rng);
-  tensor::Tensor b = tensor::Tensor::rand({3, 16, 16}, rng);
-  EXPECT_LT(ssim_global(a, b), 0.6);
 }
 
 TEST(Stats, KnownQuartiles) {

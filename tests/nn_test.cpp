@@ -15,7 +15,6 @@
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "nn/loss.h"
-#include "nn/scheduler.h"
 #include "nn/model_io.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
@@ -94,20 +93,6 @@ TEST(Activations, ReluGradient) {
   EXPECT_LT(testutil::check_gradients(layer, x, rng), kGradTol);
 }
 
-TEST(Activations, TanhGradient) {
-  common::Rng rng(6);
-  Tanh layer;
-  tensor::Tensor x = tensor::Tensor::randn({3, 5}, rng);
-  EXPECT_LT(testutil::check_gradients(layer, x, rng), kGradTol);
-}
-
-TEST(Activations, SigmoidGradient) {
-  common::Rng rng(7);
-  Sigmoid layer;
-  tensor::Tensor x = tensor::Tensor::randn({3, 5}, rng);
-  EXPECT_LT(testutil::check_gradients(layer, x, rng), kGradTol);
-}
-
 TEST(Conv2d, MatchesDirectConvolution) {
   common::Rng rng(8);
   Conv2d conv(1, 1, 3, 1, 0, rng);
@@ -152,13 +137,6 @@ TEST(Pooling, MaxPoolForwardAndGradient) {
   EXPECT_LT(testutil::check_gradients(pool, xr, rng), kGradTol);
 }
 
-TEST(Pooling, AvgPoolGradient) {
-  common::Rng rng(12);
-  AvgPool2d pool(2, 2);
-  tensor::Tensor x = tensor::Tensor::randn({2, 3, 4, 4}, rng);
-  EXPECT_LT(testutil::check_gradients(pool, x, rng), kGradTol);
-}
-
 TEST(Pooling, GlobalAvgPoolGradient) {
   common::Rng rng(13);
   GlobalAvgPool pool;
@@ -171,13 +149,6 @@ TEST(Pooling, OverlappingMaxPoolGradient) {
   // of several windows and must accumulate gradient from each.
   common::Rng rng(31);
   MaxPool2d pool(3, 2);
-  tensor::Tensor x = tensor::Tensor::randn({2, 2, 7, 7}, rng);
-  EXPECT_LT(testutil::check_gradients(pool, x, rng), kGradTol);
-}
-
-TEST(Pooling, OverlappingAvgPoolGradient) {
-  common::Rng rng(32);
-  AvgPool2d pool(3, 2);
   tensor::Tensor x = tensor::Tensor::randn({2, 2, 7, 7}, rng);
   EXPECT_LT(testutil::check_gradients(pool, x, rng), kGradTol);
 }
@@ -353,41 +324,6 @@ TEST(Loss, SumVsMeanReductionScale) {
   EXPECT_TRUE(tensor::allclose(sum.grad_logits, mean.grad_logits * 4.0));
 }
 
-TEST(Loss, MseKnownValue) {
-  tensor::Tensor pred({2}, {1.0, 3.0});
-  tensor::Tensor target({2}, {0.0, 1.0});
-  const LossResult r = MseLoss().compute(pred, target);
-  EXPECT_NEAR(r.loss, (1.0 + 4.0) / 2.0, 1e-12);
-  EXPECT_NEAR(r.grad_logits[1], 2.0 * 2.0 / 2.0, 1e-12);
-}
-
-TEST(Optimizer, SgdStepMatchesFormula) {
-  common::Rng rng(25);
-  Dense layer(2, 2, rng);
-  const tensor::Tensor w0 = layer.weight().value;
-  layer.weight().grad.fill(1.0);
-  layer.bias().grad.fill(2.0);
-  Sgd opt(layer.parameters(), {.lr = 0.1, .momentum = 0.0,
-                               .weight_decay = 0.0});
-  opt.step();
-  for (index_t i = 0; i < w0.size(); ++i) {
-    EXPECT_NEAR(layer.weight().value[i], w0[i] - 0.1, 1e-12);
-  }
-  EXPECT_NEAR(layer.bias().value[0], -0.2, 1e-12);
-}
-
-TEST(Optimizer, SgdMomentumAccumulates) {
-  common::Rng rng(26);
-  Dense layer(1, 1, rng);
-  layer.weight().value.fill(0.0);
-  Sgd opt(layer.parameters(), {.lr = 1.0, .momentum = 0.5,
-                               .weight_decay = 0.0});
-  layer.weight().grad.fill(1.0);
-  opt.step();  // v=1, w=-1
-  opt.step();  // v=1.5, w=-2.5
-  EXPECT_NEAR(layer.weight().value[0], -2.5, 1e-12);
-}
-
 TEST(Optimizer, AdamFirstStepIsLrSignedGradient) {
   common::Rng rng(27);
   Dense layer(2, 1, rng);
@@ -407,17 +343,22 @@ TEST(Optimizer, AdamReducesLossOnQuadratic) {
   Dense teacher(4, 4, rng);  // target is realizable: t = teacher(x)
   tensor::Tensor x = tensor::Tensor::randn({8, 4}, rng);
   tensor::Tensor t = teacher.forward(x, false);
-  MseLoss loss_fn;
   Adam opt(layer.parameters(), {.lr = 0.05});
   real first = 0.0, last = 0.0;
   for (int i = 0; i < 200; ++i) {
     opt.zero_grad();
-    const tensor::Tensor y = layer.forward(x, true);
-    const LossResult r = loss_fn.compute(y, t);
-    layer.backward(r.grad_logits);
+    // Mean squared error: loss = Σ(y-t)²/N, d loss/dy = 2(y-t)/N.
+    tensor::Tensor diff = layer.forward(x, true);
+    diff -= t;
+    const real scale = 1.0 / static_cast<real>(diff.size());
+    real loss = 0.0;
+    for (const auto v : diff.data()) loss += v * v;
+    loss *= scale;
+    diff *= 2.0 * scale;
+    layer.backward(diff);
     opt.step();
-    if (i == 0) first = r.loss;
-    last = r.loss;
+    if (i == 0) first = loss;
+    last = loss;
   }
   EXPECT_LT(last, first * 0.05);
 }
@@ -536,31 +477,6 @@ TEST(Dropout, TrainModeMasksAndScales) {
 TEST(Dropout, RejectsInvalidProbability) {
   EXPECT_THROW(Dropout(1.0, common::Rng(5)), Error);
   EXPECT_THROW(Dropout(-0.1, common::Rng(5)), Error);
-}
-
-TEST(Scheduler, StepDecay) {
-  StepDecayLr sched(1.0, 10, 0.5);
-  EXPECT_DOUBLE_EQ(sched.lr(0), 1.0);
-  EXPECT_DOUBLE_EQ(sched.lr(9), 1.0);
-  EXPECT_DOUBLE_EQ(sched.lr(10), 0.5);
-  EXPECT_DOUBLE_EQ(sched.lr(25), 0.25);
-}
-
-TEST(Scheduler, CosineAnnealing) {
-  CosineAnnealingLr sched(1.0, 100, 0.1);
-  EXPECT_DOUBLE_EQ(sched.lr(0), 1.0);
-  EXPECT_NEAR(sched.lr(50), 0.55, 1e-12);  // midpoint = (1+0.1)/2
-  EXPECT_NEAR(sched.lr(100), 0.1, 1e-12);
-  EXPECT_NEAR(sched.lr(500), 0.1, 1e-12);  // clamps past the horizon
-}
-
-TEST(Scheduler, OptimizerLrIsAdjustable) {
-  common::Rng rng(6);
-  Dense layer(2, 2, rng);
-  Adam opt(layer.parameters(), {.lr = 1e-3});
-  EXPECT_DOUBLE_EQ(opt.lr(), 1e-3);
-  opt.set_lr(5e-4);
-  EXPECT_DOUBLE_EQ(opt.lr(), 5e-4);
 }
 
 class MlpGradientSweep : public ::testing::TestWithParam<index_t> {};

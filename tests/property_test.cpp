@@ -18,7 +18,6 @@
 #include "nn/model_io.h"
 #include "nn/models.h"
 #include "runtime/parallel.h"
-#include "tensor/gemm/gemm.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 
@@ -402,198 +401,6 @@ TEST(GemmAlgebra, KPartitionDistributesOverAddition) {
   const tensor::Tensor whole = tensor::matmul(a, b);
   const tensor::Tensor split = tensor::matmul(a1, b1) + tensor::matmul(a2, b2);
   EXPECT_TRUE(tensor::allclose(whole, split, 1e-12, 1e-12));
-}
-
-// ---- Float scale-path contract ----------------------------------------------
-//
-// The fp32 GEMM path trades precision for bandwidth; these sweeps pin both
-// halves of its contract under every ISA available on this host:
-//   accuracy — the float result tracks the double result computed from the
-//     same (float-representable) inputs within the classical inner-product
-//     bound |c32 − c64| ≤ k·eps32 · Σ|a||b|, uniformly over random shapes;
-//   algebra  — the identities that are exact chains of representable
-//     operations (identity columns, transposed evaluation order, row/column
-//     block partitions) stay BIT-exact in float too, while the k-partition
-//     regrouping gets an eps32-scaled tolerance.
-
-/// Restores the dispatched ISA when a float-contract test exits early.
-struct IsaGuard {
-  tensor::gemm::Isa saved = tensor::gemm::active_isa();
-  ~IsaGuard() { tensor::gemm::set_isa(saved); }
-};
-
-std::vector<real32> random_f32(index_t n, common::Rng& rng) {
-  std::vector<real32> v(n);
-  for (auto& x : v) x = static_cast<real32>(rng.uniform(-1.0, 1.0));
-  return v;
-}
-
-std::vector<real32> gemm_f32(tensor::gemm::Variant v, index_t m, index_t k,
-                             index_t n, const std::vector<real32>& a,
-                             const std::vector<real32>& b) {
-  std::vector<real32> c(m * n, 0.0f);
-  tensor::gemm::blocked(v, m, k, n, a.data(), b.data(), c.data());
-  return c;
-}
-
-TEST(GemmFloatContract, TracksDoubleWithinInnerProductBound) {
-  IsaGuard guard;
-  constexpr real kEps32 = 1.1920928955078125e-7;  // 2^-23
-  common::Rng rng(0xF32Au);
-  for (const auto isa : tensor::gemm::available_isas()) {
-    tensor::gemm::set_isa(isa);
-    for (int trial = 0; trial < 12; ++trial) {
-      const auto m = static_cast<index_t>(rng.uniform_int(1, 80));
-      const auto k = static_cast<index_t>(rng.uniform_int(1, 300));
-      const auto n = static_cast<index_t>(rng.uniform_int(1, 80));
-      const auto a32 = random_f32(m * k, rng);
-      const auto b32 = random_f32(k * n, rng);
-      // Promote the SAME float values to double so the only divergence is
-      // the working precision of the accumulation, not the inputs.
-      std::vector<real> a64(a32.begin(), a32.end());
-      std::vector<real> b64(b32.begin(), b32.end());
-      const auto c32 = gemm_f32(tensor::gemm::Variant::NN, m, k, n, a32, b32);
-      std::vector<real> c64(m * n, 0.0);
-      tensor::gemm::blocked(tensor::gemm::Variant::NN, m, k, n, a64.data(),
-                            b64.data(), c64.data());
-      for (index_t i = 0; i < m; ++i) {
-        for (index_t j = 0; j < n; ++j) {
-          real abs_bound = 0.0;  // Σ_l |a(i,l)|·|b(l,j)| in double
-          for (index_t l = 0; l < k; ++l) {
-            abs_bound += std::abs(a64[i * k + l]) * std::abs(b64[l * n + j]);
-          }
-          const real err =
-              std::abs(static_cast<real>(c32[i * n + j]) - c64[i * n + j]);
-          EXPECT_LE(err, static_cast<real>(k) * kEps32 * abs_bound + 1e-12)
-              << tensor::gemm::isa_name(isa) << " trial " << trial << " ("
-              << m << "x" << k << "x" << n << ") at " << i << "," << j;
-        }
-      }
-    }
-  }
-}
-
-TEST(GemmFloatContract, MultiplyByIdentityIsExact) {
-  IsaGuard guard;
-  common::Rng rng(0xF901u);
-  const index_t m = 37, k = 21;
-  const auto a = random_f32(m * k, rng);
-  std::vector<real32> eye(k * k, 0.0f);
-  for (index_t i = 0; i < k; ++i) eye[i * k + i] = 1.0f;
-  for (const auto isa : tensor::gemm::available_isas()) {
-    tensor::gemm::set_isa(isa);
-    const auto prod = gemm_f32(tensor::gemm::Variant::NN, m, k, k, a, eye);
-    for (index_t i = 0; i < m * k; ++i) {
-      EXPECT_EQ(prod[i], a[i])
-          << tensor::gemm::isa_name(isa) << " i=" << i;
-    }
-  }
-}
-
-TEST(GemmFloatContract, TransposeOfProductIsReversedTransposedProduct) {
-  // Same argument as the double version: (A·B)ᵀ(j,i) and (Bᵀ·Aᵀ)(j,i) run
-  // the identical ascending-k FMA chain (multiplication commutes bitwise),
-  // so the float kernels must agree bit-for-bit as well.
-  IsaGuard guard;
-  common::Rng rng(0xF902u);
-  const index_t m = 19, k = 45, n = 28;
-  const auto a = random_f32(m * k, rng);
-  const auto b = random_f32(k * n, rng);
-  std::vector<real32> bt(n * k), at(k * m);
-  for (index_t i = 0; i < k; ++i)
-    for (index_t j = 0; j < n; ++j) bt[j * k + i] = b[i * n + j];
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = 0; j < k; ++j) at[j * m + i] = a[i * k + j];
-  for (const auto isa : tensor::gemm::available_isas()) {
-    tensor::gemm::set_isa(isa);
-    const auto c = gemm_f32(tensor::gemm::Variant::NN, m, k, n, a, b);
-    const auto d = gemm_f32(tensor::gemm::Variant::NN, n, k, m, bt, at);
-    for (index_t i = 0; i < m; ++i) {
-      for (index_t j = 0; j < n; ++j) {
-        EXPECT_EQ(c[i * n + j], d[j * m + i])
-            << tensor::gemm::isa_name(isa) << " at " << i << "," << j;
-      }
-    }
-  }
-}
-
-TEST(GemmFloatContract, RowAndColumnBlockPartitionsAreExact) {
-  IsaGuard guard;
-  common::Rng rng(0xF903u);
-  const index_t m = 30, k = 41, n = 26, msplit = 13, nsplit = 11;
-  const auto a = random_f32(m * k, rng);
-  const auto b = random_f32(k * n, rng);
-  std::vector<real32> a_top(a.begin(), a.begin() + msplit * k);
-  std::vector<real32> a_bot(a.begin() + msplit * k, a.end());
-  std::vector<real32> b_left(k * nsplit), b_right(k * (n - nsplit));
-  for (index_t i = 0; i < k; ++i) {
-    for (index_t j = 0; j < n; ++j) {
-      if (j < nsplit) {
-        b_left[i * nsplit + j] = b[i * n + j];
-      } else {
-        b_right[i * (n - nsplit) + (j - nsplit)] = b[i * n + j];
-      }
-    }
-  }
-  for (const auto isa : tensor::gemm::available_isas()) {
-    tensor::gemm::set_isa(isa);
-    const auto full = gemm_f32(tensor::gemm::Variant::NN, m, k, n, a, b);
-    const auto top = gemm_f32(tensor::gemm::Variant::NN, msplit, k, n, a_top, b);
-    const auto bot =
-        gemm_f32(tensor::gemm::Variant::NN, m - msplit, k, n, a_bot, b);
-    const auto left =
-        gemm_f32(tensor::gemm::Variant::NN, m, k, nsplit, a, b_left);
-    const auto right =
-        gemm_f32(tensor::gemm::Variant::NN, m, k, n - nsplit, a, b_right);
-    for (index_t i = 0; i < m; ++i) {
-      for (index_t j = 0; j < n; ++j) {
-        const real32 row_expect = i < msplit ? top[i * n + j]
-                                             : bot[(i - msplit) * n + j];
-        EXPECT_EQ(full[i * n + j], row_expect)
-            << tensor::gemm::isa_name(isa) << " row block at " << i << ","
-            << j;
-        const real32 col_expect = j < nsplit
-                                      ? left[i * nsplit + j]
-                                      : right[i * (n - nsplit) + (j - nsplit)];
-        EXPECT_EQ(full[i * n + j], col_expect)
-            << tensor::gemm::isa_name(isa) << " col block at " << i << ","
-            << j;
-      }
-    }
-  }
-}
-
-TEST(GemmFloatContract, KPartitionDistributesWithinFloatTolerance) {
-  // Splitting k regroups the accumulation — not bit-exact in float either,
-  // so the tolerance scales with eps32 instead of eps64.
-  IsaGuard guard;
-  common::Rng rng(0xF904u);
-  const index_t m = 22, k = 50, n = 18, ksplit = 23;
-  const auto a = random_f32(m * k, rng);
-  const auto b = random_f32(k * n, rng);
-  std::vector<real32> a1(m * ksplit), a2(m * (k - ksplit));
-  for (index_t i = 0; i < m; ++i) {
-    for (index_t j = 0; j < k; ++j) {
-      if (j < ksplit) {
-        a1[i * ksplit + j] = a[i * k + j];
-      } else {
-        a2[i * (k - ksplit) + (j - ksplit)] = a[i * k + j];
-      }
-    }
-  }
-  std::vector<real32> b1(b.begin(), b.begin() + ksplit * n);
-  std::vector<real32> b2(b.begin() + ksplit * n, b.end());
-  for (const auto isa : tensor::gemm::available_isas()) {
-    tensor::gemm::set_isa(isa);
-    const auto whole = gemm_f32(tensor::gemm::Variant::NN, m, k, n, a, b);
-    auto split = gemm_f32(tensor::gemm::Variant::NN, m, ksplit, n, a1, b1);
-    tensor::gemm::blocked(tensor::gemm::Variant::NN, m, k - ksplit, n,
-                          a2.data(), b2.data(), split.data());
-    for (index_t i = 0; i < m * n; ++i) {
-      EXPECT_NEAR(whole[i], split[i], 1e-4f)
-          << tensor::gemm::isa_name(isa) << " i=" << i;
-    }
-  }
 }
 
 // ---- Sharded round engine properties ----------------------------------------

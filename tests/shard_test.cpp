@@ -369,6 +369,45 @@ TEST(ShardCheckpoint, GenerationsInterleaveRoundsAndShards) {
             nn::serialize_state(engine.server().global_model()));
 }
 
+TEST(ShardCheckpoint, MidRoundResumeRefusesMaliciousServer) {
+  runtime::set_num_threads(1);
+  obs::Registry::global().reset();
+  ShardedSimulation honest(test_server(), VirtualPopulation(test_population()),
+                           ckpt_config());
+  tensor::ByteBuffer mid_snapshot;
+  honest.set_shard_hook([&](const ShardProgress& p) {
+    if (p.ticket == 1 && p.shard == 1) {
+      mid_snapshot = honest.encode_checkpoint();
+    }
+  });
+  honest.run(2);
+  ASSERT_FALSE(mid_snapshot.empty());
+  honest.set_shard_hook({});
+  const tensor::ByteBuffer resting_snapshot = honest.encode_checkpoint();
+
+  // Finishing the in-flight round would re-run begin_round() and apply the
+  // manipulation twice, so the restore is refused before any mutation.
+  int manipulations = 0;
+  ShardedSimulation engine(
+      std::make_unique<MaliciousServer>(
+          test_population().factory(), /*learning_rate=*/0.1,
+          [&manipulations](nn::Sequential&) { ++manipulations; }),
+      VirtualPopulation(test_population()), ckpt_config());
+  const tensor::ByteBuffer before =
+      nn::serialize_state(engine.server().global_model());
+  EXPECT_THROW(engine.restore_checkpoint(mid_snapshot), ConfigError);
+  EXPECT_EQ(manipulations, 0);
+  EXPECT_EQ(engine.server().round(), 0u);
+  EXPECT_FALSE(engine.mid_round());
+  EXPECT_EQ(nn::serialize_state(engine.server().global_model()), before);
+
+  // A resting snapshot re-runs nothing and stays restorable.
+  engine.restore_checkpoint(resting_snapshot);
+  EXPECT_EQ(manipulations, 0);
+  EXPECT_EQ(engine.server().round(), 2u);
+  EXPECT_FALSE(engine.mid_round());
+}
+
 // --- Quorum -----------------------------------------------------------------
 
 TEST(ShardQuorum, AbortLeavesModelUntouchedAndNextRoundProceeds) {

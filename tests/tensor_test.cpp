@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "nn/model_io.h"
 #include "nn/models.h"
+#include "tensor/gemm/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
 #include "tensor/tensor.h"
@@ -106,12 +107,18 @@ TEST(Ops, TransposedVariantsAgreeWithExplicitTranspose) {
   common::Rng rng(7);
   Tensor a = Tensor::randn({5, 4}, rng);
   Tensor b = Tensor::randn({5, 6}, rng);
-  // matmul_tn(a, b) == transpose(a) @ b
-  EXPECT_TRUE(allclose(matmul_tn(a, b), matmul(transpose(a), b)));
+  // TN: aᵀ(4×5) · b(5×6) == transpose(a) @ b
+  Tensor tn({4, 6});
+  gemm::run(gemm::Variant::TN, 4, 5, 6, a.data().data(), b.data().data(),
+            tn.data().data());
+  EXPECT_TRUE(allclose(tn, matmul(transpose(a), b)));
   Tensor c = Tensor::randn({3, 4}, rng);
   Tensor d = Tensor::randn({6, 4}, rng);
-  // matmul_nt(c, d) == c @ transpose(d)
-  EXPECT_TRUE(allclose(matmul_nt(c, d), matmul(c, transpose(d))));
+  // NT: c(3×4) · dᵀ(4×6) == c @ transpose(d)
+  Tensor nt({3, 6});
+  gemm::run(gemm::Variant::NT, 3, 4, 6, c.data().data(), d.data().data(),
+            nt.data().data());
+  EXPECT_TRUE(allclose(nt, matmul(c, transpose(d))));
 }
 
 TEST(Ops, TransposeStridesRank2) {
@@ -136,17 +143,6 @@ TEST(Ops, TransposeStridesRank2) {
   for (index_t i = 0; i < a.size(); ++i) EXPECT_EQ(back[i], a[i]);
   EXPECT_THROW(transpose(Tensor({2, 2, 2})), ShapeError);
   EXPECT_THROW(transpose(Tensor({4})), ShapeError);
-}
-
-TEST(Ops, MatvecAndOuter) {
-  Tensor a({2, 2}, {1, 2, 3, 4});
-  Tensor x({2}, {1, 1});
-  Tensor y = matvec(a, x);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-  Tensor o = outer(x, y);
-  EXPECT_EQ(o.shape(), (Shape{2, 2}));
-  EXPECT_DOUBLE_EQ(o.at2(1, 1), 7.0);
 }
 
 TEST(Ops, SumRowsAndAddRowVector) {

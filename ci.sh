@@ -32,6 +32,9 @@
 #   ./ci.sh defense    # defense + robust-aggregation labels under ASan/UBSan,
 #                      # Byzantine chaos suite under TSan
 #   ./ci.sh tsan       # TSan stage only
+#   ./ci.sh portable   # NOT part of "all": a -DOASIS_NATIVE_ARCH=OFF build
+#                      # replaying the raw-warp half of the augment byte pin
+#                      # (AugmentPin.Raw*) against the native constants
 #   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
 #                      # blocked-vs-naive floors, the dispatched ISA vs
 #                      # scalar on the round's conv shapes, the CRC32C
@@ -201,6 +204,20 @@ run_tsan() {
     --gtest_filter='ShardDifferential.MatchesMaterializedSimulation_Threads8:ShardDifferential.ThreadCountInvariant'
 }
 
+run_portable() {
+  # Bytes that must not depend on -march: the sinc shear spells its fma
+  # out, so shear()/rotate() match the native build's pinned CRCs without
+  # FMA contraction. Only the raw-warp pins run here. The policy-level
+  # AugmentPin tests, and the MiniConvNet/golden/kernel pins, still depend
+  # on contraction (Rng::uniform's lo + (hi - lo)*u, the scalar GEMM
+  # kernel) and would fail in this build.
+  echo "==> [ci] Portable stage: -DOASIS_NATIVE_ARCH=OFF build, AugmentPin.Raw*"
+  cmake -B build-portable -S . -DCMAKE_BUILD_TYPE=Release \
+    -DOASIS_NATIVE_ARCH=OFF
+  cmake --build build-portable -j "${jobs}" --target augment_pin_test
+  ./build-portable/tests/augment_pin_test --gtest_filter='AugmentPin.Raw*'
+}
+
 run_perf() {
   # Opt-in stage, NOT in "all": wall-clock assertions are too noisy for
   # shared CI runners. The guard tests self-skip unless OASIS_PERF_GUARD=1.
@@ -221,6 +238,7 @@ case "${stage}" in
   shard) run_shard ;;
   defense) run_defense ;;
   tsan) run_tsan ;;
+  portable) run_portable ;;
   perf) run_perf ;;
   all)
     run_release
@@ -235,7 +253,7 @@ case "${stage}" in
     run_tsan
     ;;
   *)
-    echo "usage: $0 [release|asan|kernel|chaos|crash|net|shard|net-chaos|defense|tsan|perf|all]" >&2
+    echo "usage: $0 [release|asan|kernel|chaos|crash|net|shard|net-chaos|defense|tsan|portable|perf|all]" >&2
     exit 2
     ;;
 esac

@@ -1,5 +1,6 @@
 #include "augment/affine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -105,51 +106,71 @@ real dirichlet(index_t n, real t) {
   return num / (static_cast<real>(n) * std::sin(arg));
 }
 
-// out[i] = Σ_k in[k] · D_n(i − delta − k): the length-n sequence at `src`
-// (elements `stride` apart) circularly shifted by `delta`, written to the
-// contiguous scratch buffer `dst`.
-void sinc_shift(const real* src, real* dst, index_t n, index_t stride,
-                real delta) {
-  // Integer shifts are pure (exact) rotations of the sequence.
-  const real rounded = std::round(delta);
-  if (std::abs(delta - rounded) < 1e-12) {
-    const auto s = static_cast<std::ptrdiff_t>(rounded);
-    for (index_t i = 0; i < n; ++i) {
-      const index_t k = static_cast<index_t>(
-          ((static_cast<std::ptrdiff_t>(i) - s) % static_cast<std::ptrdiff_t>(n) +
-           static_cast<std::ptrdiff_t>(n)) %
-          static_cast<std::ptrdiff_t>(n));
-      dst[i] = src[k * stride];
+// Circular shift of length-n sequences by `delta`,
+// out[i] = Σ_k in[k] · D_n(i − delta − k). Shears prepare it once per row
+// (or column) and apply it to that row in every channel, since delta
+// depends only on the row index.
+class CircularShift {
+ public:
+  explicit CircularShift(index_t n) : n_(n), taps_(2 * n), out_(n) {}
+
+  void set_delta(real delta) {
+    // Integer shifts are pure (exact) rotations of the sequence.
+    const real rounded = std::round(delta);
+    whole_ = std::abs(delta - rounded) < 1e-12;
+    if (whole_) {
+      const auto n = static_cast<std::ptrdiff_t>(n_);
+      rotate_by_ = static_cast<index_t>(
+          (static_cast<std::ptrdiff_t>(rounded) % n + n) % n);
+      return;
     }
-    return;
-  }
-  std::vector<real> kernel(n);
-  for (index_t j = 0; j < n; ++j) {
-    kernel[j] = dirichlet(n, static_cast<real>(j) - delta);
-  }
-  for (index_t i = 0; i < n; ++i) {
-    real v = 0.0;
-    for (index_t k = 0; k < n; ++k) {
-      v += src[k * stride] * kernel[(i + n - k) % n];
+    // The kernel laid out twice, taps[m] = D_n(m mod n − delta) for m in
+    // [0, 2n), so tap (i − k) mod n is taps[i − k + n] with no modulo.
+    for (index_t j = 0; j < n_; ++j) {
+      taps_[j] = taps_[j + n_] = dirichlet(n_, static_cast<real>(j) - delta);
     }
-    dst[i] = v;
   }
-}
+
+  // Shifts the sequence at `seq` (elements `stride` apart) in place.
+  void apply(real* seq, index_t stride) {
+    real* out = out_.data();
+    if (whole_) {
+      for (index_t i = 0; i < n_; ++i) {
+        const index_t k = i >= rotate_by_ ? i - rotate_by_ : i + n_ - rotate_by_;
+        out[i] = seq[k * stride];
+      }
+    } else {
+      // k outer, i inner: every out[i] still sums its terms in ascending k
+      // with one rounding per term, and the inner loop vectorizes. The
+      // explicit fma pins the bytes regardless of -ffp-contract and -march.
+      std::fill(out_.begin(), out_.end(), 0.0);
+      for (index_t k = 0; k < n_; ++k) {
+        const real v = seq[k * stride];
+        const real* t = taps_.data() + n_ - k;
+        for (index_t i = 0; i < n_; ++i) out[i] = std::fma(v, t[i], out[i]);
+      }
+    }
+    for (index_t i = 0; i < n_; ++i) seq[i * stride] = out[i];
+  }
+
+ private:
+  index_t n_;
+  bool whole_ = false;
+  index_t rotate_by_ = 0;
+  std::vector<real> taps_;
+  std::vector<real> out_;
+};
 
 // In-place horizontal shear x' = x + a·(y − cy): every row circularly
 // shifted through the Dirichlet interpolator.
 void shear_rows(tensor::Tensor& image, real a) {
   const index_t c = image.dim(0), h = image.dim(1), w = image.dim(2);
   const real cy = (static_cast<real>(h) - 1.0) / 2.0;
-  std::vector<real> row(w);
+  CircularShift shift(w);
   real* base = image.data().data();
-  for (index_t ch = 0; ch < c; ++ch) {
-    for (index_t y = 0; y < h; ++y) {
-      real* r = base + (ch * h + y) * w;
-      const real delta = a * (static_cast<real>(y) - cy);
-      sinc_shift(r, row.data(), w, 1, delta);
-      for (index_t x = 0; x < w; ++x) r[x] = row[x];
-    }
+  for (index_t y = 0; y < h; ++y) {
+    shift.set_delta(a * (static_cast<real>(y) - cy));
+    for (index_t ch = 0; ch < c; ++ch) shift.apply(base + (ch * h + y) * w, 1);
   }
 }
 
@@ -157,15 +178,11 @@ void shear_rows(tensor::Tensor& image, real a) {
 void shear_cols(tensor::Tensor& image, real b) {
   const index_t c = image.dim(0), h = image.dim(1), w = image.dim(2);
   const real cx = (static_cast<real>(w) - 1.0) / 2.0;
-  std::vector<real> col(h);
+  CircularShift shift(h);
   real* base = image.data().data();
-  for (index_t ch = 0; ch < c; ++ch) {
-    for (index_t x = 0; x < w; ++x) {
-      real* top = base + ch * h * w + x;
-      const real delta = b * (static_cast<real>(x) - cx);
-      sinc_shift(top, col.data(), h, w, delta);
-      for (index_t y = 0; y < h; ++y) top[y * w] = col[y];
-    }
+  for (index_t x = 0; x < w; ++x) {
+    shift.set_delta(b * (static_cast<real>(x) - cx));
+    for (index_t ch = 0; ch < c; ++ch) shift.apply(base + ch * h * w + x, w);
   }
 }
 

@@ -1,16 +1,23 @@
 #include "nn/activations.h"
 
-#include "tensor/ops.h"
-
 namespace oasis::nn {
 
-tensor::Tensor ReLU::forward(const tensor::Tensor& x, bool /*training*/) {
-  cached_pre_ = x;
-  return tensor::relu(x);
+tensor::Tensor ReLU::forward(const tensor::Tensor& x, bool training) {
+  return forward(tensor::Tensor(x), training);
+}
+
+tensor::Tensor ReLU::forward(tensor::Tensor&& x, bool /*training*/) {
+  tensor::relu_(x, mask_);
+  return std::move(x);
 }
 
 tensor::Tensor ReLU::backward(const tensor::Tensor& grad_out) {
-  return tensor::relu_backward(grad_out, cached_pre_);
+  return backward(tensor::Tensor(grad_out));
+}
+
+tensor::Tensor ReLU::backward(tensor::Tensor&& grad_out) {
+  tensor::relu_backward_(grad_out, mask_);
+  return std::move(grad_out);
 }
 
 }  // namespace oasis::nn

@@ -6,6 +6,11 @@
 //   2. backward(grad_out) must follow the matching forward(); it accumulates
 //      parameter gradients (+=) and returns the gradient w.r.t. the input.
 //   3. Parameter gradients accumulate until zero_grad().
+//   4. forward/backward also take rvalues. A callee may then reuse the
+//      argument's storage for its result (ReLU and Flatten work in place);
+//      the const& forms never mutate the caller's tensor. Layers that gain
+//      nothing from owning their input keep the default rvalue forms, which
+//      forward to the const& ones.
 //
 // Modules are deliberately stateful-per-pass rather than graph-based: the
 // paper's attacks need nothing more than exact batch-summed gradients of a
@@ -15,6 +20,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/parameter.h"
@@ -33,9 +39,19 @@ class Module {
   /// `training` toggles train-time behaviour (e.g. batch-norm statistics).
   virtual tensor::Tensor forward(const tensor::Tensor& x, bool training) = 0;
 
+  /// forward() on a tensor the callee may consume.
+  virtual tensor::Tensor forward(tensor::Tensor&& x, bool training) {
+    return forward(std::as_const(x), training);
+  }
+
   /// Backpropagates: accumulates parameter grads, returns input grad.
   /// Must be called after the matching forward().
   virtual tensor::Tensor backward(const tensor::Tensor& grad_out) = 0;
+
+  /// backward() on a gradient the callee may consume.
+  virtual tensor::Tensor backward(tensor::Tensor&& grad_out) {
+    return backward(std::as_const(grad_out));
+  }
 
   /// Trainable parameters (empty for stateless layers). Pointers remain
   /// valid for the lifetime of the module.

@@ -7,11 +7,6 @@
 
 namespace oasis::nn {
 
-void Optimizer::load_state_tensors(const std::vector<tensor::Tensor>& state) {
-  OASIS_CHECK_MSG(state.empty(), "stateless optimizer got "
-                                     << state.size() << " state tensors");
-}
-
 namespace {
 
 void check_slot_shapes(const std::vector<tensor::Tensor>& state,

@@ -19,9 +19,6 @@ class Optimizer {
   /// Applies one update from the accumulated gradients.
   virtual void step() = 0;
 
-  /// Current learning rate.
-  [[nodiscard]] virtual real lr() const = 0;
-
   /// Clears all parameter gradients.
   void zero_grad() {
     for (auto* p : params_) p->zero_grad();
@@ -30,14 +27,12 @@ class Optimizer {
   /// Serializable optimizer state (momentum/moment slots, step counters) as
   /// a tensor list in a fixed per-optimizer order. Round-tripping through
   /// load_state_tensors resumes the optimizer bit-exactly — the trainer's
-  /// checkpoint path relies on this. Default: stateless ({}).
-  [[nodiscard]] virtual std::vector<tensor::Tensor> state_tensors() const {
-    return {};
-  }
+  /// checkpoint path relies on this.
+  [[nodiscard]] virtual std::vector<tensor::Tensor> state_tensors() const = 0;
 
   /// Inverse of state_tensors. Throws Error on count/shape mismatch (a
   /// snapshot from a differently configured optimizer).
-  virtual void load_state_tensors(const std::vector<tensor::Tensor>& state);
+  virtual void load_state_tensors(const std::vector<tensor::Tensor>& state) = 0;
 
  protected:
   std::vector<Parameter*> params_;
@@ -57,7 +52,6 @@ class Adam : public Optimizer {
 
   Adam(std::vector<Parameter*> params, Options opts);
   void step() override;
-  [[nodiscard]] real lr() const override { return opts_.lr; }
 
   /// m slots, then v slots (parameter order), then the step count t as a
   /// one-element tensor.

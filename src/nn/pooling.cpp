@@ -89,15 +89,25 @@ tensor::Tensor GlobalAvgPool::backward(const tensor::Tensor& grad_out) {
   return grad_in;
 }
 
-tensor::Tensor Flatten::forward(const tensor::Tensor& x, bool /*training*/) {
+tensor::Tensor Flatten::forward(const tensor::Tensor& x, bool training) {
+  return forward(tensor::Tensor(x), training);
+}
+
+tensor::Tensor Flatten::forward(tensor::Tensor&& x, bool /*training*/) {
   OASIS_CHECK_MSG(x.rank() >= 2,
                   "Flatten: bad input " << tensor::to_string(x.shape()));
   in_shape_ = x.shape();
-  return x.reshaped({x.dim(0), x.size() / x.dim(0)});
+  x.reshape({x.dim(0), x.size() / x.dim(0)});
+  return std::move(x);
 }
 
 tensor::Tensor Flatten::backward(const tensor::Tensor& grad_out) {
-  return grad_out.reshaped(in_shape_);
+  return backward(tensor::Tensor(grad_out));
+}
+
+tensor::Tensor Flatten::backward(tensor::Tensor&& grad_out) {
+  grad_out.reshape(in_shape_);
+  return std::move(grad_out);
 }
 
 }  // namespace oasis::nn

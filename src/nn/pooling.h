@@ -33,11 +33,13 @@ class GlobalAvgPool : public Module {
   tensor::Shape in_shape_;
 };
 
-/// Flattens [B, ...] → [B, prod(...)].
+/// Flattens [B, ...] → [B, prod(...)]; reshapes an rvalue in place.
 class Flatten : public Module {
  public:
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
+  tensor::Tensor forward(tensor::Tensor&& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  tensor::Tensor backward(tensor::Tensor&& grad_out) override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
 
  private:

@@ -20,24 +20,26 @@ ResidualBlock::ResidualBlock(index_t in_channels, index_t out_channels,
 
 tensor::Tensor ResidualBlock::forward(const tensor::Tensor& x, bool training) {
   tensor::Tensor h = bn1_->forward(conv1_->forward(x, training), training);
-  cached_mid_pre_ = h;
-  h = tensor::relu(h);
+  tensor::relu_(h, mid_mask_);
   h = bn2_->forward(conv2_->forward(h, training), training);
-  tensor::Tensor shortcut =
-      projection_ ? projection_->forward(x, training) : x;
-  h += shortcut;
-  cached_sum_pre_ = h;
-  return tensor::relu(h);
+  if (projection_) {
+    h += projection_->forward(x, training);
+  } else {
+    h += x;
+  }
+  tensor::relu_(h, sum_mask_);
+  return h;
 }
 
 tensor::Tensor ResidualBlock::backward(const tensor::Tensor& grad_out) {
   // Through the final ReLU.
-  tensor::Tensor g = tensor::relu_backward(grad_out, cached_sum_pre_);
+  tensor::Tensor g = grad_out;
+  tensor::relu_backward_(g, sum_mask_);
   // Shortcut branch.
   tensor::Tensor g_shortcut = projection_ ? projection_->backward(g) : g;
   // Main branch.
   tensor::Tensor g_main = conv2_->backward(bn2_->backward(g));
-  g_main = tensor::relu_backward(g_main, cached_mid_pre_);
+  tensor::relu_backward_(g_main, mid_mask_);
   g_main = conv1_->backward(bn1_->backward(g_main));
   g_main += g_shortcut;
   return g_main;

@@ -6,6 +6,7 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/module.h"
+#include "tensor/ops.h"
 
 namespace oasis::nn {
 
@@ -30,9 +31,9 @@ class ResidualBlock : public Module {
   std::unique_ptr<Conv2d> conv2_;
   std::unique_ptr<BatchNorm2d> bn2_;
   std::unique_ptr<Conv2d> projection_;  // nullptr for identity shortcut
-  // Caches for backward.
-  tensor::Tensor cached_mid_pre_;   // pre-activation after bn1
-  tensor::Tensor cached_sum_pre_;   // pre-activation of the final ReLU
+  // Keep-masks of the two ReLUs, for backward.
+  tensor::ReluMask mid_mask_;  // after bn1
+  tensor::ReluMask sum_mask_;  // after the shortcut sum
 };
 
 }  // namespace oasis::nn

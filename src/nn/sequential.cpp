@@ -28,17 +28,33 @@ const Module& Sequential::at(index_t index) const {
 }
 
 tensor::Tensor Sequential::forward(const tensor::Tensor& x, bool training) {
-  tensor::Tensor h = x;
-  for (auto& m : modules_) h = m->forward(h, training);
+  if (modules_.empty()) return x;
+  tensor::Tensor h = modules_.front()->forward(x, training);
+  for (auto it = modules_.begin() + 1; it != modules_.end(); ++it) {
+    h = (*it)->forward(std::move(h), training);
+  }
   return h;
 }
 
+tensor::Tensor Sequential::forward(tensor::Tensor&& x, bool training) {
+  for (auto& m : modules_) x = m->forward(std::move(x), training);
+  return std::move(x);
+}
+
 tensor::Tensor Sequential::backward(const tensor::Tensor& grad_out) {
-  tensor::Tensor g = grad_out;
-  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
-    g = (*it)->backward(g);
+  if (modules_.empty()) return grad_out;
+  tensor::Tensor g = modules_.back()->backward(grad_out);
+  for (auto it = modules_.rbegin() + 1; it != modules_.rend(); ++it) {
+    g = (*it)->backward(std::move(g));
   }
   return g;
+}
+
+tensor::Tensor Sequential::backward(tensor::Tensor&& grad_out) {
+  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
+    grad_out = (*it)->backward(std::move(grad_out));
+  }
+  return std::move(grad_out);
 }
 
 std::vector<Parameter*> Sequential::parameters() {

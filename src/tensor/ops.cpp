@@ -58,21 +58,25 @@ void add_row_vector(Tensor& a, const Tensor& bias) {
     for (index_t j = 0; j < n; ++j) a.at2(i, j) += bias[j];
 }
 
-Tensor relu(const Tensor& a) {
-  Tensor out = a;
-  for (auto& v : out.data()) v = std::max(v, 0.0);
-  return out;
+void relu_(Tensor& a, ReluMask& mask) {
+  mask.shape = a.shape();
+  mask.keep.resize(a.size());
+  // Raw pointers: a byte store through the vector would alias every load.
+  real* v = a.data().data();
+  std::uint8_t* keep = mask.keep.data();
+  const index_t n = a.size();
+  for (index_t i = 0; i < n; ++i) {
+    keep[i] = !(v[i] <= 0.0);
+    v[i] = std::max(v[i], 0.0);
+  }
 }
 
-Tensor relu_backward(const Tensor& grad_out, const Tensor& pre_activation) {
-  check_same_shape(grad_out.shape(), pre_activation.shape(), "relu_backward");
-  Tensor grad_in = grad_out;
-  auto g = grad_in.data();
-  auto z = pre_activation.data();
-  for (index_t i = 0; i < g.size(); ++i) {
-    if (z[i] <= 0.0) g[i] = 0.0;
-  }
-  return grad_in;
+void relu_backward_(Tensor& grad, const ReluMask& mask) {
+  check_same_shape(grad.shape(), mask.shape, "relu_backward");
+  real* g = grad.data().data();
+  const std::uint8_t* keep = mask.keep.data();
+  const index_t n = grad.size();
+  for (index_t i = 0; i < n; ++i) g[i] = keep[i] ? g[i] : 0.0;
 }
 
 Tensor softmax_rows(const Tensor& logits) {

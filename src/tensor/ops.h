@@ -12,6 +12,9 @@
 // reconstruction arithmetic.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "tensor/tensor.h"
 
 namespace oasis::tensor {
@@ -29,11 +32,21 @@ Tensor sum_rows(const Tensor& a);
 /// Adds a rank-1 bias to every row of a rank-2 tensor in place.
 void add_row_vector(Tensor& a, const Tensor& bias);
 
-/// Element-wise max(v, 0).
-Tensor relu(const Tensor& a);
+/// Which elements of a ReLU's input pass gradient: keep[i] = !(x[i] <= 0),
+/// one byte per element, plus the input shape. −0.0 is dropped; NaN and
+/// +inf are kept.
+struct ReluMask {
+  Shape shape;
+  std::vector<std::uint8_t> keep;
+};
 
-/// ReLU backward: grad masked by (pre_activation > 0).
-Tensor relu_backward(const Tensor& grad_out, const Tensor& pre_activation);
+/// In-place ReLU: a[i] = max(a[i], 0) (−0.0 and NaN pass through as
+/// std::max leaves them), recording the keep-mask of the input in `mask`.
+void relu_(Tensor& a, ReluMask& mask);
+
+/// In-place ReLU backward: zeroes grad[i] wherever !mask.keep[i]. Throws
+/// ShapeError unless `grad` has the shape the mask was recorded at.
+void relu_backward_(Tensor& grad, const ReluMask& mask);
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
 Tensor softmax_rows(const Tensor& logits);

@@ -3,6 +3,7 @@
 // snapshot round-trips.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -91,6 +92,114 @@ TEST(Activations, ReluGradient) {
     if (std::abs(v) < 0.05) v += 0.2;
   }
   EXPECT_LT(testutil::check_gradients(layer, x, rng), kGradTol);
+}
+
+// ---- ReLU keep-mask and the rvalue forward/backward contract ---------------
+
+std::vector<std::uint64_t> bits_of(const tensor::Tensor& t) {
+  std::vector<std::uint64_t> bits;
+  for (const real v : t.data()) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+tensor::Tensor tensor_of_bits(tensor::Shape shape,
+                              const std::vector<std::uint64_t>& bits) {
+  std::vector<real> values;
+  for (const std::uint64_t b : bits) values.push_back(std::bit_cast<real>(b));
+  return tensor::Tensor(std::move(shape), std::move(values));
+}
+
+// −0.0, +0.0, quiet NaN, +inf, −inf, ±the smallest subnormal, −1.5, 2.5.
+const std::vector<std::uint64_t> kReluInputBits = {
+    0x8000000000000000u, 0x0000000000000000u, 0x7FF8000000000000u,
+    0x7FF0000000000000u, 0xFFF0000000000000u, 0x0000000000000001u,
+    0x8000000000000001u, 0xBFF8000000000000u, 0x4004000000000000u};
+// max(x, 0): −0.0 and NaN pass through unchanged, as std::max leaves them.
+const std::vector<std::uint64_t> kReluForwardBits = {
+    0x8000000000000000u, 0x0000000000000000u, 0x7FF8000000000000u,
+    0x7FF0000000000000u, 0x0000000000000000u, 0x0000000000000001u,
+    0x0000000000000000u, 0x0000000000000000u, 0x4004000000000000u};
+// Upstream gradient 1..9, zeroed wherever x <= 0 (±0.0 included; NaN kept).
+const std::vector<std::uint64_t> kReluBackwardBits = {
+    0x0000000000000000u, 0x0000000000000000u, 0x4008000000000000u,
+    0x4010000000000000u, 0x0000000000000000u, 0x4018000000000000u,
+    0x0000000000000000u, 0x0000000000000000u, 0x4022000000000000u};
+
+TEST(ReluContract, SpecialValuesThroughConstRefAndRvalueForms) {
+  const tensor::Tensor x = tensor_of_bits({9}, kReluInputBits);
+  const tensor::Tensor g({9}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
+  const std::vector<std::uint64_t> g_bits = bits_of(g);
+  {
+    ReLU layer;
+    EXPECT_EQ(bits_of(layer.forward(x, true)), kReluForwardBits);
+    EXPECT_EQ(bits_of(x), kReluInputBits);
+    EXPECT_EQ(bits_of(layer.backward(g)), kReluBackwardBits);
+    EXPECT_EQ(bits_of(g), g_bits);
+  }
+  {
+    ReLU layer;
+    EXPECT_EQ(bits_of(layer.forward(tensor::Tensor(x), true)),
+              kReluForwardBits);
+    EXPECT_EQ(bits_of(layer.backward(tensor::Tensor(g))), kReluBackwardBits);
+  }
+}
+
+TEST(ReluContract, WrongShapeBackwardThrows) {
+  common::Rng rng(70);
+  ReLU layer;
+  layer.forward(tensor::Tensor::randn({2, 3}, rng), true);
+  EXPECT_THROW(layer.backward(tensor::Tensor({3, 2})), ShapeError);
+  EXPECT_THROW(layer.backward(tensor::Tensor({2, 4})), ShapeError);
+  const tensor::Tensor wrong({6});
+  EXPECT_THROW(layer.backward(wrong), ShapeError);
+  EXPECT_NO_THROW(layer.backward(tensor::Tensor({2, 3})));
+}
+
+TEST(ReluContract, ForwardAtANewBatchSizeResizesTheMask) {
+  ReLU layer;
+  layer.forward(tensor::Tensor({2, 2}, {1, 1, 1, 1}), true);
+  const tensor::Tensor y =
+      layer.forward(tensor::Tensor({3, 2}, {-1, 2, 3, -4, 0, 6}), true);
+  EXPECT_EQ(y, tensor::Tensor({3, 2}, {0, 2, 3, 0, 0, 6}));
+  EXPECT_EQ(layer.backward(tensor::Tensor({3, 2}, {1, 1, 1, 1, 1, 1})),
+            tensor::Tensor({3, 2}, {0, 1, 1, 0, 0, 1}));
+  EXPECT_THROW(layer.backward(tensor::Tensor({2, 2})), ShapeError);
+}
+
+TEST(ReluContract, SequentialNeverMutatesTheCallersTensors) {
+  // ReLU first, so an in-place first child would write into the caller's x.
+  common::Rng rng(71);
+  Sequential net;
+  net.emplace<ReLU>();
+  net.emplace<Flatten>();
+  net.emplace<Dense>(12, 5, rng);
+  net.emplace<ReLU>();
+  const tensor::Tensor x = tensor::Tensor::randn({2, 3, 2, 2}, rng);
+  const tensor::Tensor g = tensor::Tensor::randn({2, 5}, rng);
+  const std::vector<std::uint64_t> x_bits = bits_of(x), g_bits = bits_of(g);
+  const tensor::Tensor y = net.forward(x, true);
+  const tensor::Tensor gx = net.backward(g);
+  EXPECT_EQ(bits_of(x), x_bits);
+  EXPECT_EQ(bits_of(g), g_bits);
+  // The rvalue forms compute the same bytes.
+  net.zero_grad();
+  EXPECT_EQ(bits_of(net.forward(tensor::Tensor(x), true)), bits_of(y));
+  EXPECT_EQ(bits_of(net.backward(tensor::Tensor(g))), bits_of(gx));
+}
+
+TEST(ReluContract, ResidualStackGradientsThroughRvaluePaths) {
+  // Sequential hands every child after the first an rvalue, so the ReLU,
+  // ResidualBlock and Flatten children here run their rvalue forms.
+  common::Rng rng(72);
+  Sequential net;
+  net.emplace<Conv2d>(2, 3, 3, 1, 1, rng);
+  net.emplace<ReLU>();
+  net.emplace<ResidualBlock>(3, 3, 1, rng);
+  net.emplace<ResidualBlock>(3, 4, 2, rng);
+  net.emplace<Flatten>();
+  net.emplace<Dense>(16, 3, rng);
+  tensor::Tensor x = tensor::Tensor::randn({2, 2, 4, 4}, rng);
+  EXPECT_LT(testutil::check_gradients(net, x, rng), 5e-4);
 }
 
 TEST(Conv2d, MatchesDirectConvolution) {

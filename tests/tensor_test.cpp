@@ -157,12 +157,13 @@ TEST(Ops, SumRowsAndAddRowVector) {
 }
 
 TEST(Ops, ReluAndBackward) {
-  Tensor z({4}, {-1.0, 0.0, 0.5, 2.0});
-  Tensor a = relu(z);
+  Tensor a({4}, {-1.0, 0.0, 0.5, 2.0});
+  ReluMask mask;
+  relu_(a, mask);
   EXPECT_DOUBLE_EQ(a[0], 0.0);
   EXPECT_DOUBLE_EQ(a[3], 2.0);
-  Tensor g({4}, {1, 1, 1, 1});
-  Tensor gi = relu_backward(g, z);
+  Tensor gi({4}, {1, 1, 1, 1});
+  relu_backward_(gi, mask);
   EXPECT_DOUBLE_EQ(gi[0], 0.0);
   EXPECT_DOUBLE_EQ(gi[1], 0.0);  // boundary: z == 0 gives zero grad
   EXPECT_DOUBLE_EQ(gi[2], 1.0);

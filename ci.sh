@@ -12,7 +12,8 @@
 # suites under ASan/UBSan and the Byzantine chaos suite under TSan,
 # then a ThreadSanitizer build exercising the concurrency-heavy tests
 # (runtime pool + FL rounds + chaos + crash/resume + the 8-thread sharded
-# differential).
+# differential), and a portable (-DOASIS_NATIVE_ARCH=OFF) build replaying
+# the raw shear/rotate byte pins.
 #
 # Every test carries a ctest LABEL (unit | integration | sanitizer |
 # property | golden | chaos | crash | net | net_chaos | shard | defense) and
@@ -32,8 +33,8 @@
 #   ./ci.sh defense    # defense + robust-aggregation labels under ASan/UBSan,
 #                      # Byzantine chaos suite under TSan
 #   ./ci.sh tsan       # TSan stage only
-#   ./ci.sh portable   # NOT part of "all": a -DOASIS_NATIVE_ARCH=OFF build
-#                      # replaying the raw-warp half of the augment byte pin
+#   ./ci.sh portable   # a -DOASIS_NATIVE_ARCH=OFF build replaying the
+#                      # raw-warp half of the augment byte pin
 #                      # (AugmentPin.Raw*) against the native constants
 #   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
 #                      # blocked-vs-naive floors, the dispatched ISA vs
@@ -251,6 +252,7 @@ case "${stage}" in
     run_net_chaos
     run_defense
     run_tsan
+    run_portable
     ;;
   *)
     echo "usage: $0 [release|asan|kernel|chaos|crash|net|shard|net-chaos|defense|tsan|portable|perf|all]" >&2

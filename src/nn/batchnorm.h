@@ -14,6 +14,8 @@ class BatchNorm2d : public Module {
   explicit BatchNorm2d(index_t channels, real momentum = 0.1,
                        real eps = 1e-5);
 
+  using Module::forward;
+  using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }

@@ -15,6 +15,8 @@ class Conv2d : public Module {
   Conv2d(index_t in_channels, index_t out_channels, index_t kernel,
          index_t stride, index_t pad, common::Rng& rng);
 
+  using Module::forward;
+  using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }

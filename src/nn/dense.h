@@ -15,6 +15,8 @@ class Dense : public Module {
   /// Weights initialized with Kaiming-uniform; biases zero.
   Dense(index_t in_features, index_t out_features, common::Rng& rng);
 
+  using Module::forward;
+  using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }

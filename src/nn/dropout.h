@@ -15,6 +15,8 @@ class Dropout : public Module {
  public:
   explicit Dropout(real p, common::Rng rng);
 
+  using Module::forward;
+  using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   [[nodiscard]] std::string name() const override { return "Dropout"; }

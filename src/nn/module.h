@@ -10,7 +10,9 @@
 //      argument's storage for its result (ReLU and Flatten work in place);
 //      the const& forms never mutate the caller's tensor. Layers that gain
 //      nothing from owning their input keep the default rvalue forms, which
-//      forward to the const& ones.
+//      forward to the const& ones, and re-expose them with
+//      `using Module::forward; using Module::backward;` so no overload is
+//      hidden.
 //
 // Modules are deliberately stateful-per-pass rather than graph-based: the
 // paper's attacks need nothing more than exact batch-summed gradients of a

@@ -12,6 +12,8 @@ class MaxPool2d : public Module {
  public:
   MaxPool2d(index_t kernel, index_t stride);
 
+  using Module::forward;
+  using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
@@ -25,6 +27,8 @@ class MaxPool2d : public Module {
 /// Global average pooling: [B, C, H, W] → [B, C].
 class GlobalAvgPool : public Module {
  public:
+  using Module::forward;
+  using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   [[nodiscard]] std::string name() const override { return "GlobalAvgPool"; }

@@ -19,6 +19,8 @@ class ResidualBlock : public Module {
   ResidualBlock(index_t in_channels, index_t out_channels, index_t stride,
                 common::Rng& rng);
 
+  using Module::forward;
+  using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;

@@ -36,11 +36,6 @@ tensor::Tensor Sequential::forward(const tensor::Tensor& x, bool training) {
   return h;
 }
 
-tensor::Tensor Sequential::forward(tensor::Tensor&& x, bool training) {
-  for (auto& m : modules_) x = m->forward(std::move(x), training);
-  return std::move(x);
-}
-
 tensor::Tensor Sequential::backward(const tensor::Tensor& grad_out) {
   if (modules_.empty()) return grad_out;
   tensor::Tensor g = modules_.back()->backward(grad_out);
@@ -48,13 +43,6 @@ tensor::Tensor Sequential::backward(const tensor::Tensor& grad_out) {
     g = (*it)->backward(std::move(g));
   }
   return g;
-}
-
-tensor::Tensor Sequential::backward(tensor::Tensor&& grad_out) {
-  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
-    grad_out = (*it)->backward(std::move(grad_out));
-  }
-  return std::move(grad_out);
 }
 
 std::vector<Parameter*> Sequential::parameters() {

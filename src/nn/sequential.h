@@ -37,12 +37,12 @@ class Sequential : public Module {
   [[nodiscard]] const Module& at(index_t index) const;
 
   /// Activations and gradients move from child to child, so in-place
-  /// children reuse one buffer. The const& forms hand the caller's tensor
-  /// to the first child (last, for backward) as an lvalue, uncopied.
+  /// children reuse one buffer. The caller's tensor reaches the first child
+  /// (last, for backward) as an lvalue, uncopied.
+  using Module::forward;
+  using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
-  tensor::Tensor forward(tensor::Tensor&& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
-  tensor::Tensor backward(tensor::Tensor&& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::vector<tensor::Tensor*> buffers() override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }

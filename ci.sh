@@ -6,7 +6,8 @@
 # fault-injection suite under ASan/UBSan, a crash stage running the
 # kill-point checkpoint/resume harness and snapshot-corruption sweeps under
 # ASan/UBSan, a shard stage running the sharded million-client round engine's
-# differential + crash tests under ASan/UBSan, a net-chaos stage SIGKILLing a
+# differential + crash tests and the cross-engine round-fold differential
+# under ASan/UBSan, a net-chaos stage SIGKILLing a
 # live socket server at four kill points and memcmping the recovered model,
 # a defense stage running the defense-stack / audit-gate / robust-aggregation
 # suites under ASan/UBSan and the Byzantine chaos suite under TSan,
@@ -131,7 +132,8 @@ run_shard() {
   # loudly.
   echo "==> [ci] Shard stage: sharded round engine differential + crash tests under ASan/UBSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
-  cmake --build build-asan -j "${jobs}" --target shard_test crash_test
+  cmake --build build-asan -j "${jobs}" --target shard_test crash_test \
+    round_core_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L shard
   ./build-asan/tests/crash_test --gtest_filter='ShardCrashResume.*'
 }

@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
                "(none = disabled)", "none");
   cli.add_flag("aggregator",
                "server aggregation rule "
-               "(fedavg|median|trimmed[:f]|normbound[:b])", "fedavg");
+               "(fedavg|median|trimmed[:f]|normbound[:b]); --population and "
+               "--listen accept only fedavg|normbound[:b]", "fedavg");
   cli.add_bool("audit",
                "clients screen each dispatched model for implants and refuse "
                "suspicious rounds");
@@ -275,12 +276,12 @@ int main(int argc, char** argv) {
       throw ConfigError("--sampler must be hash or fy, got '" + sampler + "'");
     }
     shard_cfg.quorum_fraction = cli.get_real("quorum");
-    // The streaming engine refuses the buffering order-statistic
-    // aggregators at construction — fedavg/normbound only.
-    shard_cfg.aggregator = aggregator;
 
     auto pop_server =
         std::make_unique<fl::Server>(pop_cfg.factory(), /*learning_rate=*/0.15);
+    // The streaming engine refuses the buffering order-statistic
+    // aggregators at construction — fedavg/normbound only.
+    pop_server->set_aggregator(aggregator);
     fl::ShardedSimulation engine(std::move(pop_server),
                                  fl::VirtualPopulation(pop_cfg), shard_cfg);
     if (!defense_stack->empty()) engine.set_defense_stack(defense_stack);

@@ -8,6 +8,10 @@
 // Doubles travel as raw IEEE-754 bit patterns (bit_cast through u64): the
 // resume bit-identity contract requires exact payload round-trips, not
 // merely value-preserving ones (signalling-NaN payloads included).
+//
+// The helpers at the end are the layouts every engine shares: an Rng stream
+// position, and the rethrow that turns a model section the live network
+// cannot load into a typed state mismatch.
 #pragma once
 
 #include <bit>
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace oasis::ckpt {
 
@@ -40,6 +45,7 @@ class SectionWriter {
   /// The sharded round engine stores its completed-shard bitmap this way so
   /// a mid-round snapshot of a million-shard round costs kilobytes.
   void bitset(const std::vector<bool>& bits) {
+    out_.reserve(out_.size() + sizeof(std::uint64_t) + (bits.size() + 7) / 8);
     u64(bits.size());
     std::uint8_t acc = 0;
     for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -151,5 +157,25 @@ class SectionReader {
   std::string section_;
   std::size_t off_ = 0;
 };
+
+/// An Rng stream position: four u64 state words, the cached spare normal
+/// (f64), and its has-spare flag (u8).
+void write_rng_state(SectionWriter& w, const common::Rng::State& s);
+common::Rng::State read_rng_state(SectionReader& r);
+
+/// Runs `load`, which applies a "model" section to the live network. The
+/// section already passed its CRC, so a failure to load is an architecture
+/// mismatch, not disk damage: rethrown as CheckpointError{kStateMismatch}.
+template <typename Load>
+void load_model_section(Load&& load) {
+  try {
+    load();
+  } catch (const Error& e) {
+    throw CheckpointError(CheckpointError::Reason::kStateMismatch,
+                          std::string("model state does not fit the live "
+                                      "architecture: ") +
+                              e.what());
+  }
+}
 
 }  // namespace oasis::ckpt

@@ -41,10 +41,7 @@ tensor::ByteBuffer encode_trainer_checkpoint(const TrainerConfig& config,
   builder.add("opt", tensor::serialize_tensors(optimizer.state_tensors()));
   {
     ckpt::SectionWriter w;
-    const common::Rng::State s = rng.state();
-    for (const auto word : s.words) w.u64(word);
-    w.f64(s.spare_normal);
-    w.u8(s.has_spare ? 1 : 0);
+    ckpt::write_rng_state(w, rng.state());
     builder.add("rng", w.take());
   }
   {
@@ -76,10 +73,7 @@ TrainerState apply_trainer_checkpoint(const ckpt::Snapshot& snap,
   }
 
   ckpt::SectionReader rng_r(snap.section("rng"), "rng");
-  common::Rng::State rs;
-  for (auto& word : rs.words) word = rng_r.u64();
-  rs.spare_normal = rng_r.f64();
-  rs.has_spare = rng_r.u8() != 0;
+  const common::Rng::State rs = ckpt::read_rng_state(rng_r);
   rng_r.expect_end();
 
   ckpt::SectionReader loss_r(snap.section("loss"), "loss");
@@ -87,16 +81,11 @@ TrainerState apply_trainer_checkpoint(const ckpt::Snapshot& snap,
   for (auto& l : state.epoch_loss) l = static_cast<real>(loss_r.f64());
   loss_r.expect_end();
 
-  try {
+  ckpt::load_model_section([&] {
     nn::deserialize_state(model, snap.section("model"));
     optimizer.load_state_tensors(
         tensor::deserialize_tensors(snap.section("opt")));
-  } catch (const Error& e) {
-    throw CheckpointError(
-        Reason::kStateMismatch,
-        std::string("trainer snapshot does not fit the live model: ") +
-            e.what());
-  }
+  });
   rng.set_state(rs);
   obs::counter("ckpt.restore_total").add(1);
   return state;

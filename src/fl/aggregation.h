@@ -2,11 +2,10 @@
 //
 // Aggregation is built on one primitive — FedAvgAccumulator — a fixed-size
 // streaming reducer that folds weighted client updates one at a time into a
-// single running partial sum. Both the batch fedavg() entry points used by
-// the materialized round path and the sharded million-client engine stream
-// through the SAME accumulator, which is what makes the two paths
-// bit-identical: the floating-point fold order is the order add() is called
-// in, nothing else. See DESIGN.md §5i for the determinism argument.
+// single running partial sum. Every engine folds through fl::RoundCore,
+// which streams through this accumulator, so the floating-point fold order
+// is the order add() is called in, nothing else. See DESIGN.md §5i and §5n
+// for the determinism argument.
 #pragma once
 
 #include <span>
@@ -92,9 +91,9 @@ std::vector<tensor::Tensor> fedavg_unweighted(
 // memory at any cohort size. Coordinate-wise median and trimmed mean are
 // per-coordinate ORDER STATISTICS — they need every accepted update resident
 // at once, so selecting them buys an f < n/2 breakdown point at a documented
-// O(cohort · model) memory cost. Server::finish_round buffers for them; the
-// sharded streaming engine refuses them at construction (ConfigError) because
-// buffering a million-client cohort would defeat its entire point.
+// O(cohort · model) memory cost. fl::RoundCore buffers for them in
+// fl::Simulation; the sharded and socket engines checkpoint a streaming fold
+// and refuse them at construction (ConfigError).
 //
 // Both order-statistic aggregators are UNWEIGHTED (example counts are
 // attacker-controlled inputs, so weighting by them would hand back the very
@@ -102,7 +101,7 @@ std::vector<tensor::Tensor> fedavg_unweighted(
 // sorted per coordinate, so the fold order is a function of the values, not
 // of update arrival order.
 
-/// Which rule Server::finish_round aggregates accepted updates with.
+/// Which rule a round's fold aggregates accepted updates with.
 enum class AggregatorKind : std::uint8_t {
   kFedAvg = 0,        // example-weighted mean (paper Eq. 1) — streaming
   kCoordinateMedian,  // per-coordinate median — buffers the cohort

@@ -1,9 +1,8 @@
 #include "fl/server.h"
 
 #include <cmath>
-#include <unordered_set>
 
-#include "fl/aggregation.h"
+#include "fl/round_core.h"
 #include "nn/model_io.h"
 #include "obs/obs.h"
 #include "tensor/serialize.h"
@@ -23,15 +22,6 @@ const char* to_string(RejectReason reason) {
     case RejectReason::kChecksumMismatch: return "checksum_mismatch";
   }
   return "?";
-}
-
-index_t quorum_needed(real fraction, index_t m) {
-  OASIS_CHECK_MSG(fraction >= 0.0 && fraction <= 1.0,
-                  "quorum_fraction " << fraction << " outside [0, 1]");
-  if (fraction <= 0.0) return 0;
-  auto needed =
-      static_cast<index_t>(std::ceil(fraction * static_cast<real>(m)));
-  return needed < 1 ? 1 : needed;
 }
 
 Server::Server(std::unique_ptr<nn::Sequential> global_model,
@@ -130,23 +120,6 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
   return reason;
 }
 
-RoundOutcome Server::validate_updates(
-    std::span<const ClientUpdateMessage> updates) {
-  UpdateScreen screen = begin_screen();
-  RoundOutcome outcome;
-  outcome.reasons.reserve(updates.size());
-  for (const auto& update : updates) {
-    const RejectReason reason = screen_update(update, screen);
-    outcome.reasons.push_back(reason);
-    if (reason == RejectReason::kAccepted) {
-      ++outcome.accepted;
-    } else {
-      ++outcome.rejected;
-    }
-  }
-  return outcome;
-}
-
 void Server::commit_round(const std::vector<tensor::Tensor>& average) {
   auto params = model_->parameters();
   OASIS_CHECK_MSG(average.size() == params.size(),
@@ -168,70 +141,16 @@ void Server::commit_skipped_round() {
 
 RoundOutcome Server::finish_round(std::span<const ClientUpdateMessage> updates,
                                   index_t min_valid) {
-  RoundOutcome outcome = validate_updates(updates);
-  if (outcome.accepted < min_valid) {
-    // Thrown before the model is touched: abort is side-effect free here and
-    // the round engine's rollback only has to undo subclass bookkeeping.
-    throw QuorumError("round " + std::to_string(round_) + ": " +
-                      std::to_string(outcome.accepted) + " valid updates < " +
-                      std::to_string(min_valid) + " required for quorum");
+  RoundCore core(*this);
+  RoundOutcome outcome;
+  outcome.reasons.reserve(updates.size());
+  for (const auto& update : updates) {
+    outcome.reasons.push_back(core.offer(update));
   }
-  if (outcome.accepted == 0) {
-    commit_skipped_round();
-    return outcome;
-  }
-  std::vector<tensor::Tensor> average;
-  if (aggregator_.kind == AggregatorKind::kFedAvg) {
-    // Common case first: everything accepted aggregates straight off the
-    // input span (no copies on the honest path).
-    if (outcome.rejected == 0) {
-      average = fedavg(updates);
-    } else {
-      std::vector<ClientUpdateMessage> kept;
-      kept.reserve(outcome.accepted);
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        if (outcome.reasons[i] == RejectReason::kAccepted) {
-          kept.push_back(updates[i]);
-        }
-      }
-      average = fedavg(kept);
-    }
-  } else {
-    average = aggregate_robust(updates, outcome);
-  }
-  commit_round(average);
-  outcome.applied = true;
+  outcome.accepted = core.accepted();
+  outcome.rejected = core.rejected();
+  outcome.applied = core.close(min_valid);
   return outcome;
-}
-
-std::vector<tensor::Tensor> Server::aggregate_robust(
-    std::span<const ClientUpdateMessage> updates,
-    const RoundOutcome& outcome) {
-  if (aggregator_.kind == AggregatorKind::kNormBounded) {
-    // Streaming-compatible: clip each accepted update to the bound, fold
-    // through the same accumulator FedAvg uses (same fold order, same
-    // weights — the bound is the only difference).
-    FedAvgAccumulator acc;
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (outcome.reasons[i] != RejectReason::kAccepted) continue;
-      auto gradients = tensor::deserialize_tensors(updates[i].gradients);
-      clip_gradients_to_norm(gradients, aggregator_.norm_bound);
-      acc.add(std::move(gradients),
-              static_cast<real>(updates[i].num_examples));
-    }
-    return acc.average();
-  }
-  // Order-statistic aggregators: buffer the accepted cohort (the documented
-  // O(cohort · model) cost of the f < n/2 breakdown point).
-  std::vector<std::vector<tensor::Tensor>> buffered;
-  buffered.reserve(outcome.accepted);
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    if (outcome.reasons[i] != RejectReason::kAccepted) continue;
-    buffered.push_back(tensor::deserialize_tensors(updates[i].gradients));
-  }
-  return aggregator_.kind == AggregatorKind::kCoordinateMedian
-             ? coordinate_median(buffered)
-             : trimmed_mean(buffered, aggregator_.trim_fraction);
 }
 
 void Server::set_aggregator(const AggregatorConfig& config) {

@@ -1,14 +1,15 @@
 // FL servers: honest FedAvg coordinator and the dishonest variant the
 // paper's threat model assumes.
 //
-// finish_round() runs every incoming ClientUpdateMessage through a
-// validation pipeline before any of it can touch the global model:
-// structural deserialization checks (SerializationError caught at the
-// boundary), protocol checks (round id, duplicate client ids, zero example
-// counts), and numeric plausibility screens (NaN/Inf, gradient-norm band —
-// the server-side detectability angle of Carletti et al.). Rejected updates
-// are tallied per reason through oasis::obs counters and excluded from
-// FedAvg; the model advances over the valid subset only.
+// Every incoming ClientUpdateMessage runs through screen_update() before any
+// of it can touch the global model: structural deserialization checks
+// (SerializationError caught at the boundary), protocol checks (round id,
+// duplicate client ids, zero example counts), and numeric plausibility
+// screens (NaN/Inf, gradient-norm band — the server-side detectability angle
+// of Carletti et al.). Rejected updates are tallied per reason through
+// oasis::obs counters and excluded from aggregation; the model advances over
+// the valid subset only. fl::RoundCore (round_core.h) is the one place that
+// chains screen, aggregation, quorum and commit for every engine.
 #pragma once
 
 #include <functional>
@@ -40,12 +41,6 @@ enum class RejectReason : std::uint8_t {
 
 const char* to_string(RejectReason reason);
 
-/// Valid-update quorum for a cohort of `m` clients: ceil(fraction·m), at
-/// least 1 when fraction > 0; 0 disables the quorum. Shared by the
-/// in-process round engine (fl::Simulation) and the socket serving layer
-/// (net::FlServer) so both admission paths abort on the same threshold.
-index_t quorum_needed(real fraction, index_t m);
-
 /// Which screens finish_round() applies. Defaults keep every structural and
 /// protocol check on; the norm screen is opt-in because legitimate workloads
 /// (e.g. secure-aggregation masked updates, which look like white noise)
@@ -65,13 +60,10 @@ struct RoundOutcome {
   std::vector<RejectReason> reasons;   // one per input update, input order
 };
 
-/// Per-round state the streaming validation path threads between
-/// screen_update() calls: the expected parameter shapes (computed once) and
-/// the client ids accepted so far (duplicate detection). finish_round()
-/// keeps one per round; the sharded engine keeps one per SHARD, which is
-/// equivalent because cohort member ids are distinct across shards by
-/// construction — the only reachable duplicates are same-shard fault
-/// deliveries.
+/// Per-round state threaded between screen_update() calls: the expected
+/// parameter shapes (computed once) and the client ids accepted so far
+/// (duplicate detection). fl::RoundCore keeps one per fold, or one per
+/// shard in the sharded engine (RoundCore::reset_screen).
 struct UpdateScreen {
   std::vector<tensor::Shape> expected_shapes;
   std::unordered_set<std::uint64_t> seen_ids;
@@ -95,11 +87,12 @@ class Server {
   /// behind the secure-aggregation circumvention of Pasquini et al. (2022).
   virtual GlobalModelMessage dispatch_to(std::uint64_t client_id);
 
-  /// Validates the round's client updates, aggregates the accepted subset
-  /// with FedAvg, and advances the global model. Throws QuorumError — before
-  /// touching the model — when fewer than `min_valid` updates survive
-  /// validation; with zero valid updates (and min_valid == 0) the SGD step
-  /// is skipped rather than dividing by a zero example count.
+  /// Screens the round's client updates, aggregates the accepted subset
+  /// with the configured aggregator, and advances the global model: one
+  /// fl::RoundCore fold in input order. Throws QuorumError — before touching
+  /// the model — when fewer than `min_valid` updates survive validation;
+  /// with zero valid updates (and min_valid == 0) the SGD step is skipped
+  /// rather than dividing by a zero example count.
   virtual RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates,
                                     index_t min_valid);
 
@@ -108,13 +101,12 @@ class Server {
     return finish_round(updates, 0);
   }
 
-  // --- Streaming round surface (the sharded engine's path) -----------------
+  // --- Streaming round surface --------------------------------------------
   //
-  // finish_round() is a thin composition of these three calls; the sharded
-  // engine invokes them directly so a round over 1M virtual clients never
-  // materializes an update span. Screening semantics and obs tallies are
-  // IDENTICAL between the two paths — that is what the differential shard
-  // tests prove byte-for-byte.
+  // fl::RoundCore composes these calls for every engine, so a round over 1M
+  // virtual clients never materializes an update span. Screening semantics
+  // and obs tallies are IDENTICAL on every path — that is what the
+  // differential tests prove byte-for-byte.
 
   /// Fresh per-round screening context (caches the model's parameter
   /// shapes). Create once per round, pass to every screen_update() call.
@@ -128,8 +120,7 @@ class Server {
                              UpdateScreen& screen);
 
   /// Applies an aggregated average (SGD step w ← w − η·Ḡ) and advances the
-  /// protocol round. The streaming engine calls this after its reducer
-  /// finishes; finish_round() calls it with the batch fedavg() result.
+  /// protocol round.
   void commit_round(const std::vector<tensor::Tensor>& average);
 
   /// Advances the protocol round without touching the model (zero valid
@@ -141,9 +132,10 @@ class Server {
     return validation_;
   }
 
-  /// Selects the aggregation rule finish_round applies to accepted updates.
-  /// kFedAvg/kNormBounded stream; kCoordinateMedian/kTrimmedMean buffer the
-  /// accepted cohort (O(cohort · model) memory — see aggregation.h). Throws
+  /// Selects the aggregation rule every engine's RoundCore applies to
+  /// accepted updates. kFedAvg/kNormBounded stream; kCoordinateMedian/
+  /// kTrimmedMean buffer the accepted cohort (O(cohort · model) memory — see
+  /// aggregation.h), which the sharded and socket engines refuse. Throws
   /// ConfigError on an invalid trim_fraction or non-positive norm bound.
   void set_aggregator(const AggregatorConfig& config);
   [[nodiscard]] const AggregatorConfig& aggregator() const {
@@ -158,17 +150,6 @@ class Server {
   void restore_round(std::uint64_t round) { round_ = round; }
 
  protected:
-  /// The validation pipeline: per-update accept/reject with obs tallies
-  /// (fl.validate.accepted / fl.validate.reject.<reason>).
-  [[nodiscard]] RoundOutcome validate_updates(
-      std::span<const ClientUpdateMessage> updates);
-
-  /// Aggregates the accepted subset under a non-FedAvg aggregator (see
-  /// set_aggregator). Requires outcome.accepted > 0.
-  [[nodiscard]] std::vector<tensor::Tensor> aggregate_robust(
-      std::span<const ClientUpdateMessage> updates,
-      const RoundOutcome& outcome);
-
   std::unique_ptr<nn::Sequential> model_;
   real learning_rate_;
   ValidationConfig validation_;
@@ -185,7 +166,7 @@ using ModelManipulator = std::function<void(nn::Sequential&)>;
 /// global model before dispatch and records every client update it receives
 /// so the attack can invert the gradients offline.
 ///
-/// It still performs normal FedAvg so training proceeds and the attack stays
+/// It still aggregates normally so training proceeds and the attack stays
 /// covert — matching the paper's "modification should be minimal to avoid
 /// detection" requirement.
 class MaliciousServer : public Server {

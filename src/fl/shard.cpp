@@ -6,7 +6,6 @@
 #include "nn/model_io.h"
 #include "obs/obs.h"
 #include "runtime/parallel.h"
-#include "tensor/serialize.h"
 
 namespace oasis::fl {
 
@@ -34,18 +33,9 @@ std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-void write_rng_state(ckpt::SectionWriter& w, const common::Rng::State& s) {
-  for (const auto word : s.words) w.u64(word);
-  w.f64(s.spare_normal);
-  w.u8(s.has_spare ? 1 : 0);
-}
-
-common::Rng::State read_rng_state(ckpt::SectionReader& r) {
-  common::Rng::State s;
-  for (auto& word : s.words) word = r.u64();
-  s.spare_normal = r.f64();
-  s.has_spare = r.u8() != 0;
-  return s;
+Server& checked(const std::unique_ptr<Server>& server) {
+  OASIS_CHECK(server != nullptr);
+  return *server;
 }
 
 }  // namespace
@@ -86,8 +76,7 @@ ShardedSimulation::ShardedSimulation(std::unique_ptr<Server> server,
       population_(std::move(population)),
       config_(config),
       rng_(config.seed),
-      accumulator_(config.weight_by_examples) {
-  OASIS_CHECK(server_ != nullptr);
+      round_(checked(server_), /*streaming_only=*/true) {
   if (config_.shard_size == 0) {
     throw ConfigError("shard_size must be >= 1");
   }
@@ -98,18 +87,6 @@ ShardedSimulation::ShardedSimulation(std::unique_ptr<Server> server,
   }
   if (config_.quorum_fraction < 0.0 || config_.quorum_fraction > 1.0) {
     throw ConfigError("quorum_fraction outside [0, 1]");
-  }
-  if (config_.aggregator.kind == AggregatorKind::kCoordinateMedian ||
-      config_.aggregator.kind == AggregatorKind::kTrimmedMean) {
-    throw ConfigError(
-        std::string(to_string(config_.aggregator.kind)) +
-        " buffers the whole cohort, which contradicts the sharded engine's "
-        "O(shard) memory contract — use fl::Simulation for order-statistic "
-        "aggregation, or kNormBounded for a streaming-compatible defense");
-  }
-  if (config_.aggregator.kind == AggregatorKind::kNormBounded &&
-      config_.aggregator.norm_bound <= 0.0) {
-    throw ConfigError("norm_bound must be > 0");
   }
 }
 
@@ -147,11 +124,9 @@ void ShardedSimulation::begin_round_state() {
                   num_shards_ << " shards exceed the generation-numbering "
                                  "ceiling; raise shard_size");
   shard_done_.assign(num_shards_, false);
-  accumulator_.reset();
+  round_.open();
   next_shard_ = 0;
   clients_done_ = 0;
-  accepted_ = 0;
-  rejected_ = 0;
   mid_round_ = true;
   server_->begin_round();
 }
@@ -173,27 +148,6 @@ void ShardedSimulation::collect_shard_members(std::vector<std::uint64_t>& out) {
       ++scan_pos_;
     }
   }
-}
-
-void ShardedSimulation::fold_update(const ClientUpdateMessage& update,
-                                    UpdateScreen& screen) {
-  if (server_->screen_update(update, screen) != RejectReason::kAccepted) {
-    ++rejected_;
-    return;
-  }
-  if (config_.aggregator.kind == AggregatorKind::kNormBounded) {
-    // Streaming-compatible robustness: clip each accepted update to the
-    // norm ball before folding, same accumulator, same fold order.
-    auto grads = tensor::deserialize_tensors(update.gradients);
-    clip_gradients_to_norm(grads, config_.aggregator.norm_bound);
-    accumulator_.add(std::move(grads),
-                     config_.weight_by_examples
-                         ? static_cast<real>(update.num_examples)
-                         : real{1});
-  } else {
-    accumulator_.add(update);
-  }
-  ++accepted_;
 }
 
 void ShardedSimulation::process_shard() {
@@ -285,7 +239,7 @@ void ShardedSimulation::process_shard() {
   // shards by construction (a permutation sample or an ascending id scan),
   // so the only reachable duplicates are kDuplicate faults, delivered
   // back to back within this shard.
-  UpdateScreen screen = server_->begin_screen();
+  round_.reset_screen();
   {
     const obs::ScopedTimer agg_span("aggregate");
     for (index_t i = 0; i < slots.size(); ++i) {
@@ -301,11 +255,11 @@ void ShardedSimulation::process_shard() {
       if (s.fault.kind == FaultKind::kByzantine) byzantine.add(1);
       fault_plan_.apply(updates[i], s.fault, ticket_, /*attempt=*/0, s.id);
       bytes_up.add(updates[i].gradients.size());
-      fold_update(updates[i], screen);
+      round_.offer(updates[i]);
       if (s.fault.kind == FaultKind::kCorrupt &&
           s.fault.corruption == CorruptionKind::kDuplicate) {
         duplicates.add(1);
-        fold_update(updates[i], screen);
+        round_.offer(updates[i]);
       }
       ++clients_done_;
       if (client_hook_) client_hook_(s.id, clients_done_);
@@ -335,15 +289,12 @@ void ShardedSimulation::clear_round_state() {
   defense_cohort_.clear();
   defense_cohort_.shrink_to_fit();
   shard_done_.clear();
-  accumulator_.reset();
   cohort_size_ = 0;
   num_shards_ = 0;
   next_shard_ = 0;
   scan_pos_ = 0;
   clients_done_ = 0;
   threshold_ = 0;
-  accepted_ = 0;
-  rejected_ = 0;
 }
 
 index_t ShardedSimulation::run_round() {
@@ -356,21 +307,14 @@ index_t ShardedSimulation::run_round() {
   while (next_shard_ < num_shards_) process_shard();
 
   const index_t cohort = cohort_size_;
-  const index_t needed = quorum_needed(config_.quorum_fraction, cohort);
-  if (accepted_ < needed) {
-    // The aggregate only ever lived in the accumulator, so an abort needs
-    // no model rollback — dropping the round state IS the rollback.
-    const index_t valid = accepted_;
+  try {
+    round_.close(RoundCore::quorum_needed(config_.quorum_fraction, cohort));
+  } catch (const QuorumError&) {
+    // The aggregate only ever lived in the fold, so an abort needs no model
+    // rollback — dropping the round state IS the rollback.
     clear_round_state();
     aborted.add(1);
-    throw QuorumError("round " + std::to_string(server_->round()) + ": " +
-                      std::to_string(valid) + " valid updates < " +
-                      std::to_string(needed) + " required for quorum");
-  }
-  if (accepted_ == 0) {
-    server_->commit_skipped_round();
-  } else {
-    server_->commit_round(accumulator_.average());
+    throw;
   }
   clear_round_state();
   rounds.add(1);
@@ -417,7 +361,7 @@ tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {
     meta.u64(config_.shard_size);
     meta.u8(static_cast<std::uint8_t>(config_.sampler));
     meta.f64(static_cast<double>(config_.quorum_fraction));
-    meta.u8(config_.weight_by_examples ? 1 : 0);
+    meta.u8(1);  // weighting echo: every fold is example-weighted
     meta.u8(mid_round_ ? 1 : 0);
     if (mid_round_) {
       meta.u64(ticket_);
@@ -426,24 +370,22 @@ tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {
       meta.u64(next_shard_);
       meta.u64(scan_pos_);
       meta.u64(clients_done_);
-      meta.u64(accepted_);
-      meta.u64(rejected_);
+      meta.u64(round_.accepted());
+      meta.u64(round_.rejected());
     }
     builder.add("smeta", meta.take());
   }
   builder.add("model", nn::serialize_state(server_->global_model()));
   {
     ckpt::SectionWriter rng;
-    write_rng_state(rng, rng_.state());
-    if (mid_round_) write_rng_state(rng, rng_at_round_start_);
+    ckpt::write_rng_state(rng, rng_.state());
+    if (mid_round_) ckpt::write_rng_state(rng, rng_at_round_start_);
     builder.add("srng", rng.take());
   }
   if (mid_round_) {
     ckpt::SectionWriter agg;
     agg.bitset(shard_done_);
-    agg.u64(accumulator_.count());
-    agg.f64(static_cast<double>(accumulator_.total_weight()));
-    agg.bytes(tensor::serialize_tensors(accumulator_.partials()));
+    round_.write_partials(agg);
     builder.add("agg", agg.take());
   }
   builder.add("obs", ckpt::encode_obs(obs::Registry::global()));
@@ -469,7 +411,7 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
   const bool weighted = meta.u8() != 0;
   const bool mid = meta.u8() != 0;
   std::uint64_t ticket = 0, cohort = 0, num_shards = 0, next_shard = 0;
-  std::uint64_t scan_pos = 0, clients_done = 0, accepted = 0, rejected = 0;
+  std::uint64_t scan_pos = 0, clients_done = 0, rejected = 0;
   if (mid) {
     ticket = meta.u64();
     cohort = meta.u64();
@@ -477,7 +419,7 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     next_shard = meta.u64();
     scan_pos = meta.u64();
     clients_done = meta.u64();
-    accepted = meta.u64();
+    meta.u64();  // accepted: "agg" carries the fold's own count
     rejected = meta.u64();
   }
   meta.expect_end();
@@ -490,8 +432,7 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
       sel_seed != config_.seed || cohort_cfg != config_.cohort_size ||
       shard_size != config_.shard_size ||
       sampler != static_cast<std::uint8_t>(config_.sampler) ||
-      quorum != static_cast<double>(config_.quorum_fraction) ||
-      weighted != config_.weight_by_examples) {
+      quorum != static_cast<double>(config_.quorum_fraction) || !weighted) {
     throw CheckpointError(
         Reason::kStateMismatch,
         "snapshot belongs to a differently configured sharded federation "
@@ -509,21 +450,17 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
   }
 
   ckpt::SectionReader rng(snap.section("srng"), "srng");
-  const common::Rng::State rng_now = read_rng_state(rng);
+  const common::Rng::State rng_now = ckpt::read_rng_state(rng);
   common::Rng::State rng_start{};
-  if (mid) rng_start = read_rng_state(rng);
+  if (mid) rng_start = ckpt::read_rng_state(rng);
   rng.expect_end();
 
   std::vector<bool> done_bits;
-  std::vector<tensor::Tensor> partials;
-  std::uint64_t acc_count = 0;
-  double acc_weight = 0.0;
+  FoldPartials fold;
   if (mid) {
     ckpt::SectionReader agg(snap.section("agg"), "agg");
     done_bits = agg.bitset();
-    acc_count = agg.u64();
-    acc_weight = agg.f64();
-    const ckpt::ByteBuffer partial_bytes = agg.bytes();
+    fold = RoundCore::read_partials(agg);
     agg.expect_end();
     if (done_bits.size() != num_shards) {
       throw CheckpointError(Reason::kStateMismatch,
@@ -540,32 +477,18 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
                               "next_shard implies");
       }
     }
-    try {
-      partials = tensor::deserialize_tensors(partial_bytes);
-    } catch (const Error& e) {
-      throw CheckpointError(
-          Reason::kMalformedSection,
-          std::string("accumulator partials failed to decode: ") + e.what());
-    }
   }
 
   const tensor::ByteBuffer& model_bytes = snap.section("model");
   const tensor::ByteBuffer& obs_bytes = snap.section("obs");
 
-  // Apply. The model payload passed its section CRC, so a failure to load is
-  // an architecture mismatch, not disk damage.
-  try {
-    nn::deserialize_state(server_->global_model(), model_bytes);
-  } catch (const Error& e) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          std::string("model state does not fit the live "
-                                      "architecture: ") +
-                              e.what());
-  }
+  ckpt::load_model_section(
+      [&] { nn::deserialize_state(server_->global_model(), model_bytes); });
   server_->restore_round(round);
   round_tickets_ = tickets;
   rng_.set_state(rng_now);
   clear_round_state();
+  round_.open();
   if (mid) {
     ticket_ = ticket;
     rng_at_round_start_ = rng_start;
@@ -574,11 +497,8 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     next_shard_ = next_shard;
     scan_pos_ = scan_pos;
     clients_done_ = clients_done;
-    accepted_ = accepted;
-    rejected_ = rejected;
     shard_done_ = std::move(done_bits);
-    accumulator_.restore(std::move(partials), static_cast<real>(acc_weight),
-                         acc_count);
+    round_.restore(std::move(fold), rejected);
     if (config_.sampler == CohortSampler::kFisherYates) {
       // Re-derive the cohort by replaying the selection from the round-start
       // RNG state; rng_ itself already holds the post-selection position.

@@ -5,8 +5,10 @@
 // the SAME protocol in O(shard) memory: the round's cohort is partitioned
 // into fixed-size shards, each shard's clients are materialized lazily from
 // a VirtualPopulation (pure function of (population seed, client id)),
-// trained in parallel, folded serially into ONE streaming FedAvgAccumulator,
-// and destroyed before the next shard starts.
+// trained in parallel, folded serially into ONE streaming fl::RoundCore
+// fold, and destroyed before the next shard starts. The fold uses the
+// server's own aggregator; the buffering ones (median, trimmed mean) would
+// hold the whole cohort, so the constructor refuses them with ConfigError.
 //
 // Determinism argument (DESIGN.md §5i). The floating-point sum order of the
 // aggregate is the FOLD order, and the fold is strictly serial in cohort
@@ -15,14 +17,14 @@
 // independent of the shard size S AND of the thread count (parallelism is
 // confined to training within a shard, whose results land in fixed slots).
 // With the Fisher–Yates sampler the cohort order equals fl::Simulation's
-// selection order, and the fold order equals the order finish_round() feeds
-// fedavg() — so the sharded engine is BYTE-IDENTICAL to the materialized
-// path at any (shard size, thread count). The differential shard tests pin
-// exactly this.
+// selection order, and the fold order equals the order finish_round() folds
+// its updates in — so the sharded engine is BYTE-IDENTICAL to the
+// materialized path at any (shard size, thread count). The differential
+// shard tests pin exactly this.
 //
 // Mid-round checkpointing. Huge rounds are made interruption-proof by
 // snapshotting at shard boundaries: a snapshot carries the completed-shard
-// bitmap, the accumulator's partial sums, the screen tallies, and the
+// bitmap, the fold's partial sums, the screen tallies, and the
 // selection RNG state from the top of the round (so the cohort re-derives on
 // resume). A SIGKILL mid-shard loses at most one shard of work and the
 // resumed run is bit-identical to one that never crashed — the shard crash
@@ -47,10 +49,10 @@
 #include <vector>
 
 #include "ckpt/manager.h"
-#include "fl/aggregation.h"
 #include "fl/defense.h"
 #include "fl/fault.h"
 #include "fl/population.h"
+#include "fl/round_core.h"
 #include "fl/server.h"
 
 namespace oasis::fl {
@@ -102,15 +104,6 @@ struct ShardedConfig {
   /// Fraction of the ACTUAL cohort that must survive validation for the
   /// round to commit; 0 disables (zero valid updates skip the SGD step).
   real quorum_fraction = 0.0;
-  /// False gives the plain 1/M average instead of example-weighted FedAvg.
-  bool weight_by_examples = true;
-  /// Robust-aggregation choice. The streaming engine supports only the
-  /// streaming-compatible kinds — kFedAvg (the default) and kNormBounded
-  /// (per-update clip folded into the same accumulator). The buffering
-  /// order-statistic aggregators (kCoordinateMedian, kTrimmedMean) need the
-  /// whole cohort resident, which contradicts the O(shard) memory contract:
-  /// the constructor throws ConfigError for them — use fl::Simulation.
-  AggregatorConfig aggregator;
 };
 
 /// Progress snapshot handed to the shard hook after each shard folds.
@@ -138,15 +131,16 @@ class ShardedSimulation {
   /// numbering (generation = ticket·2^20 + shard).
   static constexpr std::uint64_t kMaxShardsPerRound = 1ULL << 20;
 
-  /// Throws ConfigError on shard_size == 0, cohort_size > population, or
-  /// quorum_fraction outside [0, 1].
+  /// Throws ConfigError on shard_size == 0, cohort_size > population,
+  /// quorum_fraction outside [0, 1], or a server aggregator that buffers the
+  /// cohort (median, trimmed mean).
   ShardedSimulation(std::unique_ptr<Server> server,
                     VirtualPopulation population, ShardedConfig config);
 
   /// Runs one protocol round (or finishes a mid-round resume) and returns
   /// the resolved cohort size. Throws QuorumError when fewer valid updates
   /// than the quorum survive — the global model is untouched (the aggregate
-  /// only ever lived in the accumulator), so there is nothing to roll back.
+  /// only ever lived in the fold), so there is nothing to roll back.
   index_t run_round();
 
   /// Runs `rounds` rounds, invoking `on_round` (if set) after each.
@@ -187,9 +181,9 @@ class ShardedSimulation {
   // Same container format and contract as fl::Simulation (sections are named
   // differently — "smeta"/"srng" — so the two engines reject each other's
   // snapshots). A snapshot taken at a shard boundary additionally carries an
-  // "agg" section: completed-shard bitmap + accumulator partials + screen
-  // tallies. Restoring it re-derives the cohort from the round-start RNG
-  // state and resumes the shard loop bit-exactly.
+  // "agg" section: completed-shard bitmap + the RoundCore fold's partials
+  // (its screen tallies ride in "smeta"). Restoring it re-derives the cohort
+  // from the round-start RNG state and resumes the shard loop bit-exactly.
 
   /// Serializes the engine into an "oasis.ckpt/v1" buffer and bumps
   /// ckpt.save_total (before the obs capture, so the snapshot counts
@@ -218,7 +212,6 @@ class ShardedSimulation {
   void begin_round_state();
   void process_shard();
   void collect_shard_members(std::vector<std::uint64_t>& out);
-  void fold_update(const ClientUpdateMessage& update, UpdateScreen& screen);
   void clear_round_state();
   [[nodiscard]] std::uint64_t checkpoint_generation() const;
   void apply_snapshot(const ckpt::Snapshot& snap);
@@ -251,9 +244,7 @@ class ShardedSimulation {
   /// cohort (see set_defense_stack) — empty otherwise.
   std::vector<std::uint64_t> defense_cohort_;
   std::vector<bool> shard_done_;           // completed-shard bitmap
-  FedAvgAccumulator accumulator_;
-  index_t accepted_ = 0;
-  index_t rejected_ = 0;
+  RoundCore round_;                        // streaming-only fold
 };
 
 }  // namespace oasis::fl

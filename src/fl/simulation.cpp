@@ -1,12 +1,12 @@
 #include "fl/simulation.h"
 
-#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "ckpt/codec.h"
 #include "ckpt/container.h"
 #include "ckpt/obs_state.h"
+#include "fl/round_core.h"
 #include "nn/model_io.h"
 #include "obs/obs.h"
 #include "runtime/parallel.h"
@@ -195,7 +195,7 @@ std::vector<std::uint64_t> Simulation::run_round() {
     }
   }
 
-  const index_t needed = quorum_needed(config_.quorum_fraction, m);
+  const index_t needed = RoundCore::quorum_needed(config_.quorum_fraction, m);
 
   // Snapshot only when the engine can actually abort or drop updates — the
   // honest path stays copy-free.
@@ -229,24 +229,6 @@ void Simulation::run(index_t rounds,
 
 // ---- Checkpoint / resume ----------------------------------------------------
 
-namespace {
-
-void write_rng_state(ckpt::SectionWriter& w, const common::Rng::State& s) {
-  for (const auto word : s.words) w.u64(word);
-  w.f64(s.spare_normal);
-  w.u8(s.has_spare ? 1 : 0);
-}
-
-common::Rng::State read_rng_state(ckpt::SectionReader& r) {
-  common::Rng::State s;
-  for (auto& word : s.words) word = r.u64();
-  s.spare_normal = r.f64();
-  s.has_spare = r.u8() != 0;
-  return s;
-}
-
-}  // namespace
-
 tensor::ByteBuffer Simulation::encode_checkpoint() {
   // Counted BEFORE the obs capture so the snapshot records itself: a
   // straight-through run and a run resumed from this snapshot then agree on
@@ -270,11 +252,11 @@ tensor::ByteBuffer Simulation::encode_checkpoint() {
   builder.add("model", nn::serialize_state(server_->global_model()));
   {
     ckpt::SectionWriter rng;
-    write_rng_state(rng, rng_.state());
+    ckpt::write_rng_state(rng, rng_.state());
     rng.u32(static_cast<std::uint32_t>(clients_.size()));
     for (const auto& c : clients_) {
       rng.u64(c->id());
-      write_rng_state(rng, c->rng_state());
+      ckpt::write_rng_state(rng, c->rng_state());
     }
     builder.add("rng", rng.take());
   }
@@ -308,7 +290,7 @@ void Simulation::apply_snapshot(const ckpt::Snapshot& snap) {
   }
 
   ckpt::SectionReader rng(snap.section("rng"), "rng");
-  const common::Rng::State sim_rng = read_rng_state(rng);
+  const common::Rng::State sim_rng = ckpt::read_rng_state(rng);
   const std::uint32_t rng_clients = rng.u32();
   if (rng_clients != clients_.size()) {
     throw CheckpointError(Reason::kStateMismatch,
@@ -322,7 +304,7 @@ void Simulation::apply_snapshot(const ckpt::Snapshot& snap) {
   client_rngs.reserve(rng_clients);
   for (std::uint32_t i = 0; i < rng_clients; ++i) {
     const std::uint64_t id = rng.u64();
-    const common::Rng::State state = read_rng_state(rng);
+    const common::Rng::State state = ckpt::read_rng_state(rng);
     const auto it = by_id.find(id);
     if (it == by_id.end()) {
       throw CheckpointError(Reason::kStateMismatch,
@@ -336,16 +318,8 @@ void Simulation::apply_snapshot(const ckpt::Snapshot& snap) {
   const tensor::ByteBuffer& model_bytes = snap.section("model");
   const tensor::ByteBuffer& obs_bytes = snap.section("obs");
 
-  // Apply. The model payload passed its section CRC, so a failure to load is
-  // an architecture mismatch, not disk damage.
-  try {
-    nn::deserialize_state(server_->global_model(), model_bytes);
-  } catch (const Error& e) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          std::string("model state does not fit the live "
-                                      "architecture: ") +
-                              e.what());
-  }
+  ckpt::load_model_section(
+      [&] { nn::deserialize_state(server_->global_model(), model_bytes); });
   server_->restore_round(round);
   round_tickets_ = tickets;
   clock_.restore(clock_ticks);

@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "nn/model_io.h"
 #include "obs/obs.h"
-#include "tensor/serialize.h"
 
 namespace oasis::net {
 
@@ -26,20 +25,6 @@ obs::Counter& frame_error_counter(NetError::Reason reason) {
 /// fold frontier f numbers t·2^20 + 1 + f — the shard engine's monotone
 /// numbering, so newest-first restore always lands on the latest progress.
 constexpr std::uint64_t kMaxFoldsPerRound = 1ULL << 20;
-
-void write_rng_state(ckpt::SectionWriter& w, const common::Rng::State& s) {
-  for (const auto word : s.words) w.u64(word);
-  w.f64(static_cast<double>(s.spare_normal));
-  w.u8(s.has_spare ? 1 : 0);
-}
-
-common::Rng::State read_rng_state(ckpt::SectionReader& r) {
-  common::Rng::State s;
-  for (auto& word : s.words) word = r.u64();
-  s.spare_normal = static_cast<real>(r.f64());
-  s.has_spare = r.u8() != 0;
-  return s;
-}
 
 }  // namespace
 
@@ -74,7 +59,10 @@ struct FlServer::Conn {
 };
 
 FlServer::FlServer(fl::Server& core, FlServerConfig config, TimeSource now)
-    : core_(core), config_(config), now_(std::move(now)) {
+    : core_(core),
+      config_(config),
+      now_(std::move(now)),
+      round_(core, /*streaming_only=*/true) {
   OASIS_CHECK_MSG(config_.cohort_size >= 1, "cohort_size must be >= 1");
   OASIS_CHECK_MSG(config_.rounds >= 1, "rounds must be >= 1");
   OASIS_CHECK_MSG(config_.max_connections >= config_.cohort_size,
@@ -366,8 +354,7 @@ void FlServer::handle_update(Conn& conn, const Frame& frame) {
   // inner id is the pipeline's duplicate screen's problem, same as the
   // in-process path.
   round_delivered_.insert(conn.client_id);
-  const fl::RejectReason verdict = core_.screen_update(msg, screen_);
-  if (verdict == fl::RejectReason::kAccepted) {
+  if (round_.screen(msg) == fl::RejectReason::kAccepted) {
     const auto pos = std::find(round_order_.begin(), round_order_.end(),
                                conn.client_id) -
                      round_order_.begin();
@@ -375,17 +362,20 @@ void FlServer::handle_update(Conn& conn, const Frame& frame) {
       // The fold already passed this member (reachable only via a spoofed
       // inner id slipping the duplicate screen after the wire id folded):
       // fold immediately rather than strand it behind the frontier.
-      agg_.add(msg);
-      folded_inner_.push_back(msg.client_id);
-      ++round_accepted_;
-      ++accepts_since_ckpt_;
-      fire_event(Event::kUpdateAccepted);
+      fold(msg);
     } else {
       accepted_pending_[conn.client_id].push_back(std::move(msg));
     }
   }
   conn.state = Conn::State::kReplied;
   fold_ready();
+}
+
+void FlServer::fold(const fl::ClientUpdateMessage& msg) {
+  round_.fold(msg);
+  folded_inner_.push_back(msg.client_id);
+  ++accepts_since_ckpt_;
+  fire_event(Event::kUpdateAccepted);
 }
 
 void FlServer::fold_ready() {
@@ -398,13 +388,7 @@ void FlServer::fold_ready() {
   while (fold_frontier_ < round_order_.size()) {
     const auto it = accepted_pending_.find(round_order_[fold_frontier_]);
     if (it == accepted_pending_.end()) break;
-    for (auto& msg : it->second) {
-      agg_.add(msg);
-      folded_inner_.push_back(msg.client_id);
-      ++round_accepted_;
-      ++accepts_since_ckpt_;
-      fire_event(Event::kUpdateAccepted);
-    }
+    for (const auto& msg : it->second) fold(msg);
     accepted_pending_.erase(it);
     ++fold_frontier_;
     if (config_.checkpoint != nullptr && config_.checkpoint_every_accepts > 0 &&
@@ -573,13 +557,7 @@ void FlServer::maybe_start_round(std::uint64_t now) {
   round_open_ = true;
   round_started_ms_ = now;
   round_deadline_ms_ = now + config_.round_timeout_ms;
-  round_delivered_.clear();
-  accepted_pending_.clear();
-  agg_.reset();
-  folded_inner_.clear();
-  fold_frontier_ = 0;
-  round_accepted_ = 0;
-  screen_ = core_.begin_screen();
+  round_.open();  // the rest of the round state was cleared when it closed
 
   core_.begin_round();
   for (const auto id : round_order_) {
@@ -622,57 +600,37 @@ void FlServer::cutover(std::uint64_t now) {
   // Seal the round: fold the accepted updates past the frontier in the
   // deterministic round order (duplicate deliveries stay adjacent, exactly
   // like the in-process engine's back-to-back duplicate posting). The
-  // prefix up to fold_frontier_ is already in the accumulator — and, with a
-  // checkpoint manager, already durable.
+  // prefix up to fold_frontier_ is already folded — and, with a checkpoint
+  // manager, already durable.
   for (std::size_t i = fold_frontier_; i < round_order_.size(); ++i) {
     const std::uint64_t id = round_order_[i];
     const auto it = accepted_pending_.find(id);
     if (it != accepted_pending_.end()) {
-      for (auto& msg : it->second) {
-        agg_.add(msg);
-        folded_inner_.push_back(msg.client_id);
-        ++round_accepted_;
-        ++accepts_since_ckpt_;
-        fire_event(Event::kUpdateAccepted);
-      }
+      for (const auto& msg : it->second) fold(msg);
       accepted_pending_.erase(it);
     }
     if (round_delivered_.count(id) == 0) stragglers_c.add(1);
   }
   fold_frontier_ = round_order_.size();
 
-  const index_t needed =
-      fl::quorum_needed(config_.quorum_fraction, round_order_.size());
-  bool committed = true;
-  if (round_accepted_ < static_cast<std::uint64_t>(needed)) {
-    // Quorum shortfall. The aggregate only ever lived in the accumulator,
-    // so the abort needs no model rollback — dropping the round state IS
-    // the rollback (the shard engine's contract).
-    aborted_c.add(1);
-    committed = false;
-  } else if (round_accepted_ == 0) {
-    core_.commit_skipped_round();
-  } else {
-    core_.commit_round(agg_.average());
-  }
-  if (committed) {
+  bool committed = false;
+  try {
+    round_.close(fl::RoundCore::quorum_needed(config_.quorum_fraction,
+                                              round_order_.size()));
+    committed = true;
     committed_c.add(1);
     ++served_;
+  } catch (const QuorumError&) {
+    // Quorum shortfall: the model was never touched, so dropping the round
+    // state IS the rollback (the shard engine's contract).
+    aborted_c.add(1);
   }
   const double latency = static_cast<double>(now - round_started_ms_);
   latencies_ms_.push_back(latency);
   latency_h.record(latency);
 
   const RoundResult result{round_id_, committed};
-  round_open_ = false;
-  round_order_.clear();
-  round_delivered_.clear();
-  accepted_pending_.clear();
-  agg_.reset();
-  folded_inner_.clear();
-  fold_frontier_ = 0;
-  round_accepted_ = 0;
-  screen_ = fl::UpdateScreen{};
+  clear_round();
 
   // Boundary durability: the committed model reaches disk BEFORE any client
   // learns the outcome, so a crash in the commit→ack window restores to the
@@ -692,6 +650,15 @@ void FlServer::cutover(std::uint64_t now) {
   }
   next_admission_ms_ = now + config_.admission_window_ms;
   if (served_ >= config_.rounds) finish_serving();
+}
+
+void FlServer::clear_round() {
+  round_open_ = false;
+  round_order_.clear();
+  round_delivered_.clear();
+  accepted_pending_.clear();
+  folded_inner_.clear();
+  fold_frontier_ = 0;
 }
 
 void FlServer::finish_serving() {
@@ -728,7 +695,7 @@ tensor::ByteBuffer FlServer::encode_checkpoint() {
       meta.u64(round_order_.size());
       for (const auto id : round_order_) meta.u64(id);
       meta.u64(fold_frontier_);
-      meta.u64(round_accepted_);
+      meta.u64(round_.accepted());
       // FOLDED inner ids only (the duplicate screen's id space) — sorted so
       // identical state always produces identical snapshot bytes. Updates
       // screened-accepted but still parked behind the fold frontier are NOT
@@ -745,14 +712,12 @@ tensor::ByteBuffer FlServer::encode_checkpoint() {
   builder.add("model", nn::serialize_state(core_.global_model()));
   if (selection_) {
     ckpt::SectionWriter rng;
-    write_rng_state(rng, selection_->state());
+    ckpt::write_rng_state(rng, selection_->state());
     builder.add("nrng", rng.take());
   }
   if (round_open_) {
     ckpt::SectionWriter agg;
-    agg.u64(agg_.count());
-    agg.f64(static_cast<double>(agg_.total_weight()));
-    agg.bytes(tensor::serialize_tensors(agg_.partials()));
+    round_.write_partials(agg);
     builder.add("agg", agg.take());
   }
   return builder.finish();
@@ -772,7 +737,7 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
   const double quorum = meta.f64();
   const bool has_selection = meta.u8() != 0;
   const bool mid = meta.u8() != 0;
-  std::uint64_t round_id = 0, frontier = 0, accepted_count = 0;
+  std::uint64_t round_id = 0, frontier = 0;
   std::vector<std::uint64_t> order;
   std::vector<std::uint64_t> accepted_ids;
   if (mid) {
@@ -781,7 +746,7 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     order.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) order.push_back(meta.u64());
     frontier = meta.u64();
-    accepted_count = meta.u64();
+    meta.u64();  // accepted: "agg" carries the fold's own count
     const std::uint64_t na = meta.u64();
     accepted_ids.reserve(na);
     for (std::uint64_t i = 0; i < na; ++i) accepted_ids.push_back(meta.u64());
@@ -807,40 +772,20 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
   common::Rng::State sel_state{};
   if (has_selection) {
     ckpt::SectionReader rng(snap.section("nrng"), "nrng");
-    sel_state = read_rng_state(rng);
+    sel_state = ckpt::read_rng_state(rng);
     rng.expect_end();
   }
 
-  std::vector<tensor::Tensor> partials;
-  std::uint64_t acc_count = 0;
-  double acc_weight = 0.0;
+  fl::FoldPartials fold;
   if (mid) {
     ckpt::SectionReader agg(snap.section("agg"), "agg");
-    acc_count = agg.u64();
-    acc_weight = agg.f64();
-    const ckpt::ByteBuffer partial_bytes = agg.bytes();
+    fold = fl::RoundCore::read_partials(agg);
     agg.expect_end();
-    try {
-      partials = tensor::deserialize_tensors(partial_bytes);
-    } catch (const Error& e) {
-      throw CheckpointError(
-          Reason::kMalformedSection,
-          std::string("accumulator partials failed to decode: ") + e.what());
-    }
   }
 
   const tensor::ByteBuffer& model_bytes = snap.section("model");
-
-  // Apply. The model payload passed its section CRC, so a failure to load is
-  // an architecture mismatch, not disk damage.
-  try {
-    nn::deserialize_state(core_.global_model(), model_bytes);
-  } catch (const Error& e) {
-    throw CheckpointError(Reason::kStateMismatch,
-                          std::string("model state does not fit the live "
-                                      "architecture: ") +
-                              e.what());
-  }
+  ckpt::load_model_section(
+      [&] { nn::deserialize_state(core_.global_model(), model_bytes); });
   core_.restore_round(round);
   served_ = served;
   if (has_selection) selection_->set_state(sel_state);
@@ -851,7 +796,6 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     round_id_ = round_id;
     round_order_ = std::move(order);
     fold_frontier_ = frontier;
-    round_accepted_ = accepted_count;
     // The accepted-client set: the folded prefix of the round order (wire
     // ids, drives completion) plus the folded inner ids (feeds the
     // duplicate screen, so a resend of a folded update is rejected — no
@@ -860,11 +804,8 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     for (std::size_t i = 0; i < fold_frontier_; ++i) {
       round_delivered_.insert(round_order_[i]);
     }
-    screen_ = core_.begin_screen();
-    for (const auto id : accepted_ids) screen_.seen_ids.insert(id);
+    round_.restore(std::move(fold), /*rejected=*/0, accepted_ids);
     folded_inner_ = std::move(accepted_ids);
-    agg_.restore(std::move(partials), static_cast<real>(acc_weight),
-                 acc_count);
     // Re-arm the collection deadline from restore time and rebuild the
     // dispatch (begin_round is pure: round id + current model bytes) so
     // resumed members that never trained can be re-dispatched.
@@ -873,14 +814,8 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     round_deadline_ms_ = now + config_.round_timeout_ms;
     core_.begin_round();
   } else {
-    round_open_ = false;
-    round_order_.clear();
-    round_delivered_.clear();
-    agg_.reset();
-    folded_inner_.clear();
-    fold_frontier_ = 0;
-    round_accepted_ = 0;
-    screen_ = fl::UpdateScreen{};
+    clear_round();
+    round_.open();
   }
 }
 

@@ -2,10 +2,12 @@
 //
 // A poll(2)-driven, non-blocking TCP front end over an existing fl::Server:
 // the network layer owns connections, framing, admission, and deadlines;
-// every protocol decision that touches the model (validation, FedAvg, SGD,
-// quorum abort) goes through the same fl::Server entry points the in-process
-// engine uses, so the PR 3 validation pipeline screens every byte arriving
-// over TCP exactly as it screens in-process updates.
+// every protocol decision that touches the model (validation, aggregation,
+// SGD, quorum abort) goes through the same fl::RoundCore the in-process
+// engines use, so the validation pipeline screens every byte arriving over
+// TCP exactly as it screens in-process updates, and the server's aggregator
+// applies. A buffering aggregator (median, trimmed mean) cannot be
+// checkpointed mid-round, so the constructor refuses it with ConfigError.
 //
 // Connection lifecycle:
 //
@@ -28,7 +30,7 @@
 // participant before admitting the next cohort.
 //
 // Survivability (DESIGN.md §5j): accepted updates are screened on arrival
-// and folded into a streaming FedAvgAccumulator in the deterministic round
+// and folded into the streaming RoundCore fold in the deterministic round
 // order; with a ckpt::CheckpointManager configured, the fold frontier is
 // checkpointed at round boundaries plus every K accepts, and resume_from()
 // reinstates the round ticket, accumulator partials, and accepted-client
@@ -55,7 +57,7 @@
 
 #include "ckpt/manager.h"
 #include "common/rng.h"
-#include "fl/aggregation.h"
+#include "fl/round_core.h"
 #include "fl/server.h"
 #include "net/frame.h"
 #include "net/socket.h"
@@ -75,7 +77,7 @@ struct FlServerConfig {
   index_t cohort_size = 4;
   /// Committed rounds to serve before draining and closing.
   std::uint64_t rounds = 1;
-  /// Quorum over the cohort (fl::quorum_needed semantics). An aborted round
+  /// Quorum over the cohort (fl::RoundCore::quorum_needed). An aborted round
   /// discards the streamed aggregate (the model was never touched) and does
   /// not count as served.
   real quorum_fraction = 0.0;
@@ -133,6 +135,7 @@ class FlServer {
   using EventHook = std::function<void(Event)>;
 
   /// `core` must outlive the FlServer. `now` defaults to the steady clock.
+  /// Throws ConfigError when `core`'s aggregator buffers the cohort.
   FlServer(fl::Server& core, FlServerConfig config, TimeSource now = {});
   ~FlServer();
 
@@ -207,6 +210,8 @@ class FlServer {
   void maybe_start_round(std::uint64_t now);
   void maybe_finish_round(std::uint64_t now);
   void cutover(std::uint64_t now);
+  /// Drops the collection state of a closed round (the fold closes itself).
+  void clear_round();
   void send_frame(Conn& conn, tensor::ByteBuffer frame_bytes);
   void close_conn(Conn& conn, const char* why);
   void finish_serving();
@@ -216,7 +221,9 @@ class FlServer {
                                        std::uint64_t client_id) const;
 
   // --- Durable fold (DESIGN.md §5j) ---------------------------------------
-  /// Folds accepted updates into the accumulator while the next cohort
+  /// Folds one accepted update and records its inner id.
+  void fold(const fl::ClientUpdateMessage& msg);
+  /// Folds accepted updates into the round fold while the next cohort
   /// member in round order has delivered one — the "fold frontier". Folding
   /// strictly in round order (never arrival order) is what keeps the
   /// streamed aggregate byte-identical to the batch cutover fold, and what
@@ -252,18 +259,16 @@ class FlServer {
   /// like the batch path's assembled order.
   std::unordered_map<std::uint64_t, std::vector<fl::ClientUpdateMessage>>
       accepted_pending_;
-  fl::UpdateScreen screen_;            // streaming validation context
-  fl::FedAvgAccumulator agg_;          // the durable streamed aggregate
-  /// INNER ids of the updates actually folded into agg_ — a strict subset of
-  /// screen_.seen_ids whenever accepted updates are still parked behind the
-  /// fold frontier. Snapshots serialize THIS set, not the screen's: an
-  /// accepted-but-unfolded update is absent from the serialized partials, so
-  /// its sender must be allowed to resend after a restore. Serializing the
-  /// full screen set would make the duplicate screen reject that resend and
-  /// silently shrink the round's aggregate.
+  fl::RoundCore round_;                // screen + the durable streamed fold
+  /// INNER ids of the updates actually folded into round_ — a strict subset
+  /// of the screen's seen ids whenever accepted updates are still parked
+  /// behind the fold frontier. Snapshots serialize THIS set, not the
+  /// screen's: an accepted-but-unfolded update is absent from the serialized
+  /// partials, so its sender must be allowed to resend after a restore.
+  /// Serializing the full screen set would make the duplicate screen reject
+  /// that resend and silently shrink the round's aggregate.
   std::vector<std::uint64_t> folded_inner_;
   std::size_t fold_frontier_ = 0;      // round_order_ prefix already folded
-  std::uint64_t round_accepted_ = 0;   // accepted updates folded this round
   std::uint64_t accepts_since_ckpt_ = 0;
   bool ckpt_degraded_ = false;
   std::uint64_t round_deadline_ms_ = 0;

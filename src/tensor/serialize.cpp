@@ -107,7 +107,9 @@ Tensor read_tensor(const ByteBuffer& in, std::size_t& offset) {
   index_t n = 0;
   Shape shape = read_header(in, offset, in.size(), n);
   std::vector<real> values(n);
-  std::memcpy(values.data(), in.data() + offset, n * sizeof(real));
+  // An empty vector's data() may be null, and memcpy with a null pointer is
+  // UB even for zero bytes (deserialize_tensors guards the same way).
+  if (n > 0) std::memcpy(values.data(), in.data() + offset, n * sizeof(real));
   offset += n * sizeof(real);
   return Tensor(std::move(shape), std::move(values));
 }
@@ -152,7 +154,7 @@ std::vector<Tensor> deserialize_tensors(const ByteBuffer& in) {
     index_t n = 0;
     Shape shape = read_header(in, offset, end, n);
     std::vector<real> values(n);
-    std::memcpy(values.data(), in.data() + offset, n * sizeof(real));
+    if (n > 0) std::memcpy(values.data(), in.data() + offset, n * sizeof(real));
     offset += n * sizeof(real);
     tensors.emplace_back(std::move(shape), std::move(values));
   }

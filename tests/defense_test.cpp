@@ -613,19 +613,22 @@ TEST(ByzantineChaos, ShardedEngineRefusesBufferingAggregators) {
   pc.factory = host_factory(40);
   ShardedConfig sc;
   sc.shard_size = 4;
-  sc.aggregator.kind = AggregatorKind::kCoordinateMedian;
-  EXPECT_THROW(ShardedSimulation(std::make_unique<Server>(host_factory(40)(),
-                                                          0.1),
+  AggregatorConfig median;
+  median.kind = AggregatorKind::kCoordinateMedian;
+  auto median_server = std::make_unique<Server>(host_factory(40)(), 0.1);
+  median_server->set_aggregator(median);
+  EXPECT_THROW(ShardedSimulation(std::move(median_server),
                                  VirtualPopulation(pc), sc),
                ConfigError);
 
   // Norm-bounded streams: same engine, same memory contract, and the clip
   // absorbs a scale-blowup attacker.
-  ShardedConfig ok = sc;
-  ok.aggregator.kind = AggregatorKind::kNormBounded;
-  ok.aggregator.norm_bound = 1.0;
-  ShardedSimulation sim(std::make_unique<Server>(host_factory(40)(), 0.1),
-                        VirtualPopulation(pc), ok);
+  AggregatorConfig ok;
+  ok.kind = AggregatorKind::kNormBounded;
+  ok.norm_bound = 1.0;
+  auto ok_server = std::make_unique<Server>(host_factory(40)(), 0.1);
+  ok_server->set_aggregator(ok);
+  ShardedSimulation sim(std::move(ok_server), VirtualPopulation(pc), sc);
   FaultConfig fc = byzantine_faults(0.3, 3);
   fc.byzantine_kind = ByzantineKind::kScaleBlowup;
   fc.byzantine_scale = 1e3;

@@ -1,0 +1,284 @@
+// Cross-engine proofs for the one round fold (fl::RoundCore).
+//
+// fl::Simulation, fl::ShardedSimulation and net::FlServer differ only in
+// where updates come from; the server half of a round (screen, aggregate,
+// quorum, commit) is the server's own. So for every STREAMING aggregator the
+// three engines must commit byte-identical global models, at any shard size
+// and thread count and over a real loopback socket. The engines that
+// checkpoint a streaming fold (sharded, socket) must refuse the BUFFERING
+// aggregators at construction instead of running something else.
+//
+// CkptPin pins a hash of every checkpoint section (the obs registry
+// excluded: its counters depend on what else ran in the process) at a
+// resting fl::Simulation snapshot, a resting fl::ShardedSimulation snapshot
+// and a mid-round sharded snapshot. The constants were recorded before the
+// round fold moved behind fl::RoundCore, so they prove the snapshot formats
+// survived the move byte for byte. The pinned federation trains on images
+// that are exact functions of their labels, so the same constants hold in
+// the native Release build and in the sanitizer builds.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "ckpt/container.h"
+#include "common/error.h"
+#include "fl/population.h"
+#include "fl/shard.h"
+#include "fl/simulation.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "nn/model_io.h"
+#include "nn/models.h"
+#include "obs/obs.h"
+#include "runtime/parallel.h"
+
+namespace oasis::fl {
+namespace {
+
+constexpr std::uint64_t kPopulationSeed = 0xC0DE;
+constexpr std::uint64_t kSelectionSeed = 29;
+constexpr index_t kPopulation = 6;
+constexpr index_t kRounds = 2;
+
+VirtualPopulationConfig test_population() {
+  VirtualPopulationConfig cfg;
+  cfg.num_clients = kPopulation;
+  cfg.seed = kPopulationSeed;
+  cfg.num_classes = 4;
+  cfg.height = cfg.width = 8;
+  cfg.examples_per_client = 6;
+  cfg.batch_size = 3;
+  cfg.factory = [] {
+    common::Rng init(kPopulationSeed ^ 0x5EED);
+    return nn::make_mlp({3, 8, 8}, {8}, 4, init);
+  };
+  return cfg;
+}
+
+std::unique_ptr<Server> test_server(const AggregatorConfig& aggregator) {
+  auto server = std::make_unique<Server>(test_population().factory(),
+                                         /*learning_rate=*/0.1);
+  server->set_aggregator(aggregator);
+  return server;
+}
+
+ShardedConfig sharded_config(index_t shard_size) {
+  ShardedConfig cfg;
+  cfg.shard_size = shard_size;  // cohort_size 0: the whole population
+  cfg.seed = kSelectionSeed;
+  return cfg;
+}
+
+tensor::ByteBuffer run_simulation(const AggregatorConfig& aggregator) {
+  runtime::set_num_threads(1);
+  Simulation sim(test_server(aggregator),
+                 VirtualPopulation(test_population()).materialize(),
+                 SimulationConfig{/*clients_per_round=*/0, kSelectionSeed});
+  sim.run(kRounds);
+  return nn::serialize_state(sim.server().global_model());
+}
+
+tensor::ByteBuffer run_sharded(const AggregatorConfig& aggregator,
+                               index_t shard_size, index_t threads) {
+  runtime::set_num_threads(threads);
+  ShardedSimulation engine(test_server(aggregator),
+                           VirtualPopulation(test_population()),
+                           sharded_config(shard_size));
+  engine.run(kRounds);
+  runtime::set_num_threads(1);
+  return nn::serialize_state(engine.server().global_model());
+}
+
+net::FlServerConfig socket_config() {
+  net::FlServerConfig cfg;
+  cfg.cohort_size = kPopulation;
+  cfg.rounds = kRounds;
+  cfg.selection_seed = kSelectionSeed;
+  return cfg;
+}
+
+/// Serves kRounds over loopback to one net::FlClient per population member,
+/// every party stepped on a shared virtual millisecond clock.
+tensor::ByteBuffer run_socket(const AggregatorConfig& aggregator) {
+  runtime::set_num_threads(1);
+  const VirtualPopulation population(test_population());
+  const std::unique_ptr<Server> core = test_server(aggregator);
+  std::uint64_t t = 0;
+  const net::TimeSource clock = [&t] { return t; };
+  net::FlServer server(*core, socket_config(), clock);
+  server.listen("127.0.0.1", 0);
+
+  std::vector<std::unique_ptr<Client>> cores;
+  std::vector<std::unique_ptr<net::FlClient>> clients;
+  for (index_t i = 0; i < kPopulation; ++i) {
+    cores.push_back(population.make_client(i));
+    net::FlClientConfig ccfg;
+    ccfg.client_id = i;
+    clients.push_back(std::make_unique<net::FlClient>(*cores[i], ccfg, clock));
+    clients[i]->connect("127.0.0.1", server.port());
+  }
+  for (int iter = 0; iter < 200000 && !server.finished(); ++iter, ++t) {
+    server.step(0);
+    for (auto& c : clients) {
+      if (!c->finished()) c->step(0);
+    }
+  }
+  EXPECT_TRUE(server.finished()) << "loopback federation did not finish";
+  EXPECT_EQ(server.rounds_served(), static_cast<std::uint64_t>(kRounds));
+  return nn::serialize_state(core->global_model());
+}
+
+void expect_engines_agree(const AggregatorConfig& aggregator) {
+  const tensor::ByteBuffer want = run_simulation(aggregator);
+  ASSERT_FALSE(want.empty());
+  for (const index_t shard_size : {index_t{1}, index_t{3}, kPopulation}) {
+    for (const index_t threads : {index_t{1}, index_t{4}}) {
+      EXPECT_TRUE(run_sharded(aggregator, shard_size, threads) == want)
+          << to_string(aggregator.kind) << ": sharded engine diverged at "
+          << "shard_size=" << shard_size << " threads=" << threads;
+    }
+  }
+  EXPECT_TRUE(run_socket(aggregator) == want)
+      << to_string(aggregator.kind) << ": socket server diverged";
+}
+
+TEST(RoundCoreDifferential, FedAvgIsByteIdenticalAcrossEngines) {
+  expect_engines_agree(parse_aggregator("fedavg"));
+}
+
+TEST(RoundCoreDifferential, NormBoundIsByteIdenticalAcrossEngines) {
+  // A bound tight enough to clip every update: the result must differ from
+  // FedAvg, or the test could not tell an ignored aggregator from a used one.
+  const AggregatorConfig bounded = parse_aggregator("normbound:0.05");
+  ASSERT_TRUE(run_simulation(bounded) !=
+              run_simulation(parse_aggregator("fedavg")));
+  expect_engines_agree(bounded);
+}
+
+TEST(RoundCoreDifferential, StreamingEnginesRefuseBufferingAggregators) {
+  for (const char* spec : {"median", "trimmed:0.2"}) {
+    const AggregatorConfig buffering = parse_aggregator(spec);
+    EXPECT_THROW(ShardedSimulation(test_server(buffering),
+                                   VirtualPopulation(test_population()),
+                                   sharded_config(3)),
+                 ConfigError)
+        << spec;
+    const std::unique_ptr<Server> core = test_server(buffering);
+    EXPECT_THROW(net::FlServer(*core, socket_config()), ConfigError) << spec;
+    // The materialized engine holds the whole cohort anyway and buffers.
+    EXPECT_FALSE(run_simulation(buffering).empty()) << spec;
+  }
+}
+
+// --- Checkpoint byte pin ----------------------------------------------------
+
+/// Replaces each sampled image with values that are exact functions of its
+/// label. The synthetic generator's floats depend on compile flags
+/// (ROADMAP item 3), so pinned bytes would differ between the native
+/// Release build and the sanitizer builds; the trained model must not.
+class LabelImages : public BatchPreprocessor {
+ public:
+  data::Batch process(const data::Batch& batch,
+                      common::Rng& /*rng*/) const override {
+    data::Batch out = batch;
+    const index_t per_image = out.images.size() / batch.size();
+    for (index_t b = 0; b < batch.size(); ++b) {
+      for (index_t j = 0; j < per_image; ++j) {
+        out.images[b * per_image + j] =
+            static_cast<real>((batch.labels[b] * 31 + j) % 17) / 16.0 - 0.5;
+      }
+    }
+    return out;
+  }
+  [[nodiscard]] std::string name() const override { return "label_images"; }
+};
+
+/// test_population() training on LabelImages.
+VirtualPopulationConfig pinned_population() {
+  VirtualPopulationConfig cfg = test_population();
+  cfg.preprocessor = std::make_shared<LabelImages>();
+  return cfg;
+}
+
+using SectionHashes = std::map<std::string, std::uint64_t>;
+
+/// FNV-1a, not CRC32C: the model section and the agg partials embed a
+/// CRC32C-sealed tensor list, and a CRC32C over bytes that contain
+/// `m || crc32c(m)` does not depend on m (the CRC residue property), so a
+/// CRC32C pin would not see the model or the partials at all.
+std::uint64_t fnv1a64(const tensor::ByteBuffer& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+SectionHashes section_hashes(const tensor::ByteBuffer& bytes) {
+  const ckpt::Snapshot snap = ckpt::Snapshot::parse(bytes);
+  SectionHashes out;
+  for (const auto& name : snap.names()) {
+    if (name != "obs") out[name] = fnv1a64(snap.section(name));
+  }
+  return out;
+}
+
+std::string describe(const SectionHashes& hashes) {
+  std::string s;
+  for (const auto& [name, h] : hashes) {
+    s += "{\"" + name + "\", " + std::to_string(h) + "ULL}, ";
+  }
+  return s;
+}
+
+TEST(CkptPin, RestingSimulationSnapshot) {
+  runtime::set_num_threads(1);
+  Simulation sim(test_server(AggregatorConfig{}),
+                 VirtualPopulation(pinned_population()).materialize(),
+                 SimulationConfig{/*clients_per_round=*/4, kSelectionSeed});
+  sim.run(kRounds);
+  const SectionHashes got = section_hashes(sim.encode_checkpoint());
+  const SectionHashes want = {{"meta", 8150470430402622222ULL},
+                              {"model", 8532633514198518015ULL},
+                              {"rng", 4538035013014996162ULL}};
+  EXPECT_EQ(got, want) << describe(got);
+}
+
+TEST(CkptPin, RestingShardedSnapshot) {
+  runtime::set_num_threads(1);
+  ShardedSimulation engine(test_server(AggregatorConfig{}),
+                           VirtualPopulation(pinned_population()),
+                           sharded_config(4));
+  engine.run(kRounds);
+  const SectionHashes got = section_hashes(engine.encode_checkpoint());
+  const SectionHashes want = {{"model", 13475245740507531755ULL},
+                              {"smeta", 10103485372882915509ULL},
+                              {"srng", 13038461949474610125ULL}};
+  EXPECT_EQ(got, want) << describe(got);
+}
+
+TEST(CkptPin, MidRoundShardedSnapshot) {
+  runtime::set_num_threads(1);
+  ShardedSimulation engine(test_server(AggregatorConfig{}),
+                           VirtualPopulation(pinned_population()),
+                           sharded_config(4));
+  tensor::ByteBuffer snapshot;
+  engine.set_shard_hook([&](const ShardProgress& p) {
+    if (p.ticket == 1 && p.shard == 0) snapshot = engine.encode_checkpoint();
+  });
+  engine.run(kRounds);
+  ASSERT_FALSE(snapshot.empty());
+  const SectionHashes got = section_hashes(snapshot);
+  const SectionHashes want = {{"agg", 12978270279826961262ULL},
+                              {"model", 3473652916859649483ULL},
+                              {"smeta", 2754976444325681395ULL},
+                              {"srng", 690935468892015822ULL}};
+  EXPECT_EQ(got, want) << describe(got);
+}
+
+}  // namespace
+}  // namespace oasis::fl

@@ -1,6 +1,10 @@
 // Ablation bench (not a paper figure): the defenses the paper's Related Work
 // compares OASIS against, measured head-to-head on the same pipeline.
 //
+// Both gradient-side baselines run as client defense-stack stages (the one
+// update transform every engine applies): DP is clip:C,noise:σ·C and
+// pruning is topk:<keep>.
+//
 //  1. DP-SGD Gaussian mechanism: PSNR of RTF reconstructions AND federated
 //     model accuracy as the noise multiplier grows — reproducing the paper's
 //     argument that the noise needed to blind gradient inversion destroys
@@ -20,8 +24,8 @@
 #include "attack/rtf.h"
 #include "bench_common.h"
 #include "common/stopwatch.h"
-#include "core/baselines.h"
 #include "core/oasis.h"
+#include "fl/defense.h"
 #include "fl/simulation.h"
 #include "metrics/accuracy.h"
 #include "nn/models.h"
@@ -40,7 +44,7 @@ using namespace oasis::bench;
 /// must be measured on one model for the trade-off to be meaningful.
 real federated_accuracy(const data::SynthDataset& dataset, index_t neurons,
                         fl::PreprocessorPtr preprocessor,
-                        fl::PostprocessorPtr postprocessor, index_t rounds) {
+                        fl::DefenseStackPtr defense, index_t rounds) {
   const auto& shape = dataset.train.image_shape();
   const nn::ImageSpec spec{shape[0], shape[1], shape[2]};
   common::Rng init_rng(7);
@@ -55,10 +59,10 @@ real federated_accuracy(const data::SynthDataset& dataset, index_t neurons,
   for (index_t i = 0; i < 4; ++i) {
     clients.push_back(std::make_unique<fl::Client>(
         i, shards[i], factory, 16, preprocessor, common::Rng(500 + i)));
-    if (postprocessor) clients.back()->set_update_postprocessor(postprocessor);
   }
   fl::Simulation sim(std::move(server), std::move(clients),
                      fl::SimulationConfig{0, 3});
+  sim.set_defense_stack(std::move(defense));
   sim.run(rounds);
   return metrics::accuracy(server_ptr->global_model(), dataset.test);
 }
@@ -104,7 +108,7 @@ int main(int argc, char** argv) {
 
   const auto report = [&](const std::string& label,
                           std::vector<augment::TransformKind> transforms,
-                          fl::PostprocessorPtr postprocessor) {
+                          fl::DefenseStackPtr defense) {
     core::AttackExperimentConfig cfg;
     cfg.attack = core::AttackKind::kRtf;
     cfg.batch_size = 8;
@@ -112,13 +116,13 @@ int main(int argc, char** argv) {
     cfg.num_batches = num_batches;
     cfg.classes = train_data.train.num_classes();
     cfg.transforms = transforms;
-    cfg.postprocessor = postprocessor;
+    cfg.defense = defense;
     cfg.seed = seed;
     const auto result =
         core::run_attack_experiment(train_data.train, aux, cfg);
     const real acc = federated_accuracy(
         train_data, neurons, core::make_preprocessor(transforms),
-        postprocessor, rounds);
+        defense, rounds);
     std::cout << std::left << std::setw(26) << label << std::right
               << std::setw(16) << std::fixed << std::setprecision(1)
               << result.mean_psnr() << std::setw(16) << acc * 100.0 << "\n";
@@ -127,10 +131,10 @@ int main(int argc, char** argv) {
   report("undefended", {}, nullptr);
   report("OASIS (MR)", {augment::TransformKind::kMajorRotation}, nullptr);
   for (const real sigma : {1e-4, 1e-3, 1e-2}) {
-    std::ostringstream label;
+    std::ostringstream label, spec;
     label << "DP (C=1, sigma=" << sigma << ")";
-    report(label.str(), {},
-           std::make_shared<core::DpGaussianMechanism>(1.0, sigma));
+    spec << "clip:1,noise:" << sigma;
+    report(label.str(), {}, fl::parse_defense_stack(spec.str(), seed));
   }
 
   // 1b. Replay averaging: the dishonest server re-dispatches the SAME
@@ -164,10 +168,9 @@ int main(int argc, char** argv) {
         0, local, factory, /*batch_size=*/8,
         std::make_shared<fl::IdentityPreprocessor>(),
         common::Rng(seed ^ 0x55)));
-    clients.front()->set_update_postprocessor(
-        std::make_shared<core::DpGaussianMechanism>(1.0, 1e-3));
     fl::Simulation sim(std::move(server), std::move(clients),
                        fl::SimulationConfig{1, seed});
+    sim.set_defense_stack(fl::parse_defense_stack("clip:1,noise:0.001", seed));
 
     const index_t max_rounds = full ? 1024 : 256;
     std::vector<tensor::Tensor> sum;
@@ -213,7 +216,8 @@ int main(int argc, char** argv) {
     cfg.classes = train_data.train.num_classes();
     cfg.seed = seed;
     if (keep < 1.0) {
-      cfg.postprocessor = std::make_shared<core::TopKPruning>(keep);
+      cfg.defense =
+          fl::parse_defense_stack("topk:" + std::to_string(keep), seed);
     }
     const auto result =
         core::run_attack_experiment(train_data.train, aux, cfg);

@@ -21,7 +21,7 @@
 # a hard 30 s per-test TIMEOUT — a test that exceeds it fails the suite.
 #
 #   ./ci.sh            # all default stages
-#   ./ci.sh release    # Release + full ctest only
+#   ./ci.sh release    # Release (-Werror) + full ctest only
 #   ./ci.sh asan       # ASan build + unit/golden/kernel labels only
 #   ./ci.sh kernel     # per-ISA GEMM differential matrix: kernel label under
 #                      # each forced OASIS_GEMM_ISA with ASan/UBSan, then the
@@ -48,8 +48,9 @@ stage="${1:-all}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 run_release() {
-  echo "==> [ci] Release build + ctest"
-  cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
+  # -Werror: the GCC 12 Release build is warning-free, and stays that way.
+  echo "==> [ci] Release build (warnings are errors) + ctest"
+  cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release -DOASIS_WERROR=ON
   cmake --build build-ci -j "${jobs}"
   ctest --test-dir build-ci --output-on-failure -j "${jobs}"
 }

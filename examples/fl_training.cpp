@@ -18,9 +18,9 @@
 // training simply continues with the next round's cohort.
 //
 // The full robustness surface is on the command line too: a composable
-// client-side defense stack (clip / DP noise / secagg mask), Byzantine-robust
-// server aggregation, the client-side model-audit gate, and persistent
-// sign-flip attackers to test them against:
+// client-side defense stack (clip / DP noise / top-k / secagg mask),
+// Byzantine-robust server aggregation, the client-side model-audit gate, and
+// persistent sign-flip attackers to test them against:
 //
 //   $ ./fl_training --defense clip:10,noise:0.01 --audit
 //                   --aggregator trimmed:0.3 --fault-byzantine 0.2
@@ -52,8 +52,8 @@
 // the reconnecting clients resolve their in-flight updates via the session-
 // resume handshake (see DESIGN.md §5j):
 //
-//   $ ./fl_training --listen 7400 --clients 4 --per-round 0 --rounds 20 \
-//                   --checkpoint-dir net-ckpts &
+//   $ ckpt="--checkpoint-dir net-ckpts"
+//   $ ./fl_training --listen 7400 --clients 4 --per-round 0 --rounds 20 $ckpt &
 //   ... SIGKILL the server mid-round, then rerun the same command ...
 //
 // Million-scale federations run through the sharded streaming engine:
@@ -104,8 +104,9 @@ int main(int argc, char** argv) {
                "fraction of persistently Byzantine (sign-flip) clients", "0");
   cli.add_flag("fault-seed", "fault plan seed", "677200");
   cli.add_flag("defense",
-               "client-side defense stack, e.g. clip:10,noise:0.01,mask "
-               "(none = disabled)", "none");
+               "client-side defense stack: comma-separated clip:<norm>, "
+               "noise:<stddev>, topk:<keep>, mask, oasis, e.g. "
+               "clip:10,noise:0.01,mask (none = disabled)", "none");
   cli.add_flag("aggregator",
                "server aggregation rule "
                "(fedavg|median|trimmed[:f]|normbound[:b]); --population and "

@@ -20,14 +20,19 @@ constexpr std::size_t kMaxNameLen = 255;
 // reserve before per-entry bounds checks run.
 constexpr std::uint32_t kMaxSections = 4096;
 
-void put_u32(std::uint32_t v, ByteBuffer& out) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+/// Writes `n` bytes at `out[off]` and advances `off`. finish() sizes the
+/// buffer once up front, so every write lands inside it.
+void put(const void* src, std::size_t n, ByteBuffer& out, std::size_t& off) {
+  if (n != 0) std::memcpy(out.data() + off, src, n);
+  off += n;
 }
 
-void put_u64(std::uint64_t v, ByteBuffer& out) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+void put_u32(std::uint32_t v, ByteBuffer& out, std::size_t& off) {
+  put(&v, sizeof(v), out, off);
+}
+
+void put_u64(std::uint64_t v, ByteBuffer& out, std::size_t& off) {
+  put(&v, sizeof(v), out, off);
 }
 
 // Directory reads happen after the footer CRC has validated the whole file,
@@ -70,31 +75,34 @@ void SnapshotBuilder::add(const std::string& name, ByteBuffer payload) {
 }
 
 ByteBuffer SnapshotBuilder::finish() const {
-  ByteBuffer out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
-  put_u32(kVersion, out);
-  put_u32(static_cast<std::uint32_t>(sections_.size()), out);
-
-  // Directory size is knowable up front, which gives absolute payload
-  // offsets without a second pass.
+  // Directory and payload sizes are known up front, which gives absolute
+  // payload offsets without a second pass and one exact-size buffer.
   std::size_t dir_bytes = 0;
+  std::size_t payload_bytes = 0;
   for (const auto& [name, payload] : sections_) {
     dir_bytes += sizeof(std::uint32_t) + name.size() + 2 * sizeof(std::uint64_t) +
                  sizeof(std::uint32_t);
+    payload_bytes += payload.size();
   }
+  ByteBuffer out(kHeaderBytes + dir_bytes + payload_bytes + kFooterBytes);
+  std::size_t off = 0;
+  put(kMagic, sizeof(kMagic), out, off);
+  put_u32(kVersion, out, off);
+  put_u32(static_cast<std::uint32_t>(sections_.size()), out, off);
+
   std::uint64_t payload_off = kHeaderBytes + dir_bytes;
   for (const auto& [name, payload] : sections_) {
-    put_u32(static_cast<std::uint32_t>(name.size()), out);
-    out.insert(out.end(), name.begin(), name.end());
-    put_u64(payload_off, out);
-    put_u64(payload.size(), out);
-    put_u32(crc32c(payload.data(), payload.size()), out);
+    put_u32(static_cast<std::uint32_t>(name.size()), out, off);
+    put(name.data(), name.size(), out, off);
+    put_u64(payload_off, out, off);
+    put_u64(payload.size(), out, off);
+    put_u32(crc32c(payload.data(), payload.size()), out, off);
     payload_off += payload.size();
   }
   for (const auto& [name, payload] : sections_) {
-    out.insert(out.end(), payload.begin(), payload.end());
+    put(payload.data(), payload.size(), out, off);
   }
-  put_u32(crc32c(out.data(), out.size()), out);
+  put_u32(crc32c(out.data(), off), out, off);
   return out;
 }
 

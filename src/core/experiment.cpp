@@ -92,14 +92,12 @@ AttackExperimentResult run_attack_experiment(
       /*id=*/0, victim_data, factory, cfg.batch_size,
       make_preprocessor(cfg.transforms), common::Rng(cfg.seed ^ 0xC11E),
       sampling, loss_kind));
-  if (cfg.postprocessor) {
-    clients.front()->set_update_postprocessor(cfg.postprocessor);
-  }
   auto* victim = clients.front().get();
 
   fl::Simulation sim(std::move(server), std::move(clients),
                      fl::SimulationConfig{/*clients_per_round=*/1,
                                           /*seed=*/cfg.seed});
+  sim.set_defense_stack(cfg.defense);
 
   // --- Attack rounds --------------------------------------------------------
   AttackExperimentResult result;

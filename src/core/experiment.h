@@ -14,7 +14,7 @@
 #include "attack/recon_eval.h"
 #include "augment/transforms.h"
 #include "data/dataset.h"
-#include "fl/postprocessor.h"
+#include "fl/defense.h"
 #include "tensor/tensor.h"
 
 namespace oasis::core {
@@ -35,8 +35,8 @@ struct AttackExperimentConfig {
   index_t num_batches = 8;
   /// OASIS transform set; empty = undefended baseline (WO).
   std::vector<augment::TransformKind> transforms;
-  /// Optional gradient postprocessor (baseline defenses: DP noise, pruning).
-  fl::PostprocessorPtr postprocessor;
+  /// Optional victim defense stack: DP is clip,noise; pruning is topk.
+  fl::DefenseStackPtr defense;
   /// Classes of the classification head.
   index_t classes = 10;
   std::uint64_t seed = 99;

@@ -11,8 +11,7 @@
 namespace oasis::fl {
 
 void FedAvgAccumulator::add(const ClientUpdateMessage& update) {
-  const real weight =
-      weight_by_examples_ ? static_cast<real>(update.num_examples) : 1.0;
+  const auto weight = static_cast<real>(update.num_examples);
   if (weight <= 0.0) {
     throw AggregationError("client " + std::to_string(update.client_id) +
                            " reported zero examples");
@@ -27,8 +26,7 @@ void FedAvgAccumulator::add(std::vector<tensor::Tensor> gradients,
   }
   if (total_.empty()) {
     // First update: scale in place rather than adding into zeros, so -0.0
-    // payload values survive bitwise (0.0 + -0.0 is +0.0) and the stream
-    // reproduces the historical batch fedavg() byte-for-byte.
+    // payload values survive bitwise (0.0 + -0.0 is +0.0).
     total_ = std::move(gradients);
     for (auto& t : total_) t *= weight;
   } else {
@@ -67,27 +65,6 @@ void FedAvgAccumulator::restore(std::vector<tensor::Tensor> partials,
   total_ = std::move(partials);
   total_weight_ = total_weight;
   count_ = count;
-}
-
-namespace {
-
-std::vector<tensor::Tensor> weighted_average(
-    std::span<const ClientUpdateMessage> updates, bool weight_by_examples) {
-  FedAvgAccumulator acc(weight_by_examples);
-  for (const auto& update : updates) acc.add(update);
-  return acc.average();
-}
-
-}  // namespace
-
-std::vector<tensor::Tensor> fedavg(
-    std::span<const ClientUpdateMessage> updates) {
-  return weighted_average(updates, /*weight_by_examples=*/true);
-}
-
-std::vector<tensor::Tensor> fedavg_unweighted(
-    std::span<const ClientUpdateMessage> updates) {
-  return weighted_average(updates, /*weight_by_examples=*/false);
 }
 
 const char* to_string(AggregatorKind kind) {

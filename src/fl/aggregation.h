@@ -24,32 +24,27 @@ namespace oasis::fl {
 /// the property that lets a round over 1M virtual clients run in O(shard)
 /// memory. Determinism: the result is a pure function of the SEQUENCE of
 /// add() calls; the first update is scaled in place and every later one is
-/// folded with add_scaled_, exactly reproducing the historical batch
-/// fedavg() byte-for-byte.
+/// folded with add_scaled_.
 ///
 /// Checkpointable: partials()/total_weight()/count() expose the complete
 /// accumulator state and restore() reinstates it bit-exactly, so a huge
 /// round can resume from a mid-round shard-boundary snapshot.
 class FedAvgAccumulator {
  public:
-  /// `weight_by_examples` false gives the plain 1/M average (each update
-  /// weighted 1 instead of by its example count).
-  explicit FedAvgAccumulator(bool weight_by_examples = true)
-      : weight_by_examples_(weight_by_examples) {}
-
-  /// Deserializes and folds one update. Throws AggregationError on a zero
-  /// FedAvg weight, Error on tensor count/shape mismatch with the running
-  /// sum, and propagates SerializationError for malformed payloads (callers
-  /// are expected to have screened updates already).
+  /// Deserializes and folds one update weighted by its example count
+  /// (paper Eq. 1). Throws AggregationError on a zero example count, Error
+  /// on tensor count/shape mismatch with the running sum, and propagates
+  /// SerializationError for malformed payloads (callers are expected to
+  /// have screened updates already).
   void add(const ClientUpdateMessage& update);
 
-  /// Folds pre-deserialized gradients with an explicit weight (> 0).
+  /// Folds pre-deserialized gradients with an explicit weight (> 0); a
+  /// weight of 1 per update gives the plain 1/M average.
   void add(std::vector<tensor::Tensor> gradients, real weight);
 
   /// Updates folded so far.
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] real total_weight() const { return total_weight_; }
-  [[nodiscard]] bool weight_by_examples() const { return weight_by_examples_; }
   /// The running weighted partial sum (empty before the first add()).
   [[nodiscard]] const std::vector<tensor::Tensor>& partials() const {
     return total_;
@@ -67,22 +62,10 @@ class FedAvgAccumulator {
                std::uint64_t count);
 
  private:
-  bool weight_by_examples_;
   std::vector<tensor::Tensor> total_;
   real total_weight_ = 0.0;
   std::uint64_t count_ = 0;
 };
-
-/// FedAvg (paper Eq. 1): example-weighted average of client gradients.
-/// All updates must deserialize to identically-shaped tensor lists.
-/// Throws AggregationError on an empty update set or a zero example count,
-/// and Error on shape/count mismatch.
-std::vector<tensor::Tensor> fedavg(
-    std::span<const ClientUpdateMessage> updates);
-
-/// Unweighted mean of client gradients (the plain 1/M average in Eq. 1).
-std::vector<tensor::Tensor> fedavg_unweighted(
-    std::span<const ClientUpdateMessage> updates);
 
 // --- Byzantine-robust aggregation -------------------------------------------
 //

@@ -23,10 +23,6 @@ Client::Client(std::uint64_t id, data::InMemoryDataset local_data,
                             << local_data_.size() << " local examples");
 }
 
-void Client::set_update_postprocessor(PostprocessorPtr postprocessor) {
-  postprocessor_ = std::move(postprocessor);
-}
-
 void Client::set_model_auditor(ModelAuditor auditor) {
   auditor_ = std::move(auditor);
 }
@@ -131,9 +127,6 @@ ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg) {
     }
   } else {
     gradients = nn::snapshot_gradients(*model_);
-  }
-  if (postprocessor_) {
-    gradients = postprocessor_->process(std::move(gradients), rng_);
   }
 
   ClientUpdateMessage update;

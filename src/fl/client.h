@@ -6,7 +6,6 @@
 
 #include "data/dataset.h"
 #include "fl/message.h"
-#include "fl/postprocessor.h"
 #include "fl/preprocessor.h"
 #include "nn/loss.h"
 #include "nn/sequential.h"
@@ -57,10 +56,6 @@ class Client {
          PreprocessorPtr preprocessor, common::Rng rng,
          BatchSampling sampling = BatchSampling::kUniform,
          LossKind loss_kind = LossKind::kSoftmaxCrossEntropy);
-
-  /// Installs a gradient postprocessor (DP noise, pruning, ...) applied to
-  /// every update before upload. Default: upload exact gradients.
-  void set_update_postprocessor(PostprocessorPtr postprocessor);
 
   /// Installs the model-audit gate run on every dispatched global model
   /// immediately after it is loaded into the local replica. The auditor
@@ -124,8 +119,7 @@ class Client {
   std::unique_ptr<nn::Sequential> model_;
   index_t batch_size_;
   PreprocessorPtr preprocessor_;
-  PostprocessorPtr postprocessor_;  // nullptr = identity
-  ModelAuditor auditor_;            // empty = accept every model
+  ModelAuditor auditor_;  // empty = accept every model
   index_t local_steps_ = 1;
   real local_lr_ = 0.0;  // 0 → raw-gradient mode
   bool round_keyed_rng_ = false;

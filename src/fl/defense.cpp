@@ -1,9 +1,12 @@
 #include "fl/defense.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "common/error.h"
+#include "fl/aggregation.h"
 #include "fl/secure_agg.h"
 #include "obs/obs.h"
 #include "tensor/serialize.h"
@@ -22,15 +25,7 @@ void ClipDefense::apply(std::vector<tensor::Tensor>& gradients,
   static obs::Counter& applied = obs::counter("fl.defense.clip");
   static obs::Counter& active = obs::counter("fl.defense.clip.active");
   applied.add(1);
-  real sum_squares = 0.0;
-  for (const auto& t : gradients) {
-    for (const auto v : t.data()) sum_squares += v * v;
-  }
-  const real norm = std::sqrt(sum_squares);
-  if (norm <= max_norm_) return;
-  active.add(1);
-  const real scale = max_norm_ / norm;
-  for (auto& t : gradients) t *= scale;
+  if (clip_gradients_to_norm(gradients, max_norm_) > max_norm_) active.add(1);
 }
 
 std::string ClipDefense::name() const {
@@ -58,6 +53,42 @@ void GaussianNoiseDefense::apply(std::vector<tensor::Tensor>& gradients,
 std::string GaussianNoiseDefense::name() const {
   std::ostringstream os;
   os << "noise(" << stddev_ << ")";
+  return os.str();
+}
+
+TopKDefense::TopKDefense(real keep) : keep_(keep) {
+  if (!(keep > 0.0 && keep <= 1.0)) {
+    throw ConfigError("topk defense needs a keep fraction in (0, 1]");
+  }
+}
+
+void TopKDefense::apply(std::vector<tensor::Tensor>& gradients,
+                        common::Rng& /*rng*/,
+                        const DefenseContext& /*ctx*/) const {
+  static obs::Counter& applied = obs::counter("fl.defense.topk");
+  applied.add(1);
+  std::vector<real> magnitudes;
+  for (auto& g : gradients) {
+    if (g.size() == 0) continue;
+    const auto keep = static_cast<index_t>(
+        std::max<real>(1.0, std::floor(keep_ * static_cast<real>(g.size()))));
+    if (keep >= g.size()) continue;
+    // Per-tensor magnitude threshold: the keep-th largest |g|.
+    magnitudes.resize(g.size());
+    for (index_t i = 0; i < g.size(); ++i) magnitudes[i] = std::abs(g[i]);
+    std::nth_element(magnitudes.begin(),
+                     magnitudes.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                     magnitudes.end(), std::greater<real>());
+    const real threshold = magnitudes[keep - 1];
+    for (auto& v : g.data()) {
+      if (std::abs(v) < threshold) v = 0.0;
+    }
+  }
+}
+
+std::string TopKDefense::name() const {
+  std::ostringstream os;
+  os << "topk(" << keep_ << ")";
   return os.str();
 }
 
@@ -168,14 +199,16 @@ std::shared_ptr<DefenseStack> parse_defense_stack(const std::string& spec,
       stack->add(std::make_unique<ClipDefense>(parse_arg("max_norm")));
     } else if (kind == "noise") {
       stack->add(std::make_unique<GaussianNoiseDefense>(parse_arg("stddev")));
+    } else if (kind == "topk") {
+      stack->add(std::make_unique<TopKDefense>(parse_arg("keep")));
     } else if (kind == "mask") {
       stack->add(std::make_unique<SecAggMaskDefense>());
     } else if (kind == "oasis") {
       stack->request_augmentation();
     } else {
       throw ConfigError("unknown defense '" + token +
-                        "' (expected clip:<norm>, noise:<stddev>, mask, or "
-                        "oasis)");
+                        "' (expected clip:<norm>, noise:<stddev>, "
+                        "topk:<keep>, mask, or oasis)");
     }
   }
   return stack;

@@ -1,12 +1,13 @@
-// Composable client-side update defenses (ROADMAP item 5).
+// Composable client-side update defenses.
 //
 // A Defense is one per-update transform of the gradient tensors a client is
-// about to upload: L2 norm clipping, Gaussian DP noise, pairwise
-// secure-aggregation masking (wrapping fl::SecureAggregationSession). An
-// ordered DefenseStack composes them; the OASIS augmentation itself is
-// carried as a hook on the stack (it operates on the training BATCH before
-// gradients exist — see fl/preprocessor.h — so the stack records the request
-// and federation builders install the preprocessor on their clients).
+// about to upload: L2 norm clipping, Gaussian DP noise, top-k pruning,
+// pairwise secure-aggregation masking (wrapping fl::SecureAggregationSession).
+// An ordered DefenseStack composes them, and it is the only update
+// transform: every engine applies it through the shared client step
+// (fl/client_step.h). The OASIS augmentation operates on the training BATCH
+// before gradients exist (fl/preprocessor.h), so the stack only records the
+// request and federation builders install the preprocessor on their clients.
 //
 // Determinism contract. Every randomized stage draws from a stream that is a
 // pure function of (stack seed, defense index, round, client id), derived
@@ -27,7 +28,6 @@
 
 #include "common/rng.h"
 #include "fl/message.h"
-#include "fl/preprocessor.h"
 #include "tensor/tensor.h"
 
 namespace oasis::fl {
@@ -70,7 +70,6 @@ class ClipDefense : public Defense {
   void apply(std::vector<tensor::Tensor>& gradients, common::Rng& rng,
              const DefenseContext& ctx) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] real max_norm() const { return max_norm_; }
 
  private:
   real max_norm_;
@@ -86,10 +85,23 @@ class GaussianNoiseDefense : public Defense {
   void apply(std::vector<tensor::Tensor>& gradients, common::Rng& rng,
              const DefenseContext& ctx) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] real stddev() const { return stddev_; }
 
  private:
   real stddev_;
+};
+
+/// Keeps the largest-magnitude `keep` fraction of each gradient tensor's
+/// entries (at least one) and zeroes the rest: gradient pruning (Zhu et al.).
+class TopKDefense : public Defense {
+ public:
+  /// Throws ConfigError unless keep is in (0, 1].
+  explicit TopKDefense(real keep);
+  void apply(std::vector<tensor::Tensor>& gradients, common::Rng& rng,
+             const DefenseContext& ctx) const override;
+  [[nodiscard]] std::string name() const override;
+
+ private:
+  real keep_;
 };
 
 /// Pairwise secure-aggregation masking: wraps SecureAggregationSession with
@@ -126,17 +138,9 @@ class DefenseStack {
   /// True when any stage needs the round cohort (see Defense).
   [[nodiscard]] bool requires_cohort() const;
 
-  /// The OASIS augmentation hook. The stack cannot apply augmentation itself
-  /// (it transforms the training batch, not the gradients), so it carries
-  /// the preprocessor for federation builders to install on their clients;
-  /// augmentation_requested() additionally records an "oasis" spec token
-  /// whose preprocessor the builder constructs.
-  void set_augmentation(PreprocessorPtr augmentation) {
-    augmentation_ = std::move(augmentation);
-  }
-  [[nodiscard]] const PreprocessorPtr& augmentation() const {
-    return augmentation_;
-  }
+  /// The "oasis" spec token. The stack cannot apply augmentation itself (it
+  /// transforms the training batch, not the gradients); federation builders
+  /// construct the preprocessor and install it on their clients.
   void request_augmentation() { augmentation_requested_ = true; }
   [[nodiscard]] bool augmentation_requested() const {
     return augmentation_requested_;
@@ -173,7 +177,6 @@ class DefenseStack {
 
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Defense>> defenses_;
-  PreprocessorPtr augmentation_;
   bool augmentation_requested_ = false;
   std::vector<std::uint64_t> static_cohort_;
 };
@@ -183,7 +186,8 @@ using DefenseStackPtr = std::shared_ptr<const DefenseStack>;
 /// Builds a stack from a comma-separated spec, preserving stage order:
 ///   "clip:10,noise:0.01,mask,oasis"   (also "none" / "" → empty stack)
 /// clip:<max_norm> and noise:<stddev> take a number, which the stage
-/// constructor requires to be finite and positive; "mask"
+/// constructor requires to be finite and positive; topk:<keep> takes a
+/// fraction in (0, 1]; "mask"
 /// adds SecAggMaskDefense; "oasis" sets augmentation_requested() for the
 /// caller to honor. Throws ConfigError on an unknown token or bad parameter.
 std::shared_ptr<DefenseStack> parse_defense_stack(

@@ -3,9 +3,9 @@
 #include "ckpt/codec.h"
 #include "ckpt/container.h"
 #include "ckpt/obs_state.h"
+#include "fl/client_step.h"
 #include "nn/model_io.h"
 #include "obs/obs.h"
-#include "runtime/parallel.h"
 
 namespace oasis::fl {
 
@@ -95,16 +95,18 @@ void ShardedSimulation::begin_round_state() {
   ticket_ = round_tickets_++;
   const index_t target = config_.cohort_size == 0 ? population_.size()
                                                   : config_.cohort_size;
+  // Only a mask stage needs the cohort id list (see set_defense_stack).
+  const bool collect = defense_ && defense_->requires_cohort();
   if (config_.sampler == CohortSampler::kFisherYates) {
     cohort_ids_ = rng_.sample_without_replacement(population_.size(), target);
     cohort_size_ = target;
+    if (collect) defense_cohort_.assign(cohort_ids_.begin(), cohort_ids_.end());
   } else {
     threshold_ = cohort_threshold(target, population_.size());
     // Pre-count the actual (binomial) cohort so quorum math and the shard
     // count are fixed before the first shard runs — ~ns per hash, and the
     // scan keeps no per-client state (unless the defense mask needs the
     // cohort list, collected here for free during the scan).
-    const bool collect = defense_ && defense_->requires_cohort();
     index_t count = 0;
     for (index_t id = 0; id < population_.size(); ++id) {
       if (cohort_member(config_.seed, ticket_, id, threshold_)) {
@@ -114,10 +116,6 @@ void ShardedSimulation::begin_round_state() {
     }
     cohort_size_ = count;
     scan_pos_ = 0;
-  }
-  if (defense_ && defense_->requires_cohort() &&
-      config_.sampler == CohortSampler::kFisherYates) {
-    defense_cohort_.assign(cohort_ids_.begin(), cohort_ids_.end());
   }
   num_shards_ = (cohort_size_ + config_.shard_size - 1) / config_.shard_size;
   OASIS_CHECK_MSG(num_shards_ < kMaxShardsPerRound,
@@ -151,15 +149,9 @@ void ShardedSimulation::collect_shard_members(std::vector<std::uint64_t>& out) {
 }
 
 void ShardedSimulation::process_shard() {
-  static obs::Counter& trained = obs::counter("fl.clients_trained");
   static obs::Counter& bytes_down = obs::counter("fl.bytes_dispatched");
-  static obs::Counter& bytes_up = obs::counter("fl.bytes_uploaded");
   static obs::Counter& dropouts = obs::counter("fl.fault.dropout");
   static obs::Counter& stragglers = obs::counter("fl.fault.straggler");
-  static obs::Counter& corrupted = obs::counter("fl.fault.corrupt");
-  static obs::Counter& poisoned = obs::counter("fl.fault.poison");
-  static obs::Counter& byzantine = obs::counter("fl.fault.byzantine");
-  static obs::Counter& duplicates = obs::counter("fl.fault.duplicate");
   static obs::Counter& lost_c = obs::counter("fl.clients_lost");
   static obs::Counter& shards_c = obs::counter("fl.shard.shards");
   static obs::Counter& shard_clients = obs::counter("fl.shard.clients");
@@ -171,100 +163,51 @@ void ShardedSimulation::process_shard() {
   // plan, but the (possibly stateful) server builds the payloads, and
   // dropouts must be decided before training so a dropped client never
   // trains — matching the materialized engine's counters.
-  struct Slot {
-    std::uint64_t id = 0;
-    ClientFault fault;
-    GlobalModelMessage msg;
-  };
-  std::vector<Slot> slots;
+  std::vector<ClientSlot> slots;
+  std::vector<GlobalModelMessage> dispatched;
   slots.reserve(members.size());
-  index_t dropped = 0;
+  dispatched.reserve(members.size());
   {
     const obs::ScopedTimer dispatch_span("dispatch");
     for (const auto id : members) {
-      Slot s;
-      s.id = id;
-      s.fault = fault_plan_.decide(ticket_, /*attempt=*/0, id);
-      if (s.fault.kind == FaultKind::kDropout) {
+      const ClientFault fault = fault_plan_.decide(ticket_, /*attempt=*/0, id);
+      if (fault.kind == FaultKind::kDropout) {
         // Single-attempt semantics: a dropout is immediately lost.
         dropouts.add(1);
-        ++dropped;
+        lost_c.add(1);
         ++clients_done_;
         continue;
       }
-      if (s.fault.kind == FaultKind::kStraggler) stragglers.add(1);
-      s.msg = server_->dispatch_to(id);
-      bytes_down.add(s.msg.model_state.size());
-      slots.push_back(std::move(s));
+      if (fault.kind == FaultKind::kStraggler) stragglers.add(1);
+      slots.push_back({id, fault});
+      dispatched.push_back(server_->dispatch_to(id));
+      bytes_down.add(dispatched.back().model_state.size());
     }
   }
-  if (dropped > 0) lost_c.add(dropped);
 
-  // Parallel training: clients are materialized lazily INSIDE the region
-  // (make_client is pure, so construction order cannot matter) and die with
-  // their chunk; updates land in fixed slots, so the fold below sees
-  // cohort order at any thread count.
-  std::vector<ClientUpdateMessage> updates(slots.size());
-  // Audit refusals recorded per slot inside the parallel region (no
-  // cross-region throw) and tallied serially below.
-  std::vector<std::uint8_t> refused(slots.size(), 0);
-  runtime::parallel_for(0, slots.size(), 1, [&](index_t i0, index_t i1) {
-    for (index_t i = i0; i < i1; ++i) {
-      // kRoot: the span path must not depend on whether this chunk runs
-      // inline (threads=1) or on a pool worker.
-      const obs::ScopedTimer client_span("fl.client_round",
-                                         obs::ScopedTimer::kRoot);
-      const auto client = population_.make_client(slots[i].id);
-      try {
-        updates[i] = client->handle_round(slots[i].msg);
-      } catch (const AuditError&) {
-        // The client refused the dispatched model — excluded, not retried
-        // (single-attempt semantics anyway, and a re-audit re-refuses).
-        refused[i] = 1;
-        continue;
-      }
-      // Client-side defenses run where the client runs — after training,
-      // before the update crosses the (faulty) wire.
-      if (defense_ && !defense_->empty()) {
-        defense_->apply(updates[i], defense_cohort_);
-      }
-    }
-  });
-  index_t refusals = 0;
-  for (const auto f : refused) refusals += f;
-  trained.add(slots.size() - refusals);
-
-  // Serial fold in cohort order — the determinism linchpin (see shard.h).
   // One screen per shard suffices: cohort member ids are distinct across
   // shards by construction (a permutation sample or an ascending id scan),
   // so the only reachable duplicates are kDuplicate faults, delivered
   // back to back within this shard.
   round_.reset_screen();
-  {
-    const obs::ScopedTimer agg_span("aggregate");
-    for (index_t i = 0; i < slots.size(); ++i) {
-      const Slot& s = slots[i];
-      if (refused[i]) {
-        // Refusal = no upload at all; the client still counts as disposed.
+  // Clients are materialized lazily INSIDE the parallel region (make_client
+  // is pure, so construction order cannot matter) and die with their slot.
+  // Delivery folds serially in cohort order — the determinism linchpin (see
+  // shard.h); a refused client still counts as disposed.
+  run_client_slots(
+      slots,
+      [&](index_t i) {
+        const auto client = population_.make_client(slots[i].client_id);
+        return run_client_round(*client, dispatched[i], defense_.get(),
+                                defense_cohort_);
+      },
+      fault_plan_, ticket_, /*attempt=*/0,
+      [&](ClientUpdateMessage&& update) { round_.offer(update); },
+      [&](index_t i) {
         ++clients_done_;
-        if (client_hook_) client_hook_(s.id, clients_done_);
-        continue;
-      }
-      if (s.fault.kind == FaultKind::kCorrupt) corrupted.add(1);
-      if (s.fault.kind == FaultKind::kPoison) poisoned.add(1);
-      if (s.fault.kind == FaultKind::kByzantine) byzantine.add(1);
-      fault_plan_.apply(updates[i], s.fault, ticket_, /*attempt=*/0, s.id);
-      bytes_up.add(updates[i].gradients.size());
-      round_.offer(updates[i]);
-      if (s.fault.kind == FaultKind::kCorrupt &&
-          s.fault.corruption == CorruptionKind::kDuplicate) {
-        duplicates.add(1);
-        round_.offer(updates[i]);
-      }
-      ++clients_done_;
-      if (client_hook_) client_hook_(s.id, clients_done_);
-    }
-  }
+        if (client_hook_) client_hook_(slots[i].client_id, clients_done_);
+      },
+      "aggregate");
 
   shard_done_[next_shard_] = true;
   ++next_shard_;

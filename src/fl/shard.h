@@ -150,7 +150,6 @@ class ShardedSimulation {
   /// Installs the seeded fault schedule (single-attempt semantics — see
   /// file comment). Replace with a default-constructed plan to disable.
   void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }
-  [[nodiscard]] const FaultPlan& fault_plan() const { return fault_plan_; }
 
   void set_shard_hook(ShardHook hook) { shard_hook_ = std::move(hook); }
   void set_client_hook(ClientHook hook) { client_hook_ = std::move(hook); }
@@ -162,9 +161,6 @@ class ShardedSimulation {
   /// id list per round (Fisher–Yates already pays this; hash-threshold
   /// collects ids during its existing pre-count scan). nullptr disables.
   void set_defense_stack(DefenseStackPtr stack) { defense_ = std::move(stack); }
-  [[nodiscard]] const DefenseStackPtr& defense_stack() const {
-    return defense_;
-  }
 
   Server& server() { return *server_; }
   [[nodiscard]] const VirtualPopulation& population() const {

@@ -6,10 +6,10 @@
 #include "ckpt/codec.h"
 #include "ckpt/container.h"
 #include "ckpt/obs_state.h"
+#include "fl/client_step.h"
 #include "fl/round_core.h"
 #include "nn/model_io.h"
 #include "obs/obs.h"
-#include "runtime/parallel.h"
 
 namespace oasis::fl {
 
@@ -45,15 +45,9 @@ Client& Simulation::client(index_t i) {
 std::vector<std::uint64_t> Simulation::run_round() {
   const obs::ScopedTimer round_span("fl.round");
   static obs::Counter& rounds = obs::counter("fl.rounds");
-  static obs::Counter& trained = obs::counter("fl.clients_trained");
   static obs::Counter& bytes_down = obs::counter("fl.bytes_dispatched");
-  static obs::Counter& bytes_up = obs::counter("fl.bytes_uploaded");
   static obs::Counter& dropouts = obs::counter("fl.fault.dropout");
   static obs::Counter& stragglers = obs::counter("fl.fault.straggler");
-  static obs::Counter& corrupted = obs::counter("fl.fault.corrupt");
-  static obs::Counter& poisoned = obs::counter("fl.fault.poison");
-  static obs::Counter& byzantine = obs::counter("fl.fault.byzantine");
-  static obs::Counter& duplicates = obs::counter("fl.fault.duplicate");
   static obs::Counter& timeouts = obs::counter("fl.timeouts");
   static obs::Counter& retries = obs::counter("fl.retries");
   static obs::Counter& lost_c = obs::counter("fl.clients_lost");
@@ -86,14 +80,10 @@ std::vector<std::uint64_t> Simulation::run_round() {
   }
 
   // Collection: bounded attempts against per-client deadlines in virtual
-  // time. Faults are decided serially (pure functions of the plan), only the
-  // training fans out — each responder touches its own model replica, rng,
-  // and dataset shard, and updates land at a fixed slot, so collection order
-  // (and therefore aggregation) is identical at any thread count.
-  struct PendingReply {
-    index_t sel = 0;  // index into selected/dispatched
-    ClientFault fault;
-  };
+  // time. Faults are decided serially (pure functions of the plan); the
+  // shared client step trains the responders in parallel and delivers them
+  // in responder order, so collection order (and therefore aggregation) is
+  // identical at any thread count.
   std::vector<index_t> pending(m);
   for (index_t i = 0; i < m; ++i) pending[i] = i;
   std::vector<ClientUpdateMessage> collected;
@@ -107,76 +97,40 @@ std::vector<std::uint64_t> Simulation::run_round() {
     const auto t0 = clock_.now();
     const auto deadline = t0 + config_.deadline_ticks;
 
-    std::vector<PendingReply> responders;
+    std::vector<ClientSlot> responders;
+    std::vector<index_t> responder_sel;  // index into selected/dispatched
     std::vector<index_t> still_pending;
     runtime::VirtualClock::ticks last_arrival = t0;
     for (const auto i : pending) {
-      PendingReply r;
-      r.sel = i;
-      r.fault = fault_plan_.decide(ticket, attempt, ids[i]);
-      if (r.fault.kind == FaultKind::kDropout) {
+      const ClientFault fault = fault_plan_.decide(ticket, attempt, ids[i]);
+      if (fault.kind == FaultKind::kDropout) {
         dropouts.add(1);
         still_pending.push_back(i);
         continue;
       }
-      const auto arrival =
-          t0 + config_.base_latency_ticks + r.fault.delay_ticks;
-      if (r.fault.kind == FaultKind::kStraggler) stragglers.add(1);
+      const auto arrival = t0 + config_.base_latency_ticks + fault.delay_ticks;
+      if (fault.kind == FaultKind::kStraggler) stragglers.add(1);
       if (arrival > deadline) {
         timeouts.add(1);
         still_pending.push_back(i);
         continue;
       }
       if (arrival > last_arrival) last_arrival = arrival;
-      responders.push_back(r);
+      responders.push_back({ids[i], fault});
+      responder_sel.push_back(i);
     }
 
-    std::vector<ClientUpdateMessage> updates(responders.size());
-    // Audit refusals recorded per slot inside the parallel region (no
-    // cross-region throw) and tallied serially below.
-    std::vector<std::uint8_t> refused(responders.size(), 0);
-    runtime::parallel_for(0, responders.size(), 1, [&](index_t i0,
-                                                       index_t i1) {
-      for (index_t i = i0; i < i1; ++i) {
-        // kRoot: the span path must not depend on whether this chunk runs
-        // inline (threads=1) or on a pool worker.
-        const obs::ScopedTimer client_span("fl.client_round",
-                                           obs::ScopedTimer::kRoot);
-        const index_t sel = responders[i].sel;
-        try {
-          updates[i] = clients_[selected[sel]]->handle_round(dispatched[sel]);
-        } catch (const AuditError&) {
-          // The client refused the dispatched model. Not a retry candidate:
-          // re-auditing the same model re-refuses deterministically.
-          refused[i] = 1;
-          continue;
-        }
-        // Client-side defenses run where the client runs — after training,
-        // before the update crosses the (faulty) wire.
-        if (defense_ && !defense_->empty()) defense_->apply(updates[i], ids);
-      }
-    });
-    index_t refusals = 0;
-    for (const auto f : refused) refusals += f;
-    trained.add(responders.size() - refusals);
-
-    // Deliver serially in responder order: wire faults mutate the payload
-    // between "upload" and "receipt", duplicates arrive back to back.
-    for (index_t i = 0; i < responders.size(); ++i) {
-      const auto& r = responders[i];
-      if (refused[i]) continue;  // refusal = no upload at all
-      if (r.fault.kind == FaultKind::kCorrupt) corrupted.add(1);
-      if (r.fault.kind == FaultKind::kPoison) poisoned.add(1);
-      if (r.fault.kind == FaultKind::kByzantine) byzantine.add(1);
-      fault_plan_.apply(updates[i], r.fault, ticket, attempt, ids[r.sel]);
-      bytes_up.add(updates[i].gradients.size());
-      collected.push_back(std::move(updates[i]));
-      if (r.fault.kind == FaultKind::kCorrupt &&
-          r.fault.corruption == CorruptionKind::kDuplicate) {
-        duplicates.add(1);
-        collected.push_back(collected.back());
-      }
-    }
+    run_client_slots(
+        responders,
+        [&](index_t slot) {
+          const index_t sel = responder_sel[slot];
+          return run_client_round(*clients_[selected[sel]], dispatched[sel],
+                                  defense_.get(), ids);
+        },
+        fault_plan_, ticket, attempt,
+        [&](ClientUpdateMessage&& update) {
+          collected.push_back(std::move(update));
+        });
 
     pending = std::move(still_pending);
     // Time passes: to the last arrival when everyone replied, else the full

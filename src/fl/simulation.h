@@ -73,19 +73,16 @@ class Simulation {
   /// Installs the seeded fault schedule applied between dispatch and
   /// collection. Replace with a default-constructed plan to disable.
   void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }
-  [[nodiscard]] const FaultPlan& fault_plan() const { return fault_plan_; }
 
-  /// Installs the client-side defense stack (clip / noise / secagg mask),
-  /// applied to every update right after local training — inside the
-  /// parallel region, before wire faults touch the payload. The stack is
+  /// Installs the client-side defense stack (clip / noise / topk / secagg
+  /// mask), applied by the shared client step (fl/client_step.h) to every
+  /// update right after local training — inside the parallel region, before
+  /// wire faults touch the payload. The stack is
   /// shared immutable state: its per-stage rng streams are pure functions of
   /// (stack seed, round, client), so results stay bit-identical at any
   /// thread count. The mask stage receives this round's selected cohort.
   /// nullptr (default) disables defenses.
   void set_defense_stack(DefenseStackPtr stack) { defense_ = std::move(stack); }
-  [[nodiscard]] const DefenseStackPtr& defense_stack() const {
-    return defense_;
-  }
 
   /// The engine's deterministic clock (advanced only by run_round).
   [[nodiscard]] const runtime::VirtualClock& clock() const { return clock_; }

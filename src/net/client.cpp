@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "fl/client_step.h"
 #include "obs/obs.h"
 
 namespace oasis::net {
@@ -167,10 +168,11 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
     if (msg.round < cache_->round) return;  // stale dispatch; ignore
     cache_.reset();  // a newer round supersedes the in-flight one
   }
-  fl::ClientUpdateMessage update;
-  try {
-    update = core_.handle_round(msg);
-  } catch (const AuditError&) {
+  // Defenses run before the fault hook and before framing, so the wire —
+  // and the byte-exact frame cache — carry the defended update.
+  std::optional<fl::ClientUpdateMessage> update =
+      fl::run_client_round(core_, msg, defense_.get());
+  if (!update) {
     // The audit gate refused the dispatched model. Graceful refusal = silent
     // non-reply: the session stays up (an honest client has nothing to
     // apologize for), the server's round deadline excludes us like a
@@ -181,11 +183,8 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
     ++refused_;
     return;
   }
-  // Client-side defenses run before the fault hook and before framing, so
-  // the wire — and the byte-exact frame cache — carry the defended update.
-  if (defense_ && !defense_->empty()) defense_->apply(update);
   UpdateFault fault;
-  if (fault_hook_) fault = fault_hook_(msg.round, update);
+  if (fault_hook_) fault = fault_hook_(msg.round, *update);
   switch (fault.action) {
     case UpdateFault::Action::kDrop:
       // Dropout: vanish without a word; the server's round deadline (or the
@@ -202,7 +201,7 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
     case UpdateFault::Action::kSend:
     case UpdateFault::Action::kDuplicate:
     case UpdateFault::Action::kPartialClose: {
-      const auto frame = encode_update(update);
+      const auto frame = encode_update(*update);
       if (fault.action == UpdateFault::Action::kPartialClose) {
         outbox_.insert(outbox_.end(), frame.begin(),
                        frame.begin() +

@@ -1,5 +1,6 @@
-// Tests for the baseline defenses (DP mechanism, pruning), the update
-// postprocessor wiring, and implant detection.
+// Tests for the baseline defenses as defense-stack stages (DP as clip +
+// noise, pruning as topk), their wiring through the attack harness, and
+// implant detection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,12 +8,12 @@
 #include "attack/cah.h"
 #include "attack/detection.h"
 #include "attack/rtf.h"
-#include "core/baselines.h"
+#include "common/error.h"
 #include "core/experiment.h"
 #include "data/synthetic.h"
-#include "fl/client.h"
-#include "nn/model_io.h"
+#include "fl/defense.h"
 #include "nn/models.h"
+#include "obs/obs.h"
 
 namespace oasis::core {
 namespace {
@@ -22,125 +23,142 @@ std::vector<tensor::Tensor> toy_grads() {
           tensor::Tensor({2}, {0.0, 12.0})};
 }
 
+/// Runs a parsed stack over `grads` as client 0 of round 0.
+std::vector<tensor::Tensor> defend(const std::string& spec,
+                                   std::vector<tensor::Tensor> grads) {
+  fl::parse_defense_stack(spec)->apply(grads, fl::DefenseContext{});
+  return grads;
+}
+
 TEST(DpMechanism, ClipsGlobalNormWithoutNoise) {
-  DpGaussianMechanism dp(/*clip_norm=*/6.5, /*noise_multiplier=*/0.0);
-  common::Rng rng(1);
   // Global norm = sqrt(9+16+144) = 13 → scale 0.5.
-  const auto out = dp.process(toy_grads(), rng);
+  const auto out = defend("clip:6.5", toy_grads());
   EXPECT_DOUBLE_EQ(out[0][0], 1.5);
   EXPECT_DOUBLE_EQ(out[0][1], -2.0);
   EXPECT_DOUBLE_EQ(out[1][1], 6.0);
 }
 
 TEST(DpMechanism, LeavesSmallUpdatesUnclipped) {
-  DpGaussianMechanism dp(100.0, 0.0);
-  common::Rng rng(2);
-  const auto out = dp.process(toy_grads(), rng);
+  const auto out = defend("clip:100", toy_grads());
   EXPECT_DOUBLE_EQ(out[0][0], 3.0);
   EXPECT_DOUBLE_EQ(out[1][1], 12.0);
 }
 
 TEST(DpMechanism, NoiseHasCalibratedScale) {
-  const real clip = 2.0, sigma = 0.5;
-  DpGaussianMechanism dp(clip, sigma);
-  common::Rng rng(3);
-  // Zero gradients: output is pure noise with stddev sigma*clip = 1.
-  std::vector<tensor::Tensor> zeros{tensor::Tensor({10000})};
-  const auto out = dp.process(zeros, rng);
-  real sq = 0.0;
-  for (const auto v : out[0].data()) sq += v * v;
-  const real stddev = std::sqrt(sq / 10000.0);
-  EXPECT_NEAR(stddev, 1.0, 0.05);
+  // DP-SGD's σ·C parameterization: C = 2, σ = 0.5 is noise:1 after clip:2.
+  // Zero gradients: the output is pure noise with stddev 1 and mean 0.
+  const auto out = defend("clip:2,noise:1", {tensor::Tensor({10000})});
+  real sum = 0.0, sq = 0.0;
+  for (const auto v : out[0].data()) {
+    sum += v;
+    sq += v * v;
+  }
+  EXPECT_NEAR(std::sqrt(sq / 10000.0), 1.0, 0.05);
+  EXPECT_NEAR(sum / 10000.0, 0.0, 0.05);
 }
 
 TEST(DpMechanism, RejectsBadParameters) {
-  EXPECT_THROW(DpGaussianMechanism(0.0, 1.0), Error);
-  EXPECT_THROW(DpGaussianMechanism(1.0, -0.1), Error);
+  EXPECT_THROW(fl::parse_defense_stack("clip:0,noise:1"), ConfigError);
+  EXPECT_THROW(fl::parse_defense_stack("clip:1,noise:-0.1"), ConfigError);
+  EXPECT_THROW(fl::GaussianNoiseDefense(0.0), ConfigError);
 }
 
-TEST(TopKPruning, KeepsExactlyTheLargestEntries) {
-  TopKPruning prune(0.5);
-  common::Rng rng(4);
-  std::vector<tensor::Tensor> grads{
-      tensor::Tensor({4}, {0.1, -5.0, 2.0, -0.2})};
-  const auto out = prune.process(grads, rng);
+TEST(GaussianNoiseDefense, StddevIsCalibratedPerStage) {
+  // Each stddev is met on its own, and on one stack seed, round and client
+  // the stage scales the same standard-normal draws.
+  const auto sample_stddev = [](const tensor::Tensor& t) {
+    real sq = 0.0;
+    for (const auto v : t.data()) sq += v * v;
+    return std::sqrt(sq / static_cast<real>(t.size()));
+  };
+  const auto small = defend("noise:0.25", {tensor::Tensor({20000})});
+  const auto large = defend("noise:3", {tensor::Tensor({20000})});
+  EXPECT_NEAR(sample_stddev(small[0]), 0.25, 0.25 * 0.03);
+  EXPECT_NEAR(sample_stddev(large[0]), 3.0, 3.0 * 0.03);
+  for (index_t i = 0; i < 20000; ++i) {
+    EXPECT_NEAR(large[0][i], small[0][i] * 12.0, 1e-12 * std::abs(large[0][i]))
+        << i;
+  }
+}
+
+TEST(TopKDefense, KeepsExactlyTheLargestEntries) {
+  const auto out = defend("topk:0.5", {tensor::Tensor({4}, {0.1, -5.0, 2.0,
+                                                             -0.2})});
   EXPECT_DOUBLE_EQ(out[0][0], 0.0);
   EXPECT_DOUBLE_EQ(out[0][1], -5.0);
   EXPECT_DOUBLE_EQ(out[0][2], 2.0);
   EXPECT_DOUBLE_EQ(out[0][3], 0.0);
 }
 
-TEST(TopKPruning, KeepAllIsIdentity) {
-  TopKPruning prune(1.0);
-  common::Rng rng(5);
-  auto grads = toy_grads();
-  const auto out = prune.process(grads, rng);
+TEST(TopKDefense, KeepAllIsIdentity) {
+  const auto grads = toy_grads();
+  const auto out = defend("topk:1", grads);
   EXPECT_TRUE(out[0] == grads[0]);
   EXPECT_TRUE(out[1] == grads[1]);
 }
 
-TEST(TopKPruning, SparsityMatchesFraction) {
-  TopKPruning prune(0.1);
+TEST(TopKDefense, SparsityMatchesFraction) {
   common::Rng rng(6);
-  std::vector<tensor::Tensor> grads{tensor::Tensor::randn({1000}, rng)};
-  const auto out = prune.process(grads, rng);
+  const auto out = defend("topk:0.1", {tensor::Tensor::randn({1000}, rng)});
   index_t nonzero = 0;
   for (const auto v : out[0].data()) {
     if (v != 0.0) ++nonzero;
   }
   EXPECT_NEAR(static_cast<real>(nonzero), 100.0, 5.0);
-  EXPECT_THROW(TopKPruning(0.0), Error);
-  EXPECT_THROW(TopKPruning(1.5), Error);
 }
 
-TEST(Postprocessor, ClientAppliesItBeforeUpload) {
-  data::SynthConfig cfg;
-  cfg.num_classes = 4;
-  cfg.height = cfg.width = 8;
-  cfg.train_per_class = 2;
-  cfg.test_per_class = 0;
-  auto dataset = data::generate(cfg).train;
-  const fl::ModelFactory factory = [] {
-    common::Rng rng(9);
-    return nn::make_mlp({3, 8, 8}, {8}, 4, rng);
-  };
-  fl::Client client(0, dataset, factory, 4,
-                    std::make_shared<fl::IdentityPreprocessor>(),
-                    common::Rng(10));
-  // Mechanism with zero noise and tiny clip: every uploaded tensor must have
-  // tiny global norm.
-  client.set_update_postprocessor(
-      std::make_shared<DpGaussianMechanism>(1e-3, 0.0));
-  auto model = factory();
-  fl::GlobalModelMessage msg;
-  msg.model_state = nn::serialize_state(*model);
-  const auto update = client.handle_round(msg);
-  const auto grads = tensor::deserialize_tensors(update.gradients);
-  real sq = 0.0;
-  for (const auto& g : grads) {
-    for (const auto v : g.data()) sq += v * v;
-  }
-  EXPECT_NEAR(std::sqrt(sq), 1e-3, 1e-9);
+TEST(TopKDefense, SpecParserRejectsBadKeepFractions) {
+  EXPECT_THROW(fl::parse_defense_stack("topk:0"), ConfigError);
+  EXPECT_THROW(fl::parse_defense_stack("topk:1.5"), ConfigError);
+  EXPECT_THROW(fl::parse_defense_stack("topk:x"), ConfigError);
+  EXPECT_EQ(fl::parse_defense_stack("clip:1,topk:0.5")->name(),
+            "clip(1)+topk(0.5)");
 }
 
-TEST(Baselines, DpNoiseBlindsRtfButOasisKeepsGradientsExact) {
+data::InMemoryDataset synth_images(index_t classes, index_t size,
+                                   index_t per_class, std::uint64_t salt) {
   data::SynthConfig cfg;
-  cfg.num_classes = 10;
-  cfg.height = cfg.width = 12;
-  cfg.train_per_class = 3;
+  cfg.num_classes = classes;
+  cfg.height = cfg.width = size;
+  cfg.train_per_class = per_class;
   cfg.test_per_class = 0;
-  auto victim = data::generate(cfg).train;
-  cfg.seed ^= 77;
-  auto aux = data::generate(cfg).train;
+  cfg.seed ^= salt;
+  return data::generate(cfg).train;
+}
 
+AttackExperimentConfig small_rtf() {
   AttackExperimentConfig exp;
   exp.attack = AttackKind::kRtf;
   exp.batch_size = 4;
   exp.neurons = 100;
   exp.num_batches = 2;
   exp.seed = 5;
+  return exp;
+}
+
+TEST(Baselines, AttackExperimentDefendsTheCapturedUpload) {
+  // The attacker reconstructs from what the malicious server captured, so a
+  // stack on exp.defense must have run on every captured upload: once per
+  // attacked batch, and hard enough pruning blinds RTF.
+  const auto victim = synth_images(10, 12, 3, 0);
+  const auto aux = synth_images(10, 12, 3, 77);
+  AttackExperimentConfig exp = small_rtf();
   const auto undefended = run_attack_experiment(victim, aux, exp);
-  exp.postprocessor = std::make_shared<DpGaussianMechanism>(1.0, 1e-2);
+  exp.defense = fl::parse_defense_stack("topk:0.001");
+  obs::Counter& applied = obs::counter("fl.defense.applied");
+  const std::uint64_t before = applied.value();
+  const auto pruned = run_attack_experiment(victim, aux, exp);
+  EXPECT_EQ(applied.value() - before, exp.num_batches);
+  EXPECT_GT(undefended.mean_psnr(), 80.0);
+  EXPECT_LT(pruned.mean_psnr(), 30.0);
+}
+
+TEST(Baselines, DpNoiseBlindsRtfButOasisKeepsGradientsExact) {
+  const auto victim = synth_images(10, 12, 3, 0);
+  const auto aux = synth_images(10, 12, 3, 77);
+  AttackExperimentConfig exp = small_rtf();
+  const auto undefended = run_attack_experiment(victim, aux, exp);
+  exp.defense = fl::parse_defense_stack("clip:1,noise:0.01");
   const auto dp = run_attack_experiment(victim, aux, exp);
   EXPECT_GT(undefended.mean_psnr(), 80.0);
   EXPECT_LT(dp.mean_psnr(), 30.0);

@@ -239,7 +239,7 @@ void run_crash_seed(const Scenario& scenario, const Reference& ref,
   // post-rename) extra mass; io.cpp clamps to size + 1.
   const auto kill_offset = rng.uniform_int(0, ref.snapshot_size + 16);
 
-  const std::string tag = "s" + std::to_string(seed);
+  const std::string tag = std::string("s").append(std::to_string(seed));
   ChildSpec crash;
   crash.threads = threads;
   crash.ckpt_dir = scenario.path(tag + "_ckpt");
@@ -380,7 +380,7 @@ void run_shard_crash_seed(const Scenario& scenario, const Reference& ref,
   const auto kill_after =
       rng.uniform_int(1, kShardRounds * kShardCohort - 2);
 
-  const std::string tag = "s" + std::to_string(seed);
+  const std::string tag = std::string("s").append(std::to_string(seed));
   ChildSpec crash;
   crash.threads = threads;
   crash.ckpt_dir = scenario.path(tag + "_ckpt");

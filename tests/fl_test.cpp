@@ -37,13 +37,10 @@ ModelFactory tiny_factory(std::uint64_t seed) {
 }
 
 TEST(Aggregation, UnweightedMeanOfTwoUpdates) {
-  ClientUpdateMessage a, b;
-  a.num_examples = 1;
-  b.num_examples = 1;
-  a.gradients = tensor::serialize_tensors({tensor::Tensor({2}, {2.0, 4.0})});
-  b.gradients = tensor::serialize_tensors({tensor::Tensor({2}, {4.0, 8.0})});
-  const std::vector<ClientUpdateMessage> updates{a, b};
-  const auto avg = fedavg_unweighted(updates);
+  FedAvgAccumulator acc;
+  acc.add({tensor::Tensor({2}, {2.0, 4.0})}, 1.0);
+  acc.add({tensor::Tensor({2}, {4.0, 8.0})}, 1.0);
+  const auto avg = acc.average();
   ASSERT_EQ(avg.size(), 1u);
   EXPECT_DOUBLE_EQ(avg[0][0], 3.0);
   EXPECT_DOUBLE_EQ(avg[0][1], 6.0);
@@ -55,22 +52,23 @@ TEST(Aggregation, ExampleWeightedMean) {
   b.num_examples = 1;
   a.gradients = tensor::serialize_tensors({tensor::Tensor({1}, {4.0})});
   b.gradients = tensor::serialize_tensors({tensor::Tensor({1}, {8.0})});
-  const std::vector<ClientUpdateMessage> updates{a, b};
-  const auto avg = fedavg(updates);
-  EXPECT_DOUBLE_EQ(avg[0][0], (3.0 * 4.0 + 8.0) / 4.0);
+  FedAvgAccumulator acc;
+  acc.add(a);
+  acc.add(b);
+  EXPECT_DOUBLE_EQ(acc.average()[0][0], (3.0 * 4.0 + 8.0) / 4.0);
 }
 
 TEST(Aggregation, RejectsEmptyAndMismatched) {
-  const std::vector<ClientUpdateMessage> none;
-  EXPECT_THROW(fedavg(none), Error);
+  EXPECT_THROW((void)FedAvgAccumulator{}.average(), Error);
 
   ClientUpdateMessage a, b;
   a.num_examples = b.num_examples = 1;
   a.gradients = tensor::serialize_tensors({tensor::Tensor({2})});
   b.gradients =
       tensor::serialize_tensors({tensor::Tensor({2}), tensor::Tensor({2})});
-  const std::vector<ClientUpdateMessage> bad{a, b};
-  EXPECT_THROW(fedavg(bad), Error);
+  FedAvgAccumulator acc;
+  acc.add(a);
+  EXPECT_THROW(acc.add(b), Error);
 }
 
 TEST(Client, UpdateMatchesDirectGradientComputation) {
@@ -333,9 +331,13 @@ ClientUpdateMessage fake_update(std::uint64_t client_id, real value,
 }
 
 TEST(Aggregation, EmptyUpdateSetRaisesTypedError) {
-  const std::vector<ClientUpdateMessage> none;
-  EXPECT_THROW(fedavg(none), AggregationError);
-  EXPECT_THROW(fedavg_unweighted(none), AggregationError);
+  EXPECT_THROW((void)FedAvgAccumulator{}.average(), AggregationError);
+  ClientUpdateMessage empty;
+  empty.gradients = tensor::serialize_tensors({tensor::Tensor({2})});
+  FedAvgAccumulator acc;
+  EXPECT_THROW(acc.add(empty), AggregationError);  // zero examples
+  EXPECT_THROW(acc.add({tensor::Tensor({2})}, 0.0), AggregationError);
+  EXPECT_THROW((void)acc.average(), AggregationError);
 }
 
 TEST(Validation, RejectsEachFaultClassAndAggregatesTheRest) {

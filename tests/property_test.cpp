@@ -104,6 +104,24 @@ INSTANTIATE_TEST_SUITE_P(Factors, ShearFactorSweep,
 
 // ---- FedAvg algebra ----------------------------------------------------------
 
+/// Example-weighted FedAvg (paper Eq. 1) of `updates`, folded in order.
+std::vector<tensor::Tensor> fedavg(
+    const std::vector<fl::ClientUpdateMessage>& updates) {
+  fl::FedAvgAccumulator acc;
+  for (const auto& u : updates) acc.add(u);
+  return acc.average();
+}
+
+/// The plain 1/M mean: every update folded with weight 1.
+std::vector<tensor::Tensor> unweighted_mean(
+    const std::vector<fl::ClientUpdateMessage>& updates) {
+  fl::FedAvgAccumulator acc;
+  for (const auto& u : updates) {
+    acc.add(tensor::deserialize_tensors(u.gradients), 1.0);
+  }
+  return acc.average();
+}
+
 TEST(FedAvgAlgebra, AverageOfIdenticalUpdatesIsTheUpdate) {
   common::Rng rng(13);
   const tensor::Tensor g = tensor::Tensor::randn({6}, rng);
@@ -113,7 +131,7 @@ TEST(FedAvgAlgebra, AverageOfIdenticalUpdatesIsTheUpdate) {
     updates[i].num_examples = 4;
     updates[i].gradients = tensor::serialize_tensors({g});
   }
-  const auto avg = fl::fedavg(updates);
+  const auto avg = fedavg(updates);
   EXPECT_TRUE(tensor::allclose(avg[0], g));
 }
 
@@ -126,7 +144,7 @@ TEST(FedAvgAlgebra, WeightedAverageIsConvexCombination) {
   updates[0].gradients = tensor::serialize_tensors({a});
   updates[1].num_examples = 3;
   updates[1].gradients = tensor::serialize_tensors({b});
-  const auto avg = fl::fedavg(updates);
+  const auto avg = fedavg(updates);
   // Result must lie between min and max coordinatewise (convexity).
   for (index_t i = 0; i < 5; ++i) {
     EXPECT_GE(avg[0][i], std::min(a[i], b[i]) - 1e-12);
@@ -145,7 +163,7 @@ TEST(DefenseInvariants, AugmentedBatchNeverMutatesOriginals) {
   common::Rng rng(15);
   const tensor::Tensor images = tensor::Tensor::rand({3, 3, 12, 12}, rng);
   data::Batch batch{images, {0, 1, 2}};
-  for (const auto kinds :
+  for (const auto& kinds :
        {std::vector<augment::TransformKind>{
             augment::TransformKind::kMajorRotation},
         std::vector<augment::TransformKind>{
@@ -167,13 +185,13 @@ TEST(DefenseInvariants, EveryVariantSharesItsOriginalsMean) {
   common::Rng rng(16);
   const tensor::Tensor img = tensor::Tensor::rand({3, 16, 16}, rng);
   using augment::TransformKind;
-  for (const auto kinds : {std::vector<TransformKind>{TransformKind::kMajorRotation},
-                           std::vector<TransformKind>{TransformKind::kMinorRotation},
-                           std::vector<TransformKind>{TransformKind::kShear},
-                           std::vector<TransformKind>{TransformKind::kHorizontalFlip},
-                           std::vector<TransformKind>{TransformKind::kVerticalFlip},
-                           std::vector<TransformKind>{TransformKind::kMajorRotation,
-                                                      TransformKind::kShear}}) {
+  for (const auto& kinds : {std::vector<TransformKind>{TransformKind::kMajorRotation},
+                            std::vector<TransformKind>{TransformKind::kMinorRotation},
+                            std::vector<TransformKind>{TransformKind::kShear},
+                            std::vector<TransformKind>{TransformKind::kHorizontalFlip},
+                            std::vector<TransformKind>{TransformKind::kVerticalFlip},
+                            std::vector<TransformKind>{TransformKind::kMajorRotation,
+                                                       TransformKind::kShear}}) {
     const auto policy = augment::make_policy(kinds);
     for (const auto& v : policy.variants(img, rng)) {
       EXPECT_NEAR(v.mean(), img.mean(), 1e-12) << policy.label();
@@ -205,7 +223,7 @@ TEST(FedAvgAlgebra, AverageIsInvariantUnderClientOrderPermutation) {
   // differ in the last bits but never beyond.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto updates = random_updates(seed, 5, 8);
-    const auto base = fl::fedavg(updates);
+    const auto base = fedavg(updates);
 
     auto reversed = updates;
     std::reverse(reversed.begin(), reversed.end());
@@ -213,7 +231,7 @@ TEST(FedAvgAlgebra, AverageIsInvariantUnderClientOrderPermutation) {
     std::rotate(rotated.begin(), rotated.begin() + 2, rotated.end());
 
     for (const auto& permuted : {reversed, rotated}) {
-      const auto avg = fl::fedavg(permuted);
+      const auto avg = fedavg(permuted);
       ASSERT_EQ(avg.size(), base.size());
       for (std::size_t t = 0; t < base.size(); ++t) {
         EXPECT_TRUE(tensor::allclose(avg[t], base[t], 1e-12, 1e-12))
@@ -230,8 +248,8 @@ TEST(FedAvgAlgebra, AverageIsHomogeneousInExampleWeights) {
     const auto updates = random_updates(seed ^ 0xABCD, 4, 6);
     auto scaled = updates;
     for (auto& u : scaled) u.num_examples *= 3;
-    const auto base = fl::fedavg(updates);
-    const auto avg = fl::fedavg(scaled);
+    const auto base = fedavg(updates);
+    const auto avg = fedavg(scaled);
     for (std::size_t t = 0; t < base.size(); ++t) {
       EXPECT_TRUE(tensor::allclose(avg[t], base[t], 1e-12, 1e-12))
           << "seed " << seed;
@@ -243,8 +261,8 @@ TEST(FedAvgAlgebra, UniformWeightsMatchUnweightedAverage) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     auto updates = random_updates(seed ^ 0x77, 6, 5);
     for (auto& u : updates) u.num_examples = 7;
-    const auto weighted = fl::fedavg(updates);
-    const auto unweighted = fl::fedavg_unweighted(updates);
+    const auto weighted = fedavg(updates);
+    const auto unweighted = unweighted_mean(updates);
     for (std::size_t t = 0; t < weighted.size(); ++t) {
       EXPECT_TRUE(tensor::allclose(weighted[t], unweighted[t], 1e-12, 1e-12))
           << "seed " << seed;
@@ -503,16 +521,33 @@ TEST(CohortSampling, GrowingTheTargetOnlyAddsMembers) {
 }
 
 TEST(ShardedFedAvg, StreamingAccumulatorMatchesBatchFedavgExactly) {
-  // The sharded engine streams through FedAvgAccumulator; the materialized
-  // path batches through fedavg(). Same update sequence → same fold order →
-  // byte-identical averages. This is the reducer half of the differential
-  // shard tests, isolated from the round machinery.
+  // The accumulator folds one update at a time; the batch form of Eq. 1
+  // scales the first update, adds the rest with their weights, then divides
+  // by the total. Same update sequence → same fold order → byte-identical
+  // averages. This is the reducer half of the differential shard tests,
+  // isolated from the round machinery.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const auto updates = random_updates(seed ^ 0x51A2D, 7, 6);
     fl::FedAvgAccumulator acc;
     for (const auto& u : updates) acc.add(u);
     const auto streamed = acc.average();
-    const auto batched = fl::fedavg(updates);
+
+    std::vector<tensor::Tensor> batched;
+    real total = 0.0;
+    for (const auto& u : updates) {
+      const auto w = static_cast<real>(u.num_examples);
+      auto grads = tensor::deserialize_tensors(u.gradients);
+      if (batched.empty()) {
+        batched = std::move(grads);
+        for (auto& t : batched) t *= w;
+      } else {
+        for (std::size_t t = 0; t < grads.size(); ++t) {
+          batched[t].add_scaled_(grads[t], w);
+        }
+      }
+      total += w;
+    }
+    for (auto& t : batched) t /= total;
     ASSERT_EQ(streamed.size(), batched.size());
     for (std::size_t t = 0; t < batched.size(); ++t) {
       EXPECT_TRUE(streamed[t] == batched[t]) << "seed " << seed;
@@ -681,7 +716,7 @@ TEST(RobustAggregation, AgreesWithFedAvgOnHomogeneousCohorts) {
       updates[i].num_examples = 2;
       updates[i].gradients = tensor::serialize_tensors(one);
     }
-    const auto avg = fl::fedavg_unweighted(updates);
+    const auto avg = unweighted_mean(updates);
     const auto med = fl::coordinate_median(sets);
     const auto trim = fl::trimmed_mean(sets, 0.2);
     for (std::size_t t = 0; t < one.size(); ++t) {
@@ -701,7 +736,7 @@ TEST(RobustAggregation, ZeroTrimIsTheUnweightedMeanAndBoundsAreEnforced) {
       updates[i].num_examples = 3;
       updates[i].gradients = tensor::serialize_tensors(sets[i]);
     }
-    const auto mean = fl::fedavg_unweighted(updates);
+    const auto mean = unweighted_mean(updates);
     const auto trim0 = fl::trimmed_mean(sets, 0.0);
     for (std::size_t t = 0; t < mean.size(); ++t) {
       EXPECT_TRUE(tensor::allclose(trim0[t], mean[t], 1e-12, 1e-12));

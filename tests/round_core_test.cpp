@@ -25,6 +25,7 @@
 
 #include "ckpt/container.h"
 #include "common/error.h"
+#include "fl/fault.h"
 #include "fl/population.h"
 #include "fl/shard.h"
 #include "fl/simulation.h"
@@ -170,6 +171,88 @@ TEST(RoundCoreDifferential, StreamingEnginesRefuseBufferingAggregators) {
     EXPECT_THROW(net::FlServer(*core, socket_config()), ConfigError) << spec;
     // The materialized engine holds the whole cohort anyway and buffers.
     EXPECT_FALSE(run_simulation(buffering).empty()) << spec;
+  }
+}
+
+// --- Faults and defenses through the shared client step ---------------------
+
+constexpr index_t kFaultedRounds = 4;
+
+/// Delivery faults only. Dropout and straggler are left out: the engines'
+/// retry semantics differ by design (Simulation retries, the sharded engine
+/// is single-attempt).
+FaultPlan delivery_faults() {
+  FaultConfig cfg;
+  cfg.corrupt_prob = 0.3;
+  cfg.poison_prob = 0.2;
+  cfg.byzantine_fraction = 0.2;
+  return FaultPlan(cfg);
+}
+
+using Tallies = std::map<std::string, std::uint64_t>;
+
+/// The fl.fault.*, fl.defense.* and fl.validate.* counters, as of now.
+Tallies tallies() {
+  Tallies out;
+  for (const auto& [name, value] : obs::Registry::global().counters()) {
+    for (const char* prefix : {"fl.fault.", "fl.defense.", "fl.validate."}) {
+      if (name.rfind(prefix, 0) == 0) out[name] = value;
+    }
+  }
+  return out;
+}
+
+struct Outcome {
+  tensor::ByteBuffer model;
+  Tallies counted;  // counter deltas over the run, zeros dropped
+};
+
+/// Runs `engine` under the delivery faults and a clip + noise + mask stack.
+template <typename Engine>
+Outcome run_defended(Engine& engine) {
+  engine.set_fault_plan(delivery_faults());
+  engine.set_defense_stack(parse_defense_stack("clip:1,noise:0.001,mask"));
+  const Tallies before = tallies();
+  engine.run(kFaultedRounds);
+  Outcome out;
+  out.model = nn::serialize_state(engine.server().global_model());
+  for (const auto& [name, value] : tallies()) {
+    const auto it = before.find(name);
+    const std::uint64_t delta = value - (it == before.end() ? 0 : it->second);
+    if (delta != 0) out.counted[name] = delta;
+  }
+  return out;
+}
+
+TEST(RoundCoreDifferential, FaultedDefendedRoundsMatchAcrossInProcessEngines) {
+  runtime::set_num_threads(1);
+  SimulationConfig sim_cfg{/*clients_per_round=*/0, kSelectionSeed};
+  sim_cfg.max_attempts = 1;
+  Simulation sim(test_server(AggregatorConfig{}),
+                 VirtualPopulation(test_population()).materialize(), sim_cfg);
+  const Outcome want = run_defended(sim);
+  // The input must exercise every delivery fault and every stack stage.
+  for (const char* name :
+       {"fl.fault.corrupt", "fl.fault.poison", "fl.fault.byzantine",
+        "fl.fault.duplicate", "fl.defense.clip", "fl.defense.noise",
+        "fl.defense.mask", "fl.validate.accepted", "fl.validate.rejected"}) {
+    EXPECT_GT(want.counted.count(name), 0u) << name << " never counted";
+  }
+
+  for (const index_t shard_size : {index_t{1}, index_t{3}, kPopulation}) {
+    for (const index_t threads : {index_t{1}, index_t{4}}) {
+      runtime::set_num_threads(threads);
+      ShardedSimulation engine(test_server(AggregatorConfig{}),
+                               VirtualPopulation(test_population()),
+                               sharded_config(shard_size));
+      const Outcome got = run_defended(engine);
+      runtime::set_num_threads(1);
+      EXPECT_TRUE(got.model == want.model)
+          << "sharded engine diverged at shard_size=" << shard_size
+          << " threads=" << threads;
+      EXPECT_EQ(got.counted, want.counted)
+          << "shard_size=" << shard_size << " threads=" << threads;
+    }
   }
 }
 

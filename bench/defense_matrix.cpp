@@ -39,22 +39,23 @@ using namespace oasis::bench;
 constexpr index_t kNeurons = 48;
 constexpr index_t kBatch = 8;
 
-/// A parsed stack plus the preprocessor honoring its "oasis" token.
+/// One grid row: its label, the parsed update stack, and the clients'
+/// preprocessor (OASIS MR when the row is OASIS-defended).
 struct DefenseRow {
   std::string spec;
   std::shared_ptr<fl::DefenseStack> stack;
   fl::PreprocessorPtr preprocessor;
 };
 
-DefenseRow make_defense_row(const std::string& spec) {
+DefenseRow make_defense_row(const std::string& label,
+                            const std::string& stack_spec, bool oasis) {
   DefenseRow row;
-  row.spec = spec;
-  row.stack = fl::parse_defense_stack(spec);
+  row.spec = label;
+  row.stack = fl::parse_defense_stack(stack_spec);
   row.preprocessor = core::make_preprocessor(
-      row.stack->augmentation_requested()
-          ? std::vector<augment::TransformKind>{
-                augment::TransformKind::kMajorRotation}
-          : std::vector<augment::TransformKind>{});
+      oasis ? std::vector<augment::TransformKind>{
+                  augment::TransformKind::kMajorRotation}
+            : std::vector<augment::TransformKind>{});
   return row;
 }
 
@@ -92,8 +93,8 @@ std::vector<real> attack_psnr(attack::ActiveAttack& atk,
 }
 
 /// Utility cost of one defense stack: an honest 4-client federation trains
-/// with the stack installed (clip/noise land on every uploaded update, the
-/// oasis token becomes the clients' preprocessor) and the global model is
+/// with the stack installed (clip/noise land on every uploaded update, an
+/// OASIS row sets the clients' preprocessor) and the global model is
 /// scored on the held-out test split.
 real honest_accuracy(const fl::ModelFactory& factory,
                      const data::InMemoryDataset& train,
@@ -157,12 +158,17 @@ int main(int argc, char** argv) {
     return nn::make_attack_host(spec, kNeurons, cfg.num_classes, model_rng);
   };
 
-  const char* kStacks[] = {
-      "none",
-      "clip:5",
-      "clip:5,noise:0.01",
-      "oasis",
-      "clip:5,noise:0.01,oasis",
+  struct RowSpec {
+    const char* label;
+    const char* stack;
+    bool oasis;
+  };
+  const RowSpec kRows[] = {
+      {"none", "none", false},
+      {"clip:5", "clip:5", false},
+      {"clip:5,noise:0.01", "clip:5,noise:0.01", false},
+      {"oasis", "none", true},
+      {"clip:5,noise:0.01,oasis", "clip:5,noise:0.01", true},
   };
 
   metrics::ExperimentReport report("defense_matrix");
@@ -170,8 +176,8 @@ int main(int argc, char** argv) {
             << std::left << std::setw(26) << "defense stack" << std::right
             << std::setw(14) << "accuracy(%)" << std::setw(14) << "RTF PSNR"
             << std::setw(14) << "CAH PSNR" << "\n";
-  for (const char* spec_str : kStacks) {
-    const auto defense = make_defense_row(spec_str);
+  for (const RowSpec& r : kRows) {
+    const auto defense = make_defense_row(r.label, r.stack, r.oasis);
 
     // The honest ("none" attack) cell: utility only.
     const real acc =

@@ -14,7 +14,7 @@
 # then a ThreadSanitizer build exercising the concurrency-heavy tests
 # (runtime pool + FL rounds + chaos + crash/resume + the 8-thread sharded
 # differential), and a portable (-DOASIS_NATIVE_ARCH=OFF) build replaying
-# the raw shear/rotate byte pins.
+# the augment byte pins and the golden round suite.
 #
 # Every test carries a ctest LABEL (unit | integration | sanitizer |
 # property | golden | chaos | crash | net | net_chaos | shard | defense) and
@@ -35,8 +35,8 @@
 #                      # Byzantine chaos suite under TSan
 #   ./ci.sh tsan       # TSan stage only
 #   ./ci.sh portable   # a -DOASIS_NATIVE_ARCH=OFF build replaying the
-#                      # raw-warp half of the augment byte pin
-#                      # (AugmentPin.Raw*) against the native constants
+#                      # augment byte pins and golden_test against the
+#                      # native constants
 #   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
 #                      # blocked-vs-naive floors, the dispatched ISA vs
 #                      # scalar on the round's conv shapes, the CRC32C
@@ -209,17 +209,17 @@ run_tsan() {
 }
 
 run_portable() {
-  # Bytes that must not depend on -march: the sinc shear spells its fma
-  # out, so shear()/rotate() match the native build's pinned CRCs without
-  # FMA contraction. Only the raw-warp pins run here. The policy-level
-  # AugmentPin tests, and the MiniConvNet/golden/kernel pins, still depend
-  # on contraction (Rng::uniform's lo + (hi - lo)*u, the scalar GEMM
-  # kernel) and would fail in this build.
-  echo "==> [ci] Portable stage: -DOASIS_NATIVE_ARCH=OFF build, AugmentPin.Raw*"
+  # Bytes that must not depend on -march: the sinc shear and Rng::uniform
+  # spell their fma out, so the augment pins and the golden round match the
+  # native build's pinned CRCs without FMA contraction. The MiniConvNet and
+  # kernel pins still depend on the scalar GEMM kernel's contraction and
+  # would fail in this build.
+  echo "==> [ci] Portable stage: -DOASIS_NATIVE_ARCH=OFF build, augment_pin_test + golden_test"
   cmake -B build-portable -S . -DCMAKE_BUILD_TYPE=Release \
     -DOASIS_NATIVE_ARCH=OFF
-  cmake --build build-portable -j "${jobs}" --target augment_pin_test
-  ./build-portable/tests/augment_pin_test --gtest_filter='AugmentPin.Raw*'
+  cmake --build build-portable -j "${jobs}" --target augment_pin_test golden_test
+  ./build-portable/tests/augment_pin_test
+  ./build-portable/tests/golden_test
 }
 
 run_perf() {

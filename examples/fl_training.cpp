@@ -105,8 +105,9 @@ int main(int argc, char** argv) {
   cli.add_flag("fault-seed", "fault plan seed", "677200");
   cli.add_flag("defense",
                "client-side defense stack: comma-separated clip:<norm>, "
-               "noise:<stddev>, topk:<keep>, mask, oasis, e.g. "
-               "clip:10,noise:0.01,mask (none = disabled)", "none");
+               "noise:<stddev>, topk:<keep>, mask, e.g. "
+               "clip:10,noise:0.01,mask (none = disabled; OASIS is "
+               "--transform)", "none");
   cli.add_flag("aggregator",
                "server aggregation rule "
                "(fedavg|median|trimmed[:f]|normbound[:b]); --population and "

@@ -11,6 +11,12 @@
 // file silently falls back to its predecessor, and only when every retained
 // generation is damaged (or none exists) does it throw
 // CheckpointError{kNoValidGeneration}.
+//
+// The sharded and socket engines snapshot mid-round too, and number their
+// generations with progress_generation(): round t at rest is t·2^20, and
+// round t with `frontier` units (shards, folds) done is t·2^20 + 1 +
+// frontier. The numbering is monotone across rounds and progress points, so
+// newest-first restore always lands on the latest progress.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +26,17 @@
 #include "ckpt/container.h"
 
 namespace oasis::ckpt {
+
+/// Generation stride per round: a round may record fewer than this many
+/// progress points (the engines refuse a round that could reach it).
+inline constexpr std::uint64_t kProgressPerRound = 1ULL << 20;
+
+/// The generation of round `round` at rest (`mid_round` false) or with
+/// `frontier` units of progress done (`mid_round` true).
+[[nodiscard]] constexpr std::uint64_t progress_generation(
+    std::uint64_t round, bool mid_round, std::uint64_t frontier) {
+  return round * kProgressPerRound + (mid_round ? 1 + frontier : 0);
+}
 
 class CheckpointManager {
  public:

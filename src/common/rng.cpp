@@ -48,7 +48,10 @@ real Rng::uniform(real lo, real hi) {
   // 53-bit mantissa yields uniform double in [0, 1).
   const real u01 =
       static_cast<real>((*this)() >> 11) * 0x1.0p-53;
-  return lo + (hi - lo) * u01;
+  // Spelled as one fused multiply-add so the bytes do not depend on whether
+  // the compiler contracts `lo + (hi - lo) * u01` (it does under
+  // -march=native on an FMA host, and cannot in a portable build).
+  return std::fma(hi - lo, u01, lo);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

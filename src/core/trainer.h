@@ -2,7 +2,6 @@
 // with vs without OASIS).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "augment/transforms.h"
@@ -20,25 +19,6 @@ struct TrainerConfig {
   /// OASIS). Augmented copies inherit their original's label, per Section 4.
   std::vector<augment::TransformKind> transforms;
   std::uint64_t seed = 17;
-  /// Optional per-epoch callback (epoch, train_loss, test_accuracy).
-  std::function<void(index_t, real, real)> on_epoch;
-  /// Evaluate test accuracy every `eval_every` epochs (and always at the
-  /// end); 0 disables intermediate evaluation.
-  index_t eval_every = 0;
-
-  // --- Durable checkpointing (off by default) ---
-  /// When non-empty, an "oasis.ckpt/v1" snapshot (model, optimizer slots,
-  /// RNG stream position, loss history) is written here crash-consistently
-  /// at every `checkpoint_every`-th epoch boundary.
-  std::string checkpoint_dir;
-  index_t checkpoint_every = 1;
-  /// Retained generations (older ones are pruned).
-  int checkpoint_keep = 3;
-  /// Resume from the newest valid generation in checkpoint_dir before
-  /// training. Starts fresh when the directory holds no loadable snapshot.
-  /// A resumed run is bit-identical to an uninterrupted one (same model
-  /// bytes, same epoch_loss history).
-  bool resume = false;
 };
 
 struct TrainResult {

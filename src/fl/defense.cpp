@@ -203,12 +203,10 @@ std::shared_ptr<DefenseStack> parse_defense_stack(const std::string& spec,
       stack->add(std::make_unique<TopKDefense>(parse_arg("keep")));
     } else if (kind == "mask") {
       stack->add(std::make_unique<SecAggMaskDefense>());
-    } else if (kind == "oasis") {
-      stack->request_augmentation();
     } else {
       throw ConfigError("unknown defense '" + token +
                         "' (expected clip:<norm>, noise:<stddev>, "
-                        "topk:<keep>, mask, or oasis)");
+                        "topk:<keep> or mask)");
     }
   }
   return stack;

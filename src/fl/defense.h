@@ -6,8 +6,8 @@
 // An ordered DefenseStack composes them, and it is the only update
 // transform: every engine applies it through the shared client step
 // (fl/client_step.h). The OASIS augmentation operates on the training BATCH
-// before gradients exist (fl/preprocessor.h), so the stack only records the
-// request and federation builders install the preprocessor on their clients.
+// before gradients exist (fl/preprocessor.h), so it is not a stage:
+// federation builders install the preprocessor on their clients.
 //
 // Determinism contract. Every randomized stage draws from a stream that is a
 // pure function of (stack seed, defense index, round, client id), derived
@@ -138,14 +138,6 @@ class DefenseStack {
   /// True when any stage needs the round cohort (see Defense).
   [[nodiscard]] bool requires_cohort() const;
 
-  /// The "oasis" spec token. The stack cannot apply augmentation itself (it
-  /// transforms the training batch, not the gradients); federation builders
-  /// construct the preprocessor and install it on their clients.
-  void request_augmentation() { augmentation_requested_ = true; }
-  [[nodiscard]] bool augmentation_requested() const {
-    return augmentation_requested_;
-  }
-
   /// Fallback cohort for cohort-aware stages when the engine cannot supply
   /// one (the socket path, where a client never learns the round cohort).
   void set_static_cohort(std::vector<std::uint64_t> cohort) {
@@ -177,19 +169,19 @@ class DefenseStack {
 
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Defense>> defenses_;
-  bool augmentation_requested_ = false;
   std::vector<std::uint64_t> static_cohort_;
 };
 
 using DefenseStackPtr = std::shared_ptr<const DefenseStack>;
 
 /// Builds a stack from a comma-separated spec, preserving stage order:
-///   "clip:10,noise:0.01,mask,oasis"   (also "none" / "" → empty stack)
+///   "clip:10,noise:0.01,mask"   (also "none" / "" → empty stack)
 /// clip:<max_norm> and noise:<stddev> take a number, which the stage
 /// constructor requires to be finite and positive; topk:<keep> takes a
-/// fraction in (0, 1]; "mask"
-/// adds SecAggMaskDefense; "oasis" sets augmentation_requested() for the
-/// caller to honor. Throws ConfigError on an unknown token or bad parameter.
+/// fraction in (0, 1]; "mask" adds SecAggMaskDefense. OASIS augments the
+/// training batch, not the update, so it is the clients' preprocessor and
+/// not a stage here. Throws ConfigError on an unknown token or bad
+/// parameter.
 std::shared_ptr<DefenseStack> parse_defense_stack(
     const std::string& spec, std::uint64_t seed = DefenseStack::kDefaultSeed);
 

@@ -188,7 +188,7 @@ void FaultPlan::apply(ClientUpdateMessage& update, const ClientFault& fault,
       break;
     }
     case PoisonKind::kNormScale:
-      for (auto& t : grads) t *= config_.poison_scale;
+      for (auto& t : grads) t *= kPoisonScale;
       break;
   }
   update.gradients = tensor::serialize_tensors(grads);

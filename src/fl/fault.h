@@ -55,8 +55,11 @@ enum class CorruptionKind : std::uint8_t {
 enum class PoisonKind : std::uint8_t {
   kNaN = 0,    // a handful of gradient values replaced with quiet NaN
   kInf,        // ...or with ±infinity
-  kNormScale,  // all gradients multiplied by `poison_scale`
+  kNormScale,  // all gradients multiplied by kPoisonScale
 };
+
+/// Gradient multiplier for PoisonKind::kNormScale.
+inline constexpr real kPoisonScale = 1e9;
 
 enum class ByzantineKind : std::uint8_t {
   /// g → −byzantine_scale · g: the classic gradient-ascent attack. The mean
@@ -85,8 +88,6 @@ struct FaultConfig {
   /// Straggler delay drawn uniformly from [min, max] virtual-clock ticks.
   std::uint64_t straggler_min_ticks = 50;
   std::uint64_t straggler_max_ticks = 400;
-  /// Gradient multiplier for PoisonKind::kNormScale.
-  real poison_scale = 1e9;
   /// Fraction of the POPULATION that is persistently Byzantine. Membership
   /// is a pure function of (seed, client id) — independent of round and
   /// attempt, and NOT part of the per-delivery probability partition above

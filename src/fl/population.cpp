@@ -72,8 +72,7 @@ std::unique_ptr<Client> VirtualPopulation::make_client(std::uint64_t id) const {
   // anyway so nothing aliases if a caller ever opts out of round keying.
   auto client = std::make_unique<Client>(
       id, std::move(local), config_.factory, config_.batch_size,
-      config_.preprocessor, population_stream(config_.seed, kCtorSalt, id),
-      config_.sampling, config_.loss_kind);
+      config_.preprocessor, population_stream(config_.seed, kCtorSalt, id));
   client->set_round_keyed_rng(config_.seed);
   if (config_.auditor) client->set_model_auditor(config_.auditor);
   return client;

@@ -50,8 +50,6 @@ struct VirtualPopulationConfig {
   // --- Training configuration shared by every client ---
   ModelFactory factory;          // must be PURE — see file comment
   PreprocessorPtr preprocessor;  // nullptr → IdentityPreprocessor
-  LossKind loss_kind = LossKind::kSoftmaxCrossEntropy;
-  BatchSampling sampling = BatchSampling::kUniform;
   /// Model-audit gate installed on every materialized client (see
   /// Client::set_model_auditor). Must be pure/stateless for the same reason
   /// as `factory` — it runs on pool workers, possibly concurrently. Empty =

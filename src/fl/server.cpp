@@ -70,11 +70,11 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
   static obs::Counter& checksum_c =
       obs::counter("fl.validate.reject.checksum");
 
+  observe_update(update);
   RejectReason reason = RejectReason::kAccepted;
-  if (validation_.check_round_id && update.round != round_) {
+  if (update.round != round_) {
     reason = RejectReason::kWrongRound;
-  } else if (validation_.check_duplicates &&
-             !screen.seen_ids.insert(update.client_id).second) {
+  } else if (!screen.seen_ids.insert(update.client_id).second) {
     reason = RejectReason::kDuplicate;
   } else if (update.num_examples == 0) {
     reason = RejectReason::kZeroExamples;
@@ -86,7 +86,7 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
       const tensor::TensorScan scan = tensor::scan_tensors(update.gradients);
       if (scan.shapes != screen.expected_shapes) {
         reason = RejectReason::kShapeMismatch;
-      } else if (validation_.check_finite && !scan.all_finite) {
+      } else if (!scan.all_finite) {
         reason = RejectReason::kNonFinite;
       } else if (validation_.max_grad_norm > 0.0 &&
                  std::sqrt(scan.sum_squares) > validation_.max_grad_norm) {
@@ -181,10 +181,8 @@ GlobalModelMessage MaliciousServer::begin_round() {
   return Server::begin_round();
 }
 
-RoundOutcome MaliciousServer::finish_round(
-    std::span<const ClientUpdateMessage> updates, index_t min_valid) {
-  captured_.insert(captured_.end(), updates.begin(), updates.end());
-  return Server::finish_round(updates, min_valid);
+void MaliciousServer::observe_update(const ClientUpdateMessage& update) {
+  captured_.push_back(update);
 }
 
 }  // namespace oasis::fl

@@ -20,7 +20,6 @@
 
 #include "fl/aggregation.h"
 #include "fl/message.h"
-#include "nn/optimizer.h"
 #include "nn/sequential.h"
 #include "tensor/shape.h"
 
@@ -41,14 +40,11 @@ enum class RejectReason : std::uint8_t {
 
 const char* to_string(RejectReason reason);
 
-/// Which screens finish_round() applies. Defaults keep every structural and
-/// protocol check on; the norm screen is opt-in because legitimate workloads
-/// (e.g. secure-aggregation masked updates, which look like white noise)
-/// have no universal norm band.
+/// The one tunable screen. The structural and protocol screens (round id,
+/// duplicate, example count, shapes, finiteness) always run; the norm
+/// screen is opt-in because legitimate workloads (e.g. secure-aggregation
+/// masked updates, which look like white noise) have no universal norm band.
 struct ValidationConfig {
-  bool check_round_id = true;
-  bool check_duplicates = true;
-  bool check_finite = true;
   real max_grad_norm = 0.0;  // 0 disables the norm screen
 };
 
@@ -93,8 +89,8 @@ class Server {
   /// the model — when fewer than `min_valid` updates survive validation;
   /// with zero valid updates (and min_valid == 0) the SGD step is skipped
   /// rather than dividing by a zero example count.
-  virtual RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates,
-                                    index_t min_valid);
+  RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates,
+                            index_t min_valid);
 
   /// Legacy entry point: no quorum requirement.
   RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates) {
@@ -116,6 +112,8 @@ class Server {
   /// duplicate, example count, structural scan, finiteness, norm band) and
   /// tallies the verdict through the fl.validate.* obs counters. Accepted
   /// updates register their client id in `screen` for duplicate detection.
+  /// Every engine screens every update it receives here, so this is also
+  /// where observe_update() sees it.
   RejectReason screen_update(const ClientUpdateMessage& update,
                              UpdateScreen& screen);
 
@@ -150,6 +148,10 @@ class Server {
   void restore_round(std::uint64_t round) { round_ = round; }
 
  protected:
+  /// Called once per update screen_update() receives, before any screen
+  /// runs, in the engine's fold order. The honest server ignores it.
+  virtual void observe_update(const ClientUpdateMessage& /*update*/) {}
+
   std::unique_ptr<nn::Sequential> model_;
   real learning_rate_;
   ValidationConfig validation_;
@@ -175,15 +177,15 @@ class MaliciousServer : public Server {
                   real learning_rate, ModelManipulator manipulator);
 
   GlobalModelMessage begin_round() override;
-  using Server::finish_round;
-  RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates,
-                            index_t min_valid) override;
 
-  /// All updates captured so far (most recent round last).
+  /// All updates captured so far (most recent round last), in fold order,
+  /// rejected ones included. The same under every engine.
   [[nodiscard]] const std::vector<ClientUpdateMessage>& captured() const {
     return captured_;
   }
-  void clear_captured() { captured_.clear(); }
+
+ protected:
+  void observe_update(const ClientUpdateMessage& update) override;
 
  private:
   ModelManipulator manipulator_;

@@ -118,7 +118,7 @@ void ShardedSimulation::begin_round_state() {
     scan_pos_ = 0;
   }
   num_shards_ = (cohort_size_ + config_.shard_size - 1) / config_.shard_size;
-  OASIS_CHECK_MSG(num_shards_ < kMaxShardsPerRound,
+  OASIS_CHECK_MSG(num_shards_ < ckpt::kProgressPerRound,
                   num_shards_ << " shards exceed the generation-numbering "
                                  "ceiling; raise shard_size");
   shard_done_.assign(num_shards_, false);
@@ -277,12 +277,11 @@ void ShardedSimulation::run(index_t rounds,
 // ---- Checkpoint / resume ----------------------------------------------------
 
 std::uint64_t ShardedSimulation::checkpoint_generation() const {
-  // Monotone across rounds AND shards: a resting snapshot after round t-1
-  // numbers t·2^20, mid-round shard boundaries of the round with ticket t
-  // number t·2^20 + 1 + next_shard. Newest-first restore therefore always
-  // lands on the latest progress point.
-  return mid_round_ ? ticket_ * kMaxShardsPerRound + 1 + next_shard_
-                    : round_tickets_ * kMaxShardsPerRound;
+  // A resting snapshot after round t-1 is round t at rest; mid-round shard
+  // boundaries of the round with ticket t count next_shard as progress.
+  return mid_round_
+             ? ckpt::progress_generation(ticket_, true, next_shard_)
+             : ckpt::progress_generation(round_tickets_, false, 0);
 }
 
 tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {

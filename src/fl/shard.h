@@ -127,10 +127,6 @@ using ClientHook =
 
 class ShardedSimulation {
  public:
-  /// Shards-per-round ceiling imposed by the checkpoint generation
-  /// numbering (generation = ticket·2^20 + shard).
-  static constexpr std::uint64_t kMaxShardsPerRound = 1ULL << 20;
-
   /// Throws ConfigError on shard_size == 0, cohort_size > population,
   /// quorum_fraction outside [0, 1], or a server aggregator that buffers the
   /// cohort (median, trimmed mean).
@@ -194,8 +190,9 @@ class ShardedSimulation {
   void restore_checkpoint(const tensor::ByteBuffer& bytes);
 
   /// encode_checkpoint() → manager.save(generation); returns the path.
-  /// Generations interleave rounds and shards monotonically:
-  /// ticket·2^20 + 1 + next_shard mid-round, round_tickets·2^20 at rest.
+  /// Generations interleave rounds and shards monotonically
+  /// (ckpt::progress_generation): ticket·2^20 + 1 + next_shard mid-round,
+  /// round_tickets·2^20 at rest.
   std::string save_checkpoint(ckpt::CheckpointManager& manager);
 
   /// Restores from the manager's newest valid generation and returns the

@@ -60,8 +60,6 @@ std::vector<std::uint64_t> Simulation::run_round() {
   // protocol round id: an aborted round leaves the server's round id in
   // place, and keying faults on it would replay the identical failure.
   const std::uint64_t ticket = round_tickets_++;
-  const bool ft_active =
-      fault_plan_.active() || config_.quorum_fraction > 0.0;
 
   server_->begin_round();
   // Dispatch serially: a (possibly malicious) server may build per-client
@@ -151,19 +149,12 @@ std::vector<std::uint64_t> Simulation::run_round() {
 
   const index_t needed = RoundCore::quorum_needed(config_.quorum_fraction, m);
 
-  // Snapshot only when the engine can actually abort or drop updates — the
-  // honest path stays copy-free.
-  tensor::ByteBuffer snapshot;
-  if (ft_active) snapshot = nn::serialize_state(server_->global_model());
   {
     const obs::ScopedTimer agg_span("aggregate");
     try {
       server_->finish_round(collected, needed);
     } catch (const QuorumError&) {
-      // finish_round throws before touching the model, but a subclass may
-      // have partially applied state — restore the pre-round snapshot so the
-      // abort is bit-exact regardless.
-      nn::deserialize_state(server_->global_model(), snapshot);
+      // finish_round throws before touching the model.
       aborted.add(1);
       throw;
     }

@@ -55,8 +55,6 @@ void ExperimentReport::set_context(const std::string& key, Value value) {
   context_.emplace_back(key, std::move(value));
 }
 
-void ExperimentReport::clear_context() { context_.clear(); }
-
 void ExperimentReport::begin_row() { rows_.push_back(context_); }
 
 void ExperimentReport::add(const std::string& key, Value value) {

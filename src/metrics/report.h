@@ -22,7 +22,6 @@ class ExperimentReport {
   /// Sets a context column applied to every subsequently added row
   /// (e.g. dataset=ImageNet, B=8). Re-setting a key overwrites it.
   void set_context(const std::string& key, Value value);
-  void clear_context();
 
   /// Starts a new row from the current context.
   void begin_row();

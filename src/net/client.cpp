@@ -109,7 +109,7 @@ void FlClient::open_connection(std::uint64_t now) {
   last_activity_ms_ = now;
   next_heartbeat_ms_ = now + config_.heartbeat_ms;
   tensor::ByteBuffer opener;
-  if (session_ && config_.enable_resume) {
+  if (session_) {
     // The resume handshake carries the in-flight-update claim that resolves
     // the lost-ack ambiguity server-side.
     resumes_c.add(1);
@@ -154,7 +154,6 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
   static obs::Counter& sent_c = obs::counter("net.client.updates_sent");
   static obs::Counter& dropped_c = obs::counter("net.client.updates_dropped");
   models.add(1);
-  ++models_;
   if (cache_) {
     if (msg.round == cache_->round) {
       // A round this client already trained, re-dispatched: the server

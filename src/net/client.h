@@ -38,8 +38,7 @@
 // (dropout), send twice (duplicate delivery), or close mid-frame (the
 // truncation fault the server's decoder must survive). A faulty delivery
 // also forgets the session: the client rejoins with a plain hello and sits
-// out the rest of the round under the server's backpressure, exactly like
-// the pre-resume dropout behavior the fault tests pin down.
+// out the rest of the round under the server's backpressure.
 #pragma once
 
 #include <cstdint>
@@ -96,9 +95,6 @@ struct FlClientConfig {
   /// Interval between client-sent kHeartbeat frames while connected and
   /// handshaked. 0 = no heartbeats.
   std::uint64_t heartbeat_ms = 0;
-  /// Reconnects use the kResume session handshake once a session exists.
-  /// Disabled, every reconnect is a fresh hello (pre-§5j behavior).
-  bool enable_resume = true;
   /// Hard ceiling on one inbound frame body.
   std::size_t max_frame_bytes = kDefaultMaxBodyBytes;
 };
@@ -146,7 +142,6 @@ class FlClient {
 
   [[nodiscard]] std::uint64_t rounds_completed() const { return completed_; }
   [[nodiscard]] std::uint64_t rounds_committed() const { return committed_; }
-  [[nodiscard]] std::uint64_t models_received() const { return models_; }
   [[nodiscard]] std::uint64_t updates_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
   [[nodiscard]] std::uint64_t retry_after_bounces() const { return bounced_; }
@@ -211,7 +206,6 @@ class FlClient {
   std::optional<CachedUpdate> cache_;
   std::uint64_t completed_ = 0;
   std::uint64_t committed_ = 0;
-  std::uint64_t models_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t bounced_ = 0;

@@ -20,12 +20,6 @@ obs::Counter& frame_error_counter(NetError::Reason reason) {
                       NetError::reason_name(reason));
 }
 
-/// Generation-number stride between resting snapshots: resting state after
-/// protocol round t numbers t·2^20, a mid-round snapshot of round t with
-/// fold frontier f numbers t·2^20 + 1 + f — the shard engine's monotone
-/// numbering, so newest-first restore always lands on the latest progress.
-constexpr std::uint64_t kMaxFoldsPerRound = 1ULL << 20;
-
 }  // namespace
 
 std::uint64_t steady_now_ms() {
@@ -70,7 +64,7 @@ FlServer::FlServer(fl::Server& core, FlServerConfig config, TimeSource now)
                                      << " below cohort_size "
                                      << config_.cohort_size);
   OASIS_CHECK_MSG(static_cast<std::uint64_t>(config_.cohort_size) <
-                      kMaxFoldsPerRound,
+                      ckpt::kProgressPerRound,
                   "cohort_size overflows the checkpoint generation stride");
   if (!now_) now_ = steady_now_ms;
   if (config_.selection_seed) {
@@ -98,18 +92,14 @@ std::uint16_t FlServer::port() const {
   return port_;
 }
 
-index_t FlServer::max_parked() const {
-  return config_.max_parked > 0 ? config_.max_parked : 2 * config_.cohort_size;
-}
-
 index_t FlServer::connection_count() const { return conns_.size(); }
 
-index_t FlServer::parked_count() const {
+bool FlServer::parked_full() const {
   index_t n = 0;
   for (const auto& c : conns_) {
     if (c.sock.valid() && c.state == Conn::State::kParked) ++n;
   }
-  return n;
+  return n >= 2 * config_.cohort_size;
 }
 
 void FlServer::fire_event(Event event) {
@@ -251,7 +241,7 @@ void FlServer::handle_hello(Conn& conn, const Hello& hello,
   }
   // Explicit backpressure: a round in flight, or a full parked pool, turns
   // the handshake away with a backoff hint instead of queueing unboundedly.
-  if (round_open_ || parked_count() >= max_parked()) {
+  if (round_open_ || parked_full()) {
     retry_after.add(1);
     send_frame(conn, encode_retry_after(config_.retry_after_ms));
     conn.close_after_flush = true;
@@ -328,7 +318,7 @@ void FlServer::handle_resume(Conn& conn, const Resume& resume,
   // No round open. A cached update for a round below the current one was
   // either folded into a committed round or sealed out of it — both closed;
   // the client discards it and parks for the next admission.
-  if (parked_count() >= max_parked()) {
+  if (parked_full()) {
     retry_after.add(1);
     send_frame(conn, encode_retry_after(config_.retry_after_ms));
     conn.close_after_flush = true;
@@ -674,8 +664,11 @@ void FlServer::finish_serving() {
 // ---- Checkpoint / restore (DESIGN.md §5j) -----------------------------------
 
 std::uint64_t FlServer::checkpoint_generation() const {
-  return round_open_ ? round_id_ * kMaxFoldsPerRound + 1 + fold_frontier_
-                     : core_.round() * kMaxFoldsPerRound;
+  // Resting state after protocol round t is round t at rest; a mid-round
+  // snapshot counts the fold frontier as progress.
+  return round_open_
+             ? ckpt::progress_generation(round_id_, true, fold_frontier_)
+             : ckpt::progress_generation(core_.round(), false, 0);
 }
 
 tensor::ByteBuffer FlServer::encode_checkpoint() {

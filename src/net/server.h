@@ -17,7 +17,7 @@
 //
 // Backpressure and abuse bounds:
 //   * hellos arriving while a round is open, or when the parked pool is
-//     full, are answered with a retry-after frame and closed — the client
+//     full (2 × cohort_size), are answered with a retry-after frame and closed — the client
 //     reconnects after the hinted backoff and joins a later round;
 //   * every connection has a per-step read budget (a slow-drip peer cannot
 //     monopolize the loop) and a no-progress idle deadline (slowloris);
@@ -106,8 +106,6 @@ struct FlServerConfig {
   std::size_t read_budget_bytes = 256 * 1024;
   /// Accepted sockets beyond this are closed immediately.
   index_t max_connections = 64;
-  /// Handshaked clients parked awaiting a round; 0 → 2 × cohort_size.
-  index_t max_parked = 0;
   /// When set, round state (model, fold frontier, accumulator partials,
   /// accepted-client set) is checkpointed at every round boundary plus
   /// every `checkpoint_every_accepts` folded updates. The manager must
@@ -215,8 +213,8 @@ class FlServer {
   void send_frame(Conn& conn, tensor::ByteBuffer frame_bytes);
   void close_conn(Conn& conn, const char* why);
   void finish_serving();
-  [[nodiscard]] index_t parked_count() const;
-  [[nodiscard]] index_t max_parked() const;
+  /// The parked pool holds at most 2 × cohort_size handshaked clients.
+  [[nodiscard]] bool parked_full() const;
   [[nodiscard]] bool duplicate_live_id(const Conn& conn,
                                        std::uint64_t client_id) const;
 

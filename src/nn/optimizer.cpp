@@ -1,28 +1,11 @@
 #include "nn/optimizer.h"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/error.h"
 
 namespace oasis::nn {
 
-namespace {
-
-void check_slot_shapes(const std::vector<tensor::Tensor>& state,
-                       std::size_t offset,
-                       const std::vector<tensor::Tensor>& slots,
-                       const char* what) {
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    OASIS_CHECK_MSG(state[offset + i].shape() == slots[i].shape(),
-                    what << " slot " << i << " shape mismatch");
-  }
-}
-
-}  // namespace
-
 Adam::Adam(std::vector<Parameter*> params, Options opts)
-    : Optimizer(std::move(params)), opts_(opts) {
+    : params_(std::move(params)), opts_(opts) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto* p : params_) {
@@ -50,32 +33,6 @@ void Adam::step() {
       value[j] -= opts_.lr * mhat / (std::sqrt(vhat) + opts_.eps);
     }
   }
-}
-
-std::vector<tensor::Tensor> Adam::state_tensors() const {
-  std::vector<tensor::Tensor> state;
-  state.reserve(m_.size() + v_.size() + 1);
-  state.insert(state.end(), m_.begin(), m_.end());
-  state.insert(state.end(), v_.begin(), v_.end());
-  state.emplace_back(tensor::Shape{1},
-                     std::vector<real>{static_cast<real>(t_)});
-  return state;
-}
-
-void Adam::load_state_tensors(const std::vector<tensor::Tensor>& state) {
-  OASIS_CHECK_MSG(state.size() == m_.size() + v_.size() + 1,
-                  "Adam state has " << state.size() << " tensors, expected "
-                                    << m_.size() + v_.size() + 1);
-  check_slot_shapes(state, 0, m_, "m");
-  check_slot_shapes(state, m_.size(), v_, "v");
-  const tensor::Tensor& step = state.back();
-  OASIS_CHECK_MSG(step.size() == 1, "Adam step tensor must be scalar-sized");
-  std::copy(state.begin(),
-            state.begin() + static_cast<std::ptrdiff_t>(m_.size()), m_.begin());
-  std::copy(state.begin() + static_cast<std::ptrdiff_t>(m_.size()),
-            state.begin() + static_cast<std::ptrdiff_t>(m_.size() + v_.size()),
-            v_.begin());
-  t_ = static_cast<index_t>(step.data()[0]);
 }
 
 }  // namespace oasis::nn

@@ -1,4 +1,4 @@
-// First-order optimizers over a set of Parameters.
+// The first-order optimizer over a set of Parameters.
 #pragma once
 
 #include <vector>
@@ -7,40 +7,10 @@
 
 namespace oasis::nn {
 
-/// Base optimizer: owns no parameters, only references them.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Parameter*> params)
-      : params_(std::move(params)) {}
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-  virtual ~Optimizer() = default;
-
-  /// Applies one update from the accumulated gradients.
-  virtual void step() = 0;
-
-  /// Clears all parameter gradients.
-  void zero_grad() {
-    for (auto* p : params_) p->zero_grad();
-  }
-
-  /// Serializable optimizer state (momentum/moment slots, step counters) as
-  /// a tensor list in a fixed per-optimizer order. Round-tripping through
-  /// load_state_tensors resumes the optimizer bit-exactly — the trainer's
-  /// checkpoint path relies on this.
-  [[nodiscard]] virtual std::vector<tensor::Tensor> state_tensors() const = 0;
-
-  /// Inverse of state_tensors. Throws Error on count/shape mismatch (a
-  /// snapshot from a differently configured optimizer).
-  virtual void load_state_tensors(const std::vector<tensor::Tensor>& state) = 0;
-
- protected:
-  std::vector<Parameter*> params_;
-};
-
 /// Adam (Kingma & Ba) with L2 weight decay, as the paper's Table 1 setup
-/// (Adam, lr 1e-3, weight decay 1e-5 / 1e-3).
-class Adam : public Optimizer {
+/// (Adam, lr 1e-3, weight decay 1e-5 / 1e-3). Owns no parameters, only
+/// references them.
+class Adam {
  public:
   struct Options {
     real lr = 1e-3;
@@ -51,14 +21,19 @@ class Adam : public Optimizer {
   };
 
   Adam(std::vector<Parameter*> params, Options opts);
-  void step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
-  /// m slots, then v slots (parameter order), then the step count t as a
-  /// one-element tensor.
-  [[nodiscard]] std::vector<tensor::Tensor> state_tensors() const override;
-  void load_state_tensors(const std::vector<tensor::Tensor>& state) override;
+  /// Applies one update from the accumulated gradients.
+  void step();
+
+  /// Clears all parameter gradients.
+  void zero_grad() {
+    for (auto* p : params_) p->zero_grad();
+  }
 
  private:
+  std::vector<Parameter*> params_;
   Options opts_;
   std::vector<tensor::Tensor> m_;
   std::vector<tensor::Tensor> v_;

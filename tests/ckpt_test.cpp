@@ -2,8 +2,7 @@
 // tolerance (every truncation length, hundreds of random bit flips — all
 // must surface as typed CheckpointError, never a crash or a silent load),
 // atomic-write durability plumbing, generation retention and restore-side
-// fallback, and end-to-end resume bit-identity for both the FL simulation
-// and the centralized trainer.
+// fallback, and end-to-end resume bit-identity for the FL simulation.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -21,7 +20,6 @@
 #include "common/crc32c.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "fl/client.h"
 #include "fl/preprocessor.h"
@@ -29,7 +27,6 @@
 #include "fl/simulation.h"
 #include "nn/model_io.h"
 #include "nn/models.h"
-#include "nn/optimizer.h"
 #include "obs/obs.h"
 #include "tensor/serialize.h"
 
@@ -349,40 +346,6 @@ TEST(Manager, AllGenerationsDamagedOrMissingIsTyped) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer state round trip
-// ---------------------------------------------------------------------------
-
-TEST(OptimizerState, AdamRoundTripContinuesBitIdentically) {
-  common::Rng rng(21);
-  auto model_a = nn::make_mlp({3, 8, 8}, {8}, 4, rng);
-  common::Rng rng_b(21);
-  auto model_b = nn::make_mlp({3, 8, 8}, {8}, 4, rng_b);
-  nn::Adam opt_a(model_a->parameters(), {});
-  nn::Adam opt_b(model_b->parameters(), {});
-
-  // Drive A a few steps with synthetic gradients, snapshot, load into B,
-  // then drive both with the SAME gradients: trajectories must be equal.
-  const auto fill_grads = [](nn::Sequential& m, real v) {
-    for (auto* p : m.parameters()) {
-      for (auto& g : p->grad.data()) g = v;
-    }
-  };
-  for (int i = 1; i <= 3; ++i) {
-    fill_grads(*model_a, real(0.01) * i);
-    opt_a.step();
-  }
-  const auto state = tensor::serialize_tensors(opt_a.state_tensors());
-  opt_b.load_state_tensors(tensor::deserialize_tensors(state));
-  nn::deserialize_state(*model_b, nn::serialize_state(*model_a));
-
-  fill_grads(*model_a, 0.05);
-  fill_grads(*model_b, 0.05);
-  opt_a.step();
-  opt_b.step();
-  EXPECT_EQ(nn::serialize_state(*model_a), nn::serialize_state(*model_b));
-}
-
-// ---------------------------------------------------------------------------
 // Simulation checkpoint / restore
 // ---------------------------------------------------------------------------
 
@@ -526,121 +489,6 @@ TEST(SimulationCkpt, SaveAndResumeThroughManagerPicksNewestValid) {
   fl::Simulation resumed = make_federation(77);
   EXPECT_EQ(resumed.resume_from(manager), 2u);
   EXPECT_EQ(resumed.server().round(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Trainer checkpoint / resume
-// ---------------------------------------------------------------------------
-
-TEST(TrainerCkpt, InterruptedTrainingResumesBitIdentically) {
-  ScratchDir dir("trainer");
-  data::SynthConfig cfg;
-  cfg.num_classes = 4;
-  cfg.height = cfg.width = 8;
-  cfg.train_per_class = 6;
-  cfg.test_per_class = 2;
-  cfg.seed = 909;
-  const data::SynthDataset data = data::generate(cfg);
-
-  const auto make_model = [] {
-    common::Rng rng(404);
-    return nn::make_mlp({3, 8, 8}, {8}, 4, rng);
-  };
-  core::TrainerConfig config;
-  config.epochs = 6;
-  config.batch_size = 4;
-  config.seed = 11;
-  config.eval_every = 0;
-
-  // Straight: 6 epochs, no checkpointing.
-  obs::Registry::global().reset();
-  auto straight = make_model();
-  const core::TrainResult straight_result =
-      core::train_classifier(*straight, data.train, data.test, config);
-
-  // Interrupted: 4 epochs with checkpoints every 2, then a fresh model
-  // resumes to 6.
-  obs::Registry::global().reset();
-  auto first = make_model();
-  core::TrainerConfig half = config;
-  half.epochs = 4;
-  half.checkpoint_dir = dir.str();
-  half.checkpoint_every = 2;
-  (void)core::train_classifier(*first, data.train, data.test, half);
-
-  obs::Registry::global().reset();
-  auto resumed = make_model();
-  core::TrainerConfig rest = config;
-  rest.checkpoint_dir = dir.str();
-  rest.checkpoint_every = 2;
-  rest.resume = true;
-  const core::TrainResult resumed_result =
-      core::train_classifier(*resumed, data.train, data.test, rest);
-
-  EXPECT_EQ(nn::serialize_state(*resumed), nn::serialize_state(*straight));
-  ASSERT_EQ(resumed_result.epoch_loss.size(),
-            straight_result.epoch_loss.size());
-  for (std::size_t i = 0; i < resumed_result.epoch_loss.size(); ++i) {
-    EXPECT_EQ(resumed_result.epoch_loss[i], straight_result.epoch_loss[i])
-        << "epoch " << i;
-  }
-  EXPECT_EQ(resumed_result.final_test_accuracy,
-            straight_result.final_test_accuracy);
-}
-
-TEST(TrainerCkpt, ResumeWithEmptyDirectoryStartsFresh) {
-  ScratchDir dir("trainer_fresh");
-  data::SynthConfig cfg;
-  cfg.num_classes = 2;
-  cfg.height = cfg.width = 8;
-  cfg.train_per_class = 4;
-  cfg.test_per_class = 2;
-  cfg.seed = 1;
-  const data::SynthDataset data = data::generate(cfg);
-  common::Rng rng(3);
-  auto model = nn::make_mlp({3, 8, 8}, {8}, 2, rng);
-
-  core::TrainerConfig config;
-  config.epochs = 2;
-  config.batch_size = 4;
-  config.checkpoint_dir = dir.str();
-  config.resume = true;  // nothing there: must start from scratch, not throw
-  const core::TrainResult result =
-      core::train_classifier(*model, data.train, data.test, config);
-  EXPECT_EQ(result.epoch_loss.size(), 2u);
-}
-
-TEST(TrainerCkpt, ForeignTrainerSnapshotIsRefused) {
-  ScratchDir dir("trainer_foreign");
-  data::SynthConfig cfg;
-  cfg.num_classes = 2;
-  cfg.height = cfg.width = 8;
-  cfg.train_per_class = 4;
-  cfg.test_per_class = 2;
-  cfg.seed = 2;
-  const data::SynthDataset data = data::generate(cfg);
-  common::Rng rng(5);
-  auto model = nn::make_mlp({3, 8, 8}, {8}, 2, rng);
-
-  core::TrainerConfig config;
-  config.epochs = 1;
-  config.batch_size = 4;
-  config.seed = 21;
-  config.checkpoint_dir = dir.str();
-  (void)core::train_classifier(*model, data.train, data.test, config);
-
-  // Same directory, different run identity (seed) → kStateMismatch.
-  common::Rng rng2(5);
-  auto model2 = nn::make_mlp({3, 8, 8}, {8}, 2, rng2);
-  core::TrainerConfig other = config;
-  other.seed = 22;
-  other.resume = true;
-  try {
-    (void)core::train_classifier(*model2, data.train, data.test, other);
-    FAIL() << "foreign trainer snapshot accepted";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.reason(), Reason::kStateMismatch);
-  }
 }
 
 }  // namespace

@@ -155,23 +155,5 @@ TEST(Trainer, OasisAugmentationDoesNotBreakTraining) {
   EXPECT_GT(result.final_test_accuracy, 0.5);
 }
 
-TEST(Trainer, EpochCallbackFires) {
-  auto ds = tiny_synth(3, 12, 4, 33);
-  common::Rng rng(34);
-  auto model = nn::make_mlp({3, 12, 12}, {16}, 3, rng);
-  TrainerConfig cfg;
-  cfg.epochs = 3;
-  cfg.batch_size = 6;
-  cfg.eval_every = 2;
-  index_t calls = 0, evals = 0;
-  cfg.on_epoch = [&](index_t, real, real acc) {
-    ++calls;
-    if (acc >= 0.0) ++evals;
-  };
-  train_classifier(*model, ds.train, ds.test, cfg);
-  EXPECT_EQ(calls, 3u);
-  EXPECT_EQ(evals, 2u);  // epochs 2 and 3
-}
-
 }  // namespace
 }  // namespace oasis::core

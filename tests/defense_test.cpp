@@ -182,11 +182,10 @@ TEST(Defense, StackStreamsArePureFunctionsOfRoundClientAndStage) {
 }
 
 TEST(Defense, ParseSpecPreservesOrderAndRejectsMalformedTokens) {
-  const auto stack = parse_defense_stack("clip:10,noise:0.01,mask,oasis");
+  const auto stack = parse_defense_stack("clip:10,noise:0.01,mask");
   EXPECT_EQ(stack->size(), 3u);
   EXPECT_EQ(stack->name(), "clip(10)+noise(0.01)+mask");
   EXPECT_TRUE(stack->requires_cohort());
-  EXPECT_TRUE(stack->augmentation_requested());
 
   EXPECT_TRUE(parse_defense_stack("")->empty());
   EXPECT_TRUE(parse_defense_stack("none")->empty());
@@ -198,6 +197,8 @@ TEST(Defense, ParseSpecPreservesOrderAndRejectsMalformedTokens) {
   EXPECT_THROW(parse_defense_stack("clip:1x"), ConfigError);
   EXPECT_THROW(parse_defense_stack("noise:-0.5"), ConfigError);
   EXPECT_THROW(parse_defense_stack("bogus"), ConfigError);
+  // OASIS is the clients' preprocessor, not an update stage.
+  EXPECT_THROW(parse_defense_stack("oasis"), ConfigError);
 }
 
 TEST(Defense, MaskStageNeedsACohort) {

@@ -141,6 +141,51 @@ TEST(ShardDifferential, ThreadCountInvariant) {
   EXPECT_EQ(serial.counters, threaded.counters);
 }
 
+// A dishonest server sees every update it screens under either engine: the
+// sharded engine never calls finish_round, so a capture there proves the
+// hook sits in screen_update.
+TEST(ShardDifferential, MaliciousServerCapturesTheSameUpdatesUnderBothEngines) {
+  runtime::set_num_threads(1);
+  const auto malicious = [] {
+    return std::make_unique<MaliciousServer>(
+        test_population().factory(), /*learning_rate=*/0.1,
+        [](nn::Sequential& model) {
+          model.parameters().front()->value *= 1.5;
+        });
+  };
+
+  obs::Registry::global().reset();
+  auto reference_server = malicious();
+  const MaliciousServer& reference = *reference_server;
+  VirtualPopulation population(test_population());
+  Simulation sim(std::move(reference_server), population.materialize(),
+                 SimulationConfig{kCohort, kSelectionSeed});
+  sim.run(kRounds);
+
+  obs::Registry::global().reset();
+  auto sharded_server = malicious();
+  const MaliciousServer& sharded = *sharded_server;
+  ShardedConfig cfg;
+  cfg.cohort_size = kCohort;
+  cfg.shard_size = 2;
+  cfg.seed = kSelectionSeed;
+  cfg.sampler = CohortSampler::kFisherYates;
+  ShardedSimulation engine(std::move(sharded_server),
+                           VirtualPopulation(test_population()), cfg);
+  engine.run(kRounds);
+
+  ASSERT_EQ(reference.captured().size(), kRounds * kCohort);
+  ASSERT_EQ(sharded.captured().size(), reference.captured().size());
+  for (std::size_t i = 0; i < reference.captured().size(); ++i) {
+    const ClientUpdateMessage& a = reference.captured()[i];
+    const ClientUpdateMessage& b = sharded.captured()[i];
+    EXPECT_EQ(b.round, a.round) << "update " << i;
+    EXPECT_EQ(b.client_id, a.client_id) << "update " << i;
+    EXPECT_EQ(b.num_examples, a.num_examples) << "update " << i;
+    EXPECT_EQ(b.gradients, a.gradients) << "update " << i;
+  }
+}
+
 // --- Hash-threshold sampler -------------------------------------------------
 
 TEST(ShardSampler, HashThresholdRunsAreDeterministic) {

@@ -16,34 +16,63 @@ and quartiles of round_ms.p50, the median of every other end-to-end metric
 (each with its per-run values), the change's win count on round_ms.p50, and
 the --claim rows of the traced runs. Rows append to
 bench_out/BENCH_round.json (or --out) under the change's commit.
+
+Each side also records, per run, two host-contention readings next to the
+wall-clock metrics: `host.steal_s`, the machine-wide steal time the run
+overlapped (the /proc/stat `cpu` steal column, read before and after), and
+`host.child_cpu_s`, the user + system CPU seconds the run's processes used
+(the RUSAGE_CHILDREN delta). A run with high steal, or with a low CPU share
+of its wall time, ran on a contended host.
 """
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 
 END_TO_END = ("setup_s", "round_ms.p50", "round_ms.p90", "samples_per_s",
               "time_to_target_s", "peak_rss_mb")
+HOST = ("host.steal_s", "host.child_cpu_s")
 # Rows every traced row set reports, besides the --claim ones.
 TRACE_ROWS = ("runtime.client_round_ms.t1", "augment.process_ms",
               "tensor.gemm.calls_per_client", "tensor.gemm.gflop_per_client")
+
+
+def steal_seconds():
+    """Machine-wide steal time so far: the `cpu` line's 8th column."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+        return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return float("nan")
+
+
+def child_cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def run_side(checkout, workload, seed, seconds, trace):
     cmd = [sys.executable, os.path.join(checkout, "roundbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    steal0, cpu0 = steal_seconds(), child_cpu_seconds()
     out = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                          stderr=subprocess.DEVNULL, text=True)
+    steal, cpu = steal_seconds() - steal0, child_cpu_seconds() - cpu0
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         sys.exit(f"round_pairs: {' '.join(cmd)} failed ({out.returncode})")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"] != 0:
         sys.exit(f"round_pairs: {checkout} seed {seed}: correctness gate")
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics.update({"host.steal_s": round(steal, 2),
+                    "host.child_cpu_s": round(cpu, 2)})
+    return metrics
 
 
 def summarize(runs):
@@ -53,7 +82,7 @@ def summarize(runs):
         q1, _, q3 = statistics.quantiles(p50, n=4, method="inclusive")
     side = {"round_ms.p50": {"median": statistics.median(p50), "q1": q1,
                              "q3": q3, "iqr": q3 - q1, "runs": p50}}
-    for name in END_TO_END:
+    for name in END_TO_END + HOST:
         if name != "round_ms.p50":
             values = [r[name] for r in runs]
             side[name] = {"median": statistics.median(values), "runs": values}
@@ -93,8 +122,9 @@ def main():
         for side in order:
             m = run_side(sides[side], args.workload, i, args.seconds, 0)
             runs[side].append(m)
-            print(f"pair {i} {side}: round_ms.p50 {m['round_ms.p50']:.1f}",
-                  file=sys.stderr)
+            print(f"pair {i} {side}: round_ms.p50 {m['round_ms.p50']:.1f}"
+                  f" steal {m['host.steal_s']:.1f} s"
+                  f" cpu {m['host.child_cpu_s']:.1f} s", file=sys.stderr)
 
     wins = sum(c["round_ms.p50"] < p["round_ms.p50"]
                for p, c in zip(runs["parent"], runs["change"]))

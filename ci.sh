@@ -5,8 +5,8 @@
 # then the 8-thread sweeps under TSan), a chaos stage running the randomized
 # fault-injection suite under ASan/UBSan, a crash stage running the
 # kill-point checkpoint/resume harness and snapshot-corruption sweeps under
-# ASan/UBSan, a shard stage running the sharded million-client round engine's
-# differential + crash tests and the cross-engine round-fold differential
+# ASan/UBSan, a shard stage running the in-process round loop's
+# cross-driver differentials, the chaos suite and both drivers' crash tests
 # under ASan/UBSan, a net-chaos stage SIGKILLing a
 # live socket server at four kill points and memcmping the recovered model,
 # a defense stage running the defense-stack / audit-gate / robust-aggregation
@@ -30,7 +30,8 @@
 #   ./ci.sh crash      # ASan build + crash label only (SIGKILL harness)
 #   ./ci.sh net        # ASan build + net label, then a TSan loopback round
 #   ./ci.sh net-chaos  # ASan server-kill harness + TSan reconnect/backoff
-#   ./ci.sh shard      # ASan build + shard label + sharded crash kill-points
+#   ./ci.sh shard      # ASan build + shard label + chaos suite + both
+#                      # drivers' crash kill-points
 #   ./ci.sh defense    # defense + robust-aggregation labels under ASan/UBSan,
 #                      # Byzantine chaos suite under TSan
 #   ./ci.sh tsan       # TSan stage only
@@ -125,18 +126,20 @@ run_crash() {
 }
 
 run_shard() {
-  # The sharded streaming round engine's whole contract is bit-identity with
-  # the materialized path; its tests chase pointers through lazily
-  # materialized clients, mid-round snapshots, and a streaming accumulator —
-  # ASan/UBSan territory. The sharded SIGKILL kill-points ride along so a
-  # mid-shard crash that leaks or double-frees in the resume path aborts
-  # loudly.
-  echo "==> [ci] Shard stage: sharded round engine differential + crash tests under ASan/UBSan"
+  # The in-process round loop's whole contract is bit-identity across its
+  # two drivers (fl::Simulation and the sharded engine); its tests chase
+  # pointers through lazily materialized clients, mid-round snapshots, and a
+  # streaming accumulator — ASan/UBSan territory. Both drivers run the one
+  # loop, so fl::Simulation's retry/deadline suite (chaos_test) and both
+  # drivers' SIGKILL kill-points ride along: a crash that leaks or
+  # double-frees in either resume path aborts loudly.
+  echo "==> [ci] Shard stage: round loop differential + chaos + crash tests under ASan/UBSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target shard_test crash_test \
-    round_core_test
+    round_core_test chaos_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L shard
-  ./build-asan/tests/crash_test --gtest_filter='ShardCrashResume.*'
+  ./build-asan/tests/chaos_test
+  ./build-asan/tests/crash_test --gtest_filter='CrashResume.*:ShardCrashResume.*'
 }
 
 run_net() {

@@ -74,9 +74,10 @@ class FedAvgAccumulator {
 // memory at any cohort size. Coordinate-wise median and trimmed mean are
 // per-coordinate ORDER STATISTICS — they need every accepted update resident
 // at once, so selecting them buys an f < n/2 breakdown point at a documented
-// O(cohort · model) memory cost. fl::RoundCore buffers for them in
-// fl::Simulation; the sharded and socket engines checkpoint a streaming fold
-// and refuse them at construction (ConfigError).
+// O(cohort · model) memory cost. fl::RoundCore buffers for them under
+// fl::Simulation; the sharded driver and the socket engine checkpoint a
+// streaming fold and refuse them at construction (ConfigError). No engine
+// folds them under a masking defense stack: the masks cancel only in a sum.
 //
 // Both order-statistic aggregators are UNWEIGHTED (example counts are
 // attacker-controlled inputs, so weighting by them would hand back the very

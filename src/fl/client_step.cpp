@@ -27,8 +27,7 @@ std::optional<ClientUpdateMessage> run_client_round(
 void run_client_slots(std::span<const ClientSlot> slots,
                       const SlotTrainer& train, const FaultPlan& faults,
                       std::uint64_t ticket, index_t attempt,
-                      const UpdateSink& deliver, const SlotSettled& settled,
-                      const char* deliver_span) {
+                      const UpdateSink& deliver, const SlotSettled& settled) {
   static obs::Counter& trained = obs::counter("fl.clients_trained");
   static obs::Counter& bytes_up = obs::counter("fl.bytes_uploaded");
   static obs::Counter& corrupted = obs::counter("fl.fault.corrupt");
@@ -52,8 +51,7 @@ void run_client_slots(std::span<const ClientSlot> slots,
   for (const auto& u : updates) refusals += u ? 0 : 1;
   trained.add(slots.size() - refusals);
 
-  std::optional<obs::ScopedTimer> span;
-  if (deliver_span != nullptr) span.emplace(deliver_span);
+  const obs::ScopedTimer span("aggregate");
   for (index_t i = 0; i < slots.size(); ++i) {
     const ClientSlot& s = slots[i];
     if (updates[i]) {
@@ -70,7 +68,7 @@ void run_client_slots(std::span<const ClientSlot> slots,
       }
       deliver(std::move(update));
     }
-    if (settled) settled(i);
+    settled(i);
   }
 }
 

@@ -1,10 +1,10 @@
 // The client half of one round, shared by every engine (DESIGN.md §5o).
 //
-// run_client_round is one client's step: train, refuse, defend.
-// fl::Simulation, fl::ShardedSimulation and net::FlClient all call it.
-// run_client_slots is the in-process engines' batch step: it trains slots in
-// parallel and delivers them serially in slot order, so what the caller
-// receives is identical at any thread count.
+// run_client_round is one client's step: train, refuse, defend. The
+// in-process round loop (fl::ShardedSimulation, which also drives
+// fl::Simulation) and net::FlClient both call it. run_client_slots is the
+// loop's batch step: it trains slots in parallel and delivers them serially
+// in slot order, so what the loop folds is identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +40,13 @@ using UpdateSink = std::function<void(ClientUpdateMessage&& update)>;
 using SlotSettled = std::function<void(index_t slot)>;
 
 /// Trains every slot under a kRoot `fl.client_round` span, then delivers in
-/// slot order: tallies fl.clients_trained, fl.fault.{corrupt,poison,
-/// byzantine,duplicate} and fl.bytes_uploaded, and applies the slot's fault
-/// (FaultPlan::apply with `ticket`, `attempt`) before `deliver`. The
-/// delivery loop runs inside a `deliver_span` span when one is named.
+/// slot order inside an `aggregate` span: tallies fl.clients_trained,
+/// fl.fault.{corrupt,poison,byzantine,duplicate} and fl.bytes_uploaded, and
+/// applies the slot's fault (FaultPlan::apply with `ticket`, `attempt`)
+/// before `deliver`.
 void run_client_slots(std::span<const ClientSlot> slots,
                       const SlotTrainer& train, const FaultPlan& faults,
                       std::uint64_t ticket, index_t attempt,
-                      const UpdateSink& deliver,
-                      const SlotSettled& settled = {},
-                      const char* deliver_span = nullptr);
+                      const UpdateSink& deliver, const SlotSettled& settled);
 
 }  // namespace oasis::fl

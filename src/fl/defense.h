@@ -134,7 +134,6 @@ class DefenseStack {
   void add(std::unique_ptr<Defense> defense);
   [[nodiscard]] std::size_t size() const { return defenses_.size(); }
   [[nodiscard]] bool empty() const { return defenses_.empty(); }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
   /// True when any stage needs the round cohort (see Defense).
   [[nodiscard]] bool requires_cohort() const;
 
@@ -142,9 +141,6 @@ class DefenseStack {
   /// one (the socket path, where a client never learns the round cohort).
   void set_static_cohort(std::vector<std::uint64_t> cohort) {
     static_cohort_ = std::move(cohort);
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& static_cohort() const {
-    return static_cohort_;
   }
 
   /// Applies every stage in order to already-deserialized gradients.

@@ -8,18 +8,6 @@
 
 namespace oasis::fl {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kDropout: return "dropout";
-    case FaultKind::kStraggler: return "straggler";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kPoison: return "poison";
-    case FaultKind::kByzantine: return "byzantine";
-  }
-  return "?";
-}
-
 FaultPlan::FaultPlan(FaultConfig config) : config_(config) {
   const real probs[] = {config.dropout_prob, config.straggler_prob,
                         config.corrupt_prob, config.poison_prob};

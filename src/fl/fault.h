@@ -75,8 +75,6 @@ enum class ByzantineKind : std::uint8_t {
   kColludingDuplicate,
 };
 
-const char* to_string(FaultKind kind);
-
 /// Per-fault-class injection probabilities plus shape parameters. The four
 /// probabilities partition a single uniform draw, so they are mutually
 /// exclusive per (ticket, attempt, client) and must sum to at most 1.
@@ -124,7 +122,6 @@ class FaultPlan {
   explicit FaultPlan(FaultConfig config);
 
   [[nodiscard]] bool active() const { return config_.any(); }
-  [[nodiscard]] const FaultConfig& config() const { return config_; }
 
   /// Pure function of (seed, ticket, attempt, client_id); safe to call from
   /// any thread in any order. `ticket` is the engine's monotone round-start

@@ -8,11 +8,11 @@
 // and the client id (the fl::FaultPlan idiom), so materializing a client
 // twice, in any order, on any thread, yields byte-identical behaviour.
 //
-// This is what lets the sharded round engine (fl/shard.h) run a round over
-// 10^6 clients in O(shard) memory: clients exist only while their shard is
-// in flight. materialize() builds the whole population as regular
-// fl::Simulation clients — the differential shard tests run both engines
-// over the SAME population description and compare bytes.
+// This is what lets the round loop's sharded driver (fl/shard.h) run a
+// round over 10^6 clients in O(shard) memory: clients exist only while their
+// shard is in flight. materialize() builds the whole population as regular
+// fl::Simulation clients — the differential shard tests run the round loop
+// under both drivers over the SAME population description and compare bytes.
 //
 // Purity requirements on the config:
 //   * `factory` must be pure (no captured mutable state such as a shared

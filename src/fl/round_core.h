@@ -1,19 +1,20 @@
 // fl::RoundCore — the server half of one round, shared by every engine
 // (DESIGN.md §5n).
 //
-// fl::Simulation (through Server::finish_round), fl::ShardedSimulation and
-// net::FlServer differ only in where updates come from. Each hands them to
-// a RoundCore in its fold order; the core screens them (Server::
-// screen_update), folds the accepted ones under the server's own
-// AggregatorConfig, decides quorum and commits. FedAvg and norm-bounded
-// stream through one FedAvgAccumulator in O(model) memory; median and
-// trimmed mean buffer the accepted cohort. The float sum order is the fold
-// order and nothing else, so engines that fold the same updates in the same
-// order commit the same bytes.
+// The in-process round loop (fl::ShardedSimulation, under both of its
+// drivers: fl::Simulation and the sharded one) and net::FlServer differ
+// only in where updates come from. Each hands them to a RoundCore in its
+// fold order; the core screens them (Server::screen_update), folds the
+// accepted ones under the server's own AggregatorConfig, decides quorum and
+// commits. Server::finish_round runs one RoundCore over an update list.
+// FedAvg and norm-bounded stream through one FedAvgAccumulator in O(model)
+// memory; median and trimmed mean buffer the accepted cohort. The float sum
+// order is the fold order and nothing else, so engines that fold the same
+// updates in the same order commit the same bytes.
 //
-// Only a streaming fold can be checkpointed mid-round. The sharded and
-// socket engines build their core streaming-only, which refuses the
-// buffering aggregators with ConfigError.
+// Only a streaming fold can be checkpointed mid-round. The sharded driver
+// and the socket engine build their core streaming-only, which refuses the
+// buffering aggregators with ConfigError; fl::Simulation's core buffers.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,7 @@ class RoundCore {
   /// on a streaming-only core.
   void open();
 
-  /// A fresh duplicate screen, same fold. The sharded engine screens per
+  /// A fresh duplicate screen, same fold. The round loop screens per
   /// shard: cohort ids are distinct across shards, and an O(cohort) id set
   /// would break its O(shard) memory contract.
   void reset_screen() { screen_ = server_.begin_screen(); }

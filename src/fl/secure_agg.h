@@ -42,10 +42,6 @@ class SecureAggregationSession {
   /// place (deserialize → add mask → reserialize).
   void mask_update(ClientUpdateMessage& update) const;
 
-  [[nodiscard]] const std::vector<std::uint64_t>& cohort() const {
-    return cohort_;
-  }
-
  private:
   std::vector<std::uint64_t> cohort_;
   std::uint64_t round_nonce_;

@@ -59,7 +59,7 @@ struct RoundOutcome {
 /// Per-round state threaded between screen_update() calls: the expected
 /// parameter shapes (computed once) and the client ids accepted so far
 /// (duplicate detection). fl::RoundCore keeps one per fold, or one per
-/// shard in the sharded engine (RoundCore::reset_screen).
+/// shard in the in-process round loop (RoundCore::reset_screen).
 struct UpdateScreen {
   std::vector<tensor::Shape> expected_shapes;
   std::unordered_set<std::uint64_t> seen_ids;
@@ -90,12 +90,7 @@ class Server {
   /// with zero valid updates (and min_valid == 0) the SGD step is skipped
   /// rather than dividing by a zero example count.
   RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates,
-                            index_t min_valid);
-
-  /// Legacy entry point: no quorum requirement.
-  RoundOutcome finish_round(std::span<const ClientUpdateMessage> updates) {
-    return finish_round(updates, 0);
-  }
+                            index_t min_valid = 0);
 
   // --- Streaming round surface --------------------------------------------
   //
@@ -126,9 +121,6 @@ class Server {
   void commit_skipped_round();
 
   void set_validation(const ValidationConfig& config) { validation_ = config; }
-  [[nodiscard]] const ValidationConfig& validation() const {
-    return validation_;
-  }
 
   /// Selects the aggregation rule every engine's RoundCore applies to
   /// accepted updates. kFedAvg/kNormBounded stream; kCoordinateMedian/

@@ -1,5 +1,8 @@
 #include "fl/shard.h"
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "ckpt/codec.h"
 #include "ckpt/container.h"
 #include "ckpt/obs_state.h"
@@ -8,14 +11,6 @@
 #include "obs/obs.h"
 
 namespace oasis::fl {
-
-const char* to_string(CohortSampler sampler) {
-  switch (sampler) {
-    case CohortSampler::kFisherYates: return "fisher_yates";
-    case CohortSampler::kHashThreshold: return "hash_threshold";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -38,8 +33,7 @@ Server& checked(const std::unique_ptr<Server>& server) {
   return *server;
 }
 
-}  // namespace
-
+/// The hash-threshold sampler's membership hash of (seed, ticket, id).
 std::uint64_t cohort_mix(std::uint64_t seed, std::uint64_t ticket,
                          std::uint64_t client_id) {
   // Two finalizer passes: the first diffuses (seed, ticket) into a round
@@ -49,6 +43,8 @@ std::uint64_t cohort_mix(std::uint64_t seed, std::uint64_t ticket,
       mix64(seed + 0x9E3779B97F4A7C15ULL * (ticket + 1));
   return mix64(round_key ^ (client_id + 0x9E3779B97F4A7C15ULL));
 }
+
+}  // namespace
 
 std::uint64_t cohort_threshold(index_t cohort_size, index_t population) {
   if (population == 0) {
@@ -77,46 +73,73 @@ ShardedSimulation::ShardedSimulation(std::unique_ptr<Server> server,
       config_(config),
       rng_(config.seed),
       round_(checked(server_), /*streaming_only=*/true) {
+  check_config();
+}
+
+ShardedSimulation::ShardedSimulation(
+    std::unique_ptr<Server> server,
+    std::vector<std::unique_ptr<Client>> clients,
+    SimulationConfig config)
+    : server_(std::move(server)),
+      clients_(std::move(clients)),
+      config_{config.clients_per_round, /*shard_size=*/clients_.size(),
+              config.seed, CohortSampler::kFisherYates,
+              config.quorum_fraction},
+      retry_(config),
+      rng_(config.seed),
+      round_(checked(server_)) {
+  check_config();
+}
+
+void ShardedSimulation::check_config() const {
+  if (population_size() == 0) {
+    throw ConfigError("a federation needs at least one client");
+  }
+  std::unordered_set<std::uint64_t> ids;
+  for (const auto& c : clients_) {
+    OASIS_CHECK(c != nullptr);
+    if (!ids.insert(c->id()).second) {
+      throw ConfigError("duplicate client id " + std::to_string(c->id()));
+    }
+  }
   if (config_.shard_size == 0) {
     throw ConfigError("shard_size must be >= 1");
   }
-  if (config_.cohort_size > population_.size()) {
+  if (config_.cohort_size > population_size()) {
     throw ConfigError("cohort " + std::to_string(config_.cohort_size) +
                       " exceeds population " +
-                      std::to_string(population_.size()));
+                      std::to_string(population_size()));
   }
   if (config_.quorum_fraction < 0.0 || config_.quorum_fraction > 1.0) {
     throw ConfigError("quorum_fraction outside [0, 1]");
   }
+  if (retry_ && retry_->max_attempts == 0) {
+    throw ConfigError("max_attempts must be >= 1");
+  }
+}
+
+index_t ShardedSimulation::population_size() const {
+  return population_ ? population_->size() : clients_.size();
+}
+
+std::uint64_t ShardedSimulation::client_id(index_t member) const {
+  return population_ ? member : clients_[member]->id();
 }
 
 void ShardedSimulation::begin_round_state() {
+  // Refused before the ticket advances or anyone trains: pairwise masks
+  // cancel only in FedAvg's weighted sum, so a robust aggregator folds
+  // masked noise (measured at chance accuracy).
+  if (defense_ && defense_->requires_cohort() &&
+      server_->aggregator().kind != AggregatorKind::kFedAvg) {
+    throw ConfigError(std::string("the mask defense cancels only under "
+                                  "fedavg, not ") +
+                      to_string(server_->aggregator().kind));
+  }
   rng_at_round_start_ = rng_.state();
   ticket_ = round_tickets_++;
-  const index_t target = config_.cohort_size == 0 ? population_.size()
-                                                  : config_.cohort_size;
-  // Only a mask stage needs the cohort id list (see set_defense_stack).
-  const bool collect = defense_ && defense_->requires_cohort();
-  if (config_.sampler == CohortSampler::kFisherYates) {
-    cohort_ids_ = rng_.sample_without_replacement(population_.size(), target);
-    cohort_size_ = target;
-    if (collect) defense_cohort_.assign(cohort_ids_.begin(), cohort_ids_.end());
-  } else {
-    threshold_ = cohort_threshold(target, population_.size());
-    // Pre-count the actual (binomial) cohort so quorum math and the shard
-    // count are fixed before the first shard runs — ~ns per hash, and the
-    // scan keeps no per-client state (unless the defense mask needs the
-    // cohort list, collected here for free during the scan).
-    index_t count = 0;
-    for (index_t id = 0; id < population_.size(); ++id) {
-      if (cohort_member(config_.seed, ticket_, id, threshold_)) {
-        ++count;
-        if (collect) defense_cohort_.push_back(id);
-      }
-    }
-    cohort_size_ = count;
-    scan_pos_ = 0;
-  }
+  draw_cohort(rng_);
+  scan_pos_ = 0;
   num_shards_ = (cohort_size_ + config_.shard_size - 1) / config_.shard_size;
   OASIS_CHECK_MSG(num_shards_ < ckpt::kProgressPerRound,
                   num_shards_ << " shards exceed the generation-numbering "
@@ -129,17 +152,42 @@ void ShardedSimulation::begin_round_state() {
   server_->begin_round();
 }
 
-void ShardedSimulation::collect_shard_members(std::vector<std::uint64_t>& out) {
+void ShardedSimulation::draw_cohort(common::Rng& selection) {
+  const index_t target =
+      config_.cohort_size == 0 ? population_size() : config_.cohort_size;
+  // Only a mask stage needs the cohort id list (see set_defense_stack).
+  const bool collect = defense_ && defense_->requires_cohort();
+  if (config_.sampler == CohortSampler::kFisherYates) {
+    cohort_ids_ =
+        selection.sample_without_replacement(population_size(), target);
+    cohort_size_ = target;
+    for (index_t i = 0; collect && i < target; ++i) {
+      defense_cohort_.push_back(client_id(cohort_ids_[i]));
+    }
+    return;
+  }
+  threshold_ = cohort_threshold(target, population_size());
+  // Count the actual (binomial) cohort so quorum math and the shard count
+  // are fixed before the first shard runs — ~ns per hash, and the scan
+  // keeps no per-client state unless the mask needs the id list.
+  cohort_size_ = 0;
+  for (index_t id = 0; id < population_size(); ++id) {
+    if (cohort_member(config_.seed, ticket_, id, threshold_)) {
+      ++cohort_size_;
+      if (collect) defense_cohort_.push_back(id);
+    }
+  }
+}
+
+void ShardedSimulation::collect_shard_members(std::vector<index_t>& out) {
   out.clear();
   if (config_.sampler == CohortSampler::kFisherYates) {
     const index_t lo = next_shard_ * config_.shard_size;
-    const index_t hi = lo + config_.shard_size < cohort_ids_.size()
-                           ? lo + config_.shard_size
-                           : cohort_ids_.size();
-    for (index_t i = lo; i < hi; ++i) out.push_back(cohort_ids_[i]);
+    const index_t hi = std::min(lo + config_.shard_size, cohort_ids_.size());
+    out.assign(cohort_ids_.begin() + lo, cohort_ids_.begin() + hi);
   } else {
     while (out.size() < config_.shard_size &&
-           scan_pos_ < population_.size()) {
+           scan_pos_ < population_size()) {
       if (cohort_member(config_.seed, ticket_, scan_pos_, threshold_)) {
         out.push_back(scan_pos_);
       }
@@ -152,35 +200,26 @@ void ShardedSimulation::process_shard() {
   static obs::Counter& bytes_down = obs::counter("fl.bytes_dispatched");
   static obs::Counter& dropouts = obs::counter("fl.fault.dropout");
   static obs::Counter& stragglers = obs::counter("fl.fault.straggler");
+  static obs::Counter& timeouts = obs::counter("fl.timeouts");
+  static obs::Counter& retries = obs::counter("fl.retries");
   static obs::Counter& lost_c = obs::counter("fl.clients_lost");
   static obs::Counter& shards_c = obs::counter("fl.shard.shards");
   static obs::Counter& shard_clients = obs::counter("fl.shard.clients");
 
-  std::vector<std::uint64_t> members;
+  std::vector<index_t> members;
   collect_shard_members(members);
 
-  // Serial dispatch + fault decisions: faults are pure functions of the
-  // plan, but the (possibly stateful) server builds the payloads, and
-  // dropouts must be decided before training so a dropped client never
-  // trains — matching the materialized engine's counters.
-  std::vector<ClientSlot> slots;
+  // Serial dispatch to every member: a (possibly malicious) server may
+  // build per-client payloads from mutable state, so only training fans out.
+  std::vector<std::uint64_t> ids;
   std::vector<GlobalModelMessage> dispatched;
-  slots.reserve(members.size());
+  ids.reserve(members.size());
   dispatched.reserve(members.size());
   {
     const obs::ScopedTimer dispatch_span("dispatch");
-    for (const auto id : members) {
-      const ClientFault fault = fault_plan_.decide(ticket_, /*attempt=*/0, id);
-      if (fault.kind == FaultKind::kDropout) {
-        // Single-attempt semantics: a dropout is immediately lost.
-        dropouts.add(1);
-        lost_c.add(1);
-        ++clients_done_;
-        continue;
-      }
-      if (fault.kind == FaultKind::kStraggler) stragglers.add(1);
-      slots.push_back({id, fault});
-      dispatched.push_back(server_->dispatch_to(id));
+    for (const auto member : members) {
+      ids.push_back(client_id(member));
+      dispatched.push_back(server_->dispatch_to(ids.back()));
       bytes_down.add(dispatched.back().model_state.size());
     }
   }
@@ -190,39 +229,86 @@ void ShardedSimulation::process_shard() {
   // so the only reachable duplicates are kDuplicate faults, delivered
   // back to back within this shard.
   round_.reset_screen();
-  // Clients are materialized lazily INSIDE the parallel region (make_client
-  // is pure, so construction order cannot matter) and die with their slot.
-  // Delivery folds serially in cohort order — the determinism linchpin (see
-  // shard.h); a refused client still counts as disposed.
-  run_client_slots(
-      slots,
-      [&](index_t i) {
-        const auto client = population_.make_client(slots[i].client_id);
-        return run_client_round(*client, dispatched[i], defense_.get(),
-                                defense_cohort_);
-      },
-      fault_plan_, ticket_, /*attempt=*/0,
-      [&](ClientUpdateMessage&& update) { round_.offer(update); },
-      [&](index_t i) {
-        ++clients_done_;
-        if (client_hook_) client_hook_(slots[i].client_id, clients_done_);
-      },
-      "aggregate");
+  const index_t attempts = retry_ ? retry_->max_attempts : 1;
+  std::vector<index_t> pending(members.size());  // indices into members
+  for (index_t i = 0; i < pending.size(); ++i) pending[i] = i;
+  for (index_t attempt = 0; attempt < attempts && !pending.empty();
+       ++attempt) {
+    if (attempt > 0) {
+      clock_.advance(attempt * retry_->retry_backoff_ticks);
+      retries.add(pending.size());
+    }
+    // Faults are pure functions of the plan, decided serially before
+    // training, so a dropped or late member never trains.
+    std::vector<ClientSlot> slots;
+    std::vector<index_t> slot_member;
+    std::vector<index_t> still_pending;
+    runtime::VirtualClock::ticks slowest = 0;
+    for (const auto i : pending) {
+      const ClientFault fault = fault_plan_.decide(ticket_, attempt, ids[i]);
+      if (fault.kind == FaultKind::kDropout) {
+        dropouts.add(1);
+        still_pending.push_back(i);
+        continue;
+      }
+      if (fault.kind == FaultKind::kStraggler) stragglers.add(1);
+      if (retry_) {
+        const auto latency = retry_->base_latency_ticks + fault.delay_ticks;
+        if (latency > retry_->deadline_ticks) {
+          timeouts.add(1);
+          still_pending.push_back(i);
+          continue;
+        }
+        slowest = std::max(slowest, latency);
+      }
+      slots.push_back({ids[i], fault});
+      slot_member.push_back(i);
+    }
 
+    // A population's clients are materialized INSIDE the parallel region
+    // (make_client is pure, so construction order cannot matter) and die
+    // with their slot. Delivery folds serially in slot order — the
+    // determinism linchpin (see the file comment); a refused client still
+    // counts as disposed.
+    run_client_slots(
+        slots,
+        [&](index_t s) {
+          const index_t i = slot_member[s];
+          std::unique_ptr<Client> built;
+          if (population_) built = population_->make_client(ids[i]);
+          Client& client = built ? *built : *clients_[members[i]];
+          return run_client_round(client, dispatched[i], defense_.get(),
+                                  defense_cohort_);
+        },
+        fault_plan_, ticket_, attempt,
+        [&](ClientUpdateMessage&& update) { round_.offer(update); },
+        [&](index_t s) {
+          ++clients_done_;
+          if (client_hook_) client_hook_(slots[s].client_id, clients_done_);
+        });
+    pending = std::move(still_pending);
+    // Time passes: to the slowest reply when everyone replied, else the
+    // full deadline waited out before giving up on the rest.
+    if (retry_) {
+      clock_.advance(pending.empty() ? slowest : retry_->deadline_ticks);
+    }
+  }
+
+  clients_done_ += pending.size();
+  lost_c.add(pending.size());
+  if (!pending.empty() && retry_ && retry_->fail_on_lost) {
+    clear_round_state();
+    throw TimeoutError("round " + std::to_string(server_->round()) + ": " +
+                       std::to_string(pending.size()) + " of " +
+                       std::to_string(members.size()) + " clients lost after " +
+                       std::to_string(attempts) + " attempts (" +
+                       clock_.to_string() + ")");
+  }
   shard_done_[next_shard_] = true;
   ++next_shard_;
   shards_c.add(1);
   shard_clients.add(members.size());
-  if (shard_hook_) {
-    ShardProgress progress;
-    progress.round = server_->round();
-    progress.ticket = ticket_;
-    progress.shard = next_shard_ - 1;
-    progress.num_shards = num_shards_;
-    progress.cohort_size = cohort_size_;
-    progress.clients_done = clients_done_;
-    shard_hook_(progress);
-  }
+  if (shard_hook_) shard_hook_({ticket_, next_shard_ - 1, num_shards_});
 }
 
 void ShardedSimulation::clear_round_state() {
@@ -240,7 +326,7 @@ void ShardedSimulation::clear_round_state() {
   threshold_ = 0;
 }
 
-index_t ShardedSimulation::run_round() {
+index_t ShardedSimulation::run_round(std::vector<std::uint64_t>* cohort) {
   const obs::ScopedTimer round_span("fl.round");
   static obs::Counter& rounds = obs::counter("fl.rounds");
   static obs::Counter& shard_rounds = obs::counter("fl.shard.rounds");
@@ -249,9 +335,12 @@ index_t ShardedSimulation::run_round() {
   if (!mid_round_) begin_round_state();
   while (next_shard_ < num_shards_) process_shard();
 
-  const index_t cohort = cohort_size_;
+  const index_t size = cohort_size_;
+  if (cohort != nullptr) {
+    for (const auto i : cohort_ids_) cohort->push_back(client_id(i));
+  }
   try {
-    round_.close(RoundCore::quorum_needed(config_.quorum_fraction, cohort));
+    round_.close(RoundCore::quorum_needed(config_.quorum_fraction, size));
   } catch (const QuorumError&) {
     // The aggregate only ever lived in the fold, so an abort needs no model
     // rollback — dropping the round state IS the rollback.
@@ -262,8 +351,12 @@ index_t ShardedSimulation::run_round() {
   clear_round_state();
   rounds.add(1);
   shard_rounds.add(1);
-  obs::gauge("fl.shard.last_cohort").set(static_cast<double>(cohort));
-  return cohort;
+  obs::gauge("fl.shard.last_cohort").set(static_cast<double>(size));
+  // Only the timed driver has a clock, and only its snapshot carries one.
+  if (retry_) {
+    obs::gauge("fl.clock_ticks").set(static_cast<double>(clock_.now()));
+  }
+  return size;
 }
 
 void ShardedSimulation::run(index_t rounds,
@@ -285,19 +378,14 @@ std::uint64_t ShardedSimulation::checkpoint_generation() const {
 }
 
 tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {
-  // Counted BEFORE the obs capture so the snapshot records itself (the
-  // Simulation::encode_checkpoint contract).
-  static obs::Counter& saves = obs::counter("ckpt.save_total");
-  saves.add(1);
-
-  ckpt::SnapshotBuilder builder;
-  {
-    ckpt::SectionWriter meta;
+  return seal("smeta", "srng", [&](ckpt::SectionWriter& meta,
+                                   ckpt::SectionWriter& rng,
+                                   ckpt::SectionWriter& agg) {
     meta.u64(server_->round());
     meta.u64(round_tickets_);
     // Configuration echo: a snapshot only fits the federation it came from.
-    meta.u64(population_.config().seed);
-    meta.u64(population_.size());
+    meta.u64(population_->config().seed);
+    meta.u64(population_size());
     meta.u64(config_.seed);
     meta.u64(config_.cohort_size);
     meta.u64(config_.shard_size);
@@ -305,31 +393,38 @@ tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {
     meta.f64(static_cast<double>(config_.quorum_fraction));
     meta.u8(1);  // weighting echo: every fold is example-weighted
     meta.u8(mid_round_ ? 1 : 0);
-    if (mid_round_) {
-      meta.u64(ticket_);
-      meta.u64(cohort_size_);
-      meta.u64(num_shards_);
-      meta.u64(next_shard_);
-      meta.u64(scan_pos_);
-      meta.u64(clients_done_);
-      meta.u64(round_.accepted());
-      meta.u64(round_.rejected());
-    }
-    builder.add("smeta", meta.take());
-  }
-  builder.add("model", nn::serialize_state(server_->global_model()));
-  {
-    ckpt::SectionWriter rng;
     ckpt::write_rng_state(rng, rng_.state());
-    if (mid_round_) ckpt::write_rng_state(rng, rng_at_round_start_);
-    builder.add("srng", rng.take());
-  }
-  if (mid_round_) {
-    ckpt::SectionWriter agg;
+    if (!mid_round_) return;
+    meta.u64(ticket_);
+    meta.u64(cohort_size_);
+    meta.u64(num_shards_);
+    meta.u64(next_shard_);
+    meta.u64(scan_pos_);
+    meta.u64(clients_done_);
+    meta.u64(round_.accepted());
+    meta.u64(round_.rejected());
+    ckpt::write_rng_state(rng, rng_at_round_start_);
     agg.bitset(shard_done_);
     round_.write_partials(agg);
-    builder.add("agg", agg.take());
-  }
+  });
+}
+
+tensor::ByteBuffer ShardedSimulation::seal(const char* meta_name,
+                                           const char* rng_name,
+                                           const SectionWrite& write) {
+  ckpt::SectionWriter meta, rng, agg;
+  write(meta, rng, agg);
+  const ckpt::ByteBuffer agg_bytes = agg.take();
+  // Counted BEFORE the obs capture so the snapshot records itself: a
+  // straight-through run and a run resumed from this snapshot then agree on
+  // ckpt.save_total forever after.
+  static obs::Counter& saves = obs::counter("ckpt.save_total");
+  saves.add(1);
+  ckpt::SnapshotBuilder builder;
+  builder.add(meta_name, meta.take());
+  builder.add("model", nn::serialize_state(server_->global_model()));
+  builder.add(rng_name, rng.take());
+  if (!agg_bytes.empty()) builder.add("agg", agg_bytes);
   builder.add("obs", ckpt::encode_obs(obs::Registry::global()));
   return builder.finish();
 }
@@ -352,11 +447,11 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
   const double quorum = meta.f64();
   const bool weighted = meta.u8() != 0;
   const bool mid = meta.u8() != 0;
-  std::uint64_t ticket = 0, cohort = 0, num_shards = 0, next_shard = 0;
+  std::uint64_t ticket = 0, num_shards = 0, next_shard = 0;
   std::uint64_t scan_pos = 0, clients_done = 0, rejected = 0;
   if (mid) {
     ticket = meta.u64();
-    cohort = meta.u64();
+    meta.u64();  // cohort size: re-drawn with the cohort
     num_shards = meta.u64();
     next_shard = meta.u64();
     scan_pos = meta.u64();
@@ -370,7 +465,7 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
         "a mid-round snapshot cannot be resumed under a MaliciousServer: "
         "resume re-runs begin_round(), re-applying its model manipulation");
   }
-  if (pop_seed != population_.config().seed || pop_size != population_.size() ||
+  if (pop_seed != population_->config().seed || pop_size != population_size() ||
       sel_seed != config_.seed || cohort_cfg != config_.cohort_size ||
       shard_size != config_.shard_size ||
       sampler != static_cast<std::uint8_t>(config_.sampler) ||
@@ -404,75 +499,59 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     done_bits = agg.bitset();
     fold = RoundCore::read_partials(agg);
     agg.expect_end();
-    if (done_bits.size() != num_shards) {
+    // The fold is strictly in shard order, so the done shards must be the
+    // prefix before next_shard (sized from the bitmap: next_shard and
+    // num_shards are still unchecked against it).
+    std::vector<bool> prefix(done_bits.size(), false);
+    std::fill_n(prefix.begin(), std::min(next_shard, prefix.size()), true);
+    if (done_bits.size() != num_shards || done_bits != prefix) {
       throw CheckpointError(Reason::kStateMismatch,
-                            "completed-shard bitmap holds " +
-                                std::to_string(done_bits.size()) +
-                                " bits for " + std::to_string(num_shards) +
-                                " shards");
-    }
-    // The fold is strictly in shard order, so progress must be a prefix.
-    for (std::uint64_t i = 0; i < done_bits.size(); ++i) {
-      if (done_bits[i] != (i < next_shard)) {
-        throw CheckpointError(Reason::kStateMismatch,
-                              "completed-shard bitmap is not the prefix "
-                              "next_shard implies");
-      }
+                            "completed-shard bitmap is not the prefix of " +
+                                std::to_string(num_shards) + " shards that " +
+                                "next_shard " + std::to_string(next_shard) +
+                                " implies");
     }
   }
 
-  const tensor::ByteBuffer& model_bytes = snap.section("model");
-  const tensor::ByteBuffer& obs_bytes = snap.section("obs");
-
-  ckpt::load_model_section(
-      [&] { nn::deserialize_state(server_->global_model(), model_bytes); });
-  server_->restore_round(round);
-  round_tickets_ = tickets;
-  rng_.set_state(rng_now);
-  clear_round_state();
-  round_.open();
-  if (mid) {
+  restore(snap, round, tickets, rng_now, [&] {
+    if (!mid) return;
     ticket_ = ticket;
     rng_at_round_start_ = rng_start;
-    cohort_size_ = cohort;
+    // Re-draw the cohort from the round-start selection state; rng_ itself
+    // already holds the post-selection position.
+    common::Rng replay(0);
+    replay.set_state(rng_start);
+    draw_cohort(replay);
     num_shards_ = num_shards;
     next_shard_ = next_shard;
     scan_pos_ = scan_pos;
     clients_done_ = clients_done;
     shard_done_ = std::move(done_bits);
     round_.restore(std::move(fold), rejected);
-    if (config_.sampler == CohortSampler::kFisherYates) {
-      // Re-derive the cohort by replaying the selection from the round-start
-      // RNG state; rng_ itself already holds the post-selection position.
-      common::Rng replay(0);
-      replay.set_state(rng_at_round_start_);
-      cohort_ids_ =
-          replay.sample_without_replacement(population_.size(), cohort_size_);
-      if (defense_ && defense_->requires_cohort()) {
-        defense_cohort_.assign(cohort_ids_.begin(), cohort_ids_.end());
-      }
-    } else {
-      threshold_ = cohort_threshold(
-          config_.cohort_size == 0 ? population_.size() : config_.cohort_size,
-          population_.size());
-      if (defense_ && defense_->requires_cohort()) {
-        // Re-collect the cohort id list the mask stage needs — same pure
-        // membership scan begin_round_state ran before the crash.
-        for (index_t id = 0; id < population_.size(); ++id) {
-          if (cohort_member(config_.seed, ticket_, id, threshold_)) {
-            defense_cohort_.push_back(id);
-          }
-        }
-      }
-    }
     // Rebuild the dispatch payload for the round in flight (honest-server
     // assumption: begin_round is idempotent given unchanged model state).
     server_->begin_round();
     mid_round_ = true;
-  }
+  });
+  if (mid) obs::counter("ckpt.restore.shard_midround").add(1);
+}
+
+void ShardedSimulation::restore(const ckpt::Snapshot& snap,
+                                std::uint64_t round, std::uint64_t tickets,
+                                const common::Rng::State& rng,
+                                const std::function<void()>& driver_state) {
+  const tensor::ByteBuffer& model_bytes = snap.section("model");
+  const tensor::ByteBuffer& obs_bytes = snap.section("obs");
+  ckpt::load_model_section(
+      [&] { nn::deserialize_state(server_->global_model(), model_bytes); });
+  server_->restore_round(round);
+  round_tickets_ = tickets;
+  rng_.set_state(rng);
+  clear_round_state();
+  round_.open();
+  driver_state();
   ckpt::apply_obs(obs_bytes);
   obs::counter("ckpt.restore_total").add(1);
-  if (mid) obs::counter("ckpt.restore.shard_midround").add(1);
 }
 
 void ShardedSimulation::restore_checkpoint(const tensor::ByteBuffer& bytes) {

@@ -1,26 +1,31 @@
-// Sharded streaming round engine for million-client federations.
+// The in-process round loop, and its million-client driver.
 //
-// fl::Simulation materializes every client and every update of a round in
-// memory — fine for N ≤ 10^3, hopeless for N = 10^6. ShardedSimulation runs
-// the SAME protocol in O(shard) memory: the round's cohort is partitioned
-// into fixed-size shards, each shard's clients are materialized lazily from
-// a VirtualPopulation (pure function of (population seed, client id)),
-// trained in parallel, folded serially into ONE streaming fl::RoundCore
-// fold, and destroyed before the next shard starts. The fold uses the
-// server's own aggregator; the buffering ones (median, trimmed mean) would
-// hold the whole cohort, so the constructor refuses them with ConfigError.
+// ShardedSimulation is the one loop that runs the protocol of Section 2 in
+// process. It draws the round's cohort, partitions it into fixed-size
+// shards, and for each shard dispatches serially, decides faults, trains
+// the members in parallel through the shared client step (client_step.h)
+// and folds their updates serially into ONE fl::RoundCore fold. Two drivers
+// run it:
+//   * the public constructor: clients are materialized lazily from a
+//     VirtualPopulation (a pure function of (population seed, client id))
+//     and destroyed with their shard, so a round over 10^6 clients runs in
+//     O(shard) memory. Collection is single-attempt: a dropout is lost, a
+//     straggler is delivered and counted. The core is streaming-only, so
+//     the buffering aggregators (median, trimmed mean) raise ConfigError.
+//   * fl::Simulation (simulation.h): persistent clients, one shard holding
+//     the whole Fisher–Yates cohort, bounded retries against deadlines on a
+//     virtual clock, and a core that may buffer.
 //
 // Determinism argument (DESIGN.md §5i). The floating-point sum order of the
-// aggregate is the FOLD order, and the fold is strictly serial in cohort
-// order: shard k folds cohort members [k·S, (k+1)·S) in order, shards fold
-// in ascending k. The order is therefore a pure function of the cohort —
+// aggregate is the FOLD order. Single-attempt collection folds strictly in
+// cohort order: shard k folds cohort members [k·S, (k+1)·S) in order, shards
+// fold in ascending k. The order is therefore a pure function of the cohort,
 // independent of the shard size S AND of the thread count (parallelism is
 // confined to training within a shard, whose results land in fixed slots).
-// With the Fisher–Yates sampler the cohort order equals fl::Simulation's
-// selection order, and the fold order equals the order finish_round() folds
-// its updates in — so the sharded engine is BYTE-IDENTICAL to the
-// materialized path at any (shard size, thread count). The differential
-// shard tests pin exactly this.
+// With the Fisher–Yates sampler the cohort order is fl::Simulation's
+// selection order, so the two drivers commit the same bytes whenever
+// Simulation's first attempt collects everyone it will collect. The
+// differential shard and round-core tests pin exactly this.
 //
 // Mid-round checkpointing. Huge rounds are made interruption-proof by
 // snapshotting at shard boundaries: a snapshot carries the completed-shard
@@ -29,12 +34,6 @@
 // resume). A SIGKILL mid-shard loses at most one shard of work and the
 // resumed run is bit-identical to one that never crashed — the shard crash
 // tests prove it over 50 seeds.
-//
-// Fault semantics. The engine is single-attempt (no virtual clock, no
-// retry): dropout = lost, straggler = delivered-but-counted, corrupt/poison
-// damage the payload via FaultPlan::apply, duplicate folds the update twice
-// (the second screens as kDuplicate). At 10^6 clients per round the retry
-// machinery would dominate wall clock for semantics nobody observes.
 //
 // Mid-round resume assumes an HONEST server: begin_round() must be
 // idempotent given unchanged model state, because resume re-invokes it to
@@ -45,6 +44,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,15 +54,15 @@
 #include "fl/population.h"
 #include "fl/round_core.h"
 #include "fl/server.h"
+#include "runtime/virtual_clock.h"
 
 namespace oasis::fl {
 
 /// How the round's cohort is drawn from the population.
 enum class CohortSampler : std::uint8_t {
-  /// rng.sample_without_replacement(N, M) — exactly fl::Simulation's
-  /// selection, in selection order. Materializes the cohort id list (O(M)
-  /// memory) and an O(N) scratch permutation; the compatibility mode the
-  /// differential tests run.
+  /// rng.sample_without_replacement(N, M), in selection order — the only
+  /// sampler fl::Simulation uses. Materializes the cohort id list (O(M)
+  /// memory) and an O(N) scratch permutation.
   kFisherYates = 0,
   /// Stateless hash-threshold membership: client `id` joins round ticket `t`
   /// iff mix(seed, t, id) < threshold(M, N). O(1) sampler state, cohort
@@ -70,14 +70,6 @@ enum class CohortSampler : std::uint8_t {
   /// (each client joins independently with probability M/N). The scale mode.
   kHashThreshold = 1,
 };
-
-const char* to_string(CohortSampler sampler);
-
-/// splitmix64-style mix of (seed, ticket, client_id) — the hash-threshold
-/// sampler's membership hash. Pure; exposed for the property tests.
-[[nodiscard]] std::uint64_t cohort_mix(std::uint64_t seed,
-                                       std::uint64_t ticket,
-                                       std::uint64_t client_id);
 
 /// Membership threshold for an expected cohort of `cohort_size` out of
 /// `population`: floor(cohort·2^64 / population), with cohort == population
@@ -108,12 +100,9 @@ struct ShardedConfig {
 
 /// Progress snapshot handed to the shard hook after each shard folds.
 struct ShardProgress {
-  std::uint64_t round = 0;   // protocol round in flight
   std::uint64_t ticket = 0;  // engine's monotone round-start counter
   index_t shard = 0;         // shard just completed (0-based)
   index_t num_shards = 0;
-  index_t cohort_size = 0;   // resolved cohort size this round
-  index_t clients_done = 0;  // cohort members disposed so far (cumulative)
 };
 
 /// Called after each completed shard — the mid-round checkpoint cadence hook
@@ -124,6 +113,32 @@ using ShardHook = std::function<void(const ShardProgress&)>;
 /// the crash harness injects SIGKILL mid-shard through this.
 using ClientHook =
     std::function<void(std::uint64_t client_id, index_t clients_done)>;
+
+/// fl::Simulation's configuration (simulation.h).
+struct SimulationConfig {
+  /// Clients selected per round (M ≤ N). 0 means "all clients".
+  index_t clients_per_round = 0;
+  std::uint64_t seed = 7;
+
+  // --- Fault-tolerant collection semantics (virtual-clock time) ---
+  /// Fraction of the M selected clients that must survive validation for
+  /// the round to commit; ceil(quorum_fraction·M), at least 1 when > 0.
+  /// 0 disables the quorum (a round with zero valid updates skips its SGD
+  /// step instead of aborting).
+  real quorum_fraction = 0.0;
+  /// Collection attempts per client (1 initial + retries). Must be ≥ 1.
+  index_t max_attempts = 3;
+  /// Per-attempt reply deadline: replies arriving later are timeouts.
+  runtime::VirtualClock::ticks deadline_ticks = 500;
+  /// Extra wait inserted before each retry attempt (linear backoff:
+  /// attempt k waits k·retry_backoff_ticks on top of the deadline).
+  runtime::VirtualClock::ticks retry_backoff_ticks = 100;
+  /// Nominal round-trip latency of a healthy reply.
+  runtime::VirtualClock::ticks base_latency_ticks = 10;
+  /// Strict mode: throw TimeoutError when any selected client is still
+  /// missing after the last attempt (before quorum/aggregation run).
+  bool fail_on_lost = false;
+};
 
 class ShardedSimulation {
  public:
@@ -136,15 +151,19 @@ class ShardedSimulation {
   /// Runs one protocol round (or finishes a mid-round resume) and returns
   /// the resolved cohort size. Throws QuorumError when fewer valid updates
   /// than the quorum survive — the global model is untouched (the aggregate
-  /// only ever lived in the fold), so there is nothing to roll back.
-  index_t run_round();
+  /// only ever lived in the fold), so there is nothing to roll back. Throws
+  /// ConfigError before the round starts when the defense stack masks
+  /// (requires_cohort) and the aggregator is not FedAvg: pairwise masks
+  /// cancel only in the plain example-weighted sum.
+  index_t run_round() { return run_round(nullptr); }
 
   /// Runs `rounds` rounds, invoking `on_round` (if set) after each.
   void run(index_t rounds,
            const std::function<void(index_t round)>& on_round = {});
 
-  /// Installs the seeded fault schedule (single-attempt semantics — see
-  /// file comment). Replace with a default-constructed plan to disable.
+  /// Installs the seeded fault schedule, decided per member and attempt
+  /// (see the file comment for each driver's collection). Replace with a
+  /// default-constructed plan to disable.
   void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }
 
   void set_shard_hook(ShardHook hook) { shard_hook_ = std::move(hook); }
@@ -159,10 +178,6 @@ class ShardedSimulation {
   void set_defense_stack(DefenseStackPtr stack) { defense_ = std::move(stack); }
 
   Server& server() { return *server_; }
-  [[nodiscard]] const VirtualPopulation& population() const {
-    return population_;
-  }
-  [[nodiscard]] const ShardedConfig& config() const { return config_; }
   /// True between a shard-boundary snapshot's round start and its commit —
   /// i.e. the engine is inside a round (only observable via checkpoints,
   /// hooks, or an aborted run_round).
@@ -180,7 +195,7 @@ class ShardedSimulation {
   /// Serializes the engine into an "oasis.ckpt/v1" buffer and bumps
   /// ckpt.save_total (before the obs capture, so the snapshot counts
   /// itself).
-  [[nodiscard]] tensor::ByteBuffer encode_checkpoint();
+  [[nodiscard]] virtual tensor::ByteBuffer encode_checkpoint();
 
   /// Validates `bytes` exhaustively and applies it. Throws CheckpointError
   /// (kStateMismatch for a snapshot from a differently configured
@@ -202,16 +217,53 @@ class ShardedSimulation {
   std::uint64_t resume_from(ckpt::CheckpointManager& manager);
 
  private:
+  friend class Simulation;
+
+  /// fl::Simulation's driver: `clients` are the population, one shard holds
+  /// the whole cohort, and the core may buffer.
+  ShardedSimulation(std::unique_ptr<Server> server,
+                    std::vector<std::unique_ptr<Client>> clients,
+                    SimulationConfig config);
+
+  void check_config() const;
+  [[nodiscard]] index_t population_size() const;
+  [[nodiscard]] std::uint64_t client_id(index_t member) const;
+  /// Appends the cohort's client ids in fold order when `cohort` is set.
+  index_t run_round(std::vector<std::uint64_t>* cohort);
   void begin_round_state();
+  /// Draws this round's cohort from `selection` (rng_, or on resume a
+  /// replay of the round-start state).
+  void draw_cohort(common::Rng& selection);
   void process_shard();
-  void collect_shard_members(std::vector<std::uint64_t>& out);
+  void collect_shard_members(std::vector<index_t>& out);
   void clear_round_state();
-  [[nodiscard]] std::uint64_t checkpoint_generation() const;
-  void apply_snapshot(const ckpt::Snapshot& snap);
+  // The snapshot schema is the driver's: fl::Simulation overrides these.
+  [[nodiscard]] virtual std::uint64_t checkpoint_generation() const;
+  virtual void apply_snapshot(const ckpt::Snapshot& snap);
+  /// The restore tail both drivers share, after their own sections passed
+  /// every check: shared state, then `driver_state`, then the obs registry.
+  void restore(const ckpt::Snapshot& snap, std::uint64_t round,
+               std::uint64_t tickets, const common::Rng::State& rng,
+               const std::function<void()>& driver_state);
+  /// Fills a driver's sections; `agg` stays empty at rest.
+  using SectionWrite = std::function<void(
+      ckpt::SectionWriter& meta, ckpt::SectionWriter& rng,
+      ckpt::SectionWriter& agg)>;
+  /// The container both drivers write: counts ckpt.save_total, then seals
+  /// `meta`, the model, `rng`, a non-empty `agg` and the obs registry.
+  tensor::ByteBuffer seal(const char* meta_name, const char* rng_name,
+                          const SectionWrite& write);
 
   std::unique_ptr<Server> server_;
-  VirtualPopulation population_;
+  // The client source: a lazily materializing population, or (fl::
+  // Simulation) persistent clients that keep their cross-round rng.
+  std::optional<VirtualPopulation> population_;
+  std::vector<std::unique_ptr<Client>> clients_;
   ShardedConfig config_;
+  /// fl::Simulation's collection rule, applied per shard. Unset for the
+  /// public driver: one attempt, no deadline, no clock.
+  std::optional<SimulationConfig> retry_;
+  runtime::VirtualClock clock_;  // advanced only under retry_
   common::Rng rng_;  // cohort selection stream (kFisherYates)
   FaultPlan fault_plan_;
   DefenseStackPtr defense_;
@@ -237,7 +289,7 @@ class ShardedSimulation {
   /// cohort (see set_defense_stack) — empty otherwise.
   std::vector<std::uint64_t> defense_cohort_;
   std::vector<bool> shard_done_;           // completed-shard bitmap
-  RoundCore round_;                        // streaming-only fold
+  RoundCore round_;  // streaming-only under the public driver
 };
 
 }  // namespace oasis::fl

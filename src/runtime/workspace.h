@@ -57,18 +57,6 @@ class Workspace {
   /// innermost live Scope is destroyed. Must be called inside a Scope.
   real* alloc(index_t count);
 
-  /// `count` elements of scalar type T, 64-byte aligned, same lifetime rules
-  /// as alloc(). Storage is carved from the same double-granular arena,
-  /// rounded up.
-  template <typename T>
-  T* alloc_as(index_t count) {
-    static_assert(alignof(T) <= alignof(real),
-                  "arena blocks are only real-aligned between 64B marks");
-    const auto reals = static_cast<index_t>(
-        (count * sizeof(T) + sizeof(real) - 1) / sizeof(real));
-    return reinterpret_cast<T*>(alloc(reals));
-  }
-
   /// Total capacity across blocks, in doubles (diagnostics/tests).
   [[nodiscard]] index_t capacity() const;
   /// Number of backing blocks (1 once the arena has settled).

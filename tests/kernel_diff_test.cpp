@@ -373,25 +373,6 @@ TEST(Workspace, AllocationsAre64ByteAligned) {
   }
 }
 
-TEST(Workspace, TypedAllocationsAre64ByteAlignedAndDisjoint) {
-  // alloc_as carves other scalar types from the double-granular arena; both
-  // the alignment contract and bump disjointness must hold across
-  // mixed-type allocations.
-  runtime::Workspace ws;
-  runtime::Workspace::Scope scope(ws);
-  float* f = ws.alloc_as<float>(13);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(f) % 64, 0u);
-  real* d = ws.alloc(5);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % 64, 0u);
-  float* g = ws.alloc_as<float>(64);
-  // 13 floats round up to 7 doubles, then the next alloc bumps from a fresh
-  // 64-byte mark — regions never overlap.
-  EXPECT_GE(reinterpret_cast<std::uintptr_t>(d),
-            reinterpret_cast<std::uintptr_t>(f + 13));
-  EXPECT_GE(reinterpret_cast<std::uintptr_t>(g),
-            reinterpret_cast<std::uintptr_t>(d + 5));
-}
-
 TEST(Workspace, AllocOutsideScopeThrows) {
   runtime::Workspace ws;
   EXPECT_THROW(ws.alloc(8), Error);

@@ -178,11 +178,14 @@ TEST(RoundCoreDifferential, StreamingEnginesRefuseBufferingAggregators) {
 
 constexpr index_t kFaultedRounds = 4;
 
-/// Delivery faults only. Dropout and straggler are left out: the engines'
-/// retry semantics differ by design (Simulation retries, the sharded engine
-/// is single-attempt).
+/// Every fault kind. Straggler delays keep their defaults (at most 400
+/// ticks, plus Simulation's 10 ticks of latency), inside Simulation's
+/// 500-tick deadline, so a single-attempt Simulation collects exactly what
+/// the sharded driver collects: the same loop under the same rule.
 FaultPlan delivery_faults() {
   FaultConfig cfg;
+  cfg.dropout_prob = 0.1;
+  cfg.straggler_prob = 0.2;
   cfg.corrupt_prob = 0.3;
   cfg.poison_prob = 0.2;
   cfg.byzantine_fraction = 0.2;
@@ -233,8 +236,9 @@ TEST(RoundCoreDifferential, FaultedDefendedRoundsMatchAcrossInProcessEngines) {
   const Outcome want = run_defended(sim);
   // The input must exercise every delivery fault and every stack stage.
   for (const char* name :
-       {"fl.fault.corrupt", "fl.fault.poison", "fl.fault.byzantine",
-        "fl.fault.duplicate", "fl.defense.clip", "fl.defense.noise",
+       {"fl.fault.dropout", "fl.fault.straggler", "fl.fault.corrupt",
+        "fl.fault.poison", "fl.fault.byzantine", "fl.fault.duplicate",
+        "fl.defense.clip", "fl.defense.noise",
         "fl.defense.mask", "fl.validate.accepted", "fl.validate.rejected"}) {
     EXPECT_GT(want.counted.count(name), 0u) << name << " never counted";
   }
@@ -254,6 +258,57 @@ TEST(RoundCoreDifferential, FaultedDefendedRoundsMatchAcrossInProcessEngines) {
           << "shard_size=" << shard_size << " threads=" << threads;
     }
   }
+}
+
+// Pairwise masks cancel only in FedAvg's weighted sum: under a robust
+// aggregator they are folded as noise. Both drivers refuse the pair when the
+// round opens, before the ticket advances or any client trains.
+TEST(RoundCoreDifferential, MaskUnderRobustAggregatorIsRefusedAtRoundOpen) {
+  runtime::set_num_threads(1);
+  const auto mask = parse_defense_stack("clip:1,mask");
+  auto make_sim = [&](const AggregatorConfig& aggregator) {
+    auto sim = std::make_unique<Simulation>(
+        test_server(aggregator),
+        VirtualPopulation(test_population()).materialize(),
+        SimulationConfig{/*clients_per_round=*/4, kSelectionSeed});
+    sim->set_defense_stack(mask);
+    return sim;
+  };
+  auto fedavg = make_sim(AggregatorConfig{});
+  fedavg->run(kRounds);
+  const tensor::ByteBuffer want =
+      nn::serialize_state(fedavg->server().global_model());
+
+  for (const char* spec : {"median", "trimmed:0.2", "normbound:5"}) {
+    auto sim = make_sim(parse_aggregator(spec));
+    const tensor::ByteBuffer before =
+        nn::serialize_state(sim->server().global_model());
+    const std::uint64_t trained = obs::counter("fl.clients_trained").value();
+    EXPECT_THROW(sim->run_round(), ConfigError) << spec;
+    EXPECT_EQ(nn::serialize_state(sim->server().global_model()), before)
+        << spec;
+    EXPECT_EQ(sim->server().round(), 0u) << spec;
+    EXPECT_EQ(obs::counter("fl.clients_trained").value(), trained) << spec;
+    // Nothing advanced: under FedAvg the same federation now runs exactly
+    // the rounds a fresh one runs.
+    sim->server().set_aggregator(AggregatorConfig{});
+    sim->run(kRounds);
+    EXPECT_TRUE(nn::serialize_state(sim->server().global_model()) == want)
+        << spec;
+  }
+
+  // The sharded driver refuses median and trimmed mean at construction;
+  // normbound streams, so it reaches round open.
+  ShardedSimulation engine(test_server(parse_aggregator("normbound:5")),
+                           VirtualPopulation(test_population()),
+                           sharded_config(3));
+  engine.set_defense_stack(mask);
+  const tensor::ByteBuffer before =
+      nn::serialize_state(engine.server().global_model());
+  EXPECT_THROW(engine.run_round(), ConfigError);
+  EXPECT_EQ(nn::serialize_state(engine.server().global_model()), before);
+  EXPECT_EQ(engine.server().round(), 0u);
+  EXPECT_FALSE(engine.mid_round());
 }
 
 // --- Checkpoint byte pin ----------------------------------------------------

@@ -2,10 +2,10 @@
 //
 // The parent process serves a federation over a loopback TCP socket
 // (net::FlServer); each client is a real forked process driving fl::Client
-// training through net::FlClient with a FaultPlan-derived delivery schedule:
-// dropped connections mid-frame, stragglers sleeping past the cutover,
-// corrupted payload bytes, duplicate delivery, numeric poison. The bench
-// reports rounds/s, p50/p99 dispatch→cutover round latency, and the
+// training through net::FlClient under the round loop's fl::FaultPlan:
+// dropouts that never train, stragglers holding their update, frames cut
+// mid-way, corrupted payload bytes, duplicate delivery, numeric poison. The
+// bench reports rounds/s, p50/p99 dispatch→cutover round latency, and the
 // validation/net reject-counter deltas as one JSON document — the
 // operational fingerprint a deployment would alert on.
 //
@@ -122,46 +122,9 @@ int run_child(const data::SynthDataset& dataset, const LoadConfig& cfg,
     // would muddy the recovery percentiles — and a dropout-afflicted client
     // can fall behind the server's round count for good, leaving it spinning
     // against the closed port long after the schedule completes.
-    const fl::FaultPlan plan(cfg.faults);
-    if (cfg.server_kill_every == 0)
-      client.set_fault_hook(
-        [&plan, id](std::uint64_t round, fl::ClientUpdateMessage& update) {
-          // The protocol round doubles as the plan ticket: decisions stay a
-          // pure function of (seed, round, client), reproducible per child.
-          const fl::ClientFault fault = plan.decide(round, /*attempt=*/0, id);
-          net::UpdateFault out;
-          switch (fault.kind) {
-            case fl::FaultKind::kNone:
-              break;
-            case fl::FaultKind::kDropout:
-              out.action = net::UpdateFault::Action::kDrop;
-              break;
-            case fl::FaultKind::kStraggler:
-              // Ticks become milliseconds of real delay, capped well under
-              // the server's round deadline so stragglers cost latency, not
-              // participation.
-              ::poll(nullptr, 0,
-                     static_cast<int>(std::min<std::uint64_t>(
-                         fault.delay_ticks, 300)));
-              break;
-            case fl::FaultKind::kCorrupt:
-              if (fault.corruption == fl::CorruptionKind::kTruncate) {
-                out.action = net::UpdateFault::Action::kPartialClose;
-              } else if (fault.corruption == fl::CorruptionKind::kDuplicate) {
-                out.action = net::UpdateFault::Action::kDuplicate;
-              } else {
-                // Bit flips / wrong round damage the payload in place; the
-                // server's validation pipeline must reject it.
-                plan.apply(update, fault, round, 0, id);
-              }
-              break;
-            case fl::FaultKind::kPoison:
-            case fl::FaultKind::kByzantine:
-              plan.apply(update, fault, round, 0, id);
-              break;
-          }
-          return out;
-        });
+    if (cfg.server_kill_every == 0) {
+      client.set_fault_plan(fl::FaultPlan(cfg.faults));
+    }
     int code = 0;
     try {
       client.run("127.0.0.1", port);

@@ -28,7 +28,8 @@
 #                      # 8-thread sweeps (intra-GEMM parallel path) under TSan
 #   ./ci.sh chaos      # ASan build + chaos label only
 #   ./ci.sh crash      # ASan build + crash label only (SIGKILL harness)
-#   ./ci.sh net        # ASan build + net label, then a TSan loopback round
+#   ./ci.sh net        # ASan build + net label + a short net_rounds fleet,
+#                      # then TSan loopback rounds (honest and faulted)
 #   ./ci.sh net-chaos  # ASan server-kill harness + TSan reconnect/backoff
 #   ./ci.sh shard      # ASan build + shard label + chaos suite + both
 #                      # drivers' crash kill-points
@@ -147,14 +148,17 @@ run_net() {
   # truncation, seeded bit flips) — ASan/UBSan territory — and its
   # poll-driven event loop plus the fork-based federation get a TSan pass
   # over a real loopback round-trip.
-  echo "==> [ci] Net stage: socket serving tests under ASan/UBSan + TSan loopback"
+  echo "==> [ci] Net stage: socket serving tests + net_rounds under ASan/UBSan, TSan loopback"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
-  cmake --build build-asan -j "${jobs}" --target net_test
+  cmake --build build-asan -j "${jobs}" --target net_test net_rounds
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L net
+  # The load bench has no test of its own, and its clients run the shared
+  # fault plan: a short forked fleet must finish and exit 0.
+  ./build-asan/bench/net_rounds --clients 3 --rounds 3 --timeout-sec 60
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target net_test
   ./build-tsan/tests/net_test \
-    --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly'
+    --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly:NetRound.FaultPlanLoopbackMatchesSingleAttemptSimulation'
 }
 
 run_net_chaos() {

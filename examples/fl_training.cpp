@@ -84,9 +84,85 @@
 #include "obs/obs.h"
 #include "runtime/parallel.h"
 
-int main(int argc, char** argv) {
-  using namespace oasis;
+namespace {
 
+using namespace oasis;
+
+/// The --fault-* flags as one fault schedule (inert when every rate is 0).
+fl::FaultConfig parse_faults(const common::CliParser& cli) {
+  fl::FaultConfig faults;
+  faults.dropout_prob = cli.get_real("fault-dropout");
+  faults.straggler_prob = cli.get_real("fault-straggler");
+  faults.corrupt_prob = cli.get_real("fault-corrupt");
+  faults.poison_prob = cli.get_real("fault-poison");
+  faults.byzantine_fraction = cli.get_real("fault-byzantine");
+  faults.seed = cli.get_uint("fault-seed");
+  return faults;
+}
+
+/// Opens --checkpoint-dir (null when unset) and, with --resume, restores the
+/// newest valid snapshot into `engine`, passing the round it resumed at to
+/// `resumed`. An empty directory starts fresh.
+template <typename Engine, typename Resumed>
+std::unique_ptr<ckpt::CheckpointManager> open_checkpoints(
+    const common::CliParser& cli, Engine& engine, Resumed&& resumed) {
+  const std::string dir = cli.get("checkpoint-dir");
+  if (dir.empty()) return nullptr;
+  OASIS_CHECK_MSG(cli.get_uint("checkpoint-every") >= 1,
+                  "--checkpoint-every must be >= 1");
+  auto manager = std::make_unique<ckpt::CheckpointManager>(
+      dir, static_cast<int>(cli.get_int("checkpoint-keep")));
+  if (cli.get_bool("resume")) {
+    try {
+      resumed(engine.resume_from(*manager));
+    } catch (const CheckpointError& e) {
+      if (e.reason() != CheckpointError::Reason::kNoValidGeneration) throw;
+      std::cout << "no checkpoint to resume from; starting fresh\n";
+    }
+  }
+  return manager;
+}
+
+/// Runs rounds until the protocol round reaches `target`, then `committed`
+/// with the new round and run_round's result. The loop is keyed on the
+/// server's round, not a counter, so a resumed process continues where its
+/// snapshot left off. A round that misses quorum leaves the model untouched
+/// and the next attempt draws a new cohort; attempts are bounded so a
+/// pathological fault plan cannot spin forever.
+template <typename Engine, typename Committed>
+void run_rounds(Engine& engine, index_t target,
+                ckpt::CheckpointManager* manager, std::uint64_t ckpt_every,
+                Committed&& committed) {
+  index_t aborted = 0;
+  for (index_t attempts = 0;
+       engine.server().round() < target && attempts < 2 * target;
+       ++attempts) {
+    try {
+      const auto result = engine.run_round();
+      const std::uint64_t r = engine.server().round();
+      if (manager != nullptr && (r % ckpt_every == 0 || r == target)) {
+        engine.save_checkpoint(*manager);
+      }
+      committed(r, result);
+    } catch (const QuorumError& e) {
+      ++aborted;
+      std::cout << "round " << (engine.server().round() + 1) << ": aborted ("
+                << e.what() << ")\n";
+    }
+  }
+  if (aborted > 0) {
+    std::cout << aborted << " round attempt(s) aborted on quorum\n";
+  }
+}
+
+void export_metrics(const common::CliParser& cli) {
+  if (const std::string path = cli.get("metrics-out"); !path.empty()) {
+    obs::dump(path);
+    std::cout << "[metrics] " << path << "\n" << obs::summary();
+  }
+}
+
+int run(int argc, char** argv) {
   common::CliParser cli("fl_training",
                         "Honest FedAvg federation with OASIS-defended clients");
   cli.add_flag("rounds", "federated rounds", "250");
@@ -288,87 +364,44 @@ int main(int argc, char** argv) {
                                  fl::VirtualPopulation(pop_cfg), shard_cfg);
     if (!defense_stack->empty()) engine.set_defense_stack(defense_stack);
 
-    fl::FaultConfig pop_faults;
-    pop_faults.dropout_prob = cli.get_real("fault-dropout");
-    pop_faults.straggler_prob = cli.get_real("fault-straggler");
-    pop_faults.corrupt_prob = cli.get_real("fault-corrupt");
-    pop_faults.poison_prob = cli.get_real("fault-poison");
-    pop_faults.byzantine_fraction = cli.get_real("fault-byzantine");
-    pop_faults.seed = cli.get_uint("fault-seed");
-    if (pop_faults.any()) engine.set_fault_plan(fl::FaultPlan(pop_faults));
+    if (const fl::FaultConfig faults = parse_faults(cli); faults.any()) {
+      engine.set_fault_plan(fl::FaultPlan(faults));
+    }
 
-    std::unique_ptr<ckpt::CheckpointManager> pop_manager;
-    const auto pop_ckpt_every = cli.get_uint("checkpoint-every");
-    if (const std::string dir = cli.get("checkpoint-dir"); !dir.empty()) {
-      OASIS_CHECK_MSG(pop_ckpt_every >= 1,
-                      "--checkpoint-every must be >= 1");
-      pop_manager = std::make_unique<ckpt::CheckpointManager>(
-          dir, static_cast<int>(cli.get_int("checkpoint-keep")));
-      if (cli.get_bool("resume")) {
-        try {
-          const std::uint64_t at = engine.resume_from(*pop_manager);
-          std::cout << "resumed at round " << at
-                    << (engine.mid_round() ? " (mid-round)" : "") << "\n";
-        } catch (const CheckpointError& e) {
-          if (e.reason() != CheckpointError::Reason::kNoValidGeneration) {
-            throw;
-          }
-          std::cout << "no checkpoint to resume from; starting fresh\n";
-        }
-      }
-      if (const auto every_shards =
-              cli.get_uint("checkpoint-every-shards");
-          every_shards > 0) {
-        // Shard-boundary snapshots: a SIGKILL mid-round resumes from the
-        // last completed shard instead of replaying the whole round.
-        engine.set_shard_hook(
-            [&engine, &pop_manager, every_shards](const fl::ShardProgress& p) {
-              if ((p.shard + 1) % every_shards == 0 &&
-                  p.shard + 1 < p.num_shards) {
-                engine.save_checkpoint(*pop_manager);
-              }
-            });
-      }
+    const auto manager = open_checkpoints(cli, engine, [&](std::uint64_t at) {
+      std::cout << "resumed at round " << at
+                << (engine.mid_round() ? " (mid-round)" : "") << "\n";
+    });
+    if (const auto every_shards = cli.get_uint("checkpoint-every-shards");
+        manager != nullptr && every_shards > 0) {
+      // Shard-boundary snapshots: a SIGKILL mid-round resumes from the
+      // last completed shard instead of replaying the whole round.
+      engine.set_shard_hook(
+          [&engine, &manager, every_shards](const fl::ShardProgress& p) {
+            if ((p.shard + 1) % every_shards == 0 &&
+                p.shard + 1 < p.num_shards) {
+              engine.save_checkpoint(*manager);
+            }
+          });
     }
 
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t folded = 0;
-    index_t pop_aborted = 0;
-    for (index_t attempts = 0;
-         engine.server().round() < rounds && attempts < 2 * rounds;
-         ++attempts) {
-      index_t cohort = 0;
-      try {
-        cohort = engine.run_round();
-      } catch (const QuorumError& e) {
-        ++pop_aborted;
-        std::cout << "round " << (engine.server().round() + 1)
-                  << ": aborted (" << e.what() << ")\n";
-        continue;
-      }
-      folded += cohort;
-      const std::uint64_t r = engine.server().round();
-      if (pop_manager != nullptr &&
-          (r % pop_ckpt_every == 0 || r == rounds)) {
-        engine.save_checkpoint(*pop_manager);
-      }
-      std::cout << "round " << r << ": cohort " << cohort << "\n";
-    }
+    run_rounds(engine, rounds, manager.get(),
+               cli.get_uint("checkpoint-every"),
+               [&folded](std::uint64_t r, index_t cohort) {
+                 folded += cohort;
+                 std::cout << "round " << r << ": cohort " << cohort << "\n";
+               });
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - t0;
-    if (pop_aborted > 0) {
-      std::cout << pop_aborted << " round attempt(s) aborted on quorum\n";
-    }
     std::cout << "population " << population << ": " << folded
               << " client-rounds in " << wall.count() << " s ("
               << (wall.count() > 0.0
                       ? static_cast<double>(folded) / wall.count()
                       : 0.0)
               << " clients/s)\n";
-    if (const std::string path = cli.get("metrics-out"); !path.empty()) {
-      obs::dump(path);
-      std::cout << "[metrics] " << path << "\n" << obs::summary();
-    }
+    export_metrics(cli);
     return 0;
   }
 
@@ -421,10 +454,7 @@ int main(int argc, char** argv) {
     std::cout << "served " << net_server.rounds_served()
               << " round(s); final global test accuracy " << acc * 100.0
               << "%\n";
-    if (const std::string path = cli.get("metrics-out"); !path.empty()) {
-      obs::dump(path);
-      std::cout << "[metrics] " << path << "\n" << obs::summary();
-    }
+    export_metrics(cli);
     return 0;
   }
 
@@ -441,13 +471,7 @@ int main(int argc, char** argv) {
   fl::Simulation sim(std::move(server), std::move(clients), sim_cfg);
   if (!defense_stack->empty()) sim.set_defense_stack(defense_stack);
 
-  fl::FaultConfig faults;
-  faults.dropout_prob = cli.get_real("fault-dropout");
-  faults.straggler_prob = cli.get_real("fault-straggler");
-  faults.corrupt_prob = cli.get_real("fault-corrupt");
-  faults.poison_prob = cli.get_real("fault-poison");
-  faults.byzantine_fraction = cli.get_real("fault-byzantine");
-  faults.seed = cli.get_uint("fault-seed");
+  const fl::FaultConfig faults = parse_faults(cli);
   if (faults.any()) {
     sim.set_fault_plan(fl::FaultPlan(faults));
     // This federation runs without secure aggregation, so the norm screen
@@ -464,60 +488,32 @@ int main(int argc, char** argv) {
               << sim_cfg.quorum_fraction << ")\n";
   }
 
-  // Durable checkpointing: the loop below is keyed on the server's protocol
-  // round (not a loop counter) so a resumed process continues exactly where
-  // the snapshot left off.
-  std::unique_ptr<ckpt::CheckpointManager> manager;
-  const auto ckpt_every = cli.get_uint("checkpoint-every");
-  if (const std::string dir = cli.get("checkpoint-dir"); !dir.empty()) {
-    OASIS_CHECK_MSG(ckpt_every >= 1, "--checkpoint-every must be >= 1");
-    manager = std::make_unique<ckpt::CheckpointManager>(
-        dir, static_cast<int>(cli.get_int("checkpoint-keep")));
-    if (cli.get_bool("resume")) {
-      try {
-        const std::uint64_t at = sim.resume_from(*manager);
-        std::cout << "resumed from checkpoint at round " << at << "\n";
-      } catch (const CheckpointError& e) {
-        if (e.reason() != CheckpointError::Reason::kNoValidGeneration) throw;
-        std::cout << "no checkpoint to resume from; starting fresh\n";
-      }
-    }
-  }
-
-  const auto target = static_cast<std::uint64_t>(rounds);
-  index_t aborted = 0;
-  // Aborted (quorum-missing) attempts don't advance the protocol round;
-  // bound total attempts so a pathological fault plan cannot spin forever.
-  for (index_t attempts = 0;
-       sim.server().round() < target && attempts < 2 * rounds; ++attempts) {
-    try {
-      sim.run_round();
-    } catch (const QuorumError& e) {
-      // The engine already rolled the model back bit-exactly; skip to the
-      // next round's cohort.
-      ++aborted;
-      std::cout << "round " << (sim.server().round() + 1) << ": aborted ("
-                << e.what() << ")\n";
-      continue;
-    }
-    const std::uint64_t r = sim.server().round();
-    if (manager != nullptr && (r % ckpt_every == 0 || r == target)) {
-      sim.save_checkpoint(*manager);
-    }
-    if (r % 25 == 0 || r == target) {
-      const real acc =
-          metrics::accuracy(server_ptr->global_model(), dataset.test);
-      obs::gauge("fl.global_test_accuracy").set(acc);
-      std::cout << "round " << r << ": global test accuracy "
-                << acc * 100.0 << "%\n";
-    }
-  }
-  if (aborted > 0) {
-    std::cout << aborted << " round attempt(s) aborted on quorum\n";
-  }
-  if (const std::string path = cli.get("metrics-out"); !path.empty()) {
-    obs::dump(path);
-    std::cout << "[metrics] " << path << "\n" << obs::summary();
-  }
+  const auto manager = open_checkpoints(cli, sim, [](std::uint64_t at) {
+    std::cout << "resumed from checkpoint at round " << at << "\n";
+  });
+  run_rounds(sim, rounds, manager.get(), cli.get_uint("checkpoint-every"),
+             [&](std::uint64_t r, const std::vector<std::uint64_t>&) {
+               if (r % 25 == 0 || r == rounds) {
+                 const real acc = metrics::accuracy(
+                     server_ptr->global_model(), dataset.test);
+                 obs::gauge("fl.global_test_accuracy").set(acc);
+                 std::cout << "round " << r << ": global test accuracy "
+                           << acc * 100.0 << "%\n";
+               }
+             });
+  export_metrics(cli);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A configuration the engines refuse (a ConfigError, say) is reported,
+  // not left to abort the process.
+  try {
+    return run(argc, argv);
+  } catch (const oasis::Error& e) {
+    std::cerr << "fl_training: " << e.what() << "\n";
+    return 2;
+  }
 }

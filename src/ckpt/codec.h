@@ -9,6 +9,10 @@
 // resume bit-identity contract requires exact payload round-trips, not
 // merely value-preserving ones (signalling-NaN payloads included).
 //
+// The same codec writes and reads the socket frames (net/frame.h). Integers
+// travel in host byte order, which is little-endian on every supported
+// target; the static_assert below keeps it that way.
+//
 // The helpers at the end are the layouts every engine shares: an Rng stream
 // position, and the rethrow that turns a model section the live network
 // cannot load into a typed state mismatch.
@@ -25,10 +29,14 @@
 
 namespace oasis::ckpt {
 
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint and wire integers are little-endian host order");
+
 using ByteBuffer = std::vector<std::uint8_t>;
 
 class SectionWriter {
  public:
+  void reserve(std::size_t n) { out_.reserve(n); }
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
   void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
@@ -39,6 +47,11 @@ class SectionWriter {
   }
   void bytes(const ByteBuffer& b) {
     u64(b.size());
+    append(b);
+  }
+  /// `b` as is, with no length prefix: a trailing payload whose length the
+  /// container already records.
+  void append(const ByteBuffer& b) {
     out_.insert(out_.end(), b.begin(), b.end());
   }
   /// Bit-packed flag vector (u64 bit count + ceil(n/8) bytes, LSB-first).
@@ -101,6 +114,12 @@ class SectionReader {
     ByteBuffer b(in_.begin() + static_cast<std::ptrdiff_t>(off_),
                  in_.begin() + static_cast<std::ptrdiff_t>(off_ + n));
     off_ += n;
+    return b;
+  }
+  /// Everything not yet read: the trailing payload append() wrote.
+  ByteBuffer rest() {
+    ByteBuffer b(in_.begin() + static_cast<std::ptrdiff_t>(off_), in_.end());
+    off_ = in_.size();
     return b;
   }
   std::vector<bool> bitset() {

@@ -41,12 +41,6 @@ common::Rng client_round_stream(std::uint64_t base_seed, std::uint64_t round,
   return per_round.split(client_id);
 }
 
-void Client::set_local_training(index_t steps, real lr) {
-  OASIS_CHECK(steps >= 1 && lr > 0.0);
-  local_steps_ = steps;
-  local_lr_ = lr;
-}
-
 std::vector<index_t> Client::sample_batch_indices() {
   if (sampling_ == BatchSampling::kUniform) {
     return rng_.sample_without_replacement(local_data_.size(), batch_size_);
@@ -81,59 +75,28 @@ ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg) {
   // (AuditError) leaves this client's stream untouched for future rounds.
   if (auditor_) auditor_(*model_, msg.round);
 
-  // Parameter snapshot for multi-step pseudo-gradient mode.
-  std::vector<tensor::Tensor> before;
-  if (local_steps_ > 1) {
-    for (const auto* p : model_->parameters()) before.push_back(p->value);
-  }
+  // Sample the local batch D; defense hook maps D -> D'.
+  const auto indices = sample_batch_indices();
+  last_raw_batch_ = data::gather(local_data_, indices);
+  const data::Batch training_batch =
+      preprocessor_->process(last_raw_batch_, rng_);
 
-  index_t examples = 0;
-  for (index_t step = 0; step < local_steps_; ++step) {
-    // Sample the local batch D; defense hook maps D -> D'.
-    const auto indices = sample_batch_indices();
-    last_raw_batch_ = data::gather(local_data_, indices);
-    const data::Batch training_batch =
-        preprocessor_->process(last_raw_batch_, rng_);
-    examples += training_batch.size();
-
-    model_->zero_grad();
-    const tensor::Tensor logits =
-        model_->forward(training_batch.images, /*training=*/true);
-    const nn::LossResult loss =
-        loss_kind_ == LossKind::kSoftmaxCrossEntropy
-            ? ce_loss_.compute(logits, training_batch.labels)
-            : bce_loss_.compute(logits, training_batch.labels);
-    last_loss_ = loss.loss;
-    model_->backward(loss.grad_logits);
-
-    if (local_steps_ > 1) {
-      // Plain local SGD step; the accumulated drift is uploaded below.
-      for (auto* p : model_->parameters()) {
-        p->value.add_scaled_(p->grad, -local_lr_);
-      }
-    }
-  }
-
-  std::vector<tensor::Tensor> gradients;
-  if (local_steps_ > 1) {
-    // Pseudo-gradient (w_received − w_local) / lr, FedAvg-compatible.
-    auto params = model_->parameters();
-    gradients.reserve(params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      tensor::Tensor delta = before[i];
-      delta -= params[i]->value;
-      delta /= local_lr_;
-      gradients.push_back(std::move(delta));
-    }
-  } else {
-    gradients = nn::snapshot_gradients(*model_);
-  }
+  model_->zero_grad();
+  const tensor::Tensor logits =
+      model_->forward(training_batch.images, /*training=*/true);
+  const nn::LossResult loss =
+      loss_kind_ == LossKind::kSoftmaxCrossEntropy
+          ? ce_loss_.compute(logits, training_batch.labels)
+          : bce_loss_.compute(logits, training_batch.labels);
+  last_loss_ = loss.loss;
+  model_->backward(loss.grad_logits);
 
   ClientUpdateMessage update;
   update.round = msg.round;
   update.client_id = id_;
-  update.num_examples = examples;
-  update.gradients = tensor::serialize_tensors(gradients);
+  update.num_examples = training_batch.size();
+  update.gradients =
+      tensor::serialize_tensors(nn::snapshot_gradients(*model_));
   return update;
 }
 

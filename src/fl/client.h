@@ -26,7 +26,6 @@ using ModelFactory = std::function<std::unique_ptr<nn::Sequential>()>;
 using ModelAuditor = std::function<void(nn::Sequential& model,
                                         std::uint64_t round)>;
 
-/// How the client draws its local batch each round.
 /// Which training loss the federation runs.
 enum class LossKind {
   /// Softmax cross-entropy — standard classification (all CNN experiments).
@@ -35,6 +34,7 @@ enum class LossKind {
   kSigmoidBce,
 };
 
+/// How the client draws its local batch each round.
 enum class BatchSampling {
   /// Uniform without replacement — the standard FL setting.
   kUniform,
@@ -78,14 +78,6 @@ class Client {
   /// tests' contract).
   void set_round_keyed_rng(std::uint64_t base_seed);
 
-  /// Switches the client to classic FedAvg local training: per round it runs
-  /// `steps` local SGD steps (each on a fresh preprocessed batch) with the
-  /// given learning rate and uploads the pseudo-gradient
-  /// (w_received − w_local) / lr. With steps == 1 this equals the raw batch
-  /// gradient, so the default single-step mode is the special case the
-  /// paper's attack analysis assumes.
-  void set_local_training(index_t steps, real lr);
-
   /// Handles one training round. Throws SerializationError on a malformed
   /// model payload.
   ClientUpdateMessage handle_round(const GlobalModelMessage& msg);
@@ -120,8 +112,6 @@ class Client {
   index_t batch_size_;
   PreprocessorPtr preprocessor_;
   ModelAuditor auditor_;  // empty = accept every model
-  index_t local_steps_ = 1;
-  real local_lr_ = 0.0;  // 0 → raw-gradient mode
   bool round_keyed_rng_ = false;
   std::uint64_t round_key_seed_ = 0;
   common::Rng rng_;

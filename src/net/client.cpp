@@ -23,10 +23,6 @@ FlClient::FlClient(fl::Client& core, FlClientConfig config, TimeSource now)
 
 FlClient::~FlClient() = default;
 
-void FlClient::set_fault_hook(FaultHook hook) {
-  fault_hook_ = std::move(hook);
-}
-
 void FlClient::set_defense_stack(fl::DefenseStackPtr stack) {
   defense_ = std::move(stack);
 }
@@ -144,14 +140,33 @@ void FlClient::resend_cached() {
   static obs::Counter& resends_c = obs::counter("net.reconnect.cached_resends");
   resends_c.add(1);
   ++resends_;
+  cache_->held_until_ms.reset();
   outbox_.insert(outbox_.end(), cache_->frame.begin(), cache_->frame.end());
   replied_this_conn_ = true;
   flush_outbox();
 }
 
-void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
-  static obs::Counter& models = obs::counter("net.client.models_received");
+void FlClient::send_update(const tensor::ByteBuffer& bytes, int copies) {
   static obs::Counter& sent_c = obs::counter("net.client.updates_sent");
+  sent_c.add(1);
+  ++sent_;
+  for (int i = 0; i < copies; ++i) {
+    outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
+  }
+  replied_this_conn_ = true;
+  flush_outbox();
+}
+
+void FlClient::forget_session() {
+  // A client that abandoned or sabotaged a round does not get to resume
+  // into it: it rejoins with a plain hello and is bounced until it closes.
+  session_ = false;
+  cache_.reset();
+}
+
+void FlClient::handle_model(const fl::GlobalModelMessage& msg,
+                            std::uint64_t now) {
+  static obs::Counter& models = obs::counter("net.client.models_received");
   static obs::Counter& dropped_c = obs::counter("net.client.updates_dropped");
   models.add(1);
   if (cache_) {
@@ -167,8 +182,22 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
     if (msg.round < cache_->round) return;  // stale dispatch; ignore
     cache_.reset();  // a newer round supersedes the in-flight one
   }
-  // Defenses run before the fault hook and before framing, so the wire —
-  // and the byte-exact frame cache — carry the defended update.
+  // Decided before training, as in process: a dropout never trains, so its
+  // RNG stream stays where the in-process twin's does.
+  const fl::ClientFault fault =
+      plan_.decide(msg.round, /*attempt=*/0, config_.client_id);
+  if (fault.kind == fl::FaultKind::kDropout) {
+    // Vanish without a word; the server's round deadline (or the rest of
+    // the cohort) moves on without us.
+    dropped_c.add(1);
+    forget_session();
+    drop_connection();
+    state_ = State::kBackoff;
+    next_connect_ms_ = now + config_.backoff_ms;
+    return;
+  }
+  // Defenses run before the fault and before framing, so the wire — and the
+  // byte-exact frame cache — carry the defended update.
   std::optional<fl::ClientUpdateMessage> update =
       fl::run_client_round(core_, msg, defense_.get());
   if (!update) {
@@ -182,55 +211,33 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg) {
     ++refused_;
     return;
   }
-  UpdateFault fault;
-  if (fault_hook_) fault = fault_hook_(msg.round, *update);
-  switch (fault.action) {
-    case UpdateFault::Action::kDrop:
-      // Dropout: vanish without a word; the server's round deadline (or the
-      // rest of the cohort) moves on without us. The session is forgotten
-      // too — the faulty client rejoins with a plain hello and is bounced
-      // until the round closes, never resuming into the round it abandoned.
-      dropped_c.add(1);
-      session_ = false;
-      cache_.reset();
-      drop_connection();
+  if (fault.kind == fl::FaultKind::kCorrupt &&
+      fault.corruption == fl::CorruptionKind::kTruncate) {
+    // The mid-frame truncation fault: half the frame is on the wire, the
+    // rest never will be.
+    tensor::ByteBuffer half = encode_update(*update);
+    half.resize(half.size() / 2);
+    forget_session();
+    close_after_flush_ = true;
+    send_update(half, 1);
+    if (state_ == State::kActive && !sock_.valid()) {
       state_ = State::kBackoff;
-      next_connect_ms_ = now_() + config_.backoff_ms;
-      return;
-    case UpdateFault::Action::kSend:
-    case UpdateFault::Action::kDuplicate:
-    case UpdateFault::Action::kPartialClose: {
-      const auto frame = encode_update(*update);
-      if (fault.action == UpdateFault::Action::kPartialClose) {
-        outbox_.insert(outbox_.end(), frame.begin(),
-                       frame.begin() +
-                           static_cast<std::ptrdiff_t>(frame.size() / 2));
-        close_after_flush_ = true;
-        // Like kDrop: a truncating client does not get to resume and
-        // complete the round it sabotaged.
-        session_ = false;
-        cache_.reset();
-      } else {
-        outbox_.insert(outbox_.end(), frame.begin(), frame.end());
-        if (fault.action == UpdateFault::Action::kDuplicate) {
-          outbox_.insert(outbox_.end(), frame.begin(), frame.end());
-        }
-        // Cache the frame exactly as sent: a reconnect retransmits these
-        // bytes, so the server-side fold sees identical input either way.
-        cache_ = CachedUpdate{msg.round, frame};
-      }
-      sent_c.add(1);
-      ++sent_;
-      replied_this_conn_ = true;
-      flush_outbox();
-      if (state_ == State::kActive && !sock_.valid()) {
-        // PartialClose completed inline; rejoin via backoff.
-        state_ = State::kBackoff;
-        next_connect_ms_ = now_() + config_.backoff_ms;
-      }
-      return;
+      next_connect_ms_ = now + config_.backoff_ms;
     }
+    return;
   }
+  plan_.apply(*update, fault, msg.round, /*attempt=*/0, config_.client_id);
+  // Cache the frame exactly as sent: a reconnect retransmits these bytes,
+  // so the server-side fold sees identical input either way.
+  cache_ = CachedUpdate{msg.round, encode_update(*update), std::nullopt};
+  if (fault.kind == fl::FaultKind::kStraggler) {
+    // pump_active sends it once the delay has passed.
+    cache_->held_until_ms = now + fault.delay_ticks;
+    return;
+  }
+  const bool duplicate = fault.kind == fl::FaultKind::kCorrupt &&
+                         fault.corruption == fl::CorruptionKind::kDuplicate;
+  send_update(cache_->frame, duplicate ? 2 : 1);
 }
 
 void FlClient::handle_resume_ack(const ResumeAck& ack) {
@@ -280,7 +287,7 @@ void FlClient::handle_frame(const Frame& frame, std::uint64_t now) {
       return;
     }
     case FrameType::kModel:
-      handle_model(decode_model(frame.body));
+      handle_model(decode_model(frame.body), now);
       return;
     case FrameType::kRetryAfter: {
       // Backpressure: the federation is mid-round or full. Not a failure —
@@ -364,6 +371,10 @@ void FlClient::pump_active(int timeout_ms, std::uint64_t now) {
         handle_frame(*frame, now);
         if (state_ != State::kActive) return;
       }
+    }
+    if (cache_ && cache_->held_until_ms && now >= *cache_->held_until_ms) {
+      cache_->held_until_ms.reset();
+      send_update(cache_->frame, 1);
     }
     if (config_.heartbeat_ms > 0 && state_ == State::kActive &&
         now >= next_heartbeat_ms_) {

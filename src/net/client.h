@@ -32,43 +32,29 @@
 // never of wall time. The blocking run() wraps step() with the steady clock
 // for real deployments.
 //
-// Fault injection: the load bench installs a FaultHook that inspects (and
-// may mutate, e.g. via fl::FaultPlan::apply) each outgoing update and picks
-// a delivery action — send faithfully, drop the connection without sending
-// (dropout), send twice (duplicate delivery), or close mid-frame (the
-// truncation fault the server's decoder must survive). A faulty delivery
-// also forgets the session: the client rejoins with a plain hello and sits
-// out the rest of the round under the server's backpressure.
+// Fault injection: set_fault_plan installs the same fl::FaultPlan the
+// in-process round loop uses, with the protocol round as its ticket. The
+// fault is decided when a model arrives, before training, as in process:
+// a dropout closes the connection without training; a straggler's update is
+// held for delay_ticks ms of the TimeSource; a truncation sends half the
+// frame and closes; a duplicate is sent twice; every other fault goes
+// through FaultPlan::apply. A dropout or truncation also forgets the
+// session: the client rejoins with a plain hello and sits out the rest of
+// the round under the server's backpressure.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
 #include "fl/client.h"
 #include "fl/defense.h"
+#include "fl/fault.h"
 #include "net/frame.h"
 #include "net/server.h"  // TimeSource
 #include "net/socket.h"
 
 namespace oasis::net {
-
-/// Delivery decision for one outgoing update.
-struct UpdateFault {
-  enum class Action : std::uint8_t {
-    kSend,          // deliver faithfully
-    kDrop,          // say nothing, close, reconnect later (dropout)
-    kDuplicate,     // deliver the same framed update twice, back to back
-    kPartialClose,  // deliver half the frame's bytes, then close (truncation)
-  };
-  Action action = Action::kSend;
-};
-
-/// Invoked with every computed update before transmission; may mutate the
-/// message in place (corruption/poison faults reuse fl::FaultPlan::apply).
-using FaultHook =
-    std::function<UpdateFault(std::uint64_t round, fl::ClientUpdateMessage&)>;
 
 struct FlClientConfig {
   /// Wire-level client id presented in the hello (must match the id space
@@ -108,11 +94,12 @@ class FlClient {
   FlClient(const FlClient&) = delete;
   FlClient& operator=(const FlClient&) = delete;
 
-  /// Installs the delivery-fault hook (load bench; default = send all).
-  void set_fault_hook(FaultHook hook);
+  /// Installs the fault schedule (see the file comment). A
+  /// default-constructed plan, the default, injects nothing.
+  void set_fault_plan(fl::FaultPlan plan) { plan_ = std::move(plan); }
 
   /// Installs the client-side defense stack, applied to every freshly
-  /// trained update before the fault hook and before framing — so the wire
+  /// trained update before its fault and before framing — so the wire
   /// (and the frame cache) carries the defended bytes. A mask stage needs
   /// the stack's static cohort (DefenseStack::set_static_cohort): the wire
   /// protocol does not announce the round's membership. nullptr disables.
@@ -169,6 +156,8 @@ class FlClient {
   struct CachedUpdate {
     std::uint64_t round = 0;
     tensor::ByteBuffer frame;
+    /// A straggler's update is not sent before this TimeSource instant.
+    std::optional<std::uint64_t> held_until_ms;
   };
 
   void schedule_retry(std::uint64_t now);
@@ -176,7 +165,10 @@ class FlClient {
   void open_connection(std::uint64_t now);
   void pump_active(int timeout_ms, std::uint64_t now);
   void handle_frame(const Frame& frame, std::uint64_t now);
-  void handle_model(const fl::GlobalModelMessage& msg);
+  void handle_model(const fl::GlobalModelMessage& msg, std::uint64_t now);
+  /// Queues `copies` of `bytes` and counts one update sent.
+  void send_update(const tensor::ByteBuffer& bytes, int copies);
+  void forget_session();
   void handle_resume_ack(const ResumeAck& ack);
   void resend_cached();
   void flush_outbox();
@@ -185,7 +177,7 @@ class FlClient {
   fl::Client& core_;
   FlClientConfig config_;
   TimeSource now_;
-  FaultHook fault_hook_;
+  fl::FaultPlan plan_;
   fl::DefenseStackPtr defense_;
   std::string host_;
   std::uint16_t port_ = 0;

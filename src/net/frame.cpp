@@ -2,96 +2,59 @@
 
 #include <cstring>
 
+#include "ckpt/codec.h"
+
 namespace oasis::net {
 namespace {
 
-void put_u32(tensor::ByteBuffer& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(tensor::ByteBuffer& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-/// Bounds-checked little-endian reads over a frame body.
-class BodyReader {
- public:
-  BodyReader(const tensor::ByteBuffer& body, const char* what)
-      : body_(body), what_(what) {}
-
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | body_[off_ + static_cast<std::size_t>(i)];
-    }
-    off_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | body_[off_ + static_cast<std::size_t>(i)];
-    }
-    off_ += 8;
-    return v;
-  }
-
-  std::uint8_t u8() {
-    need(1);
-    return body_[off_++];
-  }
-
-  /// Everything after the fixed-width prefix (the embedded tensor payload).
-  tensor::ByteBuffer rest() {
-    tensor::ByteBuffer out(body_.begin() + static_cast<std::ptrdiff_t>(off_),
-                           body_.end());
-    off_ = body_.size();
-    return out;
-  }
-
-  /// The fixed-layout frame types must consume their body exactly.
-  void expect_end() const {
-    if (off_ != body_.size()) {
-      throw NetError(NetError::Reason::kMalformedFrame,
-                     std::string(what_) + " frame carries " +
-                         std::to_string(body_.size() - off_) +
-                         " trailing bytes");
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (body_.size() - off_ < n) {
-      throw NetError(NetError::Reason::kMalformedFrame,
-                     std::string(what_) + " frame body truncated at byte " +
-                         std::to_string(off_) + " (" +
-                         std::to_string(body_.size()) + " bytes total)");
-    }
-  }
-
-  const tensor::ByteBuffer& body_;
-  const char* what_;
-  std::size_t off_ = 0;
-};
-
-tensor::ByteBuffer make_frame(FrameType type, const tensor::ByteBuffer& body) {
-  tensor::ByteBuffer out;
-  out.reserve(kFrameHeaderBytes + body.size());
-  put_u32(out, static_cast<std::uint32_t>(body.size()));
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.insert(out.end(), body.begin(), body.end());
+/// One frame in one buffer: the header, the fixed fields `fields` writes,
+/// then `payload`, so a model or update payload is copied exactly once.
+template <typename Fields>
+tensor::ByteBuffer make_frame(FrameType type, Fields&& fields,
+                              const tensor::ByteBuffer& payload = {}) {
+  ckpt::SectionWriter w;
+  // The largest fixed-field block, a resume, is 33 bytes.
+  w.reserve(kFrameHeaderBytes + 40 + payload.size());
+  w.u32(0);  // body length, patched below
+  w.u8(static_cast<std::uint8_t>(type));
+  fields(w);
+  w.append(payload);
+  tensor::ByteBuffer out = w.take();
+  const auto body_len =
+      static_cast<std::uint32_t>(out.size() - kFrameHeaderBytes);
+  std::memcpy(out.data(), &body_len, sizeof(body_len));
   return out;
 }
 
-void check_magic(BodyReader& r, const char* what) {
+tensor::ByteBuffer make_frame(FrameType type) {
+  return make_frame(type, [](ckpt::SectionWriter&) {});
+}
+
+/// Runs `read` over a whole frame body. A body too short for its fields, or
+/// with bytes left over, is NetError{kMalformedFrame}: the codec's own
+/// CheckpointError must not escape, since the server's read pump catches
+/// only NetError.
+template <typename Read>
+auto read_body(const tensor::ByteBuffer& body, const char* what, Read&& read) {
+  try {
+    ckpt::SectionReader r(body, what);
+    auto value = read(r);
+    r.expect_end();
+    return value;
+  } catch (const CheckpointError&) {
+    throw NetError(NetError::Reason::kMalformedFrame,
+                   std::string(what) + " frame body of " +
+                       std::to_string(body.size()) +
+                       " bytes does not fit its layout");
+  }
+}
+
+void write_magic(ckpt::SectionWriter& w) {
+  w.u32(kProtocolMagic);
+  w.u32(kProtocolVersion);
+}
+
+void check_magic(ckpt::SectionReader& r, const char* what) {
   const std::uint32_t magic = r.u32();
   if (magic != kProtocolMagic) {
     throw NetError(NetError::Reason::kBadMagic,
@@ -131,177 +94,163 @@ const char* to_string(FrameType t) {
 }
 
 tensor::ByteBuffer encode_hello(const Hello& hello) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, kProtocolVersion);
-  put_u64(body, hello.client_id);
-  return make_frame(FrameType::kHello, body);
+  return make_frame(FrameType::kHello, [&](ckpt::SectionWriter& w) {
+    write_magic(w);
+    w.u64(hello.client_id);
+  });
 }
 
 tensor::ByteBuffer encode_welcome(const Welcome& welcome) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, kProtocolVersion);
-  put_u64(body, welcome.round);
-  return make_frame(FrameType::kWelcome, body);
+  return make_frame(FrameType::kWelcome, [&](ckpt::SectionWriter& w) {
+    write_magic(w);
+    w.u64(welcome.round);
+  });
 }
 
 tensor::ByteBuffer encode_model(const fl::GlobalModelMessage& msg) {
-  tensor::ByteBuffer body;
-  body.reserve(8 + msg.model_state.size());
-  put_u64(body, msg.round);
-  body.insert(body.end(), msg.model_state.begin(), msg.model_state.end());
-  return make_frame(FrameType::kModel, body);
+  return make_frame(
+      FrameType::kModel, [&](ckpt::SectionWriter& w) { w.u64(msg.round); },
+      msg.model_state);
 }
 
 tensor::ByteBuffer encode_update(const fl::ClientUpdateMessage& msg) {
-  tensor::ByteBuffer body;
-  body.reserve(24 + msg.gradients.size());
-  put_u64(body, msg.round);
-  put_u64(body, msg.client_id);
-  put_u64(body, msg.num_examples);
-  body.insert(body.end(), msg.gradients.begin(), msg.gradients.end());
-  return make_frame(FrameType::kUpdate, body);
+  return make_frame(
+      FrameType::kUpdate,
+      [&](ckpt::SectionWriter& w) {
+        w.u64(msg.round);
+        w.u64(msg.client_id);
+        w.u64(msg.num_examples);
+      },
+      msg.gradients);
 }
 
 tensor::ByteBuffer encode_retry_after(std::uint64_t retry_after_ms) {
-  tensor::ByteBuffer body;
-  put_u64(body, retry_after_ms);
-  return make_frame(FrameType::kRetryAfter, body);
+  return make_frame(FrameType::kRetryAfter,
+                    [&](ckpt::SectionWriter& w) { w.u64(retry_after_ms); });
 }
 
 tensor::ByteBuffer encode_round_result(const RoundResult& result) {
-  tensor::ByteBuffer body;
-  put_u64(body, result.round);
-  body.push_back(result.committed ? 1 : 0);
-  return make_frame(FrameType::kRoundResult, body);
+  return make_frame(FrameType::kRoundResult, [&](ckpt::SectionWriter& w) {
+    w.u64(result.round);
+    w.u8(result.committed ? 1 : 0);
+  });
 }
 
-tensor::ByteBuffer encode_goodbye() {
-  return make_frame(FrameType::kGoodbye, {});
-}
+tensor::ByteBuffer encode_goodbye() { return make_frame(FrameType::kGoodbye); }
 
 tensor::ByteBuffer encode_resume(const Resume& resume) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, kProtocolVersion);
-  put_u64(body, resume.client_id);
-  put_u64(body, resume.last_round);
-  body.push_back(resume.has_update ? 1 : 0);
-  put_u64(body, resume.update_round);
-  return make_frame(FrameType::kResume, body);
+  return make_frame(FrameType::kResume, [&](ckpt::SectionWriter& w) {
+    write_magic(w);
+    w.u64(resume.client_id);
+    w.u64(resume.last_round);
+    w.u8(resume.has_update ? 1 : 0);
+    w.u64(resume.update_round);
+  });
 }
 
 tensor::ByteBuffer encode_resume_ack(const ResumeAck& ack) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, kProtocolVersion);
-  put_u64(body, ack.round);
-  body.push_back(static_cast<std::uint8_t>(ack.status));
-  return make_frame(FrameType::kResumeAck, body);
+  return make_frame(FrameType::kResumeAck, [&](ckpt::SectionWriter& w) {
+    write_magic(w);
+    w.u64(ack.round);
+    w.u8(static_cast<std::uint8_t>(ack.status));
+  });
 }
 
 tensor::ByteBuffer encode_heartbeat() {
-  return make_frame(FrameType::kHeartbeat, {});
+  return make_frame(FrameType::kHeartbeat);
 }
 
 tensor::ByteBuffer encode_version_reject(const VersionReject& reject) {
-  tensor::ByteBuffer body;
-  put_u32(body, kProtocolMagic);
-  put_u32(body, reject.supported_version);
-  return make_frame(FrameType::kVersionReject, body);
+  return make_frame(FrameType::kVersionReject, [&](ckpt::SectionWriter& w) {
+    w.u32(kProtocolMagic);
+    w.u32(reject.supported_version);
+  });
 }
 
 Hello decode_hello(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "hello");
-  check_magic(r, "hello");
-  Hello hello;
-  hello.client_id = r.u64();
-  r.expect_end();
-  return hello;
+  return read_body(body, "hello", [](ckpt::SectionReader& r) {
+    check_magic(r, "hello");
+    return Hello{r.u64()};
+  });
 }
 
 Welcome decode_welcome(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "welcome");
-  check_magic(r, "welcome");
-  Welcome welcome;
-  welcome.round = r.u64();
-  r.expect_end();
-  return welcome;
+  return read_body(body, "welcome", [](ckpt::SectionReader& r) {
+    check_magic(r, "welcome");
+    return Welcome{r.u64()};
+  });
 }
 
 fl::GlobalModelMessage decode_model(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "model");
-  fl::GlobalModelMessage msg;
-  msg.round = r.u64();
-  msg.model_state = r.rest();
-  return msg;
+  return read_body(body, "model", [](ckpt::SectionReader& r) {
+    fl::GlobalModelMessage msg;
+    msg.round = r.u64();
+    msg.model_state = r.rest();
+    return msg;
+  });
 }
 
 fl::ClientUpdateMessage decode_update(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "update");
-  fl::ClientUpdateMessage msg;
-  msg.round = r.u64();
-  msg.client_id = r.u64();
-  msg.num_examples = r.u64();
-  msg.gradients = r.rest();
-  return msg;
+  return read_body(body, "update", [](ckpt::SectionReader& r) {
+    fl::ClientUpdateMessage msg;
+    msg.round = r.u64();
+    msg.client_id = r.u64();
+    msg.num_examples = r.u64();
+    msg.gradients = r.rest();
+    return msg;
+  });
 }
 
 std::uint64_t decode_retry_after(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "retry_after");
-  const std::uint64_t ms = r.u64();
-  r.expect_end();
-  return ms;
+  return read_body(body, "retry_after",
+                   [](ckpt::SectionReader& r) { return r.u64(); });
 }
 
 RoundResult decode_round_result(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "round_result");
-  RoundResult result;
-  result.round = r.u64();
-  result.committed = r.u8() != 0;
-  r.expect_end();
-  return result;
+  return read_body(body, "round_result", [](ckpt::SectionReader& r) {
+    RoundResult result;
+    result.round = r.u64();
+    result.committed = r.u8() != 0;
+    return result;
+  });
 }
 
 Resume decode_resume(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "resume");
-  check_magic(r, "resume");
-  Resume resume;
-  resume.client_id = r.u64();
-  resume.last_round = r.u64();
-  resume.has_update = r.u8() != 0;
-  resume.update_round = r.u64();
-  r.expect_end();
-  return resume;
+  return read_body(body, "resume", [](ckpt::SectionReader& r) {
+    check_magic(r, "resume");
+    Resume resume;
+    resume.client_id = r.u64();
+    resume.last_round = r.u64();
+    resume.has_update = r.u8() != 0;
+    resume.update_round = r.u64();
+    return resume;
+  });
 }
 
 ResumeAck decode_resume_ack(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "resume_ack");
-  check_magic(r, "resume_ack");
-  ResumeAck ack;
-  ack.round = r.u64();
-  const std::uint8_t status = r.u8();
-  if (status > static_cast<std::uint8_t>(ResumeStatus::kExpired)) {
-    throw NetError(NetError::Reason::kMalformedFrame,
-                   "resume_ack status byte " + std::to_string(status));
-  }
-  ack.status = static_cast<ResumeStatus>(status);
-  r.expect_end();
-  return ack;
+  return read_body(body, "resume_ack", [](ckpt::SectionReader& r) {
+    check_magic(r, "resume_ack");
+    ResumeAck ack;
+    ack.round = r.u64();
+    const std::uint8_t status = r.u8();
+    if (status > static_cast<std::uint8_t>(ResumeStatus::kExpired)) {
+      throw NetError(NetError::Reason::kMalformedFrame,
+                     "resume_ack status byte " + std::to_string(status));
+    }
+    ack.status = static_cast<ResumeStatus>(status);
+    return ack;
+  });
 }
 
 VersionReject decode_version_reject(const tensor::ByteBuffer& body) {
-  BodyReader r(body, "version_reject");
-  const std::uint32_t magic = r.u32();
-  if (magic != kProtocolMagic) {
-    throw NetError(NetError::Reason::kBadMagic,
-                   "version_reject frame magic " + std::to_string(magic));
-  }
-  VersionReject reject;
-  reject.supported_version = r.u32();
-  r.expect_end();
-  return reject;
+  return read_body(body, "version_reject", [](ckpt::SectionReader& r) {
+    const std::uint32_t magic = r.u32();
+    if (magic != kProtocolMagic) {
+      throw NetError(NetError::Reason::kBadMagic,
+                     "version_reject frame magic " + std::to_string(magic));
+    }
+    return VersionReject{r.u32()};
+  });
 }
 
 FrameDecoder::FrameDecoder(std::size_t max_body_bytes)

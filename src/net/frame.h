@@ -8,7 +8,9 @@
 // payloads (tensor::serialize_tensors with its CRC32C trailer), so the
 // hardened deserialization boundary the in-process protocol already has is
 // exactly what travels over TCP — the net layer adds frame boundaries and a
-// handshake, never a second tensor format.
+// handshake, never a second tensor format. Nor a second byte codec: headers
+// and fixed fields are written and read with the checkpoint codec
+// (ckpt::SectionWriter / SectionReader), whose integers are little-endian.
 //
 // FrameDecoder is incremental: feed() whatever bytes the socket produced,
 // next() yields complete frames. Malformed input (oversized length prefix,

@@ -177,7 +177,7 @@ void FlServer::pump_read(Conn& conn, std::uint64_t now) {
       budget -= static_cast<std::size_t>(got);
       while (auto frame = conn.decoder.next()) {
         frames_in.add(1);
-        handle_frame(conn, std::move(*frame), now);
+        handle_frame(conn, std::move(*frame));
         if (!conn.sock.valid()) return;
       }
     }
@@ -209,42 +209,43 @@ void FlServer::pump_write(Conn& conn) {
   if (conn.close_after_flush) close_conn(conn, "");
 }
 
-bool FlServer::duplicate_live_id(const Conn& conn,
-                                 std::uint64_t client_id) const {
+void FlServer::send_and_close(Conn& conn, tensor::ByteBuffer frame_bytes) {
+  send_frame(conn, std::move(frame_bytes));
+  conn.close_after_flush = true;
+}
+
+void FlServer::bounce(Conn& conn, obs::Counter& why) {
+  why.add(1);
+  send_and_close(conn, encode_retry_after(config_.retry_after_ms));
+}
+
+bool FlServer::refuse_handshake(Conn& conn, std::uint64_t client_id) {
+  static obs::Counter& dup_id = obs::counter("net.conn.duplicate_id");
+  if (goodbye_sent_) {
+    send_and_close(conn, encode_goodbye());
+    return true;
+  }
   for (const auto& other : conns_) {
     if (&other != &conn && other.sock.valid() &&
         other.state != Conn::State::kHandshake &&
         other.client_id == client_id) {
+      bounce(conn, dup_id);
       return true;
     }
   }
   return false;
 }
 
-void FlServer::handle_hello(Conn& conn, const Hello& hello,
-                            std::uint64_t /*now*/) {
+void FlServer::handle_hello(Conn& conn, const Hello& hello) {
   static obs::Counter& handshakes = obs::counter("net.handshakes");
   static obs::Counter& retry_after = obs::counter("net.admission.retry_after");
   static obs::Counter& parked = obs::counter("net.admission.parked");
-  static obs::Counter& dup_id = obs::counter("net.conn.duplicate_id");
 
-  if (goodbye_sent_) {
-    send_frame(conn, encode_goodbye());
-    conn.close_after_flush = true;
-    return;
-  }
-  if (duplicate_live_id(conn, hello.client_id)) {
-    dup_id.add(1);
-    send_frame(conn, encode_retry_after(config_.retry_after_ms));
-    conn.close_after_flush = true;
-    return;
-  }
+  if (refuse_handshake(conn, hello.client_id)) return;
   // Explicit backpressure: a round in flight, or a full parked pool, turns
   // the handshake away with a backoff hint instead of queueing unboundedly.
   if (round_open_ || parked_full()) {
-    retry_after.add(1);
-    send_frame(conn, encode_retry_after(config_.retry_after_ms));
-    conn.close_after_flush = true;
+    bounce(conn, retry_after);
     return;
   }
   handshakes.add(1);
@@ -254,64 +255,50 @@ void FlServer::handle_hello(Conn& conn, const Hello& hello,
   send_frame(conn, encode_welcome(Welcome{core_.round()}));
 }
 
-void FlServer::handle_resume(Conn& conn, const Resume& resume,
-                             std::uint64_t /*now*/) {
+void FlServer::handle_resume(Conn& conn, const Resume& resume) {
   static obs::Counter& resumes = obs::counter("net.session.resumed");
   static obs::Counter& acked_accepted =
       obs::counter("net.session.ack_accepted");
   static obs::Counter& acked_pending = obs::counter("net.session.ack_pending");
   static obs::Counter& acked_parked = obs::counter("net.session.ack_parked");
   static obs::Counter& retry_after = obs::counter("net.admission.retry_after");
-  static obs::Counter& dup_id = obs::counter("net.conn.duplicate_id");
 
-  if (goodbye_sent_) {
-    send_frame(conn, encode_goodbye());
-    conn.close_after_flush = true;
-    return;
-  }
-  if (duplicate_live_id(conn, resume.client_id)) {
-    dup_id.add(1);
-    send_frame(conn, encode_retry_after(config_.retry_after_ms));
-    conn.close_after_flush = true;
-    return;
-  }
-
+  if (refuse_handshake(conn, resume.client_id)) return;
   if (round_open_) {
     const bool member =
         std::find(round_order_.begin(), round_order_.end(), resume.client_id) !=
         round_order_.end();
-    if (member) {
-      resumes.add(1);
-      conn.client_id = resume.client_id;
-      conn.updates_this_round = 0;
-      if (round_delivered_.count(resume.client_id) > 0) {
-        // Already delivered this round (typically: folded pre-crash, or the
-        // ack raced the disconnect). The lost-ack resolution: the client
-        // must NOT retransmit — its update is (durably) in the aggregate.
-        acked_accepted.add(1);
-        conn.state = Conn::State::kReplied;
-        send_frame(conn, encode_resume_ack(
-                             ResumeAck{round_id_, ResumeStatus::kAccepted}));
-      } else {
-        // Wanted and not held: the client retransmits its cached update, or
-        // — if it never computed one for this round — gets the dispatch
-        // again. Never both, so the training path runs exactly once.
-        acked_pending.add(1);
-        conn.state = Conn::State::kInRound;
-        const bool holds_this_round =
-            resume.has_update && resume.update_round == round_id_;
-        send_frame(conn, encode_resume_ack(
-                             ResumeAck{round_id_, ResumeStatus::kPending}));
-        if (!holds_this_round) {
-          send_frame(conn, encode_model(core_.dispatch_to(resume.client_id)));
-        }
-      }
+    if (!member) {
+      // Not a member of the open round: same backpressure as a mid-round
+      // hello.
+      bounce(conn, retry_after);
       return;
     }
-    // Not a member of the open round: same backpressure as a mid-round hello.
-    retry_after.add(1);
-    send_frame(conn, encode_retry_after(config_.retry_after_ms));
-    conn.close_after_flush = true;
+    resumes.add(1);
+    conn.client_id = resume.client_id;
+    conn.updates_this_round = 0;
+    if (round_delivered_.count(resume.client_id) > 0) {
+      // Already delivered this round (typically: folded pre-crash, or the
+      // ack raced the disconnect). The lost-ack resolution: the client
+      // must NOT retransmit — its update is (durably) in the aggregate.
+      acked_accepted.add(1);
+      conn.state = Conn::State::kReplied;
+      send_frame(conn, encode_resume_ack(
+                           ResumeAck{round_id_, ResumeStatus::kAccepted}));
+      return;
+    }
+    // Wanted and not held: the client retransmits its cached update, or —
+    // if it never computed one for this round — gets the dispatch again.
+    // Never both, so the training path runs exactly once.
+    acked_pending.add(1);
+    conn.state = Conn::State::kInRound;
+    const bool holds_this_round =
+        resume.has_update && resume.update_round == round_id_;
+    send_frame(conn, encode_resume_ack(
+                         ResumeAck{round_id_, ResumeStatus::kPending}));
+    if (!holds_this_round) {
+      send_frame(conn, encode_model(core_.dispatch_to(resume.client_id)));
+    }
     return;
   }
 
@@ -319,9 +306,7 @@ void FlServer::handle_resume(Conn& conn, const Resume& resume,
   // either folded into a committed round or sealed out of it — both closed;
   // the client discards it and parks for the next admission.
   if (parked_full()) {
-    retry_after.add(1);
-    send_frame(conn, encode_retry_after(config_.retry_after_ms));
-    conn.close_after_flush = true;
+    bounce(conn, retry_after);
     return;
   }
   resumes.add(1);
@@ -388,7 +373,7 @@ void FlServer::fold_ready() {
   }
 }
 
-void FlServer::handle_frame(Conn& conn, Frame frame, std::uint64_t now) {
+void FlServer::handle_frame(Conn& conn, Frame frame) {
   static obs::Counter& stale = obs::counter("net.update.stale");
   static obs::Counter& protocol_err = obs::counter("net.protocol_error");
   static obs::Counter& version_rej = obs::counter("net.version.rejected");
@@ -404,9 +389,9 @@ void FlServer::handle_frame(Conn& conn, Frame frame, std::uint64_t now) {
       }
       try {
         if (frame.type == FrameType::kHello) {
-          handle_hello(conn, decode_hello(frame.body), now);
+          handle_hello(conn, decode_hello(frame.body));
         } else {
-          handle_resume(conn, decode_resume(frame.body), now);
+          handle_resume(conn, decode_resume(frame.body));
         }
       } catch (const NetError& e) {
         if (e.reason() != NetError::Reason::kBadVersion) throw;
@@ -414,9 +399,8 @@ void FlServer::handle_frame(Conn& conn, Frame frame, std::uint64_t now) {
         // speak, then close — a typed reject instead of a silent drop.
         version_rej.add(1);
         frame_error_counter(NetError::Reason::kBadVersion).add(1);
-        send_frame(conn,
-                   encode_version_reject(VersionReject{kProtocolVersion}));
-        conn.close_after_flush = true;
+        send_and_close(conn,
+                       encode_version_reject(VersionReject{kProtocolVersion}));
       }
       return;
     }
@@ -655,9 +639,7 @@ void FlServer::finish_serving() {
   goodbye_sent_ = true;
   listener_.close();
   for (auto& conn : conns_) {
-    if (!conn.sock.valid()) continue;
-    send_frame(conn, encode_goodbye());
-    conn.close_after_flush = true;
+    if (conn.sock.valid()) send_and_close(conn, encode_goodbye());
   }
 }
 

@@ -61,6 +61,7 @@
 #include "fl/server.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "obs/obs.h"
 
 namespace oasis::net {
 
@@ -199,9 +200,13 @@ class FlServer {
   void pump_listener();
   void pump_read(Conn& conn, std::uint64_t now);
   void pump_write(Conn& conn);
-  void handle_frame(Conn& conn, Frame frame, std::uint64_t now);
-  void handle_hello(Conn& conn, const Hello& hello, std::uint64_t now);
-  void handle_resume(Conn& conn, const Resume& resume, std::uint64_t now);
+  void handle_frame(Conn& conn, Frame frame);
+  /// The prelude both handshakes share: answers goodbye once serving is
+  /// over, bounces an id live on another handshaked connection, and
+  /// returns true when it answered.
+  bool refuse_handshake(Conn& conn, std::uint64_t client_id);
+  void handle_hello(Conn& conn, const Hello& hello);
+  void handle_resume(Conn& conn, const Resume& resume);
   void handle_update(Conn& conn, const Frame& frame);
   void enforce_deadlines(std::uint64_t now);
   void send_heartbeats(std::uint64_t now);
@@ -211,12 +216,14 @@ class FlServer {
   /// Drops the collection state of a closed round (the fold closes itself).
   void clear_round();
   void send_frame(Conn& conn, tensor::ByteBuffer frame_bytes);
+  /// send_frame, then close the connection once the outbox has flushed.
+  void send_and_close(Conn& conn, tensor::ByteBuffer frame_bytes);
+  /// Turns a handshake away with the retry-after hint; `why` counts it.
+  void bounce(Conn& conn, obs::Counter& why);
   void close_conn(Conn& conn, const char* why);
   void finish_serving();
   /// The parked pool holds at most 2 × cohort_size handshaked clients.
   [[nodiscard]] bool parked_full() const;
-  [[nodiscard]] bool duplicate_live_id(const Conn& conn,
-                                       std::uint64_t client_id) const;
 
   // --- Durable fold (DESIGN.md §5j) ---------------------------------------
   /// Folds one accepted update and records its inner id.

@@ -29,28 +29,14 @@
 #include "nn/models.h"
 #include "obs/obs.h"
 #include "tensor/serialize.h"
+#include "test_util.h"
 
 namespace oasis::ckpt {
 namespace {
 
+using testutil::ScratchDir;
 namespace fs = std::filesystem;
 using Reason = CheckpointError::Reason;
-
-/// Fresh per-test scratch directory under the gtest temp root.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& tag)
-      : path_(fs::path(::testing::TempDir()) / ("oasis_ckpt_" + tag)) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() { fs::remove_all(path_); }
-  [[nodiscard]] std::string str() const { return path_.string(); }
-  [[nodiscard]] fs::path path() const { return path_; }
-
- private:
-  fs::path path_;
-};
 
 ByteBuffer make_small_container() {
   SnapshotBuilder builder;
@@ -254,8 +240,8 @@ TEST(Codec, ShortAndTrailingBytesAreMalformedSection) {
 // ---------------------------------------------------------------------------
 
 TEST(Io, AtomicWriteRoundTripsAndLeavesNoTmp) {
-  ScratchDir dir("io");
-  const std::string path = (dir.path() / "file.bin").string();
+  ScratchDir dir("ckpt_io");
+  const std::string path = dir.path("file.bin");
   const ByteBuffer bytes{1, 2, 3, 4, 5};
   write_file_atomic(path, bytes);
   EXPECT_EQ(read_file(path), bytes);
@@ -278,7 +264,7 @@ TEST(Io, ReadFailuresCarryPathAndErrno) {
 }
 
 TEST(Manager, KeepsNewestKAndSweepsTmpLitter) {
-  ScratchDir dir("retention");
+  ScratchDir dir("ckpt_retention");
   CheckpointManager manager(dir.str(), /*keep=*/2);
   for (std::uint64_t gen = 1; gen <= 5; ++gen) {
     ByteBuffer snap = SnapshotBuilder{}.finish();
@@ -295,7 +281,7 @@ TEST(Manager, KeepsNewestKAndSweepsTmpLitter) {
 }
 
 TEST(Manager, FallsBackPastCorruptGenerationsAndCountsThem) {
-  ScratchDir dir("fallback");
+  ScratchDir dir("ckpt_fallback");
   obs::Registry::global().reset();
   CheckpointManager manager(dir.str(), /*keep=*/3);
 
@@ -328,7 +314,7 @@ TEST(Manager, FallsBackPastCorruptGenerationsAndCountsThem) {
 }
 
 TEST(Manager, AllGenerationsDamagedOrMissingIsTyped) {
-  ScratchDir dir("empty");
+  ScratchDir dir("ckpt_empty");
   CheckpointManager manager(dir.str(), 3);
   try {
     (void)manager.load_latest_valid();
@@ -466,7 +452,7 @@ TEST(SimulationCkpt, CorruptedSimulationSnapshotsAreAllTyped) {
 }
 
 TEST(SimulationCkpt, SaveAndResumeThroughManagerPicksNewestValid) {
-  ScratchDir dir("sim_mgr");
+  ScratchDir dir("ckpt_sim_mgr");
   obs::Registry::global().reset();
   CheckpointManager manager(dir.str(), /*keep=*/3);
 

@@ -40,10 +40,12 @@
 #include "nn/models.h"
 #include "obs/obs.h"
 #include "runtime/parallel.h"
+#include "test_util.h"
 
 namespace oasis::ckpt {
 namespace {
 
+using testutil::ScratchDir;
 namespace fs = std::filesystem;
 
 constexpr std::uint64_t kFederationSeed = 4096;
@@ -181,23 +183,6 @@ ChildResult spawn_child(const ChildSpec& spec,
   return result;
 }
 
-class Scenario {
- public:
-  explicit Scenario(const std::string& tag)
-      : root_(fs::path(::testing::TempDir()) / ("oasis_crash_" + tag)) {
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-  }
-  ~Scenario() { fs::remove_all(root_); }
-
-  [[nodiscard]] std::string path(const std::string& leaf) const {
-    return (root_ / leaf).string();
-  }
-
- private:
-  fs::path root_;
-};
-
 /// Reference (uninterrupted) run at `threads`; returns the final model bytes,
 /// the filtered obs dump, and the on-disk snapshot size used to scale kill
 /// offsets.
@@ -207,7 +192,7 @@ struct Reference {
   std::int64_t snapshot_size = 0;
 };
 
-Reference run_reference(const Scenario& scenario, index_t threads) {
+Reference run_reference(const ScratchDir& scenario, index_t threads) {
   ChildSpec spec;
   spec.threads = threads;
   spec.ckpt_dir = scenario.path("ref_ckpt");
@@ -231,7 +216,7 @@ Reference run_reference(const Scenario& scenario, index_t threads) {
 
 /// One seed of the sweep: crash a run at a seed-derived (save, offset) kill
 /// point, resume it, and demand bit-identity with the reference.
-void run_crash_seed(const Scenario& scenario, const Reference& ref,
+void run_crash_seed(const ScratchDir& scenario, const Reference& ref,
                     index_t threads, std::uint64_t seed) {
   common::Rng rng(seed);
   const auto kill_save = rng.uniform_int(0, kRounds / kSaveEvery - 1);
@@ -277,7 +262,7 @@ void run_crash_seed(const Scenario& scenario, const Reference& ref,
 
 void run_sweep(const std::string& tag, index_t threads, std::uint64_t lo,
                std::uint64_t hi) {
-  Scenario scenario(tag);
+  ScratchDir scenario("crash_" + tag);
   const Reference ref = run_reference(scenario, threads);
   ASSERT_GT(ref.snapshot_size, 0);
   for (std::uint64_t seed = lo; seed < hi; ++seed) {
@@ -358,7 +343,7 @@ fl::ShardedSimulation make_sharded_federation() {
   }
 }
 
-Reference run_shard_reference(const Scenario& scenario, index_t threads) {
+Reference run_shard_reference(const ScratchDir& scenario, index_t threads) {
   ChildSpec spec;
   spec.threads = threads;
   spec.ckpt_dir = scenario.path("ref_ckpt");
@@ -373,7 +358,7 @@ Reference run_shard_reference(const Scenario& scenario, index_t threads) {
   return ref;
 }
 
-void run_shard_crash_seed(const Scenario& scenario, const Reference& ref,
+void run_shard_crash_seed(const ScratchDir& scenario, const Reference& ref,
                           index_t threads, std::uint64_t seed) {
   common::Rng rng(seed ^ 0x5A4D);
   // 4 rounds × 6 folds = 24 total; stay below so the crash child always dies.
@@ -415,7 +400,7 @@ void run_shard_crash_seed(const Scenario& scenario, const Reference& ref,
 
 void run_shard_sweep(const std::string& tag, index_t threads, std::uint64_t lo,
                      std::uint64_t hi) {
-  Scenario scenario(tag);
+  ScratchDir scenario("crash_" + tag);
   const Reference ref = run_shard_reference(scenario, threads);
   ASSERT_FALSE(ref.model.empty());
   for (std::uint64_t seed = lo; seed < hi; ++seed) {
@@ -451,8 +436,8 @@ TEST(ShardCrashResume, Threads8_Seeds0To24) {
 
 // The sharded references must agree across thread counts too.
 TEST(ShardCrashResume, ReferencesAgreeAcrossThreadCounts) {
-  Scenario s1("shref1");
-  Scenario s8("shref8");
+  ScratchDir s1("crash_shref1");
+  ScratchDir s8("crash_shref8");
   const Reference a = run_shard_reference(s1, 1);
   const Reference b = run_shard_reference(s8, 8);
   EXPECT_EQ(a.model, b.model);
@@ -462,8 +447,8 @@ TEST(ShardCrashResume, ReferencesAgreeAcrossThreadCounts) {
 // The serial and 8-thread references themselves must agree: checkpointing
 // must not break the runtime's thread-count determinism contract.
 TEST(CrashResume, ReferencesAgreeAcrossThreadCounts) {
-  Scenario s1("ref1");
-  Scenario s8("ref8");
+  ScratchDir s1("crash_ref1");
+  ScratchDir s8("crash_ref8");
   const Reference a = run_reference(s1, 1);
   const Reference b = run_reference(s8, 8);
   EXPECT_EQ(a.model, b.model);

@@ -245,76 +245,6 @@ TEST(Simulation, ValidatesConfiguration) {
                Error);
 }
 
-TEST(Client, SingleLocalStepPseudoGradientEqualsRawGradient) {
-  // With steps=1, raw-gradient mode and pseudo-gradient mode must agree:
-  // (w − (w − lr·g)) / lr == g. Verified by running two identical clients.
-  auto dataset = tiny_dataset(6, 4, 19);
-  Client raw(0, dataset, tiny_factory(81), 4,
-             std::make_shared<IdentityPreprocessor>(), common::Rng(5));
-  Client pseudo(0, dataset, tiny_factory(81), 4,
-                std::make_shared<IdentityPreprocessor>(), common::Rng(5));
-  pseudo.set_local_training(1, 0.05);
-  // steps == 1 keeps the raw path even in local-training mode… unless lr>0
-  // switches modes; either way the uploaded tensors must match numerically.
-  auto global = tiny_factory(81)();
-  GlobalModelMessage msg;
-  msg.model_state = nn::serialize_state(*global);
-  const auto a = tensor::deserialize_tensors(raw.handle_round(msg).gradients);
-  const auto b =
-      tensor::deserialize_tensors(pseudo.handle_round(msg).gradients);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(tensor::allclose(a[i], b[i], 1e-9, 1e-12));
-  }
-}
-
-TEST(Client, MultiStepLocalTrainingReducesLocalLoss) {
-  auto dataset = tiny_dataset(16, 4, 20);
-  Client client(0, dataset, tiny_factory(91), 16,
-                std::make_shared<IdentityPreprocessor>(), common::Rng(6));
-  client.set_local_training(/*steps=*/20, /*lr=*/0.2);
-  auto global = tiny_factory(91)();
-  GlobalModelMessage msg;
-  msg.model_state = nn::serialize_state(*global);
-  const auto update = client.handle_round(msg);
-  // num_examples counts every local step's batch.
-  EXPECT_EQ(update.num_examples, 20u * 16u);
-  // The pseudo-gradient applied at lr reproduces the locally-trained model,
-  // whose loss must beat the dispatched model's initial loss.
-  const real after = client.last_loss();
-  Client fresh(1, dataset, tiny_factory(91), 16,
-               std::make_shared<IdentityPreprocessor>(), common::Rng(6));
-  fresh.handle_round(msg);
-  const real before = fresh.last_loss();
-  EXPECT_LT(after, before * 0.9);
-}
-
-TEST(Client, MultiStepFederationConverges) {
-  auto dataset = tiny_dataset(12, 4, 21);
-  const auto shards = dataset.shard(2);
-  std::vector<std::unique_ptr<Client>> clients;
-  std::vector<Client*> raw;
-  for (index_t i = 0; i < 2; ++i) {
-    clients.push_back(std::make_unique<Client>(
-        i, shards[i], tiny_factory(95), 8,
-        std::make_shared<IdentityPreprocessor>(), common::Rng(300 + i)));
-    clients.back()->set_local_training(5, 0.2);
-    raw.push_back(clients.back().get());
-  }
-  // Server lr equals the client lr so the averaged pseudo-gradients recreate
-  // the average of the locally-trained models (classic FedAvg).
-  auto server = std::make_unique<Server>(tiny_factory(95)(), 0.2);
-  Simulation sim(std::move(server), std::move(clients), SimulationConfig{});
-  real early = 0.0, late = 0.0;
-  for (int r = 0; r < 40; ++r) {
-    sim.run_round();
-    const real avg = (raw[0]->last_loss() + raw[1]->last_loss()) / 2.0;
-    if (r < 5) early += avg;
-    if (r >= 35) late += avg;
-  }
-  EXPECT_LT(late, early * 0.8);
-}
-
 ClientUpdateMessage fake_update(std::uint64_t client_id, real value,
                                 std::uint64_t round = 0) {
   auto ref = tiny_factory(21)();

@@ -41,10 +41,12 @@
 #include "nn/models.h"
 #include "obs/obs.h"
 #include "runtime/parallel.h"
+#include "test_util.h"
 
 namespace oasis::net {
 namespace {
 
+using testutil::ScratchDir;
 namespace fs = std::filesystem;
 
 constexpr index_t kClients = 3;
@@ -88,23 +90,6 @@ tensor::ByteBuffer reference_model() {
   }
   return nn::serialize_state(ref.global_model());
 }
-
-class Scenario {
- public:
-  explicit Scenario(const std::string& tag)
-      : root_(fs::path(::testing::TempDir()) / ("oasis_net_chaos_" + tag)) {
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-  }
-  ~Scenario() { fs::remove_all(root_); }
-
-  [[nodiscard]] std::string path(const std::string& leaf) const {
-    return (root_ / leaf).string();
-  }
-
- private:
-  fs::path root_;
-};
 
 /// tmp + rename so a reader never observes a partial file.
 void write_file_whole(const std::string& path, const void* data,
@@ -243,7 +228,7 @@ void run_kill_scenario(const std::string& tag, FlServer::Event kill_event,
   runtime::set_num_threads(1);
   const tensor::ByteBuffer want = reference_model();
 
-  Scenario scenario(tag);
+  ScratchDir scenario("net_chaos_" + tag);
   ServerSpec spec;
   spec.ckpt_dir = scenario.path("ckpt");
   spec.port_file = scenario.path("port");

@@ -9,13 +9,15 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "ckpt/manager.h"
+#include "common/crc32c.h"
 #include "common/error.h"
 #include "data/synthetic.h"
 #include "fl/simulation.h"
@@ -27,9 +29,12 @@
 #include "nn/models.h"
 #include "obs/obs.h"
 #include "runtime/parallel.h"
+#include "test_util.h"
 
 namespace oasis::net {
 namespace {
+
+using testutil::ScratchDir;
 
 data::InMemoryDataset tiny_dataset(index_t n, index_t classes,
                                    std::uint64_t seed) {
@@ -155,6 +160,81 @@ TEST(Frame, HandshakeRejectsBadMagicAndVersion) {
   } catch (const NetError& e) {
     EXPECT_EQ(e.reason(), NetError::Reason::kBadMagic);
   }
+}
+
+// Every wire byte of the 11 frame types at fixed inputs, pinned by CRC32C
+// (header included), so a change to the frame codec cannot move a byte
+// unnoticed. Each fixed-layout body one byte short or one byte long is a
+// typed kMalformedFrame, never a codec error the server would not catch.
+TEST(Frame, WireBytesArePinned) {
+  fl::GlobalModelMessage model;
+  model.round = 5;
+  model.model_state =
+      tensor::serialize_tensors({tensor::Tensor({2}, {1.0, 2.0})});
+  const std::vector<std::pair<tensor::ByteBuffer, std::uint32_t>> pins = {
+      {encode_hello(Hello{42}), 0x8F56F552U},
+      {encode_welcome(Welcome{9}), 0xB93F7343U},
+      {encode_model(model), 0x5591C7EAU},
+      {valid_update_frame(), 0x585A9A49U},
+      {encode_retry_after(350), 0x12FC96F1U},
+      {encode_round_result(RoundResult{12, true}), 0xAD7462FEU},
+      {encode_goodbye(), 0x91B812DEU},
+      {encode_resume(Resume{17, 4, true, 3}), 0x35C19685U},
+      {encode_resume_ack(ResumeAck{8, ResumeStatus::kAccepted}), 0x230CDD44U},
+      {encode_heartbeat(), 0x2E905E0DU},
+      {encode_version_reject(VersionReject{kProtocolVersion}), 0xA546BE42U},
+  };
+  for (const auto& [frame, crc] : pins) {
+    EXPECT_EQ(common::crc32c(frame.data(), frame.size()), crc)
+        << "frame type " << static_cast<int>(frame[4]) << " moved on the wire";
+  }
+
+  const auto expect_malformed = [](const char* what, auto&& decode) {
+    try {
+      decode();
+      ADD_FAILURE() << what << " must throw";
+    } catch (const NetError& e) {
+      EXPECT_EQ(e.reason(), NetError::Reason::kMalformedFrame) << what;
+    }
+  };
+  struct FixedLayout {
+    const char* what;
+    const tensor::ByteBuffer& frame;
+    std::function<void(const tensor::ByteBuffer&)> decode;
+  };
+  const FixedLayout fixed[] = {
+      {"hello", pins[0].first, [](const auto& b) { (void)decode_hello(b); }},
+      {"welcome", pins[1].first,
+       [](const auto& b) { (void)decode_welcome(b); }},
+      {"retry_after", pins[4].first,
+       [](const auto& b) { (void)decode_retry_after(b); }},
+      {"round_result", pins[5].first,
+       [](const auto& b) { (void)decode_round_result(b); }},
+      {"resume", pins[7].first, [](const auto& b) { (void)decode_resume(b); }},
+      {"resume_ack", pins[8].first,
+       [](const auto& b) { (void)decode_resume_ack(b); }},
+      {"version_reject", pins[10].first,
+       [](const auto& b) { (void)decode_version_reject(b); }},
+  };
+  for (const auto& [what, frame, decode] : fixed) {
+    const tensor::ByteBuffer body(
+        frame.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes),
+        frame.end());
+    ASSERT_NO_THROW(decode(body)) << what;
+    tensor::ByteBuffer shorter(body.begin(), body.end() - 1);
+    tensor::ByteBuffer longer = body;
+    longer.push_back(0);
+    expect_malformed(what, [&] { decode(shorter); });
+    expect_malformed(what, [&] { decode(longer); });
+  }
+  // Model and update bodies carry a payload of any length after their
+  // fixed fields; one byte short of those fields is malformed.
+  expect_malformed("model", [] {
+    (void)decode_model(tensor::ByteBuffer(7, 0));
+  });
+  expect_malformed("update", [] {
+    (void)decode_update(tensor::ByteBuffer(23, 0));
+  });
 }
 
 TEST(FrameDecoder, ReassemblesFromSingleByteFeeds) {
@@ -334,6 +414,97 @@ TEST(NetRound, LoopbackFederationMatchesInProcessServerBitExactly) {
     EXPECT_EQ(c->rounds_committed(), kRounds);
   }
   EXPECT_EQ(server.round_latencies_ms().size(), kRounds);
+}
+
+// The socket engine under the round loop's fault plan commits the bytes the
+// in-process loop commits with one collection attempt: each client decides
+// its fault before training, as the loop does. Model bytes are compared,
+// not counters: a truncated update is rejected in process but never
+// received by the socket server.
+TEST(NetRound, FaultPlanLoopbackMatchesSingleAttemptSimulation) {
+  constexpr index_t kClients = 3;
+  constexpr std::uint64_t kRounds = 4;
+  constexpr std::uint64_t kSelectionSeed = 3;
+  fl::FaultConfig faults;
+  faults.dropout_prob = 0.15;
+  faults.straggler_prob = 0.15;
+  faults.corrupt_prob = 0.4;
+  faults.poison_prob = 0.15;
+  faults.byzantine_fraction = 0.3;
+  faults.seed = 295;
+  const fl::FaultPlan plan(faults);
+
+  // The plan is a pure function, so its coverage is known up front: every
+  // fault kind and corruption kind is drawn at least once.
+  std::set<std::pair<fl::FaultKind, fl::CorruptionKind>> drawn;
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    for (index_t c = 0; c < kClients; ++c) {
+      const fl::ClientFault f = plan.decide(r, 0, c);
+      drawn.emplace(f.kind, f.kind == fl::FaultKind::kCorrupt
+                                ? f.corruption
+                                : fl::CorruptionKind::kTruncate);
+    }
+  }
+  for (const auto kind :
+       {fl::FaultKind::kDropout, fl::FaultKind::kStraggler,
+        fl::FaultKind::kPoison, fl::FaultKind::kByzantine}) {
+    EXPECT_TRUE(drawn.count({kind, fl::CorruptionKind::kTruncate}))
+        << "fault kind " << static_cast<int>(kind) << " never drawn";
+  }
+  for (const auto corruption :
+       {fl::CorruptionKind::kTruncate, fl::CorruptionKind::kBitFlip,
+        fl::CorruptionKind::kWrongRound, fl::CorruptionKind::kDuplicate}) {
+    EXPECT_TRUE(drawn.count({fl::FaultKind::kCorrupt, corruption}))
+        << "corruption kind " << static_cast<int>(corruption)
+        << " never drawn";
+  }
+
+  // The norm screen rejects the norm-scaled poison on both servers.
+  fl::ValidationConfig validation;
+  validation.max_grad_norm = 1e4;
+
+  auto ref_server =
+      std::make_unique<fl::Server>(tiny_factory(88)(), /*learning_rate=*/0.1);
+  ref_server->set_validation(validation);
+  std::vector<std::unique_ptr<fl::Client>> ref_clients;
+  for (index_t i = 0; i < kClients; ++i) ref_clients.push_back(make_client(i));
+  fl::SimulationConfig sim_cfg;
+  sim_cfg.seed = kSelectionSeed;
+  sim_cfg.max_attempts = 1;
+  fl::Simulation sim(std::move(ref_server), std::move(ref_clients), sim_cfg);
+  sim.set_fault_plan(plan);
+  sim.run(kRounds);
+  const auto want = nn::serialize_state(sim.server().global_model());
+
+  fl::Server core(tiny_factory(88)(), /*learning_rate=*/0.1);
+  core.set_validation(validation);
+  FlServerConfig cfg;
+  cfg.cohort_size = kClients;
+  cfg.rounds = kRounds;
+  cfg.selection_seed = kSelectionSeed;
+  // Above the plan's 400-tick straggler bound, so every held update lands.
+  cfg.round_timeout_ms = 1000;
+  std::uint64_t t = 0;
+  const TimeSource clock = [&t] { return t; };
+  FlServer server(core, cfg, clock);
+  server.listen("127.0.0.1", 0);
+
+  std::vector<std::unique_ptr<fl::Client>> cores;
+  std::vector<std::unique_ptr<FlClient>> clients;
+  for (index_t i = 0; i < kClients; ++i) {
+    cores.push_back(make_client(i));
+    FlClientConfig ccfg;
+    ccfg.client_id = i;
+    clients.push_back(std::make_unique<FlClient>(*cores[i], ccfg, clock));
+    clients[i]->set_fault_plan(plan);
+    clients[i]->connect("127.0.0.1", server.port());
+  }
+  ASSERT_TRUE(drive_loopback(
+      server, {clients[0].get(), clients[1].get(), clients[2].get()}, t));
+
+  EXPECT_EQ(server.rounds_served(), kRounds);
+  EXPECT_EQ(nn::serialize_state(core.global_model()), want)
+      << "the socket engine must commit the in-process bytes under faults";
 }
 
 // --- Satellite: graceful cutover + backpressure -----------------------------
@@ -897,12 +1068,8 @@ TEST(NetClient, BackoffScheduleIsExponentialCappedAndReproducible) {
 // round completes bit-exactly, the loss of durability is observable, the
 // process never aborts.
 TEST(NetServer, CheckpointWriteFailureDegradesToInMemory) {
-  namespace fs = std::filesystem;
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "oasis_net_degraded";
-  fs::remove_all(root);
-  fs::create_directories(root);
-  const std::string blocker = (root / "notadir").string();
+  const ScratchDir root("net_degraded");
+  const std::string blocker = root.path("notadir");
   {
     std::ofstream out(blocker);  // a FILE where the manager wants a directory
     out << "x";
@@ -942,7 +1109,6 @@ TEST(NetServer, CheckpointWriteFailureDegradesToInMemory) {
   EXPECT_GT(counter_value("net.ckpt.degraded"), degraded_before);
   EXPECT_EQ(nn::serialize_state(core.global_model()), want)
       << "degraded mode must not perturb the aggregation";
-  fs::remove_all(root);
 }
 
 // Tentpole, deterministically: destroy the server at the first mid-round
@@ -953,13 +1119,9 @@ TEST(NetServer, CheckpointWriteFailureDegradesToInMemory) {
 // snapshot semantics: only FOLDED updates are in the duplicate screen, so
 // the pending members' cached resends are re-accepted, never bounced.
 TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
-  namespace fs = std::filesystem;
   constexpr index_t kClients = 3;
   constexpr std::uint64_t kRounds = 2;
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "oasis_net_restart";
-  fs::remove_all(root);
-  fs::create_directories(root);
+  const ScratchDir root("net_restart");
 
   fl::Server ref(tiny_factory(77)(), /*learning_rate=*/0.1);
   std::vector<std::unique_ptr<fl::Client>> ref_clients;
@@ -972,7 +1134,7 @@ TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
   }
   const auto want = nn::serialize_state(ref.global_model());
 
-  ckpt::CheckpointManager manager((root / "ckpt").string(), /*keep=*/4);
+  ckpt::CheckpointManager manager(root.path("ckpt"), /*keep=*/4);
   FlServerConfig cfg;
   cfg.cohort_size = kClients;
   cfg.rounds = kRounds;
@@ -1062,7 +1224,6 @@ TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
   for (const auto& c : clients) resumed += c->sessions_resumed();
   EXPECT_GE(resumed, 3u);
   EXPECT_GE(clients[1]->cached_resends() + clients[2]->cached_resends(), 2u);
-  fs::remove_all(root);
 }
 
 }  // namespace

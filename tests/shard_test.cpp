@@ -26,6 +26,7 @@
 #include "nn/models.h"
 #include "obs/obs.h"
 #include "runtime/parallel.h"
+#include "test_util.h"
 
 namespace oasis::fl {
 namespace {
@@ -378,11 +379,8 @@ TEST(ShardCheckpoint, RejectsMaterializedEngineSnapshot) {
 TEST(ShardCheckpoint, GenerationsInterleaveRoundsAndShards) {
   runtime::set_num_threads(1);
   obs::Registry::global().reset();
-  const ::testing::TestInfo* info =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string dir = std::string(::testing::TempDir()) + "/oasis_" +
-                          info->test_suite_name() + "_" + info->name();
-  ckpt::CheckpointManager manager(dir, /*keep=*/16);
+  const testutil::ScratchDir dir("shard_generations");
+  ckpt::CheckpointManager manager(dir.str(), /*keep=*/16);
 
   ShardedSimulation engine(test_server(),
                            VirtualPopulation(test_population()),

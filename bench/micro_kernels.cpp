@@ -269,15 +269,14 @@ void run_thread_sweeps(index_t top) {
       bench::ensure_output_dir() + "/micro_kernels_threads.json", sweeps);
 }
 
-// ISA × threads GEMM sweep: times the blocked kernel family under every ISA
-// available on this host, at 1 thread and the pool size, against the naive
-// oracle and the 1-thread scalar blocked baseline. Two shape sets: square cubes in each variant, and the exact GEMMs the round
-// benchmark's workloads issue (in the variant the layer calls). The cubes
-// alone once hid a 3× AVX2 loss on the conv shapes, whose small m leaves
-// most register tiles ragged. The table goes to bench_out/BENCH_gemm.json —
-// the acceptance artifact for the kernel layer (DESIGN.md §5f/§5k): the
-// differential tests prove the bits match, this records how much faster
-// each variant is.
+// Threads GEMM sweep: times the blocked kernel at 1 thread and the pool
+// size against the 1-thread naive oracle. Two shape sets: square cubes in
+// each variant, and the exact GEMMs the round benchmark's workloads issue
+// (in the variant the layer calls). The cubes alone once hid a 3× loss on
+// the conv shapes, whose small m leaves most register tiles ragged. The
+// table goes to bench_out/BENCH_gemm.json — the acceptance artifact for the
+// kernel layer (DESIGN.md §5f/§5k): the differential tests prove the bits
+// match, this records how much faster the blocked path is.
 struct GemmShape {
   const char* name;
   tensor::gemm::Variant variant;
@@ -321,10 +320,9 @@ std::vector<GemmShape> gemm_sweep_shapes() {
 }
 
 struct GemmSweepRow {
-  std::string isa;
   GemmShape shape;
   index_t threads;
-  double naive_s, blocked_s, scalar_s;
+  double naive_s, blocked_s;
 };
 
 double gemm_flops(const GemmShape& s) {
@@ -367,29 +365,21 @@ void gemm_sweep(const std::vector<index_t>& counts,
     std::vector<real> a(s.m * s.k), b(s.k * s.n), c(s.m * s.n);
     for (auto& v : a) v = rng.uniform(-1.0, 1.0);
     for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-    // Baselines, both single-threaded: the naive oracle and the scalar
-    // blocked kernel (the pre-SIMD reference everything is normalized
-    // against).
+    // The baseline is the single-threaded naive oracle.
     runtime::set_num_threads(1);
     const double naive_s = time_gemm_best(s, a, b, c, true);
-    tensor::gemm::set_isa(tensor::gemm::Isa::kScalar);
-    const double scalar_s = time_gemm_best(s, a, b, c, false);
-    for (const auto isa : tensor::gemm::available_isas()) {
-      tensor::gemm::set_isa(isa);
-      for (const index_t threads : counts) {
-        runtime::set_num_threads(threads);
-        const double blocked_s = time_gemm_best(s, a, b, c, false);
-        rows.push_back({tensor::gemm::isa_name(isa), s, threads, naive_s,
-                        blocked_s, scalar_s});
-        std::printf(
-            "  %-6s %-17s %-3s %4zux%4zux%4zu %3zu %10.6f %10.6f "
-            "%7.2fx %6.2fx %6.1f\n",
-            tensor::gemm::isa_name(isa), s.name, variant_name(s.variant),
-            static_cast<std::size_t>(s.m), static_cast<std::size_t>(s.k),
-            static_cast<std::size_t>(s.n), static_cast<std::size_t>(threads),
-            naive_s, blocked_s, naive_s / blocked_s, scalar_s / blocked_s,
-            gemm_flops(s) / blocked_s * 1e-9);
-      }
+    for (const index_t threads : counts) {
+      runtime::set_num_threads(threads);
+      const double blocked_s = time_gemm_best(s, a, b, c, false);
+      rows.push_back({s, threads, naive_s, blocked_s});
+      std::printf("  %-17s %-3s %4zux%4zux%4zu %3zu %10.6f %10.6f %7.2fx "
+                  "%6.1f\n",
+                  s.name, variant_name(s.variant),
+                  static_cast<std::size_t>(s.m),
+                  static_cast<std::size_t>(s.k),
+                  static_cast<std::size_t>(s.n),
+                  static_cast<std::size_t>(threads), naive_s, blocked_s,
+                  naive_s / blocked_s, gemm_flops(s) / blocked_s * 1e-9);
     }
   }
 }
@@ -399,15 +389,11 @@ void run_gemm_sweep(index_t top) {
   const index_t threaded = top > 1 ? top : 8;
   if (threaded > 1) counts.push_back(threaded);
 
-  const tensor::gemm::Isa default_isa = tensor::gemm::active_isa();
   std::vector<GemmSweepRow> rows;
-  std::printf("blocked GEMM sweep: ISA x threads (cubes + workload "
-              "shapes)\n");
-  std::printf("  %-6s %-17s %-3s %14s %3s %10s %10s %8s %7s %6s\n", "isa",
-              "shape", "var", "m x k x n", "thr", "naive_s", "blocked_s",
-              "vs_nai", "vs_sca", "GF/s");
+  std::printf("blocked GEMM sweep: threads (cubes + workload shapes)\n");
+  std::printf("  %-17s %-3s %14s %3s %10s %10s %8s %6s\n", "shape", "var",
+              "m x k x n", "thr", "naive_s", "blocked_s", "vs_nai", "GF/s");
   gemm_sweep(counts, rows);
-  tensor::gemm::set_isa(default_isa);
   runtime::set_num_threads(0);
 
   const std::string path = bench::ensure_output_dir() + "/BENCH_gemm.json";
@@ -416,33 +402,22 @@ void run_gemm_sweep(index_t top) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"gemm_isa_threads\",\n");
-  std::fprintf(f, "  \"host\": {\"default_isa\": \"%s\", \"isas\": [",
-               tensor::gemm::isa_name(default_isa));
-  bool first = true;
-  for (const auto isa : tensor::gemm::available_isas()) {
-    std::fprintf(f, "%s\"%s\"", first ? "" : ", ",
-                 tensor::gemm::isa_name(isa));
-    first = false;
-  }
-  std::fprintf(f, "]},\n  \"rows\": [");
+  std::fprintf(f, "{\n  \"bench\": \"gemm_threads\",\n  \"rows\": [");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const GemmSweepRow& r = rows[i];
     std::fprintf(
         f,
-        "%s\n    {\"isa\": \"%s\", \"shape\": \"%s\", "
+        "%s\n    {\"shape\": \"%s\", "
         "\"variant\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, "
         "\"threads\": %zu, "
         "\"naive_seconds\": %.6f, \"blocked_seconds\": %.6f, "
-        "\"speedup_vs_naive\": %.3f, \"speedup_vs_scalar\": %.3f, "
-        "\"blocked_gflops\": %.2f}",
-        i == 0 ? "" : ",", r.isa.c_str(), r.shape.name,
+        "\"speedup_vs_naive\": %.3f, \"blocked_gflops\": %.2f}",
+        i == 0 ? "" : ",", r.shape.name,
         variant_name(r.shape.variant), static_cast<std::size_t>(r.shape.m),
         static_cast<std::size_t>(r.shape.k),
         static_cast<std::size_t>(r.shape.n),
         static_cast<std::size_t>(r.threads), r.naive_s, r.blocked_s,
-        r.naive_s / r.blocked_s, r.scalar_s / r.blocked_s,
-        gemm_flops(r.shape) / r.blocked_s * 1e-9);
+        r.naive_s / r.blocked_s, gemm_flops(r.shape) / r.blocked_s * 1e-9);
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

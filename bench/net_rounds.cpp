@@ -114,6 +114,12 @@ int run_child(const data::SynthDataset& dataset, const LoadConfig& cfg,
       // is not greeted by a synchronized thundering herd.
       client_cfg.max_attempts = 400;
       client_cfg.jitter_seed = cfg.faults.seed;
+    } else {
+      // Capped at 100 ms a wait, the 50 attempts drain in under 5 s, inside
+      // the parent's 10 s reap grace, so an orphan exits 2 and still writes
+      // its stats file. At the 2 s default cap they took over 80 s, and the
+      // grace ended in a SIGKILL.
+      client_cfg.backoff_max_ms = 100;
     }
     net::FlClient client(core, client_cfg);
 

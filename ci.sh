@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: Release build + full test suite, an AddressSanitizer build
-# running the unit + golden labels, a kernel stage forcing the GEMM
-# differential matrix through every ISA the host can execute (ASan/UBSan,
-# then the 8-thread sweeps under TSan), a chaos stage running the randomized
+# running the unit + golden labels, a kernel stage running the GEMM
+# differential matrix (ASan/UBSan, then the 8-thread sweeps under TSan), a
+# chaos stage running the randomized
 # fault-injection suite under ASan/UBSan, a crash stage running the
 # kill-point checkpoint/resume harness and snapshot-corruption sweeps under
 # ASan/UBSan, a shard stage running the in-process round loop's
@@ -13,8 +13,8 @@
 # suites under ASan/UBSan and the Byzantine chaos suite under TSan,
 # then a ThreadSanitizer build exercising the concurrency-heavy tests
 # (runtime pool + FL rounds + chaos + crash/resume + the 8-thread sharded
-# differential), and a portable (-DOASIS_NATIVE_ARCH=OFF) build replaying
-# the augment byte pins and the golden round suite.
+# differential), and a portable (-DOASIS_NATIVE_ARCH=OFF) build running the
+# full suite against the native build's pinned bytes.
 #
 # Every test carries a ctest LABEL (unit | integration | sanitizer |
 # property | golden | chaos | crash | net | net_chaos | shard | defense) and
@@ -23,9 +23,9 @@
 #   ./ci.sh            # all default stages
 #   ./ci.sh release    # Release (-Werror) + full ctest only
 #   ./ci.sh asan       # ASan build + unit/golden/kernel labels only
-#   ./ci.sh kernel     # per-ISA GEMM differential matrix: kernel label under
-#                      # each forced OASIS_GEMM_ISA with ASan/UBSan, then the
-#                      # 8-thread sweeps (intra-GEMM parallel path) under TSan
+#   ./ci.sh kernel     # GEMM differential matrix: kernel label under
+#                      # ASan/UBSan, then the 8-thread sweeps (intra-GEMM
+#                      # parallel path) under TSan
 #   ./ci.sh chaos      # ASan build + chaos label only
 #   ./ci.sh crash      # ASan build + crash label only (SIGKILL harness)
 #   ./ci.sh net        # ASan build + net label + a short net_rounds fleet,
@@ -36,13 +36,11 @@
 #   ./ci.sh defense    # defense + robust-aggregation labels under ASan/UBSan,
 #                      # Byzantine chaos suite under TSan
 #   ./ci.sh tsan       # TSan stage only
-#   ./ci.sh portable   # a -DOASIS_NATIVE_ARCH=OFF build replaying the
-#                      # augment byte pins and golden_test against the
-#                      # native constants
-#   ./ci.sh perf       # NOT part of "all": wall-clock kernel guards (per-ISA
-#                      # blocked-vs-naive floors, the dispatched ISA vs
-#                      # scalar on the round's conv shapes, the CRC32C
-#                      # floor); run on quiet hardware
+#   ./ci.sh portable   # a -DOASIS_NATIVE_ARCH=OFF build running the full
+#                      # ctest against the native build's constants
+#   ./ci.sh perf       # NOT part of "all": wall-clock guards (the blocked-
+#                      # vs-naive GEMM floor, the CRC32C floor); run on quiet
+#                      # hardware
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -69,39 +67,19 @@ run_asan() {
 }
 
 run_kernel() {
-  # SIMD-dispatch stage: the per-ISA differential matrix runs once per ISA
-  # the host can execute, forced through OASIS_GEMM_ISA so the kernel under
-  # test is never an accident of dispatch. The label also carries nn_test's
-  # MiniConvNet CRC pin, whose constants must hold under every ISA.
-  # ASan/UBSan catches a packed-panel overrun in any kernel geometry (the
-  # 6-row AVX2/NEON tiles have different pack paddings than the 4-row
-  # scalar tile) or a staged-edge tile overrun; the TSan pass then drives
-  # the intra-GEMM row-panel parallel path — the 8-thread differential
-  # sweeps — where a racy B-panel pack or C-tile store would surface.
-  echo "==> [ci] Kernel stage: per-ISA differential matrix under ASan/UBSan + TSan"
+  # GEMM stage: the blocked-vs-naive differential matrix plus nn_test's
+  # MiniConvNet CRC pin (the kernel label). ASan/UBSan catches a packed-panel
+  # overrun or a staged-edge tile overrun; the TSan pass then drives the
+  # intra-GEMM row-panel parallel path — the 8-thread differential sweeps —
+  # where a racy B-panel pack or C-tile store would surface.
+  echo "==> [ci] Kernel stage: GEMM differential matrix under ASan/UBSan + TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target kernel_diff_test nn_test
-  isas="scalar"
-  if [ "$(uname -m)" = "x86_64" ] && grep -q avx2 /proc/cpuinfo 2>/dev/null \
-     && grep -q fma /proc/cpuinfo 2>/dev/null; then
-    isas="${isas} avx2"
-  fi
-  if [ "$(uname -m)" = "aarch64" ]; then
-    isas="${isas} neon"
-  fi
-  echo "==> [ci] kernel ISAs detected on this host: ${isas}"
-  for isa in ${isas}; do
-    echo "==> [ci] kernel label under forced OASIS_GEMM_ISA=${isa}"
-    OASIS_GEMM_ISA="${isa}" ctest --test-dir build-asan --output-on-failure \
-      -j "${jobs}" -L kernel
-  done
+  ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L kernel
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target kernel_diff_test
-  for isa in ${isas}; do
-    echo "==> [ci] 8-thread GEMM differential under TSan, OASIS_GEMM_ISA=${isa}"
-    OASIS_GEMM_ISA="${isa}" ./build-tsan/tests/kernel_diff_test \
-      --gtest_filter='*IsaSweep*:KernelDispatch.*'
-  done
+  echo "==> [ci] 8-thread GEMM differential under TSan"
+  ./build-tsan/tests/kernel_diff_test --gtest_filter='Isas/IsaSweep.*'
 }
 
 run_chaos() {
@@ -216,23 +194,21 @@ run_tsan() {
 }
 
 run_portable() {
-  # Bytes that must not depend on -march: the sinc shear and Rng::uniform
-  # spell their fma out, so the augment pins and the golden round match the
-  # native build's pinned CRCs without FMA contraction. The MiniConvNet and
-  # kernel pins still depend on the scalar GEMM kernel's contraction and
-  # would fail in this build.
-  echo "==> [ci] Portable stage: -DOASIS_NATIVE_ARCH=OFF build, augment_pin_test + golden_test"
+  # Bytes that must not depend on -march: every pinned multiply-add is
+  # either a spelled std::fma or inside the GEMM kernel TU, which carries
+  # its own FMA flags, so the whole suite — CkptPin (shard label) and the
+  # MiniConvNet pin included — matches the native build's constants.
+  echo "==> [ci] Portable stage: -DOASIS_NATIVE_ARCH=OFF build + full ctest"
   cmake -B build-portable -S . -DCMAKE_BUILD_TYPE=Release \
     -DOASIS_NATIVE_ARCH=OFF
-  cmake --build build-portable -j "${jobs}" --target augment_pin_test golden_test
-  ./build-portable/tests/augment_pin_test
-  ./build-portable/tests/golden_test
+  cmake --build build-portable -j "${jobs}"
+  ctest --test-dir build-portable --output-on-failure -j "${jobs}"
 }
 
 run_perf() {
   # Opt-in stage, NOT in "all": wall-clock assertions are too noisy for
   # shared CI runners. The guard tests self-skip unless OASIS_PERF_GUARD=1.
-  echo "==> [ci] Perf guard stage (per-ISA blocked GEMM floors)"
+  echo "==> [ci] Perf guard stage (blocked GEMM and CRC32C floors)"
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-ci -j "${jobs}" --target perf_guard_test
   OASIS_PERF_GUARD=1 ctest --test-dir build-ci --output-on-failure -L perf

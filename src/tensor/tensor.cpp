@@ -132,7 +132,8 @@ Tensor& Tensor::mul_(const Tensor& rhs) {
 
 Tensor& Tensor::add_scaled_(const Tensor& rhs, real alpha) {
   check_same_shape(shape_, rhs.shape_, "add_scaled_");
-  for (index_t i = 0; i < data_.size(); ++i) data_[i] += alpha * rhs.data_[i];
+  for (index_t i = 0; i < data_.size(); ++i)
+    data_[i] = std::fma(alpha, rhs.data_[i], data_[i]);
   return *this;
 }
 
@@ -169,7 +170,7 @@ index_t Tensor::argmax() const {
 
 real Tensor::norm() const {
   real s = 0.0;
-  for (const auto v : data_) s += v * v;
+  for (const auto v : data_) s = std::fma(v, v, s);
   return std::sqrt(s);
 }
 

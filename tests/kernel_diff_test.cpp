@@ -1,25 +1,26 @@
 // Differential kernel tests: the blocked+packed GEMM layer must reproduce
-// the retained naive oracle kernels BIT-FOR-BIT, per ISA (see
-// DESIGN.md §5f/§5k — every microkernel continues the oracle's ascending-k
-// fused-multiply-add chain through C, so every output element sees the
-// identical operation sequence regardless of register-tile geometry).
+// the retained naive oracle kernels BIT-FOR-BIT (see DESIGN.md §5f/§5k —
+// the register kernel continues the oracle's ascending-k fused-multiply-add
+// chain through C, so every output element sees the identical operation
+// sequence regardless of register-tile geometry), and the naive oracle
+// must in turn reproduce an independent scalar fma chain.
 //
-// The sweep runs under EVERY ISA available on this host via forced dispatch
-// (gemm::set_isa), covering degenerate shapes, non-tile-multiple edges
-// (including the 4/6-row and 8-column register-tile boundaries of the
-// scalar, AVX2, and NEON kernels), the KC/NC blocking boundaries, and the
-// exact GEMM shapes the round benchmark's workloads issue, at 1 and 8
-// threads (the intra-GEMM row-panel parallel path included); Conv2d and
-// Dense are exercised end-to-end against the OASIS_NAIVE_GEMM toggle. Workspace arena
+// The sweep covers degenerate shapes, non-tile-multiple edges (every live
+// row count of the 6-row tile and the 8-column boundary), the KC/NC
+// blocking boundaries, and the exact GEMM shapes the round benchmark's
+// workloads issue, at 1 and 8 threads (the intra-GEMM row-panel parallel
+// path included); Conv2d and Dense are exercised end-to-end against the
+// OASIS_NAIVE_GEMM toggle. Workspace arena
 // semantics (alignment, scope rewind, coalescing, steady-state no-growth)
 // are pinned here too, since the kernels' zero-allocation claim rests on
 // them.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iostream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -29,22 +30,20 @@
 #include "runtime/parallel.h"
 #include "runtime/workspace.h"
 #include "tensor/gemm/gemm.h"
+#include "tensor/gemm/kernels.h"
 #include "tensor/tensor.h"
 
 namespace oasis {
 namespace {
 
-using tensor::gemm::Isa;
 using tensor::gemm::Variant;
 
-/// Restores the global thread count, the naive-GEMM switch, and the
-/// dispatched ISA even when an assertion aborts a test early.
+/// Restores the global thread count and the naive-GEMM switch even when an
+/// assertion aborts a test early.
 struct KernelEnvGuard {
-  Isa saved = tensor::gemm::active_isa();
   ~KernelEnvGuard() {
     runtime::set_num_threads(0);
     tensor::gemm::set_naive(false);
-    tensor::gemm::set_isa(saved);
   }
 };
 
@@ -65,19 +64,14 @@ bool bits_equal(const tensor::Tensor& a, const tensor::Tensor& b) {
                      a.size() * sizeof(real)) == 0;
 }
 
-std::vector<real> run_blocked(Variant v, index_t m, index_t k, index_t n,
-                              const std::vector<real>& a,
-                              const std::vector<real>& b) {
-  std::vector<real> c(m * n, 0.0);
-  tensor::gemm::blocked(v, m, k, n, a.data(), b.data(), c.data());
-  return c;
-}
+using GemmFn = void (*)(Variant, index_t, index_t, index_t, const real*,
+                        const real*, real*);
 
-std::vector<real> run_naive(Variant v, index_t m, index_t k, index_t n,
-                            const std::vector<real>& a,
-                            const std::vector<real>& b) {
+std::vector<real> run_gemm(GemmFn fn, Variant v, index_t m, index_t k,
+                           index_t n, const std::vector<real>& a,
+                           const std::vector<real>& b) {
   std::vector<real> c(m * n, 0.0);
-  tensor::gemm::naive(v, m, k, n, a.data(), b.data(), c.data());
+  fn(v, m, k, n, a.data(), b.data(), c.data());
   return c;
 }
 
@@ -86,8 +80,8 @@ struct Shape {
 };
 
 // Degenerate shapes, ragged tile edges, and the exact blocking boundaries
-// (one below, on, and above each): m around the 4- and 6-row register
-// tiles, n around the 8-column tile and twice it, k around the KC=256 and
+// (one below, on, and above each): m around the 6-row register tile, n
+// around the 8-column tile and twice it, k around the KC=256 and
 // n around the NC=512 cache blocks.
 const Shape kEdgeShapes[] = {
     {1, 1, 1},    {1, 5, 1},     {3, 1, 4},    {1, 64, 1},   {5, 1, 9},
@@ -100,8 +94,8 @@ const Shape kEdgeShapes[] = {
 
 // The exact GEMMs the round benchmark's workloads issue, as (m, k, n) for
 // the variant the layer calls them with; the sweep runs all three variants
-// on each. Their m (8, 16, 27, 72, 10, 4) leaves ragged row panels under
-// every register tile, so the edge path carries most of the round's flops.
+// on each. Their m (8, 16, 27, 72, 10, 4) leaves ragged row panels under the
+// 6-row tile, so the edge path carries most of the round's flops.
 const Shape kWorkloadShapes[] = {
     // oasis_convnet conv0 (3→8 channels, 24×24): fwd NN, grad_w NT, grad_x TN
     {8, 27, 576},   {8, 576, 27},   {27, 8, 576},
@@ -114,24 +108,62 @@ const Shape kWorkloadShapes[] = {
     {4, 432, 10},   {10, 4, 432},   {4, 10, 432},
 };
 
-std::string isa_param_name(const ::testing::TestParamInfo<Isa>& info) {
-  return tensor::gemm::isa_name(info.param);
+/// Independent scalar reference: one std::fma chain per output element,
+/// ascending k, seeded from C — the operation sequence DESIGN.md §5f pins —
+/// with none of the naive kernels' loop orders, zero skips or row chunking.
+void scalar_chain(Variant v, index_t m, index_t k, index_t n, const real* a,
+                  const real* b, real* c) {
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      real s = c[i * n + j];
+      for (index_t kk = 0; kk < k; ++kk) {
+        const real av = v == Variant::TN ? a[kk * m + i] : a[i * k + kk];
+        const real bv = v == Variant::NT ? b[j * k + kk] : b[kk * n + j];
+        s = std::fma(av, bv, s);
+      }
+      c[i * n + j] = s;
+    }
+  }
 }
 
-/// One sweep body shared by every ISA instantiation: naive oracle vs
-/// blocked under forced dispatch, serial and 8-thread.
+/// The two GEMM paths a host can run, each checked against a reference.
+/// `avx2` is the register kernel (its TU is built with -mavx2 -mfma on
+/// x86, with baseline flags on AArch64) against the naive oracle. `scalar`
+/// is the naive oracle itself — what `blocked` runs where the register
+/// kernel cannot — against the independent scalar chain above.
+enum class GemmPath { kScalar, kAvx2 };
+
+struct PathCheck {
+  GemmFn reference;
+  GemmFn under_test;
+};
+
+PathCheck path_check(GemmPath path) {
+  if (path == GemmPath::kScalar) return {scalar_chain, tensor::gemm::naive};
+  return {tensor::gemm::naive, tensor::gemm::blocked};
+}
+
+std::string path_param_name(const ::testing::TestParamInfo<GemmPath>& info) {
+  return info.param == GemmPath::kScalar ? "scalar" : "avx2";
+}
+
+/// Reference vs the path under test over a shape table, serial and
+/// 8-thread.
 template <std::size_t N>
-void sweep_shapes_bit_identical(const Shape (&shapes)[N], const char* tag) {
+void sweep_shapes_bit_identical(GemmPath path, const Shape (&shapes)[N],
+                                const char* tag) {
+  const PathCheck check = path_check(path);
   common::Rng rng(0xD1FFu);
   for (const auto& s : shapes) {
     const auto a = random_vec(s.m * s.k, rng);
     const auto b = random_vec(s.k * s.n, rng);
     for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
-      const auto oracle = run_naive(v, s.m, s.k, s.n, a, b);
+      const auto oracle = run_gemm(check.reference, v, s.m, s.k, s.n, a, b);
       runtime::set_num_threads(1);
-      const auto serial = run_blocked(v, s.m, s.k, s.n, a, b);
+      const auto serial = run_gemm(check.under_test, v, s.m, s.k, s.n, a, b);
       runtime::set_num_threads(8);
-      const auto threaded = run_blocked(v, s.m, s.k, s.n, a, b);
+      const auto threaded =
+          run_gemm(check.under_test, v, s.m, s.k, s.n, a, b);
       EXPECT_TRUE(bits_equal(oracle, serial))
           << tag << " variant " << static_cast<int>(v) << " shape " << s.m
           << "x" << s.k << "x" << s.n << " (1 thread)";
@@ -142,7 +174,8 @@ void sweep_shapes_bit_identical(const Shape (&shapes)[N], const char* tag) {
   }
 }
 
-void sweep_random_bit_identical(const char* tag) {
+void sweep_random_bit_identical(GemmPath path, const char* tag) {
+  const PathCheck check = path_check(path);
   common::Rng rng(0x5EEDu);
   for (int trial = 0; trial < 24; ++trial) {
     const auto m = static_cast<index_t>(rng.uniform_int(1, 97));
@@ -151,11 +184,11 @@ void sweep_random_bit_identical(const char* tag) {
     const auto a = random_vec(m * k, rng);
     const auto b = random_vec(k * n, rng);
     for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
-      const auto oracle = run_naive(v, m, k, n, a, b);
+      const auto oracle = run_gemm(check.reference, v, m, k, n, a, b);
       runtime::set_num_threads(1);
-      const auto serial = run_blocked(v, m, k, n, a, b);
+      const auto serial = run_gemm(check.under_test, v, m, k, n, a, b);
       runtime::set_num_threads(8);
-      const auto threaded = run_blocked(v, m, k, n, a, b);
+      const auto threaded = run_gemm(check.under_test, v, m, k, n, a, b);
       EXPECT_TRUE(bits_equal(oracle, serial))
           << tag << " trial " << trial << " variant " << static_cast<int>(v)
           << " shape " << m << "x" << k << "x" << n;
@@ -166,96 +199,56 @@ void sweep_random_bit_identical(const char* tag) {
   }
 }
 
-// ---- Per-ISA differential matrix --------------------------------------------
+// ---- Differential matrix ----------------------------------------------------
 
-class IsaSweep : public ::testing::TestWithParam<Isa> {};
+class IsaSweep : public ::testing::TestWithParam<GemmPath> {};
 
 TEST_P(IsaSweep, GemmEdgeShapesBitIdenticalF64) {
   KernelEnvGuard guard;
-  tensor::gemm::set_isa(GetParam());
-  sweep_shapes_bit_identical(kEdgeShapes, "f64");
+  sweep_shapes_bit_identical(GetParam(), kEdgeShapes, "f64");
 }
 
 TEST_P(IsaSweep, GemmWorkloadShapesBitIdenticalF64) {
   KernelEnvGuard guard;
-  tensor::gemm::set_isa(GetParam());
-  sweep_shapes_bit_identical(kWorkloadShapes, "f64");
+  sweep_shapes_bit_identical(GetParam(), kWorkloadShapes, "f64");
 }
 
 TEST_P(IsaSweep, GemmRandomShapeSweepBitIdenticalF64) {
   KernelEnvGuard guard;
-  tensor::gemm::set_isa(GetParam());
-  sweep_random_bit_identical("f64");
+  sweep_random_bit_identical(GetParam(), "f64");
 }
 
 TEST_P(IsaSweep, GemmAccumulatesIntoExistingC) {
   KernelEnvGuard guard;
-  tensor::gemm::set_isa(GetParam());
+  const PathCheck check = path_check(GetParam());
   common::Rng rng(0xACC0u);
   const index_t m = 21, k = 37, n = 45;
   const auto a64 = random_vec(m * k, rng);
   const auto b64 = random_vec(k * n, rng);
   const auto seed64 = random_vec(m * n, rng);
   for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
-    auto c_naive = seed64;
-    auto c_blocked = seed64;
-    tensor::gemm::naive(v, m, k, n, a64.data(), b64.data(), c_naive.data());
-    tensor::gemm::blocked(v, m, k, n, a64.data(), b64.data(),
-                          c_blocked.data());
-    EXPECT_TRUE(bits_equal(c_naive, c_blocked))
+    auto c_reference = seed64;
+    auto c_under_test = seed64;
+    check.reference(v, m, k, n, a64.data(), b64.data(), c_reference.data());
+    check.under_test(v, m, k, n, a64.data(), b64.data(), c_under_test.data());
+    EXPECT_TRUE(bits_equal(c_reference, c_under_test))
         << "f64 variant " << static_cast<int>(v);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Isas, IsaSweep,
-                         ::testing::ValuesIn(tensor::gemm::available_isas()),
-                         isa_param_name);
+                         ::testing::Values(GemmPath::kScalar, GemmPath::kAvx2),
+                         path_param_name);
 
-// ---- Dispatch surface -------------------------------------------------------
-
-TEST(KernelDispatch, ReportCompiledAndActiveIsas) {
-  // Not an assertion-heavy test: this is the dispatch-detection log CI
-  // greps so its output records which kernel variants actually ran.
-  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kNeon}) {
-    std::cout << "[dispatch] " << tensor::gemm::isa_name(isa)
-              << " compiled=" << tensor::gemm::isa_compiled(isa)
-              << " available=" << tensor::gemm::isa_available(isa) << "\n";
-    RecordProperty(tensor::gemm::isa_name(isa),
-                   tensor::gemm::isa_available(isa) ? "available"
-                                                    : "unavailable");
+// The sweeps above compare naive against naive where the register kernel
+// cannot run, so pin that it does run wherever the CPU has AVX2 and FMA.
+TEST(KernelDiff, RegisterKernelRunsOnFmaHosts) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
+    GTEST_SKIP() << "this CPU lacks AVX2/FMA; blocked runs the naive oracle";
   }
-  std::cout << "[dispatch] active="
-            << tensor::gemm::isa_name(tensor::gemm::active_isa()) << "\n";
-  EXPECT_TRUE(tensor::gemm::isa_available(Isa::kScalar));
-  EXPECT_FALSE(tensor::gemm::available_isas().empty());
-}
-
-TEST(KernelDispatch, ForcedDispatchRoundTripsEveryAvailableIsa) {
-  KernelEnvGuard guard;
-  for (const Isa isa : tensor::gemm::available_isas()) {
-    tensor::gemm::set_isa(isa);
-    EXPECT_EQ(tensor::gemm::active_isa(), isa);
-  }
-}
-
-TEST(KernelDispatch, ForcingAnUnavailableIsaThrows) {
-  KernelEnvGuard guard;
-  for (const Isa isa : {Isa::kAvx2, Isa::kNeon}) {
-    if (!tensor::gemm::isa_available(isa)) {
-      EXPECT_THROW(tensor::gemm::set_isa(isa), Error)
-          << tensor::gemm::isa_name(isa);
-    }
-  }
-}
-
-TEST(KernelDispatch, IsaNamesRoundTripThroughParse) {
-  for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kNeon}) {
-    const auto parsed = tensor::gemm::parse_isa(tensor::gemm::isa_name(isa));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, isa);
-  }
-  EXPECT_FALSE(tensor::gemm::parse_isa("avx512").has_value());
-  EXPECT_FALSE(tensor::gemm::parse_isa("").has_value());
+#endif
+  EXPECT_TRUE(tensor::gemm::detail::kernel_available());
 }
 
 TEST(KernelDiff, RunDispatchHonorsNaiveSwitch) {
@@ -270,12 +263,14 @@ TEST(KernelDiff, RunDispatchHonorsNaiveSwitch) {
   const auto b = random_vec(k * n, rng);
   std::vector<real> via_run(m * n, 0.0);
   tensor::gemm::run(Variant::NN, m, k, n, a.data(), b.data(), via_run.data());
-  EXPECT_TRUE(bits_equal(via_run, run_naive(Variant::NN, m, k, n, a, b)));
+  EXPECT_TRUE(bits_equal(
+      via_run, run_gemm(tensor::gemm::naive, Variant::NN, m, k, n, a, b)));
 
   tensor::gemm::set_naive(false);
   std::fill(via_run.begin(), via_run.end(), 0.0);
   tensor::gemm::run(Variant::NN, m, k, n, a.data(), b.data(), via_run.data());
-  EXPECT_TRUE(bits_equal(via_run, run_blocked(Variant::NN, m, k, n, a, b)));
+  EXPECT_TRUE(bits_equal(
+      via_run, run_gemm(tensor::gemm::blocked, Variant::NN, m, k, n, a, b)));
 }
 
 // ---- Layer-level differential runs ------------------------------------------

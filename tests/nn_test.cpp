@@ -609,8 +609,9 @@ INSTANTIATE_TEST_SUITE_P(HiddenWidths, MlpGradientSweep,
 // MiniConvNet forward+backward produces (the oasis_convnet model, width 8,
 // 24×24, B=16) to constants recorded before ragged GEMM tiles were routed
 // through the SIMD register kernels. DESIGN.md §5k makes the bits
-// ISA-independent, so the same constants hold under every ISA the host can
-// run. Labelled `kernel` too, so ci.sh replays it under each forced ISA.
+// independent of the kernel path, so the same constants hold under the
+// blocked kernel and under the naive oracle. Labelled `kernel` too, so
+// ci.sh's kernel stage replays it under ASan/UBSan.
 
 struct PinnedCrc {
   const char* tensor;
@@ -647,17 +648,16 @@ std::vector<std::uint32_t> mini_convnet_crcs() {
 }
 
 TEST(MiniConvNetPin, ForwardBackwardCrcsMatchUnderEveryIsa) {
-  const tensor::gemm::Isa saved = tensor::gemm::active_isa();
-  for (const tensor::gemm::Isa isa : tensor::gemm::available_isas()) {
-    tensor::gemm::set_isa(isa);
+  for (const bool naive : {false, true}) {
+    tensor::gemm::set_naive(naive);
     const std::vector<std::uint32_t> crcs = mini_convnet_crcs();
-    tensor::gemm::set_isa(saved);
+    tensor::gemm::set_naive(false);
     ASSERT_EQ(crcs.size(), std::size(kMiniConvNetCrcs));
     for (std::size_t i = 0; i < crcs.size(); ++i) {
       char got[16];
       std::snprintf(got, sizeof(got), "0x%08Xu", crcs[i]);
       EXPECT_EQ(crcs[i], kMiniConvNetCrcs[i].crc)
-          << tensor::gemm::isa_name(isa) << " " << kMiniConvNetCrcs[i].tensor
+          << (naive ? "naive " : "blocked ") << kMiniConvNetCrcs[i].tensor
           << " crc " << got;
     }
   }

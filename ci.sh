@@ -13,8 +13,9 @@
 # suites under ASan/UBSan and the Byzantine chaos suite under TSan,
 # then a ThreadSanitizer build exercising the concurrency-heavy tests
 # (runtime pool + FL rounds + chaos + crash/resume + the 8-thread sharded
-# differential), and a portable (-DOASIS_NATIVE_ARCH=OFF) build running the
-# full suite against the native build's pinned bytes.
+# differential + Conv2d's parallel weight-gradient tiles), and a portable
+# (-DOASIS_NATIVE_ARCH=OFF) build running the full suite against the native
+# build's pinned bytes.
 #
 # Every test carries a ctest LABEL (unit | integration | sanitizer |
 # property | golden | chaos | crash | net | net_chaos | shard | defense) and
@@ -67,11 +68,12 @@ run_asan() {
 }
 
 run_kernel() {
-  # GEMM stage: the blocked-vs-naive differential matrix plus nn_test's
-  # MiniConvNet CRC pin (the kernel label). ASan/UBSan catches a packed-panel
-  # overrun or a staged-edge tile overrun; the TSan pass then drives the
-  # intra-GEMM row-panel parallel path — the 8-thread differential sweeps —
-  # where a racy B-panel pack or C-tile store would surface.
+  # GEMM stage: the blocked-vs-naive differential matrix, the im2col/col2im
+  # span references, plus nn_test's MiniConvNet CRC pin (the kernel label).
+  # ASan/UBSan catches a packed-panel, staged-edge tile or im2col span
+  # overrun; the TSan pass then drives the intra-GEMM row-panel parallel
+  # path — the 8-thread sweeps, whose parallel edge shapes sit above the
+  # inline cutoff — where a racy B-panel pack or C-tile store would surface.
   echo "==> [ci] Kernel stage: GEMM differential matrix under ASan/UBSan + TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target kernel_diff_test nn_test
@@ -179,7 +181,7 @@ run_defense() {
 run_tsan() {
   # crash_test rides along: its 8-thread shards resume checkpoints into a
   # freshly spawned pool, exactly where a racy restore would surface.
-  echo "==> [ci] ThreadSanitizer build (runtime_test + fl_test + chaos_test + crash_test)"
+  echo "==> [ci] ThreadSanitizer build (runtime_test + fl_test + chaos_test + crash_test + nn_test)"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target runtime_test fl_test     chaos_test crash_test
   ./build-tsan/tests/runtime_test
@@ -191,6 +193,11 @@ run_tsan() {
   cmake --build build-tsan -j "${jobs}" --target shard_test
   ./build-tsan/tests/shard_test \
     --gtest_filter='ShardDifferential.MatchesMaterializedSimulation_Threads8:ShardDifferential.ThreadCountInvariant'
+  # Conv2d's per-sample weight-gradient tiles run in a parallel_for and fold
+  # serially: the 8-thread parameters-only backward and the MiniConvNet pin.
+  cmake --build build-tsan -j "${jobs}" --target nn_test
+  ./build-tsan/tests/nn_test \
+    --gtest_filter='BackwardParams.*:MiniConvNetPin.*'
 }
 
 run_portable() {

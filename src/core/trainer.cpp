@@ -40,7 +40,7 @@ TrainResult train_classifier(nn::Sequential& model,
       const tensor::Tensor logits =
           model.forward(batch.images, /*training=*/true);
       const nn::LossResult loss = loss_fn.compute(logits, batch.labels);
-      model.backward(loss.grad_logits);
+      model.backward_params(loss.grad_logits);
       optimizer.step();
 
       epoch_loss += loss.loss;

@@ -89,7 +89,7 @@ ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg) {
           ? ce_loss_.compute(logits, training_batch.labels)
           : bce_loss_.compute(logits, training_batch.labels);
   last_loss_ = loss.loss;
-  model_->backward(loss.grad_logits);
+  model_->backward_params(loss.grad_logits);
 
   ClientUpdateMessage update;
   update.round = msg.round;

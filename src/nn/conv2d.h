@@ -15,10 +15,13 @@ class Conv2d : public Module {
   Conv2d(index_t in_channels, index_t out_channels, index_t kernel,
          index_t stride, index_t pad, common::Rng& rng);
 
-  using Module::forward;
   using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
+  /// Moves `x` into the input cache instead of copying it.
+  tensor::Tensor forward(tensor::Tensor&& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  /// The weight and bias gradients alone: no input-gradient GEMM or col2im.
+  void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
@@ -26,14 +29,20 @@ class Conv2d : public Module {
   Parameter& bias() { return bias_; }
 
  private:
+  void check_input(const tensor::Tensor& x) const;
+  /// The forward pass over cached_x_.
+  tensor::Tensor forward_cached();
+  /// Lowers sample `n` of cached_x_ into its [in_ch*k*k, oh*ow] columns.
+  void lower(index_t n, real* cols) const;
+
   index_t in_ch_, out_ch_, k_, stride_, pad_;
   Parameter weight_;  // [out_ch, in_ch*k*k]
   Parameter bias_;    // [out_ch]
-  // Cached im2col columns for backward, [batch, in_ch*k*k, oh*ow]. The
-  // storage persists across forward calls (re-allocated only when the input
-  // geometry changes), so the im2col hot loop is allocation-free.
-  tensor::Tensor cached_cols_;
-  index_t cached_h_ = 0, cached_w_ = 0, cached_batch_ = 0;
+  // The last forward input, [batch, in_ch, h, w]. Backward re-lowers each
+  // sample from it into a per-thread workspace buffer, so no batch-sized
+  // column matrix outlives a call. The storage is reused across forward
+  // calls of one size; the rvalue forward takes the caller's instead.
+  tensor::Tensor cached_x_;
 };
 
 }  // namespace oasis::nn

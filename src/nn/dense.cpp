@@ -33,7 +33,7 @@ tensor::Tensor Dense::forward(const tensor::Tensor& x, bool /*training*/) {
   return y;
 }
 
-tensor::Tensor Dense::backward(const tensor::Tensor& grad_out) {
+void Dense::backward_params(const tensor::Tensor& grad_out) {
   OASIS_CHECK_MSG(grad_out.rank() == 2 && grad_out.dim(1) == out_,
                   "Dense backward: bad grad "
                       << tensor::to_string(grad_out.shape()));
@@ -55,7 +55,12 @@ tensor::Tensor Dense::backward(const tensor::Tensor& grad_out) {
     for (index_t i = 0; i < out_ * in_; ++i) gw[i] += tile[i];
   }
   bias_.grad += tensor::sum_rows(grad_out);
+}
+
+tensor::Tensor Dense::backward(const tensor::Tensor& grad_out) {
+  Dense::backward_params(grad_out);
   // grad_x = grad_out · W.
+  const index_t batch = grad_out.dim(0);
   tensor::Tensor grad_x({batch, in_});
   tensor::gemm::run(tensor::gemm::Variant::NN, batch, out_, in_,
                     grad_out.data().data(), weight_.value.data().data(),

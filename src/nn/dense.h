@@ -19,6 +19,8 @@ class Dense : public Module {
   using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  /// The weight and bias gradients alone: no input-gradient GEMM.
+  void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::string name() const override { return "Dense"; }
 

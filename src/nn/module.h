@@ -13,6 +13,12 @@
 //      forward to the const& ones, and re-expose them with
 //      `using Module::forward; using Module::backward;` so no overload is
 //      hidden.
+//   5. backward_params(grad_out) is backward() for a caller that reads only
+//      the parameter gradients (a training step). It accumulates the same
+//      parameter-gradient bytes and returns nothing, so a layer may skip
+//      its input-gradient work (Conv2d, Dense) and a container may skip the
+//      children in front of its first parameterized one (Sequential). The
+//      default runs backward() and drops the result.
 //
 // Modules are deliberately stateful-per-pass rather than graph-based: the
 // paper's attacks need nothing more than exact batch-summed gradients of a
@@ -53,6 +59,12 @@ class Module {
   /// backward() on a gradient the callee may consume.
   virtual tensor::Tensor backward(tensor::Tensor&& grad_out) {
     return backward(std::as_const(grad_out));
+  }
+
+  /// backward() without the input gradient: accumulates the parameter
+  /// gradients only. Must be called after the matching forward().
+  virtual void backward_params(const tensor::Tensor& grad_out) {
+    backward(grad_out);
   }
 
   /// Trainable parameters (empty for stateless layers). Pointers remain

@@ -1,5 +1,7 @@
 #include "nn/residual.h"
 
+#include <utility>
+
 #include "tensor/ops.h"
 
 namespace oasis::nn {
@@ -21,7 +23,7 @@ ResidualBlock::ResidualBlock(index_t in_channels, index_t out_channels,
 tensor::Tensor ResidualBlock::forward(const tensor::Tensor& x, bool training) {
   tensor::Tensor h = bn1_->forward(conv1_->forward(x, training), training);
   tensor::relu_(h, mid_mask_);
-  h = bn2_->forward(conv2_->forward(h, training), training);
+  h = bn2_->forward(conv2_->forward(std::move(h), training), training);
   if (projection_) {
     h += projection_->forward(x, training);
   } else {

@@ -1,5 +1,7 @@
 #include "nn/sequential.h"
 
+#include <algorithm>
+
 namespace oasis::nn {
 
 void Sequential::append(ModulePtr m) {
@@ -43,6 +45,23 @@ tensor::Tensor Sequential::backward(const tensor::Tensor& grad_out) {
     g = (*it)->backward(std::move(g));
   }
   return g;
+}
+
+void Sequential::backward_params(const tensor::Tensor& grad_out) {
+  const auto first = std::find_if(
+      modules_.begin(), modules_.end(),
+      [](const ModulePtr& m) { return !m->parameters().empty(); });
+  if (first == modules_.end()) return;
+  const auto last = modules_.end() - 1;
+  if (first == last) {
+    (*last)->backward_params(grad_out);
+    return;
+  }
+  tensor::Tensor g = (*last)->backward(grad_out);
+  for (auto it = last - 1; it != first; --it) {
+    g = (*it)->backward(std::move(g));
+  }
+  (*first)->backward_params(g);
 }
 
 std::vector<Parameter*> Sequential::parameters() {

@@ -43,6 +43,9 @@ class Sequential : public Module {
   using Module::backward;
   tensor::Tensor forward(const tensor::Tensor& x, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  /// Full backward() down to the first child with parameters, whose
+  /// backward_params() ends the pass: no child in front of it runs.
+  void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::vector<tensor::Tensor*> buffers() override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }

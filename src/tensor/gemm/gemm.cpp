@@ -17,10 +17,6 @@ namespace {
 using detail::kMR;
 using detail::kNR;
 
-// Below this many flops (2·m·k·n) a GEMM runs its chunks inline: the
-// parallel_for dispatch costs more than the arithmetic it would split.
-constexpr index_t kParallelGemmFlops = index_t{1} << 15;
-
 index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
 
 // ---- Packing ----------------------------------------------------------------
@@ -93,18 +89,18 @@ void pack_a(Variant v, const real* __restrict a, index_t m, index_t k,
 
 // Output rows are written disjointly and each row's k-accumulation order is
 // fixed, so row-parallel GEMMs are bit-identical at any thread count.
-void for_each_output_row(index_t rows, index_t flops,
+void for_each_output_row(index_t m, index_t k, index_t n,
                          const std::function<void(index_t, index_t)>& body) {
-  if (flops < kParallelGemmFlops) {
-    body(0, rows);
+  if (flops(m, k, n) < kParallelGemmFlops) {
+    body(0, m);
     return;
   }
-  runtime::parallel_for(0, rows, body);
+  runtime::parallel_for(0, m, body);
 }
 
 void naive_nn(index_t m, index_t k, index_t n, const real* a, const real* b,
               real* c) {
-  for_each_output_row(m, m * k * n, [&](index_t i0, index_t i1) {
+  for_each_output_row(m, k, n, [&](index_t i0, index_t i1) {
     for (index_t i = i0; i < i1; ++i) {
       const real* arow = a + i * k;
       real* crow = c + i * n;
@@ -125,7 +121,7 @@ void naive_tn(index_t m, index_t k, index_t n, const real* a, const real* b,
   // row-contiguous. Each parallel chunk owns output rows [i0, i1) and runs
   // the full kk sweep over them, so per-element accumulation order is the
   // serial one.
-  for_each_output_row(m, m * k * n, [&](index_t i0, index_t i1) {
+  for_each_output_row(m, k, n, [&](index_t i0, index_t i1) {
     for (index_t kk = 0; kk < k; ++kk) {
       const real* arow = a + kk * m;
       const real* brow = b + kk * n;
@@ -147,7 +143,7 @@ void naive_nt(index_t m, index_t k, index_t n, const real* a, const real* b,
   // output element advances through the same ascending-k multiply-add
   // sequence as the register kernel. The scalar fma chain cannot vectorize;
   // this is the oracle, not the fast path.
-  for_each_output_row(m, m * k * n, [&](index_t i0, index_t i1) {
+  for_each_output_row(m, k, n, [&](index_t i0, index_t i1) {
     for (index_t i = i0; i < i1; ++i) {
       const real* arow = a + i * k;
       real* crow = c + i * n;
@@ -173,12 +169,12 @@ std::atomic<bool>& naive_flag() {
   return flag;
 }
 
-void count_gemm(index_t flops) {
+void count_gemm(index_t product_flops) {
   if (!obs::kernel_metrics_enabled()) return;
   static obs::Counter& calls = obs::counter("kernel.gemm.calls");
   static obs::Counter& total = obs::counter("kernel.gemm.flops");
   calls.add(1);
-  total.add(static_cast<std::uint64_t>(flops));
+  total.add(static_cast<std::uint64_t>(product_flops));
 }
 
 }  // namespace
@@ -196,7 +192,7 @@ void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
   // row partition is fixed (the bits would not move with it anyway).
   const index_t grain = std::max<index_t>(
       1, std::min<index_t>(row_panels / 8, index_t{32}));
-  const bool parallel = 2 * m * k * n >= kParallelGemmFlops && row_panels > 1;
+  const bool parallel = flops(m, k, n) >= kParallelGemmFlops && row_panels > 1;
 
   runtime::Workspace& ws = runtime::Workspace::tls();
   runtime::Workspace::Scope scope(ws);
@@ -248,7 +244,7 @@ void naive(Variant v, index_t m, index_t k, index_t n, const real* a,
 
 void run(Variant v, index_t m, index_t k, index_t n, const real* a,
          const real* b, real* c) {
-  count_gemm(2 * m * k * n);
+  count_gemm(flops(m, k, n));
   if (naive_active()) {
     naive(v, m, k, n, a, b, c);
   } else {

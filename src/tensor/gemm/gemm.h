@@ -39,6 +39,20 @@ enum class Variant { NN, TN, NT };
 inline constexpr index_t kKC = 256;
 inline constexpr index_t kNC = 512;
 
+/// Flops of C(m×n) += op(A)·op(B): a multiply and an add per term. The one
+/// count the parallel cutoff, the naive oracle and kernel.gemm.flops share.
+constexpr index_t flops(index_t m, index_t k, index_t n) {
+  return 2 * m * k * n;
+}
+
+/// Below this many flops a GEMM runs its row panels inline on the calling
+/// thread (both paths): a parallel_for dispatch plus the serial B pack cost
+/// more than the split saves, and the callers of the small products (the
+/// per-sample conv GEMMs) already run one sample per pool task. The cutoff
+/// moves only the row partition, never the bits. DESIGN.md §5k has the
+/// thread-sweep rows it rests on.
+inline constexpr index_t kParallelGemmFlops = index_t{1} << 20;
+
 // ---- Oracle switch ----------------------------------------------------------
 
 /// True when the naive oracle kernels are active — either forced via the

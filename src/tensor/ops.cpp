@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/obs.h"
 #include "tensor/gemm/gemm.h"
@@ -133,6 +134,30 @@ Tensor im2col(const Tensor& image, index_t kh, index_t kw, index_t stride,
   return cols;
 }
 
+namespace {
+
+/// Output columns [lo, hi) of a kernel column `kj` whose source column
+/// oj*stride + kj - pad lies inside [0, width); the columns outside read
+/// padding.
+struct ColSpan {
+  index_t lo, hi;
+};
+
+ColSpan valid_cols(index_t kj, index_t stride, index_t pad, index_t width,
+                   index_t ow) {
+  // First oj with oj*stride + kj >= pad, and one past the last with
+  // oj*stride + kj - pad <= width - 1.
+  const index_t lo =
+      std::min(ow, kj >= pad ? 0 : (pad - kj + stride - 1) / stride);
+  const index_t hi =
+      kj > width - 1 + pad
+          ? 0
+          : std::min(ow, (width - 1 + pad - kj) / stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+}  // namespace
+
 void im2col_into(const real* src, index_t c, index_t h, index_t w, index_t kh,
                  index_t kw, index_t stride, index_t pad, real* dst) {
   const index_t oh = conv_out_extent(h, kh, stride, pad);
@@ -146,23 +171,27 @@ void im2col_into(const real* src, index_t c, index_t h, index_t w, index_t kh,
     for (index_t ki = 0; ki < kh; ++ki) {
       for (index_t kj = 0; kj < kw; ++kj) {
         real* drow = dst + ((ch * kh + ki) * kw + kj) * out_cols;
+        const ColSpan span = valid_cols(kj, stride, pad, w, ow);
         for (index_t oi = 0; oi < oh; ++oi) {
+          real* out = drow + oi * ow;
           // Source row index may be out of bounds when padding is in effect.
-          const std::ptrdiff_t si =
-              static_cast<std::ptrdiff_t>(oi * stride + ki) -
-              static_cast<std::ptrdiff_t>(pad);
-          for (index_t oj = 0; oj < ow; ++oj) {
-            const std::ptrdiff_t sj =
-                static_cast<std::ptrdiff_t>(oj * stride + kj) -
-                static_cast<std::ptrdiff_t>(pad);
-            real v = 0.0;
-            if (si >= 0 && si < static_cast<std::ptrdiff_t>(h) && sj >= 0 &&
-                sj < static_cast<std::ptrdiff_t>(w)) {
-              v = src[(ch * h + static_cast<index_t>(si)) * w +
-                      static_cast<index_t>(sj)];
-            }
-            drow[oi * ow + oj] = v;
+          const index_t si_pad = oi * stride + ki;
+          if (si_pad < pad || si_pad - pad >= h || span.lo == span.hi) {
+            std::fill(out, out + ow, 0.0);
+            continue;
           }
+          const real* srow = src + (ch * h + si_pad - pad) * w +
+                             (span.lo * stride + kj - pad);
+          std::fill(out, out + span.lo, 0.0);
+          if (stride == 1) {
+            std::memcpy(out + span.lo, srow,
+                        sizeof(real) * (span.hi - span.lo));
+          } else {
+            for (index_t oj = span.lo; oj < span.hi; ++oj) {
+              out[oj] = srow[(oj - span.lo) * stride];
+            }
+          }
+          std::fill(out + span.hi, out + ow, 0.0);
         }
       }
     }
@@ -197,18 +226,25 @@ void col2im_add(const real* src, index_t channels, index_t height,
     for (index_t ki = 0; ki < kh; ++ki) {
       for (index_t kj = 0; kj < kw; ++kj) {
         const real* srow = src + ((ch * kh + ki) * kw + kj) * out_cols;
+        const ColSpan span = valid_cols(kj, stride, pad, width, ow);
         for (index_t oi = 0; oi < oh; ++oi) {
-          const std::ptrdiff_t si =
-              static_cast<std::ptrdiff_t>(oi * stride + ki) -
-              static_cast<std::ptrdiff_t>(pad);
-          if (si < 0 || si >= static_cast<std::ptrdiff_t>(height)) continue;
-          for (index_t oj = 0; oj < ow; ++oj) {
-            const std::ptrdiff_t sj =
-                static_cast<std::ptrdiff_t>(oj * stride + kj) -
-                static_cast<std::ptrdiff_t>(pad);
-            if (sj < 0 || sj >= static_cast<std::ptrdiff_t>(width)) continue;
-            dst[(ch * height + static_cast<index_t>(si)) * width +
-                static_cast<index_t>(sj)] += srow[oi * ow + oj];
+          const index_t si_pad = oi * stride + ki;
+          if (si_pad < pad || si_pad - pad >= height || span.lo == span.hi) {
+            continue;
+          }
+          // Each image element still receives its terms in the loop order
+          // of the element-wise fold; the span only drops the padding ones.
+          const real* in = srow + oi * ow;
+          real* drow = dst + (ch * height + si_pad - pad) * width +
+                       (span.lo * stride + kj - pad);
+          if (stride == 1) {
+            for (index_t oj = span.lo; oj < span.hi; ++oj) {
+              drow[oj - span.lo] += in[oj];
+            }
+          } else {
+            for (index_t oj = span.lo; oj < span.hi; ++oj) {
+              drow[(oj - span.lo) * stride] += in[oj];
+            }
           }
         }
       }

@@ -63,8 +63,10 @@ Tensor im2col(const Tensor& image, index_t kh, index_t kw, index_t stride,
 
 /// Raw-buffer im2col: unrolls a [C, H, W] image at `src` into the
 /// [C*kh*kw, out_h*out_w] matrix at `dst` (every element written, padding
-/// included). The allocation-free hot-loop form Conv2d uses with its
-/// persistent column cache.
+/// included). Each column-matrix row is written as spans: the in-bounds
+/// interior copied (strided when stride > 1), the padding zero-filled. The
+/// allocation-free form Conv2d uses to lower one sample at a time into its
+/// thread's workspace.
 void im2col_into(const real* src, index_t channels, index_t height,
                  index_t width, index_t kh, index_t kw, index_t stride,
                  index_t pad, real* dst);
@@ -76,7 +78,9 @@ Tensor col2im(const Tensor& cols, index_t channels, index_t height,
               index_t pad);
 
 /// Raw-buffer col2im: accumulates (`+=`) the folded image into `dst`, which
-/// the caller must have zeroed (or hold a partial image to add onto).
+/// the caller must have zeroed (or hold a partial image to add onto). Every
+/// image element receives its terms in the same order as an element-wise
+/// fold over (channel, ki, kj, oi, oj); padding terms are skipped by span.
 void col2im_add(const real* cols, index_t channels, index_t height,
                 index_t width, index_t kh, index_t kw, index_t stride,
                 index_t pad, real* dst);

@@ -31,6 +31,7 @@
 #include "runtime/workspace.h"
 #include "tensor/gemm/gemm.h"
 #include "tensor/gemm/kernels.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace oasis {
@@ -90,6 +91,14 @@ const Shape kEdgeShapes[] = {
     {6, 33, 7},   {6, 33, 8},    {6, 33, 9},   {2, 9, 511},  {2, 9, 512},
     {2, 9, 513},  {129, 12, 33}, {7, 40, 15},  {7, 40, 16},  {7, 40, 17},
     {11, 13, 18}, {18, 21, 24},
+};
+
+// Ragged shapes at or above the parallel cutoff (gemm::kParallelGemmFlops),
+// so the 8-thread sweep splits them into row panels across the pool: m
+// leaves a 1-row last panel, n a ragged last column tile, and k or n
+// crosses a KC/NC block. Every edge shape above runs inline.
+const Shape kParallelEdgeShapes[] = {
+    {133, 257, 41}, {97, 300, 23}, {13, 80, 515},
 };
 
 // The exact GEMMs the round benchmark's workloads issue, as (m, k, n) for
@@ -206,6 +215,16 @@ class IsaSweep : public ::testing::TestWithParam<GemmPath> {};
 TEST_P(IsaSweep, GemmEdgeShapesBitIdenticalF64) {
   KernelEnvGuard guard;
   sweep_shapes_bit_identical(GetParam(), kEdgeShapes, "f64");
+}
+
+TEST_P(IsaSweep, GemmParallelEdgeShapesBitIdenticalF64) {
+  KernelEnvGuard guard;
+  for (const auto& s : kParallelEdgeShapes) {
+    ASSERT_GE(tensor::gemm::flops(s.m, s.k, s.n),
+              tensor::gemm::kParallelGemmFlops)
+        << s.m << "x" << s.k << "x" << s.n << " would run inline";
+  }
+  sweep_shapes_bit_identical(GetParam(), kParallelEdgeShapes, "f64");
 }
 
 TEST_P(IsaSweep, GemmWorkloadShapesBitIdenticalF64) {
@@ -353,6 +372,135 @@ TEST(KernelDiff, DenseForwardBackwardBitIdentical) {
         << threads << " threads";
     EXPECT_TRUE(bits_equal(oracle.grad_b, blocked.grad_b))
         << threads << " threads";
+  }
+}
+
+// ---- im2col / col2im spans --------------------------------------------------
+//
+// im2col_into and col2im_add write each column-matrix row as spans (interior
+// copy, padding fill). These references are the element-wise loops they
+// replaced, with a bounds test per element; the spans must match them
+// exactly, and the ASan/UBSan kernel stage would flag a span overrun.
+
+struct ConvGeometry {
+  index_t c, h, w, k, stride, pad;
+};
+
+index_t out_extent(index_t in, index_t k, index_t stride, index_t pad) {
+  return (in + 2 * pad - k) / stride + 1;
+}
+
+void im2col_reference(const real* src, const ConvGeometry& g, real* dst) {
+  const index_t oh = out_extent(g.h, g.k, g.stride, g.pad);
+  const index_t ow = out_extent(g.w, g.k, g.stride, g.pad);
+  for (index_t ch = 0; ch < g.c; ++ch) {
+    for (index_t ki = 0; ki < g.k; ++ki) {
+      for (index_t kj = 0; kj < g.k; ++kj) {
+        real* drow = dst + ((ch * g.k + ki) * g.k + kj) * oh * ow;
+        for (index_t oi = 0; oi < oh; ++oi) {
+          const auto si = static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
+                          static_cast<std::ptrdiff_t>(g.pad);
+          for (index_t oj = 0; oj < ow; ++oj) {
+            const auto sj = static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+            real v = 0.0;
+            if (si >= 0 && si < static_cast<std::ptrdiff_t>(g.h) && sj >= 0 &&
+                sj < static_cast<std::ptrdiff_t>(g.w)) {
+              v = src[(ch * g.h + static_cast<index_t>(si)) * g.w +
+                      static_cast<index_t>(sj)];
+            }
+            drow[oi * ow + oj] = v;
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im_reference(const real* src, const ConvGeometry& g, real* dst) {
+  const index_t oh = out_extent(g.h, g.k, g.stride, g.pad);
+  const index_t ow = out_extent(g.w, g.k, g.stride, g.pad);
+  for (index_t ch = 0; ch < g.c; ++ch) {
+    for (index_t ki = 0; ki < g.k; ++ki) {
+      for (index_t kj = 0; kj < g.k; ++kj) {
+        const real* srow = src + ((ch * g.k + ki) * g.k + kj) * oh * ow;
+        for (index_t oi = 0; oi < oh; ++oi) {
+          const auto si = static_cast<std::ptrdiff_t>(oi * g.stride + ki) -
+                          static_cast<std::ptrdiff_t>(g.pad);
+          if (si < 0 || si >= static_cast<std::ptrdiff_t>(g.h)) continue;
+          for (index_t oj = 0; oj < ow; ++oj) {
+            const auto sj = static_cast<std::ptrdiff_t>(oj * g.stride + kj) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+            if (sj < 0 || sj >= static_cast<std::ptrdiff_t>(g.w)) continue;
+            dst[(ch * g.h + static_cast<index_t>(si)) * g.w +
+                static_cast<index_t>(sj)] += srow[oi * ow + oj];
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Every k ∈ {1,3,5} × stride ∈ {1,2,3} × pad ∈ {0,1,2} × C ∈ {1,3} on
+/// non-square images that fit the kernel once padded. The 3×1 image gives
+/// kernel columns that read padding only (an empty interior span).
+std::vector<ConvGeometry> span_geometries() {
+  std::vector<ConvGeometry> out;
+  for (const index_t c : {1, 3}) {
+    for (const auto& [h, w] :
+         {std::pair<index_t, index_t>{7, 5}, {4, 9}, {3, 1}}) {
+      for (const index_t k : {1, 3, 5}) {
+        for (const index_t stride : {1, 2, 3}) {
+          for (const index_t pad : {0, 1, 2}) {
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            out.push_back({c, h, w, k, stride, pad});
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string describe(const ConvGeometry& g) {
+  return "C" + std::to_string(g.c) + " " + std::to_string(g.h) + "x" +
+         std::to_string(g.w) + " k" + std::to_string(g.k) + " s" +
+         std::to_string(g.stride) + " p" + std::to_string(g.pad);
+}
+
+TEST(Im2colSpans, Im2colMatchesElementwiseReference) {
+  common::Rng rng(0x12C0u);
+  const auto geometries = span_geometries();
+  ASSERT_EQ(geometries.size(), 138u);
+  for (const ConvGeometry& g : geometries) {
+    const auto image = random_vec(g.c * g.h * g.w, rng);
+    const index_t cols_size = g.c * g.k * g.k *
+                              out_extent(g.h, g.k, g.stride, g.pad) *
+                              out_extent(g.w, g.k, g.stride, g.pad);
+    // Poisoned outputs: a span that skips an element leaves the poison.
+    std::vector<real> expected(cols_size, 7.0), got(cols_size, -7.0);
+    im2col_reference(image.data(), g, expected.data());
+    tensor::im2col_into(image.data(), g.c, g.h, g.w, g.k, g.k, g.stride,
+                        g.pad, got.data());
+    EXPECT_TRUE(bits_equal(expected, got)) << describe(g);
+  }
+}
+
+TEST(Im2colSpans, Col2imMatchesElementwiseReference) {
+  common::Rng rng(0xC021u);
+  for (const ConvGeometry& g : span_geometries()) {
+    const index_t cols_size = g.c * g.k * g.k *
+                              out_extent(g.h, g.k, g.stride, g.pad) *
+                              out_extent(g.w, g.k, g.stride, g.pad);
+    const auto cols = random_vec(cols_size, rng);
+    // A non-zero starting image: col2im_add accumulates onto it.
+    const auto base = random_vec(g.c * g.h * g.w, rng);
+    auto expected = base;
+    auto got = base;
+    col2im_reference(cols.data(), g, expected.data());
+    tensor::col2im_add(cols.data(), g.c, g.h, g.w, g.k, g.k, g.stride, g.pad,
+                       got.data());
+    EXPECT_TRUE(bits_equal(expected, got)) << describe(g);
   }
 }
 

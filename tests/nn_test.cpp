@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -22,6 +23,7 @@
 #include "nn/pooling.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
+#include "runtime/parallel.h"
 #include "tensor/gemm/gemm.h"
 #include "tensor/ops.h"
 #include "test_util.h"
@@ -600,6 +602,139 @@ TEST_P(MlpGradientSweep, EndToEndGradients) {
 
 INSTANTIATE_TEST_SUITE_P(HiddenWidths, MlpGradientSweep,
                          ::testing::Values(1, 4, 16, 33));
+
+// ---- Parameters-only backward -----------------------------------------------
+//
+// backward_params() is the training step's backward: it must leave the
+// same parameter-gradient bytes as backward(), while Sequential skips the
+// children in front of its first parameterized one and Conv2d/Dense skip
+// their input gradients.
+
+using ModelFactory = std::unique_ptr<Sequential> (*)(common::Rng&);
+
+std::vector<std::vector<std::uint64_t>> param_grad_bits(Sequential& net) {
+  std::vector<std::vector<std::uint64_t>> bits;
+  for (const Parameter* p : net.parameters()) bits.push_back(bits_of(p->grad));
+  return bits;
+}
+
+/// Parameter-gradient bits of one forward + backward (or backward_params)
+/// of a freshly seeded model, after a first step at another batch size so
+/// the layers' caches are resized and the gradients accumulate.
+std::vector<std::vector<std::uint64_t>> step_grad_bits(
+    ModelFactory factory, const tensor::Shape& x_shape, bool params_only) {
+  common::Rng rng(0xBAC4u);
+  auto net = factory(rng);
+  common::Rng data_rng(0xDA7Du);
+  for (const index_t batch : {x_shape[0] + 1, x_shape[0]}) {
+    tensor::Shape shape = x_shape;
+    shape[0] = batch;
+    const tensor::Tensor x = tensor::Tensor::randn(shape, data_rng);
+    const tensor::Tensor y = net->forward(x, /*training=*/true);
+    const tensor::Tensor gy = tensor::Tensor::randn(y.shape(), data_rng);
+    if (params_only) {
+      net->backward_params(gy);
+    } else {
+      net->backward(gy);
+    }
+  }
+  return param_grad_bits(*net);
+}
+
+void expect_backward_params_matches(ModelFactory factory,
+                                    const tensor::Shape& x_shape,
+                                    const char* model) {
+  for (const int threads : {1, 8}) {
+    runtime::set_num_threads(threads);
+    const auto full = step_grad_bits(factory, x_shape, /*params_only=*/false);
+    const auto params = step_grad_bits(factory, x_shape, /*params_only=*/true);
+    ASSERT_FALSE(full.empty()) << model;
+    EXPECT_EQ(full, params) << model << ", " << threads << " threads";
+  }
+  runtime::set_num_threads(0);
+}
+
+TEST(BackwardParams, MiniConvNetGradientBytesMatchFullBackward) {
+  expect_backward_params_matches(
+      [](common::Rng& rng) {
+        return make_mini_convnet({3, 12, 12}, 10, rng, 4);
+      },
+      {6, 3, 12, 12}, "MiniConvNet");
+}
+
+TEST(BackwardParams, MiniResNetGradientBytesMatchFullBackward) {
+  // Stages 2 and 3 open with stride-2 residual convs and 1x1 projections.
+  expect_backward_params_matches(
+      [](common::Rng& rng) { return make_mini_resnet({3, 8, 8}, 10, rng, 4); },
+      {3, 3, 8, 8}, "MiniResNet");
+}
+
+TEST(BackwardParams, MlpGradientBytesMatchFullBackward) {
+  expect_backward_params_matches(
+      [](common::Rng& rng) { return make_mlp({3, 4, 4}, {16, 8}, 5, rng); },
+      {5, 3, 4, 4}, "MLP");
+}
+
+TEST(BackwardParams, LeadingParameterlessChildrenAreSkipped) {
+  const ModelFactory factory = [](common::Rng& rng) {
+    auto net = std::make_unique<Sequential>();
+    net->emplace<ReLU>();
+    net->emplace<MaxPool2d>(2, 2);
+    net->emplace<Flatten>();
+    net->emplace<Dense>(8, 6, rng);
+    net->emplace<ReLU>();
+    net->emplace<Dense>(6, 3, rng);
+    return net;
+  };
+  expect_backward_params_matches(factory, {4, 2, 4, 4}, "ReLU-led stack");
+  // The skipped children never see the gradient: a ReLU in front of the
+  // first Dense would throw on a gradient of the wrong shape, but here
+  // backward_params() returns before reaching it.
+  common::Rng rng(0x5E9u);
+  auto net = factory(rng);
+  const tensor::Tensor x = tensor::Tensor::randn({4, 2, 4, 4}, rng);
+  const tensor::Tensor y = net->forward(x, true);
+  net->at(0).forward(tensor::Tensor::randn({1, 1}, rng), true);
+  EXPECT_NO_THROW(net->backward_params(tensor::Tensor::randn(y.shape(), rng)));
+  EXPECT_THROW(net->backward(tensor::Tensor::randn(y.shape(), rng)),
+               ShapeError);
+}
+
+TEST(BackwardParams, Conv2dBackwardUsesTheLatestInput) {
+  common::Rng data_rng(0xC0DEu);
+  const tensor::Tensor first = tensor::Tensor::randn({5, 2, 6, 7}, data_rng);
+  const tensor::Tensor second = tensor::Tensor::randn({3, 2, 6, 7}, data_rng);
+  const tensor::Tensor gy = tensor::Tensor::randn({3, 4, 3, 4}, data_rng);
+  common::Rng rng_a(0xC0u), rng_b(0xC0u);
+  Conv2d conv(2, 4, 3, 2, 1, rng_a);
+  Conv2d fresh(2, 4, 3, 2, 1, rng_b);
+  conv.forward(first, true);
+  EXPECT_EQ(bits_of(conv.forward(second, true)),
+            bits_of(fresh.forward(second, true)));
+  EXPECT_EQ(bits_of(conv.backward(gy)), bits_of(fresh.backward(gy)));
+  EXPECT_EQ(bits_of(conv.weight().grad), bits_of(fresh.weight().grad));
+  EXPECT_EQ(bits_of(conv.bias().grad), bits_of(fresh.bias().grad));
+  // A gradient for the first batch no longer fits.
+  EXPECT_THROW(conv.backward(tensor::Tensor::randn({5, 4, 3, 4}, data_rng)),
+               Error);
+}
+
+TEST(BackwardParams, ConstForwardKeepsTheCallersTensorAndRvalueMatches) {
+  common::Rng data_rng(0xF0u);
+  const tensor::Tensor x = tensor::Tensor::randn({4, 3, 5, 6}, data_rng);
+  const tensor::Tensor gy = tensor::Tensor::randn({4, 2, 5, 6}, data_rng);
+  const std::vector<std::uint64_t> x_bits = bits_of(x);
+  common::Rng rng_a(0xF1u), rng_b(0xF1u);
+  Conv2d by_ref(3, 2, 3, 1, 1, rng_a);
+  Conv2d by_move(3, 2, 3, 1, 1, rng_b);
+  const tensor::Tensor y_ref = by_ref.forward(x, true);
+  EXPECT_EQ(bits_of(x), x_bits);
+  EXPECT_EQ(bits_of(by_move.forward(tensor::Tensor(x), true)), bits_of(y_ref));
+  // Both caches hold the same input, so backward agrees too.
+  EXPECT_EQ(bits_of(by_ref.backward(gy)), bits_of(by_move.backward(gy)));
+  EXPECT_EQ(bits_of(by_ref.weight().grad), bits_of(by_move.weight().grad));
+  EXPECT_EQ(bits_of(x), x_bits);
+}
 
 // ---- Cross-commit byte pin --------------------------------------------------
 //

@@ -68,10 +68,11 @@ run_asan() {
 }
 
 run_kernel() {
-  # GEMM stage: the blocked-vs-naive differential matrix, the im2col/col2im
-  # span references, plus nn_test's MiniConvNet CRC pin (the kernel label).
-  # ASan/UBSan catches a packed-panel, staged-edge tile or im2col span
-  # overrun; the TSan pass then drives the intra-GEMM row-panel parallel
+  # GEMM stage: the blocked-vs-naive differential matrix, the conv lowering
+  # and col2im span references, ConvPacked (Conv2d on packed panels against
+  # an im2col + naive GEMM reference), plus nn_test's MiniConvNet CRC pin
+  # (the kernel label). ASan/UBSan catches a packed-panel, staged-edge tile,
+  # lowering or span overrun; the TSan pass then drives the intra-GEMM row-panel parallel
   # path — the 8-thread sweeps, whose parallel edge shapes sit above the
   # inline cutoff — where a racy B-panel pack or C-tile store would surface.
   echo "==> [ci] Kernel stage: GEMM differential matrix under ASan/UBSan + TSan"
@@ -181,7 +182,7 @@ run_defense() {
 run_tsan() {
   # crash_test rides along: its 8-thread shards resume checkpoints into a
   # freshly spawned pool, exactly where a racy restore would surface.
-  echo "==> [ci] ThreadSanitizer build (runtime_test + fl_test + chaos_test + crash_test + nn_test)"
+  echo "==> [ci] ThreadSanitizer build (runtime_test + fl_test + chaos_test + crash_test + nn_test + kernel_diff_test)"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target runtime_test fl_test     chaos_test crash_test
   ./build-tsan/tests/runtime_test
@@ -193,11 +194,14 @@ run_tsan() {
   cmake --build build-tsan -j "${jobs}" --target shard_test
   ./build-tsan/tests/shard_test \
     --gtest_filter='ShardDifferential.MatchesMaterializedSimulation_Threads8:ShardDifferential.ThreadCountInvariant'
-  # Conv2d's per-sample weight-gradient tiles run in a parallel_for and fold
-  # serially: the 8-thread parameters-only backward and the MiniConvNet pin.
-  cmake --build build-tsan -j "${jobs}" --target nn_test
+  # Conv2d's per-sample panel lowerings and weight-gradient tiles run in a
+  # parallel_for and fold serially: the 8-thread parameters-only backward,
+  # the MiniConvNet pin, the fused ReLU→MaxPool differential and the packed
+  # conv references.
+  cmake --build build-tsan -j "${jobs}" --target nn_test kernel_diff_test
   ./build-tsan/tests/nn_test \
-    --gtest_filter='BackwardParams.*:MiniConvNetPin.*'
+    --gtest_filter='BackwardParams.*:MiniConvNetPin.*:FusedReluPool.*'
+  ./build-tsan/tests/kernel_diff_test --gtest_filter='ConvPacked.*'
 }
 
 run_portable() {

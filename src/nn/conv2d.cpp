@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -43,49 +44,53 @@ tensor::Tensor Conv2d::forward(tensor::Tensor&& x, bool /*training*/) {
   return forward_cached();
 }
 
-void Conv2d::lower(index_t n, real* cols) const {
-  const index_t h = cached_x_.dim(2), w = cached_x_.dim(3);
-  tensor::im2col_into(cached_x_.data().data() + n * in_ch_ * h * w, in_ch_, h,
-                      w, k_, k_, stride_, pad_, cols);
-}
-
 tensor::Tensor Conv2d::forward_cached() {
-  const index_t batch = cached_x_.dim(0);
-  const index_t oh =
-      tensor::conv_out_extent(cached_x_.dim(2), k_, stride_, pad_);
-  const index_t ow =
-      tensor::conv_out_extent(cached_x_.dim(3), k_, stride_, pad_);
+  const index_t batch = cached_x_.dim(0), h = cached_x_.dim(2),
+                w = cached_x_.dim(3);
+  const index_t oh = tensor::conv_out_extent(h, k_, stride_, pad_);
+  const index_t ow = tensor::conv_out_extent(w, k_, stride_, pad_);
   const index_t pix = oh * ow;
-  const index_t cols_rows = in_ch_ * k_ * k_;
+  const index_t taps = in_ch_ * k_ * k_;
   if (obs::kernel_metrics_enabled()) {
     static obs::Counter& calls = obs::counter("kernel.conv2d.forward.calls");
     static obs::Counter& flops = obs::counter("kernel.conv2d.forward.flops");
     calls.add(1);
-    flops.add(static_cast<std::uint64_t>(2 * batch * out_ch_ * cols_rows *
-                                         pix));
+    flops.add(static_cast<std::uint64_t>(2 * batch * out_ch_ * taps * pix));
   }
 
   tensor::Tensor y({batch, out_ch_, oh, ow});
-  const real* pw = weight_.value.data().data();
+  const real* px = cached_x_.data().data();
+  const real* pb = bias_.value.data().data();
   real* py = y.data().data();
-  // Samples are independent: each writes its own output slice, lowered
-  // through its thread's workspace (one sample's columns stay cache-sized),
-  // so the batch loop parallelizes with no ordering effects.
+  // Roles swapped (im2row): per sample outᵀ(pix×out) = colsᵀ·Wᵀ, so the
+  // pixels fill whole 6-row register tiles. Wᵀ is packed once per call and
+  // read by every sample.
+  runtime::Workspace& ws = runtime::Workspace::tls();
+  runtime::Workspace::Scope scope(ws);
+  real* wp = ws.alloc(tensor::gemm::packed_b_size(taps, out_ch_));
+  tensor::gemm::pack_b(tensor::gemm::Variant::NT, taps, out_ch_,
+                       weight_.value.data().data(), wp);
+  // Samples are independent: each lowers its pixels straight into packed
+  // panels in its thread's workspace and writes its own output slice, so the
+  // batch loop parallelizes with no ordering effects.
   runtime::parallel_for(0, batch, 1, [&](index_t n0, index_t n1) {
-    runtime::Workspace& ws = runtime::Workspace::tls();
-    runtime::Workspace::Scope scope(ws);
-    real* cols = ws.alloc(cols_rows * pix);
+    runtime::Workspace& tws = runtime::Workspace::tls();
+    runtime::Workspace::Scope tscope(tws);
+    real* ap = tws.alloc(tensor::gemm::packed_a_size(pix, taps));
+    real* yt = tws.alloc(pix * out_ch_);
     for (index_t n = n0; n < n1; ++n) {
-      lower(n, cols);
-      // y slice is zero-initialized, so the accumulating GEMM leaves exactly
-      // W·cols in it; the bias is then one add per output element.
+      tensor::im2row_packed(px + n * in_ch_ * h * w, in_ch_, h, w, k_,
+                            stride_, pad_, ap);
+      // From +0.0 the accumulating GEMM leaves exactly the ascending-k chain
+      // of W·cols in yt; the bias is then one add per output element, in the
+      // write-back that transposes yt into the sample's CHW slice.
+      std::fill(yt, yt + pix * out_ch_, 0.0);
+      tensor::gemm::run_packed(pix, taps, out_ch_, ap, wp, yt);
       real* y_n = py + n * out_ch_ * pix;
-      tensor::gemm::run(tensor::gemm::Variant::NN, out_ch_, cols_rows, pix, pw,
-                        cols, y_n);
       for (index_t c = 0; c < out_ch_; ++c) {
-        const real b = bias_.value[c];
+        const real b = pb[c];
         real* y_row = y_n + c * pix;
-        for (index_t p = 0; p < pix; ++p) y_row[p] += b;
+        for (index_t p = 0; p < pix; ++p) y_row[p] = yt[p * out_ch_ + c] + b;
       }
     }
   });
@@ -94,33 +99,33 @@ tensor::Tensor Conv2d::forward_cached() {
 
 void Conv2d::backward_params(const tensor::Tensor& grad_out) {
   OASIS_CHECK_MSG(cached_x_.rank() == 4, "Conv2d backward before forward");
-  const index_t batch = cached_x_.dim(0);
+  const index_t batch = cached_x_.dim(0), h = cached_x_.dim(2),
+                w = cached_x_.dim(3);
   OASIS_CHECK_MSG(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
                       grad_out.dim(1) == out_ch_,
                   "Conv2d backward: bad grad "
                       << tensor::to_string(grad_out.shape()));
   const index_t pix = grad_out.dim(2) * grad_out.dim(3);
-  const index_t cols_rows = in_ch_ * k_ * k_;
+  const index_t taps = in_ch_ * k_ * k_;
   OASIS_CHECK_MSG(
-      grad_out.dim(2) ==
-              tensor::conv_out_extent(cached_x_.dim(2), k_, stride_, pad_) &&
-          grad_out.dim(3) ==
-              tensor::conv_out_extent(cached_x_.dim(3), k_, stride_, pad_),
+      grad_out.dim(2) == tensor::conv_out_extent(h, k_, stride_, pad_) &&
+          grad_out.dim(3) == tensor::conv_out_extent(w, k_, stride_, pad_),
       "Conv2d backward: grad spatial extent mismatch");
   if (obs::kernel_metrics_enabled()) {
     static obs::Counter& calls = obs::counter("kernel.conv2d.backward.calls");
     static obs::Counter& flops = obs::counter("kernel.conv2d.backward.flops");
     calls.add(1);
-    flops.add(static_cast<std::uint64_t>(2 * batch * out_ch_ * cols_rows *
-                                         pix));
+    flops.add(static_cast<std::uint64_t>(2 * batch * out_ch_ * taps * pix));
   }
+  const real* px = cached_x_.data().data();
   const real* gy_base = grad_out.data().data();
 
-  // Per sample, one NT GEMM — gy_n · cols_nᵀ — into its own zeroed tile,
-  // followed by the sample's ascending-p bias sums. The tiles are disjoint,
-  // so the samples run in parallel, each re-lowering its columns into its
-  // thread's workspace.
-  const index_t w_size = out_ch_ * cols_rows;
+  // Per sample, one product with the roles swapped — gWᵀ(taps×out) =
+  // cols·gyᵀ, the chain over p ascending as in gy·colsᵀ — into its own
+  // zeroed tile, followed by the sample's ascending-p bias sums. The tiles
+  // are disjoint, so the samples run in parallel, each lowering its columns
+  // and packing its gyᵀ in its thread's workspace.
+  const index_t w_size = out_ch_ * taps;
   const index_t tile_size = w_size + out_ch_;
   runtime::Workspace& ws = runtime::Workspace::tls();
   runtime::Workspace::Scope scope(ws);
@@ -128,14 +133,16 @@ void Conv2d::backward_params(const tensor::Tensor& grad_out) {
   runtime::parallel_for(0, batch, 1, [&](index_t n0, index_t n1) {
     runtime::Workspace& tws = runtime::Workspace::tls();
     runtime::Workspace::Scope tscope(tws);
-    real* cols = tws.alloc(cols_rows * pix);
+    real* ap = tws.alloc(tensor::gemm::packed_a_size(taps, pix));
+    real* bp = tws.alloc(tensor::gemm::packed_b_size(pix, out_ch_));
     for (index_t n = n0; n < n1; ++n) {
       const real* gy_n = gy_base + n * out_ch_ * pix;
       real* tile = tiles + n * tile_size;
-      lower(n, cols);
-      std::memset(tile, 0, sizeof(real) * w_size);
-      tensor::gemm::run(tensor::gemm::Variant::NT, out_ch_, pix, cols_rows,
-                        gy_n, cols, tile);
+      tensor::im2col_packed(px + n * in_ch_ * h * w, in_ch_, h, w, k_,
+                            stride_, pad_, ap);
+      tensor::gemm::pack_b(tensor::gemm::Variant::NT, pix, out_ch_, gy_n, bp);
+      std::fill(tile, tile + w_size, 0.0);
+      tensor::gemm::run_packed(taps, pix, out_ch_, ap, bp, tile);
       for (index_t c = 0; c < out_ch_; ++c) {
         const real* gy_row = gy_n + c * pix;
         real s = 0.0;
@@ -145,12 +152,17 @@ void Conv2d::backward_params(const tensor::Tensor& grad_out) {
     }
   });
   // The fold runs serially in ascending n: every gradient element sums its
-  // per-sample terms in one fixed order, whatever the thread count.
+  // per-sample terms in one fixed order, whatever the thread count. The
+  // tiles hold gWᵀ, so the fold transposes them into gW.
   real* gw = weight_.grad.data().data();
   real* gb = bias_.grad.data().data();
   for (index_t n = 0; n < batch; ++n) {
     const real* tile = tiles + n * tile_size;
-    for (index_t i = 0; i < w_size; ++i) gw[i] += tile[i];
+    for (index_t c = 0; c < out_ch_; ++c) {
+      real* gw_row = gw + c * taps;
+      for (index_t kk = 0; kk < taps; ++kk)
+        gw_row[kk] += tile[kk * out_ch_ + c];
+    }
     for (index_t c = 0; c < out_ch_; ++c) gb[c] += tile[w_size + c];
   }
 }

@@ -1,4 +1,4 @@
-// 2-D convolution layer (im2col + blocked-GEMM implementation).
+// 2-D convolution layer (per-sample lowering into packed GEMM panels).
 #pragma once
 
 #include "nn/module.h"
@@ -8,8 +8,9 @@ namespace oasis::nn {
 
 /// Conv2d over [B, C, H, W] inputs with square kernels, zero padding.
 ///
-/// Weight stored as a [out_channels, in_channels*k*k] matrix so the forward
-/// pass per sample is a single matmul against the im2col buffer.
+/// Weight stored as a [out_channels, in_channels*k*k] matrix. Per sample the
+/// forward pass is one packed GEMM, outᵀ = colsᵀ·Wᵀ, on panels lowered
+/// straight from the input (DESIGN.md §5k).
 class Conv2d : public Module {
  public:
   Conv2d(index_t in_channels, index_t out_channels, index_t kernel,
@@ -32,14 +33,12 @@ class Conv2d : public Module {
   void check_input(const tensor::Tensor& x) const;
   /// The forward pass over cached_x_.
   tensor::Tensor forward_cached();
-  /// Lowers sample `n` of cached_x_ into its [in_ch*k*k, oh*ow] columns.
-  void lower(index_t n, real* cols) const;
 
   index_t in_ch_, out_ch_, k_, stride_, pad_;
   Parameter weight_;  // [out_ch, in_ch*k*k]
   Parameter bias_;    // [out_ch]
   // The last forward input, [batch, in_ch, h, w]. Backward re-lowers each
-  // sample from it into a per-thread workspace buffer, so no batch-sized
+  // sample from it into per-thread workspace panels, so no batch-sized
   // column matrix outlives a call. The storage is reused across forward
   // calls of one size; the rvalue forward takes the caller's instead.
   tensor::Tensor cached_x_;

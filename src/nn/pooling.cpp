@@ -1,59 +1,193 @@
 #include "nn/pooling.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "tensor/ops.h"
 
 namespace oasis::nn {
 
+namespace {
+
+constexpr std::uint8_t kDroppedCode = 0xFF;
+
+// Four windows per step, one per lane. The lanes make the scan's selects
+// branch-free: a scalar scan compiles to branches that random activations
+// mispredict at nearly every window.
+typedef double vec4 __attribute__((vector_size(32)));
+typedef std::int64_t ivec4 __attribute__((vector_size(32)));
+
+/// Lane l's window of a row group starting at output column j0: the row
+/// tail repeats the row's last window, whose lanes then write the same
+/// bytes twice.
+index_t lane_col(index_t j0, index_t l, index_t ow) {
+  return std::min(j0 + l, ow - 1);
+}
+
+/// Pools one row of windows: output j's window starts at top + j·stride.
+/// The scan keeps the first strict maximum, from −inf, so NaN never wins
+/// and a window with no element above −inf routes to its first element.
+/// With `Relu` it scans max(v, 0), the values a ReLU in front would have
+/// produced, and codes the windows whose routed element that ReLU dropped.
+template <bool Relu>
+void pool_row(const real* top, index_t w, index_t k, index_t stride,
+              index_t ow, real* y, std::uint8_t* code) {
+  const vec4 zero = {0.0, 0.0, 0.0, 0.0};
+  for (index_t j0 = 0; j0 < ow; j0 += 4) {
+    const real* win[4];
+    for (index_t l = 0; l < 4; ++l) win[l] = top + lane_col(j0, l, ow) * stride;
+    vec4 best = zero - std::numeric_limits<real>::infinity();
+    ivec4 off = {0, 0, 0, 0};
+    for (index_t ki = 0; ki < k; ++ki) {
+      for (index_t kj = 0; kj < k; ++kj) {
+        const index_t e = ki * w + kj;
+        const auto o = static_cast<std::int64_t>(ki * k + kj);
+        vec4 v = {win[0][e], win[1][e], win[2][e], win[3][e]};
+        if (Relu) v = v < zero ? zero : v;  // std::max(v, 0.0)
+        const ivec4 gt = v > best;
+        best = gt ? v : best;
+        off = gt ? ivec4{o, o, o, o} : off;
+      }
+    }
+    // The ReLU keeps its input's gradient iff !(input <= 0). The routed
+    // element's ReLU output is the window's value, which is ±0 exactly
+    // when that input was <= 0 (NaN and −inf-only windows are kept).
+    const std::int64_t drop = kDroppedCode;
+    if (Relu) off = best == zero ? ivec4{drop, drop, drop, drop} : off;
+    for (index_t l = 0; l < 4; ++l) {
+      const index_t j = lane_col(j0, l, ow);
+      y[j] = best[l];
+      code[j] = static_cast<std::uint8_t>(off[l]);
+    }
+  }
+}
+
+/// The fused pair's input gradient for one row of windows (stride == k):
+/// each window is written whole, the routed element getting the unfused
+/// pair's +0.0 + g (which turns −0.0 into +0.0) and the rest +0.0.
+void unpool_row(const real* g, const std::uint8_t* code, index_t w,
+                index_t k, index_t ow, real* top) {
+  const vec4 zero = {0.0, 0.0, 0.0, 0.0};
+  for (index_t j0 = 0; j0 < ow; j0 += 4) {
+    index_t j[4];
+    for (index_t l = 0; l < 4; ++l) j[l] = lane_col(j0, l, ow);
+    const vec4 v = vec4{g[j[0]], g[j[1]], g[j[2]], g[j[3]]} + 0.0;
+    const ivec4 c = {code[j[0]], code[j[1]], code[j[2]], code[j[3]]};
+    for (index_t ki = 0; ki < k; ++ki) {
+      for (index_t kj = 0; kj < k; ++kj) {
+        const auto o = static_cast<std::int64_t>(ki * k + kj);
+        const vec4 out = c == ivec4{o, o, o, o} ? v : zero;
+        for (index_t l = 0; l < 4; ++l)
+          top[j[l] * k + ki * w + kj] = out[l];
+      }
+    }
+  }
+}
+
+}  // namespace
+
 MaxPool2d::MaxPool2d(index_t kernel, index_t stride)
     : k_(kernel), stride_(stride) {
   OASIS_CHECK(kernel >= 1 && stride >= 1);
+  OASIS_CHECK_MSG(kernel * kernel < kDroppedCode,
+                  "MaxPool2d: kernel " << kernel << " above 15");
 }
 
 tensor::Tensor MaxPool2d::forward(const tensor::Tensor& x, bool /*training*/) {
   OASIS_CHECK_MSG(x.rank() == 4,
                   "MaxPool2d: bad input " << tensor::to_string(x.shape()));
   in_shape_ = x.shape();
-  const index_t b = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  relu_fused_ = false;
+  consumed_ = tensor::Tensor();
+  const index_t planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t oh = tensor::conv_out_extent(h, k_, stride_, 0);
   const index_t ow = tensor::conv_out_extent(w, k_, stride_, 0);
-  tensor::Tensor y({b, c, oh, ow});
-  argmax_.assign(b * c * oh * ow, 0);
-  for (index_t n = 0; n < b; ++n) {
-    for (index_t ch = 0; ch < c; ++ch) {
-      for (index_t oi = 0; oi < oh; ++oi) {
-        for (index_t oj = 0; oj < ow; ++oj) {
-          real best = -std::numeric_limits<real>::infinity();
-          index_t best_idx = 0;
-          for (index_t ki = 0; ki < k_; ++ki) {
-            for (index_t kj = 0; kj < k_; ++kj) {
-              const index_t si = oi * stride_ + ki;
-              const index_t sj = oj * stride_ + kj;
-              const index_t flat = ((n * c + ch) * h + si) * w + sj;
-              const real v = x.data()[flat];
-              if (v > best) {
-                best = v;
-                best_idx = flat;
-              }
-            }
-          }
-          const index_t out_flat = ((n * c + ch) * oh + oi) * ow + oj;
-          y.data()[out_flat] = best;
-          argmax_[out_flat] = best_idx;
-        }
-      }
+  tensor::Tensor y({x.dim(0), x.dim(1), oh, ow});
+  code_.resize(y.size());
+  const real* px = x.data().data();
+  real* py = y.data().data();
+  std::uint8_t* code = code_.data();
+  for (index_t plane = 0; plane < planes; ++plane) {
+    const real* src = px + plane * h * w;
+    for (index_t oi = 0; oi < oh; ++oi, py += ow, code += ow) {
+      pool_row<false>(src + oi * stride_ * w, w, k_, stride_, ow, py, code);
     }
   }
   return y;
 }
 
 tensor::Tensor MaxPool2d::backward(const tensor::Tensor& grad_out) {
-  OASIS_CHECK_MSG(grad_out.size() == argmax_.size(),
+  OASIS_CHECK_MSG(!relu_fused_,
+                  "MaxPool2d backward after a fused ReLU forward");
+  OASIS_CHECK_MSG(grad_out.size() == code_.size(),
                   "MaxPool2d backward: grad size mismatch");
   tensor::Tensor grad_in(in_shape_);
-  for (index_t i = 0; i < argmax_.size(); ++i) {
-    grad_in.data()[argmax_[i]] += grad_out.data()[i];
+  const index_t h = in_shape_[2], w = in_shape_[3];
+  const index_t oh = tensor::conv_out_extent(h, k_, stride_, 0);
+  const index_t ow = tensor::conv_out_extent(w, k_, stride_, 0);
+  const real* g = grad_out.data().data();
+  real* gx = grad_in.data().data();
+  // Ascending output order, so an input that several overlapping windows
+  // route to sums their gradients in one fixed order.
+  // Each window offset's displacement from the window origin.
+  std::vector<index_t> delta(k_ * k_);
+  for (index_t off = 0; off < delta.size(); ++off) {
+    delta[off] = off / k_ * w + off % k_;
+  }
+  const std::uint8_t* code = code_.data();
+  for (index_t plane = 0; plane < code_.size() / (oh * ow); ++plane) {
+    real* dst = gx + plane * h * w;
+    for (index_t oi = 0; oi < oh; ++oi) {
+      real* row = dst + oi * stride_ * w;
+      for (index_t oj = 0; oj < ow; ++oj, ++g, ++code) {
+        row[oj * stride_ + delta[*code]] += *g;
+      }
+    }
+  }
+  return grad_in;
+}
+
+bool MaxPool2d::tiles(const tensor::Tensor& x) const {
+  return fuses_relu() && x.rank() == 4 && x.dim(2) >= k_ && x.dim(3) >= k_ &&
+         x.dim(2) % k_ == 0 && x.dim(3) % k_ == 0;
+}
+
+tensor::Tensor MaxPool2d::forward_relu(tensor::Tensor&& x, bool training) {
+  OASIS_CHECK_MSG(tiles(x), "MaxPool2d: windows do not tile "
+                                << tensor::to_string(x.shape()));
+  in_shape_ = x.shape();
+  relu_fused_ = true;
+  const index_t planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
+  const index_t oh = h / k_, ow = w / k_;
+  tensor::Tensor y({x.dim(0), x.dim(1), oh, ow});
+  code_.resize(y.size());
+  const real* px = x.data().data();
+  real* py = y.data().data();
+  std::uint8_t* code = code_.data();
+  // Output rows run across planes: with stride == k, output row r's
+  // windows start at input row r·k.
+  for (index_t r = 0; r < planes * oh; ++r) {
+    pool_row<true>(px + r * k_ * w, w, k_, k_, ow, py + r * ow, code + r * ow);
+  }
+  consumed_ = training ? std::move(x) : tensor::Tensor();
+  return y;
+}
+
+tensor::Tensor MaxPool2d::backward_relu(const tensor::Tensor& grad_out) {
+  OASIS_CHECK_MSG(relu_fused_, "MaxPool2d backward_relu without forward_relu");
+  OASIS_CHECK_MSG(grad_out.size() == code_.size(),
+                  "MaxPool2d backward: grad size mismatch");
+  // Every element lies in exactly one window and is written below, so the
+  // consumed input's storage needs no zero fill. An eval forward kept none.
+  tensor::Tensor grad_in = consumed_.shape() == in_shape_
+                               ? std::move(consumed_)
+                               : tensor::Tensor(in_shape_);
+  consumed_ = tensor::Tensor();
+  const index_t w = in_shape_[3], ow = w / k_;
+  const real* g = grad_out.data().data();
+  real* gx = grad_in.data().data();
+  for (index_t r = 0; r < code_.size() / ow; ++r) {
+    unpool_row(g + r * ow, code_.data() + r * ow, w, k_, ow, gx + r * k_ * w);
   }
   return grad_in;
 }

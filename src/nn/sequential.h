@@ -8,11 +8,18 @@
 
 namespace oasis::nn {
 
+class MaxPool2d;
+
 /// Runs child modules in order; backward in reverse order.
 ///
 /// Exposes structural surgery (`insert`) because the dishonest server in the
 /// threat model splices a malicious FC+ReLU block in front of the model it
 /// dispatches to clients.
+///
+/// A ReLU that has a child in front of it and feeds a MaxPool2d with
+/// kernel == stride runs with that pool as one pass (MaxPool2d::forward_relu)
+/// whenever the pool's windows tile the activation; the bytes are the
+/// unfused pair's (DESIGN.md §5m).
 class Sequential : public Module {
  public:
   Sequential() = default;
@@ -22,7 +29,7 @@ class Sequential : public Module {
   M& emplace(Args&&... args) {
     auto m = std::make_unique<M>(std::forward<Args>(args)...);
     M& ref = *m;
-    modules_.push_back(std::move(m));
+    append(std::move(m));
     return ref;
   }
 
@@ -51,7 +58,19 @@ class Sequential : public Module {
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 
  private:
+  /// Recomputes fused_ after the children change.
+  void relink();
+  /// Child i forward, or the fused pair starting at i (then i moves to the
+  /// pool).
+  tensor::Tensor forward_child(index_t& i, tensor::Tensor&& h, bool training);
+  /// Child i backward, or the fused pair ending at i (then i moves to the
+  /// ReLU).
+  template <typename G>
+  tensor::Tensor backward_child(index_t& i, G&& g);
+
   std::vector<ModulePtr> modules_;
+  // fused_[i]: the pool modules_[i] fuses with, or null.
+  std::vector<MaxPool2d*> fused_;
 };
 
 }  // namespace oasis::nn

@@ -1,7 +1,7 @@
 // Per-thread scratch arenas for the hot numeric kernels.
 //
 // A Workspace is a bump allocator whose capacity persists for the lifetime
-// of its thread: the blocked GEMM pack panels and the Conv2d im2col /
+// of its thread: the blocked GEMM pack panels and the Conv2d lowered panels /
 // col2im scratch buffers are carved out of it on every call, but the
 // backing storage is only ever allocated while the arena is still growing
 // toward its steady-state high-water mark. After warm-up a training loop

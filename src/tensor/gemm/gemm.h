@@ -31,6 +31,12 @@ namespace oasis::tensor::gemm {
 ///   NT: A is m×k, B is n×k (op(B)=Bᵀ) — input gradients, no transpose copy.
 enum class Variant { NN, TN, NT };
 
+/// Register-tile geometry (kernels.h, DESIGN.md §5k), and so the panel
+/// layout of a packed operand: packed A interleaves kMR rows per k step,
+/// packed B holds kNR columns per k step.
+inline constexpr index_t kMR = 6;
+inline constexpr index_t kNR = 8;
+
 // Cache blocking parameters: k blocked by KC (one packed B micro-panel
 // stays L1-resident: 256·8 doubles·8 B = 16 KiB), n blocked by NC (the full
 // packed B block, ≤ 1 MiB, L2-resident on the target Xeon with its 2 MiB
@@ -77,5 +83,33 @@ void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
              const real* b, real* c);
 void naive(Variant v, index_t m, index_t k, index_t n, const real* a,
            const real* b, real* c);
+
+// ---- Packed operands --------------------------------------------------------
+//
+// A caller that can write an operand straight into the panel layout (the
+// conv lowering, DESIGN.md §5k) skips the driver's pack copy. Packed A of an
+// m×k matrix is ceil(m/kMR) panels of k·kMR values: A[q·kMR + r][kk] sits at
+// ap[(q·k + kk)·kMR + r], rows past m zero. Packed B of a k×n matrix is
+// ceil(n/kNR) panels of k·kNR values: B[kk][p·kNR + j] sits at
+// bp[(p·k + kk)·kNR + j], columns past n zero.
+
+constexpr index_t packed_a_size(index_t m, index_t k) {
+  return (m + kMR - 1) / kMR * kMR * k;
+}
+constexpr index_t packed_b_size(index_t k, index_t n) {
+  return (n + kNR - 1) / kNR * kNR * k;
+}
+
+/// Packs all of op(B) (k×n; B stored k×n for NN/TN, n×k for NT) into bp.
+void pack_b(Variant v, index_t k, index_t n, const real* b, real* bp);
+
+/// C(m×n, row-major) += A·B from packed operands: run()'s contract and
+/// bytes (one kernel.gemm call of flops(m, k, n); the naive oracle, on the
+/// unpacked operands, when naive_active() or where the register kernel
+/// cannot run), with no packing, no k or n blocking and no row split: it
+/// runs on the calling thread, so each packed operand should stay
+/// cache-sized and the caller parallelizes over products.
+void run_packed(index_t m, index_t k, index_t n, const real* ap,
+                const real* bp, real* c);
 
 }  // namespace oasis::tensor::gemm

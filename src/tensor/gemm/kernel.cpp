@@ -18,9 +18,7 @@
 // edge issues 2 rows of FMAs, not 6. A column-ragged tile is staged: the
 // live corner of C is copied into a zero-padded 6×8 stack tile, the row
 // kernel runs on it, and the live corner is copied back. Staging changes no
-// bits, for the same reason the full tile matches the oracle. The round's
-// conv GEMMs (m = 8, 16, 27, 72) leave most row panels ragged, so this path
-// carries much of the round's arithmetic.
+// bits, for the same reason the full tile matches the oracle.
 #include "tensor/gemm/kernels.h"
 
 #if defined(__FP_FAST_FMA)

@@ -11,13 +11,9 @@
 #pragma once
 
 #include "common/types.h"
+#include "tensor/gemm/gemm.h"
 
 namespace oasis::tensor::gemm::detail {
-
-/// Register-tile geometry the driver packs for: MR rows of packed A are
-/// interleaved per k step, NR columns of packed B.
-inline constexpr index_t kMR = 6;
-inline constexpr index_t kNR = 8;
 
 /// True when the kernel was compiled (the FMA TU defines __FP_FAST_FMA) and
 /// the running CPU executes it. Resolved once. When false, `blocked` runs
@@ -25,8 +21,8 @@ inline constexpr index_t kNR = 8;
 bool kernel_available();
 
 /// C[0..mr)×[0..nr) += Ap·Bp over kc packed steps (A stride kMR, B stride
-/// kNR, both zero-padded), with C row stride ldc. Only call when
-/// kernel_available().
+/// kNR, both zero-padded; the tile geometry is in gemm.h), with C row
+/// stride ldc. Only call when kernel_available().
 void kernel_tile(index_t kc, const real* ap, const real* bp, real* c,
                  index_t ldc, index_t mr, index_t nr);
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "obs/obs.h"
+#include "runtime/workspace.h"
 #include "tensor/gemm/gemm.h"
 
 namespace oasis::tensor {
@@ -120,20 +122,6 @@ index_t conv_out_extent(index_t in, index_t k, index_t stride, index_t pad) {
   return (in + 2 * pad - k) / stride + 1;
 }
 
-Tensor im2col(const Tensor& image, index_t kh, index_t kw, index_t stride,
-              index_t pad) {
-  OASIS_CHECK_MSG(image.rank() == 3,
-                  "im2col: expected [C,H,W], got " << to_string(image.shape()));
-  OASIS_CHECK(stride >= 1);
-  const index_t c = image.dim(0), h = image.dim(1), w = image.dim(2);
-  const index_t oh = conv_out_extent(h, kh, stride, pad);
-  const index_t ow = conv_out_extent(w, kw, stride, pad);
-  Tensor cols({c * kh * kw, oh * ow});
-  im2col_into(image.data().data(), c, h, w, kh, kw, stride, pad,
-              cols.data().data());
-  return cols;
-}
-
 namespace {
 
 /// Output columns [lo, hi) of a kernel column `kj` whose source column
@@ -156,46 +144,166 @@ ColSpan valid_cols(index_t kj, index_t stride, index_t pad, index_t width,
   return {lo, std::max(lo, hi)};
 }
 
-}  // namespace
+/// One image's convolution geometry for the panel lowerings. With padding,
+/// `img` is a zero-padded copy of the [C, H, W] image in the calling
+/// thread's workspace, so every tap of every output pixel reads in bounds
+/// and the lowering loops carry no bounds tests.
+struct Lowering {
+  const real* img;
+  index_t k, stride, hp, wp, oh, ow;
 
-void im2col_into(const real* src, index_t c, index_t h, index_t w, index_t kh,
-                 index_t kw, index_t stride, index_t pad, real* dst) {
-  const index_t oh = conv_out_extent(h, kh, stride, pad);
-  const index_t ow = conv_out_extent(w, kw, stride, pad);
+  /// Offset of tap kk = (channel, ki, kj) from its pixel's window origin.
+  [[nodiscard]] index_t tap(index_t kk) const {
+    const index_t ch = kk / (k * k), r = kk % (k * k);
+    return (ch * hp + r / k) * wp + r % k;
+  }
+  /// Offset of output pixel p's window origin.
+  [[nodiscard]] index_t pixel(index_t p) const {
+    return (p / ow) * stride * wp + (p % ow) * stride;
+  }
+};
+
+Lowering lower_setup(const real* src, index_t c, index_t h, index_t w,
+                     index_t k, index_t stride, index_t pad,
+                     runtime::Workspace& ws) {
+  Lowering g{src,
+             k,
+             stride,
+             h + 2 * pad,
+             w + 2 * pad,
+             conv_out_extent(h, k, stride, pad),
+             conv_out_extent(w, k, stride, pad)};
   if (obs::kernel_metrics_enabled()) {
     static obs::Counter& calls = obs::counter("kernel.im2col.calls");
     calls.add(1);
   }
-  const index_t out_cols = oh * ow;
-  for (index_t ch = 0; ch < c; ++ch) {
-    for (index_t ki = 0; ki < kh; ++ki) {
-      for (index_t kj = 0; kj < kw; ++kj) {
-        real* drow = dst + ((ch * kh + ki) * kw + kj) * out_cols;
-        const ColSpan span = valid_cols(kj, stride, pad, w, ow);
-        for (index_t oi = 0; oi < oh; ++oi) {
-          real* out = drow + oi * ow;
-          // Source row index may be out of bounds when padding is in effect.
-          const index_t si_pad = oi * stride + ki;
-          if (si_pad < pad || si_pad - pad >= h || span.lo == span.hi) {
-            std::fill(out, out + ow, 0.0);
-            continue;
-          }
-          const real* srow = src + (ch * h + si_pad - pad) * w +
-                             (span.lo * stride + kj - pad);
-          std::fill(out, out + span.lo, 0.0);
-          if (stride == 1) {
-            std::memcpy(out + span.lo, srow,
-                        sizeof(real) * (span.hi - span.lo));
-          } else {
-            for (index_t oj = span.lo; oj < span.hi; ++oj) {
-              out[oj] = srow[(oj - span.lo) * stride];
-            }
-          }
-          std::fill(out + span.hi, out + ow, 0.0);
+  if (pad == 0) return g;
+  real* padded = ws.alloc(c * g.hp * g.wp);
+  std::fill(padded, padded + c * g.hp * g.wp, 0.0);
+  for (index_t ch = 0; ch < c; ++ch)
+    for (index_t i = 0; i < h; ++i)
+      std::memcpy(padded + (ch * g.hp + i + pad) * g.wp + pad,
+                  src + (ch * h + i) * w, sizeof(real) * w);
+  g.img = padded;
+  return g;
+}
+
+typedef real vec4 __attribute__((vector_size(32)));
+typedef real vec4_u __attribute__((vector_size(32), aligned(8), may_alias));
+typedef std::int64_t ivec4 __attribute__((vector_size(32)));
+static_assert(gemm::kMR == 6, "transpose_taps interleaves six taps");
+
+/// Writes the 4·kMR values dst[q·kMR + r] = s[r][at + q] (q < 4, r < kMR;
+/// taps r >= live read as zero): four adjacent pixels' tap groups.
+void transpose_taps(const real* const* s, index_t live, index_t at,
+                    real* dst) {
+  vec4 v[6];
+  for (index_t r = 0; r < 6; ++r) {
+    v[r] = r < live ? vec4(*reinterpret_cast<const vec4_u*>(s[r] + at))
+                    : vec4{0.0, 0.0, 0.0, 0.0};
+  }
+  const ivec4 even = {0, 4, 2, 6}, odd = {1, 5, 3, 7};
+  const ivec4 low = {0, 1, 4, 5}, high = {2, 3, 6, 7};
+  // t[2i] = {v_a[0], v_b[0], v_a[2], v_b[2]}, t[2i+1] the odd lanes, for
+  // the tap pairs (a, b) = (0, 1), (2, 3), (4, 5).
+  vec4 t[6];
+  for (index_t i = 0; i < 3; ++i) {
+    t[2 * i] = __builtin_shuffle(v[2 * i], v[2 * i + 1], even);
+    t[2 * i + 1] = __builtin_shuffle(v[2 * i], v[2 * i + 1], odd);
+  }
+  vec4_u* out = reinterpret_cast<vec4_u*>(dst);
+  out[0] = __builtin_shuffle(t[0], t[2], low);   // pixel 0, taps 0-3
+  out[1] = __builtin_shuffle(t[4], t[1], low);   // pixel 0 taps 4-5, 1 taps 0-1
+  out[2] = __builtin_shuffle(t[3], t[5], low);   // pixel 1, taps 2-5
+  out[3] = __builtin_shuffle(t[0], t[2], high);  // pixel 2, taps 0-3
+  out[4] = __builtin_shuffle(t[4], t[1], high);  // pixel 2 taps 4-5, 3 taps 0-1
+  out[5] = __builtin_shuffle(t[3], t[5], high);  // pixel 3, taps 2-5
+}
+
+}  // namespace
+
+void im2row_packed(const real* src, index_t c, index_t h, index_t w,
+                   index_t k, index_t stride, index_t pad, real* ap) {
+  using gemm::kMR;
+  runtime::Workspace& ws = runtime::Workspace::tls();
+  runtime::Workspace::Scope scope(ws);
+  const Lowering g = lower_setup(src, c, h, w, k, stride, pad, ws);
+  const index_t pix = g.oh * g.ow, taps = c * k * k;
+  for (index_t p0 = 0; p0 < pix; p0 += kMR) {
+    real* dst = ap + p0 * taps;  // panel p0 / kMR
+    const index_t live = std::min(kMR, pix - p0);
+    if (live == kMR && p0 % g.ow + kMR <= g.ow && stride == 1) {
+      // The panel's pixels run along one output row: each tap reads kMR
+      // adjacent source elements.
+      const real* base = g.img + g.pixel(p0);
+      for (index_t ch = 0; ch < c; ++ch)
+        for (index_t ki = 0; ki < k; ++ki) {
+          const real* row = base + (ch * g.hp + ki) * g.wp;
+          for (index_t kj = 0; kj < k; ++kj, dst += kMR)
+            std::memcpy(dst, row + kj, sizeof(real) * kMR);
         }
+      continue;
+    }
+    index_t at[kMR];
+    for (index_t r = 0; r < live; ++r) at[r] = g.pixel(p0 + r);
+    for (index_t kk = 0; kk < taps; ++kk, dst += kMR) {
+      const real* s = g.img + g.tap(kk);
+      for (index_t r = 0; r < live; ++r) dst[r] = s[at[r]];
+      for (index_t r = live; r < kMR; ++r) dst[r] = 0.0;
+    }
+  }
+}
+
+void im2col_packed(const real* src, index_t c, index_t h, index_t w,
+                   index_t k, index_t stride, index_t pad, real* ap) {
+  using gemm::kMR;
+  runtime::Workspace& ws = runtime::Workspace::tls();
+  runtime::Workspace::Scope scope(ws);
+  const Lowering g = lower_setup(src, c, h, w, k, stride, pad, ws);
+  const index_t pix = g.oh * g.ow, taps = c * k * k;
+  for (index_t kk0 = 0; kk0 < taps; kk0 += kMR) {
+    real* dst = ap + kk0 * pix;  // panel kk0 / kMR
+    const index_t live = std::min(kMR, taps - kk0);
+    const real* s[kMR];
+    for (index_t r = 0; r < live; ++r) s[r] = g.img + g.tap(kk0 + r);
+    for (index_t oi = 0; oi < g.oh; ++oi) {
+      const index_t row = oi * stride * g.wp;
+      index_t oj = 0;
+      if (stride == 1) {
+        // Four pixels at a time: one vector of each tap's row, transposed
+        // into the four pixels' kMR-tap groups.
+        for (; oj + 4 <= g.ow; oj += 4, dst += 4 * kMR) {
+          transpose_taps(s, live, row + oj, dst);
+        }
+      }
+      for (; oj < g.ow; ++oj, dst += kMR) {
+        const index_t at = row + oj * stride;
+        for (index_t r = 0; r < live; ++r) dst[r] = s[r][at];
+        for (index_t r = live; r < kMR; ++r) dst[r] = 0.0;
       }
     }
   }
+}
+
+Tensor im2col(const Tensor& image, index_t kh, index_t kw, index_t stride,
+              index_t pad) {
+  OASIS_CHECK_MSG(image.rank() == 3,
+                  "im2col: expected [C,H,W], got " << to_string(image.shape()));
+  OASIS_CHECK_MSG(kh == kw, "im2col: square kernels only, got " << kh << "x"
+                                                                << kw);
+  OASIS_CHECK(stride >= 1);
+  const index_t c = image.dim(0), h = image.dim(1), w = image.dim(2);
+  const index_t pix =
+      conv_out_extent(h, kh, stride, pad) * conv_out_extent(w, kw, stride, pad);
+  const index_t taps = c * kh * kw;
+  std::vector<real> panels(gemm::packed_a_size(taps, pix));
+  im2col_packed(image.data().data(), c, h, w, kh, stride, pad, panels.data());
+  Tensor cols({taps, pix});
+  for (index_t kk = 0; kk < taps; ++kk)
+    for (index_t p = 0; p < pix; ++p)
+      cols.at2(kk, p) = panels[(kk / gemm::kMR * pix + p) * gemm::kMR +
+                               kk % gemm::kMR];
+  return cols;
 }
 
 Tensor col2im(const Tensor& cols, index_t channels, index_t height,

@@ -7,8 +7,9 @@
 // behind OASIS_NAIVE_GEMM as the differential-test oracle, bit-identical by
 // construction on every host (DESIGN.md §5f/§5k). Layers that need a transposed
 // operand (Dense, Conv2d backward) call gemm::run with the TN/NT variants
-// directly. This is the single hot spot of training and of the attack's
-// reconstruction arithmetic.
+// directly; Conv2d lowers its samples straight into packed panels and calls
+// gemm::run_packed. This is the single hot spot of training and of the
+// attack's reconstruction arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -57,19 +58,33 @@ Tensor log_softmax_rows(const Tensor& logits);
 ///
 /// Input [C, H, W] is unrolled into a matrix of shape
 /// [C*kh*kw, out_h*out_w] so convolution becomes a single matmul with the
-/// (out_channels × C*kh*kw) filter matrix. Zero padding, stride >= 1.
+/// (out_channels × C*kh*kw) filter matrix. Zero padding, stride >= 1,
+/// square kernels (kh == kw). The inspection form: Conv2d never builds this
+/// matrix; it lowers each sample straight into packed GEMM panels with the
+/// two functions below, and this unpacks the second of them.
 Tensor im2col(const Tensor& image, index_t kh, index_t kw, index_t stride,
               index_t pad);
 
-/// Raw-buffer im2col: unrolls a [C, H, W] image at `src` into the
-/// [C*kh*kw, out_h*out_w] matrix at `dst` (every element written, padding
-/// included). Each column-matrix row is written as spans: the in-bounds
-/// interior copied (strided when stride > 1), the padding zero-filled. The
-/// allocation-free form Conv2d uses to lower one sample at a time into its
-/// thread's workspace.
-void im2col_into(const real* src, index_t channels, index_t height,
-                 index_t width, index_t kh, index_t kw, index_t stride,
-                 index_t pad, real* dst);
+// Panel lowerings (DESIGN.md §5k). Both read one [C, H, W] image at `src`
+// through a zero-padded copy in the calling thread's workspace, write every
+// value of the packed operand (zero-padded rows included) in the
+// gemm::run_packed layout, and count one kernel.im2col call. Square k×k
+// kernels, zero padding `pad`, stride >= 1; taps run in (channel, ki, kj)
+// order, pixels in row-major output order.
+
+/// The im2row operand colsᵀ (out_h*out_w × C*k*k), row p the receptive
+/// field of output pixel p, as gemm::packed_a_size(pixels, C*k*k) values:
+/// the A of the forward product outᵀ = colsᵀ·Wᵀ.
+void im2row_packed(const real* src, index_t channels, index_t height,
+                   index_t width, index_t k, index_t stride, index_t pad,
+                   real* ap);
+
+/// The column matrix cols (C*k*k × out_h*out_w) as
+/// gemm::packed_a_size(C*k*k, pixels) values: the A of the weight-gradient
+/// product gWᵀ = cols·gyᵀ.
+void im2col_packed(const real* src, index_t channels, index_t height,
+                   index_t width, index_t k, index_t stride, index_t pad,
+                   real* ap);
 
 /// Adjoint of im2col: folds a [C*kh*kw, out_h*out_w] column matrix back into
 /// a [C, H, W] image, summing overlapping contributions.

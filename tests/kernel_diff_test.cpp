@@ -16,10 +16,12 @@
 // them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "common/rng.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "obs/obs.h"
 #include "runtime/parallel.h"
 #include "runtime/workspace.h"
 #include "tensor/gemm/gemm.h"
@@ -101,15 +104,21 @@ const Shape kParallelEdgeShapes[] = {
     {133, 257, 41}, {97, 300, 23}, {13, 80, 515},
 };
 
-// The exact GEMMs the round benchmark's workloads issue, as (m, k, n) for
+// The GEMM shapes the round benchmark's workloads issue, as (m, k, n) for
 // the variant the layer calls them with; the sweep runs all three variants
-// on each. Their m (8, 16, 27, 72, 10, 4) leaves ragged row panels under the
-// 6-row tile, so the edge path carries most of the round's flops.
+// on each. The conv forward and weight-gradient products run on packed
+// panels with the roles swapped (ConvPacked below checks that path); their
+// shapes sit here beside the orientation they replaced, whose m (8, 16)
+// left ragged row panels under the 6-row tile.
 const Shape kWorkloadShapes[] = {
-    // oasis_convnet conv0 (3→8 channels, 24×24): fwd NN, grad_w NT, grad_x TN
-    {8, 27, 576},   {8, 576, 27},   {27, 8, 576},
+    // oasis_convnet conv0 (3→8 channels, 24×24): fwd outᵀ = colsᵀ·Wᵀ and
+    // grad_w gWᵀ = cols·gyᵀ (packed), grad_x TN; then fwd NN and grad_w NT
+    // in the old orientation
+    {576, 27, 8},   {27, 576, 8},   {27, 8, 576},   {8, 27, 576},
+    {8, 576, 27},
     // oasis_convnet conv1 (8→16 channels, 12×12)
-    {16, 72, 144},  {16, 144, 72},  {72, 16, 144},
+    {144, 72, 16},  {72, 144, 16},  {72, 16, 144},  {16, 72, 144},
+    {16, 144, 72},
     // socket_mlp Dense 3072→256→10 at D'=32: fwd NT, grad_w TN, grad_x NN
     {32, 3072, 256}, {32, 256, 10}, {256, 32, 3072}, {10, 32, 256},
     {32, 256, 3072}, {32, 10, 256},
@@ -375,12 +384,14 @@ TEST(KernelDiff, DenseForwardBackwardBitIdentical) {
   }
 }
 
-// ---- im2col / col2im spans --------------------------------------------------
+// ---- Conv lowerings and col2im spans ----------------------------------------
 //
-// im2col_into and col2im_add write each column-matrix row as spans (interior
-// copy, padding fill). These references are the element-wise loops they
-// replaced, with a bounds test per element; the spans must match them
-// exactly, and the ASan/UBSan kernel stage would flag a span overrun.
+// im2row_packed and im2col_packed lower an image straight into packed GEMM
+// panels through a zero-padded copy; col2im_add writes each column-matrix
+// row as spans (interior copy, padding skipped). These references are the
+// element-wise loops with a bounds test per element; the lowerings and
+// spans must match them exactly, and the ASan/UBSan kernel stage would flag
+// a panel or span overrun.
 
 struct ConvGeometry {
   index_t c, h, w, k, stride, pad;
@@ -477,12 +488,28 @@ TEST(Im2colSpans, Im2colMatchesElementwiseReference) {
     const index_t cols_size = g.c * g.k * g.k *
                               out_extent(g.h, g.k, g.stride, g.pad) *
                               out_extent(g.w, g.k, g.stride, g.pad);
-    // Poisoned outputs: a span that skips an element leaves the poison.
-    std::vector<real> expected(cols_size, 7.0), got(cols_size, -7.0);
+    std::vector<real> expected(cols_size, 7.0);
     im2col_reference(image.data(), g, expected.data());
-    tensor::im2col_into(image.data(), g.c, g.h, g.w, g.k, g.k, g.stride,
-                        g.pad, got.data());
-    EXPECT_TRUE(bits_equal(expected, got)) << describe(g);
+    const index_t taps = g.c * g.k * g.k, pix = cols_size / taps;
+    // Poisoned panels: a lowering that skips an element (padding rows
+    // included) leaves the poison.
+    std::vector<real> rows(tensor::gemm::packed_a_size(pix, taps), -7.0);
+    std::vector<real> cols(tensor::gemm::packed_a_size(taps, pix), -7.0);
+    tensor::im2row_packed(image.data(), g.c, g.h, g.w, g.k, g.stride, g.pad,
+                          rows.data());
+    tensor::im2col_packed(image.data(), g.c, g.h, g.w, g.k, g.stride, g.pad,
+                          cols.data());
+    using tensor::gemm::kMR;
+    std::vector<real> want_rows(rows.size(), 0.0), want_cols(cols.size(), 0.0);
+    for (index_t kk = 0; kk < taps; ++kk) {
+      for (index_t p = 0; p < pix; ++p) {
+        const real v = expected[kk * pix + p];
+        want_rows[(p / kMR * taps + kk) * kMR + p % kMR] = v;
+        want_cols[(kk / kMR * pix + p) * kMR + kk % kMR] = v;
+      }
+    }
+    EXPECT_TRUE(bits_equal(want_rows, rows)) << "im2row " << describe(g);
+    EXPECT_TRUE(bits_equal(want_cols, cols)) << "im2col " << describe(g);
   }
 }
 
@@ -501,6 +528,174 @@ TEST(Im2colSpans, Col2imMatchesElementwiseReference) {
     tensor::col2im_add(cols.data(), g.c, g.h, g.w, g.k, g.k, g.stride, g.pad,
                        got.data());
     EXPECT_TRUE(bits_equal(expected, got)) << describe(g);
+  }
+}
+
+// ---- Conv2d on packed panels ------------------------------------------------
+//
+// Conv2d lowers each sample straight into packed panels and runs its
+// forward and weight-gradient products with the roles swapped (outᵀ =
+// colsᵀ·Wᵀ, gWᵀ = cols·gyᵀ). These references run the layer in the
+// orientation it had before: a test-local im2col, then gemm::naive's
+// W·cols and gy·colsᵀ per sample, the bias added after the chain, the
+// per-sample tiles folded in ascending sample order, and the input gradient
+// as Wᵀ·gy folded by the element-wise col2im. Forward, backward_params and
+// backward must match them bit for bit, on the blocked and naive paths,
+// at 1 and 8 threads.
+
+struct ConvCase {
+  index_t c, out, k, stride, pad;
+};
+
+struct ConvBits {
+  std::vector<real> y, grad_w, grad_b, grad_x;
+};
+
+ConvBits conv_reference(const ConvCase& cc, const std::vector<real>& x,
+                        index_t batch, index_t h, index_t w,
+                        const std::vector<real>& weight,
+                        const std::vector<real>& bias,
+                        const std::vector<real>& gy) {
+  const ConvGeometry g{cc.c, h, w, cc.k, cc.stride, cc.pad};
+  const index_t pix = out_extent(h, cc.k, cc.stride, cc.pad) *
+                      out_extent(w, cc.k, cc.stride, cc.pad);
+  const index_t taps = cc.c * cc.k * cc.k, x_size = cc.c * h * w;
+  ConvBits out;
+  out.y.assign(batch * cc.out * pix, 0.0);
+  out.grad_w.assign(cc.out * taps, 0.0);
+  out.grad_b.assign(cc.out, 0.0);
+  out.grad_x.assign(batch * x_size, 0.0);
+  std::vector<real> cols(taps * pix), tile(cc.out * taps), gcols(taps * pix);
+  for (index_t n = 0; n < batch; ++n) {
+    im2col_reference(x.data() + n * x_size, g, cols.data());
+    real* y_n = out.y.data() + n * cc.out * pix;
+    tensor::gemm::naive(Variant::NN, cc.out, taps, pix, weight.data(),
+                        cols.data(), y_n);
+    for (index_t o = 0; o < cc.out; ++o)
+      for (index_t p = 0; p < pix; ++p) y_n[o * pix + p] += bias[o];
+    const real* gy_n = gy.data() + n * cc.out * pix;
+    std::fill(tile.begin(), tile.end(), 0.0);
+    tensor::gemm::naive(Variant::NT, cc.out, pix, taps, gy_n, cols.data(),
+                        tile.data());
+    for (index_t i = 0; i < tile.size(); ++i) out.grad_w[i] += tile[i];
+    for (index_t o = 0; o < cc.out; ++o) {
+      real s = 0.0;
+      for (index_t p = 0; p < pix; ++p) s += gy_n[o * pix + p];
+      out.grad_b[o] += s;
+    }
+    std::fill(gcols.begin(), gcols.end(), 0.0);
+    tensor::gemm::naive(Variant::TN, taps, cc.out, pix, weight.data(), gy_n,
+                        gcols.data());
+    col2im_reference(gcols.data(), g, out.grad_x.data() + n * x_size);
+  }
+  return out;
+}
+
+std::vector<real> values_of(const tensor::Tensor& t) {
+  return {t.data().begin(), t.data().end()};
+}
+
+/// Every case of one kernel extent: C_in ∈ {1,3,8} × out ∈ {1,5,8,16,17} ×
+/// stride ∈ {1,2} × pad ∈ {0,1,2} on a 7×5 image (batch 3), whose output
+/// pixel counts (35, 12, 63, 8, 4, 20, ...) are mostly not multiples of 6.
+void expect_conv_matches_reference(index_t k) {
+  KernelEnvGuard guard;
+  const index_t batch = 3, h = 7, w = 5;
+  common::Rng rng(0xC0B0u + k);
+  for (const index_t c : {1, 3, 8}) {
+    for (const index_t out : {1, 5, 8, 16, 17}) {
+      for (const index_t stride : {1, 2}) {
+        for (const index_t pad : {0, 1, 2}) {
+          if (h + 2 * pad < k || w + 2 * pad < k) continue;
+          const ConvCase cc{c, out, k, stride, pad};
+          common::Rng init = rng.split(c * 1000 + out * 10 + stride * 3 + pad);
+          nn::Conv2d conv(c, out, k, stride, pad, init);
+          for (auto& v : conv.bias().value.data()) v = rng.uniform(-1.0, 1.0);
+          tensor::Tensor x({batch, c, h, w});
+          for (auto& v : x.data()) v = rng.uniform(-1.0, 1.0);
+          const index_t oh = out_extent(h, k, stride, pad);
+          const index_t ow = out_extent(w, k, stride, pad);
+          tensor::Tensor gy({batch, out, oh, ow});
+          for (auto& v : gy.data()) v = rng.uniform(-1.0, 1.0);
+          const ConvBits want = conv_reference(
+              cc, values_of(x), batch, h, w, values_of(conv.weight().value),
+              values_of(conv.bias().value), values_of(gy));
+          for (const bool naive : {false, true}) {
+            for (const int threads : {1, 8}) {
+              tensor::gemm::set_naive(naive);
+              runtime::set_num_threads(threads);
+              std::ostringstream at;
+              at << "C" << c << " out" << out << " k" << k << " s" << stride
+                 << " p" << pad << (naive ? " naive " : " ") << threads
+                 << " threads";
+              conv.zero_grad();
+              EXPECT_TRUE(bits_equal(values_of(conv.forward(x, true)), want.y))
+                  << "forward " << at.str();
+              conv.backward_params(gy);
+              EXPECT_TRUE(
+                  bits_equal(values_of(conv.weight().grad), want.grad_w))
+                  << "backward_params grad_w " << at.str();
+              EXPECT_TRUE(bits_equal(values_of(conv.bias().grad), want.grad_b))
+                  << "backward_params grad_b " << at.str();
+              conv.zero_grad();
+              EXPECT_TRUE(bits_equal(values_of(conv.backward(gy)), want.grad_x))
+                  << "backward grad_x " << at.str();
+              EXPECT_TRUE(
+                  bits_equal(values_of(conv.weight().grad), want.grad_w))
+                  << "backward grad_w " << at.str();
+              EXPECT_TRUE(bits_equal(values_of(conv.bias().grad), want.grad_b))
+                  << "backward grad_b " << at.str();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvPacked, Kernel1MatchesIm2colReference) {
+  expect_conv_matches_reference(1);
+}
+
+TEST(ConvPacked, Kernel3MatchesIm2colReference) {
+  expect_conv_matches_reference(3);
+}
+
+TEST(ConvPacked, Kernel5MatchesIm2colReference) {
+  expect_conv_matches_reference(5);
+}
+
+TEST(ConvPacked, RunPackedCountsOneCallPerProduct) {
+  KernelEnvGuard guard;
+  struct MetricsGuard {
+    ~MetricsGuard() { obs::set_kernel_metrics(false); }
+  } metrics_guard;
+  obs::set_kernel_metrics(true);
+  obs::Counter& calls = obs::counter("kernel.gemm.calls");
+  obs::Counter& flops = obs::counter("kernel.gemm.flops");
+  common::Rng rng(0x9AC4u);
+  const index_t m = 13, k = 11, n = 17;
+  const auto a = random_vec(m * k, rng);
+  const auto b = random_vec(k * n, rng);
+  // Pack A by hand and B through pack_b: the layout gemm.h documents.
+  using tensor::gemm::kMR;
+  std::vector<real> ap(tensor::gemm::packed_a_size(m, k), 0.0);
+  for (index_t i = 0; i < m; ++i)
+    for (index_t kk = 0; kk < k; ++kk)
+      ap[((i / kMR) * k + kk) * kMR + i % kMR] = a[i * k + kk];
+  std::vector<real> bp(tensor::gemm::packed_b_size(k, n));
+  tensor::gemm::pack_b(Variant::NN, k, n, b.data(), bp.data());
+  const auto want = run_gemm(tensor::gemm::naive, Variant::NN, m, k, n, a, b);
+  for (const bool naive : {false, true}) {
+    tensor::gemm::set_naive(naive);
+    calls.reset();
+    flops.reset();
+    std::vector<real> c(m * n, 0.0);
+    tensor::gemm::run_packed(m, k, n, ap.data(), bp.data(), c.data());
+    EXPECT_TRUE(bits_equal(c, want)) << (naive ? "naive" : "blocked");
+    EXPECT_EQ(calls.value(), 1u);
+    EXPECT_EQ(flops.value(),
+              static_cast<std::uint64_t>(tensor::gemm::flops(m, k, n)));
   }
 }
 

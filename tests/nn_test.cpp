@@ -3,11 +3,14 @@
 // snapshot round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -23,6 +26,7 @@
 #include "nn/pooling.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
+#include "obs/obs.h"
 #include "runtime/parallel.h"
 #include "tensor/gemm/gemm.h"
 #include "tensor/ops.h"
@@ -246,6 +250,26 @@ TEST(Pooling, MaxPoolForwardAndGradient) {
   // Finite differences on random data (distinct values avoid ties).
   tensor::Tensor xr = tensor::Tensor::randn({2, 2, 4, 4}, rng);
   EXPECT_LT(testutil::check_gradients(pool, xr, rng), kGradTol);
+}
+
+TEST(Pooling, WindowWithNothingAboveMinusInfRoutesToItsFirstElement) {
+  // Sample 1's window is all NaN, then all −inf: no element beats the
+  // scan's −inf start, so its gradient must reach the window's own first
+  // element, not flat element 0 of the batch (sample 0's window).
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  const real inf = std::numeric_limits<real>::infinity();
+  for (const real fill : {nan, -inf}) {
+    MaxPool2d pool(2, 2);
+    const tensor::Tensor x({2, 1, 2, 2},
+                           {1.0, 2.0, 3.0, 4.0, fill, fill, fill, fill});
+    const tensor::Tensor y = pool.forward(x, true);
+    EXPECT_EQ(y[0], 4.0);
+    EXPECT_EQ(y[1], -inf);
+    const tensor::Tensor gx =
+        pool.backward(tensor::Tensor({2, 1, 1, 1}, {5.0, 7.0}));
+    const tensor::Tensor want({2, 1, 2, 2}, {0, 0, 0, 5.0, 7.0, 0, 0, 0});
+    EXPECT_EQ(bits_of(gx), bits_of(want));
+  }
 }
 
 TEST(Pooling, GlobalAvgPoolGradient) {
@@ -736,6 +760,272 @@ TEST(BackwardParams, ConstForwardKeepsTheCallersTensorAndRvalueMatches) {
   EXPECT_EQ(bits_of(x), x_bits);
 }
 
+// ---- Fused ReLU→MaxPool -----------------------------------------------------
+//
+// Sequential runs a ReLU feeding a kernel == stride MaxPool2d as one pass.
+// The differential drives the same freshly seeded stacks twice: through
+// Sequential (fused wherever it applies) and child by child with lvalues
+// (every layer standalone, as the round benchmark's replay does). Forward
+// output, backward() and backward_params() must agree bit for bit, on
+// activations seeded with ±0, ±inf and NaN windows and gradients seeded
+// with ±0, ±inf and NaN.
+
+/// Overwrites a fixed, seeded choice of activations with special values
+/// (whole 2×2-aligned windows of one value, of mixed ±0, and single
+/// elements); passes the gradient through unchanged.
+class Specials : public Module {
+ public:
+  explicit Specials(std::uint64_t seed) : seed_(seed) {}
+  using Module::forward;
+  using Module::backward;
+  tensor::Tensor forward(const tensor::Tensor& x, bool /*training*/) override {
+    tensor::Tensor y = x;
+    seed_specials(y, seed_);
+    return y;
+  }
+  tensor::Tensor backward(const tensor::Tensor& g) override { return g; }
+  [[nodiscard]] std::string name() const override { return "Specials"; }
+
+  static void seed_specials(tensor::Tensor& t, std::uint64_t seed) {
+    const real inf = std::numeric_limits<real>::infinity();
+    const real nan = std::numeric_limits<real>::quiet_NaN();
+    const real values[] = {0.0, -0.0, inf, -inf, nan, -1.0, 2.0};
+    common::Rng rng(seed);
+    auto pick = [&] { return values[rng.uniform_int(0, 6)]; };
+    const index_t n = t.size();
+    if (t.rank() == 4 && t.dim(3) >= 2 && t.dim(2) >= 2) {
+      const index_t w = t.dim(3), planes = t.dim(0) * t.dim(1);
+      for (int i = 0; i < 24; ++i) {
+        // A 2×2 block at an even origin: a whole window of a 2/2 pool.
+        const auto plane = static_cast<index_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(planes) - 1));
+        const auto bi = static_cast<index_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(t.dim(2) / 2) - 1));
+        const auto bj = static_cast<index_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(w / 2) - 1));
+        real* top = t.data().data() + (plane * t.dim(2) + 2 * bi) * w + 2 * bj;
+        const bool mixed = i % 3 == 0;
+        const real v = pick();
+        for (const index_t e : {index_t{0}, index_t{1}, w, w + 1}) {
+          top[e] = mixed ? (rng.uniform_int(0, 1) ? 0.0 : -0.0) : v;
+        }
+      }
+    }
+    for (int i = 0; i < 16; ++i) {
+      t[static_cast<index_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))] = pick();
+    }
+  }
+
+ private:
+  std::uint64_t seed_;
+};
+
+struct FusedCase {
+  const char* name;
+  bool fuses;  // whether Sequential runs a pair fused
+  tensor::Shape x_shape;
+  std::unique_ptr<Sequential> (*make)(common::Rng&);
+};
+
+// Conv(2→3) then the pair: fusible, with the specials injected between.
+std::unique_ptr<Sequential> conv_relu_pool(common::Rng& rng, index_t pool_k,
+                                           index_t pool_s, index_t features) {
+  auto net = std::make_unique<Sequential>();
+  net->emplace<Conv2d>(2, 3, 3, 1, 1, rng);
+  net->emplace<Specials>(0x5BEC1A1u);
+  net->emplace<ReLU>();
+  net->emplace<MaxPool2d>(pool_k, pool_s);
+  net->emplace<Flatten>();
+  net->emplace<Dense>(features, 4, rng);
+  return net;
+}
+
+const FusedCase kFusedCases[] = {
+    {"fused 2/2 on 8x6", true, {3, 2, 8, 6},
+     [](common::Rng& rng) { return conv_relu_pool(rng, 2, 2, 3 * 4 * 3); }},
+    {"fused 3/3 on 9x6", true, {2, 2, 9, 6},
+     [](common::Rng& rng) { return conv_relu_pool(rng, 3, 3, 3 * 3 * 2); }},
+    {"odd extents 7x5", false, {3, 2, 7, 5},
+     [](common::Rng& rng) { return conv_relu_pool(rng, 2, 2, 3 * 3 * 2); }},
+    {"pool 3/2", false, {2, 2, 8, 6},
+     [](common::Rng& rng) { return conv_relu_pool(rng, 3, 2, 3 * 3 * 2); }},
+    {"pair alone behind a pass-through", true, {3, 2, 8, 6},
+     [](common::Rng&) {
+       // The seeded gradient reaches the pair, and backward() returns the
+       // pair's input gradient itself.
+       auto net = std::make_unique<Sequential>();
+       net->emplace<Specials>(0x9A55u);
+       net->emplace<ReLU>();
+       net->emplace<MaxPool2d>(2, 2);
+       return net;
+     }},
+    {"pair at the end", true, {2, 2, 6, 6},
+     [](common::Rng& rng) {
+       auto net = std::make_unique<Sequential>();
+       net->emplace<Conv2d>(2, 3, 3, 1, 1, rng);
+       net->emplace<Specials>(0xE4Du);
+       net->emplace<ReLU>();
+       net->emplace<MaxPool2d>(2, 2);
+       return net;
+     }},
+    {"ReLU first", false, {2, 2, 6, 6},
+     [](common::Rng& rng) {
+       auto net = std::make_unique<Sequential>();
+       net->emplace<ReLU>();
+       net->emplace<MaxPool2d>(2, 2);
+       net->emplace<Conv2d>(2, 3, 3, 1, 1, rng);
+       net->emplace<ReLU>();
+       return net;
+     }},
+    {"pool first, ReLU last", false, {2, 2, 6, 6},
+     [](common::Rng& rng) {
+       auto net = std::make_unique<Sequential>();
+       net->emplace<MaxPool2d>(2, 2);
+       net->emplace<Conv2d>(2, 3, 3, 1, 1, rng);
+       net->emplace<Specials>(0xF125u);
+       net->emplace<ReLU>();
+       return net;
+     }},
+};
+
+struct StepBits {
+  std::vector<std::uint64_t> y, grad_x;
+  std::vector<std::vector<std::uint64_t>> params;
+  bool fused = false;
+};
+
+/// Forward and backward through Sequential (`params_only` ends with
+/// backward_params and records no grad_x).
+StepBits sequential_step(const FusedCase& c, std::uint64_t seed,
+                         const tensor::Tensor& x, const tensor::Tensor& gy,
+                         bool params_only) {
+  common::Rng rng(seed);
+  auto net = c.make(rng);
+  StepBits out;
+  out.y = bits_of(net->forward(x, /*training=*/true));
+  for (index_t i = 0; i < net->size(); ++i) {
+    const auto* pool = dynamic_cast<const MaxPool2d*>(&net->at(i));
+    out.fused = out.fused || (pool != nullptr && pool->relu_fused());
+  }
+  if (params_only) {
+    net->backward_params(gy);
+  } else {
+    out.grad_x = bits_of(net->backward(gy));
+  }
+  out.params = param_grad_bits(*net);
+  return out;
+}
+
+/// The same step one child at a time, every child handed an lvalue.
+StepBits child_by_child_step(const FusedCase& c, std::uint64_t seed,
+                             const tensor::Tensor& x,
+                             const tensor::Tensor& gy) {
+  common::Rng rng(seed);
+  auto net = c.make(rng);
+  tensor::Tensor h = x;
+  for (index_t i = 0; i < net->size(); ++i) {
+    const tensor::Tensor in = h;
+    h = net->at(i).forward(in, /*training=*/true);
+  }
+  StepBits out;
+  out.y = bits_of(h);
+  tensor::Tensor g = gy;
+  for (index_t i = net->size(); i-- > 0;) {
+    const tensor::Tensor in = g;
+    g = net->at(i).backward(in);
+  }
+  out.grad_x = bits_of(g);
+  out.params = param_grad_bits(*net);
+  return out;
+}
+
+TEST(FusedReluPool, MatchesChildByChildBitForBit) {
+  for (const int threads : {1, 8}) {
+    runtime::set_num_threads(threads);
+    for (const FusedCase& c : kFusedCases) {
+      for (std::uint64_t trial = 0; trial < 4; ++trial) {
+        const std::uint64_t seed = 0xF05Eu + trial;
+        common::Rng data_rng(seed * 7919u);
+        tensor::Tensor x = tensor::Tensor::randn(c.x_shape, data_rng);
+        Specials::seed_specials(x, seed);
+        common::Rng probe_rng(seed);
+        const tensor::Tensor y_shape_probe =
+            c.make(probe_rng)->forward(x, /*training=*/false);
+        tensor::Tensor gy =
+            tensor::Tensor::randn(y_shape_probe.shape(), data_rng);
+        Specials::seed_specials(gy, seed + 1);
+        const StepBits want = child_by_child_step(c, seed, x, gy);
+        const StepBits full = sequential_step(c, seed, x, gy, false);
+        const StepBits params = sequential_step(c, seed, x, gy, true);
+        const std::string at = std::string(c.name) + ", trial " +
+                               std::to_string(trial) + ", " +
+                               std::to_string(threads) + " threads";
+        EXPECT_EQ(full.fused, c.fuses) << at;
+        EXPECT_EQ(full.y, want.y) << at;
+        EXPECT_EQ(full.grad_x, want.grad_x) << at;
+        EXPECT_EQ(full.params, want.params) << at;
+        EXPECT_EQ(params.y, want.y) << at;
+        EXPECT_EQ(params.params, want.params) << at;
+      }
+    }
+  }
+  runtime::set_num_threads(0);
+}
+
+TEST(FusedReluPool, SpecialWindowsMatchTheUnfusedPair) {
+  // Every window of one sample-plane is a special case of the exactness
+  // rule: all NaN, all −inf, −1 then −0.0 (pool-first would give −0.0,
+  // the pair +0.0), −0.0 then +0.0, +0.0 then −0.0, NaN then 1, ties, and
+  // a positive maximum after negatives. The gradient carries −0.0, NaN and
+  // ±inf.
+  const real inf = std::numeric_limits<real>::infinity();
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  const std::vector<std::vector<real>> windows = {
+      {nan, nan, nan, nan},     {-inf, -inf, -inf, -inf},
+      {-1.0, -0.0, -2.0, -3.0}, {-0.0, 0.0, -1.0, -1.0},
+      {0.0, -0.0, -1.0, -1.0},  {nan, 1.0, -1.0, 0.5},
+      {2.0, 2.0, 2.0, 2.0},     {-1.0, -2.0, 3.0, -4.0},
+      {inf, nan, -inf, 1.0},    {-inf, -0.0, nan, -1.0}};
+  const index_t count = windows.size();
+  // One plane of 2 × count windows laid out as a 2 × (2·count) image.
+  std::vector<real> values(4 * count);
+  for (index_t i = 0; i < count; ++i) {
+    values[2 * i] = windows[i][0];
+    values[2 * i + 1] = windows[i][1];
+    values[2 * count + 2 * i] = windows[i][2];
+    values[2 * count + 2 * i + 1] = windows[i][3];
+  }
+  std::vector<real> grads(count);
+  const real g_values[] = {1.5, -0.0, nan, inf, -inf, -2.0};
+  for (index_t i = 0; i < count; ++i) grads[i] = g_values[i % 6];
+  // The second plane repeats the first with the gradient rotated.
+  std::vector<real> x_values = values;
+  x_values.insert(x_values.end(), values.begin(), values.end());
+  std::vector<real> g2 = grads;
+  std::rotate(g2.begin(), g2.begin() + 1, g2.end());
+  grads.insert(grads.end(), g2.begin(), g2.end());
+  const tensor::Tensor x({2, 1, 2, 2 * count}, x_values);
+  const tensor::Tensor gy({2, 1, 1, count}, grads);
+
+  ReLU relu;
+  MaxPool2d pool(2, 2);
+  const tensor::Tensor want_y = pool.forward(relu.forward(x, true), true);
+  const tensor::Tensor want_gx = relu.backward(pool.backward(gy));
+
+  MaxPool2d fused(2, 2);
+  ASSERT_TRUE(fused.tiles(x));
+  EXPECT_EQ(bits_of(fused.forward_relu(tensor::Tensor(x), true)),
+            bits_of(want_y));
+  EXPECT_TRUE(fused.relu_fused());
+  EXPECT_EQ(bits_of(fused.backward_relu(gy)), bits_of(want_gx));
+  // The pair's backward after an eval forward allocates its own storage.
+  fused.forward_relu(tensor::Tensor(x), false);
+  EXPECT_EQ(bits_of(fused.backward_relu(gy)), bits_of(want_gx));
+  // A standalone backward after a fused forward is refused.
+  EXPECT_THROW(fused.backward(gy), Error);
+}
+
 // ---- Cross-commit byte pin --------------------------------------------------
 //
 // The golden fixture replays an MLP and KernelDiff compares blocked against
@@ -780,6 +1070,38 @@ std::vector<std::uint32_t> mini_convnet_crcs() {
     crcs.push_back(tensor_crc(p->grad));
   }
   return crcs;
+}
+
+// One training step of the oasis_convnet model (forward plus
+// backward_params, B = 16) issues these kernel counts: two conv products
+// per sample per layer, Dense's three GEMMs each minus the first layer's
+// input gradient, and one lowering per conv product. A conv path that
+// bypasses the counting entry, or splits a product, moves them.
+TEST(KernelCounts, MiniConvNetTrainingStepIsUnchanged) {
+  struct MetricsGuard {
+    ~MetricsGuard() { obs::set_kernel_metrics(false); }
+  } guard;
+  obs::set_kernel_metrics(true);
+  common::Rng rng(0xC0417u);
+  auto net = make_mini_convnet({3, 24, 24}, 10, rng, 8);
+  common::Rng data_rng(0xDA7Cu);
+  tensor::Tensor x({16, 3, 24, 24});
+  for (auto& v : x.data()) v = data_rng.uniform(-1.0, 1.0);
+  obs::Counter& calls = obs::counter("kernel.gemm.calls");
+  obs::Counter& flops = obs::counter("kernel.gemm.flops");
+  obs::Counter& lowerings = obs::counter("kernel.im2col.calls");
+  for (const int threads : {1, 8}) {
+    runtime::set_num_threads(threads);
+    calls.reset();
+    flops.reset();
+    lowerings.reset();
+    const tensor::Tensor logits = net->forward(x, /*training=*/true);
+    net->backward_params(tensor::Tensor(logits.shape()));
+    EXPECT_EQ(calls.value(), 86u) << threads << " threads";
+    EXPECT_EQ(flops.value(), 31088640u) << threads << " threads";
+    EXPECT_EQ(lowerings.value(), 64u) << threads << " threads";
+  }
+  runtime::set_num_threads(0);
 }
 
 TEST(MiniConvNetPin, ForwardBackwardCrcsMatchUnderEveryIsa) {

@@ -58,8 +58,13 @@ BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 void BM_Im2Col(benchmark::State& state) {
   common::Rng rng(3);
   const tensor::Tensor img = tensor::Tensor::randn({16, 32, 32}, rng);
+  std::vector<real> panels(
+      tensor::gemm::packed_a_size(16 * 3 * 3, index_t{32} * 32));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::im2col(img, 3, 3, 1, 1));
+    tensor::im2col_packed(img.data().data(), 16, 32, 32, 3, 1, 1,
+                          panels.data());
+    benchmark::DoNotOptimize(panels.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Im2Col);

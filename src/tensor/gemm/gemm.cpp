@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -23,36 +22,6 @@ index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
 // never touches the arithmetic — so the tile geometry is invisible in the
 // output bits.
 
-typedef real vec4 __attribute__((vector_size(32)));
-typedef real vec4_u __attribute__((vector_size(32), aligned(8), may_alias));
-typedef std::int64_t ivec4 __attribute__((vector_size(32)));
-static_assert(kNR == 8, "transpose_8x4 fills one 8-wide packed row");
-
-/// dst[kk·kNR + j] = src[j·ld + kk] for j < 8, kk < 4: four packed rows of
-/// an NT panel, as two 4×4 register transposes.
-void transpose_8x4(const real* src, index_t ld, real* dst) {
-  const ivec4 even = {0, 4, 2, 6}, odd = {1, 5, 3, 7};
-  const ivec4 low = {0, 1, 4, 5}, high = {2, 3, 6, 7};
-  for (index_t half = 0; half < 2; ++half) {
-    const real* rows = src + 4 * half * ld;
-    const vec4 r0 = *reinterpret_cast<const vec4_u*>(rows);
-    const vec4 r1 = *reinterpret_cast<const vec4_u*>(rows + ld);
-    const vec4 r2 = *reinterpret_cast<const vec4_u*>(rows + 2 * ld);
-    const vec4 r3 = *reinterpret_cast<const vec4_u*>(rows + 3 * ld);
-    const vec4 t0 = __builtin_shuffle(r0, r1, even);
-    const vec4 t1 = __builtin_shuffle(r0, r1, odd);
-    const vec4 t2 = __builtin_shuffle(r2, r3, even);
-    const vec4 t3 = __builtin_shuffle(r2, r3, odd);
-    real* out = dst + 4 * half;
-    *reinterpret_cast<vec4_u*>(out) = __builtin_shuffle(t0, t2, low);
-    *reinterpret_cast<vec4_u*>(out + kNR) = __builtin_shuffle(t1, t3, low);
-    *reinterpret_cast<vec4_u*>(out + 2 * kNR) =
-        __builtin_shuffle(t0, t2, high);
-    *reinterpret_cast<vec4_u*>(out + 3 * kNR) =
-        __builtin_shuffle(t1, t3, high);
-  }
-}
-
 /// Packs op(B)[pc..pc+kc, jc..jc+nc) into kNR-wide k-major micro-panels,
 /// zero-padding the ragged last panel to kNR columns.
 void pack_b(Variant v, const real* __restrict b, index_t k, index_t n,
@@ -64,18 +33,10 @@ void pack_b(Variant v, const real* __restrict b, index_t k, index_t n,
     const index_t w = std::min(kNR, nc - j0);
     real* __restrict dst = bp + p * kc * kNR;
     if (v == Variant::NT) {
-      // op(B)[kk, j] = B[jc+j, pc+kk] with B stored n×k. A full panel
-      // transposes 8×4 blocks in registers; the rest goes element-wise.
-      const real* panel = b + (jc + j0) * k + pc;
-      index_t kk0 = 0;
-      if (w == kNR) {
-        for (; kk0 + 4 <= kc; kk0 += 4) {
-          transpose_8x4(panel + kk0, k, dst + kk0 * kNR);
-        }
-      }
+      // op(B)[kk, j] = B[jc+j, pc+kk] with B stored n×k.
       for (index_t j = 0; j < w; ++j) {
-        const real* __restrict src = panel + j * k;
-        for (index_t kk = kk0; kk < kc; ++kk) dst[kk * kNR + j] = src[kk];
+        const real* __restrict src = b + (jc + j0 + j) * k + pc;
+        for (index_t kk = 0; kk < kc; ++kk) dst[kk * kNR + j] = src[kk];
       }
       if (w < kNR) {
         for (index_t kk = 0; kk < kc; ++kk)
@@ -278,18 +239,21 @@ void run_packed(index_t m, index_t k, index_t n, const real* ap,
   count_gemm(flops(m, k, n));
   if (m <= 0 || n <= 0 || k <= 0) return;
   if (naive_active() || !detail::kernel_available()) {
-    // The oracle reads the plain operands, so unpack them first.
+    // The oracle reads the plain operands, so unpack them first: A m×k and
+    // B as n×k. naive_nt skips no term (naive_nn would skip exact zeros of
+    // A, which here are padding taps and ReLU zeros), so both paths agree
+    // on every input, Inf and NaN included.
     runtime::Workspace& ws = runtime::Workspace::tls();
     runtime::Workspace::Scope scope(ws);
     real* a = ws.alloc(m * k);
-    real* b = ws.alloc(k * n);
+    real* bt = ws.alloc(n * k);
     for (index_t i = 0; i < m; ++i)
       for (index_t kk = 0; kk < k; ++kk)
         a[i * k + kk] = ap[((i / kMR) * k + kk) * kMR + i % kMR];
-    for (index_t kk = 0; kk < k; ++kk)
-      for (index_t j = 0; j < n; ++j)
-        b[kk * n + j] = bp[((j / kNR) * k + kk) * kNR + j % kNR];
-    return naive_nn(m, k, n, a, b, c);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t kk = 0; kk < k; ++kk)
+        bt[j * k + kk] = bp[((j / kNR) * k + kk) * kNR + j % kNR];
+    return naive_nt(m, k, n, a, bt, c);
   }
   for (index_t i0 = 0; i0 < m; i0 += kMR) {
     for (index_t j0 = 0; j0 < n; j0 += kNR) {

@@ -16,9 +16,12 @@
 // kernels spell with std::fma, and memory round-trips are exact — so
 // blocked and naive results are bit-identical, at any thread count, on any
 // host and under any -march, and the golden fixture is preserved
-// byte-for-byte. The one documented exception is the sign of zero when an
-// entire op(A) column is exactly 0.0 (the naive kernels skip those terms):
-// +0.0 vs -0.0 compare equal and cannot arise from continuous data.
+// byte-for-byte. The documented exceptions come from the naive NN and TN
+// kernels skipping terms whose op(A) value is exactly 0.0: the sign of zero
+// when an entire op(A) column is 0.0 (+0.0 vs -0.0 compare equal), and an
+// Inf or NaN of op(B) facing such a zero, which the register kernel turns
+// into NaN (0·Inf) and the oracle skips. Neither arises from finite
+// continuous data.
 #pragma once
 
 #include "common/types.h"
@@ -108,7 +111,10 @@ void pack_b(Variant v, index_t k, index_t n, const real* b, real* bp);
 /// unpacked operands, when naive_active() or where the register kernel
 /// cannot run), with no packing, no k or n blocking and no row split: it
 /// runs on the calling thread, so each packed operand should stay
-/// cache-sized and the caller parallelizes over products.
+/// cache-sized and the caller parallelizes over products. The oracle here
+/// is the NT chain, which skips no term, so the zero-skip exception above
+/// does not apply: both paths give the same bytes on every input, Inf and
+/// NaN included.
 void run_packed(index_t m, index_t k, index_t n, const real* ap,
                 const real* bp, real* c);
 

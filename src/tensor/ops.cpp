@@ -190,7 +190,6 @@ Lowering lower_setup(const real* src, index_t c, index_t h, index_t w,
 
 typedef real vec4 __attribute__((vector_size(32)));
 typedef real vec4_u __attribute__((vector_size(32), aligned(8), may_alias));
-typedef std::int64_t ivec4 __attribute__((vector_size(32)));
 static_assert(gemm::kMR == 6, "transpose_taps interleaves six taps");
 
 /// Writes the 4·kMR values dst[q·kMR + r] = s[r][at + q] (q < 4, r < kMR;
@@ -202,22 +201,24 @@ void transpose_taps(const real* const* s, index_t live, index_t at,
     v[r] = r < live ? vec4(*reinterpret_cast<const vec4_u*>(s[r] + at))
                     : vec4{0.0, 0.0, 0.0, 0.0};
   }
-  const ivec4 even = {0, 4, 2, 6}, odd = {1, 5, 3, 7};
-  const ivec4 low = {0, 1, 4, 5}, high = {2, 3, 6, 7};
   // t[2i] = {v_a[0], v_b[0], v_a[2], v_b[2]}, t[2i+1] the odd lanes, for
   // the tap pairs (a, b) = (0, 1), (2, 3), (4, 5).
   vec4 t[6];
   for (index_t i = 0; i < 3; ++i) {
-    t[2 * i] = __builtin_shuffle(v[2 * i], v[2 * i + 1], even);
-    t[2 * i + 1] = __builtin_shuffle(v[2 * i], v[2 * i + 1], odd);
+    t[2 * i] = __builtin_shufflevector(v[2 * i], v[2 * i + 1], 0, 4, 2, 6);
+    t[2 * i + 1] =
+        __builtin_shufflevector(v[2 * i], v[2 * i + 1], 1, 5, 3, 7);
   }
+  // Low halves {x[0], x[1], y[0], y[1]} and high halves {x[2], x[3], y[2],
+  // y[3]} of pairs of t: pixel 0 taps 0-3; pixel 0 taps 4-5 and pixel 1
+  // taps 0-1; pixel 1 taps 2-5; then the same for pixels 2 and 3.
   vec4_u* out = reinterpret_cast<vec4_u*>(dst);
-  out[0] = __builtin_shuffle(t[0], t[2], low);   // pixel 0, taps 0-3
-  out[1] = __builtin_shuffle(t[4], t[1], low);   // pixel 0 taps 4-5, 1 taps 0-1
-  out[2] = __builtin_shuffle(t[3], t[5], low);   // pixel 1, taps 2-5
-  out[3] = __builtin_shuffle(t[0], t[2], high);  // pixel 2, taps 0-3
-  out[4] = __builtin_shuffle(t[4], t[1], high);  // pixel 2 taps 4-5, 3 taps 0-1
-  out[5] = __builtin_shuffle(t[3], t[5], high);  // pixel 3, taps 2-5
+  out[0] = __builtin_shufflevector(t[0], t[2], 0, 1, 4, 5);
+  out[1] = __builtin_shufflevector(t[4], t[1], 0, 1, 4, 5);
+  out[2] = __builtin_shufflevector(t[3], t[5], 0, 1, 4, 5);
+  out[3] = __builtin_shufflevector(t[0], t[2], 2, 3, 6, 7);
+  out[4] = __builtin_shufflevector(t[4], t[1], 2, 3, 6, 7);
+  out[5] = __builtin_shufflevector(t[3], t[5], 2, 3, 6, 7);
 }
 
 }  // namespace
@@ -283,27 +284,6 @@ void im2col_packed(const real* src, index_t c, index_t h, index_t w,
       }
     }
   }
-}
-
-Tensor im2col(const Tensor& image, index_t kh, index_t kw, index_t stride,
-              index_t pad) {
-  OASIS_CHECK_MSG(image.rank() == 3,
-                  "im2col: expected [C,H,W], got " << to_string(image.shape()));
-  OASIS_CHECK_MSG(kh == kw, "im2col: square kernels only, got " << kh << "x"
-                                                                << kw);
-  OASIS_CHECK(stride >= 1);
-  const index_t c = image.dim(0), h = image.dim(1), w = image.dim(2);
-  const index_t pix =
-      conv_out_extent(h, kh, stride, pad) * conv_out_extent(w, kw, stride, pad);
-  const index_t taps = c * kh * kw;
-  std::vector<real> panels(gemm::packed_a_size(taps, pix));
-  im2col_packed(image.data().data(), c, h, w, kh, stride, pad, panels.data());
-  Tensor cols({taps, pix});
-  for (index_t kk = 0; kk < taps; ++kk)
-    for (index_t p = 0; p < pix; ++p)
-      cols.at2(kk, p) = panels[(kk / gemm::kMR * pix + p) * gemm::kMR +
-                               kk % gemm::kMR];
-  return cols;
 }
 
 Tensor col2im(const Tensor& cols, index_t channels, index_t height,

@@ -54,18 +54,9 @@ Tensor softmax_rows(const Tensor& logits);
 /// Row-wise log-softmax of a rank-2 tensor (numerically stabilized).
 Tensor log_softmax_rows(const Tensor& logits);
 
-/// im2col for 2-D convolution.
-///
-/// Input [C, H, W] is unrolled into a matrix of shape
-/// [C*kh*kw, out_h*out_w] so convolution becomes a single matmul with the
-/// (out_channels × C*kh*kw) filter matrix. Zero padding, stride >= 1,
-/// square kernels (kh == kw). The inspection form: Conv2d never builds this
-/// matrix; it lowers each sample straight into packed GEMM panels with the
-/// two functions below, and this unpacks the second of them.
-Tensor im2col(const Tensor& image, index_t kh, index_t kw, index_t stride,
-              index_t pad);
-
-// Panel lowerings (DESIGN.md §5k). Both read one [C, H, W] image at `src`
+// im2col for 2-D convolution, lowered straight into packed GEMM panels
+// (DESIGN.md §5k); no function builds the plain column matrix
+// [C*k*k, out_h*out_w]. Both lowerings read one [C, H, W] image at `src`
 // through a zero-padded copy in the calling thread's workspace, write every
 // value of the packed operand (zero-padded rows included) in the
 // gemm::run_packed layout, and count one kernel.im2col call. Square k×k

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -696,6 +697,45 @@ TEST(ConvPacked, RunPackedCountsOneCallPerProduct) {
     EXPECT_EQ(calls.value(), 1u);
     EXPECT_EQ(flops.value(),
               static_cast<std::uint64_t>(tensor::gemm::flops(m, k, n)));
+  }
+}
+
+TEST(ConvPacked, RunPackedPathsAgreeWhereZerosMeetInfAndNaN) {
+  // A zero column of A (a padding tap) meets Inf and NaN in B (a diverged
+  // weight): the register kernel computes 0·Inf = NaN, and the oracle must
+  // too, not skip the zero term.
+  KernelEnvGuard guard;
+  common::Rng rng(0x1CF0u);
+  const index_t m = 7, k = 5, n = 9, zero_tap = 2;
+  auto a = random_vec(m * k, rng);
+  auto b = random_vec(k * n, rng);
+  for (index_t i = 0; i < m; ++i) a[i * k + zero_tap] = 0.0;
+  b[zero_tap * n + 1] = std::numeric_limits<real>::infinity();
+  b[zero_tap * n + 4] = -std::numeric_limits<real>::infinity();
+  b[zero_tap * n + 6] = std::numeric_limits<real>::quiet_NaN();
+  using tensor::gemm::kMR;
+  std::vector<real> ap(tensor::gemm::packed_a_size(m, k), 0.0);
+  for (index_t i = 0; i < m; ++i)
+    for (index_t kk = 0; kk < k; ++kk)
+      ap[((i / kMR) * k + kk) * kMR + i % kMR] = a[i * k + kk];
+  std::vector<real> bp(tensor::gemm::packed_b_size(k, n));
+  tensor::gemm::pack_b(Variant::NN, k, n, b.data(), bp.data());
+  std::vector<real> c[2];
+  for (const bool naive : {false, true}) {
+    tensor::gemm::set_naive(naive);
+    c[naive] = std::vector<real>(m * n, 0.0);
+    tensor::gemm::run_packed(m, k, n, ap.data(), bp.data(), c[naive].data());
+  }
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      const real blocked = c[0][i * n + j], naive = c[1][i * n + j];
+      const bool poisoned = j == 1 || j == 4 || j == 6;
+      EXPECT_EQ(std::isnan(blocked), poisoned) << i << "," << j;
+      EXPECT_EQ(std::isnan(naive), poisoned) << i << "," << j;
+      if (!poisoned) {
+        EXPECT_TRUE(bits_equal({blocked}, {naive})) << i << "," << j;
+      }
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/crc32c.h"
 #include "common/rng.h"
@@ -193,10 +194,27 @@ TEST(Ops, LogSoftmaxMatchesLogOfSoftmax) {
   }
 }
 
+/// The plain column matrix [C*k*k, out_h*out_w] of a [C, H, W] image,
+/// unpacked from the panels tensor::im2col_packed writes.
+Tensor im2col(const Tensor& image, index_t k, index_t stride, index_t pad) {
+  const index_t c = image.dim(0), h = image.dim(1), w = image.dim(2);
+  const index_t pix =
+      conv_out_extent(h, k, stride, pad) * conv_out_extent(w, k, stride, pad);
+  const index_t taps = c * k * k;
+  std::vector<real> panels(gemm::packed_a_size(taps, pix));
+  im2col_packed(image.data().data(), c, h, w, k, stride, pad, panels.data());
+  Tensor cols({taps, pix});
+  for (index_t kk = 0; kk < taps; ++kk)
+    for (index_t p = 0; p < pix; ++p)
+      cols.at2(kk, p) =
+          panels[(kk / gemm::kMR * pix + p) * gemm::kMR + kk % gemm::kMR];
+  return cols;
+}
+
 TEST(Ops, Im2ColIdentityKernel) {
   // 1x1 kernel, stride 1, no padding: im2col is a reshape.
   Tensor img({1, 2, 2}, {1, 2, 3, 4});
-  Tensor cols = im2col(img, 1, 1, 1, 0);
+  Tensor cols = im2col(img, 1, 1, 0);
   EXPECT_EQ(cols.shape(), (Shape{1, 4}));
   EXPECT_DOUBLE_EQ(cols.at2(0, 3), 4.0);
 }
@@ -204,7 +222,7 @@ TEST(Ops, Im2ColIdentityKernel) {
 TEST(Ops, Im2ColKnownPatch) {
   // 2x2 image, 2x2 kernel: single output position contains the whole image.
   Tensor img({1, 2, 2}, {1, 2, 3, 4});
-  Tensor cols = im2col(img, 2, 2, 1, 0);
+  Tensor cols = im2col(img, 2, 1, 0);
   EXPECT_EQ(cols.shape(), (Shape{4, 1}));
   EXPECT_DOUBLE_EQ(cols.at2(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(cols.at2(3, 0), 4.0);
@@ -212,7 +230,7 @@ TEST(Ops, Im2ColKnownPatch) {
 
 TEST(Ops, Im2ColPaddingProducesZeros) {
   Tensor img({1, 1, 1}, {5.0});
-  Tensor cols = im2col(img, 3, 3, 1, 1);
+  Tensor cols = im2col(img, 3, 1, 1);
   EXPECT_EQ(cols.shape(), (Shape{9, 1}));
   // Center tap sees the pixel; corners see padding.
   EXPECT_DOUBLE_EQ(cols.at2(4, 0), 5.0);
@@ -228,7 +246,7 @@ TEST(Ops, Col2ImIsAdjointOfIm2Col) {
   const index_t oh = conv_out_extent(h, k, stride, pad);
   const index_t ow = conv_out_extent(w, k, stride, pad);
   Tensor y = Tensor::randn({c * k * k, oh * ow}, rng);
-  const Tensor ix = im2col(x, k, k, stride, pad);
+  const Tensor ix = im2col(x, k, stride, pad);
   real lhs = 0.0;
   for (index_t i = 0; i < ix.size(); ++i) lhs += ix[i] * y[i];
   const Tensor cy = col2im(y, c, h, w, k, k, stride, pad);

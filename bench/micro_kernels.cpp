@@ -277,19 +277,25 @@ void run_thread_sweeps(index_t top) {
 // Threads GEMM sweep: times the blocked kernel at 1 thread and the pool
 // size against the 1-thread naive oracle. Two shape sets: square cubes in
 // each variant, and the exact GEMMs the round benchmark's workloads issue
-// (in the variant the layer calls). The cubes alone once hid a 3× loss on
-// the conv shapes, whose small m leaves most register tiles ragged. The
-// table goes to bench_out/BENCH_gemm.json — the acceptance artifact for the
-// kernel layer (DESIGN.md §5f/§5k): the differential tests prove the bits
-// match, this records how much faster the blocked path is.
+// (in the variant, or through the packed entry, the layer calls). The cubes
+// alone once hid a 3× loss on the conv shapes, whose small m leaves most
+// register tiles ragged. The table goes to bench_out/BENCH_gemm.json — the
+// acceptance artifact for the kernel layer (DESIGN.md §5f/§5k): the
+// differential tests prove the bits match, this records how much faster the
+// blocked path is. It runs as the BM_GemmSweep benchmark, so a
+// --benchmark_filter that does not select it leaves the file alone.
 struct GemmShape {
   const char* name;
   tensor::gemm::Variant variant;
   index_t m, k, n;
+  /// Timed through gemm::run_packed on pre-packed operands (row-major A·B),
+  /// as Conv2d issues its forward and weight-gradient products.
+  bool packed = false;
 };
 
-const char* variant_name(tensor::gemm::Variant v) {
-  switch (v) {
+const char* variant_name(const GemmShape& s) {
+  if (s.packed) return "packed";
+  switch (s.variant) {
     case tensor::gemm::Variant::NN: return "nn";
     case tensor::gemm::Variant::TN: return "tn";
     case tensor::gemm::Variant::NT: return "nt";
@@ -305,12 +311,15 @@ std::vector<GemmShape> gemm_sweep_shapes() {
       shapes.push_back({"cube", v, n, n, n});
     }
   }
+  // Conv2d's forward (outᵀ = colsᵀ·Wᵀ) and weight gradient (gWᵀ = cols·gyᵀ)
+  // run per sample on lowered panels, roles swapped so the pixels fill the
+  // register tiles.
   const GemmShape workload[] = {
-      {"conv0_fwd", Variant::NN, 8, 27, 576},
-      {"conv0_grad_w", Variant::NT, 8, 576, 27},
+      {"conv0_fwd", Variant::NN, 576, 27, 8, true},
+      {"conv0_grad_w", Variant::NN, 27, 576, 8, true},
       {"conv0_grad_x", Variant::TN, 27, 8, 576},
-      {"conv1_fwd", Variant::NN, 16, 72, 144},
-      {"conv1_grad_w", Variant::NT, 16, 144, 72},
+      {"conv1_fwd", Variant::NN, 144, 72, 16, true},
+      {"conv1_grad_w", Variant::NN, 72, 144, 16, true},
       {"conv1_grad_x", Variant::TN, 72, 16, 144},
       {"mlp_dense0_fwd", Variant::NT, 32, 3072, 256},
       {"mlp_dense0_grad_w", Variant::TN, 256, 32, 3072},
@@ -342,10 +351,28 @@ int gemm_reps(const GemmShape& s) {
   return static_cast<int>(std::clamp(1e8 / flops, 3.0, 300.0));
 }
 
+/// Row-major m×k A in gemm's packed-A panel layout (rows past m zero).
+std::vector<real> pack_a(const std::vector<real>& a, index_t m, index_t k) {
+  using tensor::gemm::kMR;
+  std::vector<real> ap(tensor::gemm::packed_a_size(m, k), 0.0);
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t kk = 0; kk < k; ++kk) {
+      ap[((i / kMR) * k + kk) * kMR + i % kMR] = a[i * k + kk];
+    }
+  }
+  return ap;
+}
+
 double time_gemm_best(const GemmShape& s, const std::vector<real>& a,
                       const std::vector<real>& b, std::vector<real>& c,
                       bool naive) {
   using Clock = std::chrono::steady_clock;
+  std::vector<real> ap, bp;
+  if (s.packed && !naive) {
+    ap = pack_a(a, s.m, s.k);
+    bp.resize(tensor::gemm::packed_b_size(s.k, s.n));
+    tensor::gemm::pack_b(s.variant, s.k, s.n, b.data(), bp.data());
+  }
   double best = 1e100;
   for (int rep = 0, reps = gemm_reps(s); rep < reps; ++rep) {
     std::fill(c.begin(), c.end(), 0.0);
@@ -353,6 +380,8 @@ double time_gemm_best(const GemmShape& s, const std::vector<real>& a,
     if (naive) {
       tensor::gemm::naive(s.variant, s.m, s.k, s.n, a.data(), b.data(),
                           c.data());
+    } else if (s.packed) {
+      tensor::gemm::run_packed(s.m, s.k, s.n, ap.data(), bp.data(), c.data());
     } else {
       tensor::gemm::blocked(s.variant, s.m, s.k, s.n, a.data(), b.data(),
                             c.data());
@@ -379,7 +408,7 @@ void gemm_sweep(const std::vector<index_t>& counts,
       rows.push_back({s, threads, naive_s, blocked_s});
       std::printf("  %-17s %-3s %4zux%4zux%4zu %3zu %10.6f %10.6f %7.2fx "
                   "%6.1f\n",
-                  s.name, variant_name(s.variant),
+                  s.name, variant_name(s),
                   static_cast<std::size_t>(s.m),
                   static_cast<std::size_t>(s.k),
                   static_cast<std::size_t>(s.n),
@@ -418,7 +447,7 @@ void run_gemm_sweep(index_t top) {
         "\"naive_seconds\": %.6f, \"blocked_seconds\": %.6f, "
         "\"speedup_vs_naive\": %.3f, \"blocked_gflops\": %.2f}",
         i == 0 ? "" : ",", r.shape.name,
-        variant_name(r.shape.variant), static_cast<std::size_t>(r.shape.m),
+        variant_name(r.shape), static_cast<std::size_t>(r.shape.m),
         static_cast<std::size_t>(r.shape.k),
         static_cast<std::size_t>(r.shape.n),
         static_cast<std::size_t>(r.threads), r.naive_s, r.blocked_s,
@@ -445,8 +474,14 @@ int main(int argc, char** argv) {
     std::printf("[metrics] %s\n", metrics_path.c_str());
   }
   obs::set_kernel_metrics(false);
-  run_gemm_sweep(threads);
   runtime::set_num_threads(threads);
+  benchmark::RegisterBenchmark("BM_GemmSweep",
+                               [threads](benchmark::State& state) {
+                                 for (auto _ : state) run_gemm_sweep(threads);
+                                 runtime::set_num_threads(threads);
+                               })
+      ->Iterations(1)
+      ->Unit(benchmark::kMillisecond);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -128,7 +128,10 @@ run_net() {
   # The socket serving layer parses hostile bytes (frame fuzz sweeps, every
   # truncation, seeded bit flips) — ASan/UBSan territory — and its
   # poll-driven event loop plus the fork-based federation get a TSan pass
-  # over a real loopback round-trip.
+  # over a real loopback round-trip. The payload byte paths (DESIGN.md §5p:
+  # shared frame payloads, the scatter-gather outbox, the decoder's body
+  # growth) run under both: NetAlloc drives a federation whose clients run
+  # on threads of their own.
   echo "==> [ci] Net stage: socket serving tests + net_rounds under ASan/UBSan, TSan loopback"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target net_test net_rounds
@@ -139,7 +142,7 @@ run_net() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target net_test
   ./build-tsan/tests/net_test \
-    --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly:NetRound.FaultPlanLoopbackMatchesSingleAttemptSimulation'
+    --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly:NetRound.FaultPlanLoopbackMatchesSingleAttemptSimulation:NetAlloc.*:Outbox.*:FrameDecoder.*'
 }
 
 run_net_chaos() {

@@ -116,12 +116,6 @@ class SectionReader {
     off_ += n;
     return b;
   }
-  /// Everything not yet read: the trailing payload append() wrote.
-  ByteBuffer rest() {
-    ByteBuffer b(in_.begin() + static_cast<std::ptrdiff_t>(off_), in_.end());
-    off_ = in_.size();
-    return b;
-  }
   std::vector<bool> bitset() {
     const std::uint64_t nbits = u64();
     const std::uint64_t nbytes = (nbits + 7) / 8;

@@ -2,21 +2,62 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <string>
 
 #include "common/error.h"
+#include "tensor/serialize.h"
 #include "tensor/shape.h"
 
 namespace oasis::fl {
 
-void FedAvgAccumulator::add(const ClientUpdateMessage& update) {
+namespace {
+
+/// The one fold step under every entry point: the first update is scaled
+/// rather than added into zeros, so -0.0 payload values survive bitwise
+/// (0.0 + -0.0 is +0.0); every later one is fused into the sum. `values`
+/// may point into a message, so it is read unaligned.
+void fold_values(real* total, const void* values, index_t n, real w,
+                 bool first) {
+  for (index_t k = 0; k < n; ++k) {
+    real v;
+    std::memcpy(&v, static_cast<const std::uint8_t*>(values) + k * sizeof(v),
+                sizeof(v));
+    total[k] = first ? v * w : std::fma(w, v, total[k]);
+  }
+}
+
+}  // namespace
+
+void FedAvgAccumulator::add(const ClientUpdateMessage& update, bool screened) {
   const auto weight = static_cast<real>(update.num_examples);
   if (weight <= 0.0) {
     throw AggregationError("client " + std::to_string(update.client_id) +
                            " reported zero examples");
   }
-  add(tensor::deserialize_tensors(update.gradients), weight);
+  const auto found = tensor::locate_tensors(update.gradients, !screened);
+  // The first update of a round overwrites the storage the last one left.
+  const bool first = total_.empty();
+  const std::vector<tensor::Tensor>& shaped = first ? spare_ : total_;
+  bool fits = shaped.size() == found.size();
+  for (std::size_t i = 0; fits && i < found.size(); ++i) {
+    fits = shaped[i].shape() == found[i].shape;
+  }
+  OASIS_CHECK_MSG(first || fits, "update tensors do not match the running "
+                                 "sum's " << total_.size() << " tensors");
+  if (first && !fits) {
+    spare_.clear();
+    for (const auto& t : found) spare_.emplace_back(t.shape);
+  }
+  if (first) total_ = std::move(spare_);
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    fold_values(total_[i].data().data(),
+                update.gradients.data() + found[i].offset, found[i].numel,
+                weight, first);
+  }
+  total_weight_ += weight;
+  ++count_;
 }
 
 void FedAvgAccumulator::add(std::vector<tensor::Tensor> gradients,
@@ -24,19 +65,19 @@ void FedAvgAccumulator::add(std::vector<tensor::Tensor> gradients,
   if (weight <= 0.0) {
     throw AggregationError("FedAvg weight must be positive");
   }
-  if (total_.empty()) {
-    // First update: scale in place rather than adding into zeros, so -0.0
-    // payload values survive bitwise (0.0 + -0.0 is +0.0).
-    total_ = std::move(gradients);
-    for (auto& t : total_) t *= weight;
-  } else {
-    OASIS_CHECK_MSG(gradients.size() == total_.size(),
-                    "update tensor count mismatch: " << gradients.size()
-                                                     << " vs "
-                                                     << total_.size());
-    for (std::size_t i = 0; i < gradients.size(); ++i) {
-      total_[i].add_scaled_(gradients[i], weight);
-    }
+  const bool first = total_.empty();
+  if (first) total_ = std::move(gradients);  // scaled in place below
+  OASIS_CHECK_MSG(first || gradients.size() == total_.size(),
+                  "update tensor count mismatch: " << gradients.size()
+                                                   << " vs " << total_.size());
+  for (std::size_t i = 0; !first && i < total_.size(); ++i) {
+    tensor::check_same_shape(total_[i].shape(), gradients[i].shape(),
+                             "FedAvg fold");
+  }
+  for (std::size_t i = 0; i < total_.size(); ++i) {
+    fold_values(total_[i].data().data(),
+                (first ? total_ : gradients)[i].data().data(),
+                total_[i].size(), weight, first);
   }
   total_weight_ += weight;
   ++count_;
@@ -55,6 +96,7 @@ std::vector<tensor::Tensor> FedAvgAccumulator::average() const {
 }
 
 void FedAvgAccumulator::reset() {
+  if (!total_.empty()) spare_ = std::move(total_);
   total_.clear();
   total_weight_ = 0.0;
   count_ = 0;

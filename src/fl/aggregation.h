@@ -23,20 +23,24 @@ namespace oasis::fl {
 /// scalar total weight, regardless of how many updates stream through —
 /// the property that lets a round over 1M virtual clients run in O(shard)
 /// memory. Determinism: the result is a pure function of the SEQUENCE of
-/// add() calls; the first update is scaled in place and every later one is
-/// folded with add_scaled_.
+/// add() calls. Every entry point runs one fold: the first update is scaled
+/// (v·w) and every later one fused into the sum (fma(w, v, total)). A
+/// payload is folded straight from its bytes, with no tensor built; after a
+/// reset() the next round's first update overwrites the storage the last
+/// round left, so a steady state allocates nothing.
 ///
 /// Checkpointable: partials()/total_weight()/count() expose the complete
 /// accumulator state and restore() reinstates it bit-exactly, so a huge
 /// round can resume from a mid-round shard-boundary snapshot.
 class FedAvgAccumulator {
  public:
-  /// Deserializes and folds one update weighted by its example count
-  /// (paper Eq. 1). Throws AggregationError on a zero example count, Error
-  /// on tensor count/shape mismatch with the running sum, and propagates
-  /// SerializationError for malformed payloads (callers are expected to
-  /// have screened updates already).
-  void add(const ClientUpdateMessage& update);
+  /// Folds one update's payload in place, weighted by its example count
+  /// (paper Eq. 1). Unless `screened` (the bytes passed
+  /// Server::screen_update, which checked the CRC), the CRC32C trailer is
+  /// verified first. Throws AggregationError on a zero example count,
+  /// Checksum/SerializationError on a damaged payload and Error on a tensor
+  /// count/shape mismatch with the running sum, before anything is folded.
+  void add(const ClientUpdateMessage& update, bool screened = false);
 
   /// Folds pre-deserialized gradients with an explicit weight (> 0); a
   /// weight of 1 per update gives the plain 1/M average.
@@ -63,6 +67,7 @@ class FedAvgAccumulator {
 
  private:
   std::vector<tensor::Tensor> total_;
+  std::vector<tensor::Tensor> spare_;  // the storage reset() released
   real total_weight_ = 0.0;
   std::uint64_t count_ = 0;
 };

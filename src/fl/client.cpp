@@ -95,8 +95,10 @@ ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg) {
   update.round = msg.round;
   update.client_id = id_;
   update.num_examples = training_batch.size();
-  update.gradients =
-      tensor::serialize_tensors(nn::snapshot_gradients(*model_));
+  // Serialized straight from the parameters' gradients: no snapshot copy.
+  std::vector<const tensor::Tensor*> grads;
+  for (const auto* p : model_->parameters()) grads.push_back(&p->grad);
+  update.gradients = tensor::serialize_tensors(grads);
   return update;
 }
 

@@ -15,9 +15,9 @@ InconsistentMaliciousServer::InconsistentMaliciousServer(
   OASIS_CHECK_MSG(dead_bias_ < 0.0, "dead bias must be negative");
 }
 
-GlobalModelMessage InconsistentMaliciousServer::begin_round() {
+const GlobalModelMessage& InconsistentMaliciousServer::begin_round() {
   // Manipulate + serialize the live malicious model (for the target).
-  const GlobalModelMessage live = MaliciousServer::begin_round();
+  const GlobalModelMessage& live = MaliciousServer::begin_round();
 
   // Deaden a copy for everyone else: push the malicious layer's biases so
   // far negative that its ReLU can never fire, leaving those clients'
@@ -46,7 +46,7 @@ GlobalModelMessage InconsistentMaliciousServer::begin_round() {
   return live;
 }
 
-GlobalModelMessage InconsistentMaliciousServer::dispatch_to(
+const GlobalModelMessage& InconsistentMaliciousServer::dispatch_to(
     std::uint64_t client_id) {
   return client_id == target_ ? MaliciousServer::dispatch_to(client_id)
                               : dead_dispatch_;

@@ -24,8 +24,8 @@ class InconsistentMaliciousServer : public MaliciousServer {
                               ModelManipulator manipulator,
                               std::uint64_t target, real dead_bias = -1e9);
 
-  GlobalModelMessage begin_round() override;
-  GlobalModelMessage dispatch_to(std::uint64_t client_id) override;
+  const GlobalModelMessage& begin_round() override;
+  const GlobalModelMessage& dispatch_to(std::uint64_t client_id) override;
 
   [[nodiscard]] std::uint64_t target() const { return target_; }
 

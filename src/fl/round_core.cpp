@@ -53,7 +53,8 @@ RejectReason RoundCore::screen(const ClientUpdateMessage& update) {
 void RoundCore::fold(const ClientUpdateMessage& update) {
   switch (aggregator_.kind) {
     case AggregatorKind::kFedAvg:
-      accumulator_.add(update);
+      // Straight from the screened bytes: screen() already checked the CRC.
+      accumulator_.add(update, /*screened=*/true);
       break;
     case AggregatorKind::kNormBounded: {
       // FedAvg's weighted fold over the update clipped to the norm ball.

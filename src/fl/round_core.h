@@ -55,6 +55,8 @@ class RoundCore {
 
   /// Screens one update; accepted ones go to fold() next, in fold order.
   RejectReason screen(const ClientUpdateMessage& update);
+  /// Folds an update screen() accepted. FedAvg folds it from its bytes in
+  /// place, trusting the CRC the screen verified.
   void fold(const ClientUpdateMessage& update);
   /// screen(), then fold() when accepted.
   RejectReason offer(const ClientUpdateMessage& update);

@@ -31,15 +31,13 @@ Server::Server(std::unique_ptr<nn::Sequential> global_model,
   OASIS_CHECK(learning_rate_ > 0.0);
 }
 
-GlobalModelMessage Server::begin_round() {
-  GlobalModelMessage msg;
-  msg.round = round_;
-  msg.model_state = nn::serialize_state(*model_);
-  current_dispatch_ = msg;
-  return msg;
+const GlobalModelMessage& Server::begin_round() {
+  current_dispatch_.round = round_;
+  current_dispatch_.model_state = nn::serialize_state(*model_);
+  return current_dispatch_;
 }
 
-GlobalModelMessage Server::dispatch_to(std::uint64_t /*client_id*/) {
+const GlobalModelMessage& Server::dispatch_to(std::uint64_t /*client_id*/) {
   return current_dispatch_;
 }
 
@@ -173,7 +171,7 @@ MaliciousServer::MaliciousServer(std::unique_ptr<nn::Sequential> global_model,
   OASIS_CHECK(manipulator_ != nullptr);
 }
 
-GlobalModelMessage MaliciousServer::begin_round() {
+const GlobalModelMessage& MaliciousServer::begin_round() {
   // Manipulate the live global model (the dishonest server controls it
   // outright), then dispatch the standard message — on the wire the round
   // looks like any other.

@@ -73,15 +73,18 @@ class Server {
   Server(std::unique_ptr<nn::Sequential> global_model, real learning_rate);
   virtual ~Server() = default;
 
-  /// Begins round `t`: returns the message to dispatch to selected clients.
-  /// Virtual so a dishonest server can manipulate the dispatched model.
-  virtual GlobalModelMessage begin_round();
+  /// Begins round `t`: serializes the model once and returns the message to
+  /// dispatch to selected clients. Virtual so a dishonest server can
+  /// manipulate the dispatched model.
+  virtual const GlobalModelMessage& begin_round();
 
   /// Per-client dispatch. The honest protocol sends every client the same
   /// message (the default forwards the one begin_round() built); a dishonest
   /// server may override this to send INCONSISTENT models — the primitive
   /// behind the secure-aggregation circumvention of Pasquini et al. (2022).
-  virtual GlobalModelMessage dispatch_to(std::uint64_t client_id);
+  /// The message is the server's own: it stays valid and unchanged until
+  /// the next begin_round(), so callers hold the reference instead of a copy.
+  virtual const GlobalModelMessage& dispatch_to(std::uint64_t client_id);
 
   /// Screens the round's client updates, aggregates the accepted subset
   /// with the configured aggregator, and advances the global model: one
@@ -168,7 +171,7 @@ class MaliciousServer : public Server {
   MaliciousServer(std::unique_ptr<nn::Sequential> global_model,
                   real learning_rate, ModelManipulator manipulator);
 
-  GlobalModelMessage begin_round() override;
+  const GlobalModelMessage& begin_round() override;
 
   /// All updates captured so far (most recent round last), in fold order,
   /// rejected ones included. The same under every engine.

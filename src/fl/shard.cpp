@@ -211,16 +211,17 @@ void ShardedSimulation::process_shard() {
 
   // Serial dispatch to every member: a (possibly malicious) server may
   // build per-client payloads from mutable state, so only training fans out.
+  // The messages are the server's own, stable until its next begin_round.
   std::vector<std::uint64_t> ids;
-  std::vector<GlobalModelMessage> dispatched;
+  std::vector<const GlobalModelMessage*> dispatched;
   ids.reserve(members.size());
   dispatched.reserve(members.size());
   {
     const obs::ScopedTimer dispatch_span("dispatch");
     for (const auto member : members) {
       ids.push_back(client_id(member));
-      dispatched.push_back(server_->dispatch_to(ids.back()));
-      bytes_down.add(dispatched.back().model_state.size());
+      dispatched.push_back(&server_->dispatch_to(ids.back()));
+      bytes_down.add(dispatched.back()->model_state.size());
     }
   }
 
@@ -277,7 +278,7 @@ void ShardedSimulation::process_shard() {
           std::unique_ptr<Client> built;
           if (population_) built = population_->make_client(ids[i]);
           Client& client = built ? *built : *clients_[members[i]];
-          return run_client_round(client, dispatched[i], defense_.get(),
+          return run_client_round(client, *dispatched[i], defense_.get(),
                                   defense_cohort_);
         },
         fault_plan_, ticket_, attempt,

@@ -90,7 +90,6 @@ void FlClient::drop_connection() {
   sock_.close();
   decoder_ = FrameDecoder(config_.max_frame_bytes);
   outbox_.clear();
-  outbox_off_ = 0;
   close_after_flush_ = false;
   replied_this_conn_ = false;
 }
@@ -104,31 +103,22 @@ void FlClient::open_connection(std::uint64_t now) {
   state_ = State::kActive;
   last_activity_ms_ = now;
   next_heartbeat_ms_ = now + config_.heartbeat_ms;
-  tensor::ByteBuffer opener;
   if (session_) {
     // The resume handshake carries the in-flight-update claim that resolves
     // the lost-ack ambiguity server-side.
     resumes_c.add(1);
     ++resumed_;
-    opener = encode_resume(Resume{config_.client_id, last_round_,
-                                  cache_.has_value(),
-                                  cache_ ? cache_->round : 0});
+    outbox_.push(encode_resume(Resume{config_.client_id, last_round_,
+                                      cache_.has_value(),
+                                      cache_ ? cache_->round : 0}));
   } else {
-    opener = encode_hello(Hello{config_.client_id});
+    outbox_.push(encode_hello(Hello{config_.client_id}));
   }
-  outbox_.insert(outbox_.end(), opener.begin(), opener.end());
   flush_outbox();
 }
 
 void FlClient::flush_outbox() {
-  while (outbox_off_ < outbox_.size()) {
-    const long put = write_some(sock_, outbox_.data() + outbox_off_,
-                                outbox_.size() - outbox_off_);
-    if (put == 0) return;  // kernel buffer full; resume next step
-    outbox_off_ += static_cast<std::size_t>(put);
-  }
-  outbox_.clear();
-  outbox_off_ = 0;
+  if (!outbox_.flush(sock_)) return;  // kernel buffer full; resume next step
   if (close_after_flush_) {
     // The mid-frame truncation fault: the queued prefix is on the wire,
     // the rest never will be.
@@ -141,18 +131,16 @@ void FlClient::resend_cached() {
   resends_c.add(1);
   ++resends_;
   cache_->held_until_ms.reset();
-  outbox_.insert(outbox_.end(), cache_->frame.begin(), cache_->frame.end());
+  outbox_.push(cache_->frame);
   replied_this_conn_ = true;
   flush_outbox();
 }
 
-void FlClient::send_update(const tensor::ByteBuffer& bytes, int copies) {
+void FlClient::send_update(const OutFrame& frame, int copies) {
   static obs::Counter& sent_c = obs::counter("net.client.updates_sent");
   sent_c.add(1);
   ++sent_;
-  for (int i = 0; i < copies; ++i) {
-    outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
-  }
+  for (int i = 0; i < copies; ++i) outbox_.push(frame);
   replied_this_conn_ = true;
   flush_outbox();
 }
@@ -229,7 +217,8 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg,
   plan_.apply(*update, fault, msg.round, /*attempt=*/0, config_.client_id);
   // Cache the frame exactly as sent: a reconnect retransmits these bytes,
   // so the server-side fold sees identical input either way.
-  cache_ = CachedUpdate{msg.round, encode_update(*update), std::nullopt};
+  cache_ = CachedUpdate{msg.round, update_frame(std::move(*update)),
+                        std::nullopt};
   if (fault.kind == fl::FaultKind::kStraggler) {
     // pump_active sends it once the delay has passed.
     cache_->held_until_ms = now + fault.delay_ticks;
@@ -271,7 +260,7 @@ void FlClient::handle_resume_ack(const ResumeAck& ack) {
   }
 }
 
-void FlClient::handle_frame(const Frame& frame, std::uint64_t now) {
+void FlClient::handle_frame(Frame frame, std::uint64_t now) {
   static obs::Counter& bounced_c = obs::counter("net.client.retry_after");
   static obs::Counter& committed_c = obs::counter("net.client.rounds_committed");
   // Any well-formed frame proves the server is alive, so the attempt budget
@@ -287,7 +276,7 @@ void FlClient::handle_frame(const Frame& frame, std::uint64_t now) {
       return;
     }
     case FrameType::kModel:
-      handle_model(decode_model(frame.body), now);
+      handle_model(decode_model(std::move(frame.body)), now);
       return;
     case FrameType::kRetryAfter: {
       // Backpressure: the federation is mid-round or full. Not a failure —
@@ -345,11 +334,11 @@ void FlClient::handle_frame(const Frame& frame, std::uint64_t now) {
 
 void FlClient::pump_active(int timeout_ms, std::uint64_t now) {
   pollfd pfd{sock_.fd(), POLLIN, 0};
-  if (outbox_off_ < outbox_.size()) pfd.events |= POLLOUT;
+  if (!outbox_.empty()) pfd.events |= POLLOUT;
   ::poll(&pfd, 1, timeout_ms);
 
   try {
-    if (outbox_off_ < outbox_.size()) flush_outbox();
+    if (!outbox_.empty()) flush_outbox();
     if (state_ != State::kActive) return;  // flush may have dropped us
     std::uint8_t buf[16 * 1024];
     while (sock_.valid()) {
@@ -368,7 +357,7 @@ void FlClient::pump_active(int timeout_ms, std::uint64_t now) {
       last_activity_ms_ = now;
       decoder_.feed(buf, static_cast<std::size_t>(got));
       while (auto frame = decoder_.next()) {
-        handle_frame(*frame, now);
+        handle_frame(std::move(*frame), now);
         if (state_ != State::kActive) return;
       }
     }
@@ -381,8 +370,7 @@ void FlClient::pump_active(int timeout_ms, std::uint64_t now) {
       static obs::Counter& heartbeats = obs::counter("net.heartbeat.sent");
       next_heartbeat_ms_ = now + config_.heartbeat_ms;
       heartbeats.add(1);
-      const auto hb = encode_heartbeat();
-      outbox_.insert(outbox_.end(), hb.begin(), hb.end());
+      outbox_.push(encode_heartbeat());
       flush_outbox();
     }
     if (state_ == State::kActive &&

@@ -151,11 +151,12 @@ class FlClient {
   };
 
   /// The trained-and-encoded update for one round, byte-for-byte as first
-  /// sent. Held until the server acknowledges the round's outcome, so a
-  /// reconnect can retransmit without retraining.
+  /// sent: a head and the shared payload the outbox sends from. Held until
+  /// the server acknowledges the round's outcome, so a reconnect can
+  /// retransmit without retraining.
   struct CachedUpdate {
     std::uint64_t round = 0;
-    tensor::ByteBuffer frame;
+    OutFrame frame;
     /// A straggler's update is not sent before this TimeSource instant.
     std::optional<std::uint64_t> held_until_ms;
   };
@@ -164,10 +165,10 @@ class FlClient {
   [[nodiscard]] std::uint64_t backoff_wait() const;
   void open_connection(std::uint64_t now);
   void pump_active(int timeout_ms, std::uint64_t now);
-  void handle_frame(const Frame& frame, std::uint64_t now);
+  void handle_frame(Frame frame, std::uint64_t now);
   void handle_model(const fl::GlobalModelMessage& msg, std::uint64_t now);
-  /// Queues `copies` of `bytes` and counts one update sent.
-  void send_update(const tensor::ByteBuffer& bytes, int copies);
+  /// Queues `copies` of `frame` and counts one update sent.
+  void send_update(const OutFrame& frame, int copies);
   void forget_session();
   void handle_resume_ack(const ResumeAck& ack);
   void resend_cached();
@@ -184,8 +185,7 @@ class FlClient {
   State state_ = State::kBackoff;
   Socket sock_;
   FrameDecoder decoder_;
-  tensor::ByteBuffer outbox_;
-  std::size_t outbox_off_ = 0;
+  Outbox outbox_;
   bool close_after_flush_ = false;
   bool goodbye_ = false;
   index_t attempt_ = 0;

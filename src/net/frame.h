@@ -12,20 +12,29 @@
 // and fixed fields are written and read with the checkpoint codec
 // (ckpt::SectionWriter / SectionReader), whose integers are little-endian.
 //
+// Payloads are not copied on the way (DESIGN.md §5p): a queued OutFrame is
+// a head plus a payload shared by reference, written where it lies, and
+// FrameDecoder hands each body out by move for decode_model/decode_update
+// to strip in place.
+//
 // FrameDecoder is incremental: feed() whatever bytes the socket produced,
 // next() yields complete frames. Malformed input (oversized length prefix,
 // unknown type byte) throws NetError at the earliest byte that proves the
 // stream damaged, BEFORE any allocation proportional to the hostile length —
-// the same discipline as tensor/serialize.h. A connection that closes while
-// mid_frame() is the drop-mid-frame fault and maps to kTruncatedFrame.
+// the same discipline as tensor/serialize.h: a body's allocation tracks the
+// bytes received. A connection that closes while mid_frame() is the
+// drop-mid-frame fault and maps to kTruncatedFrame.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "fl/message.h"
 #include "net/error.h"
+#include "net/socket.h"
 #include "tensor/serialize.h"
 
 namespace oasis::net {
@@ -117,8 +126,7 @@ struct VersionReject {
 };
 
 // --- Encoding ---------------------------------------------------------------
-// Each encode_* returns the COMPLETE frame (header included), ready to queue
-// on a connection's outbox.
+// Each encode_* returns the COMPLETE frame (header included), contiguous.
 
 tensor::ByteBuffer encode_hello(const Hello& hello);
 tensor::ByteBuffer encode_welcome(const Welcome& welcome);
@@ -132,6 +140,46 @@ tensor::ByteBuffer encode_resume_ack(const ResumeAck& ack);
 tensor::ByteBuffer encode_heartbeat();
 tensor::ByteBuffer encode_version_reject(const VersionReject& reject);
 
+/// A frame as it is queued for the wire: `head` (header and fixed fields;
+/// a whole encode_* frame converts), then a `payload` frames may share.
+struct OutFrame {
+  OutFrame(tensor::ByteBuffer bytes) : head(std::move(bytes)) {}  // NOLINT
+  [[nodiscard]] std::size_t size() const {
+    return head.size() + (payload ? payload->size() : 0);
+  }
+
+  tensor::ByteBuffer head;
+  std::shared_ptr<const tensor::ByteBuffer> payload;
+};
+
+/// encode_model's bytes, carrying `state` by reference.
+OutFrame model_frame(std::uint64_t round,
+                     std::shared_ptr<const tensor::ByteBuffer> state);
+/// encode_update's bytes, the gradients moved into the shared payload.
+OutFrame update_frame(fl::ClientUpdateMessage msg);
+
+/// A connection's send queue; each flush gathers heads and payloads into
+/// one scatter-gather write.
+class Outbox {
+ public:
+  void push(OutFrame frame) { frames_.push_back(std::move(frame)); }
+  /// Writes what the socket takes (write_some's contract, NetError{kIo}
+  /// included). True once everything queued is on the wire.
+  bool flush(const Socket& socket);
+  [[nodiscard]] bool empty() const { return frames_.empty(); }
+  void clear() {
+    frames_.clear();
+    sent_ = 0;
+  }
+  /// Points every queued frame that carries `from` at `to` instead.
+  void repoint(const std::shared_ptr<const tensor::ByteBuffer>& from,
+               const std::shared_ptr<const tensor::ByteBuffer>& to);
+
+ private:
+  std::deque<OutFrame> frames_;
+  std::size_t sent_ = 0;  // bytes of frames_.front() already written
+};
+
 // --- Decoding ---------------------------------------------------------------
 // Each decode_* consumes a frame BODY (header already stripped by the
 // decoder) and throws NetError{kMalformedFrame} on short/overlong bodies,
@@ -139,8 +187,10 @@ tensor::ByteBuffer encode_version_reject(const VersionReject& reject);
 
 Hello decode_hello(const tensor::ByteBuffer& body);
 Welcome decode_welcome(const tensor::ByteBuffer& body);
-fl::GlobalModelMessage decode_model(const tensor::ByteBuffer& body);
-fl::ClientUpdateMessage decode_update(const tensor::ByteBuffer& body);
+/// Sinks: the fixed fields are dropped in place and the body's own buffer
+/// becomes the payload.
+fl::GlobalModelMessage decode_model(tensor::ByteBuffer body);
+fl::ClientUpdateMessage decode_update(tensor::ByteBuffer body);
 std::uint64_t decode_retry_after(const tensor::ByteBuffer& body);
 RoundResult decode_round_result(const tensor::ByteBuffer& body);
 Resume decode_resume(const tensor::ByteBuffer& body);
@@ -154,26 +204,32 @@ class FrameDecoder {
  public:
   explicit FrameDecoder(std::size_t max_body_bytes = kDefaultMaxBodyBytes);
 
-  /// Appends raw socket bytes. Never throws; validation happens in next().
+  /// Appends raw socket bytes to the frames they belong to. Never throws;
+  /// validation happens in next().
   void feed(const std::uint8_t* data, std::size_t n);
 
-  /// Returns the next complete frame, or nullopt when more bytes are needed.
-  /// Throws NetError{kOversizedFrame} the moment a length prefix exceeds the
-  /// budget and NetError{kBadFrameType} on an unknown type byte — both
-  /// before the body is buffered or allocated for.
+  /// Returns the next complete frame (its body moved out), or nullopt when
+  /// more bytes are needed. Throws NetError{kOversizedFrame} the moment a
+  /// length prefix exceeds the budget and NetError{kBadFrameType} on an
+  /// unknown type byte — both before the body is buffered or allocated for.
   std::optional<Frame> next();
 
   /// True when a partial frame is buffered — a clean peer close at this
   /// point is a truncated-frame error, not a graceful shutdown.
-  [[nodiscard]] bool mid_frame() const { return buf_.size() > off_; }
-
-  /// Bytes buffered but not yet consumed by next().
-  [[nodiscard]] std::size_t buffered() const { return buf_.size() - off_; }
+  [[nodiscard]] bool mid_frame() const {
+    return head_len_ > 0 || !ready_.empty();
+  }
 
  private:
+  void open_frame();  // validates a complete header
+
   std::size_t max_body_bytes_;
-  tensor::ByteBuffer buf_;
-  std::size_t off_ = 0;  // consumed prefix of buf_
+  std::uint8_t head_[kFrameHeaderBytes] = {};
+  std::size_t head_len_ = 0;       // header bytes of the open frame
+  std::uint32_t body_len_ = 0;     // its claimed body length
+  Frame open_;                     // the frame being received
+  std::deque<Frame> ready_;        // complete, not yet handed out
+  std::optional<NetError> error_;  // the stream is damaged from here on
 };
 
 }  // namespace oasis::net

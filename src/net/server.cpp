@@ -44,8 +44,7 @@ struct FlServer::Conn {
   State state = State::kHandshake;
   std::uint64_t client_id = 0;
   FrameDecoder decoder;
-  tensor::ByteBuffer outbox;
-  std::size_t outbox_off = 0;
+  Outbox outbox;
   std::uint64_t last_activity_ms = 0;
   std::uint64_t rounds_participated = 0;
   index_t updates_this_round = 0;
@@ -106,17 +105,12 @@ void FlServer::fire_event(Event event) {
   if (event_hook_) event_hook_(event);
 }
 
-void FlServer::send_frame(Conn& conn, tensor::ByteBuffer frame_bytes) {
+void FlServer::send_frame(Conn& conn, OutFrame frame) {
   static obs::Counter& frames = obs::counter("net.frames.sent");
   static obs::Counter& bytes = obs::counter("net.bytes.sent");
   frames.add(1);
-  bytes.add(frame_bytes.size());
-  if (conn.outbox_off > 0 && conn.outbox_off == conn.outbox.size()) {
-    conn.outbox.clear();
-    conn.outbox_off = 0;
-  }
-  conn.outbox.insert(conn.outbox.end(), frame_bytes.begin(),
-                     frame_bytes.end());
+  bytes.add(frame.size());
+  conn.outbox.push(std::move(frame));
   pump_write(conn);
 }
 
@@ -193,24 +187,16 @@ void FlServer::pump_read(Conn& conn, std::uint64_t now) {
 void FlServer::pump_write(Conn& conn) {
   if (!conn.sock.valid()) return;
   try {
-    while (conn.outbox_off < conn.outbox.size()) {
-      const long put =
-          write_some(conn.sock, conn.outbox.data() + conn.outbox_off,
-                     conn.outbox.size() - conn.outbox_off);
-      if (put == 0) return;  // kernel buffer full; POLLOUT resumes us
-      conn.outbox_off += static_cast<std::size_t>(put);
-    }
+    if (!conn.outbox.flush(conn.sock)) return;  // POLLOUT resumes us
   } catch (const NetError&) {
     close_conn(conn, "send_failed");
     return;
   }
-  conn.outbox.clear();
-  conn.outbox_off = 0;
   if (conn.close_after_flush) close_conn(conn, "");
 }
 
-void FlServer::send_and_close(Conn& conn, tensor::ByteBuffer frame_bytes) {
-  send_frame(conn, std::move(frame_bytes));
+void FlServer::send_and_close(Conn& conn, OutFrame frame) {
+  send_frame(conn, std::move(frame));
   conn.close_after_flush = true;
 }
 
@@ -296,9 +282,7 @@ void FlServer::handle_resume(Conn& conn, const Resume& resume) {
         resume.has_update && resume.update_round == round_id_;
     send_frame(conn, encode_resume_ack(
                          ResumeAck{round_id_, ResumeStatus::kPending}));
-    if (!holds_this_round) {
-      send_frame(conn, encode_model(core_.dispatch_to(resume.client_id)));
-    }
+    if (!holds_this_round) send_frame(conn, dispatch_frame(resume.client_id));
     return;
   }
 
@@ -320,10 +304,10 @@ void FlServer::handle_resume(Conn& conn, const Resume& resume) {
   send_frame(conn, encode_resume_ack(ResumeAck{core_.round(), status}));
 }
 
-void FlServer::handle_update(Conn& conn, const Frame& frame) {
+void FlServer::handle_update(Conn& conn, tensor::ByteBuffer body) {
   static obs::Counter& updates_in = obs::counter("net.update.received");
   updates_in.add(1);
-  fl::ClientUpdateMessage msg = decode_update(frame.body);
+  fl::ClientUpdateMessage msg = decode_update(std::move(body));
   // The wire-level client id is authoritative for bookkeeping, but the
   // payload travels unmodified into the validation pipeline — a spoofed
   // inner id is the pipeline's duplicate screen's problem, same as the
@@ -423,7 +407,7 @@ void FlServer::handle_frame(Conn& conn, Frame frame) {
         close_conn(conn, "update_flood");
         return;
       }
-      handle_update(conn, frame);
+      handle_update(conn, std::move(frame.body));
       return;
     }
     case FrameType::kHeartbeat: {
@@ -533,19 +517,44 @@ void FlServer::maybe_start_round(std::uint64_t now) {
   round_deadline_ms_ = now + config_.round_timeout_ms;
   round_.open();  // the rest of the round state was cleared when it closed
 
-  core_.begin_round();
+  begin_dispatch();
   for (const auto id : round_order_) {
-    const fl::GlobalModelMessage msg = core_.dispatch_to(id);
+    OutFrame frame = dispatch_frame(id);
     for (const auto i : parked) {
       auto& conn = conns_[i];
       if (conn.client_id == id) {
         conn.state = Conn::State::kInRound;
         conn.updates_this_round = 0;
-        send_frame(conn, encode_model(msg));
+        send_frame(conn, std::move(frame));
         break;
       }
     }
   }
+}
+
+void FlServer::begin_dispatch() {
+  // begin_round replaces the bytes the model frames borrow: a frame still
+  // queued (a straggler that never drained it) gets a copy of its own.
+  for (const auto& borrowed : dispatch_payloads_) {
+    if (borrowed.use_count() == 1) continue;
+    const auto owned = std::make_shared<const tensor::ByteBuffer>(*borrowed);
+    for (auto& conn : conns_) conn.outbox.repoint(borrowed, owned);
+  }
+  dispatch_payloads_.clear();
+  core_.begin_round();
+}
+
+OutFrame FlServer::dispatch_frame(std::uint64_t client_id) {
+  const fl::GlobalModelMessage& msg = core_.dispatch_to(client_id);
+  for (const auto& payload : dispatch_payloads_) {
+    if (payload.get() == &msg.model_state) {
+      return model_frame(msg.round, payload);
+    }
+  }
+  // Borrowed, not copied: the no-op deleter leaves the bytes to the core.
+  dispatch_payloads_.emplace_back(&msg.model_state,
+                                  [](const tensor::ByteBuffer*) {});
+  return model_frame(msg.round, dispatch_payloads_.back());
 }
 
 void FlServer::maybe_finish_round(std::uint64_t now) {
@@ -787,7 +796,7 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     const std::uint64_t now = now_();
     round_started_ms_ = now;
     round_deadline_ms_ = now + config_.round_timeout_ms;
-    core_.begin_round();
+    begin_dispatch();
   } else {
     clear_round();
     round_.open();
@@ -834,7 +843,7 @@ bool FlServer::step(int timeout_ms) {
   for (const auto& conn : conns_) {
     if (!conn.sock.valid()) continue;
     short events = POLLIN;
-    if (conn.outbox_off < conn.outbox.size()) events |= POLLOUT;
+    if (!conn.outbox.empty()) events |= POLLOUT;
     fds.push_back(pollfd{conn.sock.fd(), events, 0});
   }
   if (!fds.empty()) {

@@ -207,7 +207,7 @@ class FlServer {
   bool refuse_handshake(Conn& conn, std::uint64_t client_id);
   void handle_hello(Conn& conn, const Hello& hello);
   void handle_resume(Conn& conn, const Resume& resume);
-  void handle_update(Conn& conn, const Frame& frame);
+  void handle_update(Conn& conn, tensor::ByteBuffer body);
   void enforce_deadlines(std::uint64_t now);
   void send_heartbeats(std::uint64_t now);
   void maybe_start_round(std::uint64_t now);
@@ -215,9 +215,13 @@ class FlServer {
   void cutover(std::uint64_t now);
   /// Drops the collection state of a closed round (the fold closes itself).
   void clear_round();
-  void send_frame(Conn& conn, tensor::ByteBuffer frame_bytes);
+  void send_frame(Conn& conn, OutFrame frame);
   /// send_frame, then close the connection once the outbox has flushed.
-  void send_and_close(Conn& conn, tensor::ByteBuffer frame_bytes);
+  void send_and_close(Conn& conn, OutFrame frame);
+  /// core_.begin_round(), once no queued frame borrows the bytes it replaces.
+  void begin_dispatch();
+  /// The model frame for `client_id`, its payload borrowed from the core.
+  OutFrame dispatch_frame(std::uint64_t client_id);
   /// Turns a handshake away with the retry-after hint; `why` counts it.
   void bounce(Conn& conn, obs::Counter& why);
   void close_conn(Conn& conn, const char* why);
@@ -264,6 +268,8 @@ class FlServer {
   /// like the batch path's assembled order.
   std::unordered_map<std::uint64_t, std::vector<fl::ClientUpdateMessage>>
       accepted_pending_;
+  /// This round's dispatch payloads, one per distinct message (§5p).
+  std::vector<std::shared_ptr<const tensor::ByteBuffer>> dispatch_payloads_;
   fl::RoundCore round_;                // screen + the durable streamed fold
   /// INNER ids of the updates actually folded into round_ — a strict subset
   /// of the screen's seen ids whenever accepted updates are still parked

@@ -158,9 +158,18 @@ long read_some(const Socket& socket, std::uint8_t* out, std::size_t n) {
 
 long write_some(const Socket& socket, const std::uint8_t* data,
                 std::size_t n) {
+  const iovec piece{const_cast<std::uint8_t*>(data), n};
+  return write_some(socket, std::span<const iovec>(&piece, 1));
+}
+
+long write_some(const Socket& socket, std::span<const iovec> pieces) {
+  // sendmsg, not writev: only a send call takes MSG_NOSIGNAL.
+  msghdr msg{};
+  msg.msg_iov = const_cast<iovec*>(pieces.data());
+  msg.msg_iovlen = pieces.size();
   ssize_t put;
   do {
-    put = ::send(socket.fd(), data, n, MSG_NOSIGNAL);
+    put = ::sendmsg(socket.fd(), &msg, MSG_NOSIGNAL);
   } while (put < 0 && errno == EINTR);
   if (put >= 0) return static_cast<long>(put);
   if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;

@@ -8,7 +8,10 @@
 // serving layer's tests demand reproducible behavior.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace oasis::net {
@@ -61,5 +64,9 @@ long read_some(const Socket& socket, std::uint8_t* out, std::size_t n);
 /// SIGPIPE). Returns bytes written, 0 when the write would block. Throws
 /// NetError{kIo} on failure (including EPIPE/ECONNRESET).
 long write_some(const Socket& socket, const std::uint8_t* data, std::size_t n);
+
+/// write_some over scattered pieces, in order, as one sendmsg: a frame's
+/// head and its payload leave from where they lie, with no joining copy.
+long write_some(const Socket& socket, std::span<const iovec> pieces);
 
 }  // namespace oasis::net

@@ -1,5 +1,6 @@
 #include "nn/model_io.h"
 
+#include <cstring>
 #include <utility>
 
 namespace oasis::nn {
@@ -13,17 +14,18 @@ std::vector<tensor::Tensor*> state_slots(Module& model) {
   return slots;
 }
 
-/// Checks the count and every shape before anything is assigned, so a state
-/// that does not fit throws with the model untouched.
-std::vector<tensor::Tensor*> checked_slots(
-    Module& model, const std::vector<tensor::Tensor>& state) {
+/// Checks the count and every shape (`shape_of(i)` for state tensor i)
+/// before anything is assigned, so a state that does not fit throws with the
+/// model untouched.
+template <typename ShapeOf>
+std::vector<tensor::Tensor*> checked_slots(Module& model, std::size_t count,
+                                           ShapeOf&& shape_of) {
   std::vector<tensor::Tensor*> slots = state_slots(model);
-  OASIS_CHECK_MSG(state.size() == slots.size(),
-                  "load_state: " << state.size() << " tensors for "
-                                 << slots.size() << " params + buffers");
+  OASIS_CHECK_MSG(count == slots.size(),
+                  "load_state: " << count << " tensors for " << slots.size()
+                                 << " params + buffers");
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    tensor::check_same_shape(slots[i]->shape(), state[i].shape(),
-                             "load_state");
+    tensor::check_same_shape(slots[i]->shape(), shape_of(i), "load_state");
   }
   return slots;
 }
@@ -37,7 +39,10 @@ std::vector<tensor::Tensor> snapshot_state(Module& model) {
 }
 
 void load_state(Module& model, const std::vector<tensor::Tensor>& state) {
-  const auto slots = checked_slots(model, state);
+  const auto slots =
+      checked_slots(model, state.size(), [&](std::size_t i) -> const auto& {
+        return state[i].shape();
+      });
   for (std::size_t i = 0; i < slots.size(); ++i) *slots[i] = state[i];
 }
 
@@ -53,11 +58,17 @@ tensor::ByteBuffer serialize_state(Module& model) {
 }
 
 void deserialize_state(Module& model, const tensor::ByteBuffer& bytes) {
-  // CRC and full structural parse first, then every shape, then the moves.
-  std::vector<tensor::Tensor> state = tensor::deserialize_tensors(bytes);
-  const auto slots = checked_slots(model, state);
+  // CRC and full structural parse first, then every shape, then the values
+  // straight into the model's own storage: no tensor is built.
+  const auto found = tensor::locate_tensors(bytes);
+  const auto slots =
+      checked_slots(model, found.size(), [&](std::size_t i) -> const auto& {
+        return found[i].shape;
+      });
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    *slots[i] = std::move(state[i]);
+    if (found[i].numel == 0) continue;
+    std::memcpy(slots[i]->data().data(), bytes.data() + found[i].offset,
+                found[i].numel * sizeof(real));
   }
 }
 

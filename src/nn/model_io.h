@@ -21,8 +21,9 @@ std::vector<tensor::Tensor> snapshot_gradients(Module& model);
 /// Serialized forms (wire format of the FL simulator).
 /// serialize_state equals serialize_tensors(snapshot_state(model)) byte for
 /// byte. deserialize_state verifies the CRC, parses the whole buffer and
-/// checks every shape before it moves the tensors in, so a damaged or
-/// mismatched payload throws with the model untouched.
+/// checks every shape before it copies the values into the model's existing
+/// tensors, so a damaged or mismatched payload throws with the model
+/// untouched.
 tensor::ByteBuffer serialize_state(Module& model);
 void deserialize_state(Module& model, const tensor::ByteBuffer& bytes);
 

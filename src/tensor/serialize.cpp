@@ -1,10 +1,12 @@
 #include "tensor/serialize.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
 #include "common/crc32c.h"
+#include "obs/obs.h"
 
 namespace oasis::tensor {
 namespace {
@@ -77,19 +79,29 @@ Shape read_header(const ByteBuffer& in, std::size_t& offset, std::size_t end,
   return shape;
 }
 
-/// Verifies the CRC32C trailer of a serialize_tensors() message and returns
-/// the logical payload size (everything before the trailer). Runs BEFORE any
-/// structural parsing so damaged bytes are reported as checksum damage even
-/// when the structure still happens to decode.
-std::size_t verify_trailer(const ByteBuffer& in) {
+/// CRC32C over a message's logical payload. Every pass goes through here,
+/// so the kernel.crc32c.calls counter sees each one.
+std::uint32_t message_crc(const ByteBuffer& in, std::size_t payload) {
+  if (obs::kernel_metrics_enabled()) {
+    static obs::Counter& calls = obs::counter("kernel.crc32c.calls");
+    calls.add(1);
+  }
+  return oasis::common::crc32c(in.data(), payload);
+}
+
+/// Returns the logical payload size of a serialize_tensors() message
+/// (everything before the trailer) and, when `check_crc`, verifies the
+/// trailer. The check runs BEFORE any structural parsing so damaged bytes
+/// are reported as checksum damage even when the structure still happens to
+/// decode.
+std::size_t payload_end(const ByteBuffer& in, bool check_crc) {
   if (in.size() < sizeof(std::uint64_t) + kCrcBytes) {
     throw ChecksumError("buffer too small for count header + CRC trailer");
   }
   const std::size_t payload = in.size() - kCrcBytes;
   std::uint32_t stored = 0;
   std::memcpy(&stored, in.data() + payload, kCrcBytes);
-  const std::uint32_t actual = oasis::common::crc32c(in.data(), payload);
-  if (stored != actual) {
+  if (check_crc && stored != message_crc(in, payload)) {
     throw ChecksumError("payload CRC32C mismatch");
   }
   return payload;
@@ -136,56 +148,65 @@ ByteBuffer serialize_tensors(const std::vector<Tensor>& tensors) {
 void reseal_tensors(ByteBuffer& buf) {
   if (buf.size() < kCrcBytes) return;
   const std::size_t payload = buf.size() - kCrcBytes;
-  const std::uint32_t crc = oasis::common::crc32c(buf.data(), payload);
+  const std::uint32_t crc = message_crc(buf, payload);
   std::memcpy(buf.data() + payload, &crc, kCrcBytes);
 }
 
-std::vector<Tensor> deserialize_tensors(const ByteBuffer& in) {
-  const std::size_t end = verify_trailer(in);
+std::vector<TensorLocation> locate_tensors(const ByteBuffer& in,
+                                           bool check_crc) {
+  const std::size_t end = payload_end(in, check_crc);
   std::size_t offset = 0;
   const auto count = read_u64(in, offset, end);
   if (count > (1u << 20)) {
     throw SerializationError("implausible tensor count " +
                              std::to_string(count));
   }
-  std::vector<Tensor> tensors;
-  tensors.reserve(count);
+  // Each tensor takes at least its rank word, so the reservation is bounded
+  // by the bytes present, not by the claimed count.
+  std::vector<TensorLocation> found;
+  found.reserve(std::min<std::uint64_t>(
+      count, (end - offset) / sizeof(std::uint64_t)));
   for (std::uint64_t i = 0; i < count; ++i) {
-    index_t n = 0;
-    Shape shape = read_header(in, offset, end, n);
-    std::vector<real> values(n);
-    if (n > 0) std::memcpy(values.data(), in.data() + offset, n * sizeof(real));
-    offset += n * sizeof(real);
-    tensors.emplace_back(std::move(shape), std::move(values));
+    TensorLocation t;
+    t.shape = read_header(in, offset, end, t.numel);
+    t.offset = offset;
+    offset += t.numel * sizeof(real);
+    found.push_back(std::move(t));
   }
   if (offset != end) {
     throw SerializationError("trailing bytes after tensor list");
+  }
+  return found;
+}
+
+std::vector<Tensor> deserialize_tensors(const ByteBuffer& in) {
+  std::vector<TensorLocation> found = locate_tensors(in);
+  std::vector<Tensor> tensors;
+  tensors.reserve(found.size());
+  for (auto& t : found) {
+    std::vector<real> values(t.numel);
+    if (t.numel > 0) {
+      std::memcpy(values.data(), in.data() + t.offset, t.numel * sizeof(real));
+    }
+    tensors.emplace_back(std::move(t.shape), std::move(values));
   }
   return tensors;
 }
 
 TensorScan scan_tensors(const ByteBuffer& in) {
-  const std::size_t end = verify_trailer(in);
-  std::size_t offset = 0;
-  const auto count = read_u64(in, offset, end);
-  if (count > (1u << 20)) {
-    throw SerializationError("implausible tensor count " +
-                             std::to_string(count));
-  }
   TensorScan scan;
-  scan.tensors = count;
-  scan.shapes.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    index_t n = 0;
-    scan.shapes.push_back(read_header(in, offset, end, n));
+  std::vector<TensorLocation> found = locate_tensors(in);
+  scan.tensors = found.size();
+  scan.shapes.reserve(found.size());
+  for (auto& t : found) {
     // Stream the values through a small stack buffer: the payload bytes are
     // not guaranteed to be double-aligned inside the message.
     constexpr index_t kChunk = 128;
     real buf[kChunk];
     index_t done = 0;
-    while (done < n) {
-      const index_t take = std::min(kChunk, n - done);
-      std::memcpy(buf, in.data() + offset + done * sizeof(real),
+    while (done < t.numel) {
+      const index_t take = std::min(kChunk, t.numel - done);
+      std::memcpy(buf, in.data() + t.offset + done * sizeof(real),
                   take * sizeof(real));
       for (index_t k = 0; k < take; ++k) {
         if (!std::isfinite(buf[k])) scan.all_finite = false;
@@ -193,11 +214,8 @@ TensorScan scan_tensors(const ByteBuffer& in) {
       }
       done += take;
     }
-    offset += n * sizeof(real);
-    scan.values += n;
-  }
-  if (offset != end) {
-    throw SerializationError("trailing bytes after tensor list");
+    scan.values += t.numel;
+    scan.shapes.push_back(std::move(t.shape));
   }
   return scan;
 }

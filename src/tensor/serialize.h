@@ -52,6 +52,22 @@ std::vector<Tensor> deserialize_tensors(const ByteBuffer& in);
 /// a valid checksum so the structural validation paths stay reachable.
 void reseal_tensors(ByteBuffer& buf);
 
+/// One tensor of a serialize_tensors() message, located in place: its shape
+/// and the byte offset of its values in the message.
+struct TensorLocation {
+  Shape shape;
+  std::size_t offset = 0;
+  index_t numel = 0;
+};
+
+/// Validates a serialize_tensors() message — the CRC32C trailer first
+/// (ChecksumError), unless `check_crc` is false because the bytes already
+/// passed a checked pass, then the whole structure (SerializationError) —
+/// and locates every tensor without copying a value. Readers that work in
+/// place (the screen, the server's fold, a model-state load) start here.
+std::vector<TensorLocation> locate_tensors(const ByteBuffer& in,
+                                           bool check_crc = true);
+
 /// Summary of a serialized tensor list produced without materialising any
 /// tensor (no allocation proportional to the payload). Used by the FL
 /// server's cheap screening pass over client updates.

@@ -8,11 +8,13 @@
 #include "data/synthetic.h"
 #include "fl/aggregation.h"
 #include "fl/client.h"
+#include "fl/round_core.h"
 #include "fl/server.h"
 #include "fl/simulation.h"
 #include "nn/dense.h"
 #include "nn/model_io.h"
 #include "nn/models.h"
+#include "obs/obs.h"
 #include "tensor/ops.h"
 
 namespace oasis::fl {
@@ -69,6 +71,43 @@ TEST(Aggregation, RejectsEmptyAndMismatched) {
   FedAvgAccumulator acc;
   acc.add(a);
   EXPECT_THROW(acc.add(b), Error);
+}
+
+// kernel.crc32c.calls counts every CRC32C pass tensor/serialize makes.
+// One accepted update costs the server one pass (its screen: the fold
+// reads the screened bytes in place), a model-state load costs one, and a
+// client round two (the load, then its upload's trailer). The
+// message-level accumulator, which has no screen before it, verifies once.
+TEST(KernelCounts, OneCrcPassPerScreenedUpdateAndPerStateLoad) {
+  struct MetricsGuard {
+    ~MetricsGuard() { obs::set_kernel_metrics(false); }
+  } guard;
+  obs::set_kernel_metrics(true);
+  obs::Counter& crcs = obs::counter("kernel.crc32c.calls");
+  Server server(tiny_factory(21)(), /*learning_rate=*/0.1);
+  Client client(0, tiny_dataset(6, 4, 11), tiny_factory(5), 4,
+                std::make_shared<IdentityPreprocessor>(), common::Rng(42));
+  const GlobalModelMessage& msg = server.begin_round();
+
+  crcs.reset();
+  const ClientUpdateMessage update = client.handle_round(msg);
+  EXPECT_EQ(crcs.value(), 2u) << "client round";
+
+  RoundCore core(server);
+  crcs.reset();
+  EXPECT_EQ(core.offer(update), RejectReason::kAccepted);
+  EXPECT_EQ(crcs.value(), 1u) << "screen + fold of one accepted update";
+
+  crcs.reset();
+  FedAvgAccumulator acc;
+  acc.add(update);
+  EXPECT_EQ(crcs.value(), 1u) << "message-level fold";
+
+  auto replica = tiny_factory(5)();
+  crcs.reset();
+  nn::deserialize_state(*replica, msg.model_state);
+  EXPECT_EQ(crcs.value(), 1u) << "model-state load";
+  EXPECT_TRUE(core.close(0));
 }
 
 TEST(Client, UpdateMatchesDirectGradientComputation) {

@@ -2,18 +2,29 @@
 // (every truncation + seeded bit flips, meant to run under ASan), loopback
 // rounds on a virtual clock with bit-identity against the in-process server,
 // backpressure/cutover behavior, slowloris deadlines, and a fork-based
-// multi-process federation proved byte-identical to fl::Simulation.
+// multi-process federation proved byte-identical to fl::Simulation. The
+// payload byte paths (DESIGN.md §5p) are held to their allocation budget by
+// a replacement operator new that counts what one armed thread allocates.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <new>
+#include <optional>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "ckpt/manager.h"
@@ -30,6 +41,62 @@
 #include "obs/obs.h"
 #include "runtime/parallel.h"
 #include "test_util.h"
+
+// Allocation probe. While a thread has armed it, every operator new on
+// that thread of at least t_probe_min bytes is counted, and the largest
+// request is kept. Every form of new and delete goes to malloc/free, so the
+// pairs stay matched under the sanitizers' own allocators.
+namespace {
+thread_local bool t_probe_armed = false;
+thread_local std::size_t t_probe_min = 0;
+thread_local std::size_t t_probe_count = 0;
+thread_local std::size_t t_probe_largest = 0;
+
+void* probed_alloc(std::size_t n) noexcept {
+  if (t_probe_armed) {
+    if (n >= t_probe_min) ++t_probe_count;
+    t_probe_largest = std::max(t_probe_largest, n);
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* probed_alloc_or_throw(std::size_t n) {
+  if (void* p = probed_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+
+/// Arms the probe on the calling thread for the guard's lifetime.
+struct AllocProbe {
+  explicit AllocProbe(std::size_t min_bytes) {
+    t_probe_min = min_bytes;
+    t_probe_count = 0;
+    t_probe_largest = 0;
+    t_probe_armed = true;
+  }
+  ~AllocProbe() { t_probe_armed = false; }
+  AllocProbe(const AllocProbe&) = delete;
+  AllocProbe& operator=(const AllocProbe&) = delete;
+  [[nodiscard]] std::size_t count() const { return t_probe_count; }
+  [[nodiscard]] std::size_t largest() const { return t_probe_largest; }
+};
+}  // namespace
+
+void* operator new(std::size_t n) { return probed_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return probed_alloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return probed_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return probed_alloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace oasis::net {
 namespace {
@@ -58,6 +125,31 @@ std::unique_ptr<fl::Client> make_client(std::uint64_t id) {
   return std::make_unique<fl::Client>(
       id, tiny_dataset(6, 4, 11 + id), tiny_factory(5), /*batch_size=*/4,
       std::make_shared<fl::IdentityPreprocessor>(), common::Rng(1000 + id));
+}
+
+/// A connected AF_UNIX stream pair, both ends non-blocking, the writer's
+/// send buffer as small as the kernel allows: writes stop short often.
+std::pair<Socket, Socket> tight_socketpair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int small = 1024;
+  EXPECT_EQ(
+      ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+  for (const int fd : fds) {
+    EXPECT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+  }
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
+/// Reads what `reader` holds, at most `most` bytes, onto `got`.
+void drain(const Socket& reader, tensor::ByteBuffer& got, std::size_t most) {
+  std::uint8_t buf[512];
+  while (most > 0) {
+    const long n = read_some(reader, buf, std::min(most, sizeof(buf)));
+    if (n <= 0) return;
+    got.insert(got.end(), buf, buf + n);
+    most -= static_cast<std::size_t>(n);
+  }
 }
 
 /// A real, valid kUpdate frame (header + body) for the fuzz sweeps.
@@ -287,6 +379,161 @@ TEST(FrameDecoder, UnknownTypeByteThrows) {
   }
 }
 
+// A body's allocation tracks the bytes that arrived, never the claimed
+// length alone: a header claiming the whole 64 MiB budget, then 1 KB of
+// body, must leave the decoder holding kilobytes. A large body that does
+// arrive grows in a few steps and is handed out whole.
+TEST(FrameDecoder, ClaimedLengthBuysNoAllocationBeyondTheBytesReceived) {
+  const auto header = [](std::uint32_t len) {
+    std::vector<std::uint8_t> h(kFrameHeaderBytes);
+    std::memcpy(h.data(), &len, sizeof(len));
+    h[4] = static_cast<std::uint8_t>(FrameType::kUpdate);
+    return h;
+  };
+  const std::vector<std::uint8_t> body(1 << 20, 0x5A);
+  {
+    FrameDecoder d;
+    const auto h = header(static_cast<std::uint32_t>(kDefaultMaxBodyBytes));
+    const AllocProbe probe(0);
+    d.feed(h.data(), h.size());
+    d.feed(body.data(), 1024);
+    EXPECT_FALSE(d.next().has_value());
+    EXPECT_TRUE(d.mid_frame());
+    EXPECT_LE(probe.largest(), std::size_t{64} << 10)
+        << "a 5-byte header bought a large allocation";
+  }
+  FrameDecoder d;
+  const auto h = header(static_cast<std::uint32_t>(body.size()));
+  d.feed(h.data(), h.size());
+  std::optional<Frame> frame;
+  {
+    const AllocProbe probe(std::size_t{64} << 10);
+    for (std::size_t at = 0; at < body.size(); at += 16 << 10) {
+      d.feed(body.data() + at, 16 << 10);
+    }
+    frame = d.next();
+    EXPECT_LE(probe.count(), 3u) << "the body grew in too many steps";
+    EXPECT_LE(probe.largest(), body.size());
+  }
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->body, body);
+  EXPECT_FALSE(d.mid_frame());
+}
+
+// The scatter-gather outbox over a socketpair whose send buffer is tiny and
+// whose reader drains a few bytes at a time: writes stop short inside heads,
+// at head/payload seams and inside payloads, and the stream must still be
+// exactly the contiguous encodes — whose CRCs Frame.WireBytesArePinned pins.
+// Frames share payloads, and one payload is re-pointed to a copy (the
+// server's straggler hand-off) before its original is overwritten.
+TEST(Outbox, ScatterGatherFramesReassembleIntoThePinnedBytes) {
+  auto [writer, reader] = tight_socketpair();
+
+  fl::GlobalModelMessage pinned_model;
+  pinned_model.round = 5;
+  pinned_model.model_state =
+      tensor::serialize_tensors({tensor::Tensor({2}, {1.0, 2.0})});
+  common::Rng rng(0x0B0C5);
+  fl::GlobalModelMessage big_model;
+  big_model.round = 6;
+  big_model.model_state =
+      tensor::serialize_tensors({tensor::Tensor::randn({3000}, rng)});
+  const auto borrowed = std::make_shared<tensor::ByteBuffer>(
+      big_model.model_state);
+  const tensor::ByteBuffer update_bytes = valid_update_frame();
+  const fl::ClientUpdateMessage update =
+      decode_update(tensor::ByteBuffer(
+          update_bytes.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes),
+          update_bytes.end()));
+  const auto pinned_state =
+      std::make_shared<const tensor::ByteBuffer>(pinned_model.model_state);
+  const OutFrame cached_update = update_frame(update);
+
+  Outbox box;
+  tensor::ByteBuffer expected;
+  const auto queue = [&](OutFrame frame, const tensor::ByteBuffer& bytes) {
+    box.push(std::move(frame));
+    expected.insert(expected.end(), bytes.begin(), bytes.end());
+  };
+  for (int rep = 0; rep < 12; ++rep) {
+    queue(encode_hello(Hello{42}), encode_hello(Hello{42}));
+    queue(model_frame(5, pinned_state), encode_model(pinned_model));
+    queue(cached_update, update_bytes);
+    queue(model_frame(6, borrowed), encode_model(big_model));
+    queue(encode_heartbeat(), encode_heartbeat());
+    queue(cached_update, update_bytes);
+  }
+  EXPECT_EQ(common::crc32c(encode_model(pinned_model).data(),
+                           encode_model(pinned_model).size()),
+            0x5591C7EAU);
+  EXPECT_EQ(common::crc32c(update_bytes.data(), update_bytes.size()),
+            0x585A9A49U);
+
+  // The hand-off: queued frames move to a copy, then the original changes.
+  const auto owned = std::make_shared<const tensor::ByteBuffer>(*borrowed);
+  box.repoint(borrowed, owned);
+  std::fill(borrowed->begin(), borrowed->end(), 0xEE);
+
+  tensor::ByteBuffer got;
+  std::size_t short_writes = 0;
+  for (std::size_t step = 0; !box.flush(writer); ++step) {
+    ++short_writes;
+    drain(reader, got, 1 + (step * 37) % 200);
+  }
+  EXPECT_TRUE(box.empty());
+  drain(reader, got, expected.size() - got.size());
+  EXPECT_GT(short_writes, 20u) << "the send buffer never filled";
+  ASSERT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(got == expected) << "the gathered stream differs";
+
+  FrameDecoder d;
+  d.feed(got.data(), got.size());
+  std::size_t frames = 0;
+  while (d.next()) ++frames;
+  EXPECT_EQ(frames, 12u * 6u);
+}
+
+// Every seam on purpose: a contiguous lead of L bytes, L over one period of
+// the (head, payload) frames queued behind it, slides the point where the
+// first write stops short across each head/payload seam and each frame end
+// of the period. The first gathered write is several times the send
+// buffer, so where it stops is the buffer's capacity, counted from the
+// lead's first byte.
+TEST(Outbox, ShortWritesStopOnEverySeam) {
+  common::Rng rng(0x5EA5);
+  fl::GlobalModelMessage msg;
+  msg.round = 7;
+  msg.model_state =
+      tensor::serialize_tensors({tensor::Tensor::randn({70}, rng)});
+  const OutFrame frame = model_frame(
+      msg.round, std::make_shared<const tensor::ByteBuffer>(msg.model_state));
+  const tensor::ByteBuffer frame_bytes = encode_model(msg);
+  const std::size_t period = frame.size();
+  ASSERT_EQ(frame_bytes.size(), period);
+  std::set<std::size_t> stops;  // first stop, as an offset into a period
+  for (std::size_t lead = 1; lead <= period; ++lead) {
+    auto [writer, reader] = tight_socketpair();
+    Outbox box;
+    tensor::ByteBuffer expected(lead, 0xA5);
+    box.push(OutFrame(expected));
+    for (int i = 0; i < 20; ++i) {
+      box.push(frame);
+      expected.insert(expected.end(), frame_bytes.begin(), frame_bytes.end());
+    }
+    ASSERT_FALSE(box.flush(writer)) << "the send buffer never filled";
+    tensor::ByteBuffer got;
+    drain(reader, got, expected.size());
+    ASSERT_GT(got.size(), lead);
+    stops.insert((got.size() - lead) % period);
+    while (!box.flush(writer)) drain(reader, got, expected.size());
+    drain(reader, got, expected.size() - got.size());
+    EXPECT_TRUE(got == expected) << "lead " << lead;
+  }
+  EXPECT_EQ(stops.count(0), 1u) << "no write stopped at a frame end";
+  EXPECT_EQ(stops.count(frame.head.size()), 1u)
+      << "no write stopped at a head/payload seam";
+}
+
 // --- Satellite: decoder fuzz sweep ------------------------------------------
 
 TEST(FrameFuzz, EveryTruncationOfAValidFrameWaitsCleanly) {
@@ -414,6 +661,66 @@ TEST(NetRound, LoopbackFederationMatchesInProcessServerBitExactly) {
     EXPECT_EQ(c->rounds_committed(), kRounds);
   }
   EXPECT_EQ(server.round_latencies_ms().size(), kRounds);
+}
+
+// The server thread's payload-sized allocations over steady-state rounds,
+// clients on threads of their own (DESIGN.md §5p). Each round the server
+// serializes the model once, receives each of the three update bodies into
+// one allocation, folds them into the storage the last round left, and
+// copies the average once to commit: 5. The model frames borrow the core's
+// bytes, and no decode or fold copies a payload.
+TEST(NetAlloc, ServerThreadMakesFivePayloadSizedAllocationsPerRound) {
+  constexpr index_t kClients = 3;
+  constexpr std::uint64_t kRounds = 6;
+  constexpr std::uint64_t kWarm = 2;  // probe from this commit ...
+  constexpr std::uint64_t kEnd = 5;   // ... to this one
+  fl::Server core(tiny_factory(21)(), /*learning_rate=*/0.1);
+  const std::size_t payload =
+      nn::serialize_state(core.global_model()).size();
+  FlServerConfig cfg;
+  cfg.cohort_size = kClients;
+  cfg.rounds = kRounds;
+  FlServer server(core, cfg);
+  server.listen("127.0.0.1", 0);
+  const std::uint16_t port = server.port();
+
+  std::vector<std::unique_ptr<fl::Client>> cores;
+  for (index_t i = 0; i < kClients; ++i) cores.push_back(make_client(i));
+  std::vector<std::thread> threads;
+  std::vector<std::uint64_t> completed(kClients, 0);
+  for (index_t i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      FlClientConfig ccfg;
+      ccfg.client_id = i;
+      FlClient client(*cores[i], ccfg);
+      completed[i] = client.run("127.0.0.1", port);
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  const auto serve_until = [&](std::uint64_t served) {
+    while (server.rounds_served() < served && server.step(5) &&
+           std::chrono::steady_clock::now() < deadline) {
+    }
+  };
+  serve_until(kWarm);
+  std::size_t allocations = 0;
+  {
+    // The cutover that ends round kWarm also dispatched round kWarm + 1,
+    // and the one ending round kEnd dispatches kEnd + 1: the window holds
+    // kEnd - kWarm whole rounds.
+    const AllocProbe probe(payload / 2);
+    serve_until(kEnd);
+    allocations = probe.count();
+  }
+  while (server.step(5) && std::chrono::steady_clock::now() < deadline) {
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(server.rounds_served(), kRounds);
+  for (const auto c : completed) EXPECT_EQ(c, kRounds);
+  EXPECT_LE(allocations, 5 * (kEnd - kWarm))
+      << allocations << " payload-sized allocations over " << kEnd - kWarm
+      << " rounds";
 }
 
 // The socket engine under the round loop's fault plan commits the bytes the
@@ -619,6 +926,94 @@ TEST(NetServer, SlowlorisPartialHelloIsReapedByIdleDeadline) {
   honest.connect("127.0.0.1", server.port());
   ASSERT_TRUE(drive_loopback(server, {&honest}, t));
   EXPECT_EQ(honest.rounds_completed(), 1u);
+}
+
+// A straggler still draining its model frame when the round closes gets
+// the bytes it was sent. The frame borrows the core's dispatch buffer,
+// which the next begin_round replaces, so the server hands the queued
+// frame a copy first (DESIGN.md §5p). The model is larger than the loopback
+// buffers hold, and the straggler reads nothing until the next round's
+// model is queued behind the first.
+TEST(NetServer, StragglerDrainingItsModelGetsTheBytesItWasSent) {
+  const fl::ModelFactory factory = [] {
+    common::Rng rng(77);
+    return nn::make_mlp({3, 32, 32}, {256}, 4, rng);
+  };
+  fl::Server core(factory(), /*learning_rate=*/0.1);
+  FlServerConfig cfg;
+  cfg.cohort_size = 2;
+  cfg.rounds = 2;
+  cfg.round_timeout_ms = 10;
+  cfg.idle_timeout_ms = 1'000'000;
+  std::uint64_t t = 0;
+  const TimeSource clock = [&t] { return t; };
+  FlServer server(core, cfg, clock);
+  server.listen("127.0.0.1", 0);
+
+  data::SynthConfig data_cfg;
+  data_cfg.num_classes = 4;
+  data_cfg.height = data_cfg.width = 32;
+  data_cfg.train_per_class = 2;
+  data_cfg.test_per_class = 0;
+  data_cfg.seed = 3;
+  fl::Client trainer(0, data::generate(data_cfg).train, factory,
+                     /*batch_size=*/4,
+                     std::make_shared<fl::IdentityPreprocessor>(),
+                     common::Rng(1));
+  FlClientConfig ccfg;
+  ccfg.client_id = 0;
+  FlClient honest(trainer, ccfg, clock);
+  honest.connect("127.0.0.1", server.port());
+  Socket straggler = tcp_connect("127.0.0.1", server.port());
+  const auto hello = encode_hello(Hello{1});
+  ASSERT_EQ(write_some(straggler, hello.data(), hello.size()),
+            static_cast<long>(hello.size()));
+  const auto step_both = [&] {
+    server.step(0);
+    honest.step(0);
+  };
+
+  // Round 0: the honest update is folded, then the deadline seals the
+  // straggler out and round 1 opens with round 0's frame still queued.
+  const fl::GlobalModelMessage round0{
+      0, nn::serialize_state(core.global_model())};
+  const std::uint64_t accepted = counter_value("fl.validate.accepted");
+  for (int i = 0;
+       i < 100000 && counter_value("fl.validate.accepted") == accepted; ++i) {
+    step_both();
+  }
+  for (int i = 0; i < 100 && server.rounds_served() == 0; ++i) {
+    step_both();
+    t += 5;
+  }
+  ASSERT_EQ(server.rounds_served(), 1u);
+  const fl::GlobalModelMessage round1 = core.dispatch_to(1);
+  ASSERT_FALSE(round0.model_state == round1.model_state);
+
+  // The clock stands still while the straggler reads what it was sent.
+  FrameDecoder decoder;
+  std::vector<Frame> got;
+  std::uint8_t buf[16 * 1024];
+  for (int i = 0; i < 100000 && got.size() < 4; ++i) {
+    step_both();
+    const long n = read_some(straggler, buf, sizeof(buf));
+    if (n > 0) decoder.feed(buf, static_cast<std::size_t>(n));
+    while (auto frame = decoder.next()) got.push_back(std::move(*frame));
+  }
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0].type, FrameType::kWelcome);
+  EXPECT_EQ(got[2].type, FrameType::kRoundResult);
+  EXPECT_TRUE(decode_model(got[1].body).model_state == round0.model_state)
+      << "round 0's model changed under the straggler";
+  EXPECT_TRUE(decode_model(got[3].body).model_state == round1.model_state);
+
+  straggler.close();
+  for (int i = 0; i < 100000 && !server.finished(); ++i) {
+    step_both();
+    t += 5;
+  }
+  EXPECT_TRUE(server.finished());
+  EXPECT_EQ(server.rounds_served(), 2u);
 }
 
 TEST(NetServer, OversizedFramePrefixSeversOnlyThatConnection) {

@@ -549,6 +549,48 @@ TEST(ModelIo, LoadStateMismatchLeavesModelUntouched) {
   EXPECT_EQ(serialize_state(*live), before);
 }
 
+// deserialize_state copies into the model's own tensors, so every check —
+// CRC, structure, tensor count, each shape — must finish before the first
+// value lands: whatever fails, every parameter byte stays as it was.
+TEST(ModelIo, DeserializeStateChecksEverythingBeforeCopyingInPlace) {
+  common::Rng rng(34);
+  const ImageSpec spec{3, 8, 8};
+  auto live = make_mlp(spec, {16}, 4, rng);
+  auto other = make_mlp(spec, {16}, 4, rng);
+  const tensor::ByteBuffer before = serialize_state(*live);
+  const tensor::ByteBuffer good = serialize_state(*other);
+
+  tensor::ByteBuffer flipped = good;  // a bit of the last value
+  flipped[flipped.size() - 5] ^= 0x01;
+  EXPECT_THROW(deserialize_state(*live, flipped), ChecksumError);
+  EXPECT_EQ(serialize_state(*live), before);
+
+  auto state = snapshot_state(*other);  // only the FIRST tensor is off
+  tensor::Shape wrong = state.front().shape();
+  wrong.front() += 1;
+  state.front() = tensor::Tensor(wrong);
+  EXPECT_THROW(deserialize_state(*live, tensor::serialize_tensors(state)),
+               ShapeError);
+  EXPECT_EQ(serialize_state(*live), before);
+
+  state = snapshot_state(*other);
+  state.pop_back();
+  EXPECT_THROW(deserialize_state(*live, tensor::serialize_tensors(state)),
+               Error);
+  EXPECT_EQ(serialize_state(*live), before);
+
+  tensor::ByteBuffer cut(good.begin(), good.end() - 8);  // CRC still valid
+  tensor::reseal_tensors(cut);
+  EXPECT_THROW(deserialize_state(*live, cut), SerializationError);
+  EXPECT_EQ(serialize_state(*live), before);
+
+  // A good load lands in the storage the model already had.
+  const real* storage = live->parameters().front()->value.data().data();
+  deserialize_state(*live, good);
+  EXPECT_EQ(live->parameters().front()->value.data().data(), storage);
+  EXPECT_EQ(serialize_state(*live), good);
+}
+
 TEST(Models, AttackHostShapes) {
   common::Rng rng(32);
   const ImageSpec spec{3, 16, 16};

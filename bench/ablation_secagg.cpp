@@ -23,16 +23,16 @@
 // signal disappears because no victim update is ever produced).
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "attack/audit.h"
 #include "attack/rtf.h"
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "core/oasis.h"
-#include "fl/client.h"
+#include "fl/client_step.h"
 #include "fl/defense.h"
 #include "fl/inconsistent_server.h"
-#include "fl/secure_agg.h"
 #include "metrics/stats.h"
 #include "nn/models.h"
 #include "runtime/parallel.h"
@@ -49,7 +49,7 @@ struct RoundOutcome {
 
 /// PR-10 robustness knobs shared by every ablation row.
 struct RobustnessOptions {
-  fl::DefenseStackPtr defense;   // empty stack = no gradient defenses
+  std::string defense = "none";  // client stack spec; SecAgg rows add "mask"
   fl::AggregatorConfig aggregator;
   bool audit = false;            // arm the model-audit gate on every client
 };
@@ -101,28 +101,28 @@ RoundOutcome run_cohort(const data::InMemoryDataset& pool,
     cohort_ids.push_back(i);
   }
 
+  // The clients' own stack, with SecAgg's pairwise mask as its last stage:
+  // the shared client step runs it on the gradients before the upload is
+  // serialized, as every round engine does.
+  const auto stack = fl::parse_defense_stack(robust.defense);
+  if (use_secagg) stack->add(std::make_unique<fl::SecAggMaskDefense>());
+
   RoundOutcome outcome;
   for (index_t round = 0; round < rounds; ++round) {
     server->begin_round();
-    fl::SecureAggregationSession session(cohort_ids, seed ^ round);
     std::vector<fl::ClientUpdateMessage> updates;
     bool victim_refused = false;
     for (index_t i = 0; i < cohort_size; ++i) {
-      fl::ClientUpdateMessage update;
-      try {
-        update = clients[i]->handle_round(server->dispatch_to(i));
-      } catch (const AuditError&) {
+      auto update = fl::run_client_round(*clients[i], server->dispatch_to(i),
+                                         {stack.get(), cohort_ids});
+      if (!update) {
         // The audit gate spotted the implant: this client sits the round
         // out, exactly as in the round engines.
         ++outcome.refused;
         if (i == 0) victim_refused = true;
         continue;
       }
-      if (robust.defense && !robust.defense->empty()) {
-        robust.defense->apply(update, cohort_ids);
-      }
-      if (use_secagg) session.mask_update(update);
-      updates.push_back(std::move(update));
+      updates.push_back(std::move(*update));
     }
 
     // What the server can invert: the single victim update without SecAgg,
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   const index_t rounds = cli.get_bool("full") ? 8 : 3;
 
   RobustnessOptions robust;
-  robust.defense = fl::parse_defense_stack(cli.get("defense"));
+  robust.defense = cli.get("defense");
   robust.aggregator = fl::parse_aggregator(cli.get("aggregator"));
   robust.audit = cli.get_bool("audit");
 

@@ -24,7 +24,7 @@
 #include "bench_common.h"
 #include "common/stopwatch.h"
 #include "core/oasis.h"
-#include "fl/client.h"
+#include "fl/client_step.h"
 #include "fl/defense.h"
 #include "fl/simulation.h"
 #include "metrics/accuracy.h"
@@ -62,7 +62,7 @@ DefenseRow make_defense_row(const std::string& label,
 /// Reconstruction quality through one defense stack: a dishonest server
 /// implants `atk` into the dispatched model, the single victim trains one
 /// batch per round, and the stack defends the update before the server ever
-/// sees it — exactly where fl::Simulation applies it.
+/// sees it — through the client step every round engine uses.
 std::vector<real> attack_psnr(attack::ActiveAttack& atk,
                               const fl::ModelFactory& factory,
                               const data::InMemoryDataset& victim_pool,
@@ -76,8 +76,8 @@ std::vector<real> attack_psnr(attack::ActiveAttack& atk,
   std::vector<real> psnr;
   for (index_t round = 0; round < rounds; ++round) {
     server.begin_round();
-    auto update = victim.handle_round(server.dispatch_to(0));
-    defense.stack->apply(update, cohort);
+    auto update = *fl::run_client_round(victim, server.dispatch_to(0),
+                                        {defense.stack.get(), cohort});
     const auto candidates =
         atk.reconstruct(tensor::deserialize_tensors(update.gradients));
     const auto originals =

@@ -10,7 +10,8 @@
 # under ASan/UBSan, a net-chaos stage SIGKILLing a
 # live socket server at four kill points and memcmping the recovered model,
 # a defense stage running the defense-stack / audit-gate / robust-aggregation
-# suites under ASan/UBSan and the Byzantine chaos suite under TSan,
+# suites under ASan/UBSan and the Byzantine chaos, defended-determinism and
+# update-pipeline suites under TSan,
 # then a ThreadSanitizer build exercising the concurrency-heavy tests
 # (runtime pool + FL rounds + chaos + crash/resume + the 8-thread sharded
 # differential + Conv2d's parallel weight-gradient tiles), and a portable
@@ -35,7 +36,8 @@
 #   ./ci.sh shard      # ASan build + shard label + chaos suite + both
 #                      # drivers' crash kill-points
 #   ./ci.sh defense    # defense + robust-aggregation labels under ASan/UBSan,
-#                      # Byzantine chaos suite under TSan
+#                      # Byzantine chaos, defended determinism and the update
+#                      # pipeline pin under TSan
 #   ./ci.sh tsan       # TSan stage only
 #   ./ci.sh portable   # a -DOASIS_NATIVE_ARCH=OFF build running the full
 #                      # ctest against the native build's constants
@@ -169,17 +171,21 @@ run_defense() {
   # and the audit gate throws across the round engines' parallel regions —
   # ASan/UBSan territory for the tensor rewrites, with the robust-aggregation
   # property suite (order statistics over buffered cohorts) riding along.
-  # The Byzantine chaos suite then runs under TSan: sign-flip / blowup /
-  # colluding cohorts push the engines through their refusal and exclusion
-  # paths at 8 threads, exactly where a racy per-slot catch would surface.
-  echo "==> [ci] Defense stage: defense + robust-aggregation under ASan/UBSan + Byzantine chaos under TSan"
+  # The Byzantine chaos, defended-determinism and update-pipeline suites
+  # then run under TSan: the stack's stages and the typed faults (Byzantine
+  # and poison rewrites of the gradient tensors) run inside the parallel
+  # training region, and sign-flip / blowup / colluding cohorts push the
+  # engines through their refusal and exclusion paths at 4 and 8 threads,
+  # exactly where a racy per-slot transform or catch would surface.
+  echo "==> [ci] Defense stage: defense + robust-aggregation under ASan/UBSan + Byzantine chaos, defended determinism and the update pipeline under TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target defense_test property_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L defense
   ./build-asan/tests/property_test --gtest_filter='RobustAggregation.*'
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target defense_test
-  ./build-tsan/tests/defense_test --gtest_filter='ByzantineChaos.*'
+  ./build-tsan/tests/defense_test \
+    --gtest_filter='ByzantineChaos.*:DefenseDeterminism.*:UpdatePipelinePin.*'
 }
 
 run_tsan() {

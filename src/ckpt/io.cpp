@@ -65,8 +65,6 @@ void arm_kill_point(std::int64_t save_index, std::int64_t offset) {
   g_kill_offset = offset;
 }
 
-std::int64_t atomic_write_count() { return g_save_count; }
-
 ByteBuffer read_file(const std::string& path) {
   Fd f;
   f.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

@@ -44,8 +44,4 @@ void write_file_atomic(const std::string& path, const ByteBuffer& bytes);
 /// the first write. Test-only; never armed in normal operation.
 void arm_kill_point(std::int64_t save_index, std::int64_t offset);
 
-/// Number of write_file_atomic calls completed so far in this process
-/// (exposed so the harness can report where a crash landed).
-std::int64_t atomic_write_count();
-
 }  // namespace oasis::ckpt

@@ -68,20 +68,23 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 real Rng::normal(real mean, real stddev) {
+  // The multiply-adds are spelled as the fused operations -march=native
+  // contracts them to, so the draws do not depend on the build's flags
+  // (see uniform()).
   if (has_spare_) {
     has_spare_ = false;
-    return mean + stddev * spare_normal_;
+    return std::fma(stddev, spare_normal_, mean);
   }
   real u = 0.0, v = 0.0, s = 0.0;
   do {
     u = uniform(-1.0, 1.0);
     v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
+    s = std::fma(u, u, v * v);
   } while (s >= 1.0 || s == 0.0);
   const real factor = std::sqrt(-2.0 * std::log(s) / s);
   spare_normal_ = v * factor;
   has_spare_ = true;
-  return mean + stddev * u * factor;
+  return std::fma(stddev * u, factor, mean);
 }
 
 bool Rng::bernoulli(real p) { return uniform() < p; }

@@ -84,15 +84,21 @@ void FedAvgAccumulator::add(std::vector<tensor::Tensor> gradients,
 }
 
 std::vector<tensor::Tensor> FedAvgAccumulator::average() const {
+  FedAvgAccumulator copy;
+  copy.restore(total_, total_weight_, count_);
+  copy.average_in_place();
+  return std::move(copy.total_);
+}
+
+const std::vector<tensor::Tensor>& FedAvgAccumulator::average_in_place() {
   if (count_ == 0) {
     // Typed so the round engine can distinguish "nothing valid survived
     // screening" from a programming error (and never divides by the zero
     // total weight below).
     throw AggregationError("FedAvg over an empty update set");
   }
-  std::vector<tensor::Tensor> result = total_;
-  for (auto& t : result) t /= total_weight_;
-  return result;
+  for (auto& t : total_) t /= total_weight_;
+  return total_;
 }
 
 void FedAvgAccumulator::reset() {

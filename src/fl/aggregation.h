@@ -58,6 +58,11 @@ class FedAvgAccumulator {
   /// the accumulator. Throws AggregationError when count() == 0.
   [[nodiscard]] std::vector<tensor::Tensor> average() const;
 
+  /// average()'s bytes, computed by dividing the partial sums in place: no
+  /// copy. The accumulator then holds the average, not a fold, until
+  /// reset(). Throws AggregationError when count() == 0.
+  const std::vector<tensor::Tensor>& average_in_place();
+
   /// Drops all folded state (ready for the next round).
   void reset();
 

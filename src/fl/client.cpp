@@ -66,7 +66,8 @@ std::vector<index_t> Client::sample_batch_indices() {
   return picked;
 }
 
-ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg) {
+ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg,
+                                         const GradientTransform& transform) {
   if (round_keyed_rng_) {
     rng_ = client_round_stream(round_key_seed_, msg.round, id_);
   }
@@ -95,9 +96,23 @@ ClientUpdateMessage Client::handle_round(const GlobalModelMessage& msg) {
   update.round = msg.round;
   update.client_id = id_;
   update.num_examples = training_batch.size();
-  // Serialized straight from the parameters' gradients: no snapshot copy.
-  std::vector<const tensor::Tensor*> grads;
-  for (const auto* p : model_->parameters()) grads.push_back(&p->grad);
+  // The gradients move out of the parameters for the transform and the
+  // one serialization, then back, so the replica keeps their storage even
+  // when the transform throws.
+  const auto params = model_->parameters();
+  std::vector<tensor::Tensor> grads;
+  grads.reserve(params.size());
+  for (auto* p : params) grads.push_back(std::move(p->grad));
+  struct GiveBack {
+    const std::vector<nn::Parameter*>& params;
+    std::vector<tensor::Tensor>& grads;
+    ~GiveBack() {
+      for (std::size_t i = 0; i < params.size(); ++i) {
+        params[i]->grad = std::move(grads[i]);
+      }
+    }
+  } give_back{params, grads};
+  if (transform) transform(grads);
   update.gradients = tensor::serialize_tensors(grads);
   return update;
 }

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "data/dataset.h"
 #include "fl/message.h"
@@ -26,6 +27,11 @@ using ModelFactory = std::function<std::unique_ptr<nn::Sequential>()>;
 using ModelAuditor = std::function<void(nn::Sequential& model,
                                         std::uint64_t round)>;
 
+/// A transform of the gradient tensors a client is about to upload, in
+/// parameter order. It runs before the update's one serialization.
+using GradientTransform =
+    std::function<void(std::vector<tensor::Tensor>& gradients)>;
+
 /// Which training loss the federation runs.
 enum class LossKind {
   /// Softmax cross-entropy — standard classification (all CNN experiments).
@@ -48,7 +54,8 @@ enum class BatchSampling {
 /// Per round: deserializes the dispatched global model into its replica,
 /// samples a local batch D of `batch_size`, runs the (possibly OASIS)
 /// preprocessor to get D', computes batch gradients of the cross-entropy
-/// loss, and returns them serialized.
+/// loss, applies the caller's gradient transform and returns them
+/// serialized, once.
 class Client {
  public:
   Client(std::uint64_t id, data::InMemoryDataset local_data,
@@ -78,9 +85,11 @@ class Client {
   /// tests' contract).
   void set_round_keyed_rng(std::uint64_t base_seed);
 
-  /// Handles one training round. Throws SerializationError on a malformed
-  /// model payload.
-  ClientUpdateMessage handle_round(const GlobalModelMessage& msg);
+  /// Handles one training round: trains, runs `transform` (if set) on the
+  /// parameters' gradient tensors, and serializes them. Throws
+  /// SerializationError on a malformed model payload.
+  ClientUpdateMessage handle_round(const GlobalModelMessage& msg,
+                                   const GradientTransform& transform = {});
 
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] const data::InMemoryDataset& local_data() const {

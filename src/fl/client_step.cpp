@@ -9,19 +9,22 @@
 namespace oasis::fl {
 
 std::optional<ClientUpdateMessage> run_client_round(
-    Client& client, const GlobalModelMessage& msg, const DefenseStack* defense,
-    std::span<const std::uint64_t> cohort) {
-  std::optional<ClientUpdateMessage> update;
+    Client& client, const GlobalModelMessage& msg,
+    const ClientTransforms& t) {
+  const GradientTransform transform = [&](std::vector<tensor::Tensor>& g) {
+    if (t.defense != nullptr) {
+      t.defense->apply(g, DefenseContext{msg.round, client.id(), t.cohort});
+    }
+    if (t.faults != nullptr) {
+      t.faults->apply(g, t.fault, t.ticket, t.attempt, client.id());
+    }
+  };
   try {
-    update = client.handle_round(msg);
+    return client.handle_round(msg, transform);
   } catch (const AuditError&) {
     // Not a retry candidate: re-auditing the same model re-refuses.
     return std::nullopt;
   }
-  // Client-side defenses run where the client runs: after training, before
-  // the update crosses the (possibly faulty) wire.
-  if (defense != nullptr) defense->apply(*update, cohort);
-  return update;
 }
 
 void run_client_slots(std::span<const ClientSlot> slots,

@@ -143,23 +143,19 @@ void DefenseStack::apply(std::vector<tensor::Tensor>& gradients,
   static obs::Counter& applied = obs::counter("fl.defense.applied");
   if (defenses_.empty()) return;
   applied.add(1);
+  DefenseContext with_cohort = ctx;
+  if (with_cohort.cohort.empty()) with_cohort.cohort = static_cohort_;
   for (std::size_t i = 0; i < defenses_.size(); ++i) {
     common::Rng rng = stream(ctx.round, ctx.client_id, i);
-    defenses_[i]->apply(gradients, rng, ctx);
+    defenses_[i]->apply(gradients, rng, with_cohort);
   }
 }
 
 void DefenseStack::apply(ClientUpdateMessage& update,
                          std::span<const std::uint64_t> cohort) const {
   if (defenses_.empty()) return;
-  DefenseContext ctx;
-  ctx.round = update.round;
-  ctx.client_id = update.client_id;
-  ctx.cohort = cohort.empty()
-                   ? std::span<const std::uint64_t>(static_cohort_)
-                   : cohort;
   auto gradients = tensor::deserialize_tensors(update.gradients);
-  apply(gradients, ctx);
+  apply(gradients, DefenseContext{update.round, update.client_id, cohort});
   update.gradients = tensor::serialize_tensors(gradients);
 }
 

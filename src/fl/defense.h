@@ -3,10 +3,10 @@
 // A Defense is one per-update transform of the gradient tensors a client is
 // about to upload: L2 norm clipping, Gaussian DP noise, top-k pruning,
 // pairwise secure-aggregation masking (wrapping fl::SecureAggregationSession).
-// An ordered DefenseStack composes them, and it is the only update
-// transform: every engine applies it through the shared client step
-// (fl/client_step.h). The OASIS augmentation operates on the training BATCH
-// before gradients exist (fl/preprocessor.h), so it is not a stage:
+// An ordered DefenseStack composes them. Every engine applies it through
+// the shared client step (fl/client_step.h), on the gradient tensors before
+// the update is serialized. The OASIS augmentation operates on the training
+// BATCH before gradients exist (fl/preprocessor.h), so it is not a stage:
 // federation builders install the preprocessor on their clients.
 //
 // Determinism contract. Every randomized stage draws from a stream that is a
@@ -143,13 +143,16 @@ class DefenseStack {
     static_cohort_ = std::move(cohort);
   }
 
-  /// Applies every stage in order to already-deserialized gradients.
+  /// Applies every stage in order to a client's gradient tensors. An empty
+  /// ctx.cohort falls back to the static cohort.
   void apply(std::vector<tensor::Tensor>& gradients,
              const DefenseContext& ctx) const;
 
-  /// Wire-level convenience: deserialize → apply → reserialize. No-op for an
-  /// empty stack (the honest path stays copy-free). `cohort` empty falls
-  /// back to the static cohort.
+  /// Deserialize → apply → reserialize; a no-op for an empty stack. No
+  /// engine calls it: the client step runs the stack on the tensors before
+  /// the one serialization. It stays only for roundbench's replay, which
+  /// defends an already-serialized update, and goes when the replay is
+  /// deleted (ROADMAP item 1).
   void apply(ClientUpdateMessage& update,
              std::span<const std::uint64_t> cohort = {}) const;
 

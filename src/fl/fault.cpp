@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "tensor/serialize.h"
 
 namespace oasis::fl {
 
@@ -92,20 +91,19 @@ ClientFault FaultPlan::decide(std::uint64_t ticket, std::uint64_t attempt,
   return fault;
 }
 
-void FaultPlan::apply(ClientUpdateMessage& update, const ClientFault& fault,
-                      std::uint64_t ticket, std::uint64_t attempt,
-                      std::uint64_t client_id) const {
+void FaultPlan::apply(std::vector<tensor::Tensor>& gradients,
+                      const ClientFault& fault, std::uint64_t ticket,
+                      std::uint64_t attempt, std::uint64_t client_id) const {
   if (fault.kind == FaultKind::kByzantine) {
     // Byzantine updates stay well-formed and finite: they must survive every
     // structural/numeric screen and reach the aggregator, where robustness
     // is decided.
-    auto grads = tensor::deserialize_tensors(update.gradients);
     switch (config_.byzantine_kind) {
       case ByzantineKind::kSignFlip:
-        for (auto& t : grads) t *= -config_.byzantine_scale;
+        for (auto& t : gradients) t *= -config_.byzantine_scale;
         break;
       case ByzantineKind::kScaleBlowup:
-        for (auto& t : grads) t *= config_.byzantine_scale;
+        for (auto& t : gradients) t *= config_.byzantine_scale;
         break;
       case ByzantineKind::kColludingDuplicate: {
         // One shared direction per round ticket, identical across ALL
@@ -113,7 +111,7 @@ void FaultPlan::apply(ClientUpdateMessage& update, const ClientFault& fault,
         // votes the same value in every coordinate.
         common::Rng root(config_.seed);
         common::Rng shared = root.split(0xC011DDE5ULL).split(ticket);
-        for (auto& t : grads) {
+        for (auto& t : gradients) {
           for (auto& v : t.data()) {
             v = shared.normal(0.0, config_.byzantine_scale);
           }
@@ -121,44 +119,12 @@ void FaultPlan::apply(ClientUpdateMessage& update, const ClientFault& fault,
         break;
       }
     }
-    update.gradients = tensor::serialize_tensors(grads);
     return;
   }
-  if (fault.kind != FaultKind::kCorrupt && fault.kind != FaultKind::kPoison) {
-    return;
-  }
+  // Poison: hostile numerics in a well-formed payload, so the update
+  // reaches the server's numeric screens rather than the parser.
+  if (fault.kind != FaultKind::kPoison || gradients.empty()) return;
   common::Rng rng = stream(ticket, attempt, client_id, /*salt=*/1);
-  if (fault.kind == FaultKind::kCorrupt) {
-    auto& bytes = update.gradients;
-    switch (fault.corruption) {
-      case CorruptionKind::kTruncate: {
-        if (bytes.empty()) return;
-        bytes.resize(static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(bytes.size()) - 1)));
-        return;
-      }
-      case CorruptionKind::kBitFlip: {
-        if (bytes.empty()) return;
-        const std::int64_t flips = rng.uniform_int(1, 8);
-        for (std::int64_t f = 0; f < flips; ++f) {
-          const auto pos = static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(bytes.size()) - 1));
-          bytes[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
-        }
-        return;
-      }
-      case CorruptionKind::kWrongRound:
-        update.round += static_cast<std::uint64_t>(rng.uniform_int(1, 4));
-        return;
-      case CorruptionKind::kDuplicate:
-        return;  // delivery-level: the engine posts the update twice
-    }
-    return;
-  }
-  // Poison: mutate through the typed layer so the payload stays well-formed
-  // and reaches the server's numeric screens rather than the parser.
-  auto grads = tensor::deserialize_tensors(update.gradients);
-  if (grads.empty()) return;
   switch (fault.poison) {
     case PoisonKind::kNaN:
     case PoisonKind::kInf: {
@@ -167,8 +133,8 @@ void FaultPlan::apply(ClientUpdateMessage& update, const ClientFault& fault,
                            : std::numeric_limits<real>::infinity();
       const std::int64_t hits = rng.uniform_int(1, 4);
       for (std::int64_t h = 0; h < hits; ++h) {
-        auto& t = grads[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(grads.size()) - 1))];
+        auto& t = gradients[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(gradients.size()) - 1))];
         if (t.size() == 0) continue;
         t[static_cast<index_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(t.size()) - 1))] = bad;
@@ -176,10 +142,40 @@ void FaultPlan::apply(ClientUpdateMessage& update, const ClientFault& fault,
       break;
     }
     case PoisonKind::kNormScale:
-      for (auto& t : grads) t *= kPoisonScale;
+      for (auto& t : gradients) t *= kPoisonScale;
       break;
   }
-  update.gradients = tensor::serialize_tensors(grads);
+}
+
+void FaultPlan::apply(ClientUpdateMessage& update, const ClientFault& fault,
+                      std::uint64_t ticket, std::uint64_t attempt,
+                      std::uint64_t client_id) const {
+  if (fault.kind != FaultKind::kCorrupt) return;
+  common::Rng rng = stream(ticket, attempt, client_id, /*salt=*/1);
+  auto& bytes = update.gradients;
+  switch (fault.corruption) {
+    case CorruptionKind::kTruncate: {
+      if (bytes.empty()) return;
+      bytes.resize(static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(bytes.size()) - 1)));
+      return;
+    }
+    case CorruptionKind::kBitFlip: {
+      if (bytes.empty()) return;
+      const std::int64_t flips = rng.uniform_int(1, 8);
+      for (std::int64_t f = 0; f < flips; ++f) {
+        const auto pos = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(bytes.size()) - 1));
+        bytes[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+      }
+      return;
+    }
+    case CorruptionKind::kWrongRound:
+      update.round += static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+      return;
+    case CorruptionKind::kDuplicate:
+      return;  // delivery-level: the engine posts the update twice
+  }
 }
 
 }  // namespace oasis::fl

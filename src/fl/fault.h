@@ -2,7 +2,10 @@
 //
 // A FaultPlan decides, for every (round ticket, attempt, client) tuple,
 // whether that client's reply is dropped, delayed past the deadline,
-// corrupted on the wire, or numerically poisoned. Decisions are a pure
+// corrupted on the wire, or numerically poisoned. Poison and Byzantine
+// faults are the client's own doing: they rewrite its gradient tensors
+// before the update's one serialization. Only corruption acts on the
+// serialized bytes, at delivery (DESIGN.md §5o). Decisions are a pure
 // function of (plan seed, ticket, attempt, client id) — derived through
 // common::Rng split streams, never from shared mutable state — so a chaos
 // run reproduces bit-identically at any thread count (the PR-1 determinism
@@ -30,9 +33,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "fl/message.h"
+#include "tensor/tensor.h"
 
 namespace oasis::fl {
 
@@ -134,10 +139,19 @@ class FaultPlan {
   /// set a seed produces before asserting on its effects.
   [[nodiscard]] bool byzantine(std::uint64_t client_id) const;
 
-  /// Applies a kCorrupt/kPoison fault to a collected update in place, using
-  /// the same split-stream derivation as decide() so the damage bytes are
-  /// reproducible. kDuplicate is a delivery-level fault — the engine posts
-  /// the update twice — so apply() leaves the payload intact for it.
+  /// The client-side half of a fault: a kByzantine or kPoison fault
+  /// rewrites the client's gradient tensors in place before they are
+  /// serialized (fl::run_client_round). Every other kind is a no-op here.
+  /// Draws from the same split-stream derivation as decide(), so the
+  /// damage is reproducible and safe inside a parallel region.
+  void apply(std::vector<tensor::Tensor>& gradients, const ClientFault& fault,
+             std::uint64_t ticket, std::uint64_t attempt,
+             std::uint64_t client_id) const;
+
+  /// The wire half: a kCorrupt fault damages the serialized update in
+  /// place (truncation, bit flips, a wrong round id). kDuplicate is a
+  /// delivery-level fault — the engine posts the update twice — so the
+  /// payload stays intact for it, as it does for every other kind.
   void apply(ClientUpdateMessage& update, const ClientFault& fault,
              std::uint64_t ticket, std::uint64_t attempt,
              std::uint64_t client_id) const;

@@ -96,7 +96,7 @@ bool RoundCore::close(index_t min_valid) {
   } else if (aggregator_.kind == AggregatorKind::kTrimmedMean) {
     server_.commit_round(trimmed_mean(buffered_, aggregator_.trim_fraction));
   } else {
-    server_.commit_round(accumulator_.average());
+    server_.commit_round(accumulator_.average_in_place());
   }
   drop();
   return valid > 0;

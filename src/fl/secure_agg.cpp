@@ -57,14 +57,4 @@ std::vector<tensor::Tensor> SecureAggregationSession::mask_for(
   return mask;
 }
 
-void SecureAggregationSession::mask_update(ClientUpdateMessage& update) const {
-  auto tensors = tensor::deserialize_tensors(update.gradients);
-  std::vector<tensor::Shape> shapes;
-  shapes.reserve(tensors.size());
-  for (const auto& t : tensors) shapes.push_back(t.shape());
-  const auto mask = mask_for(update.client_id, shapes);
-  for (std::size_t i = 0; i < tensors.size(); ++i) tensors[i] += mask[i];
-  update.gradients = tensor::serialize_tensors(tensors);
-}
-
 }  // namespace oasis::fl

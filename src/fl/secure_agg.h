@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "fl/message.h"
 #include "tensor/tensor.h"
 
 namespace oasis::fl {
@@ -32,15 +31,13 @@ class SecureAggregationSession {
   SecureAggregationSession(std::vector<std::uint64_t> cohort,
                            std::uint64_t round_nonce);
 
-  /// The net pairwise mask client `client_id` applies to its update tensors
-  /// (same shapes as `shapes`). Deterministic in (cohort, nonce, id).
+  /// The net pairwise mask client `client_id` adds to its update tensors
+  /// (same shapes as `shapes`). Deterministic in (cohort, nonce, id). The
+  /// defense stack's mask stage (fl::SecAggMaskDefense) adds it to the
+  /// gradient tensors before the update is serialized.
   [[nodiscard]] std::vector<tensor::Tensor> mask_for(
       std::uint64_t client_id,
       const std::vector<tensor::Shape>& shapes) const;
-
-  /// Convenience: applies mask_for to an update's gradient tensors in
-  /// place (deserialize → add mask → reserialize).
-  void mask_update(ClientUpdateMessage& update) const;
 
  private:
   std::vector<std::uint64_t> cohort_;

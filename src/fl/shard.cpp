@@ -278,8 +278,10 @@ void ShardedSimulation::process_shard() {
           std::unique_ptr<Client> built;
           if (population_) built = population_->make_client(ids[i]);
           Client& client = built ? *built : *clients_[members[i]];
-          return run_client_round(client, *dispatched[i], defense_.get(),
-                                  defense_cohort_);
+          return run_client_round(
+              client, *dispatched[i],
+              {defense_.get(), defense_cohort_, &fault_plan_, slots[s].fault,
+               ticket_, attempt});
         },
         fault_plan_, ticket_, attempt,
         [&](ClientUpdateMessage&& update) { round_.offer(update); },

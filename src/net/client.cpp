@@ -184,10 +184,12 @@ void FlClient::handle_model(const fl::GlobalModelMessage& msg,
     next_connect_ms_ = now + config_.backoff_ms;
     return;
   }
-  // Defenses run before the fault and before framing, so the wire — and the
-  // byte-exact frame cache — carry the defended update.
-  std::optional<fl::ClientUpdateMessage> update =
-      fl::run_client_round(core_, msg, defense_.get());
+  // The defense stack, then a Byzantine or poison fault, run on the
+  // gradient tensors before the one serialization, so the wire — and the
+  // byte-exact frame cache — carry the transformed update.
+  std::optional<fl::ClientUpdateMessage> update = fl::run_client_round(
+      core_, msg,
+      {defense_.get(), {}, &plan_, fault, msg.round, /*attempt=*/0});
   if (!update) {
     // The audit gate refused the dispatched model. Graceful refusal = silent
     // non-reply: the session stays up (an honest client has nothing to

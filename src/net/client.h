@@ -37,8 +37,10 @@
 // fault is decided when a model arrives, before training, as in process:
 // a dropout closes the connection without training; a straggler's update is
 // held for delay_ticks ms of the TimeSource; a truncation sends half the
-// frame and closes; a duplicate is sent twice; every other fault goes
-// through FaultPlan::apply. A dropout or truncation also forgets the
+// frame and closes; a duplicate is sent twice; the other corruptions damage
+// the serialized update (the wire half of FaultPlan::apply); a poison or
+// Byzantine fault rewrites the gradients before their one serialization
+// (fl::run_client_round). A dropout or truncation also forgets the
 // session: the client rejoins with a plain hello and sits out the rest of
 // the round under the server's backpressure.
 #pragma once
@@ -99,8 +101,9 @@ class FlClient {
   void set_fault_plan(fl::FaultPlan plan) { plan_ = std::move(plan); }
 
   /// Installs the client-side defense stack, applied to every freshly
-  /// trained update before its fault and before framing — so the wire
-  /// (and the frame cache) carries the defended bytes. A mask stage needs
+  /// trained update's gradients before its fault and before the one
+  /// serialization — so the wire (and the frame cache) carries the
+  /// defended bytes. A mask stage needs
   /// the stack's static cohort (DefenseStack::set_static_cohort): the wire
   /// protocol does not announce the round's membership. nullptr disables.
   ///

@@ -28,15 +28,10 @@ class VirtualClock {
   /// Moves time forward by `dt` ticks.
   void advance(ticks dt) noexcept { now_ += dt; }
 
-  /// Moves time forward to `t` if `t` is in the future; never rewinds.
-  void advance_to(ticks t) noexcept {
-    if (t > now_) now_ = t;
-  }
-
   void reset() noexcept { now_ = 0; }
 
   /// Sets the clock to an absolute tick value. Checkpoint restore only:
-  /// unlike advance_to this may rewind, because a snapshot is authoritative.
+  /// this may rewind, because a snapshot is authoritative.
   void restore(ticks t) noexcept { now_ = t; }
 
   /// "t=<ticks>" — for logs and error messages.

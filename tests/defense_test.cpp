@@ -13,20 +13,25 @@
 //     sharded engine, and the socket path;
 //   * Byzantine chaos: with sign-flip attackers at f/n ∈ {0.1, 0.3},
 //     coordinate-median and trimmed-mean keep the final model within ε of
-//     the clean run while plain FedAvg is dragged far away (ci.sh's defense
-//     stage re-runs the ByzantineChaos suite under TSan).
+//     the clean run while plain FedAvg is dragged far away;
+//   * UpdatePipelinePin: the committed model of a defended, faulted
+//     federation, pinned by CRC32C (ctest label "golden").
+// ci.sh's defense stage re-runs ByzantineChaos, DefenseDeterminism and
+// UpdatePipelinePin under TSan.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "attack/audit.h"
 #include "attack/cah.h"
 #include "attack/rtf.h"
+#include "common/crc32c.h"
 #include "data/synthetic.h"
 #include "fl/defense.h"
 #include "fl/fault.h"
@@ -641,6 +646,135 @@ TEST(ByzantineChaos, ShardedEngineRefusesBufferingAggregators) {
       ASSERT_TRUE(std::isfinite(p->value[i]));
     }
   }
+}
+
+// --- Update pipeline pin -----------------------------------------------------
+//
+// The committed model of a defended, faulted, single-attempt federation,
+// pinned by CRC32C at 1 and 4 threads. Every transform a client applies to
+// its own update (the clip, noise and mask stages, then a Byzantine or
+// poison fault) and every wire corruption runs here, so a change to any of
+// them, or to their order, moves the pin. The cross-engine suites cannot
+// see such a change: both sides of their comparisons move together. The
+// constants were recorded before the client transforms moved from the
+// update's bytes onto its gradient tensors. Label "golden"; ci.sh's defense
+// stage re-runs the suite under TSan.
+
+constexpr index_t kPinClients = 10;
+constexpr index_t kPinRounds = 4;
+
+/// Replaces each sampled image with values that are exact functions of its
+/// label: the synthetic generator's floats depend on compile flags, and the
+/// pin must hold in the portable build too.
+class LabelImages : public BatchPreprocessor {
+ public:
+  data::Batch process(const data::Batch& batch,
+                      common::Rng& /*rng*/) const override {
+    data::Batch out = batch;
+    const index_t per_image = out.images.size() / batch.size();
+    for (index_t b = 0; b < batch.size(); ++b) {
+      for (index_t j = 0; j < per_image; ++j) {
+        out.images[b * per_image + j] =
+            static_cast<real>((batch.labels[b] * 31 + j) % 17) / 16.0 - 0.5;
+      }
+    }
+    return out;
+  }
+  [[nodiscard]] std::string name() const override { return "label_images"; }
+};
+
+FaultConfig pipeline_faults(ByzantineKind kind) {
+  FaultConfig fc;
+  fc.corrupt_prob = 0.4;
+  fc.poison_prob = 0.3;
+  fc.byzantine_fraction = 0.2;
+  fc.byzantine_kind = kind;
+  fc.byzantine_scale = 3.0;
+  fc.seed = 5;
+  return fc;
+}
+
+/// Every corruption kind, every poison kind and at least one Byzantine
+/// client among the plan's decisions for the run's (ticket, client) tuples:
+/// tickets 0..kPinRounds-1, attempt 0, the full cohort every round.
+void expect_plan_draws_every_fault_kind(const FaultConfig& fc) {
+  const FaultPlan plan(fc);
+  std::set<CorruptionKind> corruptions;
+  std::set<PoisonKind> poisons;
+  index_t byzantine = 0;
+  for (std::uint64_t ticket = 0; ticket < kPinRounds; ++ticket) {
+    for (std::uint64_t id = 0; id < kPinClients; ++id) {
+      const ClientFault f = plan.decide(ticket, 0, id);
+      if (f.kind == FaultKind::kCorrupt) corruptions.insert(f.corruption);
+      if (f.kind == FaultKind::kPoison) poisons.insert(f.poison);
+      if (f.kind == FaultKind::kByzantine) ++byzantine;
+    }
+  }
+  ASSERT_EQ(corruptions.size(), 4u);
+  ASSERT_EQ(poisons.size(), 3u);
+  ASSERT_GE(byzantine, 1u);
+  ASSERT_LT(byzantine, kPinClients * kPinRounds / 2);
+}
+
+std::uint32_t pipeline_model_crc(ByzantineKind kind, index_t threads) {
+  runtime::set_num_threads(threads);
+  SimulationConfig sc;
+  sc.clients_per_round = 0;
+  sc.seed = 11;
+  sc.max_attempts = 1;
+  const auto shards =
+      tiny_dataset(/*per_class=*/8, /*seed=*/33).shard(kPinClients);
+  std::vector<std::unique_ptr<Client>> clients;
+  for (index_t i = 0; i < kPinClients; ++i) {
+    clients.push_back(std::make_unique<Client>(
+        i, shards[i], host_factory(40), /*batch_size=*/3,
+        std::make_shared<LabelImages>(), common::Rng(500 + i)));
+  }
+  auto sim = std::make_unique<Simulation>(
+      std::make_unique<Server>(host_factory(40)(), 0.1), std::move(clients),
+      sc);
+  // Rejects the norm-scale poison, passes the masked Byzantine updates.
+  sim->server().set_validation(ValidationConfig{/*max_grad_norm=*/1e6});
+  sim->set_defense_stack(parse_defense_stack("clip:1,noise:0.01,mask"));
+  sim->set_fault_plan(FaultPlan(pipeline_faults(kind)));
+  sim->run(kPinRounds);
+  runtime::set_num_threads(0);
+  // The CRC32C the serialized state seals itself with: over everything but
+  // its 4-byte trailer (a CRC over `m || crc32c(m)` is a constant residue).
+  const tensor::ByteBuffer state =
+      nn::serialize_state(sim->server().global_model());
+  return common::crc32c(state.data(), state.size() - 4);
+}
+
+// The clip's sum of squares is fused term by term at -O2 but vectorized
+// without fusion at -O3, so the sanitizer builds (RelWithDebInfo) may commit
+// other bytes than the Release builds the constants hold in. There the suite
+// checks the thread counts against each other, which is what TSan needs.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kReleaseBytes = false;
+#else
+constexpr bool kReleaseBytes = true;
+#endif
+
+void expect_pinned(ByzantineKind kind, std::uint32_t want) {
+  expect_plan_draws_every_fault_kind(pipeline_faults(kind));
+  const std::uint32_t one = pipeline_model_crc(kind, 1);
+  EXPECT_EQ(pipeline_model_crc(kind, 4), one) << "threads=4 vs 1";
+  if (kReleaseBytes) {
+    EXPECT_EQ(one, want);
+  }
+}
+
+TEST(UpdatePipelinePin, SignFlip) {
+  expect_pinned(ByzantineKind::kSignFlip, 0x642099CBu);
+}
+
+TEST(UpdatePipelinePin, ScaleBlowup) {
+  expect_pinned(ByzantineKind::kScaleBlowup, 0x6382D01Fu);
+}
+
+TEST(UpdatePipelinePin, ColludingDuplicate) {
+  expect_pinned(ByzantineKind::kColludingDuplicate, 0x164827DCu);
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "data/synthetic.h"
 #include "fl/aggregation.h"
 #include "fl/client.h"
+#include "fl/client_step.h"
+#include "fl/defense.h"
 #include "fl/round_core.h"
 #include "fl/server.h"
 #include "fl/simulation.h"
@@ -76,7 +80,8 @@ TEST(Aggregation, RejectsEmptyAndMismatched) {
 // kernel.crc32c.calls counts every CRC32C pass tensor/serialize makes.
 // One accepted update costs the server one pass (its screen: the fold
 // reads the screened bytes in place), a model-state load costs one, and a
-// client round two (the load, then its upload's trailer). The
+// client round two (the load, then its upload's trailer), defended or not:
+// the stack runs on the gradient tensors before the one serialization. The
 // message-level accumulator, which has no screen before it, verifies once.
 TEST(KernelCounts, OneCrcPassPerScreenedUpdateAndPerStateLoad) {
   struct MetricsGuard {
@@ -92,6 +97,21 @@ TEST(KernelCounts, OneCrcPassPerScreenedUpdateAndPerStateLoad) {
   crcs.reset();
   const ClientUpdateMessage update = client.handle_round(msg);
   EXPECT_EQ(crcs.value(), 2u) << "client round";
+
+  // A clip small enough to bite: the stage and its tallies run exactly
+  // once, and no pass is added for decoding or re-encoding the update.
+  const auto clip = parse_defense_stack("clip:0.001");
+  std::map<std::string, std::uint64_t> tallied;
+  for (const auto& [name, value] : obs::Registry::global().counters()) {
+    if (name.rfind("fl.defense.", 0) == 0) tallied[name] = value;
+  }
+  crcs.reset();
+  ASSERT_TRUE(run_client_round(client, msg, {clip.get()}).has_value());
+  EXPECT_EQ(crcs.value(), 2u) << "clip-defended client round";
+  for (const char* name :
+       {"fl.defense.applied", "fl.defense.clip", "fl.defense.clip.active"}) {
+    EXPECT_EQ(obs::counter(name).value(), tallied[name] + 1) << name;
+  }
 
   RoundCore core(server);
   crcs.reset();

@@ -18,7 +18,6 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/loss.h"
 #include "nn/model_io.h"
 #include "nn/models.h"
@@ -615,45 +614,6 @@ TEST(Models, MiniResnetTrainEvalModes) {
   // Eval mode runs (running stats) without throwing and gives finite values.
   tensor::Tensor ye = net->forward(x, false);
   for (const auto v : ye.data()) EXPECT_TRUE(std::isfinite(v));
-}
-
-TEST(Dropout, EvalModeIsIdentity) {
-  Dropout layer(0.5, common::Rng(1));
-  common::Rng rng(2);
-  tensor::Tensor x = tensor::Tensor::randn({4, 8}, rng);
-  EXPECT_TRUE(layer.forward(x, false) == x);
-  EXPECT_TRUE(layer.backward(x) == x);
-}
-
-TEST(Dropout, TrainModeMasksAndScales) {
-  const real p = 0.3;
-  Dropout layer(p, common::Rng(3));
-  common::Rng rng(4);
-  tensor::Tensor x = tensor::Tensor::full({1, 10000}, 1.0);
-  tensor::Tensor y = layer.forward(x, true);
-  index_t zeros = 0;
-  const real keep_scale = 1.0 / (1.0 - p);
-  for (const auto v : y.data()) {
-    if (v == 0.0) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(v, keep_scale, 1e-12);  // survivors scaled exactly
-    }
-  }
-  EXPECT_NEAR(static_cast<real>(zeros) / 10000.0, p, 0.02);
-  // Expected value preserved.
-  EXPECT_NEAR(y.mean(), 1.0, 0.03);
-  // Backward uses the same mask.
-  tensor::Tensor g = tensor::Tensor::full({1, 10000}, 1.0);
-  tensor::Tensor gx = layer.backward(g);
-  for (index_t i = 0; i < gx.size(); ++i) {
-    EXPECT_EQ(gx[i] == 0.0, y[i] == 0.0);
-  }
-}
-
-TEST(Dropout, RejectsInvalidProbability) {
-  EXPECT_THROW(Dropout(1.0, common::Rng(5)), Error);
-  EXPECT_THROW(Dropout(-0.1, common::Rng(5)), Error);
 }
 
 class MlpGradientSweep : public ::testing::TestWithParam<index_t> {};

@@ -8,6 +8,9 @@
 // checkpoint a streaming fold (sharded, socket) must refuse the BUFFERING
 // aggregators at construction instead of running something else.
 //
+// RoundCoreFold pins the FedAvg fold's arithmetic and order against a
+// test-local chain, bit for bit.
+//
 // CkptPin pins a hash of every checkpoint section (the obs registry
 // excluded: its counters depend on what else ran in the process) at a
 // resting fl::Simulation snapshot, a resting fl::ShardedSimulation snapshot
@@ -18,6 +21,9 @@
 // the native Release build and in the sanitizer builds.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,6 +33,7 @@
 #include "common/error.h"
 #include "fl/fault.h"
 #include "fl/population.h"
+#include "fl/round_core.h"
 #include "fl/shard.h"
 #include "fl/simulation.h"
 #include "net/client.h"
@@ -35,6 +42,7 @@
 #include "nn/models.h"
 #include "obs/obs.h"
 #include "runtime/parallel.h"
+#include "tensor/serialize.h"
 
 namespace oasis::fl {
 namespace {
@@ -309,6 +317,76 @@ TEST(RoundCoreDifferential, MaskUnderRobustAggregatorIsRefusedAtRoundOpen) {
   EXPECT_EQ(nn::serialize_state(engine.server().global_model()), before);
   EXPECT_EQ(engine.server().round(), 0u);
   EXPECT_FALSE(engine.mid_round());
+}
+
+// --- Fold order ---------------------------------------------------------------
+
+/// The FedAvg commit, bit for bit. Three updates with distinct example
+/// counts go through RoundCore::offer/close; the committed model must equal
+/// a test-local chain: the first update scaled (v·w), each later one fused
+/// (std::fma(w, v, total)), the sum divided by W the way Tensor's /= does
+/// (a multiply by 1/W), then the server's SGD step. The golden round folds
+/// one update per round and the cross-engine suites run the same fold on
+/// both sides of each comparison, so only this test sees a one-ulp change
+/// to the fold's arithmetic or order.
+TEST(RoundCoreFold, FedAvgCommitsTheFmaChainBitForBit) {
+  constexpr real kLearningRate = 0.1;
+  Server server(test_population().factory(), kLearningRate);
+  std::vector<tensor::Tensor> want;
+  for (const auto* p : server.global_model().parameters()) {
+    want.push_back(p->value);
+  }
+  const GlobalModelMessage& msg = server.begin_round();
+  RoundCore core(server);
+
+  const index_t examples[] = {3, 7, 2};
+  common::Rng rng(17);
+  std::vector<tensor::Tensor> total;
+  real weight_sum = 0.0;
+  for (index_t k = 0; k < std::size(examples); ++k) {
+    std::vector<tensor::Tensor> grads;
+    for (const auto& t : want) {
+      tensor::Tensor g(t.shape());
+      for (auto& v : g.data()) v = rng.uniform(-1.0, 1.0);
+      grads.push_back(std::move(g));
+    }
+    ClientUpdateMessage update;
+    update.round = msg.round;
+    update.client_id = k;
+    update.num_examples = examples[k];
+    update.gradients = tensor::serialize_tensors(grads);
+    ASSERT_EQ(core.offer(update), RejectReason::kAccepted);
+
+    const auto w = static_cast<real>(examples[k]);
+    weight_sum += w;
+    if (k == 0) {
+      total = grads;
+      for (auto& t : total) {
+        for (auto& v : t.data()) v = v * w;
+      }
+      continue;
+    }
+    for (std::size_t i = 0; i < total.size(); ++i) {
+      for (index_t j = 0; j < total[i].size(); ++j) {
+        total[i][j] = std::fma(w, grads[i][j], total[i][j]);
+      }
+    }
+  }
+  ASSERT_TRUE(core.close(0));
+
+  const real inverse = 1.0 / weight_sum;
+  const auto params = server.global_model().parameters();
+  ASSERT_EQ(params.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    for (index_t j = 0; j < want[i].size(); ++j) {
+      want[i][j] =
+          std::fma(-kLearningRate, total[i][j] * inverse, want[i][j]);
+    }
+    EXPECT_EQ(std::memcmp(params[i]->value.data().data(),
+                          want[i].data().data(), want[i].size() * sizeof(real)),
+              0)
+        << "parameter " << i;
+  }
 }
 
 // --- Checkpoint byte pin ----------------------------------------------------

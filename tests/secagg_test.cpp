@@ -6,6 +6,7 @@
 #include "attack/rtf.h"
 #include "data/synthetic.h"
 #include "fl/client.h"
+#include "fl/defense.h"
 #include "fl/inconsistent_server.h"
 #include "fl/secure_agg.h"
 #include "nn/dense.h"
@@ -49,16 +50,14 @@ TEST(SecureAgg, MasksAreDeterministicPerRoundAndDifferAcrossRounds) {
 
 TEST(SecureAgg, IndividualMaskedUpdateIsUnrecognizable) {
   const std::vector<std::uint64_t> cohort{0, 1};
-  SecureAggregationSession session(cohort, 1);
-  ClientUpdateMessage update;
-  update.client_id = 0;
-  update.num_examples = 4;
   common::Rng rng(2);
   const tensor::Tensor original =
       tensor::Tensor::randn({32}, rng, 0.0, 1e-3);  // small "gradient"
-  update.gradients = tensor::serialize_tensors({original});
-  session.mask_update(update);
-  const auto masked = tensor::deserialize_tensors(update.gradients);
+  // The mask stage every client step runs on its gradient tensors.
+  std::vector<tensor::Tensor> masked{original};
+  SecAggMaskDefense().apply(masked, rng,
+                            DefenseContext{/*round=*/1, /*client_id=*/0,
+                                           cohort});
   // The N(0,1) mask dwarfs the 1e-3-scale signal.
   EXPECT_GT(tensor::max_abs_diff(masked[0], original), 0.1);
 }

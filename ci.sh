@@ -133,7 +133,10 @@ run_net() {
   # over a real loopback round-trip. The payload byte paths (DESIGN.md §5p:
   # shared frame payloads, the scatter-gather outbox, the decoder's body
   # growth) run under both: NetAlloc drives a federation whose clients run
-  # on threads of their own.
+  # on threads of their own. The TSan pass also runs the round-order pins
+  # NetRound.SpoofedInnerIdFoldsInRoundOrder and
+  # NetRound.MaliciousServerCapturesInFoldOrder, which hold arrivals at the
+  # fold frontier and offer them in round order.
   echo "==> [ci] Net stage: socket serving tests + net_rounds under ASan/UBSan, TSan loopback"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target net_test net_rounds
@@ -144,7 +147,7 @@ run_net() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target net_test
   ./build-tsan/tests/net_test \
-    --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly:NetRound.FaultPlanLoopbackMatchesSingleAttemptSimulation:NetAlloc.*:Outbox.*:FrameDecoder.*'
+    --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly:NetRound.FaultPlanLoopbackMatchesSingleAttemptSimulation:NetRound.SpoofedInnerIdFoldsInRoundOrder:NetRound.MaliciousServerCapturesInFoldOrder:NetAlloc.*:Outbox.*:FrameDecoder.*'
 }
 
 run_net_chaos() {

@@ -44,16 +44,10 @@ void RoundCore::drop() {
   rejected_ = 0;
 }
 
-RejectReason RoundCore::screen(const ClientUpdateMessage& update) {
-  const RejectReason reason = server_.screen_update(update, screen_);
-  if (reason != RejectReason::kAccepted) ++rejected_;
-  return reason;
-}
-
 void RoundCore::fold(const ClientUpdateMessage& update) {
   switch (aggregator_.kind) {
     case AggregatorKind::kFedAvg:
-      // Straight from the screened bytes: screen() already checked the CRC.
+      // Straight from the screened bytes: offer() already checked the CRC.
       accumulator_.add(update, /*screened=*/true);
       break;
     case AggregatorKind::kNormBounded: {
@@ -72,8 +66,12 @@ void RoundCore::fold(const ClientUpdateMessage& update) {
 }
 
 RejectReason RoundCore::offer(const ClientUpdateMessage& update) {
-  const RejectReason reason = screen(update);
-  if (reason == RejectReason::kAccepted) fold(update);
+  const RejectReason reason = server_.screen_update(update, screen_);
+  if (reason == RejectReason::kAccepted) {
+    fold(update);
+  } else {
+    ++rejected_;
+  }
   return reason;
 }
 

@@ -53,12 +53,10 @@ class RoundCore {
   /// would break its O(shard) memory contract.
   void reset_screen() { screen_ = server_.begin_screen(); }
 
-  /// Screens one update; accepted ones go to fold() next, in fold order.
-  RejectReason screen(const ClientUpdateMessage& update);
-  /// Folds an update screen() accepted. FedAvg folds it from its bytes in
-  /// place, trusting the CRC the screen verified.
-  void fold(const ClientUpdateMessage& update);
-  /// screen(), then fold() when accepted.
+  /// Screens one update (Server::screen_update) and folds it when accepted.
+  /// The one way an update reaches a fold: every engine offers its updates
+  /// in its fold order, so the duplicate screen and observe_update() see
+  /// the same sequence the sum does.
   RejectReason offer(const ClientUpdateMessage& update);
 
   [[nodiscard]] index_t accepted() const;  // folded since open()
@@ -83,6 +81,9 @@ class RoundCore {
 
  private:
   [[nodiscard]] bool buffers() const;
+  /// Folds an accepted update. FedAvg folds it from its bytes in place,
+  /// trusting the CRC the screen verified.
+  void fold(const ClientUpdateMessage& update);
   void drop();  // releases the fold, the screen and the tallies
 
   Server& server_;

@@ -57,9 +57,12 @@ struct RoundOutcome {
 };
 
 /// Per-round state threaded between screen_update() calls: the expected
-/// parameter shapes (computed once) and the client ids accepted so far
-/// (duplicate detection). fl::RoundCore keeps one per fold, or one per
-/// shard in the in-process round loop (RoundCore::reset_screen).
+/// parameter shapes (computed once) and the client ids claimed so far
+/// (duplicate detection). An update claims its id once its round id
+/// matches, before the payload checks, so a payload rejection claims it
+/// too and only a wrong-round rejection leaves it free. fl::RoundCore keeps
+/// one per fold, or one per shard in the in-process round loop
+/// (RoundCore::reset_screen).
 struct UpdateScreen {
   std::vector<tensor::Shape> expected_shapes;
   std::unordered_set<std::uint64_t> seen_ids;
@@ -108,8 +111,9 @@ class Server {
 
   /// Runs one update through the full validation pipeline (round id,
   /// duplicate, example count, structural scan, finiteness, norm band) and
-  /// tallies the verdict through the fl.validate.* obs counters. Accepted
-  /// updates register their client id in `screen` for duplicate detection.
+  /// tallies the verdict through the fl.validate.* obs counters. Every
+  /// update past the round check registers its client id in `screen` for
+  /// duplicate detection, accepted or not (see UpdateScreen).
   /// Every engine screens every update it receives here, so this is also
   /// where observe_update() sees it.
   RejectReason screen_update(const ClientUpdateMessage& update,

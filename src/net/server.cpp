@@ -251,10 +251,8 @@ void FlServer::handle_resume(Conn& conn, const Resume& resume) {
 
   if (refuse_handshake(conn, resume.client_id)) return;
   if (round_open_) {
-    const bool member =
-        std::find(round_order_.begin(), round_order_.end(), resume.client_id) !=
-        round_order_.end();
-    if (!member) {
+    const Member* m = member(resume.client_id);
+    if (m == nullptr) {
       // Not a member of the open round: same backpressure as a mid-round
       // hello.
       bounce(conn, retry_after);
@@ -263,7 +261,7 @@ void FlServer::handle_resume(Conn& conn, const Resume& resume) {
     resumes.add(1);
     conn.client_id = resume.client_id;
     conn.updates_this_round = 0;
-    if (round_delivered_.count(resume.client_id) > 0) {
+    if (m->delivered) {
       // Already delivered this round (typically: folded pre-crash, or the
       // ack raced the disconnect). The lost-ack resolution: the client
       // must NOT retransmit — its update is (durably) in the aggregate.
@@ -312,43 +310,45 @@ void FlServer::handle_update(Conn& conn, tensor::ByteBuffer body) {
   // payload travels unmodified into the validation pipeline — a spoofed
   // inner id is the pipeline's duplicate screen's problem, same as the
   // in-process path.
-  round_delivered_.insert(conn.client_id);
-  if (round_.screen(msg) == fl::RejectReason::kAccepted) {
-    const auto pos = std::find(round_order_.begin(), round_order_.end(),
-                               conn.client_id) -
-                     round_order_.begin();
-    if (static_cast<std::size_t>(pos) < fold_frontier_) {
-      // The fold already passed this member (reachable only via a spoofed
-      // inner id slipping the duplicate screen after the wire id folded):
-      // fold immediately rather than strand it behind the frontier.
-      fold(msg);
-    } else {
-      accepted_pending_[conn.client_id].push_back(std::move(msg));
-    }
-  }
+  Member* m = member(conn.client_id);
+  OASIS_CHECK_MSG(m != nullptr, "update from non-member " << conn.client_id);
+  m->delivered = true;
   conn.state = Conn::State::kReplied;
+  if (m < members_.data() + fold_frontier_) {
+    // The fold already passed this member: offer at once rather than strand
+    // the update behind the frontier.
+    offer(msg);
+  } else {
+    m->held.push_back(std::move(msg));
+  }
   fold_ready();
 }
 
-void FlServer::fold(const fl::ClientUpdateMessage& msg) {
-  round_.fold(msg);
+FlServer::Member* FlServer::member(std::uint64_t wire_id) {
+  for (auto& m : members_) {
+    if (m.wire_id == wire_id) return &m;
+  }
+  return nullptr;
+}
+
+bool FlServer::offer(const fl::ClientUpdateMessage& msg) {
+  if (round_.offer(msg) != fl::RejectReason::kAccepted) return false;
   folded_inner_.push_back(msg.client_id);
   ++accepts_since_ckpt_;
   fire_event(Event::kUpdateAccepted);
+  return true;
 }
 
 void FlServer::fold_ready() {
-  // Advance the fold frontier over every cohort member whose accepted
-  // update(s) are in hand. Strict round order — never arrival order — keeps
-  // the streamed fold byte-identical to the batch cutover fold, and makes
-  // the snapshot's accepted set a simple prefix of round_order_. A member
-  // that delivered only rejected bytes stalls the frontier (a valid resend
-  // may still arrive); cutover folds past it.
-  while (fold_frontier_ < round_order_.size()) {
-    const auto it = accepted_pending_.find(round_order_[fold_frontier_]);
-    if (it == accepted_pending_.end()) break;
-    for (const auto& msg : it->second) fold(msg);
-    accepted_pending_.erase(it);
+  // A member whose held updates were all rejected stalls the frontier: a
+  // resend folds only under an inner id the screen has not seen, or after
+  // a wrong-round rejection, which claims no id. Cutover offers past it.
+  while (fold_frontier_ < members_.size()) {
+    Member& m = members_[fold_frontier_];
+    bool folded = false;
+    for (const auto& msg : m.held) folded = offer(msg) || folded;
+    m.held.clear();
+    if (!folded) break;
     ++fold_frontier_;
     if (config_.checkpoint != nullptr && config_.checkpoint_every_accepts > 0 &&
         accepts_since_ckpt_ >= config_.checkpoint_every_accepts) {
@@ -501,13 +501,12 @@ void FlServer::maybe_start_round(std::uint64_t now) {
   sorted_ids.reserve(parked.size());
   for (const auto i : parked) sorted_ids.push_back(conns_[i].client_id);
   std::sort(sorted_ids.begin(), sorted_ids.end());
-  round_order_.clear();
   if (selection_) {
     const auto perm = selection_->sample_without_replacement(
         sorted_ids.size(), sorted_ids.size());
-    for (const auto p : perm) round_order_.push_back(sorted_ids[p]);
+    for (const auto p : perm) members_.emplace_back(sorted_ids[p]);
   } else {
-    round_order_ = sorted_ids;
+    for (const auto id : sorted_ids) members_.emplace_back(id);
   }
 
   started.add(1);
@@ -518,11 +517,11 @@ void FlServer::maybe_start_round(std::uint64_t now) {
   round_.open();  // the rest of the round state was cleared when it closed
 
   begin_dispatch();
-  for (const auto id : round_order_) {
-    OutFrame frame = dispatch_frame(id);
+  for (const auto& m : members_) {
+    OutFrame frame = dispatch_frame(m.wire_id);
     for (const auto i : parked) {
       auto& conn = conns_[i];
-      if (conn.client_id == id) {
+      if (conn.client_id == m.wire_id) {
         conn.state = Conn::State::kInRound;
         conn.updates_this_round = 0;
         send_frame(conn, std::move(frame));
@@ -564,13 +563,8 @@ void FlServer::maybe_finish_round(std::uint64_t now) {
   // round deadline to reconnect and resolve its in-flight update via the
   // resume handshake, instead of being sealed out the moment its socket
   // died.
-  bool complete = true;
-  for (const auto id : round_order_) {
-    if (round_delivered_.count(id) == 0) {
-      complete = false;
-      break;
-    }
-  }
+  const bool complete = std::all_of(members_.begin(), members_.end(),
+                                    [](const Member& m) { return m.delivered; });
   if (complete || now >= round_deadline_ms_) cutover(now);
 }
 
@@ -580,26 +574,20 @@ void FlServer::cutover(std::uint64_t now) {
   static obs::Counter& stragglers_c = obs::counter("net.round.stragglers");
   static obs::Histogram& latency_h = obs::histogram("net.round.latency_ms");
 
-  // Seal the round: fold the accepted updates past the frontier in the
+  // Seal the round: offer what is still held past the frontier in the
   // deterministic round order (duplicate deliveries stay adjacent, exactly
   // like the in-process engine's back-to-back duplicate posting). The
   // prefix up to fold_frontier_ is already folded — and, with a checkpoint
   // manager, already durable.
-  for (std::size_t i = fold_frontier_; i < round_order_.size(); ++i) {
-    const std::uint64_t id = round_order_[i];
-    const auto it = accepted_pending_.find(id);
-    if (it != accepted_pending_.end()) {
-      for (const auto& msg : it->second) fold(msg);
-      accepted_pending_.erase(it);
-    }
-    if (round_delivered_.count(id) == 0) stragglers_c.add(1);
+  for (std::size_t i = fold_frontier_; i < members_.size(); ++i) {
+    for (const auto& msg : members_[i].held) offer(msg);
+    if (!members_[i].delivered) stragglers_c.add(1);
   }
-  fold_frontier_ = round_order_.size();
 
   bool committed = false;
   try {
     round_.close(fl::RoundCore::quorum_needed(config_.quorum_fraction,
-                                              round_order_.size()));
+                                              members_.size()));
     committed = true;
     committed_c.add(1);
     ++served_;
@@ -637,9 +625,7 @@ void FlServer::cutover(std::uint64_t now) {
 
 void FlServer::clear_round() {
   round_open_ = false;
-  round_order_.clear();
-  round_delivered_.clear();
-  accepted_pending_.clear();
+  members_.clear();
   folded_inner_.clear();
   fold_frontier_ = 0;
 }
@@ -676,16 +662,12 @@ tensor::ByteBuffer FlServer::encode_checkpoint() {
     meta.u8(round_open_ ? 1 : 0);
     if (round_open_) {
       meta.u64(round_id_);
-      meta.u64(round_order_.size());
-      for (const auto id : round_order_) meta.u64(id);
+      meta.u64(members_.size());
+      for (const auto& m : members_) meta.u64(m.wire_id);
       meta.u64(fold_frontier_);
       meta.u64(round_.accepted());
-      // FOLDED inner ids only (the duplicate screen's id space) — sorted so
-      // identical state always produces identical snapshot bytes. Updates
-      // screened-accepted but still parked behind the fold frontier are NOT
-      // recorded: they are absent from the serialized partials, so after a
-      // restore their senders must be able to resend without the duplicate
-      // screen bouncing them.
+      // The folded inner ids (the duplicate screen's id space), sorted so
+      // identical state always produces identical snapshot bytes.
       std::vector<std::uint64_t> folded = folded_inner_;
       std::sort(folded.begin(), folded.end());
       meta.u64(folded.size());
@@ -736,6 +718,11 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     for (std::uint64_t i = 0; i < na; ++i) accepted_ids.push_back(meta.u64());
   }
   meta.expect_end();
+  if (mid && dynamic_cast<const fl::MaliciousServer*>(&core_) != nullptr) {
+    throw ConfigError(
+        "a mid-round snapshot cannot be resumed under a MaliciousServer: "
+        "resume re-runs begin_round(), re-applying its model manipulation");
+  }
   if (cohort_cfg != config_.cohort_size || rounds_cfg != config_.rounds ||
       quorum != static_cast<double>(config_.quorum_fraction) ||
       has_selection != selection_.has_value()) {
@@ -773,20 +760,18 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
   core_.restore_round(round);
   served_ = served;
   if (has_selection) selection_->set_state(sel_state);
-  accepted_pending_.clear();
   accepts_since_ckpt_ = 0;
+  clear_round();
   if (mid) {
     round_open_ = true;
     round_id_ = round_id;
-    round_order_ = std::move(order);
     fold_frontier_ = frontier;
-    // The accepted-client set: the folded prefix of the round order (wire
-    // ids, drives completion) plus the folded inner ids (feeds the
-    // duplicate screen, so a resend of a folded update is rejected — no
-    // double count — while unfolded members resend freely).
-    round_delivered_.clear();
-    for (std::size_t i = 0; i < fold_frontier_; ++i) {
-      round_delivered_.insert(round_order_[i]);
+    // The folded prefix of the round order counts as delivered (drives
+    // completion), and the folded inner ids seed the duplicate screen, so a
+    // resend of a folded update is rejected — no double count — while
+    // unfolded members resend freely.
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      members_.emplace_back(order[i]).delivered = i < frontier;
     }
     round_.restore(std::move(fold), /*rejected=*/0, accepted_ids);
     folded_inner_ = std::move(accepted_ids);
@@ -798,7 +783,6 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
     round_deadline_ms_ = now + config_.round_timeout_ms;
     begin_dispatch();
   } else {
-    clear_round();
     round_.open();
   }
 }

@@ -29,9 +29,10 @@
 // expires, then commits the streamed aggregate and notifies every surviving
 // participant before admitting the next cohort.
 //
-// Survivability (DESIGN.md §5j): accepted updates are screened on arrival
-// and folded into the streaming RoundCore fold in the deterministic round
-// order; with a ckpt::CheckpointManager configured, the fold frontier is
+// Survivability (DESIGN.md §5j): each arriving update is held, unscreened,
+// with its cohort member, and the fold frontier offers it to the streaming
+// RoundCore fold in the deterministic round order, as the in-process loop
+// does; with a ckpt::CheckpointManager configured, the fold frontier is
 // checkpointed at round boundaries plus every K accepts, and resume_from()
 // reinstates the round ticket, accumulator partials, and accepted-client
 // set, after which the server re-binds the same port and reconnecting
@@ -51,8 +52,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ckpt/manager.h"
@@ -158,8 +157,10 @@ class FlServer {
   /// already-folded members are told kAccepted instead of re-collected.
   /// Throws CheckpointError (kNoValidGeneration when the directory holds no
   /// loadable snapshot; kStateMismatch when the snapshot belongs to a
-  /// differently configured federation). Returns the restored protocol
-  /// round.
+  /// differently configured federation), and ConfigError for a mid-round
+  /// snapshot under a fl::MaliciousServer: finishing the round would re-run
+  /// begin_round() and manipulate the restored model a second time. Nothing
+  /// live changes before a throw. Returns the restored protocol round.
   std::uint64_t resume_from();
 
   /// One event-loop iteration: poll up to `timeout_ms`, pump socket IO,
@@ -230,13 +231,25 @@ class FlServer {
   [[nodiscard]] bool parked_full() const;
 
   // --- Durable fold (DESIGN.md §5j) ---------------------------------------
-  /// Folds one accepted update and records its inner id.
-  void fold(const fl::ClientUpdateMessage& msg);
-  /// Folds accepted updates into the round fold while the next cohort
-  /// member in round order has delivered one — the "fold frontier". Folding
-  /// strictly in round order (never arrival order) is what keeps the
-  /// streamed aggregate byte-identical to the batch cutover fold, and what
-  /// makes a mid-round snapshot's accepted set a simple order prefix.
+  /// One cohort member of the open round.
+  struct Member {
+    explicit Member(std::uint64_t id) : wire_id(id) {}
+    std::uint64_t wire_id;
+    bool delivered = false;  // sent an update this round, any verdict
+    /// Updates not yet offered, in arrival order: they wait for the fold
+    /// frontier to reach this member.
+    std::vector<fl::ClientUpdateMessage> held;
+  };
+  /// The open round's member with this wire id, or nullptr.
+  [[nodiscard]] Member* member(std::uint64_t wire_id);
+  /// RoundCore::offer, recording the inner id of a folded update. Returns
+  /// true when it folded.
+  bool offer(const fl::ClientUpdateMessage& msg);
+  /// Offers held updates while the member at the fold frontier has some,
+  /// and moves the frontier past it once one folds. Offering strictly in
+  /// round order (never arrival order) gives the screen and the sum the
+  /// in-process sequence, and makes a mid-round snapshot's folded set a
+  /// prefix of the round order.
   void fold_ready();
   /// Snapshot of the complete serving state (model, round ticket, fold
   /// frontier, accumulator partials, accepted ids, selection RNG).
@@ -258,28 +271,17 @@ class FlServer {
   std::optional<common::Rng> selection_;
   bool round_open_ = false;
   std::uint64_t round_id_ = 0;             // protocol round being collected
-  std::vector<std::uint64_t> round_order_; // cohort ids, aggregation order
-  /// Wire ids that delivered an update this round (any verdict). The round
-  /// completes when this covers round_order_; restored from a snapshot as
-  /// the folded prefix so a crash re-collects exactly the unfolded tail.
-  std::unordered_set<std::uint64_t> round_delivered_;
-  /// Accepted updates awaiting their fold-order slot, keyed by wire id.
-  /// A vector per id keeps tolerated duplicate deliveries adjacent, exactly
-  /// like the batch path's assembled order.
-  std::unordered_map<std::uint64_t, std::vector<fl::ClientUpdateMessage>>
-      accepted_pending_;
+  /// The cohort in fold order. The round completes when every member has
+  /// delivered; a restore marks the folded prefix delivered, so a crash
+  /// re-collects exactly the unfolded tail.
+  std::vector<Member> members_;
   /// This round's dispatch payloads, one per distinct message (§5p).
   std::vector<std::shared_ptr<const tensor::ByteBuffer>> dispatch_payloads_;
   fl::RoundCore round_;                // screen + the durable streamed fold
-  /// INNER ids of the updates actually folded into round_ — a strict subset
-  /// of the screen's seen ids whenever accepted updates are still parked
-  /// behind the fold frontier. Snapshots serialize THIS set, not the
-  /// screen's: an accepted-but-unfolded update is absent from the serialized
-  /// partials, so its sender must be allowed to resend after a restore.
-  /// Serializing the full screen set would make the duplicate screen reject
-  /// that resend and silently shrink the round's aggregate.
+  /// INNER ids of the updates folded into round_, which snapshots record
+  /// and a restore seeds the duplicate screen with.
   std::vector<std::uint64_t> folded_inner_;
-  std::size_t fold_frontier_ = 0;      // round_order_ prefix already folded
+  std::size_t fold_frontier_ = 0;      // members_ prefix already folded
   std::uint64_t accepts_since_ckpt_ = 0;
   bool ckpt_degraded_ = false;
   std::uint64_t round_deadline_ms_ = 0;

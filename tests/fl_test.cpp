@@ -386,6 +386,29 @@ TEST(Validation, RejectsEachFaultClassAndAggregatesTheRest) {
   }
 }
 
+// The duplicate screen registers an id once the round id matches, before
+// the payload checks run: an update rejected for its payload still claims
+// its id, and only a wrong-round rejection leaves the id free. The pinned
+// bytes of every engine depend on this order.
+TEST(Validation, PayloadRejectionStillClaimsTheId) {
+  Server server(tiny_factory(21)(), 0.5);
+  std::vector<ClientUpdateMessage> updates;
+  updates.push_back(fake_update(0, 1.0, /*round=*/5));  // wrong round
+  updates.push_back(fake_update(0, 1.0));               // id 0 still free
+  updates.push_back(fake_update(1, 1.0));
+  updates.back().num_examples = 0;                      // claims id 1
+  updates.push_back(fake_update(1, 1.0));
+  updates.push_back(fake_update(2, 1.0));
+  updates.back().gradients.pop_back();                  // claims id 2
+  updates.push_back(fake_update(2, 1.0));
+  const RoundOutcome outcome = server.finish_round(updates);
+  EXPECT_EQ(outcome.reasons,
+            (std::vector<RejectReason>{
+                RejectReason::kWrongRound, RejectReason::kAccepted,
+                RejectReason::kZeroExamples, RejectReason::kDuplicate,
+                RejectReason::kChecksumMismatch, RejectReason::kDuplicate}));
+}
+
 TEST(Validation, AllRejectedSkipsTheSgdStep) {
   auto model = tiny_factory(21)();
   const auto before = nn::snapshot_state(*model);

@@ -889,6 +889,125 @@ TEST(NetRound, MidRoundArrivalBouncesThenJoinsNextRoundBitExactly) {
       << "backpressure + cutover must not perturb the aggregation";
 }
 
+// --- Round order, not arrival order -----------------------------------------
+
+/// Steps the server and `clients` until the round opens. The loop breaks
+/// right after the server step that dispatches, so no client has trained.
+void seat_cohort(FlServer& server, const std::vector<FlClient*>& clients,
+                 std::uint64_t& t) {
+  const std::uint64_t started_before = counter_value("net.round.started");
+  for (int i = 0; i < 10000; ++i) {
+    server.step(0);
+    if (counter_value("net.round.started") > started_before) break;
+    for (auto* c : clients) c->step(0);
+    ++t;
+  }
+  ASSERT_GT(counter_value("net.round.started"), started_before);
+}
+
+/// Steps `client` and the server until the server has received one more
+/// update.
+void deliver(FlServer& server, FlClient& client, std::uint64_t& t) {
+  const std::uint64_t before = counter_value("net.update.received");
+  for (int i = 0; i < 10000; ++i) {
+    client.step(0);
+    server.step(0);
+    ++t;
+    if (counter_value("net.update.received") > before) break;
+  }
+  ASSERT_EQ(counter_value("net.update.received"), before + 1);
+}
+
+// Two cohort members share inner id 7. The duplicate screen keeps the first
+// update in round order, as the in-process fold does, whichever member's
+// bytes reach the socket first.
+TEST(NetRound, SpoofedInnerIdFoldsInRoundOrder) {
+  const auto spoofer = [](std::uint64_t wire_id) {
+    return std::make_unique<fl::Client>(
+        7, tiny_dataset(6, 4, 11 + wire_id), tiny_factory(5),
+        /*batch_size=*/4, std::make_shared<fl::IdentityPreprocessor>(),
+        common::Rng(1000 + wire_id));
+  };
+
+  fl::Server ref(tiny_factory(61)(), /*learning_rate=*/0.1);
+  {
+    const fl::GlobalModelMessage msg = ref.begin_round();
+    const std::vector<fl::ClientUpdateMessage> updates{
+        spoofer(0)->handle_round(msg), spoofer(1)->handle_round(msg)};
+    ASSERT_FALSE(updates[0].gradients == updates[1].gradients);
+    const fl::RoundOutcome outcome = ref.finish_round(updates, 0);
+    ASSERT_EQ(outcome.reasons[0], fl::RejectReason::kAccepted);
+    ASSERT_EQ(outcome.reasons[1], fl::RejectReason::kDuplicate);
+  }
+  const auto want = nn::serialize_state(ref.global_model());
+
+  fl::Server core(tiny_factory(61)(), /*learning_rate=*/0.1);
+  FlServerConfig cfg;
+  cfg.cohort_size = 2;
+  cfg.rounds = 1;
+  std::uint64_t t = 0;
+  const TimeSource clock = [&t] { return t; };
+  FlServer server(core, cfg, clock);
+  server.listen("127.0.0.1", 0);
+
+  std::vector<std::unique_ptr<fl::Client>> cores;
+  std::vector<std::unique_ptr<FlClient>> clients;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    cores.push_back(spoofer(i));
+    FlClientConfig ccfg;
+    ccfg.client_id = i;
+    clients.push_back(std::make_unique<FlClient>(*cores[i], ccfg, clock));
+    clients[i]->connect("127.0.0.1", server.port());
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      seat_cohort(server, {clients[0].get(), clients[1].get()}, t));
+  // Member 1's bytes arrive first.
+  ASSERT_NO_FATAL_FAILURE(deliver(server, *clients[1], t));
+  ASSERT_TRUE(
+      drive_loopback(server, {clients[0].get(), clients[1].get()}, t));
+
+  EXPECT_EQ(server.rounds_served(), 1u);
+  EXPECT_EQ(nn::serialize_state(core.global_model()), want)
+      << "the duplicate screen must keep member 0's update, as in process";
+}
+
+// A dishonest server sees the updates in fold order, not arrival order:
+// the capture is the same under every engine.
+TEST(NetRound, MaliciousServerCapturesInFoldOrder) {
+  constexpr index_t kClients = 3;
+  fl::MaliciousServer core(tiny_factory(62)(), /*learning_rate=*/0.1,
+                           [](nn::Sequential&) {});
+  FlServerConfig cfg;
+  cfg.cohort_size = kClients;
+  cfg.rounds = 1;
+  std::uint64_t t = 0;
+  const TimeSource clock = [&t] { return t; };
+  FlServer server(core, cfg, clock);
+  server.listen("127.0.0.1", 0);
+
+  std::vector<std::unique_ptr<fl::Client>> cores;
+  std::vector<std::unique_ptr<FlClient>> clients;
+  std::vector<FlClient*> all;
+  for (index_t i = 0; i < kClients; ++i) {
+    cores.push_back(make_client(i));
+    FlClientConfig ccfg;
+    ccfg.client_id = i;
+    clients.push_back(std::make_unique<FlClient>(*cores[i], ccfg, clock));
+    clients[i]->connect("127.0.0.1", server.port());
+    all.push_back(clients[i].get());
+  }
+  ASSERT_NO_FATAL_FAILURE(seat_cohort(server, all, t));
+  for (index_t i = kClients; i-- > 0;) {
+    ASSERT_NO_FATAL_FAILURE(deliver(server, *clients[i], t));
+  }
+  ASSERT_TRUE(drive_loopback(server, all, t));
+
+  ASSERT_EQ(server.rounds_served(), 1u);
+  std::vector<std::uint64_t> ids;
+  for (const auto& u : core.captured()) ids.push_back(u.client_id);
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2}));
+}
+
 // --- Abuse bounds -----------------------------------------------------------
 
 TEST(NetServer, SlowlorisPartialHelloIsReapedByIdleDeadline) {
@@ -1507,7 +1626,7 @@ TEST(NetServer, CheckpointWriteFailureDegradesToInMemory) {
 }
 
 // Tentpole, deterministically: destroy the server at the first mid-round
-// fold checkpoint — with two further accepted updates still parked behind
+// fold checkpoint — with two further updates still held, unscreened, behind
 // the fold frontier — rebuild from disk on the same port, and finish the
 // schedule bit-exactly. This is the in-process, virtual-clock twin of the
 // fork/SIGKILL chaos harness (tests/net_chaos_test.cpp), pinning the exact
@@ -1572,8 +1691,8 @@ TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
   }
   ASSERT_GT(counter_value("net.round.started"), started_before);
 
-  // Clients 1 and 2 train and deliver FIRST: both are screened-accepted but
-  // parked behind the fold frontier, which waits on client 0.
+  // Clients 1 and 2 train and deliver FIRST: both are held, unscreened,
+  // behind the fold frontier, which waits on client 0.
   const std::uint64_t updates_before = counter_value("net.update.received");
   for (int i = 0; i < 10000; ++i) {
     server->step(0);
@@ -1585,7 +1704,7 @@ TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
   ASSERT_EQ(counter_value("net.update.received"), updates_before + 2);
 
   // Client 0 delivers; its fold triggers the first checkpoint — and the
-  // "crash", with clients 1 and 2 accepted-but-unfolded.
+  // "crash", with clients 1 and 2 held, unscreened.
   bool killed = false;
   for (int i = 0; i < 10000 && !killed; ++i) {
     clients[0]->step(0);
@@ -1619,6 +1738,73 @@ TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
   for (const auto& c : clients) resumed += c->sessions_resumed();
   EXPECT_GE(resumed, 3u);
   EXPECT_GE(clients[1]->cached_resends() + clients[2]->cached_resends(), 2u);
+}
+
+// Finishing an in-flight round would re-run begin_round() on a model the
+// snapshot already holds manipulated, so a MaliciousServer refuses a
+// mid-round resume before any live state changes. A resting snapshot
+// re-runs nothing and stays restorable.
+TEST(NetRestart, MidRoundResumeRefusesMaliciousServer) {
+  const ScratchDir root("net_malicious_resume");
+  FlServerConfig cfg;
+  cfg.cohort_size = 1;
+  cfg.rounds = 1;
+  cfg.checkpoint_every_accepts = 1;
+  std::uint64_t t = 0;
+  const TimeSource clock = [&t] { return t; };
+
+  ckpt::CheckpointManager resting(root.path("resting"), /*keep=*/4);
+  ckpt::CheckpointManager mid(root.path("mid"), /*keep=*/4);
+  {
+    fl::Server core(tiny_factory(63)(), /*learning_rate=*/0.1);
+    cfg.checkpoint = &resting;
+    FlServer server(core, cfg, clock);
+    server.listen("127.0.0.1", 0);  // the generation-0 resting snapshot
+  }
+  {
+    // The only member's fold saves a mid-round snapshot: stop there.
+    fl::Server core(tiny_factory(63)(), /*learning_rate=*/0.1);
+    cfg.checkpoint = &mid;
+    FlServer server(core, cfg, clock);
+    server.listen("127.0.0.1", 0);
+    struct Kill {};
+    server.set_event_hook([](FlServer::Event e) {
+      if (e == FlServer::Event::kCheckpointSaved) throw Kill{};
+    });
+    auto trainer = make_client(0);
+    FlClient client(*trainer, FlClientConfig{}, clock);
+    client.connect("127.0.0.1", server.port());
+    bool killed = false;
+    for (int i = 0; i < 10000 && !killed; ++i) {
+      client.step(0);
+      try {
+        server.step(0);
+      } catch (const Kill&) {
+        killed = true;
+      }
+      ++t;
+    }
+    ASSERT_TRUE(killed);
+  }
+
+  int manipulations = 0;
+  fl::MaliciousServer core(
+      tiny_factory(63)(), /*learning_rate=*/0.1,
+      [&manipulations](nn::Sequential&) { ++manipulations; });
+  const auto before = nn::serialize_state(core.global_model());
+  cfg.checkpoint = &mid;
+  {
+    FlServer server(core, cfg, clock);
+    EXPECT_THROW(server.resume_from(), ConfigError);
+  }
+  EXPECT_EQ(manipulations, 0);
+  EXPECT_EQ(core.round(), 0u);
+  EXPECT_EQ(nn::serialize_state(core.global_model()), before);
+
+  cfg.checkpoint = &resting;
+  FlServer server(core, cfg, clock);
+  EXPECT_EQ(server.resume_from(), 0u);
+  EXPECT_EQ(manipulations, 0);
 }
 
 }  // namespace

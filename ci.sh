@@ -102,11 +102,15 @@ run_crash() {
   # offsets and memcmps resumed runs against uninterrupted references; the
   # corruption sweeps parse every truncation + hundreds of bit flips. Both
   # run under ASan/UBSan so an out-of-bounds read on a damaged snapshot
-  # aborts loudly instead of passing quietly.
+  # aborts loudly instead of passing quietly. The snapshot decoders are
+  # where damaged bytes land, so the byte pins of every engine's snapshot
+  # (CkptPin.*) and the cross-engine refusals (CkptRefusal.*) ride along.
   echo "==> [ci] Crash stage: kill-point checkpoint/resume harness under ASan/UBSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
-  cmake --build build-asan -j "${jobs}" --target crash_test ckpt_test
+  cmake --build build-asan -j "${jobs}" --target crash_test ckpt_test \
+    round_core_test
   ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L crash
+  ./build-asan/tests/round_core_test --gtest_filter='CkptPin.*:CkptRefusal.*'
 }
 
 run_shard() {
@@ -136,7 +140,9 @@ run_net() {
   # on threads of their own. The TSan pass also runs the round-order pins
   # NetRound.SpoofedInnerIdFoldsInRoundOrder and
   # NetRound.MaliciousServerCapturesInFoldOrder, which hold arrivals at the
-  # fold frontier and offer them in round order.
+  # fold frontier and offer them in round order, and
+  # NetRestart.MidRoundResumeKeepsPayloadRejectedClaims, which kills and
+  # resumes a round whose screen holds an id claimed by a rejected update.
   echo "==> [ci] Net stage: socket serving tests + net_rounds under ASan/UBSan, TSan loopback"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target net_test net_rounds
@@ -147,7 +153,7 @@ run_net() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_TSAN=ON
   cmake --build build-tsan -j "${jobs}" --target net_test
   ./build-tsan/tests/net_test \
-    --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly:NetRound.FaultPlanLoopbackMatchesSingleAttemptSimulation:NetRound.SpoofedInnerIdFoldsInRoundOrder:NetRound.MaliciousServerCapturesInFoldOrder:NetAlloc.*:Outbox.*:FrameDecoder.*'
+    --gtest_filter='NetRound.LoopbackFederationMatchesInProcessServerBitExactly:NetRound.FaultPlanLoopbackMatchesSingleAttemptSimulation:NetRound.SpoofedInnerIdFoldsInRoundOrder:NetRound.MaliciousServerCapturesInFoldOrder:NetRestart.MidRoundResumeKeepsPayloadRejectedClaims:NetAlloc.*:Outbox.*:FrameDecoder.*'
 }
 
 run_net_chaos() {

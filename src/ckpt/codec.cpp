@@ -2,6 +2,16 @@
 
 namespace oasis::ckpt {
 
+void expect_engine(SectionReader& meta, Engine engine) {
+  const std::uint8_t tag = meta.u8();
+  if (tag != static_cast<std::uint8_t>(engine)) {
+    throw CheckpointError(
+        CheckpointError::Reason::kStateMismatch,
+        "snapshot of engine " + std::to_string(tag) + " restored into engine " +
+            std::to_string(static_cast<unsigned>(engine)));
+  }
+}
+
 // Out of line: inlined into a fresh SectionWriter, GCC 12 reports a false
 // -Wstringop-overflow on the first vector insert.
 void write_rng_state(SectionWriter& w, const common::Rng::State& s) {

@@ -13,9 +13,10 @@
 // travel in host byte order, which is little-endian on every supported
 // target; the static_assert below keeps it that way.
 //
-// The helpers at the end are the layouts every engine shares: an Rng stream
-// position, and the rethrow that turns a model section the live network
-// cannot load into a typed state mismatch.
+// The helpers at the end are the layouts every engine shares: the engine
+// tag that opens every "meta" section, an Rng stream position, and the
+// rethrow that turns a model section the live network cannot load into a
+// typed state mismatch.
 #pragma once
 
 #include <bit>
@@ -54,21 +55,10 @@ class SectionWriter {
   void append(const ByteBuffer& b) {
     out_.insert(out_.end(), b.begin(), b.end());
   }
-  /// Bit-packed flag vector (u64 bit count + ceil(n/8) bytes, LSB-first).
-  /// The sharded round engine stores its completed-shard bitmap this way so
-  /// a mid-round snapshot of a million-shard round costs kilobytes.
-  void bitset(const std::vector<bool>& bits) {
-    out_.reserve(out_.size() + sizeof(std::uint64_t) + (bits.size() + 7) / 8);
-    u64(bits.size());
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-      if (bits[i]) acc |= static_cast<std::uint8_t>(1u << (i % 8));
-      if (i % 8 == 7) {
-        out_.push_back(acc);
-        acc = 0;
-      }
-    }
-    if (bits.size() % 8 != 0) out_.push_back(acc);
+  /// u64 count, then the values.
+  void u64s(const std::vector<std::uint64_t>& values) {
+    u64(values.size());
+    for (const auto v : values) u64(v);
   }
 
   [[nodiscard]] ByteBuffer take() { return std::move(out_); }
@@ -116,26 +106,14 @@ class SectionReader {
     off_ += n;
     return b;
   }
-  std::vector<bool> bitset() {
-    const std::uint64_t nbits = u64();
-    const std::uint64_t nbytes = (nbits + 7) / 8;
-    need(nbytes);
-    std::vector<bool> bits(nbits);
-    for (std::uint64_t i = 0; i < nbits; ++i) {
-      bits[i] = (in_[off_ + i / 8] >> (i % 8)) & 1u;
-    }
-    // Padding bits beyond nbits must be zero — a set stray bit means the
-    // writer and reader disagree about the count.
-    if (nbits % 8 != 0) {
-      const std::uint8_t tail = in_[off_ + nbytes - 1];
-      if ((tail >> (nbits % 8)) != 0) {
-        throw CheckpointError(
-            CheckpointError::Reason::kMalformedSection,
-            "section '" + section_ + "' bitset has stray padding bits");
-      }
-    }
-    off_ += nbytes;
-    return bits;
+  /// u64s()'s list. The count is checked against the bytes present before
+  /// anything is allocated.
+  std::vector<std::uint64_t> u64s() {
+    const std::uint64_t n = u64();
+    need(n, sizeof(std::uint64_t));
+    std::vector<std::uint64_t> values(n);
+    for (auto& v : values) v = u64();
+    return values;
   }
 
   [[nodiscard]] std::size_t remaining() const { return in_.size() - off_; }
@@ -152,8 +130,10 @@ class SectionReader {
   }
 
  private:
-  void need(std::uint64_t n) const {
-    if (off_ > in_.size() || in_.size() - off_ < n) {
+  /// Throws unless `n` items of `unit` bytes remain (divided, not
+  /// multiplied, so a hostile count cannot wrap).
+  void need(std::uint64_t n, std::uint64_t unit = 1) const {
+    if (off_ > in_.size() || (in_.size() - off_) / unit < n) {
       throw CheckpointError(
           CheckpointError::Reason::kMalformedSection,
           "section '" + section_ + "' truncated at offset " +
@@ -170,6 +150,18 @@ class SectionReader {
   std::string section_;
   std::size_t off_ = 0;
 };
+
+/// The engine a snapshot belongs to: the first byte of its "meta" section
+/// (DESIGN.md §5g).
+enum class Engine : std::uint8_t {
+  kSimulation = 1,  // the round loop under fl::Simulation's driver
+  kSharded = 2,     // the round loop under a VirtualPopulation
+  kSocket = 3,      // net::FlServer
+};
+
+/// Reads the engine tag. CheckpointError{kStateMismatch} when the snapshot
+/// belongs to another engine.
+void expect_engine(SectionReader& meta, Engine engine);
 
 /// An Rng stream position: four u64 state words, the cached spare normal
 /// (f64), and its has-spare flag (u8).

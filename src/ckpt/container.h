@@ -1,11 +1,11 @@
-// oasis::ckpt container format — "oasis.ckpt/v1".
+// oasis::ckpt container format — "oasis.ckpt/v2".
 //
 // A snapshot is a single file holding named byte sections:
 //
 //   offset  size  field
 //   ------  ----  -----------------------------------------------------------
 //   0       8     magic "OASISCKP"
-//   8       4     u32 version (currently 1)
+//   8       4     u32 version (currently 2)
 //   12      4     u32 section_count
 //   16      …     directory: per section
 //                   u32 name_len, name bytes,
@@ -22,8 +22,12 @@
 // payload — so a caller never observes bytes from a damaged file. All
 // failures are typed CheckpointError with a machine-readable Reason.
 //
-// All integers are little-endian host order, matching tensor/serialize.h
-// (single-process simulator; the version field exists for future migration).
+// All integers are little-endian host order, matching tensor/serialize.h.
+// Version 2 is the one snapshot schema every engine writes inside the
+// container (DESIGN.md §5g): a "meta" section opening with an engine tag,
+// "model", "rng", "agg" while a round is open, and "obs" for the
+// in-process engines. No reader for an older version is kept: a version 1
+// file is refused with kBadVersion.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +41,7 @@ namespace oasis::ckpt {
 using ByteBuffer = std::vector<std::uint8_t>;
 
 inline constexpr char kMagic[8] = {'O', 'A', 'S', 'I', 'S', 'C', 'K', 'P'};
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 
 /// Accumulates named sections, then seals them into one container buffer.
 class SnapshotBuilder {
@@ -45,7 +49,7 @@ class SnapshotBuilder {
   /// Adds a section. Names must be unique, non-empty, and ≤ 255 bytes.
   void add(const std::string& name, ByteBuffer payload);
 
-  /// Serializes everything added so far into a "oasis.ckpt/v1" buffer.
+  /// Serializes everything added so far into a "oasis.ckpt/v2" buffer.
   [[nodiscard]] ByteBuffer finish() const;
 
  private:

@@ -1,6 +1,8 @@
 #include "fl/round_core.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 
 #include "tensor/serialize.h"
@@ -100,15 +102,21 @@ bool RoundCore::close(index_t min_valid) {
   return valid > 0;
 }
 
-void RoundCore::write_partials(ckpt::SectionWriter& w) const {
+void RoundCore::write_fold(ckpt::SectionWriter& w) const {
   OASIS_CHECK_MSG(!buffers(), "a buffered fold cannot be checkpointed");
   w.u64(accumulator_.count());
   w.f64(static_cast<double>(accumulator_.total_weight()));
   w.bytes(tensor::serialize_tensors(accumulator_.partials()));
+  w.u64(rejected_);
+  // Sorted, so identical state always produces identical snapshot bytes.
+  std::vector<std::uint64_t> claimed(screen_.seen_ids.begin(),
+                                     screen_.seen_ids.end());
+  std::sort(claimed.begin(), claimed.end());
+  w.u64s(claimed);
 }
 
-FoldPartials RoundCore::read_partials(ckpt::SectionReader& r) {
-  FoldPartials fold;
+FoldState RoundCore::read_fold(ckpt::SectionReader& r) {
+  FoldState fold;
   fold.count = r.u64();
   fold.total_weight = static_cast<real>(r.f64());
   const ckpt::ByteBuffer bytes = r.bytes();
@@ -119,16 +127,22 @@ FoldPartials RoundCore::read_partials(ckpt::SectionReader& r) {
         CheckpointError::Reason::kMalformedSection,
         std::string("accumulator partials failed to decode: ") + e.what());
   }
+  fold.rejected = r.u64();
+  fold.claimed = r.u64s();
+  if (std::adjacent_find(fold.claimed.begin(), fold.claimed.end(),
+                         std::greater_equal<>()) != fold.claimed.end()) {
+    throw CheckpointError(CheckpointError::Reason::kMalformedSection,
+                          "claimed client ids are not strictly ascending");
+  }
   return fold;
 }
 
-void RoundCore::restore(FoldPartials fold, index_t rejected,
-                        std::span<const std::uint64_t> seen_ids) {
+void RoundCore::restore(FoldState fold) {
   open();
   accumulator_.restore(std::move(fold.partials), fold.total_weight,
                        fold.count);
-  rejected_ = rejected;
-  screen_.seen_ids.insert(seen_ids.begin(), seen_ids.end());
+  rejected_ = fold.rejected;
+  screen_.seen_ids.insert(fold.claimed.begin(), fold.claimed.end());
 }
 
 }  // namespace oasis::fl

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "ckpt/codec.h"
@@ -28,10 +27,13 @@
 namespace oasis::fl {
 
 /// A streaming fold's mid-round state, decoded from a snapshot.
-struct FoldPartials {
+struct FoldState {
   std::uint64_t count = 0;
   real total_weight = 0.0;
   std::vector<tensor::Tensor> partials;
+  index_t rejected = 0;
+  /// Every id the duplicate screen has claimed, ascending.
+  std::vector<std::uint64_t> claimed;
 };
 
 class RoundCore {
@@ -49,8 +51,9 @@ class RoundCore {
   void open();
 
   /// A fresh duplicate screen, same fold. The round loop screens per
-  /// shard: cohort ids are distinct across shards, and an O(cohort) id set
-  /// would break its O(shard) memory contract.
+  /// shard and resets as each shard ends: cohort ids are distinct across
+  /// shards, an O(cohort) id set would break its O(shard) memory contract,
+  /// and every shard-boundary snapshot then carries an empty claimed list.
   void reset_screen() { screen_ = server_.begin_screen(); }
 
   /// Screens one update (Server::screen_update) and folds it when accepted.
@@ -68,16 +71,19 @@ class RoundCore {
   /// when the model advanced.
   bool close(index_t min_valid);
 
-  /// Mid-round payload of a streaming fold: u64 count, f64 total weight,
-  /// bytes(partials as a tensor::serialize_tensors message).
-  void write_partials(ckpt::SectionWriter& w) const;
-  /// Decodes a payload without touching live state. CheckpointError when
-  /// the partials do not decode.
-  static FoldPartials read_partials(ckpt::SectionReader& r);
-  /// Reopens a fold at a snapshot's frontier, with the ids the duplicate
-  /// screen had already seen.
-  void restore(FoldPartials fold, index_t rejected,
-               std::span<const std::uint64_t> seen_ids = {});
+  /// The fold-and-screen codec every checkpointing engine writes into its
+  /// "agg" section: u64 count, f64 total weight, bytes(partials as a
+  /// tensor::serialize_tensors message), u64 rejected tally, then the
+  /// duplicate screen's claimed ids (u64 n, n × u64, ascending). The
+  /// claimed ids include those of updates rejected for their payload, so a
+  /// restored screen is the live one.
+  void write_fold(ckpt::SectionWriter& w) const;
+  /// Decodes write_fold()'s payload without touching live state.
+  /// CheckpointError{kMalformedSection} when the partials do not decode or
+  /// the ids are not strictly ascending.
+  static FoldState read_fold(ckpt::SectionReader& r);
+  /// Reopens a fold at a snapshot's frontier: partials, tallies and screen.
+  void restore(FoldState fold);
 
  private:
   [[nodiscard]] bool buffers() const;

@@ -140,11 +140,9 @@ void ShardedSimulation::begin_round_state() {
   ticket_ = round_tickets_++;
   draw_cohort(rng_);
   scan_pos_ = 0;
-  num_shards_ = (cohort_size_ + config_.shard_size - 1) / config_.shard_size;
   OASIS_CHECK_MSG(num_shards_ < ckpt::kProgressPerRound,
                   num_shards_ << " shards exceed the generation-numbering "
                                  "ceiling; raise shard_size");
-  shard_done_.assign(num_shards_, false);
   round_.open();
   next_shard_ = 0;
   clients_done_ = 0;
@@ -164,19 +162,20 @@ void ShardedSimulation::draw_cohort(common::Rng& selection) {
     for (index_t i = 0; collect && i < target; ++i) {
       defense_cohort_.push_back(client_id(cohort_ids_[i]));
     }
-    return;
-  }
-  threshold_ = cohort_threshold(target, population_size());
-  // Count the actual (binomial) cohort so quorum math and the shard count
-  // are fixed before the first shard runs — ~ns per hash, and the scan
-  // keeps no per-client state unless the mask needs the id list.
-  cohort_size_ = 0;
-  for (index_t id = 0; id < population_size(); ++id) {
-    if (cohort_member(config_.seed, ticket_, id, threshold_)) {
-      ++cohort_size_;
-      if (collect) defense_cohort_.push_back(id);
+  } else {
+    threshold_ = cohort_threshold(target, population_size());
+    // Count the actual (binomial) cohort so quorum math and the shard count
+    // are fixed before the first shard runs — ~ns per hash, and the scan
+    // keeps no per-client state unless the mask needs the id list.
+    cohort_size_ = 0;
+    for (index_t id = 0; id < population_size(); ++id) {
+      if (cohort_member(config_.seed, ticket_, id, threshold_)) {
+        ++cohort_size_;
+        if (collect) defense_cohort_.push_back(id);
+      }
     }
   }
+  num_shards_ = (cohort_size_ + config_.shard_size - 1) / config_.shard_size;
 }
 
 void ShardedSimulation::collect_shard_members(std::vector<index_t>& out) {
@@ -225,11 +224,6 @@ void ShardedSimulation::process_shard() {
     }
   }
 
-  // One screen per shard suffices: cohort member ids are distinct across
-  // shards by construction (a permutation sample or an ascending id scan),
-  // so the only reachable duplicates are kDuplicate faults, delivered
-  // back to back within this shard.
-  round_.reset_screen();
   const index_t attempts = retry_ ? retry_->max_attempts : 1;
   std::vector<index_t> pending(members.size());  // indices into members
   for (index_t i = 0; i < pending.size(); ++i) pending[i] = i;
@@ -307,7 +301,12 @@ void ShardedSimulation::process_shard() {
                        std::to_string(attempts) + " attempts (" +
                        clock_.to_string() + ")");
   }
-  shard_done_[next_shard_] = true;
+  // One screen per shard suffices: cohort member ids are distinct across
+  // shards by construction (a permutation sample or an ascending id scan),
+  // so the only reachable duplicates are kDuplicate faults, delivered
+  // back to back within this shard. Reset here, so the boundary the hook
+  // may snapshot holds an empty screen.
+  round_.reset_screen();
   ++next_shard_;
   shards_c.add(1);
   shard_clients.add(members.size());
@@ -320,7 +319,6 @@ void ShardedSimulation::clear_round_state() {
   cohort_ids_.shrink_to_fit();
   defense_cohort_.clear();
   defense_cohort_.shrink_to_fit();
-  shard_done_.clear();
   cohort_size_ = 0;
   num_shards_ = 0;
   next_shard_ = 0;
@@ -373,6 +371,8 @@ void ShardedSimulation::run(index_t rounds,
 // ---- Checkpoint / resume ----------------------------------------------------
 
 std::uint64_t ShardedSimulation::checkpoint_generation() const {
+  // fl::Simulation numbers its generations by protocol round.
+  if (!population_) return server_->round();
   // A resting snapshot after round t-1 is round t at rest; mid-round shard
   // boundaries of the round with ticket t count next_shard as progress.
   return mid_round_
@@ -381,53 +381,52 @@ std::uint64_t ShardedSimulation::checkpoint_generation() const {
 }
 
 tensor::ByteBuffer ShardedSimulation::encode_checkpoint() {
-  return seal("smeta", "srng", [&](ckpt::SectionWriter& meta,
-                                   ckpt::SectionWriter& rng,
-                                   ckpt::SectionWriter& agg) {
-    meta.u64(server_->round());
-    meta.u64(round_tickets_);
-    // Configuration echo: a snapshot only fits the federation it came from.
-    meta.u64(population_->config().seed);
-    meta.u64(population_size());
-    meta.u64(config_.seed);
-    meta.u64(config_.cohort_size);
-    meta.u64(config_.shard_size);
-    meta.u8(static_cast<std::uint8_t>(config_.sampler));
-    meta.f64(static_cast<double>(config_.quorum_fraction));
-    meta.u8(1);  // weighting echo: every fold is example-weighted
-    meta.u8(mid_round_ ? 1 : 0);
-    ckpt::write_rng_state(rng, rng_.state());
-    if (!mid_round_) return;
+  ckpt::SectionWriter meta, rng;
+  meta.u8(static_cast<std::uint8_t>(population_ ? ckpt::Engine::kSharded
+                                                : ckpt::Engine::kSimulation));
+  meta.u64(server_->round());
+  meta.u64(round_tickets_);
+  // Configuration echo: a snapshot only fits the federation it came from.
+  meta.u64(config_.seed);
+  meta.u64(population_size());
+  meta.u64(config_.cohort_size);
+  meta.u64(config_.shard_size);
+  meta.u8(static_cast<std::uint8_t>(config_.sampler));
+  meta.f64(static_cast<double>(config_.quorum_fraction));
+  // The driver's word: a population echoes its seed; persistent clients
+  // run on the virtual clock.
+  meta.u64(population_ ? population_->config().seed : clock_.now());
+  meta.u8(mid_round_ ? 1 : 0);
+  ckpt::write_rng_state(rng, rng_.state());
+  if (mid_round_) {
     meta.u64(ticket_);
-    meta.u64(cohort_size_);
-    meta.u64(num_shards_);
     meta.u64(next_shard_);
     meta.u64(scan_pos_);
     meta.u64(clients_done_);
-    meta.u64(round_.accepted());
-    meta.u64(round_.rejected());
     ckpt::write_rng_state(rng, rng_at_round_start_);
-    agg.bitset(shard_done_);
-    round_.write_partials(agg);
-  });
-}
-
-tensor::ByteBuffer ShardedSimulation::seal(const char* meta_name,
-                                           const char* rng_name,
-                                           const SectionWrite& write) {
-  ckpt::SectionWriter meta, rng, agg;
-  write(meta, rng, agg);
-  const ckpt::ByteBuffer agg_bytes = agg.take();
+  }
+  if (!population_) {
+    // Persistent clients' rng streams, in the clients' own order.
+    rng.u32(static_cast<std::uint32_t>(clients_.size()));
+    for (const auto& c : clients_) {
+      rng.u64(c->id());
+      ckpt::write_rng_state(rng, c->rng_state());
+    }
+  }
   // Counted BEFORE the obs capture so the snapshot records itself: a
   // straight-through run and a run resumed from this snapshot then agree on
   // ckpt.save_total forever after.
   static obs::Counter& saves = obs::counter("ckpt.save_total");
   saves.add(1);
   ckpt::SnapshotBuilder builder;
-  builder.add(meta_name, meta.take());
+  builder.add("meta", meta.take());
   builder.add("model", nn::serialize_state(server_->global_model()));
-  builder.add(rng_name, rng.take());
-  if (!agg_bytes.empty()) builder.add("agg", agg_bytes);
+  builder.add("rng", rng.take());
+  if (mid_round_) {
+    ckpt::SectionWriter agg;
+    round_.write_fold(agg);
+    builder.add("agg", agg.take());
+  }
   builder.add("obs", ckpt::encode_obs(obs::Registry::global()));
   return builder.finish();
 }
@@ -436,31 +435,27 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
   using Reason = CheckpointError::Reason;
 
   // Decode and cross-check EVERYTHING before the first mutation, so a
-  // snapshot from the wrong federation (or a malformed section) leaves the
-  // live engine exactly as it was.
-  ckpt::SectionReader meta(snap.section("smeta"), "smeta");
+  // snapshot from the wrong engine or federation (or a malformed section)
+  // leaves the live engine exactly as it was.
+  ckpt::SectionReader meta(snap.section("meta"), "meta");
+  ckpt::expect_engine(meta, population_ ? ckpt::Engine::kSharded
+                                        : ckpt::Engine::kSimulation);
   const std::uint64_t round = meta.u64();
   const std::uint64_t tickets = meta.u64();
-  const std::uint64_t pop_seed = meta.u64();
+  const std::uint64_t seed = meta.u64();
   const std::uint64_t pop_size = meta.u64();
-  const std::uint64_t sel_seed = meta.u64();
   const std::uint64_t cohort_cfg = meta.u64();
   const std::uint64_t shard_size = meta.u64();
   const std::uint8_t sampler = meta.u8();
   const double quorum = meta.f64();
-  const bool weighted = meta.u8() != 0;
+  const std::uint64_t driver_word = meta.u64();
   const bool mid = meta.u8() != 0;
-  std::uint64_t ticket = 0, num_shards = 0, next_shard = 0;
-  std::uint64_t scan_pos = 0, clients_done = 0, rejected = 0;
+  std::uint64_t ticket = 0, next_shard = 0, scan_pos = 0, clients_done = 0;
   if (mid) {
     ticket = meta.u64();
-    meta.u64();  // cohort size: re-drawn with the cohort
-    num_shards = meta.u64();
     next_shard = meta.u64();
     scan_pos = meta.u64();
     clients_done = meta.u64();
-    meta.u64();  // accepted: "agg" carries the fold's own count
-    rejected = meta.u64();
   }
   meta.expect_end();
   if (mid && dynamic_cast<const MaliciousServer*>(server_.get()) != nullptr) {
@@ -468,56 +463,79 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
         "a mid-round snapshot cannot be resumed under a MaliciousServer: "
         "resume re-runs begin_round(), re-applying its model manipulation");
   }
-  if (pop_seed != population_->config().seed || pop_size != population_size() ||
-      sel_seed != config_.seed || cohort_cfg != config_.cohort_size ||
-      shard_size != config_.shard_size ||
+  if (seed != config_.seed || pop_size != population_size() ||
+      cohort_cfg != config_.cohort_size || shard_size != config_.shard_size ||
       sampler != static_cast<std::uint8_t>(config_.sampler) ||
-      quorum != static_cast<double>(config_.quorum_fraction) || !weighted) {
+      quorum != static_cast<double>(config_.quorum_fraction) ||
+      (population_ && driver_word != population_->config().seed)) {
     throw CheckpointError(
         Reason::kStateMismatch,
-        "snapshot belongs to a differently configured sharded federation "
-        "(population seed " +
-            std::to_string(pop_seed) + ", " + std::to_string(pop_size) +
+        "snapshot belongs to a differently configured federation (seed " +
+            std::to_string(seed) + ", " + std::to_string(pop_size) +
             " clients, shard_size " + std::to_string(shard_size) + ")");
   }
-  if (mid && (next_shard > num_shards || ticket >= tickets ||
-              scan_pos > pop_size)) {
+  // The shard count re-derives with the cohort; no cohort outgrows the
+  // population.
+  if (mid && (ticket >= tickets || scan_pos > pop_size ||
+              next_shard > (pop_size + shard_size - 1) / shard_size)) {
     throw CheckpointError(Reason::kStateMismatch,
                           "mid-round snapshot progress is inconsistent "
                           "(shard " +
-                              std::to_string(next_shard) + " of " +
-                              std::to_string(num_shards) + ")");
+                              std::to_string(next_shard) + ", ticket " +
+                              std::to_string(ticket) + ")");
   }
 
-  ckpt::SectionReader rng(snap.section("srng"), "srng");
+  ckpt::SectionReader rng(snap.section("rng"), "rng");
   const common::Rng::State rng_now = ckpt::read_rng_state(rng);
   common::Rng::State rng_start{};
   if (mid) rng_start = ckpt::read_rng_state(rng);
-  rng.expect_end();
-
-  std::vector<bool> done_bits;
-  FoldPartials fold;
-  if (mid) {
-    ckpt::SectionReader agg(snap.section("agg"), "agg");
-    done_bits = agg.bitset();
-    fold = RoundCore::read_partials(agg);
-    agg.expect_end();
-    // The fold is strictly in shard order, so the done shards must be the
-    // prefix before next_shard (sized from the bitmap: next_shard and
-    // num_shards are still unchecked against it).
-    std::vector<bool> prefix(done_bits.size(), false);
-    std::fill_n(prefix.begin(), std::min(next_shard, prefix.size()), true);
-    if (done_bits.size() != num_shards || done_bits != prefix) {
+  std::vector<common::Rng::State> client_rngs;
+  if (!population_) {
+    const std::uint32_t count = rng.u32();
+    if (count != clients_.size()) {
       throw CheckpointError(Reason::kStateMismatch,
-                            "completed-shard bitmap is not the prefix of " +
-                                std::to_string(num_shards) + " shards that " +
-                                "next_shard " + std::to_string(next_shard) +
-                                " implies");
+                            "snapshot carries RNG state for " +
+                                std::to_string(count) + " clients, have " +
+                                std::to_string(clients_.size()));
+    }
+    // In the order the snapshot listed them: the clients' own order, so a
+    // client list that differs in any id is refused.
+    client_rngs.resize(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint64_t id = rng.u64();
+      client_rngs[i] = ckpt::read_rng_state(rng);
+      if (id != clients_[i]->id()) {
+        throw CheckpointError(Reason::kStateMismatch,
+                              "snapshot RNG state for client id " +
+                                  std::to_string(id) + " at position " +
+                                  std::to_string(i));
+      }
     }
   }
+  rng.expect_end();
 
-  restore(snap, round, tickets, rng_now, [&] {
-    if (!mid) return;
+  FoldState fold;
+  if (mid) {
+    ckpt::SectionReader agg(snap.section("agg"), "agg");
+    fold = RoundCore::read_fold(agg);
+    agg.expect_end();
+  }
+  const tensor::ByteBuffer& model_bytes = snap.section("model");
+  const tensor::ByteBuffer& obs_bytes = snap.section("obs");
+
+  ckpt::load_model_section(
+      [&] { nn::deserialize_state(server_->global_model(), model_bytes); });
+  server_->restore_round(round);
+  round_tickets_ = tickets;
+  rng_.set_state(rng_now);
+  clear_round_state();
+  if (!population_) {
+    clock_.restore(driver_word);
+    for (std::size_t i = 0; i < clients_.size(); ++i) {
+      clients_[i]->restore_rng_state(client_rngs[i]);
+    }
+  }
+  if (mid) {
     ticket_ = ticket;
     rng_at_round_start_ = rng_start;
     // Re-draw the cohort from the round-start selection state; rng_ itself
@@ -525,36 +543,20 @@ void ShardedSimulation::apply_snapshot(const ckpt::Snapshot& snap) {
     common::Rng replay(0);
     replay.set_state(rng_start);
     draw_cohort(replay);
-    num_shards_ = num_shards;
     next_shard_ = next_shard;
     scan_pos_ = scan_pos;
     clients_done_ = clients_done;
-    shard_done_ = std::move(done_bits);
-    round_.restore(std::move(fold), rejected);
+    round_.restore(std::move(fold));
     // Rebuild the dispatch payload for the round in flight (honest-server
     // assumption: begin_round is idempotent given unchanged model state).
     server_->begin_round();
     mid_round_ = true;
-  });
-  if (mid) obs::counter("ckpt.restore.shard_midround").add(1);
-}
-
-void ShardedSimulation::restore(const ckpt::Snapshot& snap,
-                                std::uint64_t round, std::uint64_t tickets,
-                                const common::Rng::State& rng,
-                                const std::function<void()>& driver_state) {
-  const tensor::ByteBuffer& model_bytes = snap.section("model");
-  const tensor::ByteBuffer& obs_bytes = snap.section("obs");
-  ckpt::load_model_section(
-      [&] { nn::deserialize_state(server_->global_model(), model_bytes); });
-  server_->restore_round(round);
-  round_tickets_ = tickets;
-  rng_.set_state(rng);
-  clear_round_state();
-  round_.open();
-  driver_state();
+  } else {
+    round_.open();
+  }
   ckpt::apply_obs(obs_bytes);
   obs::counter("ckpt.restore_total").add(1);
+  if (mid) obs::counter("ckpt.restore.shard_midround").add(1);
 }
 
 void ShardedSimulation::restore_checkpoint(const tensor::ByteBuffer& bytes) {

@@ -28,9 +28,10 @@
 // differential shard and round-core tests pin exactly this.
 //
 // Mid-round checkpointing. Huge rounds are made interruption-proof by
-// snapshotting at shard boundaries: a snapshot carries the completed-shard
-// bitmap, the fold's partial sums, the screen tallies, and the
-// selection RNG state from the top of the round (so the cohort re-derives on
+// snapshotting at shard boundaries: a snapshot carries the next shard to
+// run (the completed shards are always the prefix before it), the fold's
+// partial sums and screen tallies, and the selection RNG state from the top
+// of the round (so the cohort, and with it the shard count, re-derives on
 // resume). A SIGKILL mid-shard loses at most one shard of work and the
 // resumed run is bit-identical to one that never crashed — the shard crash
 // tests prove it over 50 seeds.
@@ -185,29 +186,33 @@ class ShardedSimulation {
 
   // --- Checkpoint / resume -------------------------------------------------
   //
-  // Same container format and contract as fl::Simulation (sections are named
-  // differently — "smeta"/"srng" — so the two engines reject each other's
-  // snapshots). A snapshot taken at a shard boundary additionally carries an
-  // "agg" section: completed-shard bitmap + the RoundCore fold's partials
-  // (its screen tallies ride in "smeta"). Restoring it re-derives the cohort
-  // from the round-start RNG state and resumes the shard loop bit-exactly.
+  // One schema for both drivers (DESIGN.md §5g): sections "meta" (engine
+  // tag, round, tickets, configuration echo, the driver's word — the
+  // population seed, or fl::Simulation's clock — and the shard frontier
+  // while mid-round), "model", "rng" (selection stream, its round-start
+  // state while mid-round, and fl::Simulation's (id, rng) client list),
+  // "agg" while mid-round (RoundCore::write_fold) and "obs". The engine tag
+  // tells the drivers apart, so each refuses the other's snapshots.
+  // Restoring a mid-round snapshot re-derives the cohort from the
+  // round-start RNG state and resumes the shard loop bit-exactly.
 
-  /// Serializes the engine into an "oasis.ckpt/v1" buffer and bumps
+  /// Serializes the engine into an "oasis.ckpt/v2" buffer and bumps
   /// ckpt.save_total (before the obs capture, so the snapshot counts
   /// itself).
-  [[nodiscard]] virtual tensor::ByteBuffer encode_checkpoint();
+  [[nodiscard]] tensor::ByteBuffer encode_checkpoint();
 
   /// Validates `bytes` exhaustively and applies it. Throws CheckpointError
-  /// (kStateMismatch for a snapshot from a differently configured
-  /// federation) and leaves live state untouched on validation failure.
-  /// Throws ConfigError, also before any mutation, for a mid-round snapshot
-  /// when the server is a MaliciousServer.
+  /// (kStateMismatch for a snapshot from another engine or a differently
+  /// configured federation) and leaves live state untouched on validation
+  /// failure. Throws ConfigError, also before any mutation, for a mid-round
+  /// snapshot when the server is a MaliciousServer.
   void restore_checkpoint(const tensor::ByteBuffer& bytes);
 
   /// encode_checkpoint() → manager.save(generation); returns the path.
   /// Generations interleave rounds and shards monotonically
   /// (ckpt::progress_generation): ticket·2^20 + 1 + next_shard mid-round,
-  /// round_tickets·2^20 at rest.
+  /// round_tickets·2^20 at rest. fl::Simulation numbers them by protocol
+  /// round.
   std::string save_checkpoint(ckpt::CheckpointManager& manager);
 
   /// Restores from the manager's newest valid generation and returns the
@@ -232,27 +237,13 @@ class ShardedSimulation {
   index_t run_round(std::vector<std::uint64_t>* cohort);
   void begin_round_state();
   /// Draws this round's cohort from `selection` (rng_, or on resume a
-  /// replay of the round-start state).
+  /// replay of the round-start state) and derives the shard count.
   void draw_cohort(common::Rng& selection);
   void process_shard();
   void collect_shard_members(std::vector<index_t>& out);
   void clear_round_state();
-  // The snapshot schema is the driver's: fl::Simulation overrides these.
-  [[nodiscard]] virtual std::uint64_t checkpoint_generation() const;
-  virtual void apply_snapshot(const ckpt::Snapshot& snap);
-  /// The restore tail both drivers share, after their own sections passed
-  /// every check: shared state, then `driver_state`, then the obs registry.
-  void restore(const ckpt::Snapshot& snap, std::uint64_t round,
-               std::uint64_t tickets, const common::Rng::State& rng,
-               const std::function<void()>& driver_state);
-  /// Fills a driver's sections; `agg` stays empty at rest.
-  using SectionWrite = std::function<void(
-      ckpt::SectionWriter& meta, ckpt::SectionWriter& rng,
-      ckpt::SectionWriter& agg)>;
-  /// The container both drivers write: counts ckpt.save_total, then seals
-  /// `meta`, the model, `rng`, a non-empty `agg` and the obs registry.
-  tensor::ByteBuffer seal(const char* meta_name, const char* rng_name,
-                          const SectionWrite& write);
+  [[nodiscard]] std::uint64_t checkpoint_generation() const;
+  void apply_snapshot(const ckpt::Snapshot& snap);
 
   std::unique_ptr<Server> server_;
   // The client source: a lazily materializing population, or (fl::
@@ -288,7 +279,6 @@ class ShardedSimulation {
   /// Materialized only when the defense stack's mask stage requires the
   /// cohort (see set_defense_stack) — empty otherwise.
   std::vector<std::uint64_t> defense_cohort_;
-  std::vector<bool> shard_done_;           // completed-shard bitmap
   RoundCore round_;  // streaming-only under the public driver
 };
 

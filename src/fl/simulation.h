@@ -73,17 +73,19 @@ class Simulation : private ShardedSimulation {
   // therefore makes a resumed run bit-identical to one that never stopped,
   // at any thread count — the contract the crash harness proves. The one
   // exclusion: counters under the "ckpt.restore" prefix, which record the
-  // restore itself (see ckpt/obs_state.h). The sections are "meta", "model",
-  // "rng" and "obs".
+  // restore itself (see ckpt/obs_state.h). The codec is the round loop's
+  // (ShardedSimulation, DESIGN.md §5g); this driver's engine tag, clock and
+  // (id, rng) client list tell its snapshots apart.
 
-  /// Serializes the simulation into an "oasis.ckpt/v1" container buffer and
+  /// Serializes the simulation into an "oasis.ckpt/v2" container buffer and
   /// bumps the `ckpt.save_total` counter (before capturing obs, so the
   /// snapshot already counts itself).
-  [[nodiscard]] tensor::ByteBuffer encode_checkpoint() override;
+  using ShardedSimulation::encode_checkpoint;
 
   /// Validates `bytes` exhaustively and applies it. Throws CheckpointError
-  /// (kStateMismatch when the snapshot belongs to a differently configured
-  /// federation) and leaves live state untouched on validation failure.
+  /// (kStateMismatch when the snapshot belongs to another engine or to a
+  /// differently configured federation) and leaves live state untouched on
+  /// validation failure.
   using ShardedSimulation::restore_checkpoint;
 
   /// encode_checkpoint() → manager.save(protocol round); returns the path.
@@ -94,10 +96,6 @@ class Simulation : private ShardedSimulation {
   /// returns the protocol round to continue from. Throws CheckpointError
   /// {kNoValidGeneration} when the directory holds nothing loadable.
   using ShardedSimulation::resume_from;
-
- private:
-  [[nodiscard]] std::uint64_t checkpoint_generation() const override;
-  void apply_snapshot(const ckpt::Snapshot& snap) override;
 };
 
 }  // namespace oasis::fl

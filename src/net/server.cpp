@@ -333,7 +333,6 @@ FlServer::Member* FlServer::member(std::uint64_t wire_id) {
 
 bool FlServer::offer(const fl::ClientUpdateMessage& msg) {
   if (round_.offer(msg) != fl::RejectReason::kAccepted) return false;
-  folded_inner_.push_back(msg.client_id);
   ++accepts_since_ckpt_;
   fire_event(Event::kUpdateAccepted);
   return true;
@@ -626,7 +625,6 @@ void FlServer::cutover(std::uint64_t now) {
 void FlServer::clear_round() {
   round_open_ = false;
   members_.clear();
-  folded_inner_.clear();
   fold_frontier_ = 0;
 }
 
@@ -649,41 +647,36 @@ std::uint64_t FlServer::checkpoint_generation() const {
 }
 
 tensor::ByteBuffer FlServer::encode_checkpoint() {
-  ckpt::SnapshotBuilder builder;
-  {
-    ckpt::SectionWriter meta;
-    meta.u64(core_.round());
-    meta.u64(served_);
-    // Configuration echo: a snapshot only fits the federation it came from.
-    meta.u64(config_.cohort_size);
-    meta.u64(config_.rounds);
-    meta.f64(static_cast<double>(config_.quorum_fraction));
-    meta.u8(selection_ ? 1 : 0);
-    meta.u8(round_open_ ? 1 : 0);
-    if (round_open_) {
-      meta.u64(round_id_);
-      meta.u64(members_.size());
-      for (const auto& m : members_) meta.u64(m.wire_id);
-      meta.u64(fold_frontier_);
-      meta.u64(round_.accepted());
-      // The folded inner ids (the duplicate screen's id space), sorted so
-      // identical state always produces identical snapshot bytes.
-      std::vector<std::uint64_t> folded = folded_inner_;
-      std::sort(folded.begin(), folded.end());
-      meta.u64(folded.size());
-      for (const auto id : folded) meta.u64(id);
-    }
-    builder.add("nmeta", meta.take());
+  ckpt::SectionWriter meta;
+  meta.u8(static_cast<std::uint8_t>(ckpt::Engine::kSocket));
+  meta.u64(core_.round());
+  meta.u64(served_);
+  // Configuration echo: a snapshot only fits the federation it came from.
+  meta.u64(config_.cohort_size);
+  meta.u64(config_.rounds);
+  meta.f64(static_cast<double>(config_.quorum_fraction));
+  meta.u8(selection_ ? 1 : 0);
+  meta.u8(round_open_ ? 1 : 0);
+  if (round_open_) {
+    // The open round is the core's round; its cohort in fold order and the
+    // fold frontier follow.
+    std::vector<std::uint64_t> order;
+    order.reserve(members_.size());
+    for (const auto& m : members_) order.push_back(m.wire_id);
+    meta.u64s(order);
+    meta.u64(fold_frontier_);
   }
+  ckpt::SnapshotBuilder builder;
+  builder.add("meta", meta.take());
   builder.add("model", nn::serialize_state(core_.global_model()));
   if (selection_) {
     ckpt::SectionWriter rng;
     ckpt::write_rng_state(rng, selection_->state());
-    builder.add("nrng", rng.take());
+    builder.add("rng", rng.take());
   }
   if (round_open_) {
     ckpt::SectionWriter agg;
-    round_.write_partials(agg);
+    round_.write_fold(agg);
     builder.add("agg", agg.take());
   }
   return builder.finish();
@@ -693,9 +686,10 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
   using Reason = CheckpointError::Reason;
 
   // Decode and cross-check EVERYTHING before the first mutation, so a
-  // snapshot from the wrong federation (or a malformed section) leaves the
-  // live server exactly as it was.
-  ckpt::SectionReader meta(snap.section("nmeta"), "nmeta");
+  // snapshot from the wrong engine or federation (or a malformed section)
+  // leaves the live server exactly as it was.
+  ckpt::SectionReader meta(snap.section("meta"), "meta");
+  ckpt::expect_engine(meta, ckpt::Engine::kSocket);
   const std::uint64_t round = meta.u64();
   const std::uint64_t served = meta.u64();
   const std::uint64_t cohort_cfg = meta.u64();
@@ -703,19 +697,11 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
   const double quorum = meta.f64();
   const bool has_selection = meta.u8() != 0;
   const bool mid = meta.u8() != 0;
-  std::uint64_t round_id = 0, frontier = 0;
   std::vector<std::uint64_t> order;
-  std::vector<std::uint64_t> accepted_ids;
+  std::uint64_t frontier = 0;
   if (mid) {
-    round_id = meta.u64();
-    const std::uint64_t n = meta.u64();
-    order.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) order.push_back(meta.u64());
+    order = meta.u64s();
     frontier = meta.u64();
-    meta.u64();  // accepted: "agg" carries the fold's own count
-    const std::uint64_t na = meta.u64();
-    accepted_ids.reserve(na);
-    for (std::uint64_t i = 0; i < na; ++i) accepted_ids.push_back(meta.u64());
   }
   meta.expect_end();
   if (mid && dynamic_cast<const fl::MaliciousServer*>(&core_) != nullptr) {
@@ -732,7 +718,7 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
             std::to_string(cohort_cfg) + ", " + std::to_string(rounds_cfg) +
             " rounds)");
   }
-  if (mid && (frontier > order.size() || round_id != round)) {
+  if (mid && frontier > order.size()) {
     throw CheckpointError(Reason::kStateMismatch,
                           "mid-round snapshot progress is inconsistent "
                           "(frontier " +
@@ -742,15 +728,15 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
 
   common::Rng::State sel_state{};
   if (has_selection) {
-    ckpt::SectionReader rng(snap.section("nrng"), "nrng");
+    ckpt::SectionReader rng(snap.section("rng"), "rng");
     sel_state = ckpt::read_rng_state(rng);
     rng.expect_end();
   }
 
-  fl::FoldPartials fold;
+  fl::FoldState fold;
   if (mid) {
     ckpt::SectionReader agg(snap.section("agg"), "agg");
-    fold = fl::RoundCore::read_partials(agg);
+    fold = fl::RoundCore::read_fold(agg);
     agg.expect_end();
   }
 
@@ -764,17 +750,17 @@ void FlServer::apply_snapshot(const ckpt::Snapshot& snap) {
   clear_round();
   if (mid) {
     round_open_ = true;
-    round_id_ = round_id;
+    round_id_ = round;
     fold_frontier_ = frontier;
     // The folded prefix of the round order counts as delivered (drives
-    // completion), and the folded inner ids seed the duplicate screen, so a
-    // resend of a folded update is rejected — no double count — while
-    // unfolded members resend freely.
+    // completion), and the restored screen holds every id it had claimed,
+    // so a resend of a folded update is rejected — no double count — and
+    // an id a rejected update claimed stays claimed, as it would have
+    // without the restart. Unfolded members resend freely.
     for (std::size_t i = 0; i < order.size(); ++i) {
       members_.emplace_back(order[i]).delivered = i < frontier;
     }
-    round_.restore(std::move(fold), /*rejected=*/0, accepted_ids);
-    folded_inner_ = std::move(accepted_ids);
+    round_.restore(std::move(fold));
     // Re-arm the collection deadline from restore time and rebuild the
     // dispatch (begin_round is pure: round id + current model bytes) so
     // resumed members that never trained can be re-dispatched.

@@ -34,11 +34,12 @@
 // RoundCore fold in the deterministic round order, as the in-process loop
 // does; with a ckpt::CheckpointManager configured, the fold frontier is
 // checkpointed at round boundaries plus every K accepts, and resume_from()
-// reinstates the round ticket, accumulator partials, and accepted-client
-// set, after which the server re-binds the same port and reconnecting
-// clients resolve their in-flight updates via the kResume handshake. A
-// SIGKILL therefore loses at most the accepts since the last snapshot, and
-// those are re-requested — never double-counted — on resume.
+// reinstates the open round's cohort, fold frontier, accumulator partials
+// and the screen's claimed ids, after which the server re-binds the same
+// port and reconnecting clients resolve their in-flight updates via the
+// kResume handshake. A SIGKILL therefore loses at most the accepts since
+// the last snapshot, and those are re-requested — never double-counted —
+// on resume.
 //
 // Determinism: with `selection` seeded, the aggregation order replays
 // fl::Simulation's cohort permutation (common::Rng::sample_without_
@@ -107,7 +108,7 @@ struct FlServerConfig {
   /// Accepted sockets beyond this are closed immediately.
   index_t max_connections = 64;
   /// When set, round state (model, fold frontier, accumulator partials,
-  /// accepted-client set) is checkpointed at every round boundary plus
+  /// claimed ids) is checkpointed at every round boundary plus
   /// every `checkpoint_every_accepts` folded updates. The manager must
   /// outlive the server. A failing save degrades to in-memory operation
   /// (net.ckpt.degraded) instead of aborting the round.
@@ -151,16 +152,17 @@ class FlServer {
 
   /// Restores the newest valid snapshot from the configured checkpoint
   /// manager: model bytes, protocol round, served-round count, and — for a
-  /// mid-round snapshot — the round ticket, cohort order, fold frontier,
-  /// accumulator partials, and accepted-client set. Call before listen();
+  /// mid-round snapshot — the cohort order, fold frontier, accumulator
+  /// partials, and the duplicate screen's claimed ids. Call before listen();
   /// reconnecting cohort members are re-dispatched the open round and
   /// already-folded members are told kAccepted instead of re-collected.
   /// Throws CheckpointError (kNoValidGeneration when the directory holds no
-  /// loadable snapshot; kStateMismatch when the snapshot belongs to a
-  /// differently configured federation), and ConfigError for a mid-round
-  /// snapshot under a fl::MaliciousServer: finishing the round would re-run
-  /// begin_round() and manipulate the restored model a second time. Nothing
-  /// live changes before a throw. Returns the restored protocol round.
+  /// loadable snapshot; kStateMismatch when the snapshot belongs to another
+  /// engine or a differently configured federation), and ConfigError for a
+  /// mid-round snapshot under a fl::MaliciousServer: finishing the round
+  /// would re-run begin_round() and manipulate the restored model a second
+  /// time. Nothing live changes before a throw. Returns the restored
+  /// protocol round.
   std::uint64_t resume_from();
 
   /// One event-loop iteration: poll up to `timeout_ms`, pump socket IO,
@@ -242,8 +244,8 @@ class FlServer {
   };
   /// The open round's member with this wire id, or nullptr.
   [[nodiscard]] Member* member(std::uint64_t wire_id);
-  /// RoundCore::offer, recording the inner id of a folded update. Returns
-  /// true when it folded.
+  /// RoundCore::offer, counting a folded update toward the checkpoint
+  /// cadence. Returns true when it folded.
   bool offer(const fl::ClientUpdateMessage& msg);
   /// Offers held updates while the member at the fold frontier has some,
   /// and moves the frontier past it once one folds. Offering strictly in
@@ -251,8 +253,9 @@ class FlServer {
   /// in-process sequence, and makes a mid-round snapshot's folded set a
   /// prefix of the round order.
   void fold_ready();
-  /// Snapshot of the complete serving state (model, round ticket, fold
-  /// frontier, accumulator partials, accepted ids, selection RNG).
+  /// Snapshot of the complete serving state (model, round, fold frontier,
+  /// the RoundCore fold and screen, selection RNG) in the one schema every
+  /// engine writes (DESIGN.md §5g).
   [[nodiscard]] tensor::ByteBuffer encode_checkpoint();
   void apply_snapshot(const ckpt::Snapshot& snap);
   [[nodiscard]] std::uint64_t checkpoint_generation() const;
@@ -278,9 +281,6 @@ class FlServer {
   /// This round's dispatch payloads, one per distinct message (§5p).
   std::vector<std::shared_ptr<const tensor::ByteBuffer>> dispatch_payloads_;
   fl::RoundCore round_;                // screen + the durable streamed fold
-  /// INNER ids of the updates folded into round_, which snapshots record
-  /// and a restore seeds the duplicate screen with.
-  std::vector<std::uint64_t> folded_inner_;
   std::size_t fold_frontier_ = 0;      // members_ prefix already folded
   std::uint64_t accepts_since_ckpt_ = 0;
   bool ckpt_degraded_ = false;

@@ -97,17 +97,20 @@ TEST(Container, RejectsBadMagicAndVersion) {
   }
 
   // Splice a wrong version in and RESEAL the footer so the version check
-  // itself (not the checksum) has to catch it.
-  ByteBuffer wrong_version = bytes;
-  wrong_version[8] = 99;
-  const std::uint32_t crc = common::crc32c(wrong_version.data(),
-                                           wrong_version.size() - 4);
-  std::memcpy(wrong_version.data() + wrong_version.size() - 4, &crc, 4);
-  try {
-    Snapshot::parse(wrong_version);
-    FAIL() << "wrong version accepted";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.reason(), Reason::kBadVersion);
+  // itself (not the checksum) has to catch it. Version 1 is the format
+  // before the one snapshot schema: refused, not migrated.
+  for (const std::uint8_t version : {99, 1}) {
+    ByteBuffer wrong_version = bytes;
+    wrong_version[8] = version;
+    const std::uint32_t crc = common::crc32c(wrong_version.data(),
+                                             wrong_version.size() - 4);
+    std::memcpy(wrong_version.data() + wrong_version.size() - 4, &crc, 4);
+    try {
+      Snapshot::parse(wrong_version);
+      FAIL() << "version " << int{version} << " accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.reason(), Reason::kBadVersion);
+    }
   }
 }
 

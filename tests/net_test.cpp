@@ -1630,7 +1630,7 @@ TEST(NetServer, CheckpointWriteFailureDegradesToInMemory) {
 // the fold frontier — rebuild from disk on the same port, and finish the
 // schedule bit-exactly. This is the in-process, virtual-clock twin of the
 // fork/SIGKILL chaos harness (tests/net_chaos_test.cpp), pinning the exact
-// snapshot semantics: only FOLDED updates are in the duplicate screen, so
+// snapshot semantics: only screened updates claim ids, so
 // the pending members' cached resends are re-accepted, never bounced.
 TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
   constexpr index_t kClients = 3;
@@ -1738,6 +1738,103 @@ TEST(NetRestart, MidRoundRestartWithPendingAcceptsIsBitExact) {
   for (const auto& c : clients) resumed += c->sessions_resumed();
   EXPECT_GE(resumed, 3u);
   EXPECT_GE(clients[1]->cached_resends() + clients[2]->cached_resends(), 2u);
+}
+
+// An update rejected for its payload still claims its inner id (the
+// screen claims before it checks the bytes), so a mid-round snapshot must
+// restore every claimed id, not only the folded ones. Wire member 0 sends a
+// CRC-damaged update spoofing inner id 1, then its valid update (id 0);
+// member 1's update under id 1 is then a duplicate. Killed at the
+// checkpoint after member 0's fold and resumed, the server must still
+// reject member 1 and commit what an uninterrupted round commits.
+TEST(NetRestart, MidRoundResumeKeepsPayloadRejectedClaims) {
+  const ScratchDir root("net_rejected_claims");
+
+  // Reference: the uninterrupted round, in round order, in process.
+  fl::Server ref(tiny_factory(78)(), /*learning_rate=*/0.1);
+  const fl::GlobalModelMessage msg = ref.begin_round();
+  const fl::ClientUpdateMessage valid = make_client(0)->handle_round(msg);
+  fl::ClientUpdateMessage damaged = valid;
+  damaged.client_id = 1;
+  damaged.gradients[damaged.gradients.size() / 2] ^= 0x01;
+  {
+    const std::vector<fl::ClientUpdateMessage> updates{
+        damaged, valid, make_client(1)->handle_round(msg)};
+    const fl::RoundOutcome outcome = ref.finish_round(updates, 0);
+    ASSERT_EQ(outcome.reasons[0], fl::RejectReason::kChecksumMismatch);
+    ASSERT_EQ(outcome.reasons[1], fl::RejectReason::kAccepted);
+    ASSERT_EQ(outcome.reasons[2], fl::RejectReason::kDuplicate);
+  }
+  const auto want = nn::serialize_state(ref.global_model());
+
+  ckpt::CheckpointManager manager(root.path("ckpt"), /*keep=*/4);
+  FlServerConfig cfg;
+  cfg.cohort_size = 2;
+  cfg.rounds = 1;
+  cfg.checkpoint = &manager;
+  cfg.checkpoint_every_accepts = 1;
+  std::uint64_t t = 0;
+  const TimeSource clock = [&t] { return t; };
+
+  auto core = std::make_unique<fl::Server>(tiny_factory(78)(),
+                                           /*learning_rate=*/0.1);
+  auto server = std::make_unique<FlServer>(*core, cfg, clock);
+  server->listen("127.0.0.1", 0);
+  const std::uint16_t port = server->port();
+  // After listen: the next save is the checkpoint after member 0's fold.
+  struct Kill {};
+  server->set_event_hook([](FlServer::Event e) {
+    if (e == FlServer::Event::kCheckpointSaved) throw Kill{};
+  });
+
+  // Member 0 speaks the protocol by hand; member 1 is an honest client.
+  Socket spoofer = tcp_connect("127.0.0.1", port);
+  const auto hello = encode_hello(Hello{0});
+  ASSERT_EQ(write_some(spoofer, hello.data(), hello.size()),
+            static_cast<long>(hello.size()));
+  const auto honest_core = make_client(1);
+  FlClientConfig ccfg;
+  ccfg.client_id = 1;
+  ccfg.backoff_ms = 5;
+  FlClient honest(*honest_core, ccfg, clock);
+  honest.connect("127.0.0.1", port);
+  ASSERT_NO_FATAL_FAILURE(seat_cohort(*server, {&honest}, t));
+
+  const std::uint64_t checksum_before =
+      counter_value("fl.validate.reject.checksum");
+  for (const auto& frame : {encode_update(damaged), encode_update(valid)}) {
+    ASSERT_EQ(write_some(spoofer, frame.data(), frame.size()),
+              static_cast<long>(frame.size()));
+  }
+  bool killed = false;
+  for (int i = 0; i < 10000 && !killed; ++i) {
+    try {
+      server->step(0);
+    } catch (const Kill&) {
+      killed = true;
+    }
+    ++t;
+  }
+  ASSERT_TRUE(killed);
+  ASSERT_EQ(counter_value("fl.validate.reject.checksum"), checksum_before + 1);
+  server.reset();
+  core.reset();
+  spoofer.close();
+
+  fl::Server core2(tiny_factory(78)(), /*learning_rate=*/0.1);
+  FlServer server2(core2, cfg, clock);
+  EXPECT_EQ(server2.resume_from(), 0u);
+  server2.listen("127.0.0.1", port);
+  const std::uint64_t duplicates_before =
+      counter_value("fl.validate.reject.duplicate");
+  ASSERT_TRUE(drive_loopback(server2, {&honest}, t));
+  EXPECT_EQ(server2.rounds_served(), 1u);
+  EXPECT_EQ(counter_value("fl.validate.reject.duplicate"),
+            duplicates_before + 1)
+      << "member 1's update must meet the id member 0's damaged update "
+         "claimed";
+  EXPECT_EQ(nn::serialize_state(core2.global_model()), want)
+      << "a resumed round must commit what an uninterrupted one commits";
 }
 
 // Finishing an in-flight round would re-run begin_round() on a model the

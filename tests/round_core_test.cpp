@@ -13,16 +13,22 @@
 //
 // CkptPin pins a hash of every checkpoint section (the obs registry
 // excluded: its counters depend on what else ran in the process) at a
-// resting fl::Simulation snapshot, a resting fl::ShardedSimulation snapshot
-// and a mid-round sharded snapshot. The constants were recorded before the
-// round fold moved behind fl::RoundCore, so they prove the snapshot formats
-// survived the move byte for byte. The pinned federation trains on images
-// that are exact functions of their labels, so the same constants hold in
-// the native Release build and in the sanitizer builds.
+// resting fl::Simulation snapshot, a resting fl::ShardedSimulation snapshot,
+// a mid-round sharded snapshot and a mid-round net::FlServer snapshot. The
+// three in-process "model" hashes were recorded before the round fold moved
+// behind fl::RoundCore and held through the move to the one snapshot schema
+// (DESIGN.md §5g), which re-pinned only the other sections: the model bytes
+// never moved. The pinned federation trains on images that are exact
+// functions of their labels, so the same constants hold in the native
+// Release build and in the sanitizer builds.
+//
+// CkptRefusal restores one engine's snapshot into another: the engine tag
+// that opens every "meta" section refuses it before anything live changes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -30,6 +36,8 @@
 #include <vector>
 
 #include "ckpt/container.h"
+#include "ckpt/io.h"
+#include "ckpt/manager.h"
 #include "common/error.h"
 #include "fl/fault.h"
 #include "fl/population.h"
@@ -43,6 +51,7 @@
 #include "obs/obs.h"
 #include "runtime/parallel.h"
 #include "tensor/serialize.h"
+#include "test_util.h"
 
 namespace oasis::fl {
 namespace {
@@ -458,7 +467,7 @@ TEST(CkptPin, RestingSimulationSnapshot) {
                  SimulationConfig{/*clients_per_round=*/4, kSelectionSeed});
   sim.run(kRounds);
   const SectionHashes got = section_hashes(sim.encode_checkpoint());
-  const SectionHashes want = {{"meta", 8150470430402622222ULL},
+  const SectionHashes want = {{"meta", 10767543001975947489ULL},
                               {"model", 8532633514198518015ULL},
                               {"rng", 4538035013014996162ULL}};
   EXPECT_EQ(got, want) << describe(got);
@@ -471,9 +480,9 @@ TEST(CkptPin, RestingShardedSnapshot) {
                            sharded_config(4));
   engine.run(kRounds);
   const SectionHashes got = section_hashes(engine.encode_checkpoint());
-  const SectionHashes want = {{"model", 13475245740507531755ULL},
-                              {"smeta", 10103485372882915509ULL},
-                              {"srng", 13038461949474610125ULL}};
+  const SectionHashes want = {{"meta", 6579547184322936016ULL},
+                              {"model", 13475245740507531755ULL},
+                              {"rng", 13038461949474610125ULL}};
   EXPECT_EQ(got, want) << describe(got);
 }
 
@@ -489,11 +498,162 @@ TEST(CkptPin, MidRoundShardedSnapshot) {
   engine.run(kRounds);
   ASSERT_FALSE(snapshot.empty());
   const SectionHashes got = section_hashes(snapshot);
-  const SectionHashes want = {{"agg", 12978270279826961262ULL},
+  const SectionHashes want = {{"agg", 6468937512542094677ULL},
+                              {"meta", 8226198574326373320ULL},
                               {"model", 3473652916859649483ULL},
-                              {"smeta", 2754976444325681395ULL},
-                              {"srng", 690935468892015822ULL}};
+                              {"rng", 690935468892015822ULL}};
   EXPECT_EQ(got, want) << describe(got);
+}
+
+/// Steps `server`, which listens already, and one net::FlClient per member
+/// of `population` on the virtual millisecond clock `t` until the serving
+/// schedule completes.
+void serve_population(net::FlServer& server,
+                      const VirtualPopulation& population, std::uint64_t& t) {
+  const net::TimeSource clock = [&t] { return t; };
+  std::vector<std::unique_ptr<Client>> cores;
+  std::vector<std::unique_ptr<net::FlClient>> clients;
+  for (index_t i = 0; i < population.size(); ++i) {
+    cores.push_back(population.make_client(i));
+    net::FlClientConfig ccfg;
+    ccfg.client_id = i;
+    clients.push_back(std::make_unique<net::FlClient>(*cores[i], ccfg, clock));
+    clients[i]->connect("127.0.0.1", server.port());
+  }
+  for (int iter = 0; iter < 200000 && !server.finished(); ++iter, ++t) {
+    server.step(0);
+    for (auto& c : clients) {
+      if (!c->finished()) c->step(0);
+    }
+  }
+}
+
+/// Serves the pinned population over loopback with a checkpoint after
+/// every fold, and stops the server at its first mid-round save: the one
+/// after the fold of the round order's first member. Returns that
+/// snapshot's bytes.
+tensor::ByteBuffer socket_midround_snapshot() {
+  runtime::set_num_threads(1);
+  const testutil::ScratchDir dir("ckpt_socket_pin");
+  ckpt::CheckpointManager manager(dir.str(), /*keep=*/4);
+  const std::unique_ptr<Server> core = test_server(AggregatorConfig{});
+  net::FlServerConfig cfg = socket_config();
+  cfg.checkpoint = &manager;
+  cfg.checkpoint_every_accepts = 1;
+  std::uint64_t t = 0;
+  net::FlServer server(*core, cfg, [&t] { return t; });
+  server.listen("127.0.0.1", 0);  // saves the generation-0 resting snapshot
+  bool saved = false;
+  struct Stop {};
+  server.set_event_hook([&saved](net::FlServer::Event e) {
+    if (e != net::FlServer::Event::kCheckpointSaved) return;
+    saved = true;
+    throw Stop{};  // before the step folds anyone else
+  });
+  try {
+    serve_population(server, VirtualPopulation(pinned_population()), t);
+  } catch (const Stop&) {
+  }
+  EXPECT_TRUE(saved) << "no mid-round checkpoint was saved";
+  return ckpt::read_file(manager.path_for(manager.generations().back()));
+}
+
+TEST(CkptPin, MidRoundSocketSnapshot) {
+  const SectionHashes got = section_hashes(socket_midround_snapshot());
+  const SectionHashes want = {{"agg", 6009001248549045754ULL},
+                              {"meta", 16829035762537511386ULL},
+                              {"model", 8584149163835742024ULL},
+                              {"rng", 17650050425202492998ULL}};
+  EXPECT_EQ(got, want) << describe(got);
+}
+
+// --- Cross-engine refusal ---------------------------------------------------
+
+/// Runs `restore`, which must throw CheckpointError{kStateMismatch}.
+void expect_state_mismatch(const std::function<void()>& restore) {
+  try {
+    restore();
+    ADD_FAILURE() << "a foreign engine's snapshot was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.reason(), CheckpointError::Reason::kStateMismatch)
+        << e.what();
+  }
+}
+
+// Every engine's "meta" section opens with its engine tag, so each engine
+// refuses another's snapshot before anything live changes. Each live engine
+// has run a round, and after the refusal it runs the next round exactly as
+// an untouched twin does.
+TEST(CkptRefusal, SocketSnapshotIntoInProcessEngines) {
+  const tensor::ByteBuffer foreign = socket_midround_snapshot();
+  runtime::set_num_threads(1);
+
+  const auto sharded = [] {
+    return std::make_unique<ShardedSimulation>(
+        test_server(AggregatorConfig{}),
+        VirtualPopulation(pinned_population()), sharded_config(4));
+  };
+  auto engine = sharded();
+  auto twin = sharded();
+  engine->run_round();
+  twin->run_round();
+  expect_state_mismatch([&] { engine->restore_checkpoint(foreign); });
+  EXPECT_FALSE(engine->mid_round());
+  EXPECT_EQ(engine->server().round(), 1u);
+  engine->run_round();
+  twin->run_round();
+  EXPECT_TRUE(nn::serialize_state(engine->server().global_model()) ==
+              nn::serialize_state(twin->server().global_model()));
+
+  const auto simulation = [] {
+    return std::make_unique<Simulation>(
+        test_server(AggregatorConfig{}),
+        VirtualPopulation(pinned_population()).materialize(),
+        SimulationConfig{/*clients_per_round=*/4, kSelectionSeed});
+  };
+  auto sim = simulation();
+  auto sim_twin = simulation();
+  EXPECT_EQ(sim->run_round(), sim_twin->run_round());
+  expect_state_mismatch([&] { sim->restore_checkpoint(foreign); });
+  EXPECT_EQ(sim->server().round(), 1u);
+  EXPECT_EQ(sim->run_round(), sim_twin->run_round());
+  EXPECT_TRUE(nn::serialize_state(sim->server().global_model()) ==
+              nn::serialize_state(sim_twin->server().global_model()));
+}
+
+TEST(CkptRefusal, LoopSnapshotThroughSocketResume) {
+  runtime::set_num_threads(1);
+  const tensor::ByteBuffer want = run_socket(AggregatorConfig{});
+  const testutil::ScratchDir dir("ckpt_refusal_loop");
+  Simulation sim(test_server(AggregatorConfig{}),
+                 VirtualPopulation(test_population()).materialize(),
+                 SimulationConfig{/*clients_per_round=*/0, kSelectionSeed});
+  ShardedSimulation engine(test_server(AggregatorConfig{}),
+                           VirtualPopulation(test_population()),
+                           sharded_config(3));
+  sim.run_round();
+  engine.run_round();
+  using Save = std::function<void(ckpt::CheckpointManager&)>;
+  for (const auto& [leaf, save] : std::vector<std::pair<std::string, Save>>{
+           {"simulation", [&](auto& m) { sim.save_checkpoint(m); }},
+           {"sharded", [&](auto& m) { engine.save_checkpoint(m); }}}) {
+    ckpt::CheckpointManager manager(dir.path(leaf), /*keep=*/4);
+    save(manager);
+    const std::unique_ptr<Server> core = test_server(AggregatorConfig{});
+    const tensor::ByteBuffer before = nn::serialize_state(core->global_model());
+    net::FlServerConfig cfg = socket_config();
+    cfg.checkpoint = &manager;
+    std::uint64_t t = 0;
+    net::FlServer server(*core, cfg, [&t] { return t; });
+    expect_state_mismatch([&] { server.resume_from(); });
+    EXPECT_EQ(core->round(), 0u);
+    EXPECT_TRUE(nn::serialize_state(core->global_model()) == before);
+    // Untouched: it serves the rounds a fresh server serves.
+    server.listen("127.0.0.1", 0);
+    serve_population(server, VirtualPopulation(test_population()), t);
+    EXPECT_EQ(server.rounds_served(), static_cast<std::uint64_t>(kRounds));
+    EXPECT_TRUE(nn::serialize_state(core->global_model()) == want) << leaf;
+  }
 }
 
 }  // namespace

@@ -25,9 +25,11 @@
 #   ./ci.sh            # all default stages
 #   ./ci.sh release    # Release (-Werror) + full ctest only
 #   ./ci.sh asan       # ASan build + unit/golden/kernel labels only
-#   ./ci.sh kernel     # GEMM differential matrix: kernel label under
-#                      # ASan/UBSan, then the 8-thread sweeps (intra-GEMM
-#                      # parallel path) under TSan
+#   ./ci.sh kernel     # GEMM differential matrix (the 6×8 tile, and the
+#                      # 12×8 tile over paired row panels on AVX-512
+#                      # hosts): kernel label under ASan/UBSan, then the
+#                      # 8-thread sweeps (intra-GEMM parallel path) under
+#                      # TSan
 #   ./ci.sh chaos      # ASan build + chaos label only
 #   ./ci.sh crash      # ASan build + crash label only (SIGKILL harness)
 #   ./ci.sh net        # ASan build + net label + a short net_rounds fleet,
@@ -70,13 +72,16 @@ run_asan() {
 }
 
 run_kernel() {
-  # GEMM stage: the blocked-vs-naive differential matrix, the conv lowering
-  # and col2im span references, ConvPacked (Conv2d on packed panels against
-  # an im2col + naive GEMM reference), plus nn_test's MiniConvNet CRC pin
-  # (the kernel label). ASan/UBSan catches a packed-panel, staged-edge tile,
-  # lowering or span overrun; the TSan pass then drives the intra-GEMM row-panel parallel
-  # path — the 8-thread sweeps, whose parallel edge shapes sit above the
-  # inline cutoff — where a racy B-panel pack or C-tile store would surface.
+  # GEMM stage: the blocked-vs-naive differential matrix, the 12×8-vs-two-
+  # 6×8 tile differential, the conv lowering and col2im span references,
+  # ConvPacked (Conv2d on packed panels against an im2col + naive GEMM
+  # reference), plus nn_test's MiniConvNet CRC pin (the kernel label).
+  # ASan/UBSan catches a packed-panel, paired-panel, staged-edge tile,
+  # lowering or span overrun; the TSan pass then drives the intra-GEMM
+  # row-panel parallel path — the 8-thread sweeps, whose parallel edge
+  # shapes sit above the inline cutoff, one of them with chunks that start
+  # on odd panels — where a racy B-panel pack, a pair of row panels
+  # straddling two chunks or a C-tile store would surface.
   echo "==> [ci] Kernel stage: GEMM differential matrix under ASan/UBSan + TSan"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOASIS_ASAN=ON
   cmake --build build-asan -j "${jobs}" --target kernel_diff_test nn_test

@@ -174,6 +174,28 @@ void count_gemm(index_t product_flops) {
   total.add(static_cast<std::uint64_t>(product_flops));
 }
 
+/// C[0..mr)×[0..nr) += Ap·Bp, where the mr ≤ 2·kMR rows span one packed-A
+/// panel or two adjacent ones (the second at ap + kc·kMR). A full 12×8 tile
+/// runs the wide kernel; anything else runs one 6×8 tile call per panel,
+/// ragged rows and columns included. Rows past kMR reach here only when
+/// detail::wide_kernel_available().
+void tile(index_t kc, const real* ap, const real* bp, real* c, index_t ldc,
+          index_t mr, index_t nr) {
+  if (mr == 2 * kMR && nr == kNR) {
+    return detail::kernel_tile12(kc, ap, bp, c, ldc);
+  }
+  detail::kernel_tile(kc, ap, bp, c, ldc, std::min(mr, kMR), nr);
+  if (mr > kMR) {
+    detail::kernel_tile(kc, ap + kc * kMR, bp, c + kMR * ldc, ldc, mr - kMR,
+                        nr);
+  }
+}
+
+/// Row panels per register tile: two where the 12×8 tile runs.
+index_t panels_per_tile() {
+  return detail::wide_kernel_available() ? 2 : 1;
+}
+
 }  // namespace
 
 // ---- Blocked driver ---------------------------------------------------------
@@ -190,6 +212,7 @@ void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
   const index_t grain = std::max<index_t>(
       1, std::min<index_t>(row_panels / 8, index_t{32}));
   const bool parallel = flops(m, k, n) >= kParallelGemmFlops && row_panels > 1;
+  const index_t step = panels_per_tile();
 
   runtime::Workspace& ws = runtime::Workspace::tls();
   runtime::Workspace::Scope scope(ws);
@@ -203,20 +226,23 @@ void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
       const index_t kc = std::min(kKC, k - pc);
       // B panel packed once, serially, then read-shared by every chunk.
       pack_b(v, b, k, n, pc, kc, jc, nc, bpack);
+      // Row panels go to the tile in pairs counted from the chunk's first
+      // panel, so a pair never straddles two chunks.
       const auto body = [&](index_t p0, index_t p1) {
         runtime::Workspace& tws = runtime::Workspace::tls();
         runtime::Workspace::Scope tscope(tws);
-        real* apack = tws.alloc(kKC * kMR);
-        for (index_t ip = p0; ip < p1; ++ip) {
+        real* apack = tws.alloc(step * kKC * kMR);
+        for (index_t ip = p0; ip < p1; ip += step) {
           const index_t i0 = ip * kMR;
-          const index_t mr = std::min(kMR, m - i0);
-          pack_a(v, a, m, k, i0, mr, pc, kc, apack);
+          const index_t mr = std::min(std::min(step, p1 - ip) * kMR, m - i0);
+          for (index_t r = 0; r < mr; r += kMR) {
+            pack_a(v, a, m, k, i0 + r, std::min(kMR, mr - r), pc, kc,
+                   apack + r * kc);
+          }
           for (index_t p = 0; p < b_panels; ++p) {
             const index_t j0 = jc + p * kNR;
             const index_t nr = std::min(kNR, jc + nc - j0);
-            real* ctile = c + i0 * n + j0;
-            detail::kernel_tile(kc, apack, bpack + p * kc * kNR, ctile, n, mr,
-                                nr);
+            tile(kc, apack, bpack + p * kc * kNR, c + i0 * n + j0, n, mr, nr);
           }
         }
       };
@@ -255,10 +281,11 @@ void run_packed(index_t m, index_t k, index_t n, const real* ap,
         bt[j * k + kk] = bp[((j / kNR) * k + kk) * kNR + j % kNR];
     return naive_nt(m, k, n, a, bt, c);
   }
-  for (index_t i0 = 0; i0 < m; i0 += kMR) {
+  const index_t rows = panels_per_tile() * kMR;
+  for (index_t i0 = 0; i0 < m; i0 += rows) {
     for (index_t j0 = 0; j0 < n; j0 += kNR) {
-      detail::kernel_tile(k, ap + i0 * k, bp + j0 * k, c + i0 * n + j0, n,
-                          std::min(kMR, m - i0), std::min(kNR, n - j0));
+      tile(k, ap + i0 * k, bp + j0 * k, c + i0 * n + j0, n,
+           std::min(rows, m - i0), std::min(kNR, n - j0));
     }
   }
 }

@@ -1,7 +1,8 @@
 // Blocked + packed GEMM (the hot path of every bench and training loop) over
-// `real` (double), built on one register kernel, with the old naive
-// triple-loop kernels retained as the differential-test oracle and as the
-// fallback where the kernel cannot run.
+// `real` (double), built on one register-kernel template in two tile
+// widths (6×8, and 12×8 over pairs of 6-row panels where the CPU has
+// AVX-512F), with the old naive triple-loop kernels retained as the
+// differential-test oracle and as the fallback where no kernel can run.
 //
 // All entry points compute C += op(A)·op(B) on dense row-major buffers (the
 // accumulate convention every call site relies on: wrappers hand in
@@ -36,15 +37,16 @@ enum class Variant { NN, TN, NT };
 
 /// Register-tile geometry (kernels.h, DESIGN.md §5k), and so the panel
 /// layout of a packed operand: packed A interleaves kMR rows per k step,
-/// packed B holds kNR columns per k step.
+/// packed B holds kNR columns per k step. The 12×8 tile reads two adjacent
+/// A panels, so it needs no layout of its own.
 inline constexpr index_t kMR = 6;
 inline constexpr index_t kNR = 8;
 
 // Cache blocking parameters: k blocked by KC (one packed B micro-panel
 // stays L1-resident: 256·8 doubles·8 B = 16 KiB), n blocked by NC (the full
 // packed B block, ≤ 1 MiB, L2-resident on the target Xeon with its 2 MiB
-// L2). The register-tile geometry (6×8) is in kernels.h / DESIGN.md §5k;
-// packing pads ragged edges to it.
+// L2). The register-tile geometry (6×8, or 12×8 over two panels) is in
+// kernels.h / DESIGN.md §5k; packing pads ragged edges to the 6×8 panels.
 inline constexpr index_t kKC = 256;
 inline constexpr index_t kNC = 512;
 

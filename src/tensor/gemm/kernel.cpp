@@ -1,9 +1,12 @@
-// The register kernel (kernels.h). On x86-64 this TU is compiled with
+// The 6×8 register kernel (kernels.h). On x86-64 this TU is compiled with
 // -mavx2 -mfma regardless of the build's baseline -march (see
 // src/tensor/CMakeLists.txt) and runs only after the cpuid check in
 // kernel_available() passed; on AArch64 FMA is baseline. Wherever the
 // compiler cannot promise a fused multiply-add (__FP_FAST_FMA undefined)
-// the kernel is absent and `blocked` runs the naive oracle instead.
+// the kernel is absent and `blocked` runs the naive oracle instead. On an
+// AVX-512 host the drivers hand full pairs of row panels to the 12×8 tile
+// in kernel_wide.cpp, the same row kernel at twice the vector width; this
+// one keeps single panels, ragged rows and column-ragged tiles.
 //
 // Tile geometry: 6×8 doubles — twelve 4-lane accumulators plus two packed-B
 // vectors and one broadcast, 15 of the 16 ymm registers, the widest tile

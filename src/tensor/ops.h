@@ -2,8 +2,8 @@
 //
 // All matrix kernels operate on rank-2 tensors with row-major layout. The
 // matmul family dispatches into the blocked+packed kernel unit in
-// tensor/gemm/ (one 6×8 FMA register kernel, L2-sized packed panels,
-// workspace arenas); the pre-blocking naive triple loops are retained there
+// tensor/gemm/ (one FMA register kernel, 6×8 or 12×8 on AVX-512 hosts,
+// L2-sized packed panels, workspace arenas); the pre-blocking naive triple loops are retained there
 // behind OASIS_NAIVE_GEMM as the differential-test oracle, bit-identical by
 // construction on every host (DESIGN.md §5f/§5k). Layers that need a transposed
 // operand (Dense, Conv2d backward) call gemm::run with the TN/NT variants

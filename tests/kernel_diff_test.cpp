@@ -6,11 +6,13 @@
 // must in turn reproduce an independent scalar fma chain.
 //
 // The sweep covers degenerate shapes, non-tile-multiple edges (every live
-// row count of the 6-row tile and the 8-column boundary), the KC/NC
-// blocking boundaries, and the exact GEMM shapes the round benchmark's
-// workloads issue, at 1 and 8 threads (the intra-GEMM row-panel parallel
-// path included); Conv2d and Dense are exercised end-to-end against the
-// OASIS_NAIVE_GEMM toggle. Workspace arena
+// row count of the 6-row tile, pairs of row panels for the 12×8 tile, and
+// the 8-column boundary), the KC/NC blocking boundaries, and the exact GEMM
+// shapes the round benchmark's workloads issue, at 1 and 8 threads (the
+// intra-GEMM row-panel parallel path included); the 12×8 tile is also
+// checked against two 6×8 tile calls on the same packed panels. Conv2d and
+// Dense are exercised end-to-end against the OASIS_NAIVE_GEMM toggle.
+// Workspace arena
 // semantics (alignment, scope rewind, coalescing, steady-state no-growth)
 // are pinned here too, since the kernels' zero-allocation claim rests on
 // them.
@@ -85,24 +87,30 @@ struct Shape {
 };
 
 // Degenerate shapes, ragged tile edges, and the exact blocking boundaries
-// (one below, on, and above each): m around the 6-row register tile, n
-// around the 8-column tile and twice it, k around the KC=256 and
-// n around the NC=512 cache blocks.
+// (one below, on, and above each): m around the 6-row register tile and
+// the 12-row pair of panels (11: a pair whose second panel is ragged; 23:
+// a pair, then a full panel and a ragged one; 24: two pairs; 25: two pairs
+// and a ragged row), n around the 8-column tile and twice it, k around the
+// KC=256 and n around the NC=512 cache blocks.
 const Shape kEdgeShapes[] = {
     {1, 1, 1},    {1, 5, 1},     {3, 1, 4},    {1, 64, 1},   {5, 1, 9},
     {5, 7, 9},    {13, 17, 31},  {4, 8, 8},    {8, 16, 16},  {12, 24, 40},
     {3, 255, 17}, {3, 256, 17},  {3, 257, 17}, {4, 512, 8},  {7, 511, 23},
     {6, 33, 7},   {6, 33, 8},    {6, 33, 9},   {2, 9, 511},  {2, 9, 512},
     {2, 9, 513},  {129, 12, 33}, {7, 40, 15},  {7, 40, 16},  {7, 40, 17},
-    {11, 13, 18}, {18, 21, 24},
+    {11, 13, 18}, {18, 21, 24},  {11, 9, 16},  {23, 30, 17}, {24, 7, 8},
+    {25, 257, 9},
 };
 
 // Ragged shapes at or above the parallel cutoff (gemm::kParallelGemmFlops),
 // so the 8-thread sweep splits them into row panels across the pool: m
 // leaves a 1-row last panel, n a ragged last column tile, and k or n
-// crosses a KC/NC block. Every edge shape above runs inline.
+// crosses a KC/NC block. 150×200×40 has 25 row panels, so `blocked` splits
+// it with a grain of 3 and its chunks start on odd panels: a pair of
+// panels that crossed a chunk boundary would race there. Every edge shape
+// above runs inline.
 const Shape kParallelEdgeShapes[] = {
-    {133, 257, 41}, {97, 300, 23}, {13, 80, 515},
+    {133, 257, 41}, {97, 300, 23}, {13, 80, 515}, {150, 200, 40},
 };
 
 // The GEMM shapes the round benchmark's workloads issue, as (m, k, n) for
@@ -147,9 +155,10 @@ void scalar_chain(Variant v, index_t m, index_t k, index_t n, const real* a,
 
 /// The two GEMM paths a host can run, each checked against a reference.
 /// `avx2` is the register kernel (its TU is built with -mavx2 -mfma on
-/// x86, with baseline flags on AArch64) against the naive oracle. `scalar`
-/// is the naive oracle itself — what `blocked` runs where the register
-/// kernel cannot — against the independent scalar chain above.
+/// x86, with baseline flags on AArch64) against the naive oracle; on an
+/// AVX-512 host it pairs full row panels into the 12×8 tile. `scalar` is
+/// the naive oracle itself — what `blocked` runs where the register kernel
+/// cannot — against the independent scalar chain above.
 enum class GemmPath { kScalar, kAvx2 };
 
 struct PathCheck {
@@ -278,6 +287,66 @@ TEST(KernelDiff, RegisterKernelRunsOnFmaHosts) {
   }
 #endif
   EXPECT_TRUE(tensor::gemm::detail::kernel_available());
+}
+
+// Likewise, on an AVX-512 host the sweeps above must reach the 12×8 tile,
+// not only the 6×8 one.
+TEST(KernelDiff, WideKernelRunsOnAvx512Hosts) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!__builtin_cpu_supports("avx512f")) {
+    GTEST_SKIP() << "this CPU lacks AVX-512F; only the 6x8 tile runs";
+  }
+  EXPECT_TRUE(tensor::gemm::detail::wide_kernel_available());
+#else
+  EXPECT_FALSE(tensor::gemm::detail::wide_kernel_available());
+#endif
+}
+
+// The 12×8 tile against two 6×8 tile calls on the same two packed-A panels,
+// C seeded with random values, on k counts around the KC block and conv0's
+// unblocked weight-gradient k (576). ±0.0, ±Inf and NaN are planted in A,
+// B and C, so 0·Inf and NaN propagation run through both tiles too.
+TEST(KernelDiff, WideTileMatchesTwoNarrowTiles) {
+  if (!tensor::gemm::detail::wide_kernel_available()) {
+    GTEST_SKIP() << "the 12x8 tile does not run on this host";
+  }
+  using tensor::gemm::kMR;
+  using tensor::gemm::kNR;
+  const real inf = std::numeric_limits<real>::infinity();
+  const real specials[] = {0.0, -0.0, inf, -inf,
+                           std::numeric_limits<real>::quiet_NaN()};
+  const index_t rows = 2 * kMR, ldc = kNR + 3;  // C rows are strided
+  common::Rng rng(0x12C8u);
+  const auto plant = [&](std::vector<real>& v, index_t count) {
+    const auto last = static_cast<std::int64_t>(v.size()) - 1;
+    for (index_t i = 0; i < count; ++i) {
+      const auto at = static_cast<std::size_t>(rng.uniform_int(0, last));
+      v[at] = specials[rng.uniform_int(0, std::size(specials) - 1)];
+    }
+  };
+  for (const index_t kc : {1, 7, 255, 256, 576}) {
+    for (const bool poisoned : {false, true}) {
+      auto ap = random_vec(rows * kc, rng);
+      auto bp = random_vec(kNR * kc, rng);
+      auto c = random_vec(rows * ldc, rng);
+      if (poisoned) {
+        plant(ap, 1 + kc / 16);
+        plant(bp, 1 + kc / 32);
+        plant(c, 4);
+      }
+      auto narrow = c;
+      tensor::gemm::detail::kernel_tile(kc, ap.data(), bp.data(),
+                                        narrow.data(), ldc, kMR, kNR);
+      tensor::gemm::detail::kernel_tile(kc, ap.data() + kc * kMR, bp.data(),
+                                        narrow.data() + kMR * ldc, ldc, kMR,
+                                        kNR);
+      auto wide = c;
+      tensor::gemm::detail::kernel_tile12(kc, ap.data(), bp.data(),
+                                          wide.data(), ldc);
+      EXPECT_TRUE(bits_equal(narrow, wide))
+          << "kc " << kc << (poisoned ? " with specials" : "");
+    }
+  }
 }
 
 TEST(KernelDiff, RunDispatchHonorsNaiveSwitch) {

@@ -44,8 +44,8 @@
 #   ./ci.sh portable   # a -DOASIS_NATIVE_ARCH=OFF build running the full
 #                      # ctest against the native build's constants
 #   ./ci.sh perf       # NOT part of "all": wall-clock guards (the blocked-
-#                      # vs-naive GEMM floor, the CRC32C floor); run on quiet
-#                      # hardware
+#                      # vs-naive GEMM floor, the CRC32C floor, the unbounded
+#                      # update-screen floor); run on quiet hardware
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -242,7 +242,7 @@ run_portable() {
 run_perf() {
   # Opt-in stage, NOT in "all": wall-clock assertions are too noisy for
   # shared CI runners. The guard tests self-skip unless OASIS_PERF_GUARD=1.
-  echo "==> [ci] Perf guard stage (blocked GEMM and CRC32C floors)"
+  echo "==> [ci] Perf guard stage (blocked GEMM, CRC32C and screen floors)"
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-ci -j "${jobs}" --target perf_guard_test
   OASIS_PERF_GUARD=1 ctest --test-dir build-ci --output-on-failure -L perf

@@ -79,14 +79,17 @@ RejectReason Server::screen_update(const ClientUpdateMessage& update,
   } else {
     // Structural walk + numeric screens without materialising tensors; a
     // hostile payload must fail HERE, inside the catch boundary, never in
-    // the aggregation hot loop.
+    // the aggregation hot loop. Σ v² is a serial chain, so the scan sums it
+    // only when a norm bound will read it.
+    const bool bounded = validation_.max_grad_norm > 0.0;
     try {
-      const tensor::TensorScan scan = tensor::scan_tensors(update.gradients);
+      const tensor::TensorScan scan =
+          tensor::scan_tensors(update.gradients, bounded);
       if (scan.shapes != screen.expected_shapes) {
         reason = RejectReason::kShapeMismatch;
       } else if (!scan.all_finite) {
         reason = RejectReason::kNonFinite;
-      } else if (validation_.max_grad_norm > 0.0 &&
+      } else if (bounded &&
                  std::sqrt(scan.sum_squares) > validation_.max_grad_norm) {
         reason = RejectReason::kNormTooLarge;
       }

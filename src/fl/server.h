@@ -45,7 +45,10 @@ const char* to_string(RejectReason reason);
 /// screen is opt-in because legitimate workloads (e.g. secure-aggregation
 /// masked updates, which look like white noise) have no universal norm band.
 struct ValidationConfig {
-  real max_grad_norm = 0.0;  // 0 disables the norm screen
+  // 0 (the default) disables the norm screen, and with it the Σ v² pass:
+  // the screen then reads each update once for its CRC and once for its
+  // finite check. > 0 rejects an update whose L2 norm exceeds it.
+  real max_grad_norm = 0.0;
 };
 
 /// What finish_round() did with one round's updates.

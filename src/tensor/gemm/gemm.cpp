@@ -208,11 +208,14 @@ void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
   // Shape-derived chunking: aim for ~8 chunks, at most 32 MR-panels per
   // chunk so large GEMMs expose enough parallelism while a chunk's packed A
   // traffic stays L2-friendly. Never depends on the thread count, so the
-  // row partition is fixed (the bits would not move with it anyway).
-  const index_t grain = std::max<index_t>(
-      1, std::min<index_t>(row_panels / 8, index_t{32}));
-  const bool parallel = flops(m, k, n) >= kParallelGemmFlops && row_panels > 1;
+  // row partition is fixed (the bits would not move with it anyway). The
+  // grain is a whole number of tiles, so a chunk holds full pairs of row
+  // panels where the 12×8 tile runs, even when m is only a few panels.
   const index_t step = panels_per_tile();
+  const index_t chunk = std::max<index_t>(
+      1, std::min<index_t>(row_panels / 8, index_t{32}));
+  const index_t grain = ceil_div(chunk, step) * step;
+  const bool parallel = flops(m, k, n) >= kParallelGemmFlops && row_panels > 1;
 
   runtime::Workspace& ws = runtime::Workspace::tls();
   runtime::Workspace::Scope scope(ws);

@@ -48,7 +48,10 @@ using RowKernel = void (*)(index_t kc, const real* ap, const real* bp,
 template <index_t R>
 void rows(index_t kc, const real* __restrict ap, const real* __restrict bp,
           real* __restrict c, index_t ldc) {
+  // Unrolled so the accumulators live in registers across the k loop, not
+  // in a stack copy of the array.
   vec4 acc[R][2];
+#pragma GCC unroll 6
   for (index_t r = 0; r < R; ++r) {
     acc[r][0] = at(c + r * ldc)[0];
     acc[r][1] = at(c + r * ldc)[1];
@@ -62,6 +65,7 @@ void rows(index_t kc, const real* __restrict ap, const real* __restrict bp,
       acc[r][1] += arow[r] * b1;
     }
   }
+#pragma GCC unroll 6
   for (index_t r = 0; r < R; ++r) {
     at(c + r * ldc)[0] = acc[r][0];
     at(c + r * ldc)[1] = acc[r][1];

@@ -193,26 +193,44 @@ std::vector<Tensor> deserialize_tensors(const ByteBuffer& in) {
   return tensors;
 }
 
-TensorScan scan_tensors(const ByteBuffer& in) {
+namespace {
+
+/// Σ v² over `n` doubles at `p` as one ascending FMA chain: a serial
+/// dependency at the FMA latency, which is why the screen asks for it only
+/// under a norm bound.
+double sum_squares(const std::uint8_t* p, index_t n, double sum) {
+  for (index_t k = 0; k < n; ++k) {
+    double v;
+    std::memcpy(&v, p + k * sizeof(real), sizeof v);
+    sum = std::fma(v, v, sum);
+  }
+  return sum;
+}
+
+}  // namespace
+
+bool values_finite(const std::uint8_t* values, index_t n) {
+  // NaN and ±Inf are the values with every exponent bit set.
+  constexpr std::uint64_t kExponent = 0x7FF0000000000000ull;
+  std::uint64_t bad = 0;
+  for (index_t k = 0; k < n; ++k) {
+    std::uint64_t bits;
+    std::memcpy(&bits, values + k * sizeof(real), sizeof bits);
+    bad |= static_cast<std::uint64_t>((bits & kExponent) == kExponent);
+  }
+  return bad == 0;
+}
+
+TensorScan scan_tensors(const ByteBuffer& in, bool with_sum_squares) {
   TensorScan scan;
   std::vector<TensorLocation> found = locate_tensors(in);
   scan.tensors = found.size();
   scan.shapes.reserve(found.size());
   for (auto& t : found) {
-    // Stream the values through a small stack buffer: the payload bytes are
-    // not guaranteed to be double-aligned inside the message.
-    constexpr index_t kChunk = 128;
-    real buf[kChunk];
-    index_t done = 0;
-    while (done < t.numel) {
-      const index_t take = std::min(kChunk, t.numel - done);
-      std::memcpy(buf, in.data() + t.offset + done * sizeof(real),
-                  take * sizeof(real));
-      for (index_t k = 0; k < take; ++k) {
-        if (!std::isfinite(buf[k])) scan.all_finite = false;
-        scan.sum_squares += buf[k] * buf[k];
-      }
-      done += take;
+    const std::uint8_t* values = in.data() + t.offset;
+    if (!values_finite(values, t.numel)) scan.all_finite = false;
+    if (with_sum_squares) {
+      scan.sum_squares = sum_squares(values, t.numel, scan.sum_squares);
     }
     scan.values += t.numel;
     scan.shapes.push_back(std::move(t.shape));

@@ -74,14 +74,24 @@ std::vector<TensorLocation> locate_tensors(const ByteBuffer& in,
 struct TensorScan {
   std::uint64_t tensors = 0;    // list length from the count header
   std::uint64_t values = 0;     // total scalar count across all tensors
-  double sum_squares = 0.0;     // Σ v²  (may be inf when values overflow)
+  double sum_squares = 0.0;     // Σ v² when requested, else 0 (may be inf
+                                // when the values overflow)
   bool all_finite = true;       // no NaN/Inf anywhere in the payload
   std::vector<Shape> shapes;    // per-tensor shapes, list order
 };
 
+/// True when none of the `n` doubles stored at `values` is a NaN or an Inf.
+/// The bytes need not be double-aligned. Branch-free, so it vectorizes and
+/// runs at memory speed; scan_tensors runs it over every tensor.
+bool values_finite(const std::uint8_t* values, index_t n);
+
 /// Walks a serialize_tensors() buffer, validating the same structural
 /// invariants as deserialize_tensors (throws SerializationError on malformed
-/// input), and returns value statistics for plausibility screening.
-TensorScan scan_tensors(const ByteBuffer& in);
+/// input), and returns value statistics for plausibility screening. The
+/// finite check is one memory-speed pass. `with_sum_squares` adds Σ v², one
+/// ascending std::fma chain over the values in message order: a serial chain
+/// several times slower than the rest of the scan, so the server asks for
+/// it only when a norm bound will read it.
+TensorScan scan_tensors(const ByteBuffer& in, bool with_sum_squares = true);
 
 }  // namespace oasis::tensor

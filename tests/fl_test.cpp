@@ -2,6 +2,7 @@
 // gradient correctness, honest/malicious server behaviour, full rounds.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -440,6 +441,83 @@ TEST(Validation, UnmetQuorumThrowsBeforeTouchingTheModel) {
   }
   // Quorum of 1 with one valid update commits.
   EXPECT_TRUE(server.finish_round(updates, /*min_valid=*/1).applied);
+}
+
+// The screen's decision for each kind of payload, with and without a norm
+// bound: the reason and exactly one fl.validate.* tally per update. Σ v² is
+// summed only under a bound, so the update whose Σ v² overflows to +Inf
+// (finite values near 1e200) is accepted without one and rejected as
+// kNormTooLarge under one.
+TEST(Validation, ScreenDecisionTable) {
+  const real inf = std::numeric_limits<real>::infinity();
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  const auto valid = [] { return fake_update(0, 1.0); };
+  const auto crc_flip = [] {
+    ClientUpdateMessage u = fake_update(0, 1.0);
+    u.gradients[u.gradients.size() / 2] ^= 0x10;  // a value byte
+    return u;
+  };
+  const auto shape = [] {
+    ClientUpdateMessage u = fake_update(0, 1.0);
+    u.gradients = tensor::serialize_tensors({tensor::Tensor({2}, {1.0, 2.0})});
+    return u;
+  };
+  struct Case {
+    const char* name;
+    std::function<ClientUpdateMessage()> make;
+    RejectReason unbounded;
+    RejectReason bounded;
+  };
+  const std::vector<Case> cases = {
+      {"valid", valid, RejectReason::kAccepted, RejectReason::kAccepted},
+      {"nan", [&] { return fake_update(0, nan); }, RejectReason::kNonFinite,
+       RejectReason::kNonFinite},
+      {"+inf", [&] { return fake_update(0, inf); }, RejectReason::kNonFinite,
+       RejectReason::kNonFinite},
+      {"-inf", [&] { return fake_update(0, -inf); }, RejectReason::kNonFinite,
+       RejectReason::kNonFinite},
+      {"shape", shape, RejectReason::kShapeMismatch,
+       RejectReason::kShapeMismatch},
+      {"crc flip", crc_flip, RejectReason::kChecksumMismatch,
+       RejectReason::kChecksumMismatch},
+      {"sum of squares overflows", [] { return fake_update(0, 1e200); },
+       RejectReason::kAccepted, RejectReason::kNormTooLarge},
+  };
+  const std::map<RejectReason, std::string> tally = {
+      {RejectReason::kAccepted, "fl.validate.accepted"},
+      {RejectReason::kNonFinite, "fl.validate.reject.non_finite"},
+      {RejectReason::kShapeMismatch, "fl.validate.reject.shape"},
+      {RejectReason::kChecksumMismatch, "fl.validate.reject.checksum"},
+      {RejectReason::kNormTooLarge, "fl.validate.reject.norm"},
+  };
+  const auto validate_counters = [] {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : obs::Registry::global().counters()) {
+      if (name.rfind("fl.validate.", 0) == 0) out[name] = value;
+    }
+    return out;
+  };
+
+  for (const real bound : {0.0, 100.0}) {
+    Server server(tiny_factory(21)(), 0.5);
+    ValidationConfig vc;
+    vc.max_grad_norm = bound;
+    server.set_validation(vc);
+    for (const Case& c : cases) {
+      const RejectReason want = bound > 0.0 ? c.bounded : c.unbounded;
+      UpdateScreen screen = server.begin_screen();
+      const auto before = validate_counters();
+      EXPECT_EQ(server.screen_update(c.make(), screen), want)
+          << c.name << ", bound " << bound;
+      auto expected = before;
+      ++expected[tally.at(want)];
+      if (want != RejectReason::kAccepted) ++expected["fl.validate.rejected"];
+      auto after = validate_counters();
+      // A counter first registered by this screen reads from zero.
+      for (const auto& [name, value] : after) expected.try_emplace(name, 0);
+      EXPECT_EQ(after, expected) << c.name << ", bound " << bound;
+    }
+  }
 }
 
 TEST(Simulation, RejectsDuplicateClientIds) {

@@ -106,9 +106,10 @@ const Shape kEdgeShapes[] = {
 // so the 8-thread sweep splits them into row panels across the pool: m
 // leaves a 1-row last panel, n a ragged last column tile, and k or n
 // crosses a KC/NC block. 150×200×40 has 25 row panels, so `blocked` splits
-// it with a grain of 3 and its chunks start on odd panels: a pair of
-// panels that crossed a chunk boundary would race there. Every edge shape
-// above runs inline.
+// it with a grain of 3 where only the 6×8 tile runs, and of 4 where the
+// 12×8 tile runs (the grain rounds up to whole pairs): a pair of panels
+// that crossed a chunk boundary would race there. Every edge shape above
+// runs inline.
 const Shape kParallelEdgeShapes[] = {
     {133, 257, 41}, {97, 300, 23}, {13, 80, 515}, {150, 200, 40},
 };

@@ -1,4 +1,5 @@
-// Opt-in performance guards for the blocked GEMM kernel and CRC32C.
+// Opt-in performance guards for the blocked GEMM kernel, CRC32C and the
+// server's update screen.
 //
 // Skipped unless OASIS_PERF_GUARD=1: wall-clock assertions are inherently
 // machine-sensitive, so they run as a dedicated ci.sh stage (`./ci.sh perf`)
@@ -12,6 +13,10 @@
 //     (the socket_mlp update size) at ≥5 GB/s where SSE4.2 runs (observed
 //     13–17 GB/s; the portable slice-by-4 walk manages ~0.8). Self-skips
 //     on hosts without SSE4.2.
+//   * the server's screen of one 6.3 MB socket_mlp update with no norm
+//     bound (the CRC, the structure walk and the finite check, no Σ v²
+//     chain) must run at ≥6 GB/s (observed 12.5–12.9; ~3.4 with the chain).
+//     Self-skips without SSE4.2, as the CRC guard does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,8 +29,11 @@
 #include "common/crc32c.h"
 #include "common/crc32c_detail.h"
 #include "common/rng.h"
+#include "fl/server.h"
+#include "nn/models.h"
 #include "runtime/parallel.h"
 #include "tensor/gemm/gemm.h"
+#include "tensor/serialize.h"
 
 namespace oasis {
 namespace {
@@ -116,6 +124,39 @@ TEST(PerfGuard, Crc32cSse42AtLeast5GBpsOn6MB) {
   RecordProperty("crc", std::to_string(crc));
   EXPECT_GE(gb_per_s, 5.0) << "CRC32C integrity path regressed: " << gb_per_s
                            << " GB/s on a 6.3 MB buffer";
+}
+
+TEST(PerfGuard, UnboundedScreenAtLeast6GBpsOn6MB) {
+  OASIS_REQUIRE_PERF_GUARD();
+  if (!common::detail::sse42_supported()) {
+    GTEST_SKIP() << "SSE4.2 CRC32C unavailable on this host";
+  }
+  constexpr int kPasses = 8;
+  common::Rng rng(0x5C4Eu);
+  // The socket_mlp model: MLP 3072-256-10, 789,258 parameters.
+  fl::Server server(nn::make_mlp({3, 32, 32}, {256}, 10, rng), 0.1);
+  std::vector<tensor::Tensor> grads;
+  for (auto* p : server.global_model().parameters()) {
+    grads.push_back(tensor::Tensor::randn(p->value.shape(), rng));
+  }
+  fl::ClientUpdateMessage update;
+  update.num_examples = 1;
+  update.gradients = tensor::serialize_tensors(grads);
+  bool accepted = true;
+  const double seconds = best_of_3([&] {
+    for (int pass = 0; pass < kPasses; ++pass) {
+      fl::UpdateScreen screen = server.begin_screen();
+      const fl::RejectReason reason = server.screen_update(update, screen);
+      accepted = accepted && reason == fl::RejectReason::kAccepted;
+    }
+  });
+  ASSERT_TRUE(accepted);
+  const double gb_per_s = kPasses *
+                          static_cast<double>(update.gradients.size()) /
+                          seconds / 1e9;
+  RecordProperty("screen_gb_per_s", std::to_string(gb_per_s));
+  EXPECT_GE(gb_per_s, 6.0) << "unbounded update screen regressed: "
+                           << gb_per_s << " GB/s on a 6.3 MB update";
 }
 
 }  // namespace

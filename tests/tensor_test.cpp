@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -489,6 +490,87 @@ TEST(Serialize, ScanMatchesDeserializedContents) {
 
   ts[1][7] = std::numeric_limits<real>::quiet_NaN();
   EXPECT_FALSE(scan_tensors(serialize_tensors(ts)).all_finite);
+}
+
+// The screen's finite check is an OR over the exponent bits, not a call to
+// std::isfinite per value: it must agree with std::isfinite on every class
+// of double, at every position, across the vector-width seams, and on
+// values that are not double-aligned.
+TEST(ScanTensors, FiniteCheckMatchesIsfinite) {
+  using limits = std::numeric_limits<real>;
+  const std::vector<real> finite = {
+      1.0,  -0.0, 0.0, limits::denorm_min(), -limits::denorm_min(),
+      limits::min() / 2, limits::max(), -limits::max(), limits::min()};
+  const real poisons[] = {limits::quiet_NaN(), limits::infinity(),
+                          -limits::infinity()};
+  const auto all_isfinite = [](const std::vector<real>& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](real x) { return std::isfinite(x); });
+  };
+  const auto scanned = [](const std::vector<Tensor>& ts, bool with_sum) {
+    return scan_tensors(serialize_tensors(ts), with_sum).all_finite;
+  };
+  for (const index_t n : {1, 7, 8, 9, 4099}) {
+    std::vector<real> clean(n);
+    for (index_t k = 0; k < n; ++k) clean[k] = finite[k % finite.size()];
+    ASSERT_TRUE(all_isfinite(clean));
+    for (const bool with_sum : {false, true}) {
+      EXPECT_TRUE(scanned({Tensor({n}, clean)}, with_sum)) << n;
+    }
+    for (const real poison : poisons) {
+      for (const index_t slot : {index_t{0}, n / 2, n - 1}) {
+        std::vector<real> v = clean;
+        v[slot] = poison;
+        ASSERT_FALSE(all_isfinite(v));
+        for (const bool with_sum : {false, true}) {
+          EXPECT_FALSE(scanned({Tensor({n}, v)}, with_sum))
+              << n << " " << poison << " at " << slot;
+          // Poison in the second tensor only.
+          EXPECT_FALSE(scanned({Tensor({n}, clean), Tensor({n}, v)}, with_sum))
+              << n << " " << poison << " at " << slot;
+        }
+
+        // The same values at an odd byte offset.
+        std::vector<std::uint8_t> bytes(1 + n * sizeof(real));
+        std::memcpy(bytes.data() + 1, v.data(), n * sizeof(real));
+        EXPECT_FALSE(values_finite(bytes.data() + 1, n));
+        std::memcpy(bytes.data() + 1, clean.data(), n * sizeof(real));
+        EXPECT_TRUE(values_finite(bytes.data() + 1, n));
+      }
+    }
+  }
+}
+
+// The norm screen's Σ v² is one ascending FMA chain over the values in
+// message order, so a bounded screen decides exactly as it always has. The
+// magnitudes span 16 decades, so a reordered or split sum would round
+// differently.
+TEST(ScanTensors, SumSquaresIsTheAscendingFmaChain) {
+  common::Rng rng(32);
+  std::vector<Tensor> ts;
+  ts.push_back(Tensor::randn({5, 3}, rng));
+  ts.push_back(Tensor::randn({4099}, rng));
+  ts.push_back(Tensor::randn({9}, rng));
+  for (auto& t : ts) {
+    for (auto& v : t.data()) v *= std::pow(10.0, rng.uniform(-8.0, 8.0));
+  }
+  const ByteBuffer buf = serialize_tensors(ts);
+
+  double chain = 0.0;
+  for (const auto& t : ts) {
+    for (const auto v : t.data()) chain = std::fma(v, v, chain);
+  }
+  const TensorScan scan = scan_tensors(buf, /*with_sum_squares=*/true);
+  std::uint64_t want, got;
+  std::memcpy(&want, &chain, sizeof want);
+  std::memcpy(&got, &scan.sum_squares, sizeof got);
+  EXPECT_EQ(got, want) << scan.sum_squares << " vs " << chain;
+
+  const TensorScan unsummed = scan_tensors(buf, /*with_sum_squares=*/false);
+  EXPECT_EQ(unsummed.sum_squares, 0.0);
+  EXPECT_EQ(unsummed.values, scan.values);
+  EXPECT_EQ(unsummed.shapes, scan.shapes);
+  EXPECT_TRUE(unsummed.all_finite);
 }
 
 TEST(Rng, DeterministicAndSplit) {

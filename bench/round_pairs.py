@@ -139,7 +139,10 @@ def main():
         "change_wins_round_ms_p50": f"{wins}/{args.pairs}",
     }
     if args.trace_seed is not None:
-        rows = list(TRACE_ROWS) + [c for c in args.claim if c not in TRACE_ROWS]
+        # An end-to-end claim is read off the pairs above; a traced run
+        # reports only the per-layer rows.
+        rows = list(TRACE_ROWS) + [c for c in args.claim
+                                   if c not in TRACE_ROWS + END_TO_END]
         traced = {}
         for side in ("parent", "change"):
             m = run_side(sides[side], args.workload, args.trace_seed,

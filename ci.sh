@@ -73,10 +73,13 @@ run_asan() {
 
 run_kernel() {
   # GEMM stage: the blocked-vs-naive differential matrix, the 12×8-vs-two-
-  # 6×8 tile differential, the conv lowering and col2im span references,
-  # ConvPacked (Conv2d on packed panels against an im2col + naive GEMM
-  # reference), plus nn_test's MiniConvNet CRC pin (the kernel label).
-  # ASan/UBSan catches a packed-panel, paired-panel, staged-edge tile,
+  # 6×8 tile differential, the packed-B layout against an element loop, the
+  # conv lowering and col2im span references, ConvPacked (Conv2d on packed
+  # panels against an im2col + naive GEMM reference), plus nn_test's
+  # MiniConvNet CRC pin, the fused ReLU→MaxPool pass against the unfused
+  # pair (every lane position of its vector steps) and the conv bias-gradient
+  # chain pin (the kernel label). ASan/UBSan catches a packed-panel,
+  # register-transpose, paired-panel, staged-edge tile, window-step,
   # lowering or span overrun; the TSan pass then drives the intra-GEMM
   # row-panel parallel path — the 8-thread sweeps, whose parallel edge
   # shapes sit above the inline cutoff, one of them with chunks that start

@@ -13,6 +13,32 @@
 
 namespace oasis::nn {
 
+namespace {
+
+typedef real vec4 __attribute__((vector_size(32)));
+typedef real vec4_u __attribute__((vector_size(32), aligned(8), may_alias));
+static_assert(tensor::gemm::kNR == 2 * 4, "a packed row is two vec4");
+
+/// sums[c] = Σ_p gy[c][p], each channel's chain over p ascending from +0.0,
+/// read from gyᵀ (pix × channels) packed as GEMM B panels: a panel row holds
+/// kNR channels' values at one pixel, so the chains run kNR lanes at a time
+/// and the padding lanes (zero sums) are dropped.
+void bias_sums(const real* bp, index_t pix, index_t channels, real* sums) {
+  using tensor::gemm::kNR;
+  for (index_t c0 = 0; c0 < channels; c0 += kNR) {
+    const real* panel = bp + c0 * pix;
+    vec4 lo = {0.0, 0.0, 0.0, 0.0}, hi = lo;
+    for (index_t p = 0; p < pix; ++p) {
+      lo += *reinterpret_cast<const vec4_u*>(panel + p * kNR);
+      hi += *reinterpret_cast<const vec4_u*>(panel + p * kNR + 4);
+    }
+    const index_t live = std::min(kNR, channels - c0);
+    for (index_t j = 0; j < live; ++j) sums[c0 + j] = j < 4 ? lo[j] : hi[j - 4];
+  }
+}
+
+}  // namespace
+
 Conv2d::Conv2d(index_t in_channels, index_t out_channels, index_t kernel,
                index_t stride, index_t pad, common::Rng& rng)
     : in_ch_(in_channels),
@@ -122,9 +148,9 @@ void Conv2d::backward_params(const tensor::Tensor& grad_out) {
 
   // Per sample, one product with the roles swapped — gWᵀ(taps×out) =
   // cols·gyᵀ, the chain over p ascending as in gy·colsᵀ — into its own
-  // zeroed tile, followed by the sample's ascending-p bias sums. The tiles
-  // are disjoint, so the samples run in parallel, each lowering its columns
-  // and packing its gyᵀ in its thread's workspace.
+  // zeroed tile, followed by the sample's bias sums. The tiles are
+  // disjoint, so the samples run in parallel, each lowering its columns and
+  // packing its gyᵀ in its thread's workspace.
   const index_t w_size = out_ch_ * taps;
   const index_t tile_size = w_size + out_ch_;
   runtime::Workspace& ws = runtime::Workspace::tls();
@@ -143,12 +169,7 @@ void Conv2d::backward_params(const tensor::Tensor& grad_out) {
       tensor::gemm::pack_b(tensor::gemm::Variant::NT, pix, out_ch_, gy_n, bp);
       std::fill(tile, tile + w_size, 0.0);
       tensor::gemm::run_packed(taps, pix, out_ch_, ap, bp, tile);
-      for (index_t c = 0; c < out_ch_; ++c) {
-        const real* gy_row = gy_n + c * pix;
-        real s = 0.0;
-        for (index_t p = 0; p < pix; ++p) s += gy_row[p];
-        tile[w_size + c] = s;
-      }
+      bias_sums(bp, pix, out_ch_, tile + w_size);
     }
   });
   // The fold runs serially in ascending n: every gradient element sums its

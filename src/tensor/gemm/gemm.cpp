@@ -10,11 +10,14 @@
 #include "runtime/parallel.h"
 #include "runtime/workspace.h"
 #include "tensor/gemm/kernels.h"
+#include "tensor/ops.h"
 
 namespace oasis::tensor::gemm {
 namespace {
 
 index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
+
+}  // namespace
 
 // ---- Packing ----------------------------------------------------------------
 //
@@ -22,22 +25,18 @@ index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
 // never touches the arithmetic — so the tile geometry is invisible in the
 // output bits.
 
-/// Packs op(B)[pc..pc+kc, jc..jc+nc) into kNR-wide k-major micro-panels,
-/// zero-padding the ragged last panel to kNR columns.
-void pack_b(Variant v, const real* __restrict b, index_t k, index_t n,
-            index_t pc, index_t kc, index_t jc, index_t nc,
-            real* __restrict bp) {
+void detail::pack_b(Variant v, const real* __restrict b, index_t k, index_t n,
+                    index_t pc, index_t kc, index_t jc, index_t nc,
+                    real* __restrict bp) {
   const index_t panels = ceil_div(nc, kNR);
   for (index_t p = 0; p < panels; ++p) {
     const index_t j0 = p * kNR;
     const index_t w = std::min(kNR, nc - j0);
     real* __restrict dst = bp + p * kc * kNR;
     if (v == Variant::NT) {
-      // op(B)[kk, j] = B[jc+j, pc+kk] with B stored n×k.
-      for (index_t j = 0; j < w; ++j) {
-        const real* __restrict src = b + (jc + j0 + j) * k + pc;
-        for (index_t kk = 0; kk < kc; ++kk) dst[kk * kNR + j] = src[kk];
-      }
+      // op(B)[kk, j] = B[jc+j, pc+kk] with B stored n×k: the panel is the
+      // transpose of w rows of B, 4×4 blocks of it in registers.
+      transpose_block(b + (jc + j0) * k + pc, w, kc, k, dst, kNR);
       if (w < kNR) {
         for (index_t kk = 0; kk < kc; ++kk)
           for (index_t j = w; j < kNR; ++j) dst[kk * kNR + j] = 0.0;
@@ -53,6 +52,8 @@ void pack_b(Variant v, const real* __restrict b, index_t k, index_t n,
     }
   }
 }
+
+namespace {
 
 /// Packs op(A)[i0..i0+mr, pc..pc+kc) k-major with kMR rows interleaved,
 /// zero-padding ragged rows to kMR.
@@ -228,7 +229,7 @@ void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
     for (index_t pc = 0; pc < k; pc += kKC) {
       const index_t kc = std::min(kKC, k - pc);
       // B panel packed once, serially, then read-shared by every chunk.
-      pack_b(v, b, k, n, pc, kc, jc, nc, bpack);
+      detail::pack_b(v, b, k, n, pc, kc, jc, nc, bpack);
       // Row panels go to the tile in pairs counted from the chunk's first
       // panel, so a pair never straddles two chunks.
       const auto body = [&](index_t p0, index_t p1) {
@@ -260,7 +261,7 @@ void blocked(Variant v, index_t m, index_t k, index_t n, const real* a,
 
 void pack_b(Variant v, index_t k, index_t n, const real* b, real* bp) {
   if (k <= 0 || n <= 0) return;
-  pack_b(v, b, k, n, 0, k, 0, n, bp);
+  detail::pack_b(v, b, k, n, 0, k, 0, n, bp);
 }
 
 void run_packed(index_t m, index_t k, index_t n, const real* ap,

@@ -19,6 +19,14 @@
 
 namespace oasis::tensor::gemm::detail {
 
+/// Packs op(B)[pc..pc+kc, jc..jc+nc) of a k×n op(B) (B stored k×n for NN
+/// and TN, n×k for NT) into kNR-wide k-major micro-panels at bp, the
+/// layout gemm.h documents for packed B, zero-padding the ragged last
+/// panel to kNR columns. The blocked driver's pack, one (pc, jc) block at
+/// a time; gemm::pack_b is the whole-matrix call.
+void pack_b(Variant v, const real* b, index_t k, index_t n, index_t pc,
+            index_t kc, index_t jc, index_t nc, real* bp);
+
 /// True when the 6×8 kernel was compiled (the FMA TU defines __FP_FAST_FMA)
 /// and the running CPU executes it. Resolved once. When false, `blocked`
 /// runs the naive oracle, which computes the same bytes.

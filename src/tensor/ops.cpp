@@ -12,6 +12,11 @@
 namespace oasis::tensor {
 namespace {
 
+// Four doubles, and the same vector at double alignment, aliasing double,
+// for loads and stores in place.
+typedef real vec4 __attribute__((vector_size(32)));
+typedef real vec4_u __attribute__((vector_size(32), aligned(8), may_alias));
+
 void check_rank2(const Tensor& t, const char* op) {
   if (t.rank() != 2) {
     throw ShapeError(std::string(op) + ": expected rank-2, got " +
@@ -37,9 +42,46 @@ Tensor transpose(const Tensor& a) {
   check_rank2(a, "transpose");
   const index_t m = a.dim(0), n = a.dim(1);
   Tensor t({n, m});
-  for (index_t i = 0; i < m; ++i)
-    for (index_t j = 0; j < n; ++j) t.at2(j, i) = a.at2(i, j);
+  transpose_block(a.data().data(), m, n, n, t.data().data(), m);
   return t;
+}
+
+namespace {
+
+/// One 4×4 block: rows s, s + lds, … become columns of d.
+void transpose4x4(const real* s, index_t lds, real* d, index_t ldd) {
+  const vec4 r0 = *reinterpret_cast<const vec4_u*>(s);
+  const vec4 r1 = *reinterpret_cast<const vec4_u*>(s + lds);
+  const vec4 r2 = *reinterpret_cast<const vec4_u*>(s + 2 * lds);
+  const vec4 r3 = *reinterpret_cast<const vec4_u*>(s + 3 * lds);
+  // Even and odd lanes of the row pairs (0, 1) and (2, 3), then their low
+  // and high halves.
+  const vec4 e01 = __builtin_shufflevector(r0, r1, 0, 4, 2, 6);
+  const vec4 o01 = __builtin_shufflevector(r0, r1, 1, 5, 3, 7);
+  const vec4 e23 = __builtin_shufflevector(r2, r3, 0, 4, 2, 6);
+  const vec4 o23 = __builtin_shufflevector(r2, r3, 1, 5, 3, 7);
+  *reinterpret_cast<vec4_u*>(d) = __builtin_shufflevector(e01, e23, 0, 1, 4, 5);
+  *reinterpret_cast<vec4_u*>(d + ldd) =
+      __builtin_shufflevector(o01, o23, 0, 1, 4, 5);
+  *reinterpret_cast<vec4_u*>(d + 2 * ldd) =
+      __builtin_shufflevector(e01, e23, 2, 3, 6, 7);
+  *reinterpret_cast<vec4_u*>(d + 3 * ldd) =
+      __builtin_shufflevector(o01, o23, 2, 3, 6, 7);
+}
+
+}  // namespace
+
+void transpose_block(const real* src, index_t rows, index_t cols,
+                     index_t lds, real* dst, index_t ldd) {
+  const index_t rows4 = rows / 4 * 4, cols4 = cols / 4 * 4;
+  // Source columns outermost: a GEMM panel (a few rows of B, kc columns)
+  // then fills whole destination rows before moving on.
+  for (index_t j = 0; j < cols4; j += 4)
+    for (index_t i = 0; i < rows4; i += 4)
+      transpose4x4(src + i * lds + j, lds, dst + j * ldd + i, ldd);
+  for (index_t i = 0; i < rows; ++i)
+    for (index_t j = i < rows4 ? cols4 : 0; j < cols; ++j)
+      dst[j * ldd + i] = src[i * lds + j];
 }
 
 Tensor sum_rows(const Tensor& a) {
@@ -188,8 +230,6 @@ Lowering lower_setup(const real* src, index_t c, index_t h, index_t w,
   return g;
 }
 
-typedef real vec4 __attribute__((vector_size(32)));
-typedef real vec4_u __attribute__((vector_size(32), aligned(8), may_alias));
 static_assert(gemm::kMR == 6, "transpose_taps interleaves six taps");
 
 /// Writes the 4·kMR values dst[q·kMR + r] = s[r][at + q] (q < 4, r < kMR;

@@ -25,6 +25,13 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// Explicit transpose of a rank-2 tensor.
 Tensor transpose(const Tensor& a);
 
+/// Strided transpose of a rows × cols block: dst[j·ldd + i] = src[i·lds + j].
+/// Full 4×4 blocks are transposed in registers, the ragged edges one element
+/// at a time. It only moves values, so NaN payloads and signed zeros arrive
+/// unchanged. The blocks must not overlap.
+void transpose_block(const real* src, index_t rows, index_t cols,
+                     index_t lds, real* dst, index_t ldd);
+
 /// Sum of a rank-2 tensor over rows: result[j] = Σ_i a[i,j]. This is exactly
 /// the batch-summed bias gradient the reconstruction attacks invert.
 Tensor sum_rows(const Tensor& a);

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -346,6 +347,73 @@ TEST(KernelDiff, WideTileMatchesTwoNarrowTiles) {
                                           wide.data(), ldc);
       EXPECT_TRUE(bits_equal(narrow, wide))
           << "kc " << kc << (poisoned ? " with specials" : "");
+    }
+  }
+}
+
+// ---- Packed-B layout --------------------------------------------------------
+
+/// op(B)[pc..pc+kc, jc..jc+nc) in the packed-B layout gemm.h documents,
+/// one element at a time: column j at panel j / kNR, lane j % kNR, and
+/// every lane past nc zero.
+std::vector<real> packed_b_reference(Variant v, const std::vector<real>& b,
+                                     index_t k, index_t n, index_t pc,
+                                     index_t kc, index_t jc, index_t nc) {
+  using tensor::gemm::kNR;
+  std::vector<real> out(tensor::gemm::packed_b_size(kc, nc), 0.0);
+  for (index_t kk = 0; kk < kc; ++kk) {
+    for (index_t j = 0; j < nc; ++j) {
+      const real value = v == Variant::NT ? b[(jc + j) * k + pc + kk]
+                                          : b[(pc + kk) * n + jc + j];
+      out[((j / kNR) * kc + kk) * kNR + j % kNR] = value;
+    }
+  }
+  return out;
+}
+
+// Packing only moves values, so a panel must match the element loop byte
+// for byte, padding included, whatever the pack does in registers: every
+// ragged width (nc % 8 = 0..7, one and two full panels), depths with
+// every tail the pack may block k by, and the (pc, jc) offsets the blocked
+// driver reaches on a shape above kKC × kNC, with NaN, ±Inf and −0.0
+// planted in B. The output starts as a NaN pattern, so a lane the pack
+// skips shows too.
+TEST(KernelDiff, PackBMatchesElementwiseLayout) {
+  using tensor::gemm::kKC;
+  using tensor::gemm::kNC;
+  const real inf = std::numeric_limits<real>::infinity();
+  const real specials[] = {-0.0, inf, -inf,
+                           std::numeric_limits<real>::quiet_NaN()};
+  const index_t k = 2 * kKC, n = kNC + 16;
+  common::Rng rng(0x9AC4Bu);
+  auto b = random_vec(k * n, rng);
+  for (index_t i = 0; i < b.size(); i += 7) b[i] = specials[(i / 7) % 4];
+  const real poison = std::bit_cast<real>(std::uint64_t{0x7FF4DEADBEEF0001u});
+  for (const Variant v : {Variant::NN, Variant::TN, Variant::NT}) {
+    for (const index_t kc : {1, 3, 8, 27, 255, 256}) {
+      for (index_t nc = 1; nc <= 16; ++nc) {
+        const std::string at = "variant " +
+                               std::to_string(static_cast<int>(v)) + ", kc " +
+                               std::to_string(kc) + ", nc " +
+                               std::to_string(nc);
+        for (const index_t pc : {index_t{0}, kKC}) {
+          for (const index_t jc : {index_t{0}, kNC}) {
+            std::vector<real> bp(tensor::gemm::packed_b_size(kc, nc), poison);
+            tensor::gemm::detail::pack_b(v, b.data(), k, n, pc, kc, jc, nc,
+                                         bp.data());
+            EXPECT_TRUE(bits_equal(
+                bp, packed_b_reference(v, b, k, n, pc, kc, jc, nc)))
+                << at << ", pc " << pc << ", jc " << jc;
+          }
+        }
+        // The whole-matrix entry on a kc × nc op(B) of its own.
+        const std::vector<real> small(b.begin(), b.begin() + kc * nc);
+        std::vector<real> bp(tensor::gemm::packed_b_size(kc, nc), poison);
+        tensor::gemm::pack_b(v, kc, nc, small.data(), bp.data());
+        EXPECT_TRUE(bits_equal(
+            bp, packed_b_reference(v, small, kc, nc, 0, kc, 0, nc)))
+            << at << ", whole matrix";
+      }
     }
   }
 }

@@ -745,6 +745,41 @@ TEST(BackwardParams, Conv2dBackwardUsesTheLatestInput) {
                Error);
 }
 
+TEST(BackwardParams, Conv2dBiasGradientIsTheAscendingChain) {
+  // Per sample, each channel's bias term is one ascending-pixel chain from
+  // +0.0; bias.grad folds the samples' terms in ascending n. The 5×7 output
+  // (35 pixels) leaves a ragged tail in any pixel blocking, and the channel
+  // counts cover a partial, a full, one and a half, and two 8-lane groups.
+  // The gradient mixes magnitudes 1e16 apart, so any other association of
+  // the adds moves the bits.
+  for (const int threads : {1, 8}) {
+    runtime::set_num_threads(threads);
+    for (const index_t out_ch : {3, 8, 12, 16}) {
+      const index_t batch = 3, pix = 5 * 7;
+      common::Rng rng(0xB1A5u + out_ch);
+      Conv2d conv(2, out_ch, 3, 1, 1, rng);
+      const tensor::Tensor x = tensor::Tensor::randn({batch, 2, 5, 7}, rng);
+      tensor::Tensor gy = tensor::Tensor::randn({batch, out_ch, 5, 7}, rng);
+      for (index_t i = 0; i < gy.size(); i += 5) gy[i] *= 1e16;
+      for (index_t i = 3; i < gy.size(); i += 11) gy[i] = -0.0;
+      conv.forward(x, true);
+      conv.backward(gy);
+      std::vector<real> want(out_ch, 0.0);
+      for (index_t n = 0; n < batch; ++n) {
+        for (index_t c = 0; c < out_ch; ++c) {
+          real s = 0.0;
+          for (index_t p = 0; p < pix; ++p) s += gy[(n * out_ch + c) * pix + p];
+          want[c] += s;
+        }
+      }
+      EXPECT_EQ(bits_of(conv.bias().grad),
+                bits_of(tensor::Tensor({out_ch}, want)))
+          << out_ch << " channels, " << threads << " threads";
+    }
+  }
+  runtime::set_num_threads(0);
+}
+
 TEST(BackwardParams, ConstForwardKeepsTheCallersTensorAndRvalueMatches) {
   common::Rng data_rng(0xF0u);
   const tensor::Tensor x = tensor::Tensor::randn({4, 3, 5, 6}, data_rng);
@@ -975,20 +1010,28 @@ TEST(FusedReluPool, MatchesChildByChildBitForBit) {
   runtime::set_num_threads(0);
 }
 
-TEST(FusedReluPool, SpecialWindowsMatchTheUnfusedPair) {
-  // Every window of one sample-plane is a special case of the exactness
-  // rule: all NaN, all −inf, −1 then −0.0 (pool-first would give −0.0,
-  // the pair +0.0), −0.0 then +0.0, +0.0 then −0.0, NaN then 1, ties, and
-  // a positive maximum after negatives. The gradient carries −0.0, NaN and
-  // ±inf.
+/// 2×2 windows (taps 0, 1, w, w+1) that are each a special case of the
+/// fused pair's exactness rule: all NaN, all −inf, −1 then −0.0 (pool-first
+/// would give −0.0, the pair +0.0), −0.0 then +0.0, +0.0 then −0.0, NaN
+/// then 1, ties, and a positive maximum after negatives.
+const std::vector<std::vector<real>>& special_windows() {
   const real inf = std::numeric_limits<real>::infinity();
   const real nan = std::numeric_limits<real>::quiet_NaN();
-  const std::vector<std::vector<real>> windows = {
+  static const std::vector<std::vector<real>> windows = {
       {nan, nan, nan, nan},     {-inf, -inf, -inf, -inf},
       {-1.0, -0.0, -2.0, -3.0}, {-0.0, 0.0, -1.0, -1.0},
       {0.0, -0.0, -1.0, -1.0},  {nan, 1.0, -1.0, 0.5},
       {2.0, 2.0, 2.0, 2.0},     {-1.0, -2.0, 3.0, -4.0},
       {inf, nan, -inf, 1.0},    {-inf, -0.0, nan, -1.0}};
+  return windows;
+}
+
+TEST(FusedReluPool, SpecialWindowsMatchTheUnfusedPair) {
+  // Every window of one sample-plane is a special window. The gradient
+  // carries −0.0, NaN and ±inf.
+  const real inf = std::numeric_limits<real>::infinity();
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  const std::vector<std::vector<real>>& windows = special_windows();
   const index_t count = windows.size();
   // One plane of 2 × count windows laid out as a 2 × (2·count) image.
   std::vector<real> values(4 * count);
@@ -1026,6 +1069,66 @@ TEST(FusedReluPool, SpecialWindowsMatchTheUnfusedPair) {
   EXPECT_EQ(bits_of(fused.backward_relu(gy)), bits_of(want_gx));
   // A standalone backward after a fused forward is refused.
   EXPECT_THROW(fused.backward(gy), Error);
+}
+
+TEST(FusedReluPool, SpecialWindowsAtEveryLaneMatchTheUnfusedPair) {
+  // The 2/2 pair scans several windows per vector step and finishes a
+  // ragged row with a step of its own, so each special window is placed in
+  // every output column (first, middle and last lanes of a step, the
+  // ragged tail included) of widths around the step, over six planes of
+  // three output rows, with ties between every later pair of taps, where
+  // only the scan order picks the routed element. The rest of the windows
+  // are random, and the gradient cycles through −0.0, NaN and ±inf.
+  const real inf = std::numeric_limits<real>::infinity();
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  std::vector<std::vector<real>> windows = special_windows();
+  windows.push_back({0.5, 3.0, 3.0, 3.0});
+  windows.push_back({0.5, 2.0, 3.0, 3.0});
+  windows.push_back({0.5, 3.0, 2.0, 3.0});
+  const index_t count = windows.size();
+  const real g_values[] = {1.5, -0.0, nan, inf, -inf, -2.0, 0.25};
+  for (const index_t ow : {1, 2, 3, 5, 6, 7, 12}) {
+    const index_t oh = 3, w = 2 * ow;
+    const tensor::Shape shape = {2, 3, 2 * oh, w};
+    const index_t windows_total = 2 * 3 * oh * ow;
+    // Shift s puts pattern (q + s) mod (count + 1) at window q; pattern
+    // `count` leaves the random values.
+    for (index_t shift = 0; shift <= count; ++shift) {
+      common::Rng rng(0x1A9E0u + ow * 131 + shift);
+      tensor::Tensor x = tensor::Tensor::randn(shape, rng);
+      for (index_t q = 0; q < windows_total; ++q) {
+        const index_t pattern = (q + shift) % (count + 1);
+        if (pattern == count) continue;
+        const index_t r = q / ow, j = q % ow;
+        real* top = x.data().data() + 2 * r * w + 2 * j;
+        const std::vector<real>& win = windows[pattern];
+        top[0] = win[0];
+        top[1] = win[1];
+        top[w] = win[2];
+        top[w + 1] = win[3];
+      }
+      tensor::Tensor gy = tensor::Tensor::randn({2, 3, oh, ow}, rng);
+      for (index_t q = shift % 3; q < windows_total; q += 3) {
+        gy[q] = g_values[(q + shift) % std::size(g_values)];
+      }
+
+      ReLU relu;
+      MaxPool2d pool(2, 2);
+      const tensor::Tensor want_y = pool.forward(relu.forward(x, true), true);
+      const tensor::Tensor want_gx = relu.backward(pool.backward(gy));
+
+      const std::string at =
+          "ow " + std::to_string(ow) + ", shift " + std::to_string(shift);
+      MaxPool2d fused(2, 2);
+      ASSERT_TRUE(fused.tiles(x)) << at;
+      EXPECT_EQ(bits_of(fused.forward_relu(tensor::Tensor(x), true)),
+                bits_of(want_y))
+          << at;
+      EXPECT_EQ(bits_of(fused.backward_relu(gy)), bits_of(want_gx)) << at;
+      fused.forward_relu(tensor::Tensor(x), false);
+      EXPECT_EQ(bits_of(fused.backward_relu(gy)), bits_of(want_gx)) << at;
+    }
+  }
 }
 
 // ---- Cross-commit byte pin --------------------------------------------------
